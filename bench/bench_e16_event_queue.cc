@@ -1,5 +1,4 @@
-// E16 — event-queue scheduler comparison: binary heap vs hierarchical
-// timing wheel.
+// E16 — event-queue costs of the hierarchical timing wheel.
 //
 // PortLand's soft state is timer-driven: every switch re-arms LDP
 // keepalives, the fabric manager ages liveness, hosts run ARP retries and
@@ -8,21 +7,16 @@
 // order simulation cost. This bench isolates them two ways:
 //
 //  - Micro: ns/op for schedule_at, schedule+dispatch, Timer::rearm, and
-//    Timer::cancel against a realistically-populated queue, per scheduler.
-//    Manual timing (median of reps) rather than google-benchmark so both
-//    schedulers land in one JSON report with a direct ratio.
+//    Timer::cancel against a realistically-populated queue. Manual timing
+//    (median of reps) rather than google-benchmark so the rows land in
+//    one JSON report beside the macro numbers.
 //  - Macro: a converged k=16/32 fabric at steady state — LDP keepalives,
 //    LDM frames, and liveness aging (the paper's fabric-maintenance
 //    workload) plus one long-lived cross-pod TCP flow per pod. The flows
 //    matter: every ACK re-arms the sender's RTO (RTO_min = 200 ms), so at
 //    steady state the queue carries hundreds of thousands of in-flight
-//    timer shots. The heap keeps a husk per rearm until its old deadline
-//    surfaces; the wheel erases in O(1). Measured as executed events/sec
-//    for each scheduler over identical simulated windows.
-//
-// Determinism makes the comparison exact: both schedulers execute the
-// *identical* event sequence (see Soak.SchedulerChoiceIsInvisibleToExecution),
-// so events/sec differences are pure queue mechanics.
+//    timer shots, each rearm an O(1) wheel erase + insert. Measured as
+//    executed events/sec over a fixed simulated window.
 //
 // Usage: bench_e16_event_queue [--k N[,N...]] [--reps N] [--measure-ms N]
 //                              [--micro-ops N] [--full] [--json PATH]
@@ -87,10 +81,6 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-const char* name_of(sim::SchedulerKind kind) {
-  return kind == sim::SchedulerKind::kHeap ? "heap" : "wheel";
-}
-
 double elapsed_ns(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::nano>(
              std::chrono::steady_clock::now() - t0)
@@ -100,7 +90,7 @@ double elapsed_ns(std::chrono::steady_clock::time_point t0) {
 // ---------------------------------------------------------------------------
 // Micro: queue operations against a pre-populated simulator. The backlog
 // (pending timers at erratic deadlines, like a fabric's keepalive
-// population) is what gives the heap its log factor.
+// population) keeps every wheel level occupied.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kBacklog = 1 << 16;
@@ -122,88 +112,83 @@ std::vector<std::unique_ptr<sim::Timer>> make_backlog(sim::Simulator& sim,
 
 struct MicroRow {
   std::string op;
-  sim::SchedulerKind kind;
   double ns_per_op = 0;
 };
 
 void run_micro(const Args& args, std::vector<MicroRow>& rows) {
   print_header("E16 micro: event-queue ops, ns/op (backlog 65536)");
-  std::printf("%18s %8s %12s\n", "op", "queue", "ns/op");
+  std::printf("%18s %12s\n", "op", "ns/op");
   const std::size_t ops = args.micro_ops;
+  const auto report = [&rows](const char* op, double ns) {
+    rows.push_back(MicroRow{op, ns});
+    std::printf("%18s %12.1f\n", op, ns);
+  };
 
-  for (const sim::SchedulerKind kind :
-       {sim::SchedulerKind::kHeap, sim::SchedulerKind::kWheel}) {
-    // schedule_at: one-shot inserts at erratic offsets, never dispatched
-    // within the measured window.
-    double ns = repeat_median(args.reps, [&] {
-      sim::Simulator sim(sim::Simulator::Options{kind});
-      Rng rng(16);
-      const auto backlog = make_backlog(sim, rng);
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < ops; ++i) {
-        sim.at(millis(1) + static_cast<SimTime>(rng.next_below(seconds(30))),
-               [] {});
-      }
-      return elapsed_ns(t0) / static_cast<double>(ops);
-    });
-    rows.push_back(MicroRow{"schedule_at", kind, ns});
-    std::printf("%18s %8s %12.1f\n", "schedule_at", name_of(kind), ns);
+  // schedule_at: one-shot inserts at erratic offsets, never dispatched
+  // within the measured window.
+  double ns = repeat_median(args.reps, [&] {
+    sim::Simulator sim;
+    Rng rng(16);
+    const auto backlog = make_backlog(sim, rng);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < ops; ++i) {
+      sim.at(millis(1) + static_cast<SimTime>(rng.next_below(seconds(30))),
+             [] {});
+    }
+    return elapsed_ns(t0) / static_cast<double>(ops);
+  });
+  report("schedule_at", ns);
 
-    // schedule+dispatch: the full queue round trip — insert at erratic
-    // offsets, then drain. Pop cost is where heap sift-down lives.
-    ns = repeat_median(args.reps, [&] {
-      sim::Simulator sim(sim::Simulator::Options{kind});
-      Rng rng(17);
-      const auto backlog = make_backlog(sim, rng);
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < ops; ++i) {
-        sim.at(sim.now() + static_cast<SimTime>(rng.next_below(millis(20))),
-               [] {});
-      }
-      sim.run_until(sim.now() + millis(20));
-      return elapsed_ns(t0) / static_cast<double>(ops);
-    });
-    rows.push_back(MicroRow{"schedule_dispatch", kind, ns});
-    std::printf("%18s %8s %12.1f\n", "schedule_dispatch", name_of(kind), ns);
+  // schedule+dispatch: the full queue round trip — insert at erratic
+  // offsets, then drain (bucket staging and cascades).
+  ns = repeat_median(args.reps, [&] {
+    sim::Simulator sim;
+    Rng rng(17);
+    const auto backlog = make_backlog(sim, rng);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < ops; ++i) {
+      sim.at(sim.now() + static_cast<SimTime>(rng.next_below(millis(20))),
+             [] {});
+    }
+    sim.run_until(sim.now() + millis(20));
+    return elapsed_ns(t0) / static_cast<double>(ops);
+  });
+  report("schedule_dispatch", ns);
 
-    // timer_rearm: the LDP-keepalive hot path — erase the pending shot,
-    // re-insert at a new deadline, no closure rebuild.
-    ns = repeat_median(args.reps, [&] {
-      sim::Simulator sim(sim::Simulator::Options{kind});
-      Rng rng(18);
-      const auto backlog = make_backlog(sim, rng);
-      sim::Timer t(sim);
-      t.schedule_after(millis(1), [] {});
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < ops; ++i) {
-        t.rearm(millis(1) +
-                static_cast<SimDuration>(rng.next_below(millis(50))));
-      }
-      return elapsed_ns(t0) / static_cast<double>(ops);
-    });
-    rows.push_back(MicroRow{"timer_rearm", kind, ns});
-    std::printf("%18s %8s %12.1f\n", "timer_rearm", name_of(kind), ns);
+  // timer_rearm: the LDP-keepalive hot path — erase the pending shot,
+  // re-insert at a new deadline, no closure rebuild.
+  ns = repeat_median(args.reps, [&] {
+    sim::Simulator sim;
+    Rng rng(18);
+    const auto backlog = make_backlog(sim, rng);
+    sim::Timer t(sim);
+    t.schedule_after(millis(1), [] {});
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < ops; ++i) {
+      t.rearm(millis(1) +
+              static_cast<SimDuration>(rng.next_below(millis(50))));
+    }
+    return elapsed_ns(t0) / static_cast<double>(ops);
+  });
+  report("timer_rearm", ns);
 
-    // timer_cancel: schedule + true-cancel pairs; on the heap the cancel
-    // releases the payload but the husk still rides the queue.
-    ns = repeat_median(args.reps, [&] {
-      sim::Simulator sim(sim::Simulator::Options{kind});
-      Rng rng(19);
-      const auto backlog = make_backlog(sim, rng);
-      sim::Timer t(sim);
-      t.schedule_after(millis(1), [] {});
+  // timer_cancel: schedule + true-cancel pairs.
+  ns = repeat_median(args.reps, [&] {
+    sim::Simulator sim;
+    Rng rng(19);
+    const auto backlog = make_backlog(sim, rng);
+    sim::Timer t(sim);
+    t.schedule_after(millis(1), [] {});
+    t.cancel();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < ops; ++i) {
+      t.rearm(millis(1) +
+              static_cast<SimDuration>(rng.next_below(seconds(2))));
       t.cancel();
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < ops; ++i) {
-        t.rearm(millis(1) +
-                static_cast<SimDuration>(rng.next_below(seconds(2))));
-        t.cancel();
-      }
-      return elapsed_ns(t0) / static_cast<double>(2 * ops);
-    });
-    rows.push_back(MicroRow{"timer_cancel", kind, ns});
-    std::printf("%18s %8s %12.1f\n", "timer_cancel", name_of(kind), ns);
-  }
+    }
+    return elapsed_ns(t0) / static_cast<double>(2 * ops);
+  });
+  report("timer_cancel", ns);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,18 +197,16 @@ void run_micro(const Args& args, std::vector<MicroRow>& rows) {
 
 struct MacroRow {
   int k = 0;
-  sim::SchedulerKind kind;
   double wall_s = 0;
   double events_per_sec = 0;
   std::uint64_t window_events = 0;
   std::uint64_t pending = 0;
 };
 
-MacroRow run_macro_one(const Args& args, int k, sim::SchedulerKind kind) {
+MacroRow run_macro_one(const Args& args, int k) {
   core::PortlandFabric::Options options;
   options.k = k;
   options.seed = 16;
-  options.scheduler = kind;
   core::PortlandFabric fabric(options);
   if (!fabric.run_until_converged(seconds(30))) {
     std::fprintf(stderr, "FATAL: LDP did not converge (k=%d)\n", k);
@@ -248,7 +231,6 @@ MacroRow run_macro_one(const Args& args, int k, sim::SchedulerKind kind) {
 
   MacroRow row;
   row.k = k;
-  row.kind = kind;
   row.pending = sim.pending_events();
   row.wall_s = repeat_median(args.reps, [&] {
     const std::uint64_t e0 = sim.executed_events();
@@ -259,8 +241,8 @@ MacroRow run_macro_one(const Args& args, int k, sim::SchedulerKind kind) {
     return std::chrono::duration<double>(wall1 - wall0).count();
   });
   row.events_per_sec = static_cast<double>(row.window_events) / row.wall_s;
-  std::printf("%4d %8s %10.3f %14.0f %12llu %10llu\n", k, name_of(kind),
-              row.wall_s, row.events_per_sec,
+  std::printf("%4d %10.3f %14.0f %12llu %10llu\n", k, row.wall_s,
+              row.events_per_sec,
               static_cast<unsigned long long>(row.window_events),
               static_cast<unsigned long long>(row.pending));
   return row;
@@ -271,22 +253,10 @@ void run(const Args& args) {
   run_micro(args, micro);
 
   print_header("E16 macro: LDP steady state, executed events/sec");
-  std::printf("%4s %8s %10s %14s %12s\n", "k", "queue", "wall_s", "events/s",
-              "events");
+  std::printf("%4s %10s %14s %12s %10s\n", "k", "wall_s", "events/s",
+              "events", "pending");
   std::vector<MacroRow> macro;
-  struct Ratio {
-    int k;
-    double ratio;
-  };
-  std::vector<Ratio> ratios;
-  for (const int k : args.ks) {
-    const MacroRow heap = run_macro_one(args, k, sim::SchedulerKind::kHeap);
-    const MacroRow wheel = run_macro_one(args, k, sim::SchedulerKind::kWheel);
-    macro.push_back(heap);
-    macro.push_back(wheel);
-    ratios.push_back(Ratio{k, wheel.events_per_sec / heap.events_per_sec});
-    std::printf("%4d    wheel/heap: %.2fx\n", k, ratios.back().ratio);
-  }
+  for (const int k : args.ks) macro.push_back(run_macro_one(args, k));
 
   if (!args.json_path.empty()) {
     JsonReport report("e16_event_queue");
@@ -299,10 +269,9 @@ void run(const Args& args) {
     for (std::size_t i = 0; i < micro.size(); ++i) {
       char buf[160];
       std::snprintf(buf, sizeof(buf),
-                    "%s\n    {\"op\": \"%s\", \"scheduler\": \"%s\", "
-                    "\"ns_per_op\": %.2f}",
+                    "%s\n    {\"op\": \"%s\", \"ns_per_op\": %.2f}",
                     i == 0 ? "" : ",", micro[i].op.c_str(),
-                    name_of(micro[i].kind), micro[i].ns_per_op);
+                    micro[i].ns_per_op);
       arr += buf;
     }
     arr += "\n  ]";
@@ -312,26 +281,16 @@ void run(const Args& args) {
       const MacroRow& r = macro[i];
       char buf[200];
       std::snprintf(buf, sizeof(buf),
-                    "%s\n    {\"k\": %d, \"scheduler\": \"%s\", "
+                    "%s\n    {\"k\": %d, "
                     "\"wall_seconds\": %.6f, \"events_per_sec\": %.1f, "
                     "\"window_events\": %llu}",
-                    i == 0 ? "" : ",", r.k, name_of(r.kind), r.wall_s,
+                    i == 0 ? "" : ",", r.k, r.wall_s,
                     r.events_per_sec,
                     static_cast<unsigned long long>(r.window_events));
       arr += buf;
     }
     arr += "\n  ]";
     report.add_raw("macro", arr);
-    arr = "[";
-    for (std::size_t i = 0; i < ratios.size(); ++i) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    "%s\n    {\"k\": %d, \"ratio\": %.3f}", i == 0 ? "" : ",",
-                    ratios[i].k, ratios[i].ratio);
-      arr += buf;
-    }
-    arr += "\n  ]";
-    report.add_raw("wheel_vs_heap", arr);
     report.write(args.json_path);
   }
 }

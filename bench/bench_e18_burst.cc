@@ -1,4 +1,4 @@
-// E18 — burst/train event execution and adaptive lookahead.
+// E18 — burst/train event execution.
 //
 // All-to-all *shuffle bursts* on modern-datacenter links: every host
 // emits `--burst` back-to-back frames per `--interval-us` tick, and links
@@ -11,24 +11,16 @@
 // realistic one: a 100G link moves a frame in nanoseconds while the cable
 // and switch pipeline hold it for microseconds. (E14 keeps the 1 Gb/s
 // paced-traffic shape, where trains degenerate to length ~1 and burst
-// mode must simply not lose — covered by the A rows here too.)
+// mode must simply not lose.)
 //
-// Three sections:
-//
-//   A. Headline (k=16): burst off vs on, on the classic serial engine and
-//      on the sharded engine at 1 and 4 workers. The acceptance row is
-//      sharded workers=1 + burst (one execution thread, per-pod queues).
-//      Targets: >= 1M delivered data frames/s of wall clock, scheduler
-//      inserts per delivered frame < 1.0 (a classic engine pays ~6.1:
-//      six link hops plus timer bookkeeping), and workers=4 never slower
-//      than workers=1 (the "parallel never loses" invariant — on a box
-//      without the cores the engine falls back to inline windows, so the
-//      two should tie rather than regress).
-//   B. Train-cap sweep (k=8, serial): max_train 1 / 4 / 16 / unbounded.
-//      Cap 1 degenerates to one scheduler node per frame — the classic
-//      cost — so the sweep is the train-length ablation.
-//   C. Adaptive vs fixed lookahead (k=8, sharded): identical workload
-//      with Options::adaptive_lookahead on/off at 1 and 4 workers.
+// Rows (k=16): burst off vs on, on the classic serial engine and on the
+// sharded engine at 1 and 4 workers. The acceptance row is sharded workers=1
+// with burst on (one execution thread, per-pod queues). Targets: >= 1M
+// delivered data frames/s of wall clock, scheduler inserts per delivered
+// frame < 1.0 (a classic engine pays ~6.1: six link hops plus timer
+// bookkeeping), and workers=4 never slower than workers=1 (the "parallel
+// never loses" invariant — on a box without the cores the engine falls back
+// to inline windows, so the two should tie rather than regress).
 //
 // Every configuration simulates a bit-identical event sequence (see
 // Soak.BurstModeIsInvisibleToExecution); only wall clock may differ.
@@ -42,10 +34,9 @@
 //                        < 1.0 means trains amortized the scheduler,
 //   * train share      — fraction of hops delivered via trains.
 //
-// Usage: bench_e18_burst [--k N] [--cap-k N] [--reps N] [--measure-us N]
+// Usage: bench_e18_burst [--k N] [--reps N] [--measure-us N]
 //                        [--interval-us N] [--burst N] [--bandwidth-gbps N]
-//                        [--flows-per-host N] [--headline-only]
-//                        [--json PATH]
+//                        [--flows-per-host N] [--json PATH]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -62,15 +53,13 @@ using namespace portland::bench;
 namespace {
 
 struct Args {
-  int k = 16;       // section A
-  int cap_k = 8;    // sections B and C
+  int k = 16;
   std::size_t reps = 10;
   SimDuration measure = millis(8);
   SimDuration interval = millis(8);
   std::size_t burst = 128;
   double bandwidth_gbps = 100.0;
   std::size_t flows_per_host = 1;
-  bool headline_only = false;
   std::string json_path;
 };
 
@@ -87,8 +76,6 @@ Args parse_args(int argc, char** argv) {
     };
     if (arg == "--k") {
       a.k = std::atoi(next());
-    } else if (arg == "--cap-k") {
-      a.cap_k = std::atoi(next());
     } else if (arg == "--reps") {
       a.reps = static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--measure-us") {
@@ -101,8 +88,6 @@ Args parse_args(int argc, char** argv) {
       a.bandwidth_gbps = std::atof(next());
     } else if (arg == "--flows-per-host") {
       a.flows_per_host = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--headline-only") {
-      a.headline_only = true;
     } else if (arg == "--json") {
       a.json_path = next();
     } else {
@@ -114,12 +99,9 @@ Args parse_args(int argc, char** argv) {
 }
 
 struct Row {
-  const char* section = "";
   int k = 0;
   bool burst = true;
   unsigned workers = 0;
-  std::uint32_t max_train = 0;  // 0 = unbounded
-  bool adaptive = true;
   double wall_s = 0;
   double probe_per_sec = 0;
   double hops_per_sec = 0;
@@ -226,16 +208,12 @@ Sample measure_once(const Args& args, Workload& w) {
   return s;
 }
 
-Row row_from(Workload& w, const char* section, bool burst,
-             unsigned workers, std::uint32_t max_train, bool adaptive,
-             double wall_s, const Sample& s) {
+Row row_from(Workload& w, bool burst,
+             unsigned workers, double wall_s, const Sample& s) {
   Row row;
-  row.section = section;
   row.k = w.fabric->options().k;
   row.burst = burst;
   row.workers = workers;
-  row.max_train = max_train;
-  row.adaptive = adaptive;
   row.wall_s = wall_s;
   row.probe_per_sec = static_cast<double>(s.probe) / wall_s;
   row.hops_per_sec = static_cast<double>(s.hops) / wall_s;
@@ -270,7 +248,7 @@ double best_of(const std::vector<double>& walls) {
 /// interleaved (1,4,1,4,...), so slow wall-clock drift on a shared box
 /// cannot systematically bias one side of the never-loses comparison.
 std::pair<Row, Row> measure_worker_pair(const Args& args, Workload& w,
-                                        const char* section, bool burst) {
+                                        bool burst) {
   std::vector<double> wall1, wall4;
   Sample last1, last4;
   for (std::size_t rep = 0; rep < args.reps; ++rep) {
@@ -281,47 +259,36 @@ std::pair<Row, Row> measure_worker_pair(const Args& args, Workload& w,
     last4 = measure_once(args, w);
     wall4.push_back(last4.wall_s);
   }
-  return {row_from(w, section, burst, 1, 0, true, best_of(wall1), last1),
-          row_from(w, section, burst, 4, 0, true, best_of(wall4), last4)};
+  return {row_from(w, burst, 1, best_of(wall1), last1),
+          row_from(w, burst, 4, best_of(wall4), last4)};
 }
 
-Row measure_row(const Args& args, Workload& w, const char* section,
-                bool burst, unsigned workers, std::uint32_t max_train,
-                bool adaptive) {
+Row measure_row(const Args& args, Workload& w, bool burst,
+                unsigned workers) {
   std::vector<double> walls;
   Sample last;
   for (std::size_t rep = 0; rep < args.reps; ++rep) {
     last = measure_once(args, w);
     walls.push_back(last.wall_s);
   }
-  return row_from(w, section, burst, workers, max_train, adaptive,
-                  best_of(walls), last);
+  return row_from(w, burst, workers, best_of(walls), last);
 }
 
 void print_row(const Row& r) {
-  char cap[16];
-  if (r.max_train == 0) {
-    std::snprintf(cap, sizeof(cap), "inf");
-  } else {
-    std::snprintf(cap, sizeof(cap), "%u", r.max_train);
-  }
-  std::printf("%-4s %4d %6s %8u %6s %9s %10.3f %12.0f %12.0f %10.3f %8.2f "
-              "%8.2f %8.2f\n",
-              r.section, r.k, r.burst ? "on" : "off", r.workers, cap,
-              r.adaptive ? "adapt" : "fixed", r.wall_s, r.probe_per_sec,
-              r.hops_per_sec, r.events_per_hop, r.train_share, r.train_len,
-              r.repush_ratio);
+  std::printf("%4d %6s %8u %10.3f %12.0f %12.0f %10.3f %8.2f %8.2f %8.2f\n",
+              r.k, r.burst ? "on" : "off", r.workers, r.wall_s,
+              r.probe_per_sec, r.hops_per_sec, r.events_per_hop,
+              r.train_share, r.train_len, r.repush_ratio);
 }
 
 void print_table_header() {
-  std::printf("%-4s %4s %6s %8s %6s %9s %10s %12s %12s %10s %8s %8s %8s\n",
-              "sec", "k", "burst", "workers", "cap", "lookahd", "wall_s",
-              "probe/s", "hops/s", "ev/hop", "train", "len", "repush");
+  std::printf("%4s %6s %8s %10s %12s %12s %10s %8s %8s %8s\n", "k", "burst",
+              "workers", "wall_s", "probe/s", "hops/s", "ev/hop", "train",
+              "len", "repush");
 }
 
 void run(const Args& args) {
-  print_header("E18: burst/train execution + adaptive lookahead "
-               "(near-line-rate all-to-all UDP)");
+  print_header("E18: burst/train execution (near-line-rate all-to-all UDP)");
   std::printf("burst %zu x %zu flows/host every %lld us, %.0f Gb/s links, "
               "measure %lld us x %zu reps\n",
               args.burst, args.flows_per_host,
@@ -331,58 +298,32 @@ void run(const Args& args) {
   print_table_header();
 
   std::vector<Row> rows;
-  core::PortlandFabric::Options engine;  // defaults: burst on, adaptive on
+  core::PortlandFabric::Options engine;  // defaults: burst on
 
-  // --- A. headline: burst off/on, serial + sharded ------------------------
+  // Burst off/on, serial + sharded.
   {
     engine.workers = 0;
     engine.burst = false;
     Workload off = make_workload(args, args.k, engine);
-    rows.push_back(measure_row(args, off, "A", false, 0, 0, true));
+    rows.push_back(measure_row(args, off, false, 0));
     print_row(rows.back());
   }
   {
     engine.workers = 0;
     engine.burst = true;
     Workload on = make_workload(args, args.k, engine);
-    rows.push_back(measure_row(args, on, "A", true, 0, 0, true));
+    rows.push_back(measure_row(args, on, true, 0));
     print_row(rows.back());
   }
   for (const bool burst : {true, false}) {
     engine.workers = 1;
     engine.burst = burst;
     Workload shard = make_workload(args, args.k, engine);
-    auto [r1, r4] = measure_worker_pair(args, shard, "A", burst);
+    auto [r1, r4] = measure_worker_pair(args, shard, burst);
     rows.push_back(r1);
     print_row(r1);
     rows.push_back(r4);
     print_row(r4);
-  }
-
-  // --- B. train-cap sweep (serial) ---------------------------------------
-  if (!args.headline_only) {
-    for (const std::uint32_t cap : {1u, 4u, 16u, 0u}) {
-      engine.workers = 0;
-      engine.burst = true;
-      engine.max_train = cap;
-      Workload w = make_workload(args, args.cap_k, engine);
-      rows.push_back(measure_row(args, w, "B", true, 0, cap, true));
-      print_row(rows.back());
-    }
-    engine.max_train = 0;
-
-    // --- C. adaptive vs fixed lookahead (sharded) -------------------------
-    for (const bool adaptive : {false, true}) {
-      engine.workers = 1;
-      engine.burst = true;
-      engine.adaptive_lookahead = adaptive;
-      Workload w = make_workload(args, args.cap_k, engine);
-      for (const unsigned wkr : {1u, 4u}) {
-        w.fabric->sim().set_workers(wkr);
-        rows.push_back(measure_row(args, w, "C", true, wkr, 0, adaptive));
-        print_row(rows.back());
-      }
-    }
   }
 
   // Headline summary: the acceptance numbers, stated explicitly. The
@@ -395,8 +336,8 @@ void run(const Args& args) {
   const Row* w1_row = nullptr;
   const Row* w4_row = nullptr;
   for (const Row& r : rows) {
-    if (r.section[0] == 'A' && r.burst && r.workers == 1) w1_row = &r;
-    if (r.section[0] == 'A' && r.burst && r.workers == 4) w4_row = &r;
+    if (r.burst && r.workers == 1) w1_row = &r;
+    if (r.burst && r.workers == 4) w4_row = &r;
   }
   const double shard_w1 = w1_row != nullptr ? w1_row->probe_per_sec : 0.0;
   const double shard_w4 = w4_row != nullptr ? w4_row->probe_per_sec : 0.0;
@@ -444,13 +385,13 @@ void run(const Args& args) {
       char buf[320];
       std::snprintf(
           buf, sizeof(buf),
-          "%s\n    {\"section\": \"%s\", \"k\": %d, \"burst\": %s, "
-          "\"workers\": %u, \"max_train\": %u, \"adaptive\": %s, "
-          "\"wall_seconds\": %.6f, \"probe_frames_per_sec\": %.1f, "
+          "%s\n    {\"k\": %d, \"burst\": %s, "
+          "\"workers\": %u, \"wall_seconds\": %.6f, "
+          "\"probe_frames_per_sec\": %.1f, "
           "\"hop_frames_per_sec\": %.1f, \"events_per_hop\": %.4f, "
           "\"events_per_frame\": %.4f, \"train_share\": %.4f}",
-          i == 0 ? "" : ",", r.section, r.k, r.burst ? "true" : "false",
-          r.workers, r.max_train, r.adaptive ? "true" : "false", r.wall_s,
+          i == 0 ? "" : ",", r.k, r.burst ? "true" : "false",
+          r.workers, r.wall_s,
           r.probe_per_sec, r.hops_per_sec, r.events_per_hop,
           r.events_per_frame, r.train_share);
       arr += buf;

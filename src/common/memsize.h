@@ -1,16 +1,14 @@
 // Counted-bytes estimators for the state-size accounting (E5/E19).
 //
-// The compact tables report exact vector footprints; the legacy std::map /
-// unordered_map structures are estimated with libstdc++'s per-node
-// overheads (3 pointers + color word for an _Rb_tree_node, forward pointer
-// + cached hash for a _Hash_node) so the before/after comparison charges
+// Flat tables report exact vector footprints; the remaining std::map /
+// std::set structures are estimated with libstdc++'s per-node overhead
+// (3 pointers + color word for an _Rb_tree_node) so the accounting charges
 // the node-allocating containers what the allocator actually hands them.
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,8 +16,6 @@ namespace portland {
 
 /// _Rb_tree_node header: parent/left/right pointers + color (padded).
 inline constexpr std::size_t kTreeNodeOverhead = 40;
-/// _Hash_node header: next pointer + cached hash code.
-inline constexpr std::size_t kHashNodeOverhead = 16;
 
 template <typename K, typename V, typename C>
 [[nodiscard]] std::size_t map_bytes(const std::map<K, V, C>& m) {
@@ -29,13 +25,6 @@ template <typename K, typename V, typename C>
 template <typename T, typename C>
 [[nodiscard]] std::size_t set_bytes(const std::set<T, C>& s) {
   return s.size() * (sizeof(T) + kTreeNodeOverhead);
-}
-
-template <typename K, typename V, typename H, typename E>
-[[nodiscard]] std::size_t unordered_map_bytes(
-    const std::unordered_map<K, V, H, E>& m) {
-  return m.bucket_count() * sizeof(void*) +
-         m.size() * (sizeof(std::pair<const K, V>) + kHashNodeOverhead);
 }
 
 template <typename T>

@@ -89,19 +89,13 @@ struct PortlandConfig {
   enum class EcmpMode { kFlowHash, kPacketSpray };
   EcmpMode ecmp_mode = EcmpMode::kFlowHash;
 
-  // --- forwarding-state implementation (E19 scale work) ---
-  /// kCompact (default): flat PMAC-prefix tables — contiguous host table
-  /// with sorted indexes, flat pruned-route FIB, fixed open-addressed
-  /// flow cache. kLegacyMap: the seed's node-allocating std::map /
-  /// unordered_map structures, kept so the chaos soak can diff frame
-  /// traces against the compact build and the E19 bench can measure the
-  /// bytes-per-host gap.
-  enum class Tables { kCompact, kLegacyMap };
-  Tables tables = Tables::kCompact;
-  /// Flow-cache capacity per switch in compact mode (rounded up to a
-  /// power of two; allocated lazily, so core switches that never route
-  /// upward pay nothing). Legacy mode keeps the seed's 65536-entry
-  /// clear-on-overflow map.
+  // --- forwarding state (E19 scale work) ---
+  // Switch tables are flat PMAC-prefix tables: a contiguous host table
+  // with sorted indexes, a flat pruned-route FIB, and a fixed
+  // open-addressed flow cache.
+  /// Flow-cache capacity per switch (rounded up to a power of two;
+  /// allocated lazily, so core switches that never route upward pay
+  /// nothing).
   std::size_t flow_cache_entries = 4096;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "common/logging.h"
@@ -30,8 +28,7 @@ PortlandFabric::PortlandFabric(Options options)
     : options_(std::move(options)),
       tree_(options_.k),
       net_(options_.seed,
-           {options_.scheduler, options_.burst, options_.max_train,
-            options_.adaptive_lookahead, options_.parallel_min_events}),
+           {options_.burst, options_.parallel_min_events}),
       injector_(net_) {
   if (options_.workers == Options::kAutoWorkers) {
     // workers=auto: serial unless the box and the fabric can both feed a
@@ -321,7 +318,7 @@ PortlandSwitch::TableBytes PortlandFabric::total_table_bytes() const {
 namespace {
 /// Image header magic: "PLFS" (PortLand Fabric Snapshot).
 constexpr std::uint32_t kSnapshotMagic = 0x504C4653;
-constexpr std::uint32_t kSnapshotVersion = 3;
+constexpr std::uint32_t kSnapshotVersion = 4;
 }  // namespace
 
 bool PortlandFabric::save_snapshot(std::vector<std::uint8_t>& out,
@@ -393,21 +390,10 @@ bool PortlandFabric::restore_snapshot(std::span<const std::uint8_t> image,
   if (!r.ok()) return fail("snapshot: truncated header");
 
   // Drop whatever this fabric is currently doing; the image replaces it.
-  const auto tprint = [](const char* what, auto& t0) {
-    if (std::getenv("PORTLAND_SNAPSHOT_TIMING") == nullptr) return;
-    const auto t1 = std::chrono::steady_clock::now();
-    std::fprintf(stderr, "  [restore] %-10s %7.2f ms\n", what,
-                 std::chrono::duration<double, std::milli>(t1 - t0).count());
-    t0 = t1;
-  };
-  auto t0 = std::chrono::steady_clock::now();
   sim().snapshot_clear();
-  tprint("clear", t0);
   if (!sim().restore_engine(r, error)) return false;
-  tprint("engine", t0);
 
   for (sim::Link* link : net_.links()) link->restore_state(r);
-  tprint("links", t0);
 
   for (sim::Device* dev : net_.devices()) {
     // Device restores run as the owning shard: re-armed timers and
@@ -416,10 +402,8 @@ bool PortlandFabric::restore_snapshot(std::span<const std::uint8_t> image,
     sim::restore_counters(r, dev->counters());
     dev->restore_state(r);
   }
-  tprint("devices", t0);
 
   fm_->restore_state(r);
-  tprint("fm", t0);
   control_->restore_state(r);
   const bool had_recorder = r.u8() != 0;
   if (had_recorder && recorder_ != nullptr) {

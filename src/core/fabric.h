@@ -70,17 +70,9 @@ class PortlandFabric {
     /// default, bit-identical to per-frame scheduling; off for A/B
     /// proofs and the E18 ablation.
     bool burst = true;
-    /// Per-train entry cap, 0 = unbounded (E18 sweeps this).
-    std::uint32_t max_train = 0;
-    /// Adaptive per-shard lookahead windows (Simulator::Options).
-    bool adaptive_lookahead = true;
     /// Pooled-window threshold (Simulator::Options::parallel_min_events);
     /// 0 forces every window through the worker pool.
     std::uint32_t parallel_min_events = 128;
-    /// Event-queue implementation (see Simulator::Options): the default
-    /// hierarchical timing wheel, or the classic binary heap for A/B
-    /// determinism diffing. Both schedule the identical event sequence.
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kWheel;
     /// Observability. Everything here is passive: enabling any of it
     /// cannot change the event schedule (Soak pins this).
     struct ObsOptions {
@@ -196,9 +188,9 @@ class PortlandFabric {
 
   /// Restores a save_snapshot image into this fabric. The fabric must
   /// have been constructed with the same k, seed, shard count, and
-  /// topology options (host/link layout); scheduler, burst mode, and
-  /// worker count may differ — the engine schedules the identical event
-  /// sequence either way. Works both for in-memory forks (restore a
+  /// topology options (host/link layout); burst mode and worker count
+  /// may differ — the engine schedules the identical event sequence
+  /// either way. Works both for in-memory forks (restore a
   /// warmed fabric back to the checkpoint) and fresh processes (construct
   /// the fabric, then restore; app callbacks installed by extras/hosts
   /// must be re-wired by the caller). `extras` must match the saving

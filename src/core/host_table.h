@@ -1,28 +1,21 @@
-// HostTable: the edge switch's AMAC<->PMAC host table, in two builds.
+// HostTable: the edge switch's AMAC<->PMAC host table.
 //
-// Compact (default): entries live in one contiguous vector; two sorted
-// slot-id index vectors (ordered by AMAC / by PMAC, keys derived from the
-// entries themselves) give binary-search lookup at 4 bytes per index
-// entry. An edge switch learns at most k/2 hosts (plus migrants), so the
-// O(n) index shifts on insert are negligible while lookups stay
-// cache-resident — this is the O(k)-state table the paper's §3 argument
-// promises. Reservation is lazy: aggregation and core switches construct
-// a HostTable but never insert, so they never allocate.
+// Entries live in one contiguous vector; two sorted slot-id index vectors
+// (ordered by AMAC / by PMAC, keys derived from the entries themselves) give
+// binary-search lookup at 4 bytes per index entry. An edge switch learns at
+// most k/2 hosts (plus migrants), so the O(n) index shifts on insert are
+// negligible while lookups stay cache-resident — this is the O(k)-state
+// table the paper's §3 argument promises. Reservation is lazy: aggregation
+// and core switches construct a HostTable but never insert, so they never
+// allocate.
 //
-// Legacy: the seed's node-allocating std::map pair, kept behind
-// PortlandConfig::Tables::kLegacyMap so the chaos soak can prove the
-// compact build produces bit-identical frame traces, and so the E19 bench
-// can measure the honest before/after bytes-per-host gap.
-//
-// Behavioral invariant either way: iteration (for_each) is ascending by
-// AMAC, because the periodic soft-state refresh walks the table to emit
-// HostRegister messages and their order is part of the deterministic
-// event stream.
+// Behavioral invariant: iteration (for_each) is ascending by AMAC, because
+// the periodic soft-state refresh walks the table to emit HostRegister
+// messages and their order is part of the deterministic event stream.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/mac_address.h"
@@ -43,21 +36,13 @@ struct HostEntry {
 
 class HostTable {
  public:
-  explicit HostTable(bool legacy = false) : legacy_(legacy) {}
-
   /// Sizing hint, applied lazily at the first insert — switches that
   /// never learn a host (aggregation, core) never allocate.
   void reserve(std::size_t hosts) { hint_ = hosts; }
 
-  [[nodiscard]] std::size_t size() const {
-    return legacy_ ? map_.size() : slots_.size();
-  }
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
 
   [[nodiscard]] HostEntry* find_amac(MacAddress amac) {
-    if (legacy_) {
-      const auto it = map_.find(amac);
-      return it == map_.end() ? nullptr : &it->second;
-    }
     const std::uint32_t slot = index_find(by_amac_, kAmac, amac.to_u64());
     return slot == kNoSlot ? nullptr : &slots_[slot];
   }
@@ -66,11 +51,6 @@ class HostTable {
   }
 
   [[nodiscard]] const HostEntry* find_pmac(MacAddress pmac) const {
-    if (legacy_) {
-      const auto it = pmac_to_amac_.find(pmac);
-      if (it == pmac_to_amac_.end()) return nullptr;
-      return &map_.at(it->second);
-    }
     const std::uint32_t slot = index_find(by_pmac_, kPmac, pmac.to_u64());
     return slot == kNoSlot ? nullptr : &slots_[slot];
   }
@@ -78,11 +58,6 @@ class HostTable {
   /// Inserts a new host (AMAC must be absent). The returned pointer is
   /// valid until the next insert or erase.
   HostEntry* insert(const HostEntry& e) {
-    if (legacy_) {
-      HostEntry& stored = map_[e.amac] = e;
-      pmac_to_amac_[e.pmac.to_mac()] = e.amac;
-      return &stored;
-    }
     if (slots_.capacity() == 0 && hint_ != 0) {
       slots_.reserve(hint_);
       by_amac_.reserve(hint_);
@@ -98,12 +73,6 @@ class HostTable {
   /// Re-keys an entry's PMAC (local migration to a new port/vmid) and
   /// fixes the PMAC index. `e` must point into this table.
   void rekey_pmac(HostEntry& e, Pmac new_pmac) {
-    if (legacy_) {
-      pmac_to_amac_.erase(e.pmac.to_mac());
-      e.pmac = new_pmac;
-      pmac_to_amac_[new_pmac.to_mac()] = e.amac;
-      return;
-    }
     const auto slot = static_cast<std::uint32_t>(&e - slots_.data());
     index_erase(by_pmac_, kPmac, key_of(kPmac, slot));  // old key still live
     e.pmac = new_pmac;
@@ -114,13 +83,6 @@ class HostTable {
   /// false when the PMAC is unknown. Invalidates entry pointers (the
   /// vacated slot is back-filled from the end).
   bool erase_by_pmac(MacAddress pmac) {
-    if (legacy_) {
-      const auto it = pmac_to_amac_.find(pmac);
-      if (it == pmac_to_amac_.end()) return false;
-      map_.erase(it->second);
-      pmac_to_amac_.erase(it);
-      return true;
-    }
     const std::uint32_t slot = index_find(by_pmac_, kPmac, pmac.to_u64());
     if (slot == kNoSlot) return false;
     index_erase(by_amac_, kAmac, key_of(kAmac, slot));
@@ -139,61 +101,30 @@ class HostTable {
   /// Visits every host in ascending AMAC order (determinism-relevant).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    if (legacy_) {
-      for (const auto& [amac, e] : map_) fn(e);
-      return;
-    }
     for (const std::uint32_t slot : by_amac_) fn(slots_[slot]);
   }
 
   [[nodiscard]] std::size_t bytes() const {
-    if (legacy_) return map_bytes(map_) + map_bytes(pmac_to_amac_);
     return vector_bytes(slots_) + vector_bytes(by_amac_) +
            vector_bytes(by_pmac_);
   }
 
-  /// Checkpoint: the compact build serializes slots and both index
-  /// vectors verbatim (slot order is state — erase back-fills from the
-  /// end); the legacy build serializes map entries and rebuilds the
-  /// PMAC index.
+  /// Checkpoint: slots and both index vectors, verbatim (slot order is
+  /// state — erase back-fills from the end).
   void save_state(sim::SnapshotWriter& w) const {
-    const auto save_entry = [&w](const HostEntry& e) {
+    w.u32(static_cast<std::uint32_t>(slots_.size()));
+    for (const HostEntry& e : slots_) {
       w.u64(e.amac.to_u64());
       w.u64(e.pmac.to_mac().to_u64());
       w.u32(e.ip.value());
       w.u64(e.port);
-    };
-    if (legacy_) {
-      w.u32(static_cast<std::uint32_t>(map_.size()));
-      for (const auto& [amac, e] : map_) save_entry(e);
-      return;
     }
-    w.u32(static_cast<std::uint32_t>(slots_.size()));
-    for (const HostEntry& e : slots_) save_entry(e);
     for (const std::uint32_t slot : by_amac_) w.u32(slot);
     for (const std::uint32_t slot : by_pmac_) w.u32(slot);
   }
 
   void restore_state(sim::SnapshotReader& r) {
-    const auto read_entry = [&r] {
-      HostEntry e;
-      e.amac = MacAddress::from_u64(r.u64());
-      e.pmac = Pmac::from_mac(MacAddress::from_u64(r.u64()));
-      e.ip = Ipv4Address(r.u32());
-      e.port = r.u64();
-      return e;
-    };
     const std::uint32_t n = r.u32();
-    if (legacy_) {
-      map_.clear();
-      pmac_to_amac_.clear();
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        const HostEntry e = read_entry();
-        map_[e.amac] = e;
-        pmac_to_amac_[e.pmac.to_mac()] = e.amac;
-      }
-      return;
-    }
     slots_.clear();
     by_amac_.clear();
     by_pmac_.clear();
@@ -201,7 +132,12 @@ class HostTable {
     by_amac_.reserve(n);
     by_pmac_.reserve(n);
     for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      slots_.push_back(read_entry());
+      HostEntry e;
+      e.amac = MacAddress::from_u64(r.u64());
+      e.pmac = Pmac::from_mac(MacAddress::from_u64(r.u64()));
+      e.ip = Ipv4Address(r.u32());
+      e.port = r.u64();
+      slots_.push_back(e);
     }
     for (std::uint32_t i = 0; i < n && r.ok(); ++i) by_amac_.push_back(r.u32());
     for (std::uint32_t i = 0; i < n && r.ok(); ++i) by_pmac_.push_back(r.u32());
@@ -242,15 +178,10 @@ class HostTable {
     return index_lower(idx, kind, key);
   }
 
-  bool legacy_;
   std::size_t hint_ = 0;
-  // Compact build.
   std::vector<HostEntry> slots_;
   Index by_amac_;
   Index by_pmac_;
-  // Legacy build (the seed's structures, node for node).
-  std::map<MacAddress, HostEntry> map_;
-  std::map<MacAddress, MacAddress> pmac_to_amac_;
 };
 
 }  // namespace portland::core

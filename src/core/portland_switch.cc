@@ -24,7 +24,6 @@ PortlandSwitch::PortlandSwitch(sim::Simulator& sim, std::string name,
       id_(id),
       control_(&control),
       config_(config),
-      legacy_tables_(config.tables == PortlandConfig::Tables::kLegacyMap),
       rng_(rng),
       ldp_(sim, id, num_ports, config,
            LdpAgent::Hooks{
@@ -38,21 +37,18 @@ PortlandSwitch::PortlandSwitch(sim::Simulator& sim, std::string name,
                },
            },
            rng.fork()),
-      host_table_(config.tables == PortlandConfig::Tables::kLegacyMap),
       hello_timer_(sim),
       hello_periodic_(sim, config.hello_interval, [this] { send_hello(); }),
       refresh_periodic_(sim, config.host_reregister_interval,
                         [this] { send_soft_state_refresh(); }) {
   add_ports(num_ports);
-  if (!legacy_tables_) next_vmid_.assign(num_ports, 0);
+  next_vmid_.assign(num_ports, 0);
   // An edge's hosts hang off its down ports (at most half the radix);
   // the hint is applied lazily, so non-edge switches never allocate.
   host_table_.reserve(std::max<std::size_t>(1, num_ports / 2));
-  if (!legacy_tables_) {
-    std::size_t slots = 16;
-    while (slots < config_.flow_cache_entries) slots <<= 1;
-    flow_slot_mask_ = slots - 1;  // slot array itself allocates lazily
-  }
+  std::size_t slots = 16;
+  while (slots < config_.flow_cache_entries) slots <<= 1;
+  flow_slot_mask_ = slots - 1;  // slot array itself allocates lazily
   // kNone stays nullptr: it is never dropped, and a stray use faults
   // loudly instead of silently counting nonsense.
   for (std::size_t i = 1; i < obs::kDropReasonCount; ++i) {
@@ -271,15 +267,14 @@ void PortlandSwitch::rebuild_fib() const {
   fib_.prune_gen = prune_generation_;
   fib_.base_up = ldp_.up_ports();
   fib_.pruned_up.clear();
-  fib_.pruned_up_map.clear();
   fib_.down_by_position.clear();
   fib_.down_by_pod.clear();
 
   // One prune-applied candidate array per installed destination key. Fine
   // (pod, position) entries fold in the pod-wide coarse set so lookups
   // never merge sets per packet. prunes_ iterates in (pod, position)
-  // order, so the compact flat table comes out sorted by its u32 key.
-  if (!legacy_tables_) fib_.pruned_up.reserve(prunes_.size());
+  // order, so the flat table comes out sorted by its u32 key.
+  fib_.pruned_up.reserve(prunes_.size());
   for (const auto& [key, avoid] : prunes_) {
     const std::set<SwitchId>* coarse = nullptr;
     if (key.position != kUnknownPosition) {
@@ -295,12 +290,8 @@ void PortlandSwitch::rebuild_fib() const {
       if (coarse != nullptr && coarse->count(nbr->switch_id) != 0) continue;
       candidates.push_back(p);
     }
-    if (legacy_tables_) {
-      fib_.pruned_up_map.emplace(key, std::move(candidates));
-    } else {
-      fib_.pruned_up.push_back(PrunedRoute{
-          dst_key_u32(key.pod, key.position), std::move(candidates)});
-    }
+    fib_.pruned_up.push_back(PrunedRoute{dst_key_u32(key.pod, key.position),
+                                         std::move(candidates)});
   }
 
   // Down-path indexes: aggregation forwards by the PMAC's position field,
@@ -336,18 +327,7 @@ std::optional<sim::PortId> PortlandSwitch::pick_up_port(
     // Exact-match flow cache: (dst PMAC, flow hash) -> egress port. An
     // entry is live only for the FIB generation it was computed against,
     // so topology or prune churn invalidates everything implicitly.
-    if (legacy_tables_) {
-      const auto it = flow_cache_.find(key);
-      if (it != flow_cache_.end() &&
-          it->second.generation == fib.generation) {
-        ++flow_cache_hits_;
-        if (flight_recorder() != nullptr) {
-          record_hop(obs::HopEvent::kFlowCacheHit, frame, it->second.port,
-                     fib.generation);
-        }
-        return it->second.port;
-      }
-    } else if (!flow_slots_.empty()) {
+    if (!flow_slots_.empty()) {
       std::size_t idx = FlowCacheKeyHash{}(key) & flow_slot_mask_;
       for (std::size_t i = 0; i < kFlowProbeWindow;
            ++i, idx = (idx + 1) & flow_slot_mask_) {
@@ -367,19 +347,7 @@ std::optional<sim::PortId> PortlandSwitch::pick_up_port(
   }
 
   const std::vector<sim::PortId>* candidates = &fib.base_up;
-  if (legacy_tables_) {
-    if (!fib.pruned_up_map.empty()) {
-      if (const auto it =
-              fib.pruned_up_map.find(DstKey{dst_pod, dst_position});
-          it != fib.pruned_up_map.end()) {
-        candidates = &it->second;
-      } else if (const auto cit =
-                     fib.pruned_up_map.find(DstKey{dst_pod, kUnknownPosition});
-                 cit != fib.pruned_up_map.end()) {
-        candidates = &cit->second;
-      }
-    }
-  } else if (!fib.pruned_up.empty()) {
+  if (!fib.pruned_up.empty()) {
     // Fine (pod, position) entry first, then the pod-wide coarse entry —
     // both binary searches over the sorted flat table.
     const auto find_route = [&fib](std::uint32_t k) {
@@ -413,25 +381,20 @@ std::optional<sim::PortId> PortlandSwitch::pick_up_port(
   // hash was precomputed at parse time.
   const sim::PortId port =
       (*candidates)[parsed.flow_hash % candidates->size()];
-  if (legacy_tables_) {
-    if (flow_cache_.size() >= kFlowCacheCap) flow_cache_.clear();
-    flow_cache_.emplace(key, FlowCacheEntry{port, fib.generation});
-  } else {
-    if (flow_slots_.empty()) flow_slots_.assign(flow_slot_mask_ + 1, {});
-    // Prefer an empty or stale slot in the probe window; when all are
-    // live, overwrite the home slot (plain eviction — correctness never
-    // depends on what the cache holds).
-    std::size_t idx = FlowCacheKeyHash{}(key) & flow_slot_mask_;
-    FlowSlot* victim = &flow_slots_[idx];
-    for (std::size_t i = 0; i < kFlowProbeWindow;
-         ++i, idx = (idx + 1) & flow_slot_mask_) {
-      if (flow_slots_[idx].generation != fib.generation) {
-        victim = &flow_slots_[idx];
-        break;
-      }
+  if (flow_slots_.empty()) flow_slots_.assign(flow_slot_mask_ + 1, {});
+  // Prefer an empty or stale slot in the probe window; when all are live,
+  // overwrite the home slot (plain eviction — correctness never depends on
+  // what the cache holds).
+  std::size_t idx = FlowCacheKeyHash{}(key) & flow_slot_mask_;
+  FlowSlot* victim = &flow_slots_[idx];
+  for (std::size_t i = 0; i < kFlowProbeWindow;
+       ++i, idx = (idx + 1) & flow_slot_mask_) {
+    if (flow_slots_[idx].generation != fib.generation) {
+      victim = &flow_slots_[idx];
+      break;
     }
-    *victim = FlowSlot{key.dst, key.flow_hash, fib.generation, port};
   }
+  *victim = FlowSlot{key.dst, key.flow_hash, fib.generation, port};
   if (flight_recorder() != nullptr) {
     record_hop(obs::HopEvent::kEcmpChoice, frame, port, candidates->size());
   }
@@ -855,7 +818,7 @@ HostEntry* PortlandSwitch::ensure_host(sim::PortId port, MacAddress amac,
     if (e->port != port) {
       // Same edge switch, different port (local migration): new PMAC.
       e->port = port;
-      std::uint16_t& vmid = vmid_counter(port);
+      std::uint16_t& vmid = next_vmid_[port];
       vmid = next_vmid(vmid);
       host_table_.rekey_pmac(
           *e, Pmac{self.pod, self.position, static_cast<std::uint8_t>(port),
@@ -877,7 +840,7 @@ HostEntry* PortlandSwitch::ensure_host(sim::PortId port, MacAddress amac,
   e.amac = amac;
   e.ip = ip_hint;
   e.port = port;
-  std::uint16_t& vmid = vmid_counter(port);
+  std::uint16_t& vmid = next_vmid_[port];
   vmid = next_vmid(vmid);
   e.pmac = Pmac{self.pod, self.position, static_cast<std::uint8_t>(port),
                 vmid};
@@ -1089,16 +1052,8 @@ void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
   for (const std::uint64_t word : rng) w.u64(word);
 
   host_table_.save_state(w);
-  if (legacy_tables_) {
-    w.u32(static_cast<std::uint32_t>(next_vmid_map_.size()));
-    for (const auto& [port, vmid] : next_vmid_map_) {
-      w.u64(port);
-      w.u16(vmid);
-    }
-  } else {
-    w.u32(static_cast<std::uint32_t>(next_vmid_.size()));
-    for (const std::uint16_t vmid : next_vmid_) w.u16(vmid);
-  }
+  w.u32(static_cast<std::uint32_t>(next_vmid_.size()));
+  for (const std::uint16_t vmid : next_vmid_) w.u16(vmid);
 
   w.u32(static_cast<std::uint32_t>(redirects_.size()));
   for (const auto& [old_pmac, redirect] : redirects_) {
@@ -1158,12 +1113,6 @@ void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
     w.u32(route.key);
     save_ports(w, route.ports);
   }
-  w.u32(static_cast<std::uint32_t>(fib_.pruned_up_map.size()));
-  for (const auto& [key, ports] : fib_.pruned_up_map) {
-    w.u16(key.pod);
-    w.u8(key.position);
-    save_ports(w, ports);
-  }
   w.u32(static_cast<std::uint32_t>(fib_.down_by_position.size()));
   for (const std::int32_t p : fib_.down_by_position) {
     w.u32(static_cast<std::uint32_t>(p));
@@ -1173,7 +1122,7 @@ void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
     w.u32(static_cast<std::uint32_t>(p));
   }
 
-  // Flow cache, compact build: sparse — only slots live for the current
+  // Flow cache, sparse: only slots live for the current
   // FIB generation behave differently from empty ones (stale and empty
   // slots are both "miss + preferred victim"), so only they are saved.
   // The allocated flag is kept so the lazy assign happens at the same
@@ -1190,25 +1139,6 @@ void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
     w.u64(flow_slots_[i].dst);
     w.u64(flow_slots_[i].flow_hash);
     w.u64(flow_slots_[i].port);
-  }
-  // Legacy build: all entries count toward the overflow-clear threshold,
-  // so every one is saved (sorted for a deterministic image).
-  {
-    std::vector<std::pair<FlowCacheKey, FlowCacheEntry>> entries(
-        flow_cache_.begin(), flow_cache_.end());
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) {
-                return a.first.dst != b.first.dst
-                           ? a.first.dst < b.first.dst
-                           : a.first.flow_hash < b.first.flow_hash;
-              });
-    w.u32(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& [key, entry] : entries) {
-      w.u64(key.dst);
-      w.u64(key.flow_hash);
-      w.u64(entry.port);
-      w.u64(entry.generation);
-    }
   }
   w.u64(flow_cache_hits_);
   w.u64(flow_cache_misses_);
@@ -1249,17 +1179,10 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
   rng_.set_state(rng);
 
   host_table_.restore_state(r);
-  if (legacy_tables_) {
-    next_vmid_map_.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      const sim::PortId port = r.u64();
-      next_vmid_map_[port] = r.u16();
-    }
-  } else {
-    const std::uint32_t n = r.u32();
-    next_vmid_.assign(n, 0);
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) next_vmid_[i] = r.u16();
+  const std::uint32_t n_vmids = r.u32();
+  next_vmid_.assign(n_vmids, 0);
+  for (std::uint32_t i = 0; i < n_vmids && r.ok(); ++i) {
+    next_vmid_[i] = r.u16();
   }
 
   redirects_.clear();
@@ -1347,14 +1270,6 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
     restore_ports(r, route.ports);
     fib_.pruned_up.push_back(std::move(route));
   }
-  fib_.pruned_up_map.clear();
-  const std::uint32_t n_route_map = r.u32();
-  for (std::uint32_t i = 0; i < n_route_map && r.ok(); ++i) {
-    DstKey key;
-    key.pod = r.u16();
-    key.position = r.u8();
-    restore_ports(r, fib_.pruned_up_map[key]);
-  }
   const std::uint32_t n_by_pos = r.u32();
   fib_.down_by_position.assign(n_by_pos, -1);
   for (std::uint32_t i = 0; i < n_by_pos && r.ok(); ++i) {
@@ -1368,9 +1283,7 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
 
   const bool slots_allocated = r.u8() != 0;
   flow_slots_.clear();
-  if (slots_allocated && !legacy_tables_) {
-    flow_slots_.assign(flow_slot_mask_ + 1, {});
-  }
+  if (slots_allocated) flow_slots_.assign(flow_slot_mask_ + 1, {});
   const std::uint32_t n_live = r.u32();
   for (std::uint32_t i = 0; i < n_live && r.ok(); ++i) {
     const std::uint32_t idx = r.u32();
@@ -1380,17 +1293,6 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
     slot.generation = fib_.generation;
     slot.port = r.u64();
     if (idx < flow_slots_.size()) flow_slots_[idx] = slot;
-  }
-  flow_cache_.clear();
-  const std::uint32_t n_cache = r.u32();
-  for (std::uint32_t i = 0; i < n_cache && r.ok(); ++i) {
-    FlowCacheKey key;
-    key.dst = r.u64();
-    key.flow_hash = r.u64();
-    FlowCacheEntry entry;
-    entry.port = r.u64();
-    entry.generation = r.u64();
-    flow_cache_.emplace(key, entry);
   }
   flow_cache_hits_ = r.u64();
   flow_cache_misses_ = r.u64();
@@ -1459,13 +1361,10 @@ PortlandSwitch::TableBytes PortlandSwitch::table_bytes() const {
 
   b.fib = vector_bytes(fib_.base_up) + vector_bytes(fib_.down_by_position) +
           vector_bytes(fib_.down_by_pod);
-  for (const auto& [key, ports] : fib_.pruned_up_map) {
-    b.fib += sizeof(key) + kTreeNodeOverhead + vector_bytes(ports);
-  }
   b.fib += vector_bytes(fib_.pruned_up);
   for (const PrunedRoute& r : fib_.pruned_up) b.fib += vector_bytes(r.ports);
 
-  b.flow_cache = vector_bytes(flow_slots_) + unordered_map_bytes(flow_cache_);
+  b.flow_cache = vector_bytes(flow_slots_);
 
   for (const auto& [key, avoid] : prunes_) {
     b.prunes += sizeof(key) + kTreeNodeOverhead + set_bytes(avoid);
@@ -1474,9 +1373,8 @@ PortlandSwitch::TableBytes PortlandSwitch::table_bytes() const {
   b.multicast = map_bytes(mcast_ports_) + map_bytes(local_members_) +
                 set_bytes(mcast_sender_reported_);
 
-  b.other = (legacy_tables_ ? map_bytes(next_vmid_map_)
-                            : vector_bytes(next_vmid_)) +
-            vector_bytes(reported_down_) + map_bytes(redirects_) +
+  b.other = vector_bytes(next_vmid_) + vector_bytes(reported_down_) +
+            map_bytes(redirects_) +
             vector_bytes(pending_by_target_) + vector_bytes(arp_negative_);
   return b;
 }

@@ -27,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -104,9 +103,9 @@ class PortlandSwitch : public sim::Device {
     return fib_.generation;
   }
 
-  /// Counted forwarding-state bytes by component (E19). Compact tables
-  /// report exact vector footprints; legacy maps report estimated
-  /// allocator footprints (see common/memsize.h).
+  /// Counted forwarding-state bytes by component (E19): exact vector
+  /// footprints, plus estimated allocator footprints for the remaining
+  /// node-based maps (see common/memsize.h).
   struct TableBytes {
     std::size_t host_table = 0;
     std::size_t fib = 0;
@@ -155,8 +154,8 @@ class PortlandSwitch : public sim::Device {
 
   /// One prune-applied uplink candidate array, keyed by the PMAC prefix
   /// (pod << 8 | position) — u32 order equals DstKey's (pod, position)
-  /// lexicographic order, so the flat table sorts identically to the
-  /// legacy map and lookups binary-search it.
+  /// lexicographic order, so the flat table sorts in prune order and
+  /// lookups binary-search it.
   struct PrunedRoute {
     std::uint32_t key = 0;
     std::vector<sim::PortId> ports;
@@ -179,10 +178,9 @@ class PortlandSwitch : public sim::Device {
     /// Live uplinks with no prune applied (the common case).
     std::vector<sim::PortId> base_up;
     /// Per-destination uplink candidate arrays with the avoid sets already
-    /// subtracted (fine entries also fold in the pod-wide coarse set).
-    /// Compact build: sorted flat vector; legacy build: the seed's map.
+    /// subtracted (fine entries also fold in the pod-wide coarse set),
+    /// sorted by key.
     std::vector<PrunedRoute> pruned_up;
-    std::map<DstKey, std::vector<sim::PortId>> pruned_up_map;
     /// Aggregation: edge position -> down port (-1 = none).
     std::vector<std::int32_t> down_by_position;
     /// Core: pod -> down port (-1 = none).
@@ -192,7 +190,6 @@ class PortlandSwitch : public sim::Device {
   struct FlowCacheKey {
     std::uint64_t dst = 0;  // destination PMAC as u64
     std::uint64_t flow_hash = 0;
-    friend bool operator==(const FlowCacheKey&, const FlowCacheKey&) = default;
   };
   struct FlowCacheKeyHash {
     std::size_t operator()(const FlowCacheKey& k) const {
@@ -202,15 +199,7 @@ class PortlandSwitch : public sim::Device {
       return static_cast<std::size_t>(x ^ (x >> 31));
     }
   };
-  struct FlowCacheEntry {
-    sim::PortId port = 0;
-    std::uint64_t generation = 0;  // FIB generation at insert
-  };
-  /// Legacy bound on cached flows per switch; on overflow the cache is
-  /// dropped wholesale (entries regenerate in one miss each).
-  static constexpr std::size_t kFlowCacheCap = 65536;
-
-  /// Compact flow cache: a fixed open-addressed slot array. A slot is
+  /// Flow cache: a fixed open-addressed slot array. A slot is
   /// live only when its stamp equals the current FIB generation, so both
   /// "empty" (stamp 0 — generations start at 1) and "stale" need no
   /// separate bookkeeping and eviction is overwrite. Cache organization
@@ -277,10 +266,6 @@ class PortlandSwitch : public sim::Device {
   // --- host registration ---
   HostEntry* ensure_host(sim::PortId port, MacAddress amac,
                          Ipv4Address ip_hint);
-  /// The per-port vmid counter of whichever table build is active.
-  [[nodiscard]] std::uint16_t& vmid_counter(sim::PortId port) {
-    return legacy_tables_ ? next_vmid_map_[port] : next_vmid_[port];
-  }
 
   // --- control plane ---
   void on_control(const ControlMessage& msg);
@@ -299,17 +284,12 @@ class PortlandSwitch : public sim::Device {
   SwitchId id_;
   ControlPlane* control_;
   PortlandConfig config_;
-  bool legacy_tables_;
   Rng rng_;
   LdpAgent ldp_;
 
-  // Edge state. The host table is compact or legacy per config, and so
-  // are the per-port vmid counters: a flat dense vector by default, the
-  // seed's ordered map behind kLegacyMap (same values either way — the
-  // split exists so E19 measures the honest before/after bytes).
+  // Edge state: the host table and the per-port vmid counters.
   HostTable host_table_;
-  std::vector<std::uint16_t> next_vmid_;          // compact build
-  std::map<sim::PortId, std::uint16_t> next_vmid_map_;  // legacy build
+  std::vector<std::uint16_t> next_vmid_;
   std::map<MacAddress, Redirect> redirects_;  // old pmac -> new location
   std::map<std::uint32_t, PendingArp> pending_arps_;
   std::uint32_t next_query_id_ = 1;
@@ -328,14 +308,11 @@ class PortlandSwitch : public sim::Device {
   std::map<DstKey, std::set<SwitchId>> prunes_;
   std::uint64_t prune_generation_ = 1;
 
-  // Data-plane fast path (logically derived state, hence mutable).
-  // Compact build uses the fixed slot array (allocated on first insert);
-  // legacy keeps the seed's unordered_map.
+  // Data-plane fast path (logically derived state, hence mutable). The
+  // flow-cache slot array is allocated on first insert.
   mutable Fib fib_;
   mutable std::vector<FlowSlot> flow_slots_;
   std::size_t flow_slot_mask_ = 0;
-  mutable std::unordered_map<FlowCacheKey, FlowCacheEntry, FlowCacheKeyHash>
-      flow_cache_;
   mutable std::uint64_t flow_cache_hits_ = 0;
   mutable std::uint64_t flow_cache_misses_ = 0;
   mutable std::uint64_t fib_rebuilds_ = 0;

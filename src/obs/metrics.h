@@ -35,7 +35,7 @@ struct EngineSample {
   std::uint64_t windows_inline = 0;  // windows run inline despite a pool
   std::uint64_t windows_widened = 0; // windows widened past the lookahead
   std::vector<std::uint64_t> per_shard_executed;
-  // Aggregated timing-wheel activity (zero under the heap scheduler).
+  // Aggregated timing-wheel activity.
   std::uint64_t wheel_inserts = 0;
   std::uint64_t wheel_erases = 0;
   std::uint64_t wheel_cascaded = 0;

@@ -29,19 +29,12 @@ thread_local ExecCtx g_ctx;
 Simulator::Simulator() : Simulator(Options{}) {}
 
 Simulator::Simulator(Options options)
-    : scheduler_(options.scheduler),
-      burst_(options.burst),
-      adaptive_lookahead_(options.adaptive_lookahead),
-      max_train_(options.max_train),
+    : burst_(options.burst),
       parallel_min_events_(options.parallel_min_events),
       hw_cores_(std::max(1u, std::thread::hardware_concurrency())) {
   shards_.push_back(std::make_unique<Shard>());
   Shard& sh = *shards_[0];
-  if (scheduler_ == SchedulerKind::kWheel) {
-    sh.wheel.reserve(kDefaultEventCapacity);
-  } else {
-    sh.queue.reserve(kDefaultEventCapacity);
-  }
+  sh.wheel.reserve(kDefaultEventCapacity);
   sh.slots.reserve(kDefaultEventCapacity);
   sh.free_slots.reserve(kDefaultEventCapacity);
 }
@@ -77,21 +70,13 @@ void Simulator::release_slot(Shard& sh, std::uint32_t slot) {
 
 std::uint32_t Simulator::push_node(Shard& sh, SimTime t, std::uint32_t slot) {
   ++sh.nodes_pushed;
-  if (scheduler_ == SchedulerKind::kWheel) {
-    return sh.wheel.insert(t, sh.next_seq++, slot);
-  }
-  sh.queue.push(QNode{t, sh.next_seq++, slot});
-  return slot;
+  return sh.wheel.insert(t, sh.next_seq++, slot);
 }
 
 std::uint32_t Simulator::push_node_at(Shard& sh, SimTime t, std::uint64_t seq,
                                       std::uint32_t slot) {
   ++sh.nodes_pushed;
-  if (scheduler_ == SchedulerKind::kWheel) {
-    return sh.wheel.insert(t, seq, slot);
-  }
-  sh.queue.push(QNode{t, seq, slot});
-  return slot;
+  return sh.wheel.insert(t, seq, slot);
 }
 
 void Simulator::schedule_local(Shard& sh, SimTime t, SmallFn fn) {
@@ -223,10 +208,8 @@ bool Simulator::train_append(ShardId dst, SimTime t, std::uint64_t epoch,
                              const FramePtr& frame, Train& tr) {
   if (!burst_) return false;
   if (!configured_ || dst == kNoShard) {
-    Shard& sh = *shards_[0];
-    if (max_train_ != 0 && tr.entries.size() >= max_train_) return false;
     if (!tr.entries.empty() && t <= tr.entries.back().time) return false;
-    train_append_local(sh, tr, t, epoch, frame);
+    train_append_local(*shards_[0], tr, t, epoch, frame);
     return true;
   }
   assert(dst < shards_.size());
@@ -235,8 +218,8 @@ bool Simulator::train_append(ShardId dst, SimTime t, std::uint64_t epoch,
     // Mid-window cross-shard arrival: the destination worker owns the
     // train's deque right now, so even *peeking* at it would race. Park
     // the arrival in the (src,dst) mailbox unconditionally; the barrier
-    // merge re-checks cap/monotonicity and appends (or falls back)
-    // there, in canonical order.
+    // merge re-checks monotonicity and appends (or falls back) there, in
+    // canonical order.
     Shard& src = *shards_[ctx];
     auto& box = src.outbox[dst];
     box.emplace_back();
@@ -249,7 +232,6 @@ bool Simulator::train_append(ShardId dst, SimTime t, std::uint64_t epoch,
     return true;
   }
   // Same-shard or quiescent: this thread owns the destination queue.
-  if (max_train_ != 0 && tr.entries.size() >= max_train_) return false;
   if (!tr.entries.empty() && t <= tr.entries.back().time) return false;
   train_append_local(*shards_[dst], tr, t, epoch, frame);
   return true;
@@ -307,17 +289,9 @@ void Simulator::cancel_timer(TimerCore& core) {
       !configured_ || ctx == owner || (ctx == kNoShard && !in_window_);
   if (!safe) return;
   Shard& sh = *shards_[owner];
-  if (scheduler_ == SchedulerKind::kWheel) {
-    const std::uint32_t slot = sh.wheel.erase(core.handle);
-    sh.slots[slot].timer.reset();
-    release_slot(sh, slot);
-  } else {
-    // The heap node keeps sifting, but the payload — and with it the
-    // TimerCore reference — is released now. The husk is purged the next
-    // time it surfaces at the top (peek_time), so it never delays a
-    // window boundary past what the wheel engine would compute.
-    sh.slots[core.handle].timer.reset();
-  }
+  const std::uint32_t slot = sh.wheel.erase(core.handle);
+  sh.slots[slot].timer.reset();
+  release_slot(sh, slot);
   --sh.live;
   core.handle = TimerCore::kNilHandle;
   core.shard = kNoShard;
@@ -368,11 +342,7 @@ void Simulator::configure_shards(std::size_t count, SimDuration lookahead,
   shards_.reserve(count);
   while (shards_.size() < count) {
     auto sh = std::make_unique<Shard>();
-    if (scheduler_ == SchedulerKind::kWheel) {
-      sh->wheel.reserve(kDefaultEventCapacity);
-    } else {
-      sh->queue.reserve(kDefaultEventCapacity);
-    }
+    sh->wheel.reserve(kDefaultEventCapacity);
     sh->slots.reserve(kDefaultEventCapacity);
     sh->free_slots.reserve(kDefaultEventCapacity);
     sh->now = shards_[0]->now;
@@ -424,11 +394,7 @@ Rng& Simulator::shard_rng(ShardId shard) {
 
 void Simulator::reserve_events(std::size_t capacity) {
   for (auto& sh : shards_) {
-    if (scheduler_ == SchedulerKind::kWheel) {
-      sh->wheel.reserve(capacity);
-    } else {
-      sh->queue.reserve(capacity);
-    }
+    sh->wheel.reserve(capacity);
     sh->slots.reserve(capacity);
     sh->free_slots.reserve(capacity);
   }
@@ -445,43 +411,11 @@ void Simulator::fire_timer(TimerCore& core, std::uint64_t generation) {
   if (!core.fn && fn) core.fn = std::move(fn);
 }
 
-SimTime Simulator::peek_time(Shard& sh) {
-  if (scheduler_ == SchedulerKind::kWheel) {
-    return sh.wheel.peek();  // TimingWheel::kNoEvent == kNever
-  }
-  // Purge cancelled husks here — not lazily at pop — so the earliest
-  // *live* time drives run_until and window boundaries, matching the
-  // wheel engine's true-erase semantics exactly.
-  while (!sh.queue.empty()) {
-    const QNode& top = sh.queue.top();
-    EventPayload& slot = sh.slots[top.slot];
-    if (slot.fn || slot.timer != nullptr || slot.train != nullptr ||
-        slot.data_owner != nullptr) {
-      return top.time;
-    }
-    release_slot(sh, top.slot);
-    sh.queue.pop();
-  }
-  return kNever;
-}
-
 void Simulator::dispatch_one(Shard& sh, SimTime bound) {
-  SimTime time;
-  std::uint32_t payload;
-  std::uint32_t handle;
-  if (scheduler_ == SchedulerKind::kWheel) {
-    const TimingWheel::PopResult r = sh.wheel.pop();
-    if (!r.live) return;  // cancelled while staged; slot already released
-    time = r.time;
-    payload = r.payload;
-    handle = TimerCore::kNilHandle;  // wheel node already freed by pop()
-  } else {
-    const QNode node = sh.queue.top();
-    sh.queue.pop();
-    time = node.time;
-    payload = node.slot;
-    handle = node.slot;
-  }
+  const TimingWheel::PopResult r = sh.wheel.pop();
+  if (!r.live) return;  // cancelled while staged; slot already released
+  const SimTime time = r.time;
+  const std::uint32_t payload = r.payload;
   // The payload must be moved out and its slot released before running:
   // the callback may schedule new events, reusing (or growing) the pool.
   EventPayload& slot = sh.slots[payload];
@@ -544,26 +478,17 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
     --sh.live;
     if (timer->generation != gen) {
       // Tombstone from an unsafe (cross-shard) cancel: decays silently —
-      // no clock advance, no executed count — identically in both
-      // schedulers, so A/B traces stay aligned.
+      // no clock advance, no executed count.
       return;
     }
-    // This is the core's current shot: its handle dies with this pop.
-    // Clear it before firing so a rearm inside the callback installs a
-    // fresh handle we do not clobber.
-    if (handle == TimerCore::kNilHandle || timer->handle == handle) {
-      timer->handle = TimerCore::kNilHandle;
-      timer->shard = kNoShard;
-    }
+    // This is the core's current shot: its wheel node died with this
+    // pop. Clear the handle before firing so a rearm inside the callback
+    // installs a fresh handle we do not clobber.
+    timer->handle = TimerCore::kNilHandle;
+    timer->shard = kNoShard;
     sh.now = time;
     ++sh.executed;
     fire_timer(*timer, gen);
-    return;
-  }
-  if (!slot.fn) {
-    // Heap husk (cancelled shot) that dispatch reached before a peek
-    // purged it. live was already decremented at cancel.
-    release_slot(sh, payload);
     return;
   }
   SmallFn fn = std::move(slot.fn);
@@ -781,16 +706,13 @@ void Simulator::merge_mailboxes() {
         // per-frame schedule_local at this position would consume) with
         // no scheduler insert unless the train was idle.
         Train& tr = *m.train;
-        const bool fits =
-            (max_train_ == 0 || tr.entries.size() < max_train_) &&
-            (tr.entries.empty() || m.time > tr.entries.back().time);
-        if (fits) {
+        if (tr.entries.empty() || m.time > tr.entries.back().time) {
           train_append_local(d, tr, m.time, m.epoch, m.frame);
         } else if (tr.owner != nullptr) {
-          // Cap reached (or a propagation change broke arrival
-          // monotonicity): deliver this one frame classically as a data
-          // event against the train's owner — same semantics as the
-          // thunk below, but serializable if a snapshot catches it.
+          // A propagation change broke arrival monotonicity: deliver this
+          // one frame classically as a data event against the train's
+          // owner — same semantics as the thunk below, but serializable
+          // if a snapshot catches it.
           schedule_data_local(d, m.time, tr.owner, tr.owner_kind, m.epoch,
                               std::move(m.frame), FrameBytes{});
         } else {
@@ -866,31 +788,27 @@ void Simulator::parallel_run(SimTime limit) {
       return end;
     };
     const SimTime fixed_end = clamp_end(t_ev);
-    SimTime lead_end = fixed_end;
-    if (adaptive_lookahead_) {
-      // Adaptive lookahead (conservative, Chandy–Misra–Bryant): the
-      // earliest shard runs to the second-earliest foreign peek plus
-      // lookahead — a pure function of queue state, so every worker
-      // count computes the same window ends. The widened shard's *own*
-      // cross-shard sends additionally cap its run at first-send-arrival
-      // + lookahead (send_cap), since a reply chain they seed may return
-      // earlier than min2. A single-shard engine has no cross-shard
-      // constraint at all. Dense cross-shard phases make min2 == min1
-      // and the window collapses to the fixed bound — the width never
-      // drops *below* the configured lookahead.
-      lead_end = count > 1
-                     ? clamp_end(min2)
-                     : std::min(t_task,
-                                limit == kNever ? kNever : limit + 1);
-      if (lead_end > fixed_end) ++windows_widened_;
-      if (lead_end != t_task &&
-          !(limit != kNever && lead_end == limit + 1) && lead_end != kNever) {
-        const SimDuration width = lead_end - t_ev;
-        if (window_width_min_ == 0 || width < window_width_min_) {
-          window_width_min_ = width;
-        }
-        if (width > window_width_max_) window_width_max_ = width;
+    // Adaptive lookahead (conservative, Chandy–Misra–Bryant): the
+    // earliest shard runs to the second-earliest foreign peek plus
+    // lookahead — a pure function of queue state, so every worker count
+    // computes the same window ends. The widened shard's *own*
+    // cross-shard sends additionally cap its run at first-send-arrival +
+    // lookahead (send_cap), since a reply chain they seed may return
+    // earlier than min2. A single-shard engine has no cross-shard
+    // constraint at all. Dense cross-shard phases make min2 == min1 and
+    // the window collapses to the fixed bound — the width never drops
+    // *below* the configured lookahead.
+    const SimTime lead_end =
+        count > 1 ? clamp_end(min2)
+                  : std::min(t_task, limit == kNever ? kNever : limit + 1);
+    if (lead_end > fixed_end) ++windows_widened_;
+    if (lead_end != t_task && !(limit != kNever && lead_end == limit + 1) &&
+        lead_end != kNever) {
+      const SimDuration width = lead_end - t_ev;
+      if (window_width_min_ == 0 || width < window_width_min_) {
+        window_width_min_ = width;
       }
+      if (width > window_width_max_) window_width_max_ = width;
     }
     window_floor_ = fixed_end;
     for (std::size_t s = 0; s < count; ++s) {

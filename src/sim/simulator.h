@@ -4,40 +4,36 @@
 // Events scheduled for the same instant fire in insertion order, which —
 // together with seeded RNG — makes every run exactly reproducible.
 //
-// Two interchangeable schedulers sit behind `Simulator::Options::scheduler`:
+// The queue is a hierarchical timing wheel (see timing_wheel.h). Four
+// cascading 256-bucket levels index times by successive 8-bit digits (ns
+// pages of 256 ns / ~65 us / ~16.8 ms / ~4.29 s spans); far-future events
+// park in a sorted-on-demand overflow. Schedule, timer re-arm, and true
+// cancellation are all O(1) intrusive-list splices. Determinism rules:
+// same-instant events fire in exact (time, seq) order — the due bucket is
+// staged and sorted by seq before dispatch — and cascading relocates nodes
+// without touching times or seqs, so `run_until` boundaries and the full
+// dispatch sequence are those of a (time, seq)-ordered priority queue.
 //
-//  - `kWheel` (default): a hierarchical timing wheel (see timing_wheel.h).
-//    Four cascading 256-bucket levels index times by successive 8-bit
-//    digits (ns pages of 256 ns / ~65 us / ~16.8 ms / ~4.29 s spans);
-//    far-future events park in a sorted-on-demand overflow. Schedule,
-//    timer re-arm, and true cancellation are all O(1) intrusive-list
-//    splices. Determinism rules: same-instant events still fire in exact
-//    (time, seq) order — the due bucket is staged and sorted by seq
-//    before dispatch — and cascading relocates nodes without touching
-//    times or seqs, so `run_until` boundaries and the full dispatch
-//    sequence are bit-identical to the heap scheduler's.
-//  - `kHeap`: the classic binary heap of slim 24-byte {time, seq, slot}
-//    nodes (O(log n) per operation), kept selectable so tests and benches
-//    can diff the two engines event-for-event.
+// The callback payloads live in a stable, free-listed slot pool beside the
+// wheel — cascading never moves a closure. Callbacks are stored in
+// `SmallFn`, a move-only callable with inline storage sized for the fabric's
+// event lambdas, so scheduling an event performs no heap allocation at
+// steady state.
 //
-// Under both schedulers the callback payloads live in a stable,
-// free-listed slot pool beside the queue — reordering never moves a
-// closure. Callbacks are stored in `SmallFn`, a move-only callable with
-// inline storage sized for the fabric's event lambdas, so scheduling an
-// event performs no heap allocation at steady state.
-//
-// Sharded mode (`configure_shards` + `set_workers`) turns the engine into
-// a conservative parallel discrete-event simulator: every device belongs
-// to one shard (fat-tree pods; cores + fabric manager share a shard), each
+// Sharded mode (`configure_shards` + `set_workers`) turns the engine into a
+// conservative parallel discrete-event simulator: every device belongs to
+// one shard (fat-tree pods; cores + fabric manager share a shard), each
 // shard owns its own event queue, slot pool, seq counter, and RNG stream,
-// and shards advance in lock-step windows no wider than the minimum
-// cross-shard link latency (the lookahead). Within a window shards run
-// independently on a worker pool; cross-shard deliveries buffer into
-// per-(src,dst) mailboxes that are merged at the window barrier in a
-// canonical (time, src-shard, push-order) order. Because mailbox merge
-// order — not thread completion order — assigns sequence numbers, an
-// N-worker run schedules exactly the same event sequence as a 1-worker
-// run, under either scheduler. Classic (unsharded) mode is the default.
+// and shards advance in conservative windows: every shard may run to the
+// earliest queued event plus the minimum cross-shard link latency (the
+// lookahead), and the shard holding that earliest event may run further, to
+// the second-earliest shard's event plus the lookahead (adaptive lookahead,
+// see parallel_run). Within a window shards run independently on a worker
+// pool; cross-shard deliveries buffer into per-(src,dst) mailboxes that are
+// merged at the window barrier in a canonical (time, src-shard, push-order)
+// order. Because mailbox merge order — not thread completion order — assigns
+// sequence numbers, an N-worker run schedules exactly the same event
+// sequence as a 1-worker run. Classic (unsharded) mode is the default.
 //
 // `Timer` and `PeriodicTimer` are cancellable wrappers used throughout the
 // protocol implementations (LDP keepalives, ARP retries, TCP RTO, ...).
@@ -63,7 +59,6 @@
 #include <memory>
 #include <mutex>
 #include <new>
-#include <queue>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -95,12 +90,6 @@ using ShardId = std::uint32_t;
 /// mode lands in the globally-serialized barrier task queue.
 constexpr ShardId kNoShard = 0xFFFFFFFFu;
 
-/// Which event-queue implementation a Simulator runs on.
-enum class SchedulerKind : std::uint8_t {
-  kHeap,   // binary heap: O(log n) schedule/pop, cancelled shots tombstone
-  kWheel,  // hierarchical timing wheel: O(1) schedule/cancel/rearm
-};
-
 /// Move-only type-erased callable with inline storage. Captures up to
 /// kInlineSize bytes live inside the object (no allocation); larger
 /// closures fall back to the heap transparently. This is what the event
@@ -128,7 +117,7 @@ class SmallFn {
       vtable_ = &kInlineVTable<Fn>;
     } else {
       *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
-      vtable_ = &kHeapVTable<Fn>;
+      vtable_ = &kBoxedVTable<Fn>;
     }
   }
 
@@ -165,7 +154,7 @@ class SmallFn {
       },
   };
   template <typename Fn>
-  static constexpr VTable kHeapVTable{
+  static constexpr VTable kBoxedVTable{
       [](void* p) { (**static_cast<Fn**>(p))(); },
       [](void* p) { delete *static_cast<Fn**>(p); },
       [](void* dst, void* src) {
@@ -209,9 +198,9 @@ struct DataEventOwner {
 /// Shared state behind a Timer. Events reference the core, never the
 /// Timer object, so destroying an armed Timer is safe. The callback lives
 /// here so a rearm does not rebuild it. `shard`/`handle` locate the
-/// pending shot inside the scheduler (wheel node or heap payload slot) so
-/// cancel/rearm can erase it in O(1); handle != kNilHandle if and only if
-/// that exact shot is still queued.
+/// pending shot inside the scheduler (its wheel node) so cancel/rearm can
+/// erase it in O(1); handle != kNilHandle if and only if that exact shot
+/// is still queued.
 struct TimerCore {
   static constexpr std::uint32_t kNilHandle = 0xFFFFFFFFu;
 
@@ -229,24 +218,12 @@ struct TimerCore {
 class Simulator {
  public:
   struct Options {
-    SchedulerKind scheduler = SchedulerKind::kWheel;
     /// Burst/train execution: back-to-back frames on one link direction
     /// batch into a single scheduler node (see train.h). Bit-identical
     /// to per-frame scheduling — every entry carries the exact (time,
     /// seq) the classic path would have assigned — so this is on by
     /// default; off exists for A/B proofs and the E18 ablation.
     bool burst = true;
-    /// Cap on entries per train batch; 0 = unbounded. Appends past the
-    /// cap fall back to per-frame scheduling (E18 sweeps this).
-    std::uint32_t max_train = 0;
-    /// Adaptive lookahead: per-shard conservative window ends. The shard
-    /// holding the globally earliest event may run up to the *second*
-    /// earliest foreign peek + lookahead (Chandy–Misra–Bryant bound), so
-    /// sparse phases execute in a few wide windows while dense phases
-    /// degrade gracefully to the fixed-lookahead schedule. Window ends
-    /// are a pure function of queue state, so any worker count still
-    /// schedules the identical event sequence.
-    bool adaptive_lookahead = true;
     /// Pooled-window threshold for the worker pool: a window is handed
     /// to the pool only when the recent events-per-window average
     /// reaches this value *and* the machine has >1 hardware core;
@@ -262,8 +239,6 @@ class Simulator {
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  [[nodiscard]] SchedulerKind scheduler() const { return scheduler_; }
 
   /// Current virtual time. In sharded mode, from inside an event this is
   /// the executing shard's clock; between windows it is the global clock.
@@ -329,7 +304,7 @@ class Simulator {
   /// are written in full. Returns false (with `error`) if the queue holds
   /// unserializable state: a pending barrier task, unmerged mailbox
   /// entries, or an opaque SmallFn event. The walk drains and rebuilds
-  /// each scheduler but leaves the running engine bit-identical.
+  /// each shard's wheel but leaves the running engine bit-identical.
   bool save_engine(SnapshotWriter& w, std::string* error);
 
   /// Drains every shard queue in preparation for a restore: timer shots
@@ -370,16 +345,12 @@ class Simulator {
   /// have consumed. Mid-window cross-shard appends park in the mailbox
   /// and join the train at the barrier, interleaved with plain mail in
   /// the same canonical (time, src, push-order) stream. Returns false
-  /// when the append is declined (burst disabled, train at max_train, or
-  /// a non-monotonic arrival) — the caller must then schedule the
-  /// delivery classically.
+  /// when the append is declined (burst disabled or a non-monotonic
+  /// arrival) — the caller must then schedule the delivery classically.
   bool train_append(ShardId dst, SimTime t, std::uint64_t epoch,
                     const FramePtr& frame, Train& tr);
 
   [[nodiscard]] bool burst_enabled() const { return burst_; }
-  [[nodiscard]] bool adaptive_lookahead_enabled() const {
-    return adaptive_lookahead_;
-  }
 
   /// Re-tunes the pooled-window threshold (see Options::parallel_min_events)
   /// after construction. 0 forces every window through the worker pool.
@@ -460,7 +431,7 @@ class Simulator {
   [[nodiscard]] std::uint64_t shard_executed(ShardId shard) const {
     return shards_[shard]->executed;
   }
-  /// Timing-wheel activity aggregated over all shards (zeros under kHeap).
+  /// Timing-wheel activity aggregated over all shards.
   [[nodiscard]] TimingWheel::Stats wheel_stats() const;
 
   /// Train nodes popped from the schedulers (each covers >= 1 frame).
@@ -500,30 +471,10 @@ class Simulator {
  private:
   friend class ShardGuard;
 
-  /// Heap node: everything the comparator needs, nothing it doesn't.
-  /// Payloads stay put in the slot pool while the heap sifts these.
-  struct QNode {
-    SimTime time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-  struct Later {
-    bool operator()(const QNode& a, const QNode& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  /// priority_queue with access to the backing vector for reserve().
-  struct EventQueue : std::priority_queue<QNode, std::vector<QNode>, Later> {
-    void reserve(std::size_t n) { c.reserve(n); }
-  };
-
   /// One of four is set: a plain callback, a timer shot, a train node
   /// (the slot anchors the train's scheduler presence; the frames live in
   /// the train's own deque), or a data event (owner + kind/arg/frame/
-  /// bytes — the serializable closure replacement). A slot with none (a
-  /// cancelled heap shot whose QNode is still sifting) is a husk: purged
-  /// at the next peek, never executed.
+  /// bytes — the serializable closure replacement).
   struct EventPayload {
     SmallFn fn;
     std::shared_ptr<TimerCore> timer;
@@ -550,10 +501,8 @@ class Simulator {
   };
 
   /// Everything one shard touches while executing a window, padded so
-  /// neighboring shards never share a cache line. Exactly one of
-  /// queue/wheel is in use, per Options::scheduler.
+  /// neighboring shards never share a cache line.
   struct alignas(64) Shard {
-    EventQueue queue;
     TimingWheel wheel;
     std::vector<EventPayload> slots;
     std::vector<std::uint32_t> free_slots;
@@ -607,9 +556,8 @@ class Simulator {
 
   [[nodiscard]] static std::uint32_t acquire_slot(Shard& sh);
   void release_slot(Shard& sh, std::uint32_t slot);
-  /// Pushes payload slot `slot` at (t, next seq) into the shard's active
-  /// scheduler; returns the cancellation handle (wheel node index, or the
-  /// payload slot itself for the heap).
+  /// Pushes payload slot `slot` at (t, next seq) into the shard's wheel;
+  /// returns the cancellation handle (the wheel node index).
   std::uint32_t push_node(Shard& sh, SimTime t, std::uint32_t slot);
   /// Same, but at an explicit already-consumed sequence number (train
   /// nodes re-entering the queue keep their front entry's seq).
@@ -629,9 +577,8 @@ class Simulator {
   /// The shard the calling thread is executing for *this* simulator.
   [[nodiscard]] ShardId context_shard() const;
   static void fire_timer(TimerCore& core, std::uint64_t generation);
-  /// Earliest live event time in this shard, or kNoEvent. Purges any
-  /// cancelled heap husks sitting on top, so both schedulers agree.
-  [[nodiscard]] SimTime peek_time(Shard& sh);
+  /// Earliest live event time in this shard, or kNoEvent.
+  [[nodiscard]] SimTime peek_time(Shard& sh) { return sh.wheel.peek(); }
   /// Dispatches the earliest event. `bound` is the exclusive horizon for
   /// *additional* train deliveries piggybacking on this dispatch (the
   /// window end, or limit + 1 in classic mode); the first delivery of a
@@ -672,11 +619,8 @@ class Simulator {
 
   // --- Shards. Classic mode is exactly shards_[0]. -----------------------
   std::vector<std::unique_ptr<Shard>> shards_;
-  SchedulerKind scheduler_ = SchedulerKind::kWheel;
   bool configured_ = false;
   bool burst_ = true;
-  bool adaptive_lookahead_ = true;
-  std::uint32_t max_train_ = 0;
   std::uint32_t parallel_min_events_ = 128;
   /// Hardware cores, cached once (hardware_concurrency may syscall).
   unsigned hw_cores_ = 1;

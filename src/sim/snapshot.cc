@@ -1,14 +1,14 @@
 // Engine-level checkpoint: serialize, clear, and rebuild the event queues.
 //
-// The save walk drains each shard's scheduler (wheel or heap) into a
-// record list, classifies every live payload, and re-inserts the drained
-// population exactly as it was — so saving is invisible to the running
-// engine (wheel stats are captured before the walk and restored after;
-// re-insertion bypasses push_node so nodes_pushed never drifts). The
-// image stores timer shots and train anchors as per-shard census counts
-// only: their contents are owned (and serialized) by the Timer and Link
-// that will re-insert them on restore, and finish_restore() validates
-// that every counted event actually came back.
+// The save walk drains each shard's timing wheel into a record list,
+// classifies every live payload, and re-inserts the drained population
+// exactly as it was — so saving is invisible to the running engine (wheel
+// stats are captured before the walk and restored after; re-insertion
+// bypasses push_node so nodes_pushed never drifts). The image stores timer
+// shots and train anchors as per-shard census counts only: their contents
+// are owned (and serialized) by the Timer and Link that will re-insert them
+// on restore, and finish_restore() validates that every counted event
+// actually came back.
 #include "sim/snapshot.h"
 
 #include <array>
@@ -135,29 +135,14 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
     w.u64(ws.cascaded_nodes);
     w.u64(ws.overflow_rehomed);
 
-    // Drain the scheduler in (time, seq) order. Heap husks (cancelled
-    // shots) are released exactly as a peek purge would; the wheel has
-    // no husks (erase is true removal), only dead-staged residue, which
-    // pop() discards with live == false.
+    // Drain the wheel in (time, seq) order. Erase is true removal, so the
+    // only dead residue is staged nodes, which pop() discards with
+    // live == false.
     recs.clear();
-    if (scheduler_ == SchedulerKind::kWheel) {
-      while (sh.wheel.has_events()) {
-        const TimingWheel::PopResult r = sh.wheel.pop();
-        if (!r.live) continue;
-        recs.push_back(Rec{r.time, r.seq, r.payload});
-      }
-    } else {
-      while (!sh.queue.empty()) {
-        const QNode n = sh.queue.top();
-        sh.queue.pop();
-        const EventPayload& p = sh.slots[n.slot];
-        if (!p.fn && p.timer == nullptr && p.train == nullptr &&
-            p.data_owner == nullptr) {
-          release_slot(sh, n.slot);
-          continue;
-        }
-        recs.push_back(Rec{n.time, n.seq, n.slot});
-      }
+    while (sh.wheel.has_events()) {
+      const TimingWheel::PopResult r = sh.wheel.pop();
+      if (!r.live) continue;
+      recs.push_back(Rec{r.time, r.seq, r.payload});
     }
 
     // Classify. Timer shots and train anchors serialize through their
@@ -198,28 +183,21 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
       w.blob(p.data_bytes);
     }
 
-    // Rebuild the scheduler exactly as drained. Direct inserts bypass
+    // Rebuild the wheel exactly as drained. Direct inserts bypass
     // push_node, so nodes_pushed is untouched; wheel stats are restored
     // below, so the whole walk is invisible to metrics. Wheel node
     // indexes change across the rebuild, so live timer handles are
     // re-recorded.
-    if (scheduler_ == SchedulerKind::kWheel) {
-      sh.wheel.reset(sh.now);
-      for (const Rec& rec : recs) {
-        const std::uint32_t handle =
-            sh.wheel.insert(rec.time, rec.seq, rec.slot);
-        EventPayload& p = sh.slots[rec.slot];
-        if (p.timer != nullptr && p.timer->generation == p.timer_gen &&
-            p.timer->pending) {
-          p.timer->handle = handle;
-        }
-      }
-      sh.wheel.restore_stats(ws);
-    } else {
-      for (const Rec& rec : recs) {
-        sh.queue.push(QNode{rec.time, rec.seq, rec.slot});
+    sh.wheel.reset(sh.now);
+    for (const Rec& rec : recs) {
+      const std::uint32_t handle = sh.wheel.insert(rec.time, rec.seq, rec.slot);
+      EventPayload& p = sh.slots[rec.slot];
+      if (p.timer != nullptr && p.timer->generation == p.timer_gen &&
+          p.timer->pending) {
+        p.timer->handle = handle;
       }
     }
+    sh.wheel.restore_stats(ws);
   }
   if (bad != nullptr) return fail(bad);
   return true;
@@ -258,26 +236,12 @@ void Simulator::snapshot_clear() {
       p.fn = SmallFn{};
       release_slot(sh, slot_idx);
     };
-    if (scheduler_ == SchedulerKind::kWheel) {
-      while (sh.wheel.has_events()) {
-        const TimingWheel::PopResult r = sh.wheel.pop();
-        if (!r.live) continue;
-        clear_slot(r.payload);
-      }
-      sh.wheel.reset(sh.now);
-    } else {
-      while (!sh.queue.empty()) {
-        const std::uint32_t slot_idx = sh.queue.top().slot;
-        sh.queue.pop();
-        const EventPayload& p = sh.slots[slot_idx];
-        if (!p.fn && p.timer == nullptr && p.train == nullptr &&
-            p.data_owner == nullptr) {
-          release_slot(sh, slot_idx);
-          continue;
-        }
-        clear_slot(slot_idx);
-      }
+    while (sh.wheel.has_events()) {
+      const TimingWheel::PopResult r = sh.wheel.pop();
+      if (!r.live) continue;
+      clear_slot(r.payload);
     }
+    sh.wheel.reset(sh.now);
     sh.live = 0;
   }
 }
@@ -335,12 +299,10 @@ bool Simulator::restore_engine(SnapshotReader& r, std::string* error) {
     ws.cascaded_nodes = r.u64();
     ws.overflow_rehomed = r.u64();
     restore_pending_.wheel_stats[s] = ws;
-    if (scheduler_ == SchedulerKind::kWheel) {
-      // Re-anchor at the restored clock so every saved event (all > the
-      // saved now) is insertable regardless of where the cleared fresh
-      // engine's cursor had advanced to.
-      sh.wheel.reset(sh.now);
-    }
+    // Re-anchor at the restored clock so every saved event (all > the
+    // saved now) is insertable regardless of where the cleared fresh
+    // engine's cursor had advanced to.
+    sh.wheel.reset(sh.now);
     sh.live = 0;
 
     restore_pending_.expect_timers[s] = r.u32();
@@ -365,11 +327,7 @@ bool Simulator::restore_engine(SnapshotReader& r, std::string* error) {
       p.data_arg = arg;
       p.data_frame = std::move(frame);
       p.data_bytes = std::move(bytes);
-      if (scheduler_ == SchedulerKind::kWheel) {
-        sh.wheel.insert(t, seq, slot);
-      } else {
-        sh.queue.push(QNode{t, seq, slot});
-      }
+      sh.wheel.insert(t, seq, slot);
       ++sh.live;
     }
   }
@@ -388,16 +346,9 @@ void Simulator::restore_timer_at(ShardId shard, SimTime t, std::uint64_t seq,
   const std::uint32_t slot = acquire_slot(sh);
   sh.slots[slot].timer = std::move(core);
   sh.slots[slot].timer_gen = generation;
-  std::uint32_t handle;
-  if (scheduler_ == SchedulerKind::kWheel) {
-    handle = sh.wheel.insert(t, seq, slot);
-  } else {
-    sh.queue.push(QNode{t, seq, slot});
-    handle = slot;
-  }
   ++sh.live;
   raw->shard = shard;
-  raw->handle = handle;
+  raw->handle = sh.wheel.insert(t, seq, slot);
   raw->seq = seq;
   if (restore_pending_.active) ++restore_pending_.got_timers[shard];
 }
@@ -409,11 +360,7 @@ void Simulator::restore_train_anchor(ShardId shard, Train& tr) {
   const std::uint32_t slot = acquire_slot(sh);
   sh.slots[slot].train = &tr;
   const TrainEntry& front = tr.entries.front();
-  if (scheduler_ == SchedulerKind::kWheel) {
-    sh.wheel.insert(front.time, front.seq, slot);
-  } else {
-    sh.queue.push(QNode{front.time, front.seq, slot});
-  }
+  sh.wheel.insert(front.time, front.seq, slot);
   tr.scheduled = true;
   // Every pending train entry counts as one live event, exactly like the
   // classic per-frame deliveries it stands for.
@@ -451,9 +398,7 @@ bool Simulator::finish_restore(std::string* error) {
                  std::to_string(restore_pending_.expect_live[s]);
     }
     sh.nodes_pushed = restore_pending_.nodes_pushed[s];
-    if (scheduler_ == SchedulerKind::kWheel) {
-      sh.wheel.restore_stats(restore_pending_.wheel_stats[s]);
-    }
+    sh.wheel.restore_stats(restore_pending_.wheel_stats[s]);
   }
   restore_pending_ = RestorePending{};
   if (!mismatch.empty()) return fail("event census mismatch: " + mismatch);

@@ -1,5 +1,5 @@
-// Hierarchical timing wheel: the O(1) event queue behind the simulator's
-// default scheduler (Varghese & Lauck, SOSP '87).
+// Hierarchical timing wheel: the simulator's O(1) event queue (Varghese &
+// Lauck, SOSP '87).
 //
 // Four cascading levels of 256 buckets index absolute nanosecond times by
 // successive 8-bit digits: level 0 resolves single nanoseconds across a
@@ -15,14 +15,15 @@
 // bucket" a handful of word scans, so a sparse wheel never ticks through
 // empty slots.
 //
-// Determinism contract (shared with the binary-heap scheduler): events
-// fire in exact (time, seq) order. A level-0 bucket holds exactly one
+// Determinism contract: events fire in exact (time, seq) order, as from a
+// priority queue. A level-0 bucket holds exactly one
 // timestamp, but its list order is arbitrary (cascades push-front), so the
 // due bucket is staged and sorted by seq before dispatch — events
 // scheduled for the staged instant while it drains append behind the
 // staged ones, which is correct because their seq is larger than anything
 // already staged. Cascading relocates nodes without touching times or
-// seqs, so a wheel run dispatches the identical sequence a heap run does.
+// seqs, so a wheel run dispatches the identical sequence a (time, seq)
+// priority queue would.
 #pragma once
 
 #include <array>

@@ -59,7 +59,7 @@ struct Train {
   bool scheduled = false;
   std::deque<TrainEntry> entries;
   /// Serializable identity of `deliver`: when set, per-frame fallbacks
-  /// (mailbox cap/monotonicity misses) schedule a data event against this
+  /// (mailbox monotonicity misses) schedule a data event against this
   /// owner instead of an opaque closure, keeping the queue checkpointable.
   DataEventOwner* owner = nullptr;
   std::uint32_t owner_kind = 0;

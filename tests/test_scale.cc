@@ -4,9 +4,11 @@
 // wrap, and the memory accounting the bench reports.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <vector>
 
+#include "common/memsize.h"
 #include "common/rss.h"
 #include "core/fabric.h"
 #include "core/host_table.h"
@@ -120,78 +122,88 @@ HostEntry make_entry(std::uint8_t tag, std::uint16_t pod, std::uint8_t port,
 }
 
 TEST(HostTable, CompactAndLegacyAgreeOnLookupAndOrder) {
-  for (const bool legacy : {false, true}) {
-    SCOPED_TRACE(legacy ? "legacy" : "compact");
-    HostTable table(legacy);
-    table.reserve(4);
-    // Insert out of AMAC order.
-    table.insert(make_entry(30, 1, 2, 1));
-    table.insert(make_entry(10, 1, 0, 1));
-    table.insert(make_entry(20, 1, 1, 1));
-    EXPECT_EQ(table.size(), 3u);
-
-    const HostEntry* by_amac = table.find_amac(MacAddress{{0x02, 0, 0, 0, 0, 20}});
-    ASSERT_NE(by_amac, nullptr);
-    EXPECT_EQ(by_amac->ip, Ipv4Address(10, 0, 0, 20));
-
-    const HostEntry* by_pmac =
-        table.find_pmac(Pmac{1, 1, 2, 1}.to_mac());
-    ASSERT_NE(by_pmac, nullptr);
-    EXPECT_EQ(by_pmac->ip, Ipv4Address(10, 0, 0, 30));
-
-    EXPECT_EQ(table.find_amac(MacAddress{{0x02, 0, 0, 0, 0, 99}}), nullptr);
-    EXPECT_EQ(table.find_pmac(Pmac{9, 9, 9, 9}.to_mac()), nullptr);
-
-    // for_each visits ascending AMAC regardless of insertion order.
-    std::vector<std::uint8_t> order;
-    table.for_each([&](const HostEntry& e) { order.push_back(e.amac.bytes()[5]); });
-    EXPECT_EQ(order, (std::vector<std::uint8_t>{10, 20, 30}));
-
-    EXPECT_GT(table.bytes(), 0u);
+  HostTable table;
+  table.reserve(4);
+  // The seed's representation, an AMAC-ordered map plus a PMAC->AMAC
+  // index, is the reference the compact table must agree with.
+  std::map<MacAddress, HostEntry> by_amac_ref;
+  std::map<MacAddress, MacAddress> pmac_to_amac_ref;
+  // Insert out of AMAC order.
+  for (const HostEntry& e : {make_entry(30, 1, 2, 1), make_entry(10, 1, 0, 1),
+                             make_entry(20, 1, 1, 1)}) {
+    table.insert(e);
+    by_amac_ref[e.amac] = e;
+    pmac_to_amac_ref[e.pmac.to_mac()] = e.amac;
   }
+  EXPECT_EQ(table.size(), by_amac_ref.size());
+
+  const HostEntry* by_amac =
+      table.find_amac(MacAddress{{0x02, 0, 0, 0, 0, 20}});
+  ASSERT_NE(by_amac, nullptr);
+  EXPECT_EQ(by_amac->ip, Ipv4Address(10, 0, 0, 20));
+
+  const HostEntry* by_pmac = table.find_pmac(Pmac{1, 1, 2, 1}.to_mac());
+  ASSERT_NE(by_pmac, nullptr);
+  EXPECT_EQ(by_pmac->ip, Ipv4Address(10, 0, 0, 30));
+  for (const auto& [pmac, amac] : pmac_to_amac_ref) {
+    const HostEntry* e = table.find_pmac(pmac);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->amac, amac);
+    EXPECT_EQ(e->ip, by_amac_ref.at(amac).ip);
+  }
+
+  EXPECT_EQ(table.find_amac(MacAddress{{0x02, 0, 0, 0, 0, 99}}), nullptr);
+  EXPECT_EQ(table.find_pmac(Pmac{9, 9, 9, 9}.to_mac()), nullptr);
+
+  // for_each visits ascending AMAC regardless of insertion order, exactly
+  // as the map walk does.
+  std::vector<MacAddress> order;
+  table.for_each([&](const HostEntry& e) { order.push_back(e.amac); });
+  std::vector<MacAddress> ref_order;
+  for (const auto& [amac, e] : by_amac_ref) ref_order.push_back(amac);
+  EXPECT_EQ(order, ref_order);
+
+  EXPECT_GT(table.bytes(), 0u);
+  EXPECT_LT(table.bytes(),
+            map_bytes(by_amac_ref) + map_bytes(pmac_to_amac_ref));
 }
 
 TEST(HostTable, RekeyPmacMovesTheIndexNotTheEntry) {
-  for (const bool legacy : {false, true}) {
-    SCOPED_TRACE(legacy ? "legacy" : "compact");
-    HostTable table(legacy);
-    table.insert(make_entry(10, 1, 0, 1));
-    HostEntry* e = table.find_amac(MacAddress{{0x02, 0, 0, 0, 0, 10}});
-    ASSERT_NE(e, nullptr);
+  HostTable table;
+  table.insert(make_entry(10, 1, 0, 1));
+  HostEntry* e = table.find_amac(MacAddress{{0x02, 0, 0, 0, 0, 10}});
+  ASSERT_NE(e, nullptr);
 
-    const Pmac old_pmac = e->pmac;
-    table.rekey_pmac(*e, Pmac{1, 1, 3, 2});  // local migration: new port+vmid
-    EXPECT_EQ(table.find_pmac(old_pmac.to_mac()), nullptr);
-    const HostEntry* found = table.find_pmac(Pmac{1, 1, 3, 2}.to_mac());
-    ASSERT_NE(found, nullptr);
-    EXPECT_EQ(found->amac, e->amac);
-    EXPECT_EQ(table.size(), 1u);
-  }
+  const Pmac old_pmac = e->pmac;
+  table.rekey_pmac(*e, Pmac{1, 1, 3, 2});  // local migration: new port+vmid
+  EXPECT_EQ(table.find_pmac(old_pmac.to_mac()), nullptr);
+  const HostEntry* found = table.find_pmac(Pmac{1, 1, 3, 2}.to_mac());
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->amac, e->amac);
+  EXPECT_EQ(table.size(), 1u);
 }
 
 TEST(HostTable, EraseByPmacBackfillsWithoutBreakingIndexes) {
-  for (const bool legacy : {false, true}) {
-    SCOPED_TRACE(legacy ? "legacy" : "compact");
-    HostTable table(legacy);
-    table.insert(make_entry(10, 1, 0, 1));
-    table.insert(make_entry(20, 1, 1, 1));
-    table.insert(make_entry(30, 1, 2, 1));
+  HostTable table;
+  table.insert(make_entry(10, 1, 0, 1));
+  table.insert(make_entry(20, 1, 1, 1));
+  table.insert(make_entry(30, 1, 2, 1));
 
-    EXPECT_FALSE(table.erase_by_pmac(Pmac{9, 9, 9, 9}.to_mac()));
-    // Erase the middle slot: the compact build back-fills it from the end
-    // and must re-point the moved entry's index references.
-    EXPECT_TRUE(table.erase_by_pmac(Pmac{1, 1, 1, 1}.to_mac()));
-    EXPECT_EQ(table.size(), 2u);
-    EXPECT_EQ(table.find_amac(MacAddress{{0x02, 0, 0, 0, 0, 20}}), nullptr);
-    for (const std::uint8_t tag : {std::uint8_t{10}, std::uint8_t{30}}) {
-      const HostEntry* e = table.find_amac(MacAddress{{0x02, 0, 0, 0, 0, tag}});
-      ASSERT_NE(e, nullptr) << int(tag);
-      EXPECT_EQ(table.find_pmac(e->pmac.to_mac()), e);
-    }
-    std::vector<std::uint8_t> order;
-    table.for_each([&](const HostEntry& e) { order.push_back(e.amac.bytes()[5]); });
-    EXPECT_EQ(order, (std::vector<std::uint8_t>{10, 30}));
+  EXPECT_FALSE(table.erase_by_pmac(Pmac{9, 9, 9, 9}.to_mac()));
+  // Erase the middle slot: the table back-fills it from the end and must
+  // re-point the moved entry's index references.
+  EXPECT_TRUE(table.erase_by_pmac(Pmac{1, 1, 1, 1}.to_mac()));
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.find_amac(MacAddress{{0x02, 0, 0, 0, 0, 20}}), nullptr);
+  for (const std::uint8_t tag : {std::uint8_t{10}, std::uint8_t{30}}) {
+    const HostEntry* e = table.find_amac(MacAddress{{0x02, 0, 0, 0, 0, tag}});
+    ASSERT_NE(e, nullptr) << int(tag);
+    EXPECT_EQ(table.find_pmac(e->pmac.to_mac()), e);
   }
+  std::vector<std::uint8_t> order;
+  table.for_each(
+      [&](const HostEntry& e) { order.push_back(e.amac.bytes()[5]); });
+  EXPECT_EQ(order, (std::vector<std::uint8_t>{10, 30}));
 }
 
 // ---------------------------------------------------------------------------
@@ -329,23 +341,39 @@ TEST(Scale, RssReadersReturnSaneValues) {
 }
 
 TEST(Scale, CompactTablesCountFewerBytesThanLegacy) {
-  auto build = [](PortlandConfig::Tables tables) {
-    PortlandFabric::Options options;
-    options.k = 4;
-    options.seed = 9104;
-    options.config.tables = tables;
-    auto fabric = std::make_unique<PortlandFabric>(options);
-    EXPECT_TRUE(fabric->run_until_converged());
-    return fabric;
-  };
-  const auto compact = build(PortlandConfig::Tables::kCompact);
-  const auto legacy = build(PortlandConfig::Tables::kLegacyMap);
+  PortlandFabric::Options options;
+  options.k = 4;
+  options.seed = 9104;
+  const auto compact = std::make_unique<PortlandFabric>(options);
+  ASSERT_TRUE(compact->run_until_converged());
+
+  // The seed's edge host table held every host twice in node-allocating
+  // maps (AMAC -> entry, PMAC -> AMAC). Model those maps for every edge
+  // with the memsize.h estimators the accounting uses.
+  std::size_t legacy_host_bytes = 0;
+  const auto k = static_cast<std::size_t>(options.k);
+  for (std::size_t pod = 0; pod < k; ++pod) {
+    for (std::size_t edge = 0; edge < k / 2; ++edge) {
+      std::map<MacAddress, HostEntry> by_amac;
+      std::map<MacAddress, MacAddress> pmac_to_amac;
+      for (std::size_t port = 0; port < k / 2; ++port) {
+        const host::Host& h = compact->host_at(pod, edge, port);
+        HostEntry e;
+        e.amac = h.mac();
+        e.pmac = Pmac{static_cast<std::uint16_t>(pod),
+                      static_cast<std::uint8_t>(edge),
+                      static_cast<std::uint8_t>(port), 1};
+        e.ip = h.ip();
+        by_amac[e.amac] = e;
+        pmac_to_amac[e.pmac.to_mac()] = e.amac;
+      }
+      legacy_host_bytes += map_bytes(by_amac) + map_bytes(pmac_to_amac);
+    }
+  }
 
   const auto cb = compact->total_table_bytes();
-  const auto lb = legacy->total_table_bytes();
   EXPECT_GT(cb.host_table, 0u);
-  EXPECT_LT(cb.host_table, lb.host_table);
-  EXPECT_LT(cb.total(), lb.total());
+  EXPECT_LT(cb.host_table, legacy_host_bytes);
 
   // Non-edge switches never learn hosts, and the lazy reservation means
   // they never allocate host-table memory either.

@@ -1,8 +1,12 @@
 // Unit tests for the discrete-event engine: ordering, timers, links.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -494,25 +498,9 @@ TEST(Sharded, FailRecoverIsWorkerCountInvariant) {
   }
 }
 
-// --- scheduler A/B: binary heap vs hierarchical timing wheel -------------
+// --- timing-wheel event queue --------------------------------------------
 
-/// Every test in this fixture runs twice, once per event-queue
-/// implementation, and must pass identically under both.
-class EngineTest : public ::testing::TestWithParam<SchedulerKind> {
- protected:
-  [[nodiscard]] Simulator::Options opts() const {
-    return Simulator::Options{GetParam()};
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    BothSchedulers, EngineTest,
-    ::testing::Values(SchedulerKind::kHeap, SchedulerKind::kWheel),
-    [](const ::testing::TestParamInfo<SchedulerKind>& info) {
-      return info.param == SchedulerKind::kHeap ? "Heap" : "Wheel";
-    });
-
-TEST_P(EngineTest, OrderingAcrossCascadeDistances) {
+TEST(EngineTest, OrderingAcrossCascadeDistances) {
   // Times chosen to land on every wheel level: same-page ns (level 0),
   // ~hundreds of ns (level 1), tens of us (level 2), tens of ms and
   // seconds (level 3), and past the ~4.29 s horizon (overflow) — plus
@@ -524,7 +512,7 @@ TEST_P(EngineTest, OrderingAcrossCascadeDistances) {
     SimTime time;
     int id;
   };
-  Simulator sim(opts());
+  Simulator sim;
   std::vector<Fire> fired;
   for (int i = 0; i < static_cast<int>(std::size(times)); ++i) {
     sim.at(times[i], [&fired, &sim, i] {
@@ -545,8 +533,8 @@ TEST_P(EngineTest, OrderingAcrossCascadeDistances) {
   }
 }
 
-TEST_P(EngineTest, RunUntilBoundaryIsInclusive) {
-  Simulator sim(opts());
+TEST(EngineTest, RunUntilBoundaryIsInclusive) {
+  Simulator sim;
   int at_limit = 0;
   int past_limit = 0;
   sim.at(millis(5), [&] { ++at_limit; });
@@ -559,8 +547,8 @@ TEST_P(EngineTest, RunUntilBoundaryIsInclusive) {
   EXPECT_EQ(past_limit, 1);
 }
 
-TEST_P(EngineTest, CancelledTimersLeavePendingCount) {
-  Simulator sim(opts());
+TEST(EngineTest, CancelledTimersLeavePendingCount) {
+  Simulator sim;
   Timer a(sim);
   Timer b(sim);
   Timer c(sim);
@@ -577,11 +565,11 @@ TEST_P(EngineTest, CancelledTimersLeavePendingCount) {
   EXPECT_EQ(sim.now(), millis(1));  // dead deadlines never drive the clock
 }
 
-TEST_P(EngineTest, CancelledLongDeadlineTimerReleasesItsCore) {
+TEST(EngineTest, CancelledLongDeadlineTimerReleasesItsCore) {
   // Regression: cancel used to leave the queued shot holding its
   // shared_ptr<TimerCore> (and with it the callback closure) until the
   // dead event's far-future deadline finally popped.
-  Simulator sim(opts());
+  Simulator sim;
   auto marker = std::make_shared<int>(7);
   std::weak_ptr<int> weak = marker;
   {
@@ -598,8 +586,8 @@ TEST_P(EngineTest, CancelledLongDeadlineTimerReleasesItsCore) {
   EXPECT_EQ(sim.now(), 0);
 }
 
-TEST_P(EngineTest, TwoTimersAtSameInstantFireInArmOrder) {
-  Simulator sim(opts());
+TEST(EngineTest, TwoTimersAtSameInstantFireInArmOrder) {
+  Simulator sim;
   Timer first(sim);
   Timer second(sim);
   std::vector<int> order;
@@ -609,8 +597,8 @@ TEST_P(EngineTest, TwoTimersAtSameInstantFireInArmOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST_P(EngineTest, CancelFromOwnCallback) {
-  Simulator sim(opts());
+TEST(EngineTest, CancelFromOwnCallback) {
+  Simulator sim;
   Timer t(sim);
   int fired = 0;
   t.schedule_after(millis(1), [&] {
@@ -625,10 +613,10 @@ TEST_P(EngineTest, CancelFromOwnCallback) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST_P(EngineTest, CancelSiblingTimerAtSameInstant) {
+TEST(EngineTest, CancelSiblingTimerAtSameInstant) {
   // First timer's callback cancels the second, which is already staged
   // for dispatch at the same instant — it must not fire.
-  Simulator sim(opts());
+  Simulator sim;
   Timer killer(sim);
   Timer victim(sim);
   int victim_fired = 0;
@@ -639,10 +627,10 @@ TEST_P(EngineTest, CancelSiblingTimerAtSameInstant) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-TEST_P(EngineTest, RearmAfterCallbackReplacedItself) {
+TEST(EngineTest, RearmAfterCallbackReplacedItself) {
   // The callback replaces itself via schedule_after() from inside
   // fire_timer; a later rearm() must re-run the *replacement*.
-  Simulator sim(opts());
+  Simulator sim;
   Timer t(sim);
   std::vector<int> hits;
   t.schedule_after(millis(1), [&] {
@@ -657,8 +645,8 @@ TEST_P(EngineTest, RearmAfterCallbackReplacedItself) {
   EXPECT_EQ(hits, (std::vector<int>{1, 2, 2}));
 }
 
-TEST_P(EngineTest, DeadlineTracksRearm) {
-  Simulator sim(opts());
+TEST(EngineTest, DeadlineTracksRearm) {
+  Simulator sim;
   Timer t(sim);
   t.schedule_after(millis(10), [] {});
   EXPECT_EQ(t.deadline(), millis(10));
@@ -674,8 +662,8 @@ TEST_P(EngineTest, DeadlineTracksRearm) {
   EXPECT_EQ(sim.executed_events(), 1u);  // every earlier shot was erased
 }
 
-TEST_P(EngineTest, FarFutureCancelThenNearReschedule) {
-  Simulator sim(opts());
+TEST(EngineTest, FarFutureCancelThenNearReschedule) {
+  Simulator sim;
   Timer t(sim);
   int fired = 0;
   t.schedule_after(seconds(20), [&] { ++fired; });  // overflow on the wheel
@@ -686,48 +674,140 @@ TEST_P(EngineTest, FarFutureCancelThenNearReschedule) {
   EXPECT_EQ(sim.now(), micros(5));
 }
 
-/// Drives one simulator through a pseudorandom schedule/cancel/rearm
-/// storm and returns the (time, id) dispatch trace.
-std::vector<std::pair<SimTime, int>> run_random_trace(SchedulerKind kind) {
-  Simulator sim(Simulator::Options{kind});
-  std::vector<std::pair<SimTime, int>> trace;
+/// Drives an engine through a pseudorandom schedule/cancel/rearm storm of
+/// plain events and 16 timers, recording the (time, id) dispatch trace.
+/// Every deadline is rounded up to a multiple of `quantum`: 1 ns leaves
+/// the times erratic, a coarse quantum piles many shots onto one instant
+/// so their insertion-order ties are exercised too. `E` is either the
+/// real simulator (WheelStorm) or the reference model below; both expose
+/// the same handful of operations.
+template <typename E>
+std::vector<std::pair<SimTime, int>> run_storm(E& engine, SimDuration quantum) {
   Rng rng(0xC0FFEE);
-  std::vector<std::unique_ptr<Timer>> timers;
-  for (int i = 0; i < 16; ++i) timers.push_back(std::make_unique<Timer>(sim));
+  const auto due_in = [&](SimDuration d) {
+    const SimTime t = engine.now() + d;
+    return ((t + quantum - 1) / quantum) * quantum - engine.now();
+  };
   int next_id = 1000;
   for (int round = 0; round < 40; ++round) {
     // A burst of plain events at erratic distances (ns .. multi-second).
     for (int i = 0; i < 64; ++i) {
-      const SimTime t =
-          sim.now() + static_cast<SimTime>(rng.next_below(seconds(6)));
-      const int id = next_id++;
-      sim.at(t, [&trace, &sim, id] { trace.emplace_back(sim.now(), id); });
+      engine.at(engine.now() + due_in(static_cast<SimDuration>(
+                                   rng.next_below(seconds(6)))),
+                next_id++);
     }
     // Timer churn: schedule, rearm, or cancel at random.
-    for (auto& timer : timers) {
+    for (std::size_t timer = 0; timer < E::kTimers; ++timer) {
       const std::uint64_t action = rng.next_below(4);
       const int id = next_id++;
       if (action == 0) {
-        timer->schedule_after(
-            static_cast<SimDuration>(rng.next_below(seconds(2))),
-            [&trace, &sim, id] { trace.emplace_back(sim.now(), id); });
-      } else if (action == 1 && timer->pending()) {
-        timer->rearm(static_cast<SimDuration>(rng.next_below(millis(50))));
+        engine.schedule_after(
+            timer,
+            due_in(static_cast<SimDuration>(rng.next_below(seconds(2)))), id);
+      } else if (action == 1 && engine.pending(timer)) {
+        engine.rearm(timer, due_in(static_cast<SimDuration>(
+                                rng.next_below(millis(50)))));
       } else if (action == 2) {
-        timer->cancel();
+        engine.cancel(timer);
       }
     }
-    sim.run_until(sim.now() + static_cast<SimTime>(rng.next_below(seconds(1))));
+    engine.run_until(engine.now() +
+                     static_cast<SimTime>(rng.next_below(seconds(1))));
   }
-  sim.run();
-  return trace;
+  engine.run();
+  return engine.trace;
 }
 
-TEST(Scheduler, HeapAndWheelDispatchIdenticalTraces) {
-  const auto heap = run_random_trace(SchedulerKind::kHeap);
-  const auto wheel = run_random_trace(SchedulerKind::kWheel);
-  ASSERT_GT(heap.size(), 2000u);
-  EXPECT_EQ(heap, wheel);
+/// The storm on the real engine.
+struct WheelStorm {
+  static constexpr std::size_t kTimers = 16;
+  Simulator sim;
+  std::vector<std::unique_ptr<Timer>> timers;
+  std::vector<std::pair<SimTime, int>> trace;
+
+  WheelStorm() {
+    for (std::size_t i = 0; i < kTimers; ++i) {
+      timers.push_back(std::make_unique<Timer>(sim));
+    }
+  }
+  SimTime now() const { return sim.now(); }
+  void at(SimTime t, int id) {
+    sim.at(t, [this, id] { trace.emplace_back(sim.now(), id); });
+  }
+  void schedule_after(std::size_t i, SimDuration d, int id) {
+    timers[i]->schedule_after(
+        d, [this, id] { trace.emplace_back(sim.now(), id); });
+  }
+  bool pending(std::size_t i) const { return timers[i]->pending(); }
+  void rearm(std::size_t i, SimDuration d) { timers[i]->rearm(d); }
+  void cancel(std::size_t i) { timers[i]->cancel(); }
+  void run_until(SimTime t) { sim.run_until(t); }
+  void run() { sim.run(); }
+};
+
+/// Reference model: the live shots as a sorted list of (time, seq, id),
+/// where seq counts insertions. Dispatch pops the front. A timer owns at
+/// most one shot; rearm and cancel erase it, and a rearm re-inserts the
+/// timer's last callback id at a fresh seq.
+struct ReferenceStorm {
+  static constexpr std::size_t kTimers = 16;
+  using Shot = std::tuple<SimTime, std::uint64_t, int>;
+  struct TimerState {
+    int id = 0;
+    std::optional<Shot> shot;
+  };
+  SimTime clock = 0;
+  std::uint64_t seq = 0;
+  std::set<Shot> shots;
+  std::vector<TimerState> timers = std::vector<TimerState>(kTimers);
+  std::vector<std::pair<SimTime, int>> trace;
+
+  SimTime now() const { return clock; }
+  void at(SimTime t, int id) { shots.emplace(t, seq++, id); }
+  void arm(std::size_t i, SimDuration d) {
+    cancel(i);
+    const Shot shot{clock + d, seq++, timers[i].id};
+    shots.insert(shot);
+    timers[i].shot = shot;
+  }
+  void schedule_after(std::size_t i, SimDuration d, int id) {
+    timers[i].id = id;
+    arm(i, d);
+  }
+  bool pending(std::size_t i) const { return timers[i].shot.has_value(); }
+  void rearm(std::size_t i, SimDuration d) { arm(i, d); }
+  void cancel(std::size_t i) {
+    if (timers[i].shot) shots.erase(*timers[i].shot);
+    timers[i].shot.reset();
+  }
+  void run_until(SimTime limit) {
+    while (!shots.empty() && std::get<0>(*shots.begin()) <= limit) {
+      const Shot shot = *shots.begin();
+      shots.erase(shots.begin());
+      for (TimerState& timer : timers) {
+        if (timer.shot == shot) timer.shot.reset();
+      }
+      clock = std::get<0>(shot);
+      trace.emplace_back(clock, std::get<2>(shot));
+    }
+    clock = std::max(clock, limit);
+  }
+  void run() {
+    if (!shots.empty()) run_until(std::get<0>(*shots.rbegin()));
+  }
+};
+
+TEST(Scheduler, WheelDispatchMatchesReferenceModel) {
+  for (const SimDuration quantum : {nanos(1), millis(20)}) {
+    SCOPED_TRACE(quantum);
+    WheelStorm wheel;
+    ReferenceStorm model;
+    const auto wheel_trace = run_storm(wheel, quantum);
+    const auto model_trace = run_storm(model, quantum);
+    ASSERT_GT(model_trace.size(), 2000u);
+    EXPECT_EQ(wheel_trace, model_trace);
+    EXPECT_EQ(wheel.sim.now(), model.now());
+  }
 }
 
 TEST(Sharded, AdaptiveLookaheadWidensSparseWindows) {

@@ -360,6 +360,16 @@ TEST(Snapshot, RestoreRejectsMismatchedFabric) {
   PortlandFabric target(small_options());
   ASSERT_TRUE(target.run_until_converged());
   EXPECT_FALSE(target.restore_snapshot(cut, &error));
+
+  // An image from another format version (big-endian word after the
+  // magic) is refused by the header check, before any state is touched.
+  std::vector<std::uint8_t> old_version = image;
+  ASSERT_EQ(old_version[7], 4);
+  old_version[7] = 3;
+  EXPECT_FALSE(target.restore_snapshot(old_version, &error));
+  EXPECT_NE(error.find("version mismatch"), std::string::npos) << error;
+  // The same image with its own version word restores into that fabric.
+  EXPECT_TRUE(target.restore_snapshot(image, &error)) << error;
 }
 
 // ---------------------------------------------------------------------------

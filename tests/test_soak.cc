@@ -189,25 +189,21 @@ struct ParallelRunResult {
   std::uint64_t mon_overflow = 0;
 };
 
-ParallelRunResult run_parallel_soak(
-    unsigned workers, sim::SchedulerKind scheduler = sim::SchedulerKind::kWheel,
-    bool obs_on = false, bool burst = true, bool legacy_tables = false,
-    bool monitor_on = false, std::size_t fm_shards = 1,
-    bool fm_replica = false) {
+ParallelRunResult run_parallel_soak(unsigned workers, bool obs_on = false,
+                                    bool burst = true, bool monitor_on = false,
+                                    std::size_t fm_shards = 1,
+                                    bool fm_replica = false) {
   topo::FatTree tree(4);
   PortlandFabric::Options options;
   options.k = 4;
   options.seed = 20260806;
   options.workers = workers;  // >= 1 selects the sharded engine
-  options.scheduler = scheduler;
   options.skip_host_indices = {tree.host_index(3, 1, 1)};  // migration slot
   options.obs.flight_recorder = obs_on;
   options.obs.engine_trace = obs_on;
   options.obs.convergence_monitor = monitor_on;
   options.obs.check_invariants = monitor_on;
   options.burst = burst;
-  options.config.tables = legacy_tables ? PortlandConfig::Tables::kLegacyMap
-                                        : PortlandConfig::Tables::kCompact;
   options.config.fm_shards = fm_shards;
   options.config.fm_replica = fm_replica;
   PortlandFabric fabric(options);
@@ -367,44 +363,6 @@ TEST(Soak, ParallelEngineIsWorkerCountInvariant) {
       << "frame delivery traces diverged";
 }
 
-// With identical seeds, the binary-heap and timing-wheel schedulers must
-// execute the same simulation — same executed-event counts and the same
-// full frame-delivery trace — at 1 and at 4 workers. This pins the
-// wheel's (time, seq) dispatch order and its run_until/window boundary
-// behavior to the heap reference implementation under full chaos:
-// failures, repairs, migration, TCP, multicast.
-TEST(Soak, SchedulerChoiceIsInvisibleToExecution) {
-  const ParallelRunResult heap1 =
-      run_parallel_soak(1, sim::SchedulerKind::kHeap);
-  const ParallelRunResult wheel1 =
-      run_parallel_soak(1, sim::SchedulerKind::kWheel);
-  const ParallelRunResult heap4 =
-      run_parallel_soak(4, sim::SchedulerKind::kHeap);
-  const ParallelRunResult wheel4 =
-      run_parallel_soak(4, sim::SchedulerKind::kWheel);
-
-  EXPECT_GT(heap1.trace.size(), 10'000u);  // the scenario really ran
-
-  const auto expect_same = [](const ParallelRunResult& a,
-                              const ParallelRunResult& b,
-                              const char* label) {
-    EXPECT_EQ(a.executed, b.executed) << label;
-    EXPECT_EQ(a.final_now, b.final_now) << label;
-    EXPECT_EQ(a.probe_sent, b.probe_sent) << label;
-    EXPECT_EQ(a.probe_received, b.probe_received) << label;
-    EXPECT_EQ(a.tcp_delivered, b.tcp_delivered) << label;
-    EXPECT_EQ(a.mcast_rx, b.mcast_rx) << label;
-    EXPECT_EQ(a.link_tx_frames, b.link_tx_frames) << label;
-    EXPECT_EQ(a.link_dropped, b.link_dropped) << label;
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
-    EXPECT_TRUE(a.trace == b.trace) << label << ": traces diverged";
-  };
-  expect_same(heap1, wheel1, "heap vs wheel, 1 worker");
-  expect_same(heap4, wheel4, "heap vs wheel, 4 workers");
-  expect_same(heap1, heap4, "heap, 1 vs 4 workers");
-  expect_same(wheel1, wheel4, "wheel, 1 vs 4 workers");
-}
-
 // The flight recorder + engine tracer are passive: attaching them must
 // not move a single event. The same chaos scenario runs with tracing off
 // and on, at 1 and at 4 workers — every sim-visible quantity (executed
@@ -413,10 +371,8 @@ TEST(Soak, SchedulerChoiceIsInvisibleToExecution) {
 // frames regardless of worker count.
 TEST(Soak, FlightRecorderIsInvisibleToExecution) {
   const ParallelRunResult off1 = run_parallel_soak(1);
-  const ParallelRunResult on1 =
-      run_parallel_soak(1, sim::SchedulerKind::kWheel, /*obs_on=*/true);
-  const ParallelRunResult on4 =
-      run_parallel_soak(4, sim::SchedulerKind::kWheel, /*obs_on=*/true);
+  const ParallelRunResult on1 = run_parallel_soak(1, /*obs_on=*/true);
+  const ParallelRunResult on4 = run_parallel_soak(4, /*obs_on=*/true);
 
   const auto expect_same_sim = [](const ParallelRunResult& a,
                                   const ParallelRunResult& b,
@@ -453,28 +409,15 @@ TEST(Soak, FlightRecorderIsInvisibleToExecution) {
 // checks) is passive like the recorder it rides on: attaching it must
 // not move a single event. The same chaos scenario — failures, repairs,
 // migration, TCP, multicast — runs with the monitor off and on, across
-// 1/4 workers and both scheduler backends, and every sim-visible
-// quantity must match the plain run bit for bit. The monitor's own
-// observations (events captured, timelines opened, loop violations)
-// must be worker-count and scheduler invariant too.
+// 1/4 workers, and every sim-visible quantity must match the plain run
+// bit for bit. The monitor's own observations (events captured,
+// timelines opened, loop violations) must be worker-count invariant too.
 TEST(Soak, ConvergenceMonitorIsInvisibleToExecution) {
   const ParallelRunResult plain1 = run_parallel_soak(1);
-  const ParallelRunResult on1 =
-      run_parallel_soak(1, sim::SchedulerKind::kWheel, /*obs_on=*/true,
-                        /*burst=*/true, /*legacy_tables=*/false,
-                        /*monitor_on=*/true);
-  const ParallelRunResult on4 =
-      run_parallel_soak(4, sim::SchedulerKind::kWheel, /*obs_on=*/true,
-                        /*burst=*/true, /*legacy_tables=*/false,
-                        /*monitor_on=*/true);
-  const ParallelRunResult on1_heap =
-      run_parallel_soak(1, sim::SchedulerKind::kHeap, /*obs_on=*/true,
-                        /*burst=*/true, /*legacy_tables=*/false,
-                        /*monitor_on=*/true);
-  const ParallelRunResult on4_heap =
-      run_parallel_soak(4, sim::SchedulerKind::kHeap, /*obs_on=*/true,
-                        /*burst=*/true, /*legacy_tables=*/false,
-                        /*monitor_on=*/true);
+  const ParallelRunResult on1 = run_parallel_soak(
+      1, /*obs_on=*/true, /*burst=*/true, /*monitor_on=*/true);
+  const ParallelRunResult on4 = run_parallel_soak(
+      4, /*obs_on=*/true, /*burst=*/true, /*monitor_on=*/true);
 
   const auto expect_same_sim = [](const ParallelRunResult& a,
                                   const ParallelRunResult& b,
@@ -493,8 +436,6 @@ TEST(Soak, ConvergenceMonitorIsInvisibleToExecution) {
   };
   expect_same_sim(plain1, on1, "monitor off vs on, 1 worker");
   expect_same_sim(on1, on4, "monitor on, 1 vs 4 workers");
-  expect_same_sim(on1, on1_heap, "monitor on, wheel vs heap");
-  expect_same_sim(on1, on4_heap, "monitor on, wheel vs heap, 4 workers");
 
   // The monitor saw the chaos: 2 link failures + the migration's
   // disconnect all open timelines...
@@ -503,12 +444,9 @@ TEST(Soak, ConvergenceMonitorIsInvisibleToExecution) {
   EXPECT_EQ(on1.mon_overflow, 0u);
   // ...the fabric stayed loop-free throughout...
   EXPECT_EQ(on1.mon_loops, 0u);
-  // ...and what it observed is engine-configuration invariant.
+  // ...and what it observed is worker-count invariant.
   EXPECT_EQ(on1.mon_events, on4.mon_events);
-  EXPECT_EQ(on1.mon_events, on1_heap.mon_events);
-  EXPECT_EQ(on1.mon_events, on4_heap.mon_events);
   EXPECT_EQ(on1.mon_timelines, on4.mon_timelines);
-  EXPECT_EQ(on1.mon_timelines, on4_heap.mon_timelines);
   EXPECT_EQ(on1.mon_loops, on4.mon_loops);
   // The monitor-off runs observed nothing.
   EXPECT_EQ(plain1.mon_events, 0u);
@@ -516,25 +454,22 @@ TEST(Soak, ConvergenceMonitorIsInvisibleToExecution) {
 }
 
 // Burst/train execution is a pure scheduler-side batching optimization:
-// turning it off must not move a single event. The same chaos scenario
-// runs with trains disabled — across worker counts and on both scheduler
-// backends — and every sim-visible quantity must match the burst-on
-// reference bit for bit. This is the equality proof behind the E18 bench
-// ("every configuration simulates the same network").
+// turning it off must not move a single event. The same chaos scenario runs
+// with trains disabled — across worker counts — and every sim-visible
+// quantity must match the burst-on reference bit for bit. This is the
+// equality proof behind the E18 bench ("every configuration simulates the
+// same network").
 TEST(Soak, BurstModeIsInvisibleToExecution) {
   const ParallelRunResult on1 = run_parallel_soak(1);  // burst on (default)
-  const ParallelRunResult off1 = run_parallel_soak(
-      1, sim::SchedulerKind::kWheel, /*obs_on=*/false, /*burst=*/false);
-  const ParallelRunResult off4 = run_parallel_soak(
-      4, sim::SchedulerKind::kWheel, /*obs_on=*/false, /*burst=*/false);
-  const ParallelRunResult off_heap = run_parallel_soak(
-      1, sim::SchedulerKind::kHeap, /*obs_on=*/false, /*burst=*/false);
+  const ParallelRunResult off1 =
+      run_parallel_soak(1, /*obs_on=*/false, /*burst=*/false);
+  const ParallelRunResult off4 =
+      run_parallel_soak(4, /*obs_on=*/false, /*burst=*/false);
 
   // The reference run really used trains; the off runs never did.
   EXPECT_GT(on1.train_frames, 0u);
   EXPECT_EQ(off1.train_frames, 0u);
   EXPECT_EQ(off4.train_frames, 0u);
-  EXPECT_EQ(off_heap.train_frames, 0u);
 
   const auto expect_same_sim = [](const ParallelRunResult& a,
                                   const ParallelRunResult& b,
@@ -551,46 +486,8 @@ TEST(Soak, BurstModeIsInvisibleToExecution) {
     ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
     EXPECT_TRUE(a.trace == b.trace) << label << ": traces diverged";
   };
-  expect_same_sim(on1, off1, "burst on vs off, wheel, 1 worker");
-  expect_same_sim(on1, off4, "burst on vs off, wheel, 4 workers");
-  expect_same_sim(on1, off_heap, "burst on vs off, heap, 1 worker");
-}
-
-// The compact prefix tables (flat host table, sorted pruned-up routes,
-// open-addressed flow cache) are a pure representation change: the same
-// chaos scenario — link failures and repairs, a VM migration, TCP,
-// multicast — on the legacy std::map build must execute the identical
-// simulation. This is the equality proof behind E19: the memory savings
-// cost nothing behaviorally, down to every (time, receiver, size) frame
-// delivery, at 1 and at 4 workers.
-TEST(Soak, CompactTablesAreInvisibleToExecution) {
-  const ParallelRunResult compact1 = run_parallel_soak(1);
-  const ParallelRunResult legacy1 =
-      run_parallel_soak(1, sim::SchedulerKind::kWheel, /*obs_on=*/false,
-                        /*burst=*/true, /*legacy_tables=*/true);
-  const ParallelRunResult legacy4 =
-      run_parallel_soak(4, sim::SchedulerKind::kWheel, /*obs_on=*/false,
-                        /*burst=*/true, /*legacy_tables=*/true);
-
-  EXPECT_GT(compact1.trace.size(), 10'000u);  // the scenario really ran
-
-  const auto expect_same_sim = [](const ParallelRunResult& a,
-                                  const ParallelRunResult& b,
-                                  const char* label) {
-    EXPECT_EQ(a.executed, b.executed) << label;
-    EXPECT_EQ(a.final_now, b.final_now) << label;
-    EXPECT_EQ(a.probe_sent, b.probe_sent) << label;
-    EXPECT_EQ(a.probe_received, b.probe_received) << label;
-    EXPECT_EQ(a.tcp_delivered, b.tcp_delivered) << label;
-    EXPECT_EQ(a.tcp_corrupt, b.tcp_corrupt) << label;
-    EXPECT_EQ(a.mcast_rx, b.mcast_rx) << label;
-    EXPECT_EQ(a.link_tx_frames, b.link_tx_frames) << label;
-    EXPECT_EQ(a.link_dropped, b.link_dropped) << label;
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
-    EXPECT_TRUE(a.trace == b.trace) << label << ": traces diverged";
-  };
-  expect_same_sim(compact1, legacy1, "compact vs legacy tables, 1 worker");
-  expect_same_sim(compact1, legacy4, "compact vs legacy tables, 4 workers");
+  expect_same_sim(on1, off1, "burst on vs off, 1 worker");
+  expect_same_sim(on1, off4, "burst on vs off, 4 workers");
 }
 
 // Sharding the fabric manager's ARP/registry service is a pure control-
@@ -604,12 +501,10 @@ TEST(Soak, CompactTablesAreInvisibleToExecution) {
 TEST(Soak, ShardedFmIsInvisibleToExecution) {
   const ParallelRunResult single1 = run_parallel_soak(1);
   const ParallelRunResult sharded1 =
-      run_parallel_soak(1, sim::SchedulerKind::kWheel, /*obs_on=*/false,
-                        /*burst=*/true, /*legacy_tables=*/false,
+      run_parallel_soak(1, /*obs_on=*/false, /*burst=*/true,
                         /*monitor_on=*/false, /*fm_shards=*/4);
   const ParallelRunResult sharded4 =
-      run_parallel_soak(4, sim::SchedulerKind::kWheel, /*obs_on=*/false,
-                        /*burst=*/true, /*legacy_tables=*/false,
+      run_parallel_soak(4, /*obs_on=*/false, /*burst=*/true,
                         /*monitor_on=*/false, /*fm_shards=*/4);
 
   EXPECT_GT(single1.trace.size(), 10'000u);  // the scenario really ran
@@ -639,13 +534,11 @@ TEST(Soak, ShardedFmIsInvisibleToExecution) {
 // data plane it carries along must behave exactly like the plain run.
 TEST(Soak, FmReplicaStreamIsWorkerCountInvariant) {
   const ParallelRunResult replica1 =
-      run_parallel_soak(1, sim::SchedulerKind::kWheel, /*obs_on=*/false,
-                        /*burst=*/true, /*legacy_tables=*/false,
+      run_parallel_soak(1, /*obs_on=*/false, /*burst=*/true,
                         /*monitor_on=*/false, /*fm_shards=*/4,
                         /*fm_replica=*/true);
   const ParallelRunResult replica4 =
-      run_parallel_soak(4, sim::SchedulerKind::kWheel, /*obs_on=*/false,
-                        /*burst=*/true, /*legacy_tables=*/false,
+      run_parallel_soak(4, /*obs_on=*/false, /*burst=*/true,
                         /*monitor_on=*/false, /*fm_shards=*/4,
                         /*fm_replica=*/true);
 
@@ -680,10 +573,10 @@ TEST(Soak, FmReplicaStreamIsWorkerCountInvariant) {
 // Checkpoint/fork serving: saving a mid-chaos fabric and restoring it in
 // place must be invisible to execution — the post-save frame trace, event
 // counts, and per-flow delivery must be bit-identical to the uninterrupted
-// run, for every engine configuration (worker count × scheduler × burst
-// mode). This is the headline snapshot invariant under full load: probe
-// flows ticking, a TCP transfer mid-flight, multicast streaming, with a
-// link failure + repair in the replayed window.
+// run, for every engine configuration (worker count × burst mode). This is
+// the headline snapshot invariant under full load: probe flows ticking, a
+// TCP transfer mid-flight, multicast streaming, with a link failure + repair
+// in the replayed window.
 // ---------------------------------------------------------------------------
 
 /// Adapts a PeriodicTimer in test scope into an extras entry.
@@ -712,14 +605,12 @@ struct SnapshotSoakResult {
   std::size_t image_bytes = 0;
 };
 
-SnapshotSoakResult run_snapshot_soak(unsigned workers,
-                                     sim::SchedulerKind scheduler, bool burst,
+SnapshotSoakResult run_snapshot_soak(unsigned workers, bool burst,
                                      bool snapshot) {
   PortlandFabric::Options options;
   options.k = 4;
   options.seed = 20260808;
   options.workers = workers;
-  options.scheduler = scheduler;
   options.burst = burst;
   PortlandFabric fabric(options);
 
@@ -847,8 +738,7 @@ SnapshotSoakResult run_snapshot_soak(unsigned workers,
 }
 
 TEST(Soak, SnapshotRestoreIsInvisibleToExecution) {
-  const SnapshotSoakResult reference =
-      run_snapshot_soak(1, sim::SchedulerKind::kWheel, true, false);
+  const SnapshotSoakResult reference = run_snapshot_soak(1, true, false);
   EXPECT_GT(reference.trace.size(), 5'000u);  // the scenario really ran
   EXPECT_EQ(reference.tcp_delivered, 1'000'000u);
   EXPECT_FALSE(reference.tcp_corrupt);
@@ -868,19 +758,13 @@ TEST(Soak, SnapshotRestoreIsInvisibleToExecution) {
   };
 
   for (const unsigned workers : {1u, 4u}) {
-    for (const sim::SchedulerKind sched :
-         {sim::SchedulerKind::kHeap, sim::SchedulerKind::kWheel}) {
-      for (const bool burst : {true, false}) {
-        const SnapshotSoakResult snap =
-            run_snapshot_soak(workers, sched, burst, true);
-        EXPECT_GT(snap.image_bytes, 0u);
-        const std::string label =
-            std::string("snapshot round trip, workers=") +
-            std::to_string(workers) +
-            (sched == sim::SchedulerKind::kHeap ? ", heap" : ", wheel") +
-            (burst ? ", burst on" : ", burst off");
-        expect_same(snap, label.c_str());
-      }
+    for (const bool burst : {true, false}) {
+      const SnapshotSoakResult snap = run_snapshot_soak(workers, burst, true);
+      EXPECT_GT(snap.image_bytes, 0u);
+      const std::string label = std::string("snapshot round trip, workers=") +
+                                std::to_string(workers) +
+                                (burst ? ", burst on" : ", burst off");
+      expect_same(snap, label.c_str());
     }
   }
 }
