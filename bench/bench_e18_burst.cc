@@ -7,23 +7,24 @@
 // burst traverses the fabric as a self-contained train: all its arrivals
 // on one link are adjacent in the event order, and the engine's train
 // batching (sim/train.h) delivers the whole comb from a single scheduler
-// pop. This is the regime the burst engine targets — and it is the
+// pop. This is the regime train batching targets — and it is the
 // realistic one: a 100G link moves a frame in nanoseconds while the cable
 // and switch pipeline hold it for microseconds. (E14 keeps the 1 Gb/s
-// paced-traffic shape, where trains degenerate to length ~1 and burst
-// mode must simply not lose.)
+// paced-traffic shape, where trains degenerate to length ~1 and must
+// simply not lose.)
 //
-// Rows (k=16): burst off vs on, on the classic serial engine and on the
-// sharded engine at 1 and 4 workers. The acceptance row is sharded workers=1
-// with burst on (one execution thread, per-pod queues). Targets: >= 1M
-// delivered data frames/s of wall clock, scheduler inserts per delivered
-// frame < 1.0 (a classic engine pays ~6.1: six link hops plus timer
-// bookkeeping), and workers=4 never slower than workers=1 (the "parallel
-// never loses" invariant — on a box without the cores the engine falls back
-// to inline windows, so the two should tie rather than regress).
+// Rows (k=16): the classic serial engine, and the sharded engine at 1 and
+// 4 workers. The acceptance row is sharded workers=1 (one execution
+// thread, per-pod queues). Targets: >= 1M delivered data frames/s of wall
+// clock, scheduler inserts per delivered frame < 1.0 (one event per frame
+// hop would cost ~6.1: six link hops plus timer bookkeeping), and
+// workers=4 never slower than workers=1 (the "parallel never loses"
+// invariant — on a box without the cores the engine falls back to inline
+// windows, so the two should tie rather than regress).
 //
-// Every configuration simulates a bit-identical event sequence (see
-// Soak.BurstModeIsInvisibleToExecution); only wall clock may differ.
+// The sharded rows simulate a bit-identical event sequence at any worker
+// count (see Soak.ParallelEngineIsWorkerCountInvariant); only wall clock
+// may differ.
 //
 // Metrics per row:
 //   * probe frames/s   — end-to-end delivered data frames per wall second
@@ -100,7 +101,6 @@ Args parse_args(int argc, char** argv) {
 
 struct Row {
   int k = 0;
-  bool burst = true;
   unsigned workers = 0;
   double wall_s = 0;
   double probe_per_sec = 0;
@@ -208,11 +208,10 @@ Sample measure_once(const Args& args, Workload& w) {
   return s;
 }
 
-Row row_from(Workload& w, bool burst,
-             unsigned workers, double wall_s, const Sample& s) {
+Row row_from(Workload& w, unsigned workers, double wall_s,
+             const Sample& s) {
   Row row;
   row.k = w.fabric->options().k;
-  row.burst = burst;
   row.workers = workers;
   row.wall_s = wall_s;
   row.probe_per_sec = static_cast<double>(s.probe) / wall_s;
@@ -247,8 +246,7 @@ double best_of(const std::vector<double>& walls) {
 /// Measures workers=1 vs workers=4 on the same workload with the reps
 /// interleaved (1,4,1,4,...), so slow wall-clock drift on a shared box
 /// cannot systematically bias one side of the never-loses comparison.
-std::pair<Row, Row> measure_worker_pair(const Args& args, Workload& w,
-                                        bool burst) {
+std::pair<Row, Row> measure_worker_pair(const Args& args, Workload& w) {
   std::vector<double> wall1, wall4;
   Sample last1, last4;
   for (std::size_t rep = 0; rep < args.reps; ++rep) {
@@ -259,31 +257,29 @@ std::pair<Row, Row> measure_worker_pair(const Args& args, Workload& w,
     last4 = measure_once(args, w);
     wall4.push_back(last4.wall_s);
   }
-  return {row_from(w, burst, 1, best_of(wall1), last1),
-          row_from(w, burst, 4, best_of(wall4), last4)};
+  return {row_from(w, 1, best_of(wall1), last1),
+          row_from(w, 4, best_of(wall4), last4)};
 }
 
-Row measure_row(const Args& args, Workload& w, bool burst,
-                unsigned workers) {
+Row measure_row(const Args& args, Workload& w, unsigned workers) {
   std::vector<double> walls;
   Sample last;
   for (std::size_t rep = 0; rep < args.reps; ++rep) {
     last = measure_once(args, w);
     walls.push_back(last.wall_s);
   }
-  return row_from(w, burst, workers, best_of(walls), last);
+  return row_from(w, workers, best_of(walls), last);
 }
 
 void print_row(const Row& r) {
-  std::printf("%4d %6s %8u %10.3f %12.0f %12.0f %10.3f %8.2f %8.2f %8.2f\n",
-              r.k, r.burst ? "on" : "off", r.workers, r.wall_s,
+  std::printf("%4d %8u %10.3f %12.0f %12.0f %10.3f %8.2f %8.2f %8.2f\n",
+              r.k, r.workers, r.wall_s,
               r.probe_per_sec, r.hops_per_sec, r.events_per_hop,
               r.train_share, r.train_len, r.repush_ratio);
 }
 
 void print_table_header() {
-  std::printf("%4s %6s %8s %10s %12s %12s %10s %8s %8s %8s\n", "k", "burst",
-              "workers", "wall_s", "probe/s", "hops/s", "ev/hop", "train",
+  std::printf("%4s %8s %10s %12s %12s %10s %8s %8s %8s\n", "k", "workers", "wall_s", "probe/s", "hops/s", "ev/hop", "train",
               "len", "repush");
 }
 
@@ -298,28 +294,19 @@ void run(const Args& args) {
   print_table_header();
 
   std::vector<Row> rows;
-  core::PortlandFabric::Options engine;  // defaults: burst on
+  core::PortlandFabric::Options engine;
 
-  // Burst off/on, serial + sharded.
+  // Classic serial engine, then the sharded engine at 1 and 4 workers.
   {
     engine.workers = 0;
-    engine.burst = false;
-    Workload off = make_workload(args, args.k, engine);
-    rows.push_back(measure_row(args, off, false, 0));
+    Workload serial = make_workload(args, args.k, engine);
+    rows.push_back(measure_row(args, serial, 0));
     print_row(rows.back());
   }
   {
-    engine.workers = 0;
-    engine.burst = true;
-    Workload on = make_workload(args, args.k, engine);
-    rows.push_back(measure_row(args, on, true, 0));
-    print_row(rows.back());
-  }
-  for (const bool burst : {true, false}) {
     engine.workers = 1;
-    engine.burst = burst;
     Workload shard = make_workload(args, args.k, engine);
-    auto [r1, r4] = measure_worker_pair(args, shard, burst);
+    auto [r1, r4] = measure_worker_pair(args, shard);
     rows.push_back(r1);
     print_row(r1);
     rows.push_back(r4);
@@ -327,28 +314,18 @@ void run(const Args& args) {
   }
 
   // Headline summary: the acceptance numbers, stated explicitly. The
-  // acceptance row is the sharded engine at workers=1 with burst on —
-  // "single-worker" in the roadmap's words: one execution thread, per-pod
-  // event queues, trains at full length. The classic serial rows remain
-  // the burst-speedup baseline.
-  const Row& serial_off = rows[0];
-  const Row& serial_on = rows[1];
-  const Row* w1_row = nullptr;
-  const Row* w4_row = nullptr;
-  for (const Row& r : rows) {
-    if (r.burst && r.workers == 1) w1_row = &r;
-    if (r.burst && r.workers == 4) w4_row = &r;
-  }
-  const double shard_w1 = w1_row != nullptr ? w1_row->probe_per_sec : 0.0;
-  const double shard_w4 = w4_row != nullptr ? w4_row->probe_per_sec : 0.0;
-  std::printf("\nheadline (k=%d, workers=1, burst on): %.0f data frames/s, "
+  // acceptance row is the sharded engine at workers=1 — "single-worker"
+  // in the roadmap's words: one execution thread, per-pod event queues,
+  // trains at full length.
+  const Row& serial = rows[0];
+  const Row& w1_row = rows[1];
+  const Row& w4_row = rows[2];
+  const double shard_w1 = w1_row.probe_per_sec;
+  const double shard_w4 = w4_row.probe_per_sec;
+  std::printf("\nheadline (k=%d, workers=1): %.0f data frames/s, "
               "%.3f scheduler inserts per delivered frame\n",
-              args.k, shard_w1,
-              w1_row != nullptr ? w1_row->events_per_frame : 0.0);
-  std::printf("burst speedup (serial)  : %.2fx\n",
-              serial_on.wall_s > 0 ? serial_off.wall_s / serial_on.wall_s
-                                   : 0.0);
-  std::printf("workers 4 vs 1 (burst)  : %.2fx %s\n",
+              args.k, shard_w1, w1_row.events_per_frame);
+  std::printf("workers 4 vs 1          : %.2fx %s\n",
               shard_w1 > 0 ? shard_w4 / shard_w1 : 0.0,
               shard_w4 + 1e-9 >= shard_w1 * 0.95 ? "(parallel never loses)"
                                                  : "(REGRESSION)");
@@ -365,19 +342,13 @@ void run(const Args& args) {
                    args.interval) / 1000ull));
     report.add("flows_per_host", static_cast<std::uint64_t>(
                                      args.flows_per_host));
-    // Acceptance headline: single-worker (sharded, workers=1), burst on.
+    // Acceptance headline: single-worker (sharded, workers=1).
     report.add("frames_per_sec", shard_w1);
-    report.add("hop_frames_per_sec",
-               w1_row != nullptr ? w1_row->hops_per_sec : 0.0);
-    report.add("events_per_frame",
-               w1_row != nullptr ? w1_row->events_per_frame : 0.0);
-    report.add("events_per_hop",
-               w1_row != nullptr ? w1_row->events_per_hop : 0.0);
-    report.add("train_share", w1_row != nullptr ? w1_row->train_share : 0.0);
-    report.add("serial_frames_per_sec", serial_on.probe_per_sec);
-    report.add("burst_speedup_serial",
-               serial_on.wall_s > 0 ? serial_off.wall_s / serial_on.wall_s
-                                    : 0.0);
+    report.add("hop_frames_per_sec", w1_row.hops_per_sec);
+    report.add("events_per_frame", w1_row.events_per_frame);
+    report.add("events_per_hop", w1_row.events_per_hop);
+    report.add("train_share", w1_row.train_share);
+    report.add("serial_frames_per_sec", serial.probe_per_sec);
     report.add("w4_over_w1", shard_w1 > 0 ? shard_w4 / shard_w1 : 0.0);
     std::string arr = "[";
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -385,13 +356,12 @@ void run(const Args& args) {
       char buf[320];
       std::snprintf(
           buf, sizeof(buf),
-          "%s\n    {\"k\": %d, \"burst\": %s, "
+          "%s\n    {\"k\": %d, "
           "\"workers\": %u, \"wall_seconds\": %.6f, "
           "\"probe_frames_per_sec\": %.1f, "
           "\"hop_frames_per_sec\": %.1f, \"events_per_hop\": %.4f, "
           "\"events_per_frame\": %.4f, \"train_share\": %.4f}",
-          i == 0 ? "" : ",", r.k, r.burst ? "true" : "false",
-          r.workers, r.wall_s,
+          i == 0 ? "" : ",", r.k, r.workers, r.wall_s,
           r.probe_per_sec, r.hops_per_sec, r.events_per_hop,
           r.events_per_frame, r.train_share);
       arr += buf;

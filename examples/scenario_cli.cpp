@@ -53,7 +53,6 @@ struct Args {
   /// one fresh destination per round (0 = off).
   int arp_storm = 0;
   unsigned workers = 0;
-  bool burst = true;
   // Observability outputs; empty = off.
   std::string metrics_out;
   std::string prom_out;
@@ -100,9 +99,6 @@ void print_usage(std::FILE* to) {
       "engine;\n"
       "                         auto = one per shard, capped at core count,\n"
       "                         serial on single-core boxes)\n"
-      "  --burst on|off         burst/train event execution (default on; "
-      "either\n"
-      "                         setting runs the identical event sequence)\n"
       "  --metrics-out PATH     write per-interval metrics snapshots as "
       "JSONL\n"
       "  --metrics-interval-ms T  snapshot period (default 100)\n"
@@ -222,15 +218,6 @@ Args parse_args(int argc, char** argv) {
       } else {
         out.workers =
             static_cast<unsigned>(parse_int(flag, w, 0, 256));
-      }
-    } else if (!std::strcmp(flag, "--burst")) {
-      const char* b = value();
-      if (!std::strcmp(b, "on")) {
-        out.burst = true;
-      } else if (!std::strcmp(b, "off")) {
-        out.burst = false;
-      } else {
-        die_usage("unknown --burst value '%s' (on|off)", b);
       }
     } else if (!std::strcmp(flag, "--metrics-out")) {
       out.metrics_out = value();
@@ -620,7 +607,6 @@ int main(int argc, char** argv) {
   options.k = args.k;
   options.seed = args.seed;
   options.workers = args.workers;
-  options.burst = args.burst;
   options.config.ecmp_mode = args.ecmp;
   options.config.fm_shards = args.fm_shards;
   options.obs.flight_recorder = want_trace;
@@ -639,10 +625,8 @@ int main(int argc, char** argv) {
                   : "packet-spray");
   // options() holds the resolved worker count (auto is resolved in the
   // fabric constructor).
-  std::printf("engine: workers=%u (%s), burst=%s\n",
-              fabric.options().workers,
-              fabric.options().workers == 0 ? "classic" : "parallel",
-              args.burst ? "on" : "off");
+  std::printf("engine: workers=%u (%s)\n", fabric.options().workers,
+              fabric.options().workers == 0 ? "classic" : "parallel");
   double converge_wall_ms = 0;
   std::vector<std::uint8_t> image;
   if (!args.snapshot_in.empty()) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer (-DPORTLAND_SANITIZE=thread) in a
 # separate build directory and soaks the parallel engine under it: the
-# sharded-simulator unit tests plus the fabric-level determinism soak,
-# which runs the full chaos scenario (failures, repairs, VM migration,
-# multicast) with 4 worker threads. Any cross-shard access the
+# sharded-simulator unit tests, the fabric-level determinism soak, which
+# runs the full chaos scenario (failures, repairs, VM migration,
+# multicast) with 4 worker threads, and the per-packet path auditor with
+# every window on the worker pool. Any cross-shard access the
 # conservative-lookahead windows fail to order shows up here as a data
 # race.
 set -eu
@@ -11,7 +12,7 @@ cd "$(dirname "$0")/.."
 BUILD=build-tsan
 cmake -S . -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPORTLAND_SANITIZE=thread >/dev/null
-cmake --build "$BUILD" --parallel --target test_sim test_soak
+cmake --build "$BUILD" --parallel --target test_sim test_soak test_fabric
 
 echo
 echo "################  test_sim / sharded engine (TSan)  ################"
@@ -22,4 +23,10 @@ echo "################  test_soak / parallel soak (TSan)  ################"
 # TSAN_OPTIONS halt_on_error makes a race fail the script, not just log.
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   "$BUILD/tests/test_soak" \
-  --gtest_filter='Soak.ParallelEngineIsWorkerCountInvariant:Soak.FlightRecorderIsInvisibleToExecution:Soak.BurstModeIsInvisibleToExecution:Soak.ConvergenceMonitorIsInvisibleToExecution:Soak.ShardedFmIsInvisibleToExecution:Soak.FmReplicaStreamIsWorkerCountInvariant'
+  --gtest_filter='Soak.ParallelEngineIsWorkerCountInvariant:Soak.FlightRecorderIsInvisibleToExecution:Soak.ConvergenceMonitorIsInvisibleToExecution:Soak.ShardedFmIsInvisibleToExecution:Soak.FmReplicaStreamIsWorkerCountInvariant'
+
+echo
+echo "################  test_fabric / pooled path audit (TSan)  ################"
+TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+  "$BUILD/tests/test_fabric" \
+  --gtest_filter='Fabric.PathAuditorIsSafeWithWorkerPool'

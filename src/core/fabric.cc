@@ -27,8 +27,7 @@ Ipv4Address PortlandFabric::ip_at(std::size_t pod, std::size_t edge,
 PortlandFabric::PortlandFabric(Options options)
     : options_(std::move(options)),
       tree_(options_.k),
-      net_(options_.seed,
-           {options_.burst, options_.parallel_min_events}),
+      net_(options_.seed, {options_.parallel_min_events}),
       injector_(net_) {
   if (options_.workers == Options::kAutoWorkers) {
     // workers=auto: serial unless the box and the fabric can both feed a

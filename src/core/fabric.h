@@ -66,10 +66,6 @@ class PortlandFabric {
     /// schedules the identical event sequence (see Simulator).
     /// kAutoWorkers resolves per the auto policy above.
     unsigned workers = 0;
-    /// Burst/train event execution (Simulator::Options::burst): on by
-    /// default, bit-identical to per-frame scheduling; off for A/B
-    /// proofs and the E18 ablation.
-    bool burst = true;
     /// Pooled-window threshold (Simulator::Options::parallel_min_events);
     /// 0 forces every window through the worker pool.
     std::uint32_t parallel_min_events = 128;
@@ -188,13 +184,12 @@ class PortlandFabric {
 
   /// Restores a save_snapshot image into this fabric. The fabric must
   /// have been constructed with the same k, seed, shard count, and
-  /// topology options (host/link layout); burst mode and worker count
-  /// may differ — the engine schedules the identical event sequence
-  /// either way. Works both for in-memory forks (restore a
-  /// warmed fabric back to the checkpoint) and fresh processes (construct
-  /// the fabric, then restore; app callbacks installed by extras/hosts
-  /// must be re-wired by the caller). `extras` must match the saving
-  /// span's order.
+  /// topology options (host/link layout); the worker count may differ —
+  /// the engine schedules the identical event sequence either way. Works
+  /// both for in-memory forks (restore a warmed fabric back to the
+  /// checkpoint) and fresh processes (construct the fabric, then restore;
+  /// app callbacks installed by extras/hosts must be re-wired by the
+  /// caller). `extras` must match the saving span's order.
   bool restore_snapshot(std::span<const std::uint8_t> image,
                         std::span<sim::Snapshotable* const> extras,
                         std::string* error = nullptr);

@@ -45,6 +45,7 @@ void PathAuditor::on_delivery(const sim::Link& link, int rx_side,
   key.seq = r.u64();
 
   const sim::Device& receiver = link.device(rx_side);
+  std::lock_guard<std::mutex> lock(mutex_);
   if (const auto* sw = dynamic_cast<const PortlandSwitch*>(&receiver)) {
     in_flight_[key].push_back(sw);
     return;

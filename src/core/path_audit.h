@@ -9,10 +9,17 @@
 //   * at most 5 switch hops (the fat-tree diameter).
 // It also histograms switch-hop counts, giving the empirical path-length
 // distribution of the fabric under any workload.
+//
+// The frame tap runs on whichever thread executes the receiving shard, so
+// under the sharded engine deliveries arrive concurrently; the auditor
+// serializes them. A packet's hops are still seen in path order: each hop
+// happens in a later lookahead window than the one before it, or on the
+// same shard in time order. Read the results at quiescence.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,7 +52,10 @@ class PathAuditor {
   }
 
   /// Forgets any in-flight partial paths (e.g. after deliberate drops).
-  void reset_in_flight() { in_flight_.clear(); }
+  void reset_in_flight() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    in_flight_.clear();
+  }
 
  private:
   struct PacketKey {
@@ -66,6 +76,7 @@ class PathAuditor {
   void finish(const PacketKey& key, std::vector<const PortlandSwitch*> path);
 
   PortlandFabric* fabric_;
+  std::mutex mutex_;  // guards everything below against shard threads
   std::map<PacketKey, std::vector<const PortlandSwitch*>> in_flight_;
   std::map<std::size_t, std::uint64_t> hops_;
   std::vector<std::string> violations_;

@@ -17,11 +17,8 @@ Link::Link(Simulator& sim, Device& a, PortId port_a, Device& b, PortId port_b,
   a.attach_link(port_a, this, 0);
   b.attach_link(port_b, this, 1);
   for (int side = 0; side < 2; ++side) {
-    train_[side].ctx = this;
-    train_[side].deliver = &Link::deliver_train_entry;
-    train_[side].from_side = side;
     train_[side].owner = this;
-    train_[side].owner_kind = static_cast<std::uint32_t>(side);
+    train_[side].from_side = side;
   }
   // Deterministic registration: links are constructed in the same order
   // in any process building the same fabric, so the id this assigns
@@ -41,8 +38,8 @@ SimDuration Link::serialization_time(std::size_t bytes) const {
 }
 
 void Link::transmit(int from_side, const FramePtr& frame) {
-  snap_clean_ = false;  // counters/queue/train all move below
   Direction& dir = dir_[side_index(from_side)];
+  dir.snap_clean = false;  // counters/queue/train all move below
   // transmit() always runs on the sender's shard, so the sender's
   // recorder log is safe to write here.
   Device* sender = end_[side_index(from_side)].device;
@@ -79,40 +76,34 @@ void Link::transmit(int from_side, const FramePtr& frame) {
                        end_[side_index(from_side)].port, dir.queued_bytes);
   }
 
+  // Delivery runs on the receiver's shard. The arrival joins this
+  // direction's train — one scheduler node per run of back-to-back frames
+  // — unless it would break the train's time order; then it is scheduled
+  // alone as a *data event* (serializable — a checkpoint can save and
+  // rebuild it) rather than a closure. In the parallel engine a
+  // cross-shard arrival parks in the (src,dst) mailbox until the window
+  // barrier; deliver()'s reads of the *sending* direction (up, epoch) are
+  // race-free because those fields only change in barrier tasks.
   const std::uint64_t epoch = dir.epoch;
-  Device* receiver = end_[side_index(1 - from_side)].device;
-  const PortId rx_port = end_[side_index(1 - from_side)].port;
-
-  // Burst path: append the arrival to this direction's train — one
-  // scheduler node per run of back-to-back frames instead of one per
-  // frame. Entries carry the exact (time, seq) the classic path below
-  // would have used, so the two paths schedule identical sequences.
-  if (sim_->burst_enabled() &&
-      sim_->train_append(receiver->shard(), arrival, epoch, frame,
+  const ShardId rx_shard = end_[side_index(1 - from_side)].device->shard();
+  if (sim_->train_append(rx_shard, arrival, epoch, frame,
                          train_[side_index(from_side)])) {
     return;
   }
-
-  // Delivery runs on the receiver's shard, scheduled as a *data event*
-  // (serializable — a checkpoint can save and rebuild it) rather than a
-  // closure. In the parallel engine a cross-shard arrival parks in the
-  // (src,dst) mailbox until the window barrier; execute_data_event's
-  // reads of the *sending* direction (up, epoch) are race-free because
-  // those fields only change in barrier tasks.
-  (void)rx_port;
-  sim_->at_shard_data(receiver->shard(), arrival, this,
+  sim_->at_shard_data(rx_shard, arrival, this,
                       static_cast<std::uint32_t>(from_side), epoch, frame,
                       FrameBytes{});
 }
 
-void Link::execute_data_event(std::uint32_t kind, std::uint64_t arg,
-                              const FramePtr& frame,
-                              const FrameBytes& bytes) {
-  (void)bytes;
-  const int from_side = static_cast<int>(kind);
-  Direction& d = dir_[side_index(from_side)];
+void Link::deliver(int from_side, std::uint64_t epoch,
+                   const FramePtr& frame) {
+  // No snap_clean reset here: every train entry was appended by a
+  // transmit() (which already reset it) or restored into a non-empty
+  // train (which never sets it), so this receiver-shard path writes no
+  // link state.
+  const Direction& d = dir_[side_index(from_side)];
   // Frames in flight when the direction failed are lost.
-  if (!d.up || d.epoch != arg) return;
+  if (!d.up || d.epoch != epoch) return;
   Device* receiver = end_[side_index(1 - from_side)].device;
   ++*receiver->rx_frames_cell();
   *receiver->rx_bytes_cell() += frame->size();
@@ -120,22 +111,11 @@ void Link::execute_data_event(std::uint32_t kind, std::uint64_t arg,
   receiver->handle_frame(end_[side_index(1 - from_side)].port, frame);
 }
 
-void Link::deliver_train_entry(void* ctx, int from_side,
-                               const TrainEntry& entry) {
-  auto* self = static_cast<Link*>(ctx);
-  self->snap_clean_ = false;  // the engine is draining this train's deque
-  Direction& d = self->dir_[side_index(from_side)];
-  // Frames in flight when the direction failed are lost — the entry's
-  // epoch snapshot makes this check identical to the classic lambda's.
-  if (!d.up || d.epoch != entry.epoch) return;
-  Device* receiver = self->end_[side_index(1 - from_side)].device;
-  ++*receiver->rx_frames_cell();
-  *receiver->rx_bytes_cell() += entry.frame->size();
-  if (self->tap_ != nullptr && *self->tap_) {
-    (*self->tap_)(*self, 1 - from_side, entry.frame);
-  }
-  receiver->handle_frame(self->end_[side_index(1 - from_side)].port,
-                         entry.frame);
+void Link::execute_data_event(std::uint32_t kind, std::uint64_t arg,
+                              const FramePtr& frame,
+                              const FrameBytes& bytes) {
+  (void)bytes;
+  deliver(static_cast<int>(kind), arg, frame);
 }
 
 void Link::save_state(SnapshotWriter& w) {
@@ -174,13 +154,14 @@ void Link::save_state(SnapshotWriter& w) {
   w.blob(scratch);
   // The settle above may have drifted the drain bookkeeping off whatever
   // section this link last restored; be conservative.
-  snap_clean_ = false;
+  dir_[0].snap_clean = false;
+  dir_[1].snap_clean = false;
 }
 
 void Link::restore_state(SnapshotReader& r) {
   const std::uint64_t hash = r.u64();
   const std::uint32_t len = r.u32();
-  if (snap_clean_ && hash == snap_hash_) {
+  if (dir_[0].snap_clean && dir_[1].snap_clean && hash == snap_hash_) {
     // Unchanged since we last restored this exact section (and, by the
     // clean invariant, our trains are empty, so there is nothing to
     // re-anchor): skip it wholesale.
@@ -227,8 +208,9 @@ void Link::restore_state(SnapshotReader& r) {
   snap_hash_ = hash;
   // Only an empty-train link may claim cleanliness: snapshot_clear wipes
   // anchored trains without going through this object.
-  snap_clean_ =
-      train_[0].entries.empty() && train_[1].entries.empty();
+  const bool clean = train_[0].entries.empty() && train_[1].entries.empty();
+  dir_[0].snap_clean = clean;
+  dir_[1].snap_clean = clean;
 }
 
 void Link::set_up(bool up) {
@@ -258,7 +240,7 @@ void Link::set_up(bool up) {
 void Link::set_direction_up(int from_side, bool up) {
   Direction& dir = dir_[side_index(from_side)];
   if (dir.up == up) return;
-  snap_clean_ = false;
+  dir.snap_clean = false;
   dir.up = up;
   if (!up) {
     ++dir.epoch;  // voids all in-flight frames in this direction

@@ -91,15 +91,24 @@ class Link : public DataEventOwner {
   /// drain bookkeeping).
   [[nodiscard]] std::size_t queued_bytes_now(int from_side) {
     Direction& dir = dir_[side_index(from_side)];
-    snap_clean_ = false;  // settling mutates the drain bookkeeping
+    dir.snap_clean = false;  // settling mutates the drain bookkeeping
     dir.settle(sim_->now());
     return dir.queued_bytes;
   }
 
-  /// Classic (non-burst) frame delivery, dispatched as a serializable
-  /// data event: kind = transmitting side, arg = the direction's failure
-  /// epoch at transmit time. Replays exactly the per-frame delivery
-  /// (epoch/up filter, rx counters, tap, handle_frame).
+  /// Delivers one frame that was transmitted from `from_side` while the
+  /// direction's failure epoch was `epoch`: drops it if the direction has
+  /// since failed, else counts it at the receiver, shows it to the frame
+  /// tap, and hands it to the receiving device. The engine calls this for
+  /// every train entry with the receiving shard's clock already at the
+  /// entry's arrival time.
+  void deliver(int from_side, std::uint64_t epoch, const FramePtr& frame);
+
+  /// Per-frame fallback for an arrival a train declined (it would have
+  /// broken the train's time order, e.g. after set_propagation shrank the
+  /// delay with frames in flight), dispatched as a serializable data
+  /// event: kind = transmitting side, arg = the direction's failure epoch
+  /// at transmit time. Calls deliver().
   void execute_data_event(std::uint32_t kind, std::uint64_t arg,
                           const FramePtr& frame,
                           const FrameBytes& bytes) override;
@@ -122,6 +131,12 @@ class Link : public DataEventOwner {
   };
   struct Direction {
     bool up = true;
+    /// True while this direction is bit-identical to the section the link
+    /// last restored (see snap_hash_). Per direction, not per link: only
+    /// the transmitting side's shard mutates a direction, so the two
+    /// sides of a cross-shard link never write the same flag in one
+    /// window.
+    bool snap_clean = false;
     SimTime busy_until = 0;       // when the transmitter becomes idle
     std::size_t queued_bytes = 0; // bytes admitted but not yet serialized
     std::uint64_t tx_frames = 0;
@@ -156,13 +171,6 @@ class Link : public DataEventOwner {
   static std::size_t side_index(int side);
   [[nodiscard]] SimDuration serialization_time(std::size_t bytes) const;
 
-  /// Burst-mode delivery thunk: replays exactly the classic per-frame
-  /// delivery lambda (epoch/up filter, rx counters, tap, handle_frame)
-  /// for one train entry. The dispatcher has already set the receiving
-  /// shard's clock to the entry's arrival time.
-  static void deliver_train_entry(void* ctx, int from_side,
-                                  const TrainEntry& entry);
-
   Simulator* sim_;
   Config config_;
   const FrameTap* tap_;  // owned by the Network; may point at an empty fn
@@ -171,11 +179,11 @@ class Link : public DataEventOwner {
   /// One train per direction: the batched in-flight frames a->b and b->a.
   std::array<Train, 2> train_;
 
-  /// True while this link's state is bit-identical to the section it last
-  /// restored (hash below). Every mutation path clears it; restore only
-  /// sets it when the restored trains are empty, because snapshot_clear
+  /// Hash of the section this link last restored. The link is still
+  /// bit-identical to it while both directions' snap_clean hold: every
+  /// mutation path clears its direction's flag, and restore only sets
+  /// them when the restored trains are empty, because snapshot_clear
   /// wipes anchored trains behind the link's back.
-  bool snap_clean_ = false;
   std::uint64_t snap_hash_ = 0;
 };
 

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "obs/trace_export.h"
+#include "sim/link.h"
 #include "sim/train.h"
 
 namespace portland::sim {
@@ -15,6 +16,9 @@ namespace {
 constexpr std::size_t kDefaultEventCapacity = 4096;
 
 constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
+/// Events per traced classic dispatch span.
+constexpr std::uint64_t kDispatchChunk = 4096;
 
 /// Which (simulator, shard) the calling thread is currently executing
 /// for. Set around every shard window and ShardGuard scope; everything
@@ -29,8 +33,7 @@ thread_local ExecCtx g_ctx;
 Simulator::Simulator() : Simulator(Options{}) {}
 
 Simulator::Simulator(Options options)
-    : burst_(options.burst),
-      parallel_min_events_(options.parallel_min_events),
+    : parallel_min_events_(options.parallel_min_events),
       hw_cores_(std::max(1u, std::thread::hardware_concurrency())) {
   shards_.push_back(std::make_unique<Shard>());
   Shard& sh = *shards_[0];
@@ -186,8 +189,8 @@ void Simulator::train_append_local(Shard& sh, Train& tr, SimTime t,
   TrainEntry e;
   e.time = t;
   // The entry consumes the shard's next sequence number here — the exact
-  // point the classic per-frame path would have consumed it — so burst
-  // on/off schedule identical (time, seq) streams.
+  // point a single-frame event would have consumed it — so batching keeps
+  // the (time, seq) stream of one event per frame.
   e.seq = sh.next_seq++;
   e.epoch = epoch;
   e.frame = frame;
@@ -206,7 +209,6 @@ void Simulator::train_append_local(Shard& sh, Train& tr, SimTime t,
 
 bool Simulator::train_append(ShardId dst, SimTime t, std::uint64_t epoch,
                              const FramePtr& frame, Train& tr) {
-  if (!burst_) return false;
   if (!configured_ || dst == kNoShard) {
     if (!tr.entries.empty() && t <= tr.entries.back().time) return false;
     train_append_local(*shards_[0], tr, t, epoch, frame);
@@ -420,12 +422,12 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
   // the callback may schedule new events, reusing (or growing) the pool.
   EventPayload& slot = sh.slots[payload];
   if (slot.train != nullptr) {
-    // Burst dispatch: the node stands for the train's front entry, which
+    // Train dispatch: the node stands for the train's front entry, which
     // carries this pop's exact (time, seq). Deliver it, then keep
     // draining entries that are strictly earlier than both the bound and
     // every other queued event; the first entry that ties or trails
     // hands the train back to the scheduler at its own (time, seq), so
-    // the global dispatch order is the classic one, event for event.
+    // the global dispatch order is that of one event per frame.
     Train* tr = slot.train;
     slot.train = nullptr;
     release_slot(sh, payload);
@@ -437,7 +439,7 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
       --sh.live;
       sh.now = e.time;
       ++sh.executed;
-      tr->deliver(tr->ctx, tr->from_side, e);
+      tr->owner->deliver(tr->from_side, e.epoch, e.frame);
       if (tr->entries.empty()) {
         tr->scheduled = false;
         return;
@@ -500,38 +502,20 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
 }
 
 void Simulator::classic_run(SimTime limit) {
-  if (tracer_ != nullptr) {
-    classic_run_traced(limit);
-    return;
-  }
+  obs::EngineTracer* const tracer = tracer_;
   stopped_.store(false, std::memory_order_relaxed);
   Shard& sh = *shards_[0];
   const SimTime bound = limit == kNever ? kNever : limit + 1;
-  while (!stopped_.load(std::memory_order_relaxed)) {
-    const SimTime t = peek_time(sh);
-    if (t == kNever || t > limit) break;
-    dispatch_one(sh, bound);
-  }
-  if (limit != kNever && !stopped_.load(std::memory_order_relaxed) &&
-      sh.now < limit) {
-    sh.now = limit;
-  }
-}
-
-void Simulator::classic_run_traced(SimTime limit) {
-  // Same loop as classic_run, cut into chunks so the tracer sees
-  // bounded dispatch spans. The event order is identical — the chunk
-  // boundary only decides when the wall clock is read.
-  constexpr std::uint64_t kDispatchChunk = 4096;
-  stopped_.store(false, std::memory_order_relaxed);
-  Shard& sh = *shards_[0];
-  const SimTime bound = limit == kNever ? kNever : limit + 1;
+  // Untraced, the whole run is one chunk and the clock is never read.
+  const std::uint64_t chunk = tracer != nullptr
+                                  ? kDispatchChunk
+                                  : std::numeric_limits<std::uint64_t>::max();
   bool done = false;
   while (!done && !stopped_.load(std::memory_order_relaxed)) {
     const SimTime span_start = sh.now;
-    const double wall0 = tracer_->now_us();
+    const double wall0 = tracer != nullptr ? tracer->now_us() : 0.0;
     std::uint64_t n = 0;
-    while (n < kDispatchChunk) {
+    while (n < chunk) {
       const SimTime t = peek_time(sh);
       if (t == kNever || t > limit) {
         done = true;
@@ -541,8 +525,8 @@ void Simulator::classic_run_traced(SimTime limit) {
       ++n;
       if (stopped_.load(std::memory_order_relaxed)) break;
     }
-    if (n != 0) {
-      tracer_->dispatch_span(span_start, sh.now, n, wall0, tracer_->now_us());
+    if (tracer != nullptr && n != 0) {
+      tracer->dispatch_span(span_start, sh.now, n, wall0, tracer->now_us());
     }
   }
   if (limit != kNever && !stopped_.load(std::memory_order_relaxed) &&
@@ -597,22 +581,17 @@ void Simulator::run_shard_window(Shard& sh, ShardId id, SimTime end) {
     if (sh.send_cap >= end) return end;
     return std::max(window_floor_, sh.send_cap);
   };
-  if (tracer_ == nullptr) {
-    for (SimTime b = bound(); peek_time(sh) < b; b = bound()) {
-      dispatch_one(sh, b);
-    }
-  } else {
-    // Lane 1+id belongs to this thread until the window barrier, so the
-    // span push below is single-writer by construction.
-    const std::uint64_t exec0 = sh.executed;
-    const double wall0 = tracer_->now_us();
-    for (SimTime b = bound(); peek_time(sh) < b; b = bound()) {
-      dispatch_one(sh, b);
-    }
-    if (sh.executed != exec0) {
-      tracer_->shard_span(id, sh.now, sh.executed - exec0, wall0,
-                          tracer_->now_us());
-    }
+  obs::EngineTracer* const tracer = tracer_;
+  const std::uint64_t exec0 = sh.executed;
+  const double wall0 = tracer != nullptr ? tracer->now_us() : 0.0;
+  for (SimTime b = bound(); peek_time(sh) < b; b = bound()) {
+    dispatch_one(sh, b);
+  }
+  // Lane 1+id belongs to this thread until the window barrier, so the
+  // span push is single-writer by construction.
+  if (tracer != nullptr && sh.executed != exec0) {
+    tracer->shard_span(id, sh.now, sh.executed - exec0, wall0,
+                       tracer->now_us());
   }
   g_ctx = saved;
 }
@@ -708,24 +687,13 @@ void Simulator::merge_mailboxes() {
         Train& tr = *m.train;
         if (tr.entries.empty() || m.time > tr.entries.back().time) {
           train_append_local(d, tr, m.time, m.epoch, m.frame);
-        } else if (tr.owner != nullptr) {
-          // A propagation change broke arrival monotonicity: deliver this
-          // one frame classically as a data event against the train's
-          // owner — same semantics as the thunk below, but serializable
-          // if a snapshot catches it.
-          schedule_data_local(d, m.time, tr.owner, tr.owner_kind, m.epoch,
-                              std::move(m.frame), FrameBytes{});
         } else {
-          Train* trp = m.train;
-          schedule_local(d, m.time,
-                         [trp, time = m.time, epoch = m.epoch,
-                          frame = std::move(m.frame)]() mutable {
-                           TrainEntry e;
-                           e.time = time;
-                           e.epoch = epoch;
-                           e.frame = std::move(frame);
-                           trp->deliver(trp->ctx, trp->from_side, e);
-                         });
+          // A propagation change broke arrival monotonicity: deliver this
+          // one frame as a data event against the train's link — the
+          // same fallback Link::transmit takes for a same-shard arrival.
+          schedule_data_local(d, m.time, tr.owner,
+                              static_cast<std::uint32_t>(tr.from_side),
+                              m.epoch, std::move(m.frame), FrameBytes{});
         }
         m.frame.reset();
         m.train = nullptr;
@@ -816,14 +784,11 @@ void Simulator::parallel_run(SimTime limit) {
       shards_[s]->send_cap = kNever;
     }
     ++windows_executed_;
-    if (tracer_ == nullptr) {
-      execute_window();
-      merge_mailboxes();
-    } else {
-      const double wall0 = tracer_->now_us();
-      const std::uint64_t merged0 = mail_merged_;
-      execute_window();
-      merge_mailboxes();
+    const double wall0 = tracer_ != nullptr ? tracer_->now_us() : 0.0;
+    const std::uint64_t merged0 = mail_merged_;
+    execute_window();
+    merge_mailboxes();
+    if (tracer_ != nullptr) {
       tracer_->window_span(windows_executed_, t_ev, lead_end, wall0,
                            tracer_->now_us(), mail_merged_ - merged0);
     }

@@ -218,12 +218,6 @@ struct TimerCore {
 class Simulator {
  public:
   struct Options {
-    /// Burst/train execution: back-to-back frames on one link direction
-    /// batch into a single scheduler node (see train.h). Bit-identical
-    /// to per-frame scheduling — every entry carries the exact (time,
-    /// seq) the classic path would have assigned — so this is on by
-    /// default; off exists for A/B proofs and the E18 ablation.
-    bool burst = true;
     /// Pooled-window threshold for the worker pool: a window is handed
     /// to the pool only when the recent events-per-window average
     /// reaches this value *and* the machine has >1 hardware core;
@@ -339,18 +333,19 @@ class Simulator {
   /// (nodes_pushed, wheel stats) that the re-insertions perturbed.
   bool finish_restore(std::string* error);
 
-  /// Burst path for link deliveries: appends one frame arrival to `tr`
-  /// (a per-link-direction train) on shard `dst` at time `t`, consuming
-  /// the exact sequence number a classic at_shard of the delivery would
-  /// have consumed. Mid-window cross-shard appends park in the mailbox
-  /// and join the train at the barrier, interleaved with plain mail in
-  /// the same canonical (time, src, push-order) stream. Returns false
-  /// when the append is declined (burst disabled or a non-monotonic
-  /// arrival) — the caller must then schedule the delivery classically.
+  /// Link deliveries: appends one frame arrival to `tr` (a
+  /// per-link-direction train) on shard `dst` at time `t`, consuming the
+  /// exact sequence number a single-frame at_shard_data of the delivery
+  /// would have consumed. Mid-window cross-shard appends park in the
+  /// mailbox and join the train at the barrier, interleaved with plain
+  /// mail in the same canonical (time, src, push-order) stream; one that
+  /// no longer fits the train's time order there becomes a data event
+  /// against the train's owner. Returns false only when a direct append
+  /// is declined because the arrival is not strictly later than the
+  /// train's last entry — the caller must then schedule the delivery as
+  /// a data event itself.
   bool train_append(ShardId dst, SimTime t, std::uint64_t epoch,
                     const FramePtr& frame, Train& tr);
-
-  [[nodiscard]] bool burst_enabled() const { return burst_; }
 
   /// Re-tunes the pooled-window threshold (see Options::parallel_min_events)
   /// after construction. 0 forces every window through the worker pool.
@@ -412,9 +407,10 @@ class Simulator {
 
   // --- observability (passive; never alters the event schedule) ----------
 
-  /// Attaches a wall-clock profiling tracer (nullptr detaches). The
-  /// tracer receives window/dispatch/shard spans; with it detached the
-  /// dispatch loops are byte-for-byte the untraced originals.
+  /// Attaches a wall-clock profiling tracer (nullptr detaches) between
+  /// runs. The tracer receives window/dispatch/shard spans; the dispatch
+  /// loops read the wall clock only while one is attached, and never
+  /// change what they dispatch.
   void set_tracer(obs::EngineTracer* tracer) { tracer_ = tracer; }
 
   /// Lookahead windows completed by parallel_run.
@@ -436,13 +432,13 @@ class Simulator {
 
   /// Train nodes popped from the schedulers (each covers >= 1 frame).
   [[nodiscard]] std::uint64_t trains_popped() const;
-  /// Frames delivered through trains (burst path).
+  /// Frames delivered through trains.
   [[nodiscard]] std::uint64_t train_frames() const;
   /// Train nodes re-pushed mid-batch (tie with another event, window
   /// boundary, or stop()).
   [[nodiscard]] std::uint64_t train_repushes() const;
   /// Scheduler node insertions across all shards — the denominator of
-  /// the E18 events/frame metric. Burst mode pushes one node per train
+  /// the E18 events/frame metric. Trains push one node per run of frames
   /// instead of one per frame, so this divided by delivered frames drops
   /// below 1 when trains form.
   [[nodiscard]] std::uint64_t nodes_pushed() const;
@@ -491,7 +487,7 @@ class Simulator {
   /// plain payload, or (train != nullptr) one frame arrival destined for
   /// a train on the receiving shard. Both kinds ride the same per-(src,
   /// dst) vector, so the canonical merge order interleaves them exactly
-  /// as the classic per-frame path would have.
+  /// as one event per frame would have been.
   struct Mail {
     SimTime time;
     EventPayload payload;
@@ -509,7 +505,7 @@ class Simulator {
     std::uint64_t next_seq = 0;
     std::uint64_t executed = 0;
     /// Live (non-cancelled) events currently queued here. Each pending
-    /// train entry counts as one, exactly like its classic equivalent.
+    /// train entry counts as one, exactly like a single-frame event.
     std::size_t live = 0;
     std::uint64_t trains_popped = 0;
     std::uint64_t train_frames = 0;
@@ -585,8 +581,10 @@ class Simulator {
   /// popped node is always due by construction.
   void dispatch_one(Shard& sh, SimTime bound);
 
+  /// The unsharded loop. With a tracer attached it cuts the run into
+  /// dispatch spans of kDispatchChunk events; the cut only decides when
+  /// the wall clock is read.
   void classic_run(SimTime limit);
-  void classic_run_traced(SimTime limit);
   void parallel_run(SimTime limit);
   void run_shard_window(Shard& sh, ShardId id, SimTime end);
   /// Runs one window with per-shard ends in `window_ends_`, either on
@@ -620,7 +618,6 @@ class Simulator {
   // --- Shards. Classic mode is exactly shards_[0]. -----------------------
   std::vector<std::unique_ptr<Shard>> shards_;
   bool configured_ = false;
-  bool burst_ = true;
   std::uint32_t parallel_min_events_ = 128;
   /// Hardware cores, cached once (hardware_concurrency may syscall).
   unsigned hw_cores_ = 1;

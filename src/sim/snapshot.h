@@ -1,7 +1,7 @@
 // Checkpoint/fork serving: whole-simulation snapshots.
 //
-// The engine guarantees bit-identical replay across worker counts,
-// schedulers, and burst modes — which makes whole-state checkpointing
+// The engine guarantees bit-identical replay across worker counts —
+// which makes whole-state checkpointing
 // both feasible and verifiable: `restore(save(S))` followed by run must
 // produce the exact frame trace running S uninterrupted would. This
 // header provides the typed byte streams every component serializes

@@ -2,8 +2,11 @@
 // broadcast fallback, ECMP spread, loop-freedom, and state accounting.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "core/fabric.h"
 #include "core/path_audit.h"
@@ -299,6 +302,67 @@ TEST(Fabric, PathAuditHoldsDuringFailureRecovery) {
   EXPECT_TRUE(auditor.violations().empty())
       << auditor.violations().front();
   EXPECT_GT(auditor.packets_completed(), 100u);
+}
+
+/// Audits three cross-pod flows plus two intra-pod ones on a k=4 fabric
+/// run by the sharded engine with `workers` threads, every window handed
+/// to the worker pool (parallel_min_events = 0), so the frame tap fires
+/// from several threads at once.
+struct PooledAudit {
+  std::uint64_t completed = 0;
+  std::size_t violations = 0;
+  std::map<std::size_t, std::uint64_t> hops;
+};
+
+PooledAudit run_pooled_audit(unsigned workers) {
+  PortlandFabric::Options options;
+  options.k = 4;
+  options.seed = 79;
+  options.workers = workers;
+  options.parallel_min_events = 0;
+  PortlandFabric fabric(options);
+  EXPECT_TRUE(fabric.run_until_converged());
+  PathAuditor auditor(fabric);
+  const std::array<std::array<std::size_t, 6>, 5> pairs = {{
+      {0, 0, 0, 1, 0, 1},
+      {1, 1, 0, 2, 0, 0},
+      {2, 0, 1, 3, 1, 1},
+      {3, 0, 0, 3, 1, 0},
+      {1, 0, 1, 1, 0, 0},
+  }};
+  std::vector<std::unique_ptr<host::UdpFlowReceiver>> receivers;
+  std::vector<std::unique_ptr<host::UdpFlowSender>> senders;
+  std::uint16_t port = 7200;
+  for (const auto& p : pairs) {
+    host::Host& a = fabric.host_at(p[0], p[1], p[2]);
+    host::Host& b = fabric.host_at(p[3], p[4], p[5]);
+    receivers.push_back(std::make_unique<host::UdpFlowReceiver>(b, port));
+    host::UdpFlowSender::Config cfg;
+    cfg.dst = b.ip();
+    cfg.src_port = cfg.dst_port = port;
+    cfg.interval = micros(200);
+    senders.push_back(std::make_unique<host::UdpFlowSender>(a, cfg));
+    sim::ShardGuard guard(fabric.sim(), a.shard());
+    senders.back()->start();
+    ++port;
+  }
+  fabric.sim().run_until(fabric.sim().now() + millis(100));
+  for (auto& s : senders) s->stop();
+  fabric.sim().run_until(fabric.sim().now() + millis(20));
+  return PooledAudit{auditor.packets_completed(), auditor.violations().size(),
+                     auditor.hop_histogram()};
+}
+
+TEST(Fabric, PathAuditorIsSafeWithWorkerPool) {
+  const PooledAudit one = run_pooled_audit(1);
+  const PooledAudit four = run_pooled_audit(4);
+  EXPECT_GT(one.completed, 1000u);
+  EXPECT_EQ(one.violations, 0u);
+  EXPECT_EQ(four.violations, 0u);
+  EXPECT_EQ(four.completed, one.completed);
+  EXPECT_EQ(four.hops, one.hops);
+  EXPECT_TRUE(one.hops.count(3));  // intra-pod
+  EXPECT_TRUE(one.hops.count(5));  // inter-pod
 }
 
 TEST(Fabric, DegenerateK2FabricWorks) {

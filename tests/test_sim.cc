@@ -257,6 +257,96 @@ TEST(Link, UnidirectionalFailure) {
   EXPECT_EQ(a.frames.size(), 1u);
 }
 
+/// One run of the propagation-shrink scenario: a sends ten 1000 B frames
+/// at t=0 over a 100 us link (arrivals 108..180 us, one train), then at
+/// 50 us cuts the propagation to 10 us and sends five more (arrivals
+/// 98..130 us). Each late arrival is earlier than the train's last entry,
+/// so it must take the per-frame data-event path. `workers` = 0 runs the
+/// classic engine; otherwise a and b sit on different shards, so the
+/// late arrivals reach b's train through the mailbox merge. A no-op
+/// event on b at 20 us bounds the first lookahead window, so the early
+/// frames join b's train at an earlier barrier than the late ones (one
+/// window holding all fifteen sends would merge them in time order).
+struct ShrinkResult {
+  std::vector<std::pair<SimTime, std::uint8_t>> deliveries;  // (time, id)
+  std::uint64_t train_frames = 0;
+  std::uint64_t executed = 0;
+};
+
+ShrinkResult run_propagation_shrink(unsigned workers) {
+  Network net;
+  if (workers > 0) {
+    net.sim().configure_shards(2, micros(1), 3);
+    net.sim().set_workers(workers);
+  }
+  auto& a = net.add_device<SinkDevice>("a");
+  auto& b = net.add_device<SinkDevice>("b");
+  if (workers > 0) {
+    a.set_shard(0);
+    b.set_shard(1);
+  }
+  Link::Config cfg;
+  cfg.bandwidth_bps = 1e9;  // 1000 B = 8 us
+  cfg.propagation = micros(100);
+  Link& link = net.connect(a, 0, b, 0, cfg);
+  const auto send = [&a](std::uint8_t id) {
+    FrameBytes bytes(1000, 0);
+    bytes[0] = id;
+    a.send(0, make_frame(std::move(bytes)));
+  };
+  {
+    ShardGuard guard(net.sim(), a.shard());
+    net.sim().at(0, [&] {
+      for (std::uint8_t id = 0; id < 10; ++id) send(id);
+    });
+    net.sim().at(micros(50), [&] {
+      link.set_propagation(micros(10));
+      for (std::uint8_t id = 10; id < 15; ++id) send(id);
+    });
+  }
+  {
+    ShardGuard guard(net.sim(), b.shard());
+    net.sim().at(micros(20), [] {});
+  }
+  net.sim().run();
+  ShrinkResult out;
+  for (std::size_t i = 0; i < b.frames.size(); ++i) {
+    out.deliveries.emplace_back(b.times[i], b.frames[i]->bytes[0]);
+  }
+  out.train_frames = net.sim().train_frames();
+  out.executed = net.sim().executed_events();
+  return out;
+}
+
+TEST(Link, PropagationShrinkFallsBackToPerFrameDelivery) {
+  const ShrinkResult classic = run_propagation_shrink(0);
+  // Only the ten pre-shrink frames rode the train; the five late ones
+  // were delivered one data event each.
+  EXPECT_EQ(classic.train_frames, 10u);
+  EXPECT_EQ(classic.executed, 3u + 15u);  // three plain events + deliveries
+  // Every frame exactly once, in arrival-time order.
+  ASSERT_EQ(classic.deliveries.size(), 15u);
+  std::set<std::uint8_t> ids;
+  for (const auto& [time, id] : classic.deliveries) {
+    EXPECT_TRUE(ids.insert(id).second) << "frame " << int{id} << " twice";
+    const SimTime expected =
+        id < 10 ? micros(108 + 8 * id) : micros(98 + 8 * (id - 10));
+    EXPECT_EQ(time, expected) << "frame " << int{id};
+  }
+  EXPECT_TRUE(std::is_sorted(classic.deliveries.begin(),
+                             classic.deliveries.end()));
+  // The late frames overtake the train: the first delivery is frame 10.
+  EXPECT_EQ(classic.deliveries.front().second, 10);
+
+  for (const unsigned workers : {1u, 4u}) {
+    const ShrinkResult sharded = run_propagation_shrink(workers);
+    EXPECT_EQ(sharded.deliveries, classic.deliveries) << workers << " workers";
+    EXPECT_EQ(sharded.train_frames, classic.train_frames)
+        << workers << " workers";
+    EXPECT_EQ(sharded.executed, classic.executed) << workers << " workers";
+  }
+}
+
 TEST(Network, FindDeviceAndLink) {
   Network net;
   auto& a = net.add_device<SinkDevice>("alpha");

@@ -158,14 +158,19 @@ std::unique_ptr<Scenario> make_scenario(PortlandFabric::Options options,
   }
 
   // One TCP transfer, mid-flight at the save point. The connect runs via
-  // a plain closure, which must have fired before any save.
+  // a plain closure, which must have fired before any save. It runs on
+  // the sender's shard so that, under the sharded engine, the
+  // connection's timers live in that shard's queue (a barrier-queue timer
+  // would make the save refuse).
   host::Host& rx_host = fabric.host_at(3, 0, 0);
   host::Host& tx_host = fabric.host_at(0, 1, 0);
   rx_host.tcp_listen(5001, [](host::TcpConnection&) {});
   if (warm) {
-    fabric.sim().after(millis(5), [&tx_host, &rx_host] {
-      tx_host.tcp_connect(rx_host.ip(), 5001)->send(500'000);
-    });
+    fabric.sim().at_shard(tx_host.shard(), fabric.sim().now() + millis(5),
+                          [&tx_host, &rx_host] {
+                            tx_host.tcp_connect(rx_host.ip(), 5001)
+                                ->send(500'000);
+                          });
     fabric.sim().run_until(fabric.sim().now() + millis(100));
   }
   sc->t_save = fabric.sim().now();
@@ -287,6 +292,64 @@ TEST(Snapshot, RestoreIntoFreshFabricReplaysIdentically) {
   ASSERT_EQ(dst->t_save, src->t_save);  // now comes from the image
   run_epilogue(*dst);
   expect_same(finish(*dst), expected, "restore into fresh fabric");
+}
+
+/// Leaves a per-frame fallback delivery pending on a host uplink at the
+/// current quiescent point: with the link's propagation raised to 1 ms,
+/// the host sends a 200 B datagram (it joins the link's train), then with
+/// the propagation back to normal a 300 B one, which arrives first and so
+/// cannot join the train — it becomes a data event. Returns the number of
+/// frames that took the train path (1 when the fallback happened).
+std::uint64_t leave_fallback_pending(Scenario& sc) {
+  PortlandFabric& fabric = *sc.fabric;
+  host::Host& src = fabric.host_at(0, 0, 1);
+  const Ipv4Address dst = fabric.host_at(1, 0, 0).ip();  // already resolved
+  sim::Link& uplink = *src.port_link(0);
+  const SimDuration normal = uplink.config().propagation;
+  constexpr std::size_t kHeaders = 14 + 20 + 8;  // Ethernet + IPv4 + UDP
+  const std::uint64_t trains0 = fabric.sim().train_frames();
+  sim::ShardGuard guard(fabric.sim(), src.shard());
+  uplink.set_propagation(millis(1));
+  src.send_udp(dst, 7600, 7600, std::vector<std::uint8_t>(200 - kHeaders));
+  uplink.set_propagation(normal);
+  src.send_udp(dst, 7600, 7600, std::vector<std::uint8_t>(300 - kHeaders));
+  return fabric.sim().train_frames() - trains0;
+}
+
+TEST(Snapshot, PendingPerFrameFallbackDeliverySurvivesRestore) {
+  for (const unsigned workers : {0u, 4u}) {
+    const std::string label = "workers=" + std::to_string(workers);
+    // Reference: the fallback delivery runs out uninterrupted.
+    auto ref = make_scenario(small_options(workers));
+    ASSERT_EQ(leave_fallback_pending(*ref), 1u) << label;
+    run_epilogue(*ref);
+    const RunResult expected = finish(*ref);
+    const auto first_delivery = [](const RunResult& r, std::size_t size) {
+      const auto it =
+          std::find_if(r.trace.begin(), r.trace.end(),
+                       [&](const auto& e) { return std::get<2>(e) == size; });
+      return it == r.trace.end() ? SimTime{-1} : std::get<0>(*it);
+    };
+    // Both datagrams reached the fabric, the late one first.
+    const SimTime first_200 = first_delivery(expected, 200);
+    const SimTime first_300 = first_delivery(expected, 300);
+    ASSERT_GE(first_200, 0) << label;
+    ASSERT_GE(first_300, 0) << label;
+    EXPECT_LT(first_300, first_200) << label;
+
+    // Round trip with the data event still queued at the save point.
+    auto rt = make_scenario(small_options(workers));
+    ASSERT_EQ(leave_fallback_pending(*rt), 1u) << label;
+    std::vector<std::uint8_t> image;
+    std::string error;
+    const auto extras = rt->extras();
+    ASSERT_TRUE(rt->fabric->save_snapshot(image, extras, &error))
+        << label << ": " << error;
+    ASSERT_TRUE(rt->fabric->restore_snapshot(image, extras, &error))
+        << label << ": " << error;
+    run_epilogue(*rt);
+    expect_same(finish(*rt), expected, label.c_str());
+  }
 }
 
 // Satellite: recycled byte buffers must never alias into a restored

@@ -176,7 +176,7 @@ struct ParallelRunResult {
   std::uint64_t link_dropped = 0;
   /// Every frame delivery network-wide: (time, receiving device, size).
   std::vector<std::tuple<SimTime, std::string, std::size_t>> trace;
-  /// Frames delivered via train batches (zero when burst mode is off).
+  /// Frames delivered via train batches.
   std::uint64_t train_frames = 0;
   /// Flight-recorder totals (zero when it was off).
   std::uint64_t rec_captured = 0;
@@ -190,7 +190,7 @@ struct ParallelRunResult {
 };
 
 ParallelRunResult run_parallel_soak(unsigned workers, bool obs_on = false,
-                                    bool burst = true, bool monitor_on = false,
+                                    bool monitor_on = false,
                                     std::size_t fm_shards = 1,
                                     bool fm_replica = false) {
   topo::FatTree tree(4);
@@ -203,7 +203,6 @@ ParallelRunResult run_parallel_soak(unsigned workers, bool obs_on = false,
   options.obs.engine_trace = obs_on;
   options.obs.convergence_monitor = monitor_on;
   options.obs.check_invariants = monitor_on;
-  options.burst = burst;
   options.config.fm_shards = fm_shards;
   options.config.fm_replica = fm_replica;
   PortlandFabric fabric(options);
@@ -347,6 +346,7 @@ TEST(Soak, ParallelEngineIsWorkerCountInvariant) {
     EXPECT_GT(serial.probe_received[i], serial.probe_sent[i] * 8 / 10);
   }
   EXPECT_GT(serial.trace.size(), 10'000u);
+  EXPECT_GT(serial.train_frames, 0u);  // link deliveries rode trains
 
   // Bit-identical replay across worker counts.
   EXPECT_EQ(serial.executed, parallel.executed);
@@ -358,6 +358,7 @@ TEST(Soak, ParallelEngineIsWorkerCountInvariant) {
   EXPECT_EQ(serial.mcast_rx, parallel.mcast_rx);
   EXPECT_EQ(serial.link_tx_frames, parallel.link_tx_frames);
   EXPECT_EQ(serial.link_dropped, parallel.link_dropped);
+  EXPECT_EQ(serial.train_frames, parallel.train_frames);
   ASSERT_EQ(serial.trace.size(), parallel.trace.size());
   EXPECT_TRUE(serial.trace == parallel.trace)
       << "frame delivery traces diverged";
@@ -415,9 +416,9 @@ TEST(Soak, FlightRecorderIsInvisibleToExecution) {
 TEST(Soak, ConvergenceMonitorIsInvisibleToExecution) {
   const ParallelRunResult plain1 = run_parallel_soak(1);
   const ParallelRunResult on1 = run_parallel_soak(
-      1, /*obs_on=*/true, /*burst=*/true, /*monitor_on=*/true);
+      1, /*obs_on=*/true, /*monitor_on=*/true);
   const ParallelRunResult on4 = run_parallel_soak(
-      4, /*obs_on=*/true, /*burst=*/true, /*monitor_on=*/true);
+      4, /*obs_on=*/true, /*monitor_on=*/true);
 
   const auto expect_same_sim = [](const ParallelRunResult& a,
                                   const ParallelRunResult& b,
@@ -453,43 +454,6 @@ TEST(Soak, ConvergenceMonitorIsInvisibleToExecution) {
   EXPECT_EQ(plain1.mon_timelines, 0u);
 }
 
-// Burst/train execution is a pure scheduler-side batching optimization:
-// turning it off must not move a single event. The same chaos scenario runs
-// with trains disabled — across worker counts — and every sim-visible
-// quantity must match the burst-on reference bit for bit. This is the
-// equality proof behind the E18 bench ("every configuration simulates the
-// same network").
-TEST(Soak, BurstModeIsInvisibleToExecution) {
-  const ParallelRunResult on1 = run_parallel_soak(1);  // burst on (default)
-  const ParallelRunResult off1 =
-      run_parallel_soak(1, /*obs_on=*/false, /*burst=*/false);
-  const ParallelRunResult off4 =
-      run_parallel_soak(4, /*obs_on=*/false, /*burst=*/false);
-
-  // The reference run really used trains; the off runs never did.
-  EXPECT_GT(on1.train_frames, 0u);
-  EXPECT_EQ(off1.train_frames, 0u);
-  EXPECT_EQ(off4.train_frames, 0u);
-
-  const auto expect_same_sim = [](const ParallelRunResult& a,
-                                  const ParallelRunResult& b,
-                                  const char* label) {
-    EXPECT_EQ(a.executed, b.executed) << label;
-    EXPECT_EQ(a.final_now, b.final_now) << label;
-    EXPECT_EQ(a.probe_sent, b.probe_sent) << label;
-    EXPECT_EQ(a.probe_received, b.probe_received) << label;
-    EXPECT_EQ(a.tcp_delivered, b.tcp_delivered) << label;
-    EXPECT_EQ(a.tcp_corrupt, b.tcp_corrupt) << label;
-    EXPECT_EQ(a.mcast_rx, b.mcast_rx) << label;
-    EXPECT_EQ(a.link_tx_frames, b.link_tx_frames) << label;
-    EXPECT_EQ(a.link_dropped, b.link_dropped) << label;
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
-    EXPECT_TRUE(a.trace == b.trace) << label << ": traces diverged";
-  };
-  expect_same_sim(on1, off1, "burst on vs off, 1 worker");
-  expect_same_sim(on1, off4, "burst on vs off, 4 workers");
-}
-
 // Sharding the fabric manager's ARP/registry service is a pure control-
 // plane placement change: registry traffic flows to per-shard endpoints
 // instead of the primary, but every message still exists, carries the
@@ -501,11 +465,11 @@ TEST(Soak, BurstModeIsInvisibleToExecution) {
 TEST(Soak, ShardedFmIsInvisibleToExecution) {
   const ParallelRunResult single1 = run_parallel_soak(1);
   const ParallelRunResult sharded1 =
-      run_parallel_soak(1, /*obs_on=*/false, /*burst=*/true,
-                        /*monitor_on=*/false, /*fm_shards=*/4);
+      run_parallel_soak(1, /*obs_on=*/false, /*monitor_on=*/false,
+                        /*fm_shards=*/4);
   const ParallelRunResult sharded4 =
-      run_parallel_soak(4, /*obs_on=*/false, /*burst=*/true,
-                        /*monitor_on=*/false, /*fm_shards=*/4);
+      run_parallel_soak(4, /*obs_on=*/false, /*monitor_on=*/false,
+                        /*fm_shards=*/4);
 
   EXPECT_GT(single1.trace.size(), 10'000u);  // the scenario really ran
 
@@ -534,13 +498,11 @@ TEST(Soak, ShardedFmIsInvisibleToExecution) {
 // data plane it carries along must behave exactly like the plain run.
 TEST(Soak, FmReplicaStreamIsWorkerCountInvariant) {
   const ParallelRunResult replica1 =
-      run_parallel_soak(1, /*obs_on=*/false, /*burst=*/true,
-                        /*monitor_on=*/false, /*fm_shards=*/4,
-                        /*fm_replica=*/true);
+      run_parallel_soak(1, /*obs_on=*/false, /*monitor_on=*/false,
+                        /*fm_shards=*/4, /*fm_replica=*/true);
   const ParallelRunResult replica4 =
-      run_parallel_soak(4, /*obs_on=*/false, /*burst=*/true,
-                        /*monitor_on=*/false, /*fm_shards=*/4,
-                        /*fm_replica=*/true);
+      run_parallel_soak(4, /*obs_on=*/false, /*monitor_on=*/false,
+                        /*fm_shards=*/4, /*fm_replica=*/true);
 
   EXPECT_GT(replica1.trace.size(), 10'000u);
 
@@ -573,10 +535,9 @@ TEST(Soak, FmReplicaStreamIsWorkerCountInvariant) {
 // Checkpoint/fork serving: saving a mid-chaos fabric and restoring it in
 // place must be invisible to execution — the post-save frame trace, event
 // counts, and per-flow delivery must be bit-identical to the uninterrupted
-// run, for every engine configuration (worker count × burst mode). This is
-// the headline snapshot invariant under full load: probe flows ticking, a
-// TCP transfer mid-flight, multicast streaming, with a link failure + repair
-// in the replayed window.
+// run, at 1 and at 4 workers. This is the headline snapshot invariant under
+// full load: probe flows ticking, a TCP transfer mid-flight, multicast
+// streaming, with a link failure + repair in the replayed window.
 // ---------------------------------------------------------------------------
 
 /// Adapts a PeriodicTimer in test scope into an extras entry.
@@ -605,13 +566,11 @@ struct SnapshotSoakResult {
   std::size_t image_bytes = 0;
 };
 
-SnapshotSoakResult run_snapshot_soak(unsigned workers, bool burst,
-                                     bool snapshot) {
+SnapshotSoakResult run_snapshot_soak(unsigned workers, bool snapshot) {
   PortlandFabric::Options options;
   options.k = 4;
   options.seed = 20260808;
   options.workers = workers;
-  options.burst = burst;
   PortlandFabric fabric(options);
 
   SnapshotSoakResult result;
@@ -738,7 +697,7 @@ SnapshotSoakResult run_snapshot_soak(unsigned workers, bool burst,
 }
 
 TEST(Soak, SnapshotRestoreIsInvisibleToExecution) {
-  const SnapshotSoakResult reference = run_snapshot_soak(1, true, false);
+  const SnapshotSoakResult reference = run_snapshot_soak(1, false);
   EXPECT_GT(reference.trace.size(), 5'000u);  // the scenario really ran
   EXPECT_EQ(reference.tcp_delivered, 1'000'000u);
   EXPECT_FALSE(reference.tcp_corrupt);
@@ -758,14 +717,11 @@ TEST(Soak, SnapshotRestoreIsInvisibleToExecution) {
   };
 
   for (const unsigned workers : {1u, 4u}) {
-    for (const bool burst : {true, false}) {
-      const SnapshotSoakResult snap = run_snapshot_soak(workers, burst, true);
-      EXPECT_GT(snap.image_bytes, 0u);
-      const std::string label = std::string("snapshot round trip, workers=") +
-                                std::to_string(workers) +
-                                (burst ? ", burst on" : ", burst off");
-      expect_same(snap, label.c_str());
-    }
+    const SnapshotSoakResult snap = run_snapshot_soak(workers, true);
+    EXPECT_GT(snap.image_bytes, 0u);
+    const std::string label =
+        "snapshot round trip, workers=" + std::to_string(workers);
+    expect_same(snap, label.c_str());
   }
 }
 
