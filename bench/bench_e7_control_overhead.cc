@@ -50,14 +50,14 @@ int main(int argc, char** argv) {
 
     // --- one edge-agg fault ---
     const std::uint64_t prune_msgs0 =
-        fabric->control().counters().get("prune_update");
+        fabric->control().messages_of("prune_update");
     sim::Link* victim =
         fabric->network().find_link(fabric->edge_at(0, 0), fabric->agg_at(0, 0));
     const SimTime fail_at = fabric->sim().now();
     victim->set_up(false);
     fabric->sim().run_until(fail_at + millis(200));
     const std::uint64_t fault_msgs =
-        fabric->control().counters().get("prune_update") - prune_msgs0;
+        fabric->control().messages_of("prune_update") - prune_msgs0;
 
     std::printf("%4d %10zu %14.0f %16.1f %14.0f %18llu %15.0f%%\n", k,
                 fabric->switches().size(), ldm_bytes_per_link_s, fm_msgs_per_s,

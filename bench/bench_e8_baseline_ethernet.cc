@@ -109,11 +109,11 @@ int main(int argc, char** argv) {
     host::Host& a = fabric->host_at(0, 0, 0);
     host::Host& b = fabric->host_at(2, 0, 0);
     const std::uint64_t q0 =
-        fabric->control().counters().get("arp_query");
+        fabric->control().messages_of("arp_query");
     a.send_udp(b.ip(), 6000, 6000, {0});
     fabric->sim().run_until(fabric->sim().now() + millis(50));
     const std::uint64_t queries =
-        fabric->control().counters().get("arp_query") - q0;
+        fabric->control().messages_of("arp_query") - q0;
 
     l2::BaselineFabric::Options options;
     options.k = 4;

@@ -3,17 +3,18 @@
 # separate build directory and runs the simulator-layer tests under it.
 # The fast path leans on in-place frame patching, slot-pooled event
 # payloads, and lazily drained link queues — exactly the kind of code ASan
-# is for.
+# is for. test_common and test_fm cover the counter table's cell storage
+# and the fabric manager's shard remap on restore.
 set -eu
 cd "$(dirname "$0")/.."
 BUILD=build-asan
 cmake -S . -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPORTLAND_SANITIZE=address >/dev/null
 cmake --build "$BUILD" --parallel \
-      --target test_sim test_net test_host test_fabric test_fastpath \
-      test_snapshot test_convergence
-for t in test_sim test_net test_host test_fabric test_fastpath \
-         test_snapshot test_convergence; do
+      --target test_common test_sim test_net test_host test_fabric \
+      test_fastpath test_snapshot test_convergence test_fm
+for t in test_common test_sim test_net test_host test_fabric test_fastpath \
+         test_snapshot test_convergence test_fm; do
   echo
   echo "################  $t (ASan)  ################"
   "$BUILD/tests/$t"

@@ -144,8 +144,11 @@ class ByteReader {
   [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] std::size_t remaining_size() const { return data_.size() - pos_; }
 
-  /// True if no read has run past the end of the buffer.
+  /// True if no read has run past the end of the buffer (nor fail()ed).
   [[nodiscard]] bool ok() const { return ok_; }
+
+  /// Latches the failed state, for content a caller's own checks reject.
+  void fail() { ok_ = false; }
 
  private:
   [[nodiscard]] bool check(std::size_t n) {

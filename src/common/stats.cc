@@ -28,19 +28,12 @@ double Accumulator::stddev() const { return std::sqrt(variance()); }
 
 void Accumulator::reset() { *this = Accumulator(); }
 
-void CounterSet::add(const std::string& name, std::uint64_t delta) {
-  cell(name) += delta;
-}
-
-std::uint64_t CounterSet::get(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-void CounterSet::reset() {
-  // Zero in place rather than erase: per-frame paths hold handle()
-  // pointers into the map nodes.
-  for (auto& [name, value] : counters_) value = 0;
+std::uint64_t CounterSet::get(std::string_view name) const {
+  const auto it = std::lower_bound(
+      kCountersByName.begin(), kCountersByName.end(), name,
+      [](Counter c, std::string_view n) { return counter_name(c) < n; });
+  if (it == kCountersByName.end() || counter_name(*it) != name) return 0;
+  return get(*it);
 }
 
 double percentile(std::vector<double> values, double p) {

@@ -1,14 +1,18 @@
-// Streaming statistics accumulators and named counters.
+// Streaming statistics accumulators and the typed counter table.
 //
 // `Accumulator` keeps count/mean/variance (Welford) plus min/max without
-// storing samples. `CounterSet` is a string-keyed map of monotonically
-// increasing counters used by devices to expose packet/byte/drop counts to
-// tests and benches.
+// storing samples. Every per-device counter is declared once, in
+// PORTLAND_COUNTERS below, as an id (`Counter`) plus the name tests,
+// benches and metrics read it by. A `CounterSet` is a dense array with
+// one cell per id: hot paths increment by id, snapshots store
+// (id, value) pairs, and only the cold by-name read touches a string.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -37,109 +41,130 @@ class Accumulator {
   double max_ = 0.0;
 };
 
+// X(name): every counter any device, the fabric manager or a host keeps,
+// declared once. The id is Counter::name and the name its spelling, which
+// tests, benches and metrics read; ids are positions and only ever appear
+// in snapshot images of the same build.
+#define PORTLAND_COUNTERS(X)                                            \
+  /* Every device: frames and bytes through its ports. */               \
+  X(tx_frames) X(tx_bytes) X(rx_frames) X(rx_bytes)                     \
+  /* One per obs::DropReason, in DropReason order. */                   \
+  X(rx_malformed) X(drop_before_located) X(drop_data_on_fabric_port)    \
+  X(drop_bad_host_src) X(drop_unknown_local_dst) X(drop_no_uplink)      \
+  X(drop_no_downlink) X(drop_no_pod_port) X(drop_unlocated)             \
+  X(drop_mcast_no_ip) X(drop_mcast_no_entry) X(drop_link_down)          \
+  X(drop_queue_full) X(tx_drop_unconnected)                             \
+  /* PortLand switches. */                                              \
+  X(host_broadcasts) X(migration_redirects) X(garp_consumed)            \
+  X(arp_requests_intercepted) X(arp_negative_hits) X(arp_coalesced)     \
+  X(arp_fallback_broadcasts) X(arp_proxied_replies)                     \
+  X(arp_query_timeouts) X(migration_garps_sent) X(hosts_learned)        \
+  X(prune_flushes) X(prune_updates_applied) X(mcast_install_bad_port)   \
+  X(mcast_installs) X(invalidations_applied) X(location_updates)        \
+  X(neighbors_lost) X(neighbors_recovered)                              \
+  /* Baseline learning switches. */                                     \
+  X(drop_port_blocked) X(drop_port_learning) X(floods)                  \
+  /* Hosts and their vswitches. */                                      \
+  X(drop_unknown_vm) X(garp_sent) X(rx_ignored) X(arp_replies_sent)     \
+  X(rx_wrong_ip) X(tcp_rx_no_connection) X(rx_ip_other)                 \
+  X(udp_rx_unjoined_group) X(udp_rx_unbound) X(igmp_joins_sent)         \
+  X(igmp_leaves_sent) X(arp_pending_overflow) X(arp_requests_sent)      \
+  X(arp_resolution_failed) X(arp_resolutions)                           \
+  /* ARP resolution latency, log2 buckets (arp_latency_counter). */     \
+  X(arp_latency_us_le_1) X(arp_latency_us_le_2)                         \
+  X(arp_latency_us_le_4) X(arp_latency_us_le_8)                         \
+  X(arp_latency_us_le_16) X(arp_latency_us_le_32)                       \
+  X(arp_latency_us_le_64) X(arp_latency_us_le_128)                      \
+  X(arp_latency_us_le_256) X(arp_latency_us_le_512)                     \
+  X(arp_latency_us_le_1024) X(arp_latency_us_le_2048)                   \
+  X(arp_latency_us_le_4096) X(arp_latency_us_le_8192)                   \
+  X(arp_latency_us_le_16384) X(arp_latency_us_le_32768)                 \
+  X(arp_latency_us_over)                                                \
+  /* The fabric manager (primary and registry shards). */               \
+  X(rx_total) X(failovers) X(replica_failovers)                         \
+  X(migrations_detected) X(arp_queries) X(arp_misses) X(arp_hits)       \
+  X(fault_notifications) X(fault_repairs) X(prune_updates_sent)         \
+  X(mcast_trees_installed) X(mcast_trees_unavailable)
+
+enum class Counter : std::uint16_t {
+#define PORTLAND_COUNTER_ID(name) name,
+  PORTLAND_COUNTERS(PORTLAND_COUNTER_ID)
+#undef PORTLAND_COUNTER_ID
+  kCount
+};
+
+inline constexpr std::size_t kCounterCount =
+    static_cast<std::size_t>(Counter::kCount);
+
+[[nodiscard]] constexpr const char* counter_name(Counter c) {
+  constexpr std::array<const char*, kCounterCount> kNames{
+#define PORTLAND_COUNTER_NAME(name) #name,
+      PORTLAND_COUNTERS(PORTLAND_COUNTER_NAME)
+#undef PORTLAND_COUNTER_NAME
+  };
+  return kNames[static_cast<std::size_t>(c)];
+}
+
+/// Every id, sorted by name: the by-name read's binary-search index and
+/// the order metrics render in.
+inline constexpr std::array<Counter, kCounterCount> kCountersByName = [] {
+  std::array<Counter, kCounterCount> ids{};
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    ids[i] = static_cast<Counter>(i);
+  }
+  std::sort(ids.begin(), ids.end(), [](Counter a, Counter b) {
+    return std::string_view(counter_name(a)) < counter_name(b);
+  });
+  return ids;
+}();
+
+/// The `arp_latency_us_*` histogram: bucket b < 16 counts resolutions of
+/// at most 2^b microseconds, bucket 16 ("over") the rest.
+inline constexpr std::size_t kArpLatencyBuckets = 17;
+static_assert(static_cast<std::size_t>(Counter::arp_latency_us_over) -
+                  static_cast<std::size_t>(Counter::arp_latency_us_le_1) + 1 ==
+              kArpLatencyBuckets);
+
+[[nodiscard]] constexpr Counter arp_latency_counter(std::size_t bucket) {
+  return static_cast<Counter>(
+      static_cast<std::size_t>(Counter::arp_latency_us_le_1) + bucket);
+}
+
+/// One owner's counters: a cell per id, zero until counted.
 class CounterSet {
  public:
-  /// Adds `delta` to counter `name`, creating it at zero if absent.
-  void add(const std::string& name, std::uint64_t delta = 1);
-
-  /// Stable pointer to the counter cell for `name`, creating it at zero.
-  /// Callers on per-frame paths cache the handle once and bump it
-  /// directly, skipping the string-keyed lookup. Handles stay valid for
-  /// the CounterSet's lifetime (the map is node-based and reset() zeroes
-  /// values instead of erasing them).
-  [[nodiscard]] std::uint64_t* handle(const std::string& name) {
-    return &cell(name);
+  void add(Counter id, std::uint64_t delta = 1) {
+    cells_[static_cast<std::size_t>(id)] += delta;
   }
 
-  /// Current value; zero if the counter has never been touched.
-  [[nodiscard]] std::uint64_t get(const std::string& name) const;
-
-  /// All counters, sorted by name (map iteration order).
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& all() const {
-    return counters_;
+  [[nodiscard]] std::uint64_t get(Counter id) const {
+    return cells_[static_cast<std::size_t>(id)];
   }
 
-  [[nodiscard]] std::size_t size() const { return counters_.size(); }
+  /// By-name read for tests, benches and reports (a binary search over
+  /// kCountersByName); zero for a name no counter has.
+  [[nodiscard]] std::uint64_t get(std::string_view name) const;
 
-  /// Order-independent fingerprint of the key *set* (sum of per-name
-  /// FNV-1a hashes; keys are only ever inserted, never erased). Two sets
-  /// with equal size and equal fingerprint hold the same names in the
-  /// same (sorted) order, which lets snapshot restore skip per-name
-  /// matching entirely and assign values positionally.
-  [[nodiscard]] std::uint64_t key_fingerprint() const {
-    return key_fingerprint_;
-  }
+  void reset() { cells_.fill(0); }
 
-  /// Stable cell pointers in key (sorted) order, built lazily and reused
-  /// until the key set grows. Snapshot restore walks this flat array for
-  /// positional value assignment instead of chasing map nodes.
-  [[nodiscard]] const std::vector<std::uint64_t*>& cells_in_order() {
-    if (!flat_valid_) {
-      flat_.clear();
-      flat_.reserve(counters_.size());
-      for (auto& [name, value] : counters_) flat_.push_back(&value);
-      flat_valid_ = true;
+  /// Adds `other` cell by cell (merging per-shard sets).
+  CounterSet& operator+=(const CounterSet& other) {
+    for (std::size_t i = 0; i < kCounterCount; ++i) {
+      cells_[i] += other.cells_[i];
     }
-    return flat_;
+    return *this;
   }
 
-  void reset();
+  [[nodiscard]] bool operator==(const CounterSet&) const = default;
 
-  /// Snapshot-restore cursor: assigns saved values back in sorted-name
-  /// order. Restored sets almost always carry exactly the names already
-  /// present (same code paths ran), so the common case is a pure cursor
-  /// walk with no per-name lookup and no string allocation; a name the
-  /// set has never seen falls back to an ordinary keyed insert. The
-  /// caller reset()s first; names absent from the image stay zero.
-  class RestoreCursor {
-   public:
-    explicit RestoreCursor(CounterSet& c) : c_(&c), it_(c.counters_.begin()) {}
-    void set(std::string_view name, std::uint64_t value) {
-      while (it_ != c_->counters_.end() && it_->first < name) ++it_;
-      if (it_ != c_->counters_.end() && it_->first == name) {
-        it_->second = value;
-        ++it_;
-      } else {
-        // Inserting before it_ never invalidates it (node-based map).
-        c_->counters_.emplace_hint(it_, std::string(name), value);
-        c_->key_fingerprint_ += name_hash(name);
-        c_->flat_valid_ = false;
-      }
-    }
-
-   private:
-    CounterSet* c_;
-    std::map<std::string, std::uint64_t>::iterator it_;
-  };
+  /// The cells, indexed by Counter (snapshot save/restore).
+  [[nodiscard]] std::span<std::uint64_t> cells() { return cells_; }
+  [[nodiscard]] std::span<const std::uint64_t> cells() const {
+    return cells_;
+  }
 
  private:
-  friend class RestoreCursor;
-
-  /// FNV-1a; stable across processes and builds (snapshot images embed
-  /// these via key_fingerprint()).
-  [[nodiscard]] static std::uint64_t name_hash(std::string_view name) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : name) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-
-  /// Find-or-insert keeping the key fingerprint in sync — every key
-  /// insertion funnels through here (or RestoreCursor::set).
-  [[nodiscard]] std::uint64_t& cell(const std::string& name) {
-    const auto it = counters_.lower_bound(name);
-    if (it != counters_.end() && it->first == name) return it->second;
-    key_fingerprint_ += name_hash(name);
-    flat_valid_ = false;
-    return counters_.emplace_hint(it, name, 0)->second;
-  }
-
-  std::map<std::string, std::uint64_t> counters_;
-  std::uint64_t key_fingerprint_ = 0;
-  std::vector<std::uint64_t*> flat_;  // see cells_in_order()
-  bool flat_valid_ = false;
+  std::array<std::uint64_t, kCounterCount> cells_{};
 };
 
 /// Computes the p-th percentile (0..100) of `values` by sorting a copy.

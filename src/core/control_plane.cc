@@ -10,11 +10,8 @@ void ControlPlane::send(SwitchId to, const ControlMessage& msg,
   std::vector<std::uint8_t> bytes = serialize_control(msg);
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    ++messages_sent_;
-    bytes_sent_ += bytes.size();
-    const char* type = control_type_name(msg.body);
-    counters_.add(type);
-    counters_.add(std::string(type) + "_bytes", bytes.size());
+    ++type_messages_[msg.body.index()];
+    type_bytes_[msg.body.index()] += bytes.size();
   }
 
   // Deliver on the destination endpoint's shard: with the 500µs control
@@ -38,13 +35,13 @@ void ControlPlane::execute_data_event(std::uint32_t kind, std::uint64_t arg,
   const auto it = endpoints_.find(to);
   if (it == endpoints_.end()) {
     std::lock_guard<std::mutex> lk(mutex_);
-    counters_.add("undeliverable");
+    ++undeliverable_;
     return;
   }
   const auto parsed = parse_control(bytes);
   if (!parsed.has_value()) {
     std::lock_guard<std::mutex> lk(mutex_);
-    counters_.add("parse_error");
+    ++parse_errors_;
     return;
   }
   it->second(*parsed);
@@ -52,16 +49,28 @@ void ControlPlane::execute_data_event(std::uint32_t kind, std::uint64_t arg,
 
 void ControlPlane::save_state(sim::SnapshotWriter& w) const {
   std::lock_guard<std::mutex> lk(mutex_);
-  w.u64(messages_sent_);
-  w.u64(bytes_sent_);
-  sim::save_counters(w, counters_);
+  sim::save_counters(w, type_messages_);
+  sim::save_counters(w, type_bytes_);
+  w.u64(undeliverable_);
+  w.u64(parse_errors_);
 }
 
 void ControlPlane::restore_state(sim::SnapshotReader& r) {
   std::lock_guard<std::mutex> lk(mutex_);
-  messages_sent_ = r.u64();
-  bytes_sent_ = r.u64();
-  sim::restore_counters(r, counters_);
+  sim::restore_counters(r, type_messages_);
+  sim::restore_counters(r, type_bytes_);
+  undeliverable_ = r.u64();
+  parse_errors_ = r.u64();
+}
+
+std::uint64_t ControlPlane::read(const TypeCounts& counts,
+                                 std::string_view type) const {
+  std::lock_guard<std::mutex> lk(mutex_);
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < kControlTypeCount; ++i) {
+    if (type.empty() || type == control_type_name(i)) n += counts[i];
+  }
+  return n;
 }
 
 }  // namespace portland::core

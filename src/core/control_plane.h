@@ -7,12 +7,13 @@
 // true message and byte volumes, broken down by message type.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 
-#include "common/stats.h"
 #include "common/units.h"
 #include "core/messages.h"
 #include "sim/simulator.h"
@@ -68,23 +69,38 @@ class ControlPlane : public sim::DataEventOwner {
                           const sim::FramePtr& frame,
                           const sim::FrameBytes& bytes) override;
 
-  /// Checkpoint: totals and per-type counters. Handlers and shard hints
-  /// are construction-time wiring and are not serialized.
+  /// Checkpoint: the per-type counts. Handlers and shard hints are
+  /// construction-time wiring and are not serialized.
   void save_state(sim::SnapshotWriter& w) const;
   void restore_state(sim::SnapshotReader& r);
 
+  /// Totals over every control type.
   [[nodiscard]] std::uint64_t messages_sent() const {
-    std::lock_guard<std::mutex> lk(mutex_);
-    return messages_sent_;
+    return read(type_messages_, {});
   }
   [[nodiscard]] std::uint64_t bytes_sent() const {
-    std::lock_guard<std::mutex> lk(mutex_);
-    return bytes_sent_;
+    return read(type_bytes_, {});
   }
 
-  /// Message and byte counts per control type ("<type>" and "<type>_bytes").
-  [[nodiscard]] const CounterSet& counters() const { return counters_; }
-  [[nodiscard]] CounterSet& counters() { return counters_; }
+  /// Messages and bytes sent of the control type named `type` (a
+  /// control_type_name, e.g. "arp_query"); zero for an unknown type.
+  [[nodiscard]] std::uint64_t messages_of(std::string_view type) const {
+    return read(type_messages_, type);
+  }
+  [[nodiscard]] std::uint64_t bytes_of(std::string_view type) const {
+    return read(type_bytes_, type);
+  }
+
+  /// Messages dropped for want of an endpoint, and ones that failed to
+  /// parse on delivery.
+  [[nodiscard]] std::uint64_t undeliverable() const {
+    std::lock_guard<std::mutex> lk(mutex_);
+    return undeliverable_;
+  }
+  [[nodiscard]] std::uint64_t parse_errors() const {
+    std::lock_guard<std::mutex> lk(mutex_);
+    return parse_errors_;
+  }
 
   [[nodiscard]] SimDuration latency() const { return latency_; }
 
@@ -93,12 +109,19 @@ class ControlPlane : public sim::DataEventOwner {
   SimDuration latency_;
   std::unordered_map<SwitchId, Handler> endpoints_;
   std::unordered_map<SwitchId, sim::ShardId> shard_hints_;
-  /// Guards the counters: switches on different shards send concurrently
+  /// Guards the counts: switches on different shards send concurrently
   /// during parallel windows. Uncontended in classic mode.
   mutable std::mutex mutex_;
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  CounterSet counters_;
+  using TypeCounts = std::array<std::uint64_t, kControlTypeCount>;
+  /// The count of control type `type`; an empty `type` sums every type.
+  [[nodiscard]] std::uint64_t read(const TypeCounts& counts,
+                                   std::string_view type) const;
+
+  /// Indexed by ControlBody alternative.
+  TypeCounts type_messages_{};
+  TypeCounts type_bytes_{};
+  std::uint64_t undeliverable_ = 0;
+  std::uint64_t parse_errors_ = 0;
 };
 
 }  // namespace portland::core

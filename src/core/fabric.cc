@@ -317,7 +317,7 @@ PortlandSwitch::TableBytes PortlandFabric::total_table_bytes() const {
 namespace {
 /// Image header magic: "PLFS" (PortLand Fabric Snapshot).
 constexpr std::uint32_t kSnapshotMagic = 0x504C4653;
-constexpr std::uint32_t kSnapshotVersion = 4;
+constexpr std::uint32_t kSnapshotVersion = 5;
 }  // namespace
 
 bool PortlandFabric::save_snapshot(std::vector<std::uint8_t>& out,
@@ -344,7 +344,7 @@ bool PortlandFabric::save_snapshot(std::vector<std::uint8_t>& out,
   // 3. Devices (construction order): generic counters, then the device's
   //    own state (tables, FIBs, protocol timers, TCP stacks, ...).
   for (sim::Device* dev : net_.devices()) {
-    sim::save_counters(w, dev->counters());
+    sim::save_counters(w, dev->counters().cells());
     dev->save_state(w);
   }
 
@@ -398,7 +398,7 @@ bool PortlandFabric::restore_snapshot(std::span<const std::uint8_t> image,
     // Device restores run as the owning shard: re-armed timers and
     // re-anchored state must land in that shard's queues.
     sim::ShardGuard guard(sim(), dev->shard());
-    sim::restore_counters(r, dev->counters());
+    sim::restore_counters(r, dev->counters().cells());
     dev->restore_state(r);
   }
 
@@ -469,8 +469,10 @@ void PortlandFabric::snapshot_metrics(obs::MetricsRegistry& registry) {
   for (const auto& dev : net_.devices()) {
     obs::DeviceSample& d = snap.devices.emplace_back();
     d.name = dev->name();
-    const auto& counters = dev->counters().all();
-    d.counters.assign(counters.begin(), counters.end());
+    for (const Counter id : kCountersByName) {
+      const std::uint64_t value = dev->counters().get(id);
+      if (value != 0) d.counters.emplace_back(counter_name(id), value);
+    }
   }
 
   snap.links.reserve(net_.links().size() * 2);

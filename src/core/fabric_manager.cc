@@ -38,7 +38,7 @@ void FabricManager::send(SwitchId to, ControlBody body, SimDuration extra) {
 }
 
 void FabricManager::handle_message(const ControlMessage& msg) {
-  counters_.add("rx_total");
+  counters_.add(Counter::rx_total);
   struct Dispatcher {
     FabricManager& fm;
     SwitchId sender;
@@ -73,7 +73,7 @@ void FabricManager::handle_message(const ControlMessage& msg) {
 
 void FabricManager::handle_shard_message(std::size_t shard,
                                          const ControlMessage& msg) {
-  shards_[shard].counters.add("rx_total");
+  shards_[shard].counters.add(Counter::rx_total);
   if (const auto* q = std::get_if<ArpQuery>(&msg.body)) {
     on_arp_query(msg.sender, *q, shard);
   } else if (const auto* h = std::get_if<HostRegister>(&msg.body)) {
@@ -97,7 +97,7 @@ void FabricManager::wipe_soft_state() {
 }
 
 void FabricManager::simulate_failover() {
-  counters_.add("failovers");
+  counters_.add(Counter::failovers);
   wipe_soft_state();
 }
 
@@ -166,7 +166,7 @@ void FabricManager::on_host_register(SwitchId sender, const HostRegister& m,
       // The IP is reachable at a new PMAC: a VM migrated (paper §3.7).
       // Invalidate the stale mapping at the previous edge switch, which
       // will trap in-flight frames and correct stale ARP caches.
-      sh.counters.add("migrations_detected");
+      sh.counters.add(Counter::migrations_detected);
       send(existing->edge, InvalidateHost{m.ip, existing->pmac, m.pmac});
     }
     *existing = rec;
@@ -179,14 +179,14 @@ void FabricManager::on_host_register(SwitchId sender, const HostRegister& m,
 void FabricManager::on_arp_query(SwitchId sender, const ArpQuery& m,
                                  std::size_t shard) {
   RegistryShard& sh = shards_[shard];
-  sh.counters.add("arp_queries");
+  sh.counters.add(Counter::arp_queries);
   const HostRecord* rec = sh.hosts.find(m.ip);
   if (rec == nullptr) {
-    sh.counters.add("arp_misses");
+    sh.counters.add(Counter::arp_misses);
     send(sender, ArpResponse{m.query_id, m.ip, MacAddress::zero(), false});
     return;
   }
-  sh.counters.add("arp_hits");
+  sh.counters.add(Counter::arp_hits);
   send(sender, ArpResponse{m.query_id, m.ip, rec->pmac, true});
 }
 
@@ -204,17 +204,10 @@ std::optional<FabricManager::HostRecord> FabricManager::host(
   return *rec;
 }
 
-const CounterSet& FabricManager::counters() const {
-  merged_counters_.reset();
-  for (const auto& [name, value] : counters_.all()) {
-    merged_counters_.add(name, value);
-  }
-  for (const RegistryShard& s : shards_) {
-    for (const auto& [name, value] : s.counters.all()) {
-      merged_counters_.add(name, value);
-    }
-  }
-  return merged_counters_;
+CounterSet FabricManager::counters() const {
+  CounterSet merged = counters_;
+  for (const RegistryShard& s : shards_) merged += s.counters;
+  return merged;
 }
 
 // ---------------------------------------------------------------------------
@@ -277,8 +270,8 @@ void FabricManager::on_replica_delta(const FmDelta& m) {
 }
 
 void FabricManager::failover_to_replica() {
-  counters_.add("failovers");
-  counters_.add("replica_failovers");
+  counters_.add(Counter::failovers);
+  counters_.add(Counter::replica_failovers);
   wipe_soft_state();
   if (!replica_.empty() && replica_[0].version > 0) {
     sim::SnapshotReader r(replica_[0].image);
@@ -302,7 +295,8 @@ void FabricManager::failover_to_replica() {
 // ---------------------------------------------------------------------------
 
 void FabricManager::on_fault_notify(SwitchId sender, const FaultNotify& m) {
-  counters_.add(m.link_up ? "fault_repairs" : "fault_notifications");
+  counters_.add(m.link_up ? Counter::fault_repairs
+                          : Counter::fault_notifications);
   if (monitor_ != nullptr) {
     // Recorded before the dedup below: the timeline's notify stage is
     // "the FM heard about the fault", which the first report satisfies
@@ -358,7 +352,7 @@ void FabricManager::recompute_prunes(const std::vector<DstKey>& event_keys,
   }
 
   if (!keys.empty()) core_dirty_ = true;
-  counters_.add("prune_updates_sent", batches.size());
+  counters_.add(Counter::prune_updates_sent, batches.size());
   for (auto& [sw, update] : batches) {
     send(sw, std::move(update), base_delay + config_.flow_install_cost);
   }
@@ -429,10 +423,10 @@ void FabricManager::recompute_group(Ipv4Address group, SimDuration base_delay) {
       delay += config_.flow_install_cost;
     }
     installed_trees_[group] = std::move(*fresh);
-    counters_.add("mcast_trees_installed");
+    counters_.add(Counter::mcast_trees_installed);
   } else {
     installed_trees_.erase(group);
-    counters_.add("mcast_trees_unavailable");
+    counters_.add(Counter::mcast_trees_unavailable);
   }
   core_dirty_ = true;
 }
@@ -629,12 +623,12 @@ void FabricManager::save_state(sim::SnapshotWriter& w) const {
     save_registry(w, s);
     w.u64(s.delta_version);
     w.u8(s.dirty ? 1 : 0);
-    sim::save_counters(w, s.counters);
+    sim::save_counters(w, s.counters.cells());
     w.u8(s.sync_timer != nullptr ? 1 : 0);
     if (s.sync_timer != nullptr) s.sync_timer->save_state(w);
   }
 
-  sim::save_counters(w, counters_);
+  sim::save_counters(w, counters_.cells());
 
   w.u8(config_.fm_replica ? 1 : 0);
   if (config_.fm_replica) {
@@ -655,6 +649,7 @@ void FabricManager::restore_state(sim::SnapshotReader& r) {
 
   for (RegistryShard& s : shards_) {
     s.hosts.clear();
+    s.counters.reset();
     s.delta_version = 0;
     s.dirty = false;
   }
@@ -667,15 +662,10 @@ void FabricManager::restore_state(sim::SnapshotReader& r) {
     RegistryShard& target = shards_[same_split ? i : i % shards_.size()];
     target.delta_version = std::max(target.delta_version, version);
     target.dirty = target.dirty || dirty;
-    if (same_split) {
-      sim::restore_counters(r, target.counters);
-    } else {
-      CounterSet scratch;
-      sim::restore_counters(r, scratch);
-      for (const auto& [name, value] : scratch.all()) {
-        target.counters.add(name, value);
-      }
-    }
+    // A different split folds image shard i into i % count.
+    CounterSet saved;
+    sim::restore_counters(r, saved.cells());
+    target.counters += saved;
     const bool had_timer = r.u8() != 0;
     if (had_timer) {
       if (same_split && target.sync_timer != nullptr) {
@@ -686,7 +676,7 @@ void FabricManager::restore_state(sim::SnapshotReader& r) {
     }
   }
 
-  sim::restore_counters(r, counters_);
+  sim::restore_counters(r, counters_.cells());
 
   const bool had_replica = r.u8() != 0;
   for (ReplicaSection& s : replica_) s = ReplicaSection{};

@@ -94,9 +94,8 @@ class FabricManager {
   }
   [[nodiscard]] std::uint16_t pods_assigned() const { return next_pod_; }
   /// Merged counter view: the primary's counters plus every registry
-  /// shard's, summed by name. Rebuilt per call; grab values, not the
-  /// reference, across runs.
-  [[nodiscard]] const CounterSet& counters() const;
+  /// shard's, summed cell by cell.
+  [[nodiscard]] CounterSet counters() const;
   [[nodiscard]] std::size_t installed_prune_keys() const {
     return installed_prunes_.size();
   }
@@ -264,7 +263,6 @@ class FabricManager {
   std::map<Ipv4Address, MulticastTree> installed_trees_;
 
   CounterSet counters_;
-  mutable CounterSet merged_counters_;
 
   // Hot-standby state (present only when config.fm_replica).
   std::vector<ReplicaSection> replica_;  // 1 + shard count sections

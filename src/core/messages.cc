@@ -1,5 +1,7 @@
 #include "core/messages.h"
 
+#include <array>
+
 #include "common/byte_io.h"
 #include "net/ethernet.h"
 
@@ -312,35 +314,20 @@ std::optional<ControlMessage> parse_control(
   return msg;
 }
 
-const char* control_type_name(const ControlBody& body) {
-  struct Namer {
-    const char* operator()(const SwitchHello&) const { return "switch_hello"; }
-    const char* operator()(const PodRequest&) const { return "pod_request"; }
-    const char* operator()(const PodAssignment&) const {
-      return "pod_assignment";
-    }
-    const char* operator()(const HostRegister&) const {
-      return "host_register";
-    }
-    const char* operator()(const ArpQuery&) const { return "arp_query"; }
-    const char* operator()(const ArpResponse&) const { return "arp_response"; }
-    const char* operator()(const FaultNotify&) const { return "fault_notify"; }
-    const char* operator()(const PruneUpdate&) const { return "prune_update"; }
-    const char* operator()(const McastJoin&) const { return "mcast_join"; }
-    const char* operator()(const McastLeave&) const { return "mcast_leave"; }
-    const char* operator()(const McastSenderSeen&) const {
-      return "mcast_sender_seen";
-    }
-    const char* operator()(const McastInstall&) const {
-      return "mcast_install";
-    }
-    const char* operator()(const McastRemove&) const { return "mcast_remove"; }
-    const char* operator()(const InvalidateHost&) const {
-      return "invalidate_host";
-    }
-    const char* operator()(const FmDelta&) const { return "fm_delta"; }
+const char* control_type_name(std::size_t index) {
+  // In ControlBody alternative order.
+  constexpr std::array<const char*, kControlTypeCount> kNames{
+      "switch_hello",      "pod_request",   "pod_assignment",
+      "host_register",     "arp_query",     "arp_response",
+      "fault_notify",      "prune_update",  "mcast_join",
+      "mcast_leave",       "mcast_sender_seen", "mcast_install",
+      "mcast_remove",      "invalidate_host",   "fm_delta",
   };
-  return std::visit(Namer{}, body);
+  return kNames[index];
+}
+
+const char* control_type_name(const ControlBody& body) {
+  return control_type_name(body.index());
 }
 
 }  // namespace portland::core

@@ -14,6 +14,7 @@
 // real message sizes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -237,7 +238,12 @@ struct ControlMessage {
 [[nodiscard]] std::optional<ControlMessage> parse_control(
     std::span<const std::uint8_t> bytes);
 
-/// Human-readable tag of the body type (for counters and logs).
+inline constexpr std::size_t kControlTypeCount =
+    std::variant_size_v<ControlBody>;
+
+/// Human-readable tag of the body type with variant index `index` (for
+/// counters and logs).
+[[nodiscard]] const char* control_type_name(std::size_t index);
 [[nodiscard]] const char* control_type_name(const ControlBody& body);
 
 }  // namespace portland::core

@@ -49,17 +49,11 @@ PortlandSwitch::PortlandSwitch(sim::Simulator& sim, std::string name,
   std::size_t slots = 16;
   while (slots < config_.flow_cache_entries) slots <<= 1;
   flow_slot_mask_ = slots - 1;  // slot array itself allocates lazily
-  // kNone stays nullptr: it is never dropped, and a stray use faults
-  // loudly instead of silently counting nonsense.
-  for (std::size_t i = 1; i < obs::kDropReasonCount; ++i) {
-    drop_cells_[i] = counters().handle(
-        obs::drop_reason_counter(static_cast<obs::DropReason>(i)));
-  }
 }
 
 void PortlandSwitch::drop(obs::DropReason reason, const sim::FramePtr& frame,
                           sim::PortId port) {
-  ++*drop_cells_[static_cast<std::size_t>(reason)];
+  counters().add(obs::drop_counter(reason));
   if (flight_recorder() != nullptr) record_drop(reason, frame, port);
 }
 
@@ -216,7 +210,7 @@ void PortlandSwitch::handle_host_ingress(sim::PortId port,
   }
 
   if (parsed.eth.dst.is_broadcast()) {
-    counters().add("host_broadcasts");
+    counters().add(Counter::host_broadcasts);
     forward_broadcast(port, /*from_host=*/true, /*from_above=*/false,
                       rewritten);
     return;
@@ -418,7 +412,7 @@ void PortlandSwitch::forward_unicast(sim::PortId in_port, MacAddress dst,
         // Migration trap (§3.7): the host this PMAC referred to has moved.
         const auto rit = redirects_.find(dst);
         if (rit != redirects_.end() && redirect_depth == 0) {
-          counters().add("migration_redirects");
+          counters().add(Counter::migration_redirects);
           const MacAddress new_pmac = rit->second.new_pmac;
           send_garp_to_sender(dst, parsed.eth.src);
           net::FrameRewrite rw;
@@ -600,18 +594,18 @@ void PortlandSwitch::handle_host_arp(sim::PortId port,
   if (arp.is_gratuitous()) {
     // Boot/migration announcement: registration already refreshed by
     // ensure_host; PortLand never floods it (§3.3, §3.7).
-    counters().add("garp_consumed");
+    counters().add(Counter::garp_consumed);
     return;
   }
 
   if (arp.op == ArpOp::kRequest) {
-    counters().add("arp_requests_intercepted");
+    counters().add(Counter::arp_requests_intercepted);
     if (config_.arp_coalescing) {
       // Bounded negative cache: a recent FM "not found" for this target
       // answers locally with the same fallback the miss itself took, so
       // a retrying host costs the FM one query per TTL per edge.
       if (negative_arp_fresh(arp.target_ip)) {
-        counters().add("arp_negative_hits");
+        counters().add(Counter::arp_negative_hits);
         net::FrameRewrite rw;
         rw.eth_src = host.pmac.to_mac();
         rw.arp_sender_mac = host.pmac.to_mac();
@@ -622,7 +616,7 @@ void PortlandSwitch::handle_host_arp(sim::PortId port,
       // Coalescer: a duplicate in-flight resolution rides the existing FM
       // query; the single answer fans out to every waiter.
       if (const auto in_flight = pending_query_for(arp.target_ip)) {
-        counters().add("arp_coalesced");
+        counters().add(Counter::arp_coalesced);
         pending_arps_[*in_flight].waiters.push_back(
             ArpWaiter{port, arp.sender_mac, host.pmac.to_mac(), arp.sender_ip,
                       frame});
@@ -673,20 +667,20 @@ void PortlandSwitch::on_arp_response(const ArpResponse& m) {
     // Fabric-manager miss: fall back to a loop-free broadcast of the
     // original request so the owner can answer directly, and remember the
     // miss so immediate retries stay off the FM.
-    counters().add("arp_fallback_broadcasts");
+    counters().add(Counter::arp_fallback_broadcasts);
     broadcast_pending_arp(pending);
     note_negative_arp(pending.target);
     return;
   }
 
-  counters().add("arp_proxied_replies");
+  counters().add(Counter::arp_proxied_replies);
   const ArpMessage reply = ArpMessage::reply(
       m.pmac, m.ip, pending.requester_amac, pending.requester_ip);
   send(pending.host_port,
        sim::make_frame(net::build_arp_frame(pending.requester_amac,
                                             m.pmac, reply)));
   for (const ArpWaiter& waiter : pending.waiters) {
-    counters().add("arp_proxied_replies");
+    counters().add(Counter::arp_proxied_replies);
     const ArpMessage fanned =
         ArpMessage::reply(m.pmac, m.ip, waiter.amac, waiter.ip);
     send(waiter.host_port,
@@ -697,7 +691,7 @@ void PortlandSwitch::on_arp_response(const ArpResponse& m) {
 void PortlandSwitch::flood_arp_fallback(std::uint32_t query_id) {
   const auto it = pending_arps_.find(query_id);
   if (it == pending_arps_.end()) return;
-  counters().add("arp_query_timeouts");
+  counters().add(Counter::arp_query_timeouts);
   PendingArp pending = std::move(it->second);
   pending_arps_.erase(it);
   unindex_pending_target(pending.target, query_id);
@@ -798,7 +792,7 @@ void PortlandSwitch::send_garp_to_sender(MacAddress old_pmac,
   const auto frame = sim::make_frame(
       net::build_arp_frame(sender_pmac, redirect.new_pmac, garp));
   const ParsedFrame& parsed = net::parsed_of(frame);
-  counters().add("migration_garps_sent");
+  counters().add(Counter::migration_garps_sent);
   forward_unicast(/*in_port=*/0, sender_pmac, parsed, frame,
                   /*redirect_depth=*/0);
 }
@@ -844,7 +838,7 @@ HostEntry* PortlandSwitch::ensure_host(sim::PortId port, MacAddress amac,
   vmid = next_vmid(vmid);
   e.pmac = Pmac{self.pod, self.position, static_cast<std::uint8_t>(port),
                 vmid};
-  counters().add("hosts_learned");
+  counters().add(Counter::hosts_learned);
   if (!e.ip.is_zero()) {
     send_to_fm(HostRegister{e.ip, e.amac, e.pmac.to_mac(),
                             static_cast<std::uint16_t>(e.port)});
@@ -894,7 +888,7 @@ void PortlandSwitch::on_control(const ControlMessage& msg) {
       ++sw.prune_generation_;
       if (m.flush) {
         sw.prunes_.clear();
-        sw.counters().add("prune_flushes");
+        sw.counters().add(Counter::prune_flushes);
       }
       for (const PruneEntry& e : m.entries) {
         const DstKey key{e.dst_pod, e.dst_position};
@@ -908,7 +902,7 @@ void PortlandSwitch::on_control(const ControlMessage& msg) {
           }
         }
       }
-      sw.counters().add("prune_updates_applied");
+      sw.counters().add(Counter::prune_updates_applied);
       if (obs::ConvergenceMonitor* monitor = sw.convergence_monitor()) {
         monitor->on_prune_install(
             static_cast<std::uint32_t>(sw.shard()), sw.sim().now(),
@@ -921,11 +915,11 @@ void PortlandSwitch::on_control(const ControlMessage& msg) {
         if (p < sw.port_count()) {
           ports.insert(p);
         } else {
-          sw.counters().add("mcast_install_bad_port");
+          sw.counters().add(Counter::mcast_install_bad_port);
         }
       }
       sw.mcast_ports_[m.group] = ports;
-      sw.counters().add("mcast_installs");
+      sw.counters().add(Counter::mcast_installs);
     }
     void operator()(const McastRemove& m) { sw.mcast_ports_.erase(m.group); }
     void operator()(const InvalidateHost& m) {
@@ -940,7 +934,7 @@ void PortlandSwitch::on_control(const ControlMessage& msg) {
           r.garp_sent_to.clear();
         }
       }
-      sw.counters().add("invalidations_applied");
+      sw.counters().add(Counter::invalidations_applied);
     }
     // FM-bound messages a switch never receives:
     void operator()(const SwitchHello&) {}
@@ -974,7 +968,7 @@ void PortlandSwitch::send_hello() {
 // ---------------------------------------------------------------------------
 
 void PortlandSwitch::on_location_changed() {
-  counters().add("location_updates");
+  counters().add(Counter::location_updates);
   schedule_hello();
 }
 
@@ -990,7 +984,7 @@ void PortlandSwitch::on_neighbor_event(sim::PortId port, SwitchId neighbor,
     } else {
       reported_down_.insert(it, PortFault{port, neighbor});
     }
-    counters().add("neighbors_lost");
+    counters().add(Counter::neighbors_lost);
     if (obs::ConvergenceMonitor* monitor = convergence_monitor()) {
       monitor->on_neighbor_event(static_cast<std::uint32_t>(shard()),
                                  sim().now(), name().c_str(),
@@ -1000,7 +994,7 @@ void PortlandSwitch::on_neighbor_event(sim::PortId port, SwitchId neighbor,
                            /*link_up=*/false});
   } else if (present) {
     reported_down_.erase(it);
-    counters().add("neighbors_recovered");
+    counters().add(Counter::neighbors_recovered);
     if (obs::ConvergenceMonitor* monitor = convergence_monitor()) {
       monitor->on_neighbor_event(static_cast<std::uint32_t>(shard()),
                                  sim().now(), name().c_str(),

@@ -334,10 +334,6 @@ class PortlandSwitch : public sim::Device {
   };
   std::vector<PortFault> reported_down_;
 
-  /// Cached CounterSet cells, one per DropReason (kNone unused), so a
-  /// per-frame drop bumps a pointer instead of a string-keyed map lookup.
-  std::array<std::uint64_t*, obs::kDropReasonCount> drop_cells_{};
-
   sim::Timer hello_timer_;
   sim::PeriodicTimer hello_periodic_;
   sim::PeriodicTimer refresh_periodic_;

@@ -22,25 +22,15 @@ void patch_eth_dst(std::vector<std::uint8_t>& frame, MacAddress dst) {
   std::copy(b.begin(), b.end(), frame.begin());
 }
 
-/// Log2 histogram bucket (in microseconds) for an ARP resolution latency.
-/// Benches sum these across hosts to report resolution percentiles.
-const char* arp_latency_bucket(SimDuration latency) {
-  static constexpr const char* kBuckets[] = {
-      "arp_latency_us_le_1",     "arp_latency_us_le_2",
-      "arp_latency_us_le_4",     "arp_latency_us_le_8",
-      "arp_latency_us_le_16",    "arp_latency_us_le_32",
-      "arp_latency_us_le_64",    "arp_latency_us_le_128",
-      "arp_latency_us_le_256",   "arp_latency_us_le_512",
-      "arp_latency_us_le_1024",  "arp_latency_us_le_2048",
-      "arp_latency_us_le_4096",  "arp_latency_us_le_8192",
-      "arp_latency_us_le_16384", "arp_latency_us_le_32768",
-      "arp_latency_us_over",
-  };
-  constexpr std::size_t kLast = std::size(kBuckets) - 1;
+/// Log2 histogram bucket (in microseconds) for an ARP resolution latency:
+/// the smallest b with us <= 2^b, or the "over" bucket. Benches sum these
+/// across hosts to report resolution percentiles.
+Counter arp_latency_bucket(SimDuration latency) {
+  constexpr std::size_t kLast = kArpLatencyBuckets - 1;
   const auto us = static_cast<std::uint64_t>(latency / kMicrosecond);
   std::size_t idx = 0;
   while (idx < kLast && (1ull << idx) < us) ++idx;
-  return kBuckets[idx];
+  return arp_latency_counter(idx);
 }
 }  // namespace
 
@@ -75,7 +65,7 @@ void Host::send_gratuitous_arp() {
   const ArpMessage garp = ArpMessage::gratuitous(mac_, ip_);
   send(0, sim::make_frame(
               net::build_arp_frame(MacAddress::broadcast(), mac_, garp)));
-  counters().add("garp_sent");
+  counters().add(Counter::garp_sent);
 }
 
 // --------------------------------------------------------------------------
@@ -90,12 +80,12 @@ void Host::handle_frame(sim::PortId in_port, const sim::FramePtr& frame) {
   if (bytes.size() >= net::EthernetHeader::kSize &&
       (static_cast<std::uint16_t>(bytes[12]) << 8 | bytes[13]) ==
           net::to_u16(net::EtherType::kLdp)) {
-    counters().add("rx_ignored");
+    counters().add(Counter::rx_ignored);
     return;
   }
   const ParsedFrame& parsed = net::parsed_of(frame);
   if (!parsed.valid) {
-    counters().add("rx_malformed");
+    counters().add(Counter::rx_malformed);
     return;
   }
   if (flight_recorder() != nullptr) {
@@ -113,7 +103,7 @@ void Host::handle_frame(sim::PortId in_port, const sim::FramePtr& frame) {
     handle_ipv4(parsed);
     return;
   }
-  counters().add("rx_ignored");
+  counters().add(Counter::rx_ignored);
 }
 
 void Host::handle_arp(const ArpMessage& arp) {
@@ -127,7 +117,7 @@ void Host::handle_arp(const ArpMessage& arp) {
   }
 
   if (arp.op == ArpOp::kRequest && arp.target_ip == ip_) {
-    counters().add("arp_replies_sent");
+    counters().add(Counter::arp_replies_sent);
     const ArpMessage reply =
         ArpMessage::reply(mac_, ip_, arp.sender_mac, arp.sender_ip);
     send(0, sim::make_frame(net::build_arp_frame(arp.sender_mac, mac_, reply)));
@@ -142,7 +132,7 @@ void Host::handle_arp(const ArpMessage& arp) {
 void Host::handle_ipv4(const ParsedFrame& parsed) {
   const bool multicast = net::is_multicast_ip(parsed.ipv4->dst);
   if (!multicast && parsed.ipv4->dst != ip_) {
-    counters().add("rx_wrong_ip");
+    counters().add(Counter::rx_wrong_ip);
     return;
   }
 
@@ -167,17 +157,17 @@ void Host::handle_ipv4(const ParsedFrame& parsed) {
         return;
       }
     }
-    counters().add("tcp_rx_no_connection");
+    counters().add(Counter::tcp_rx_no_connection);
     return;
   }
-  counters().add("rx_ip_other");
+  counters().add(Counter::rx_ip_other);
 }
 
 void Host::deliver_udp(const ParsedFrame& parsed, bool multicast) {
   if (multicast) {
     const auto it = group_handlers_.find(parsed.ipv4->dst);
     if (it == group_handlers_.end()) {
-      counters().add("udp_rx_unjoined_group");
+      counters().add(Counter::udp_rx_unjoined_group);
       return;
     }
     it->second(parsed.ipv4->src, parsed.udp->src_port, parsed.udp->dst_port,
@@ -186,7 +176,7 @@ void Host::deliver_udp(const ParsedFrame& parsed, bool multicast) {
   }
   const auto it = udp_handlers_.find(parsed.udp->dst_port);
   if (it == udp_handlers_.end()) {
-    counters().add("udp_rx_unbound");
+    counters().add(Counter::udp_rx_unbound);
     return;
   }
   it->second(parsed.ipv4->src, parsed.udp->src_port, parsed.udp->dst_port,
@@ -251,7 +241,7 @@ void Host::join_group(Ipv4Address group, UdpHandler handler) {
   send(0, sim::make_frame(net::build_ipv4_frame(
               net::multicast_mac(group), mac_, ip_, group, net::kProtocolIgmp,
               payload, /*ttl=*/1)));
-  counters().add("igmp_joins_sent");
+  counters().add(Counter::igmp_joins_sent);
 }
 
 void Host::leave_group(Ipv4Address group) {
@@ -261,7 +251,7 @@ void Host::leave_group(Ipv4Address group) {
   send(0, sim::make_frame(net::build_ipv4_frame(
               net::multicast_mac(group), mac_, ip_, group, net::kProtocolIgmp,
               payload, /*ttl=*/1)));
-  counters().add("igmp_leaves_sent");
+  counters().add(Counter::igmp_leaves_sent);
 }
 
 void Host::send_udp_multicast(Ipv4Address group, std::uint16_t src_port,
@@ -285,7 +275,7 @@ void Host::send_resolved(Ipv4Address dst, std::vector<std::uint8_t> frame) {
   }
   Pending& p = pending_[dst];
   if (p.frames.size() >= config_.max_pending_frames_per_dst) {
-    counters().add("arp_pending_overflow");
+    counters().add(Counter::arp_pending_overflow);
     p.frames.pop_front();
   }
   p.frames.push_back(std::move(frame));
@@ -301,7 +291,7 @@ void Host::send_resolved(Ipv4Address dst, std::vector<std::uint8_t> frame) {
 
 void Host::send_arp_request(Ipv4Address target) {
   ++arp_requests_sent_;
-  counters().add("arp_requests_sent");
+  counters().add(Counter::arp_requests_sent);
   const ArpMessage req = ArpMessage::request(mac_, ip_, target);
   send(0, sim::make_frame(
               net::build_arp_frame(MacAddress::broadcast(), mac_, req)));
@@ -312,7 +302,7 @@ void Host::arp_retry_tick(Ipv4Address target) {
   if (it == pending_.end()) return;
   Pending& p = it->second;
   if (++p.retries > config_.arp_max_retries) {
-    counters().add("arp_resolution_failed");
+    counters().add(Counter::arp_resolution_failed);
     pending_.erase(it);  // drop queued frames: unreachable destination
     return;
   }
@@ -413,7 +403,7 @@ void Host::flush_pending(Ipv4Address dst, MacAddress mac) {
   const auto it = pending_.find(dst);
   if (it == pending_.end()) return;
   if (it->second.first_request_at >= 0) {
-    counters().add("arp_resolutions");
+    counters().add(Counter::arp_resolutions);
     counters().add(arp_latency_bucket(sim().now() -
                                       it->second.first_request_at));
   }

@@ -14,7 +14,7 @@ void VSwitch::handle_frame(sim::PortId in_port, const sim::FramePtr& frame) {
   ByteReader r(sim::frame_span(frame));
   const net::EthernetHeader eth = net::EthernetHeader::deserialize(r);
   if (!r.ok()) {
-    counters().add("rx_malformed");
+    counters().add(Counter::rx_malformed);
     return;
   }
 
@@ -35,7 +35,7 @@ void VSwitch::handle_frame(sim::PortId in_port, const sim::FramePtr& frame) {
     if (in_port != kUplink) {
       send(kUplink, frame);
     } else {
-      counters().add("drop_unknown_vm");
+      counters().add(Counter::drop_unknown_vm);
     }
     return;
   }

@@ -218,7 +218,7 @@ void LearningSwitch::forward_data(sim::PortId in_port,
   const PortInfo& in = ports_[in_port];
   if (config_.stp_enabled && in.state != PortState::kForwarding &&
       in.state != PortState::kLearning) {
-    counters().add("drop_port_blocked");
+    counters().add(Counter::drop_port_blocked);
     return;
   }
 
@@ -226,7 +226,7 @@ void LearningSwitch::forward_data(sim::PortId in_port,
   ByteReader r(sim::frame_span(frame));
   const net::EthernetHeader eth = net::EthernetHeader::deserialize(r);
   if (!r.ok()) {
-    counters().add("rx_malformed");
+    counters().add(Counter::rx_malformed);
     return;
   }
 
@@ -255,7 +255,7 @@ void LearningSwitch::forward_data(sim::PortId in_port,
   }
 
   if (config_.stp_enabled && in.state != PortState::kForwarding) {
-    counters().add("drop_port_learning");
+    counters().add(Counter::drop_port_learning);
     return;
   }
 
@@ -278,7 +278,7 @@ void LearningSwitch::forward_data(sim::PortId in_port,
 
   // Broadcast, multicast, or unknown unicast: flood.
   ++floods_;
-  counters().add("floods");
+  counters().add(Counter::floods);
   for (sim::PortId p = 0; p < ports_.size(); ++p) {
     if (p == in_port) continue;
     if (config_.stp_enabled && ports_[p].state != PortState::kForwarding) {

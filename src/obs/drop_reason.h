@@ -1,14 +1,15 @@
 // Typed drop reasons: one enum unifying every way the fabric discards a
-// frame, replacing the ad-hoc per-site `counters().add("drop_...")`
-// string keys on the data plane. Each reason maps back to the legacy
-// counter name (drop_reason_counter) so existing tests, benches, and
-// dashboards keep reading the same counters, while the flight recorder
-// and CounterSet::handle caching key off the enum.
+// frame. Each reason maps to one id of the counter table (drop_counter),
+// which a dropping device increments and whose name tests, benches and
+// dashboards read; the flight recorder keys off the enum itself.
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+
+#include "common/stats.h"
 
 namespace portland::obs {
 
@@ -46,27 +47,21 @@ constexpr std::size_t kDropReasonCount =
   return kNames[static_cast<std::size_t>(r)];
 }
 
-/// Legacy CounterSet key each reason increments, preserving the counter
-/// names every existing test and report greps for.
+/// Counter each reason increments: the table declares them in
+/// DropReason order, from rx_malformed. kNone never counts.
+static_assert(static_cast<std::size_t>(Counter::tx_drop_unconnected) -
+                  static_cast<std::size_t>(Counter::rx_malformed) + 1 ==
+              kDropReasonCount - 1);
+[[nodiscard]] constexpr Counter drop_counter(DropReason r) {
+  assert(r != DropReason::kNone && r != DropReason::kCount);
+  return static_cast<Counter>(static_cast<std::size_t>(Counter::rx_malformed) +
+                              static_cast<std::size_t>(r) - 1);
+}
+
+/// Name of the counter each reason increments ("drop_none" for kNone,
+/// which has no counter).
 [[nodiscard]] constexpr const char* drop_reason_counter(DropReason r) {
-  constexpr std::array<const char*, kDropReasonCount> kCounters{
-      "drop_none",  // unused; kNone never counts
-      "rx_malformed",
-      "drop_before_located",
-      "drop_data_on_fabric_port",
-      "drop_bad_host_src",
-      "drop_unknown_local_dst",
-      "drop_no_uplink",
-      "drop_no_downlink",
-      "drop_no_pod_port",
-      "drop_unlocated",
-      "drop_mcast_no_ip",
-      "drop_mcast_no_entry",
-      "drop_link_down",
-      "drop_queue_full",
-      "tx_drop_unconnected",
-  };
-  return kCounters[static_cast<std::size_t>(r)];
+  return r == DropReason::kNone ? "drop_none" : counter_name(drop_counter(r));
 }
 
 }  // namespace portland::obs

@@ -50,7 +50,7 @@ struct ParseSample {
   std::uint64_t rewrite_copies = 0;
 };
 
-/// One device's full CounterSet, flattened.
+/// One device's nonzero counters, in name order.
 struct DeviceSample {
   std::string name;
   std::vector<std::pair<std::string, std::uint64_t>> counters;

@@ -34,12 +34,12 @@ Link* Device::port_link(PortId port) const {
 
 void Device::send(PortId port, const FramePtr& frame) {
   assert(port < ports_.size());
-  ++*tx_frames_;
-  *tx_bytes_ += frame->size();
+  counters_.add(Counter::tx_frames);
+  counters_.add(Counter::tx_bytes, frame->size());
   if (recorder_ != nullptr) trace_on_send(frame);
   Link* link = ports_[port].link;
   if (link == nullptr) {
-    counters_.add("tx_drop_unconnected");
+    counters_.add(Counter::tx_drop_unconnected);
     if (recorder_ != nullptr) {
       record_drop(obs::DropReason::kUnconnectedPort, frame, port);
     }

@@ -95,11 +95,6 @@ class Device {
   /// migration). The port may be re-attached later.
   void detach_link(PortId port);
 
-  /// Cached per-frame counter cells (avoid the string-keyed map lookup on
-  /// every tx/rx; see CounterSet::handle). Used by Link on delivery.
-  [[nodiscard]] std::uint64_t* rx_frames_cell() { return rx_frames_; }
-  [[nodiscard]] std::uint64_t* rx_bytes_cell() { return rx_bytes_; }
-
   // --- flight recorder (nullptr = tracing off, the only hot-path cost) ---
   void set_flight_recorder(obs::FlightRecorder* recorder) {
     recorder_ = recorder;
@@ -144,10 +139,6 @@ class Device {
   obs::ConvergenceMonitor* monitor_ = nullptr;
   std::vector<PortSlot> ports_;
   CounterSet counters_;
-  std::uint64_t* tx_frames_ = counters_.handle("tx_frames");
-  std::uint64_t* tx_bytes_ = counters_.handle("tx_bytes");
-  std::uint64_t* rx_frames_ = counters_.handle("rx_frames");
-  std::uint64_t* rx_bytes_ = counters_.handle("rx_bytes");
 };
 
 }  // namespace portland::sim

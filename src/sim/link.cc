@@ -105,8 +105,8 @@ void Link::deliver(int from_side, std::uint64_t epoch,
   // Frames in flight when the direction failed are lost.
   if (!d.up || d.epoch != epoch) return;
   Device* receiver = end_[side_index(1 - from_side)].device;
-  ++*receiver->rx_frames_cell();
-  *receiver->rx_bytes_cell() += frame->size();
+  receiver->counters().add(Counter::rx_frames);
+  receiver->counters().add(Counter::rx_bytes, frame->size());
   if (tap_ != nullptr && *tap_) (*tap_)(*this, 1 - from_side, frame);
   receiver->handle_frame(end_[side_index(1 - from_side)].port, frame);
 }

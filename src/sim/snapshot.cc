@@ -11,6 +11,7 @@
 // actually came back.
 #include "sim/snapshot.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <utility>
@@ -24,56 +25,34 @@ namespace {
 constexpr std::uint32_t kEngineMagic = 0x534E4150u;  // "SNAP"
 }  // namespace
 
-void save_counters(SnapshotWriter& w, const CounterSet& c) {
-  // Layout: count, key-set fingerprint, byte length of the names block,
-  // the names (sorted), then all values in the same order. Splitting
-  // names from values lets restore skip the names block wholesale when
-  // the live set already holds exactly these keys — the common case for
-  // in-memory forks, where the restoring fabric ran the same code paths
-  // that created the counters in the first place.
-  const auto& all = c.all();
-  w.u32(static_cast<std::uint32_t>(all.size()));
-  w.u64(c.key_fingerprint());
-  std::size_t names_bytes = 0;
-  for (const auto& [name, value] : all) names_bytes += 2 + name.size();
-  w.u32(static_cast<std::uint32_t>(names_bytes));
-  for (const auto& [name, value] : all) w.str(name);
-  for (const auto& [name, value] : all) w.u64(value);
+void save_counters(SnapshotWriter& w, std::span<const std::uint64_t> cells) {
+  assert(cells.size() <= 0xFFFF);
+  const auto nonzero = std::count_if(cells.begin(), cells.end(),
+                                     [](std::uint64_t v) { return v != 0; });
+  w.u16(static_cast<std::uint16_t>(nonzero));
+  for (std::size_t id = 0; id < cells.size(); ++id) {
+    if (cells[id] == 0) continue;
+    w.u16(static_cast<std::uint16_t>(id));
+    w.u64(cells[id]);
+  }
 }
 
-void restore_counters(SnapshotReader& r, CounterSet& c) {
-  const std::uint32_t n = r.u32();
-  const std::uint64_t fingerprint = r.u64();
-  const std::uint32_t names_bytes = r.u32();
-  if (!r.ok()) return;
-  if (n == c.size() && fingerprint == c.key_fingerprint()) {
-    // Same size + same set fingerprint: the live (sorted) keys are the
-    // saved keys, so values map positionally. No name parsing, no reset
-    // pass (every cell is assigned below), no map walk — one flat sweep
-    // over the cached cell pointers.
-    r.skip(names_bytes);
-    const auto raw = r.bytes_view(sizeof(std::uint64_t) * n);
-    if (!r.ok()) return;
-    const auto& cells = c.cells_in_order();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::uint64_t v = 0;
-      std::memcpy(&v, raw.data() + sizeof(std::uint64_t) * i, sizeof(v));
-      *cells[i] = portland::detail::to_net(v);
-    }
+void restore_counters(SnapshotReader& r, std::span<std::uint64_t> cells) {
+  std::fill(cells.begin(), cells.end(), 0);
+  const std::uint16_t n = r.u16();
+  if (n > cells.size()) {
+    r.fail();
     return;
   }
-  // Divergent key sets (fresh fabric, version drift): reset() zeroes
-  // values but keeps keys, so handles cached by hot paths stay valid;
-  // counters absent from the image simply stay zero. Then lockstep-merge
-  // by name. Views into the image stay valid for the whole call.
-  c.reset();
-  CounterSet::RestoreCursor cursor(c);
-  std::vector<std::string_view> names(n);
-  for (std::uint32_t i = 0; i < n; ++i) names[i] = r.str_view();
-  for (std::uint32_t i = 0; i < n; ++i) {
+  for (std::uint16_t i = 0; i < n; ++i) {
+    const std::uint16_t id = r.u16();
     const std::uint64_t value = r.u64();
-    if (!r.ok()) return;
-    cursor.set(names[i], value);
+    if (!r.ok() || id >= cells.size()) {
+      std::fill(cells.begin(), cells.end(), 0);
+      r.fail();
+      return;
+    }
+    cells[id] = value;
   }
 }
 

@@ -16,7 +16,9 @@
 // shots (the owning Timer re-arms its retained callback), train entries
 // (the owning Link re-anchors its deque), or *data events*
 // (sim::DataEventOwner), and anything else makes save refuse rather than
-// silently drop state.
+// silently drop state. Counter arrays (a CounterSet's cells, the control
+// plane's per-type counts) go through save_counters/restore_counters:
+// the nonzero cells as (id, value) pairs, bounds-checked on restore.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,6 @@
 #include <vector>
 
 #include "common/byte_io.h"
-#include "common/stats.h"
 #include "sim/frame.h"
 
 namespace portland::sim {
@@ -152,6 +153,9 @@ class SnapshotReader {
 
   void skip(std::size_t n) { r_.skip(n); }
 
+  /// Latches the failed state (a section rejected by its own checks).
+  void fail() { r_.fail(); }
+
   /// Consumes `n` bytes, returning them as a view for out-of-line
   /// (sub-reader / random-access) parsing. Empty + failed on underflow.
   [[nodiscard]] std::span<const std::uint8_t> bytes_view(std::size_t n) {
@@ -178,11 +182,13 @@ struct Snapshotable {
   virtual void restore_state(SnapshotReader& r) = 0;
 };
 
-/// Writes all counters as sorted (name, value) pairs.
-void save_counters(SnapshotWriter& w, const CounterSet& c);
+/// Writes a dense counter array (a CounterSet's cells, or any per-id
+/// count array) sparsely: u16 count, then (u16 id, u64 value) for each
+/// nonzero cell.
+void save_counters(SnapshotWriter& w, std::span<const std::uint64_t> cells);
 
-/// Zeroes existing counters (keys — and therefore cached handles — stay
-/// valid) and applies the saved pairs.
-void restore_counters(SnapshotReader& r, CounterSet& c);
+/// Zeroes `cells` and assigns the saved ones. A count or id beyond
+/// `cells` fails the reader and leaves every cell zero.
+void restore_counters(SnapshotReader& r, std::span<std::uint64_t> cells);
 
 }  // namespace portland::sim

@@ -1,6 +1,10 @@
 // Unit tests for the common substrate: byte I/O, addresses, RNG, stats.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <string_view>
+
 #include "common/byte_io.h"
 #include "common/histogram.h"
 #include "common/ipv4_address.h"
@@ -9,6 +13,7 @@
 #include "common/stats.h"
 #include "common/strings.h"
 #include "common/units.h"
+#include "obs/drop_reason.h"
 
 namespace portland {
 namespace {
@@ -190,10 +195,91 @@ TEST(Percentile, Basics) {
 
 TEST(CounterSet, AddAndGet) {
   CounterSet c;
-  c.add("x");
-  c.add("x", 4);
-  EXPECT_EQ(c.get("x"), 5u);
+  c.add(Counter::floods);
+  c.add(Counter::floods, 4);
+  EXPECT_EQ(c.get(Counter::floods), 5u);
+  EXPECT_EQ(c.get("floods"), 5u);
+  EXPECT_EQ(c.get(Counter::rx_frames), 0u);
   EXPECT_EQ(c.get("missing"), 0u);
+
+  CounterSet d;
+  d.add(Counter::floods, 2);
+  d.add(Counter::rx_bytes, 7);
+  c += d;
+  EXPECT_EQ(c.get(Counter::floods), 7u);
+  EXPECT_EQ(c.get(Counter::rx_bytes), 7u);
+  EXPECT_FALSE(c == d);
+
+  c.reset();
+  EXPECT_TRUE(c == CounterSet{});
+}
+
+// Counter names are public surface: tests, benches, reports and metrics
+// read them, so the table must stay unique, resolvable, and spelled as
+// before.
+TEST(CounterSet, NameTableIsPinned) {
+  std::set<std::string_view> names;
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    const auto id = static_cast<Counter>(i);
+    const std::string_view name = counter_name(id);
+    EXPECT_FALSE(name.empty()) << i;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+    CounterSet c;
+    c.add(id, i + 1);
+    EXPECT_EQ(c.get(name), i + 1) << name;
+    EXPECT_EQ(c.get(std::string(name)), i + 1) << name;
+  }
+
+  constexpr const char* kDropCounters[] = {
+      "drop_none",           "rx_malformed",
+      "drop_before_located", "drop_data_on_fabric_port",
+      "drop_bad_host_src",   "drop_unknown_local_dst",
+      "drop_no_uplink",      "drop_no_downlink",
+      "drop_no_pod_port",    "drop_unlocated",
+      "drop_mcast_no_ip",    "drop_mcast_no_entry",
+      "drop_link_down",      "drop_queue_full",
+      "tx_drop_unconnected",
+  };
+  static_assert(std::size(kDropCounters) == obs::kDropReasonCount);
+  for (std::size_t r = 0; r < obs::kDropReasonCount; ++r) {
+    const auto reason = static_cast<obs::DropReason>(r);
+    EXPECT_STREQ(obs::drop_reason_counter(reason), kDropCounters[r]);
+    if (r == 0) continue;  // kNone counts nothing
+    CounterSet c;
+    c.add(obs::drop_counter(reason));
+    EXPECT_EQ(c.get(kDropCounters[r]), 1u) << kDropCounters[r];
+  }
+  // Both are drop reasons and plain counters, each a single cell.
+  EXPECT_EQ(obs::drop_counter(obs::DropReason::kMalformed),
+            Counter::rx_malformed);
+  EXPECT_EQ(obs::drop_counter(obs::DropReason::kUnconnectedPort),
+            Counter::tx_drop_unconnected);
+
+  constexpr const char* kArpBuckets[] = {
+      "arp_latency_us_le_1",     "arp_latency_us_le_2",
+      "arp_latency_us_le_4",     "arp_latency_us_le_8",
+      "arp_latency_us_le_16",    "arp_latency_us_le_32",
+      "arp_latency_us_le_64",    "arp_latency_us_le_128",
+      "arp_latency_us_le_256",   "arp_latency_us_le_512",
+      "arp_latency_us_le_1024",  "arp_latency_us_le_2048",
+      "arp_latency_us_le_4096",  "arp_latency_us_le_8192",
+      "arp_latency_us_le_16384", "arp_latency_us_le_32768",
+      "arp_latency_us_over",
+  };
+  static_assert(std::size(kArpBuckets) == kArpLatencyBuckets);
+  for (std::size_t b = 0; b < kArpLatencyBuckets; ++b) {
+    EXPECT_STREQ(counter_name(arp_latency_counter(b)), kArpBuckets[b]);
+  }
+
+  // Unknown names read zero, even from a set with every cell counted.
+  CounterSet all;
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    all.add(static_cast<Counter>(i));
+  }
+  for (const char* unknown : {"", "missing", "a", "zzz", "tx_frame",
+                              "tx_framesx", "arp_latency_us_le_3"}) {
+    EXPECT_EQ(all.get(unknown), 0u) << unknown;
+  }
 }
 
 TEST(Histogram, CdfMonotone) {
@@ -249,22 +335,6 @@ TEST(Stats, AccumulatorEdgeCases) {
   a.reset();
   EXPECT_EQ(a.count(), 0u);
   EXPECT_DOUBLE_EQ(a.max(), 0.0);
-}
-
-TEST(Stats, CounterHandleSurvivesResetAndGrowth) {
-  CounterSet c;
-  std::uint64_t* cell = c.handle("hot");
-  ++*cell;
-  EXPECT_EQ(c.get("hot"), 1u);
-  // Map growth must not invalidate the handle (node-based storage).
-  for (int i = 0; i < 100; ++i) c.add("other_" + std::to_string(i));
-  ++*cell;
-  EXPECT_EQ(c.get("hot"), 2u);
-  // reset() zeroes in place; the handle still points at the live cell.
-  c.reset();
-  EXPECT_EQ(c.get("hot"), 0u);
-  ++*cell;
-  EXPECT_EQ(c.get("hot"), 1u);
 }
 
 TEST(Histogram, EmptyCdfIsZero) {

@@ -191,17 +191,15 @@ TEST(Fabric, BroadcastDeliversExactlyOnceToEveryHost) {
   auto broadcast_rx = [](const host::Host& h) {
     return h.counters().get("rx_frames") - h.counters().get("rx_ignored");
   };
-  std::map<std::string, std::uint64_t> rx_before;
-  for (host::Host* h : fabric->hosts()) {
-    rx_before[h->name()] = broadcast_rx(*h);
-  }
+  std::map<const host::Host*, std::uint64_t> rx_before;
+  for (host::Host* h : fabric->hosts()) rx_before[h] = broadcast_rx(*h);
   // One ARP request for a nonexistent IP: FM miss -> loop-free broadcast.
   a.send_udp(Ipv4Address(10, 200, 0, 1), 1, 2, {0});
   fabric->sim().run_until(fabric->sim().now() + millis(100));
 
   for (host::Host* h : fabric->hosts()) {
     if (h == &a) continue;
-    EXPECT_EQ(broadcast_rx(*h) - rx_before[h->name()], 1u) << h->name();
+    EXPECT_EQ(broadcast_rx(*h) - rx_before[h], 1u) << h->name();
   }
 }
 

@@ -465,18 +465,28 @@ TEST(FabricManager, SnapshotRedistributesAcrossShardCounts) {
         {MacAddress::from_u64(0x000000020000ull + i),
          MacAddress::from_u64(0x020000000000ull + i), 7, 0});
   }
+  // Per-shard counters: 24 hits spread over the shards, plus one miss.
+  for (std::uint32_t i = 0; i <= 24; ++i) {
+    fm_a.handle_message({1, ArpQuery{i, Ipv4Address(10, 0, 1, i)}});
+  }
   std::vector<std::uint8_t> image;
   sim::SnapshotWriter w(image);
   fm_a.save_state(w);
 
   // Restoring a 4-shard image into a single-shard FM re-homes every
-  // record under the new shard count.
+  // record, and folds every shard's counters, under the new shard count.
+  // Counts the target had before the restore do not survive it.
   sim::Simulator sim_b;
   ControlPlane control_b(sim_b, micros(10));
   FabricManager fm_b(sim_b, control_b, PortlandConfig{});
+  fm_b.handle_message({1, ArpQuery{99, Ipv4Address(10, 9, 9, 9)}});
   sim::SnapshotReader r(image);
   fm_b.restore_state(r);
   EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(fm_b.counters() == fm_a.counters());
+  EXPECT_EQ(fm_b.shard_counters(0).get(Counter::arp_queries), 25u);
+  EXPECT_EQ(fm_b.shard_counters(0).get(Counter::arp_hits), 24u);
+  EXPECT_EQ(fm_b.shard_counters(0).get(Counter::arp_misses), 1u);
   EXPECT_EQ(fm_b.host_count(), 24u);
   for (std::uint32_t i = 0; i < 24; ++i) {
     EXPECT_EQ(fm_b.lookup_pmac(Ipv4Address(10, 0, 1, i)),
@@ -497,9 +507,13 @@ TEST(ControlPlane, CountsPerTypeAndBytes) {
 
   EXPECT_EQ(received, 2);
   EXPECT_EQ(cp.messages_sent(), 3u);
-  EXPECT_EQ(cp.counters().get("arp_query"), 2u);
-  EXPECT_GT(cp.counters().get("arp_query_bytes"), 0u);
-  EXPECT_EQ(cp.counters().get("undeliverable"), 1u);
+  EXPECT_EQ(cp.messages_of("arp_query"), 2u);
+  EXPECT_GT(cp.bytes_of("arp_query"), 0u);
+  EXPECT_EQ(cp.messages_of("pod_request"), 1u);
+  EXPECT_EQ(cp.messages_of("no_such_type"), 0u);
+  EXPECT_EQ(cp.bytes_sent(),
+            cp.bytes_of("arp_query") + cp.bytes_of("pod_request"));
+  EXPECT_EQ(cp.undeliverable(), 1u);
 }
 
 TEST(ControlPlane, DeliversAfterLatencyPlusExtraDelay) {

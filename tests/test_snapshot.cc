@@ -82,6 +82,59 @@ TEST(Snapshot, ReaderRejectsTruncatedBlobWithoutAllocating) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(Snapshot, CounterSectionRoundTripsNonzeroCells) {
+  CounterSet c;
+  c.add(Counter::rx_frames, 3);
+  c.add(Counter::mcast_trees_unavailable, 0xFFFFFFFFFFull);
+  std::vector<std::uint8_t> buf;
+  sim::SnapshotWriter w(buf);
+  sim::save_counters(w, c.cells());
+  EXPECT_EQ(buf.size(), 2u + 2 * (2 + 8));  // count + two (id, value)
+
+  CounterSet restored;
+  restored.add(Counter::floods, 5);  // stale: restore zeroes it
+  sim::SnapshotReader r(buf);
+  sim::restore_counters(r, restored.cells());
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining_size(), 0u);
+  EXPECT_TRUE(restored == c);
+}
+
+// A corrupt image must be rejected by the section's own bounds, before
+// any allocation or write sized by image data.
+TEST(Snapshot, CorruptCounterSectionIsRejectedWithoutAllocating) {
+  // Returns the bytes left unread.
+  const auto restore_into_dirty = [](const std::vector<std::uint8_t>& buf) {
+    CounterSet c;
+    c.add(Counter::rx_frames, 9);
+    sim::SnapshotReader r(buf);
+    sim::restore_counters(r, c.cells());
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(c == CounterSet{}) << "a rejected section restored cells";
+    return r.remaining_size();
+  };
+  {
+    // Count far past the table (and the image), then one valid pair.
+    std::vector<std::uint8_t> buf;
+    sim::SnapshotWriter w(buf);
+    w.u16(0xFFFF);
+    w.u16(0);
+    w.u64(1);
+    EXPECT_EQ(restore_into_dirty(buf), 2u + 8u);  // rejected on the count
+  }
+  {
+    // A valid pair, then an id past the table.
+    std::vector<std::uint8_t> buf;
+    sim::SnapshotWriter w(buf);
+    w.u16(2);
+    w.u16(static_cast<std::uint16_t>(Counter::floods));
+    w.u64(5);
+    w.u16(static_cast<std::uint16_t>(kCounterCount));
+    w.u64(42);
+    restore_into_dirty(buf);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fabric round trips.
 // ---------------------------------------------------------------------------
@@ -196,7 +249,26 @@ struct RunResult {
   std::uint64_t executed = 0;
   SimTime final_now = 0;
   std::vector<std::uint64_t> received;
+  /// (device name, counters) in construction order.
+  std::vector<std::pair<std::string, CounterSet>> device_counters;
+  CounterSet fm_counters;
+  std::vector<CounterSet> fm_shard_counters;
+  /// Per control type (ControlBody order) messages and bytes, then
+  /// undeliverable and parse errors.
+  std::vector<std::uint64_t> control_counts;
 };
+
+/// "name: a vs b" for every counter that differs; empty when equal.
+std::string counter_diff(const CounterSet& a, const CounterSet& b) {
+  std::string out;
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    const auto id = static_cast<Counter>(i);
+    if (a.get(id) == b.get(id)) continue;
+    out += std::string(counter_name(id)) + ": " + std::to_string(a.get(id)) +
+           " vs " + std::to_string(b.get(id)) + "; ";
+  }
+  return out;
+}
 
 RunResult finish(Scenario& sc) {
   RunResult out;
@@ -210,6 +282,21 @@ RunResult finish(Scenario& sc) {
   out.executed = sc.fabric->sim().executed_events();
   out.final_now = sc.fabric->sim().now();
   for (auto& r : sc.receivers) out.received.push_back(r->packets_received());
+  for (const sim::Device* dev : sc.fabric->network().devices()) {
+    out.device_counters.emplace_back(dev->name(), dev->counters());
+  }
+  const FabricManager& fm = sc.fabric->fabric_manager();
+  out.fm_counters = fm.counters();
+  for (std::size_t s = 0; s < fm.shard_count(); ++s) {
+    out.fm_shard_counters.push_back(fm.shard_counters(s));
+  }
+  const ControlPlane& cp = sc.fabric->control();
+  for (std::size_t t = 0; t < kControlTypeCount; ++t) {
+    out.control_counts.push_back(cp.messages_of(control_type_name(t)));
+    out.control_counts.push_back(cp.bytes_of(control_type_name(t)));
+  }
+  out.control_counts.push_back(cp.undeliverable());
+  out.control_counts.push_back(cp.parse_errors());
   return out;
 }
 
@@ -219,57 +306,83 @@ void expect_same(const RunResult& a, const RunResult& b, const char* label) {
   EXPECT_EQ(a.received, b.received) << label;
   ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
   EXPECT_TRUE(a.trace == b.trace) << label << ": frame traces diverged";
+  ASSERT_EQ(a.device_counters.size(), b.device_counters.size()) << label;
+  for (std::size_t i = 0; i < a.device_counters.size(); ++i) {
+    EXPECT_EQ(counter_diff(a.device_counters[i].second,
+                           b.device_counters[i].second),
+              "")
+        << label << ": counters of " << a.device_counters[i].first;
+  }
+  EXPECT_EQ(counter_diff(a.fm_counters, b.fm_counters), "")
+      << label << ": fabric manager counters";
+  ASSERT_EQ(a.fm_shard_counters.size(), b.fm_shard_counters.size()) << label;
+  for (std::size_t s = 0; s < a.fm_shard_counters.size(); ++s) {
+    EXPECT_EQ(counter_diff(a.fm_shard_counters[s], b.fm_shard_counters[s]),
+              "")
+        << label << ": fabric manager shard " << s;
+  }
+  EXPECT_EQ(a.control_counts, b.control_counts)
+      << label << ": control-plane counts";
 }
 
 TEST(Snapshot, SaveRestoreRoundTripIsInvisible) {
-  // Reference: uninterrupted.
-  auto ref = make_scenario(small_options());
-  run_epilogue(*ref);
-  const RunResult expected = finish(*ref);
-  EXPECT_GT(expected.trace.size(), 1000u);  // the scenario really ran
+  for (const unsigned workers : {0u, 4u}) {
+    const std::string label =
+        "save+restore round trip, workers=" + std::to_string(workers);
+    // Reference: uninterrupted.
+    auto ref = make_scenario(small_options(workers));
+    run_epilogue(*ref);
+    const RunResult expected = finish(*ref);
+    EXPECT_GT(expected.trace.size(), 1000u);  // the scenario really ran
+    EXPECT_GT(expected.fm_counters.get(Counter::fault_notifications), 0u);
 
-  // Round trip: save at t_save, restore immediately, continue.
-  auto rt = make_scenario(small_options());
-  std::vector<std::uint8_t> image;
-  std::string error;
-  const auto extras = rt->extras();
-  ASSERT_TRUE(rt->fabric->save_snapshot(image, extras, &error)) << error;
-  EXPECT_GT(image.size(), 0u);
-  ASSERT_TRUE(rt->fabric->restore_snapshot(image, extras, &error)) << error;
-  run_epilogue(*rt);
-  expect_same(finish(*rt), expected, "save+restore round trip");
+    // Round trip: save at t_save, restore immediately, continue.
+    auto rt = make_scenario(small_options(workers));
+    std::vector<std::uint8_t> image;
+    std::string error;
+    const auto extras = rt->extras();
+    ASSERT_TRUE(rt->fabric->save_snapshot(image, extras, &error)) << error;
+    EXPECT_GT(image.size(), 0u);
+    ASSERT_TRUE(rt->fabric->restore_snapshot(image, extras, &error)) << error;
+    run_epilogue(*rt);
+    expect_same(finish(*rt), expected, label.c_str());
+  }
 }
 
 TEST(Snapshot, ForkRewindReplaysIdentically) {
   // Fork serving: save, explore a *different* what-if (discarded), rewind
   // to the checkpoint, then run the real epilogue. The discarded branch
   // must leave no residue.
-  auto ref = make_scenario(small_options());
-  run_epilogue(*ref);
-  const RunResult expected = finish(*ref);
+  for (const unsigned workers : {0u, 4u}) {
+    const std::string label =
+        "fork + rewind + replay, workers=" + std::to_string(workers);
+    auto ref = make_scenario(small_options(workers));
+    run_epilogue(*ref);
+    const RunResult expected = finish(*ref);
 
-  auto rw = make_scenario(small_options());
-  std::vector<std::uint8_t> image;
-  std::string error;
-  const auto extras = rw->extras();
-  ASSERT_TRUE(rw->fabric->save_snapshot(image, extras, &error)) << error;
+    auto rw = make_scenario(small_options(workers));
+    std::vector<std::uint8_t> image;
+    std::string error;
+    const auto extras = rw->extras();
+    ASSERT_TRUE(rw->fabric->save_snapshot(image, extras, &error)) << error;
 
-  // Discarded branch: crash a different link, run a while.
-  sim::Link* other = rw->fabric->fabric_links()[9];
-  rw->fabric->failures().fail_link_at(*other, rw->t_save + millis(10));
-  rw->fabric->sim().run_until(rw->t_save + millis(250));
+    // Discarded branch: crash a different link, run a while.
+    sim::Link* other = rw->fabric->fabric_links()[9];
+    rw->fabric->failures().fail_link_at(*other, rw->t_save + millis(10));
+    rw->fabric->sim().run_until(rw->t_save + millis(250));
 
-  // Rewind and run the real epilogue; finish() discards the branch's
-  // trace records along with everything pre-save.
-  ASSERT_TRUE(rw->fabric->restore_snapshot(image, extras, &error)) << error;
-  {
-    std::lock_guard<std::mutex> lock(rw->trace_mutex);
-    std::erase_if(rw->trace, [&](const auto& rec) {
-      return std::get<0>(rec) > rw->t_save;
-    });
+    // Rewind and run the real epilogue; finish() discards the branch's
+    // trace records along with everything pre-save.
+    ASSERT_TRUE(rw->fabric->restore_snapshot(image, extras, &error)) << error;
+    {
+      std::lock_guard<std::mutex> lock(rw->trace_mutex);
+      std::erase_if(rw->trace, [&](const auto& rec) {
+        return std::get<0>(rec) > rw->t_save;
+      });
+    }
+    run_epilogue(*rw);
+    expect_same(finish(*rw), expected, label.c_str());
   }
-  run_epilogue(*rw);
-  expect_same(finish(*rw), expected, "fork + rewind + replay");
 }
 
 TEST(Snapshot, RestoreIntoFreshFabricReplaysIdentically) {
@@ -277,21 +390,26 @@ TEST(Snapshot, RestoreIntoFreshFabricReplaysIdentically) {
   // restored into an instance that only converged and installed wiring —
   // it never ran the warm phase, so every divergent bit of state must
   // come from the image.
-  auto src = make_scenario(small_options());
-  std::vector<std::uint8_t> image;
-  std::string error;
-  ASSERT_TRUE(src->fabric->save_snapshot(image, src->extras(), &error))
-      << error;
-  run_epilogue(*src);
-  const RunResult expected = finish(*src);
+  for (const unsigned workers : {0u, 4u}) {
+    const std::string label =
+        "restore into fresh fabric, workers=" + std::to_string(workers);
+    auto src = make_scenario(small_options(workers));
+    std::vector<std::uint8_t> image;
+    std::string error;
+    ASSERT_TRUE(src->fabric->save_snapshot(image, src->extras(), &error))
+        << error;
+    run_epilogue(*src);
+    const RunResult expected = finish(*src);
 
-  auto dst = make_scenario(small_options(), /*warm=*/false);
-  const auto extras = dst->extras();
-  ASSERT_TRUE(dst->fabric->restore_snapshot(image, extras, &error)) << error;
-  dst->t_save = dst->fabric->sim().now();
-  ASSERT_EQ(dst->t_save, src->t_save);  // now comes from the image
-  run_epilogue(*dst);
-  expect_same(finish(*dst), expected, "restore into fresh fabric");
+    auto dst = make_scenario(small_options(workers), /*warm=*/false);
+    const auto extras = dst->extras();
+    ASSERT_TRUE(dst->fabric->restore_snapshot(image, extras, &error))
+        << error;
+    dst->t_save = dst->fabric->sim().now();
+    ASSERT_EQ(dst->t_save, src->t_save);  // now comes from the image
+    run_epilogue(*dst);
+    expect_same(finish(*dst), expected, label.c_str());
+  }
 }
 
 /// Leaves a per-frame fallback delivery pending on a host uplink at the
@@ -427,8 +545,8 @@ TEST(Snapshot, RestoreRejectsMismatchedFabric) {
   // An image from another format version (big-endian word after the
   // magic) is refused by the header check, before any state is touched.
   std::vector<std::uint8_t> old_version = image;
-  ASSERT_EQ(old_version[7], 4);
-  old_version[7] = 3;
+  ASSERT_EQ(old_version[7], 5);
+  old_version[7] = 4;
   EXPECT_FALSE(target.restore_snapshot(old_version, &error));
   EXPECT_NE(error.find("version mismatch"), std::string::npos) << error;
   // The same image with its own version word restores into that fabric.

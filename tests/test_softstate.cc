@@ -118,7 +118,7 @@ TEST(FmFailover, StalePrunesFlushedByNewIncarnation) {
   for (const PortlandSwitch* sw : fabric->switches()) {
     EXPECT_EQ(sw->prune_entry_count(), 0u) << sw->name();
   }
-  EXPECT_GE(fabric->control().counters().get("prune_update"), 1u);
+  EXPECT_GE(fabric->control().messages_of("prune_update"), 1u);
 }
 
 TEST(FmFailover, MulticastTreeRebuilt) {
