@@ -137,10 +137,8 @@ void run(const Args& args) {
       g_alloc_bytes.load(std::memory_order_relaxed);
   const std::uint64_t hop_rx0 = switch_counter_sum(*fabric, "rx_frames");
   const net::ParseStats parse0 = net::parse_stats();
-  std::uint64_t fc_hits0 = 0, fc_misses0 = 0, fib_rebuilds0 = 0;
+  std::uint64_t fib_rebuilds0 = 0;
   for (const core::PortlandSwitch* sw : fabric->switches()) {
-    fc_hits0 += sw->flow_cache_hits();
-    fc_misses0 += sw->flow_cache_misses();
     fib_rebuilds0 += sw->fib_rebuilds();
   }
   const auto wall0 = std::chrono::steady_clock::now();
@@ -158,14 +156,10 @@ void run(const Args& args) {
   const net::ParseStats& parse1 = net::parse_stats();
   const std::uint64_t parses = parse1.parse_calls - parse0.parse_calls;
   const std::uint64_t meta_hits = parse1.meta_hits - parse0.meta_hits;
-  std::uint64_t fc_hits = 0, fc_misses = 0, fib_rebuilds = 0;
+  std::uint64_t fib_rebuilds = 0;
   for (const core::PortlandSwitch* sw : fabric->switches()) {
-    fc_hits += sw->flow_cache_hits();
-    fc_misses += sw->flow_cache_misses();
     fib_rebuilds += sw->fib_rebuilds();
   }
-  fc_hits -= fc_hits0;
-  fc_misses -= fc_misses0;
   fib_rebuilds -= fib_rebuilds0;
   const double wall_s =
       std::chrono::duration<double>(wall1 - wall0).count();
@@ -195,11 +189,6 @@ void run(const Args& args) {
   std::printf("parse calls/frame     : %.3f (meta hits/frame %.3f)\n",
               static_cast<double>(parses) / static_cast<double>(frames),
               static_cast<double>(meta_hits) / static_cast<double>(frames));
-  std::printf("flow-cache hit rate   : %.4f (%llu hits, %llu misses)\n",
-              static_cast<double>(fc_hits) /
-                  static_cast<double>(fc_hits + fc_misses),
-              static_cast<unsigned long long>(fc_hits),
-              static_cast<unsigned long long>(fc_misses));
   std::printf("FIB rebuilds          : %llu (in measured window)\n",
               static_cast<unsigned long long>(fib_rebuilds));
 
@@ -225,8 +214,6 @@ void run(const Args& args) {
                  "  \"events_per_frame\": %.3f,\n"
                  "  \"parse_calls_per_frame\": %.4f,\n"
                  "  \"meta_hits_per_frame\": %.4f,\n"
-                 "  \"flow_cache_hits\": %llu,\n"
-                 "  \"flow_cache_misses\": %llu,\n"
                  "  \"fib_rebuilds\": %llu,\n"
                  "  \"rss_bytes\": %zu,\n"
                  "  \"peak_rss_bytes\": %zu\n"
@@ -238,8 +225,6 @@ void run(const Args& args) {
                  events_per_frame,
                  static_cast<double>(parses) / static_cast<double>(frames),
                  static_cast<double>(meta_hits) / static_cast<double>(frames),
-                 static_cast<unsigned long long>(fc_hits),
-                 static_cast<unsigned long long>(fc_misses),
                  static_cast<unsigned long long>(fib_rebuilds),
                  mem.rss_bytes, mem.peak_rss_bytes);
     std::fclose(f);

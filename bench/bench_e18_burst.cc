@@ -157,7 +157,7 @@ Workload make_workload(const Args& args, int k,
           /*payload_bytes=*/64, args.burst, phase, /*record=*/false));
     }
   }
-  // Warm-up: ARP resolution, flow-cache fill, a few full burst periods.
+  // Warm-up: ARP resolution, FIB builds, a few full burst periods.
   // Delivered counting starts after this.
   const SimDuration warm =
       std::max<SimDuration>(millis(2), 4 * args.interval);

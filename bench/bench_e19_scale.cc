@@ -5,7 +5,7 @@
 //   * startup-to-converged wall-clock (LDP discovery + the boot-time
 //     gratuitous-ARP storm that fills the fabric manager's registry),
 //   * counted forwarding-table bytes per switch component (host tables,
-//     FIB, flow cache, prunes, multicast, misc) via
+//     FIB, prunes, multicast, misc) via
 //     PortlandFabric::total_table_bytes(),
 //   * arena reservation and process-RSS delta across the build,
 //   * bytes per host (counted table bytes / hosts — the deterministic
@@ -144,11 +144,10 @@ Row run_one(const Args& args, int k) {
   std::printf("construct wall        : %.3f s\n", row.construct_s);
   std::printf("converge wall         : %.3f s (%s)\n", row.converge_s,
               row.converged ? "converged" : "DID NOT CONVERGE");
-  std::printf("table bytes           : %zu (host %zu, fib %zu, flow %zu, "
-              "prune %zu, mcast %zu, other %zu)\n",
+  std::printf("table bytes           : %zu (host %zu, fib %zu, prune %zu, "
+              "mcast %zu, other %zu)\n",
               row.tables.total(), row.tables.host_table, row.tables.fib,
-              row.tables.flow_cache, row.tables.prunes, row.tables.multicast,
-              row.tables.other);
+              row.tables.prunes, row.tables.multicast, row.tables.other);
   std::printf("table bytes/host      : %.1f\n", row.table_bytes_per_host);
   std::printf("arena reserved        : %zu\n", row.arena_reserved);
   std::printf("rss delta             : %lld (%.1f/host)\n", row.rss_delta,
@@ -209,7 +208,7 @@ void run(const Args& args) {
           "\"switches\": %zu, \"converged\": %s, "
           "\"construct_seconds\": %.3f, \"converge_seconds\": %.3f, "
           "\"table_bytes\": %zu, \"host_table_bytes\": %zu, "
-          "\"fib_bytes\": %zu, \"flow_cache_bytes\": %zu, "
+          "\"fib_bytes\": %zu, "
           "\"prune_bytes\": %zu, \"multicast_bytes\": %zu, "
           "\"other_bytes\": %zu, \"arena_reserved_bytes\": %zu, "
           "\"rss_delta_bytes\": %lld, \"table_bytes_per_host\": %.1f, "
@@ -217,8 +216,8 @@ void run(const Args& args) {
           i == 0 ? "" : ",", r.k, r.hosts,
           r.switches, r.converged ? "true" : "false", r.construct_s,
           r.converge_s, r.tables.total(), r.tables.host_table, r.tables.fib,
-          r.tables.flow_cache, r.tables.prunes, r.tables.multicast,
-          r.tables.other, r.arena_reserved, r.rss_delta,
+          r.tables.prunes, r.tables.multicast, r.tables.other,
+          r.arena_reserved, r.rss_delta,
           r.table_bytes_per_host, r.rss_per_host, r.frames_per_sec);
       arr += buf;
     }

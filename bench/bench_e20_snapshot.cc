@@ -1,12 +1,12 @@
 // E20 — checkpoint/fork what-if serving.
 //
 // The question this bench answers: once a fabric is warm (discovery
-// done, FM registry full, ARP caches and flow caches populated by real
+// done, FM registry full, ARP caches and FIBs populated by real
 // traffic), how much cheaper is answering a what-if query by forking
 // the warm image than by re-building that state from cold?
 //
 // Scenario: converge, then run a random permutation of UDP flows for a
-// warmup period so host ARP caches, switch flow caches, and the proxy
+// warmup period so host ARP caches, switch FIBs, and the proxy
 // path all hold live state. The snapshot captures the fabric *and* the
 // flows mid-flight (apps ride along as snapshot extras). A what-if
 // query kills 3 random fabric links and runs a short reaction window;

@@ -88,15 +88,6 @@ struct PortlandConfig {
   /// why the paper hashes flows).
   enum class EcmpMode { kFlowHash, kPacketSpray };
   EcmpMode ecmp_mode = EcmpMode::kFlowHash;
-
-  // --- forwarding state (E19 scale work) ---
-  // Switch tables are flat PMAC-prefix tables: a contiguous host table
-  // with sorted indexes, a flat pruned-route FIB, and a fixed
-  // open-addressed flow cache.
-  /// Flow-cache capacity per switch (rounded up to a power of two;
-  /// allocated lazily, so core switches that never route upward pay
-  /// nothing).
-  std::size_t flow_cache_entries = 4096;
 };
 
 }  // namespace portland::core

@@ -306,7 +306,6 @@ PortlandSwitch::TableBytes PortlandFabric::total_table_bytes() const {
     const PortlandSwitch::TableBytes b = sw->table_bytes();
     total.host_table += b.host_table;
     total.fib += b.fib;
-    total.flow_cache += b.flow_cache;
     total.prunes += b.prunes;
     total.multicast += b.multicast;
     total.other += b.other;
@@ -317,7 +316,7 @@ PortlandSwitch::TableBytes PortlandFabric::total_table_bytes() const {
 namespace {
 /// Image header magic: "PLFS" (PortLand Fabric Snapshot).
 constexpr std::uint32_t kSnapshotMagic = 0x504C4653;
-constexpr std::uint32_t kSnapshotVersion = 5;
+constexpr std::uint32_t kSnapshotVersion = 6;
 }  // namespace
 
 bool PortlandFabric::save_snapshot(std::vector<std::uint8_t>& out,
@@ -461,7 +460,6 @@ void PortlandFabric::snapshot_metrics(obs::MetricsRegistry& registry) {
   snap.memory.switch_table_bytes = tables.total();
   snap.memory.host_table_bytes = tables.host_table;
   snap.memory.fib_bytes = tables.fib;
-  snap.memory.flow_cache_bytes = tables.flow_cache;
   snap.memory.arena_bytes = net_.arena().bytes_reserved();
   snap.memory.rss_bytes = current_rss_bytes();
 

@@ -46,9 +46,6 @@ PortlandSwitch::PortlandSwitch(sim::Simulator& sim, std::string name,
   // An edge's hosts hang off its down ports (at most half the radix);
   // the hint is applied lazily, so non-edge switches never allocate.
   host_table_.reserve(std::max<std::size_t>(1, num_ports / 2));
-  std::size_t slots = 16;
-  while (slots < config_.flow_cache_entries) slots <<= 1;
-  flow_slot_mask_ = slots - 1;  // slot array itself allocates lazily
 }
 
 void PortlandSwitch::drop(obs::DropReason reason, const sim::FramePtr& frame,
@@ -219,7 +216,9 @@ void PortlandSwitch::handle_host_ingress(sim::PortId port,
     forward_multicast(port, /*from_host=*/true, parsed, rewritten);
     return;
   }
-  forward_unicast(port, parsed.eth.dst, parsed, rewritten,
+  // The rewritten frame's parse, not the host's: a migration trap on this
+  // same edge must correct the sender's PMAC, not its AMAC (§3.7).
+  forward_unicast(port, parsed.eth.dst, net::parsed_of(rewritten), rewritten,
                   /*redirect_depth=*/0);
 }
 
@@ -256,7 +255,6 @@ const PortlandSwitch::Fib& PortlandSwitch::fib() const {
 
 void PortlandSwitch::rebuild_fib() const {
   ++fib_rebuilds_;
-  ++fib_.generation;  // retires every flow-cache entry at once
   fib_.ldp_gen = ldp_.topology_generation();
   fib_.prune_gen = prune_generation_;
   fib_.base_up = ldp_.up_ports();
@@ -310,36 +308,9 @@ void PortlandSwitch::rebuild_fib() const {
 }
 
 std::optional<sim::PortId> PortlandSwitch::pick_up_port(
-    const ParsedFrame& parsed, const sim::FramePtr& frame, MacAddress dst,
+    const ParsedFrame& parsed, const sim::FramePtr& frame,
     std::uint16_t dst_pod, std::uint8_t dst_position) const {
   const Fib& fib = this->fib();
-  const bool spray =
-      config_.ecmp_mode == PortlandConfig::EcmpMode::kPacketSpray;
-
-  const FlowCacheKey key{dst.to_u64(), parsed.flow_hash};
-  if (!spray) {
-    // Exact-match flow cache: (dst PMAC, flow hash) -> egress port. An
-    // entry is live only for the FIB generation it was computed against,
-    // so topology or prune churn invalidates everything implicitly.
-    if (!flow_slots_.empty()) {
-      std::size_t idx = FlowCacheKeyHash{}(key) & flow_slot_mask_;
-      for (std::size_t i = 0; i < kFlowProbeWindow;
-           ++i, idx = (idx + 1) & flow_slot_mask_) {
-        const FlowSlot& slot = flow_slots_[idx];
-        if (slot.generation == fib.generation && slot.dst == key.dst &&
-            slot.flow_hash == key.flow_hash) {
-          ++flow_cache_hits_;
-          if (flight_recorder() != nullptr) {
-            record_hop(obs::HopEvent::kFlowCacheHit, frame, slot.port,
-                       fib.generation);
-          }
-          return slot.port;
-        }
-      }
-    }
-    ++flow_cache_misses_;
-  }
-
   const std::vector<sim::PortId>* candidates = &fib.base_up;
   if (!fib.pruned_up.empty()) {
     // Fine (pod, position) entry first, then the pod-wide coarse entry —
@@ -360,35 +331,15 @@ std::optional<sim::PortId> PortlandSwitch::pick_up_port(
   }
   if (candidates->empty()) return std::nullopt;
 
-  if (spray) {
-    // Ablation: per-packet round robin. Best instantaneous balance, but
-    // reorders flows — E11 measures what that does to TCP.
-    const sim::PortId port =
-        (*candidates)[spray_counter_++ % candidates->size()];
-    if (flight_recorder() != nullptr) {
-      record_hop(obs::HopEvent::kEcmpChoice, frame, port,
-                 candidates->size());
-    }
-    return port;
-  }
-  // Flow-level ECMP: all packets of a flow hash to one uplink (§3.5). The
-  // hash was precomputed at parse time.
-  const sim::PortId port =
-      (*candidates)[parsed.flow_hash % candidates->size()];
-  if (flow_slots_.empty()) flow_slots_.assign(flow_slot_mask_ + 1, {});
-  // Prefer an empty or stale slot in the probe window; when all are live,
-  // overwrite the home slot (plain eviction — correctness never depends on
-  // what the cache holds).
-  std::size_t idx = FlowCacheKeyHash{}(key) & flow_slot_mask_;
-  FlowSlot* victim = &flow_slots_[idx];
-  for (std::size_t i = 0; i < kFlowProbeWindow;
-       ++i, idx = (idx + 1) & flow_slot_mask_) {
-    if (flow_slots_[idx].generation != fib.generation) {
-      victim = &flow_slots_[idx];
-      break;
-    }
-  }
-  *victim = FlowSlot{key.dst, key.flow_hash, fib.generation, port};
+  // Flow-level ECMP: all packets of a flow hash to one uplink (§3.5); the
+  // hash was precomputed at parse time. The kPacketSpray ablation instead
+  // round-robins per packet — best instantaneous balance, but it reorders
+  // flows, and E11 measures what that does to TCP.
+  const std::uint64_t pick =
+      config_.ecmp_mode == PortlandConfig::EcmpMode::kPacketSpray
+          ? spray_counter_++
+          : parsed.flow_hash;
+  const sim::PortId port = (*candidates)[pick % candidates->size()];
   if (flight_recorder() != nullptr) {
     record_hop(obs::HopEvent::kEcmpChoice, frame, port, candidates->size());
   }
@@ -425,8 +376,7 @@ void PortlandSwitch::forward_unicast(sim::PortId in_port, MacAddress dst,
         drop(obs::DropReason::kUnknownLocalDst, frame, in_port);
         return;
       }
-      const auto up = pick_up_port(parsed, frame, dst, pmac.pod,
-                                   pmac.position);
+      const auto up = pick_up_port(parsed, frame, pmac.pod, pmac.position);
       if (!up.has_value()) {
         drop(obs::DropReason::kNoUplink, frame, in_port);
         return;
@@ -454,8 +404,7 @@ void PortlandSwitch::forward_unicast(sim::PortId in_port, MacAddress dst,
         drop(obs::DropReason::kNoDownlink, frame, in_port);
         return;
       }
-      const auto up = pick_up_port(parsed, frame, dst, pmac.pod,
-                                   pmac.position);
+      const auto up = pick_up_port(parsed, frame, pmac.pod, pmac.position);
       if (!up.has_value()) {
         drop(obs::DropReason::kNoUplink, frame, in_port);
         return;
@@ -651,7 +600,8 @@ void PortlandSwitch::handle_host_arp(sim::PortId port,
   net::FrameRewrite rw;
   rw.eth_src = host.pmac.to_mac();
   rw.arp_sender_mac = host.pmac.to_mac();
-  forward_unicast(port, parsed.eth.dst, parsed, net::rewrite_frame(frame, rw),
+  const auto rewritten = net::rewrite_frame(frame, rw);
+  forward_unicast(port, parsed.eth.dst, net::parsed_of(rewritten), rewritten,
                   /*redirect_depth=*/0);
 }
 
@@ -1095,12 +1045,10 @@ void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
   }
   w.u64(prune_generation_);
 
-  // Precomputed FIB: logically derived, but a flow-cache hit stamps
-  // fib_.generation into hop records, so it must restore bit-exactly
-  // rather than rebuild (a rebuild would also bump fib_rebuilds_).
+  // Precomputed FIB: logically derived, but restored as saved rather
+  // than rebuilt, since a rebuild would bump fib_rebuilds_.
   w.u64(fib_.ldp_gen);
   w.u64(fib_.prune_gen);
-  w.u64(fib_.generation);
   save_ports(w, fib_.base_up);
   w.u32(static_cast<std::uint32_t>(fib_.pruned_up.size()));
   for (const PrunedRoute& route : fib_.pruned_up) {
@@ -1116,26 +1064,6 @@ void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
     w.u32(static_cast<std::uint32_t>(p));
   }
 
-  // Flow cache, sparse: only slots live for the current
-  // FIB generation behave differently from empty ones (stale and empty
-  // slots are both "miss + preferred victim"), so only they are saved.
-  // The allocated flag is kept so the lazy assign happens at the same
-  // point either way.
-  w.u8(flow_slots_.empty() ? 0 : 1);
-  std::uint32_t live_slots = 0;
-  for (const FlowSlot& slot : flow_slots_) {
-    if (slot.generation == fib_.generation) ++live_slots;
-  }
-  w.u32(live_slots);
-  for (std::size_t i = 0; i < flow_slots_.size(); ++i) {
-    if (flow_slots_[i].generation != fib_.generation) continue;
-    w.u32(static_cast<std::uint32_t>(i));
-    w.u64(flow_slots_[i].dst);
-    w.u64(flow_slots_[i].flow_hash);
-    w.u64(flow_slots_[i].port);
-  }
-  w.u64(flow_cache_hits_);
-  w.u64(flow_cache_misses_);
   w.u64(fib_rebuilds_);
 
   w.u32(static_cast<std::uint32_t>(mcast_ports_.size()));
@@ -1253,7 +1181,6 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
 
   fib_.ldp_gen = r.u64();
   fib_.prune_gen = r.u64();
-  fib_.generation = r.u64();
   restore_ports(r, fib_.base_up);
   fib_.pruned_up.clear();
   const std::uint32_t n_routes = r.u32();
@@ -1275,21 +1202,6 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
     fib_.down_by_pod[i] = static_cast<std::int32_t>(r.u32());
   }
 
-  const bool slots_allocated = r.u8() != 0;
-  flow_slots_.clear();
-  if (slots_allocated) flow_slots_.assign(flow_slot_mask_ + 1, {});
-  const std::uint32_t n_live = r.u32();
-  for (std::uint32_t i = 0; i < n_live && r.ok(); ++i) {
-    const std::uint32_t idx = r.u32();
-    FlowSlot slot;
-    slot.dst = r.u64();
-    slot.flow_hash = r.u64();
-    slot.generation = fib_.generation;
-    slot.port = r.u64();
-    if (idx < flow_slots_.size()) flow_slots_[idx] = slot;
-  }
-  flow_cache_hits_ = r.u64();
-  flow_cache_misses_ = r.u64();
   fib_rebuilds_ = r.u64();
 
   mcast_ports_.clear();
@@ -1357,8 +1269,6 @@ PortlandSwitch::TableBytes PortlandSwitch::table_bytes() const {
           vector_bytes(fib_.down_by_pod);
   b.fib += vector_bytes(fib_.pruned_up);
   for (const PrunedRoute& r : fib_.pruned_up) b.fib += vector_bytes(r.ports);
-
-  b.flow_cache = vector_bytes(flow_slots_);
 
   for (const auto& [key, avoid] : prunes_) {
     b.prunes += sizeof(key) + kTreeNodeOverhead + set_bytes(avoid);

@@ -57,9 +57,9 @@ class PortlandSwitch : public sim::Device {
   void handle_link_status(sim::PortId port, bool up) override;
 
   /// Checkpoint: LDP state, host/redirect/prune/multicast tables, the
-  /// precomputed FIB and flow cache (a cache hit records the FIB
-  /// generation in hop traces, so even derived state restores exactly),
-  /// pending ARP queries with their timers, fault reports, rng.
+  /// precomputed FIB (restored rather than rebuilt, so fib_rebuilds()
+  /// reads the same after a restore), pending ARP queries with their
+  /// timers, fault reports, rng.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotReader& r) override;
 
@@ -87,21 +87,13 @@ class PortlandSwitch : public sim::Device {
   [[nodiscard]] std::size_t forwarding_state_size() const;
 
   // --- fast-path introspection -------------------------------------------
-  /// Exact-match flow-cache performance on the unicast path.
-  [[nodiscard]] std::uint64_t flow_cache_hits() const {
-    return flow_cache_hits_;
-  }
-  [[nodiscard]] std::uint64_t flow_cache_misses() const {
-    return flow_cache_misses_;
-  }
+  /// Always 0: the uplink is picked straight from the FIB, with no flow
+  /// cache in front of it. Kept because perfbench still reads them.
+  [[nodiscard]] std::uint64_t flow_cache_hits() const { return 0; }
+  [[nodiscard]] std::uint64_t flow_cache_misses() const { return 0; }
   /// Times the precomputed FIB was rebuilt (should track topology / prune
   /// events, never packet count).
   [[nodiscard]] std::uint64_t fib_rebuilds() const { return fib_rebuilds_; }
-  /// Current FIB generation; flow-cache entries from older generations are
-  /// dead on arrival.
-  [[nodiscard]] std::uint64_t fib_generation() const {
-    return fib_.generation;
-  }
 
   /// Counted forwarding-state bytes by component (E19): exact vector
   /// footprints, plus estimated allocator footprints for the remaining
@@ -109,12 +101,11 @@ class PortlandSwitch : public sim::Device {
   struct TableBytes {
     std::size_t host_table = 0;
     std::size_t fib = 0;
-    std::size_t flow_cache = 0;
     std::size_t prunes = 0;
     std::size_t multicast = 0;
     std::size_t other = 0;  // vmid/fault vectors, redirects, pending ARPs
     [[nodiscard]] std::size_t total() const {
-      return host_table + fib + flow_cache + prunes + multicast + other;
+      return host_table + fib + prunes + multicast + other;
     }
   };
   [[nodiscard]] TableBytes table_bytes() const;
@@ -173,8 +164,6 @@ class PortlandSwitch : public sim::Device {
     // lookup builds.
     std::uint64_t ldp_gen = 0;
     std::uint64_t prune_gen = 0;
-    /// Bumped at every rebuild; stamps flow-cache entries.
-    std::uint64_t generation = 0;
     /// Live uplinks with no prune applied (the common case).
     std::vector<sim::PortId> base_up;
     /// Per-destination uplink candidate arrays with the avoid sets already
@@ -186,32 +175,6 @@ class PortlandSwitch : public sim::Device {
     /// Core: pod -> down port (-1 = none).
     std::vector<std::int32_t> down_by_pod;
   };
-
-  struct FlowCacheKey {
-    std::uint64_t dst = 0;  // destination PMAC as u64
-    std::uint64_t flow_hash = 0;
-  };
-  struct FlowCacheKeyHash {
-    std::size_t operator()(const FlowCacheKey& k) const {
-      std::uint64_t x = k.dst ^ (k.flow_hash * 0x9E3779B97F4A7C15ull);
-      x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-      x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-      return static_cast<std::size_t>(x ^ (x >> 31));
-    }
-  };
-  /// Flow cache: a fixed open-addressed slot array. A slot is
-  /// live only when its stamp equals the current FIB generation, so both
-  /// "empty" (stamp 0 — generations start at 1) and "stale" need no
-  /// separate bookkeeping and eviction is overwrite. Cache organization
-  /// cannot change forwarding: a hit returns exactly what the miss path
-  /// would recompute for the same FIB generation.
-  struct FlowSlot {
-    std::uint64_t dst = 0;
-    std::uint64_t flow_hash = 0;
-    std::uint64_t generation = 0;
-    sim::PortId port = 0;
-  };
-  static constexpr std::size_t kFlowProbeWindow = 8;
 
   // --- ingress dispatch ---
   void handle_host_ingress(sim::PortId port, const net::ParsedFrame& parsed,
@@ -233,7 +196,7 @@ class PortlandSwitch : public sim::Device {
                              const sim::FramePtr& frame);
   [[nodiscard]] std::optional<sim::PortId> pick_up_port(
       const net::ParsedFrame& parsed, const sim::FramePtr& frame,
-      MacAddress dst, std::uint16_t dst_pod, std::uint8_t dst_position) const;
+      std::uint16_t dst_pod, std::uint8_t dst_position) const;
   [[nodiscard]] std::optional<sim::PortId> designated_up_port() const;
 
   /// Counts a typed drop through its cached counter cell (no string
@@ -308,13 +271,8 @@ class PortlandSwitch : public sim::Device {
   std::map<DstKey, std::set<SwitchId>> prunes_;
   std::uint64_t prune_generation_ = 1;
 
-  // Data-plane fast path (logically derived state, hence mutable). The
-  // flow-cache slot array is allocated on first insert.
+  // Data-plane fast path (logically derived state, hence mutable).
   mutable Fib fib_;
-  mutable std::vector<FlowSlot> flow_slots_;
-  std::size_t flow_slot_mask_ = 0;
-  mutable std::uint64_t flow_cache_hits_ = 0;
-  mutable std::uint64_t flow_cache_misses_ = 0;
   mutable std::uint64_t fib_rebuilds_ = 0;
 
   // Multicast state: per-group port bitmaps (a switch has at most k

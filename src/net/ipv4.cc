@@ -1,27 +1,31 @@
 #include "net/ipv4.h"
 
+#include <array>
+
 #include "net/checksum.h"
 
 namespace portland::net {
 
 void Ipv4Header::serialize(ByteWriter& w) const {
-  std::vector<std::uint8_t> hdr;
-  hdr.reserve(kSize);
-  ByteWriter hw(hdr);
-  hw.u8(0x45);  // version 4, IHL 5
-  hw.u8(dscp);
-  hw.u16(total_length);
-  hw.u16(identification);
-  hw.u16(0);  // flags/fragment offset: never fragmented in this fabric
-  hw.u8(ttl);
-  hw.u8(protocol);
-  hw.u16(0);  // checksum placeholder
-  src.serialize(hw);
-  dst.serialize(hw);
-
-  const std::uint16_t csum = internet_checksum(hdr);
-  hdr[10] = static_cast<std::uint8_t>(csum >> 8);
-  hdr[11] = static_cast<std::uint8_t>(csum);
+  // Built on the stack and checksummed in place: no heap buffer per frame.
+  std::array<std::uint8_t, kSize> hdr{};
+  const auto put16 = [&hdr](std::size_t at, std::uint16_t v) {
+    hdr[at] = static_cast<std::uint8_t>(v >> 8);
+    hdr[at + 1] = static_cast<std::uint8_t>(v);
+  };
+  hdr[0] = 0x45;  // version 4, IHL 5
+  hdr[1] = dscp;
+  put16(2, total_length);
+  put16(4, identification);
+  // Bytes 6-7, flags/fragment offset, stay 0: never fragmented in this
+  // fabric. Bytes 10-11, the checksum, are 0 while it is computed.
+  hdr[8] = ttl;
+  hdr[9] = protocol;
+  put16(12, static_cast<std::uint16_t>(src.value() >> 16));
+  put16(14, static_cast<std::uint16_t>(src.value()));
+  put16(16, static_cast<std::uint16_t>(dst.value() >> 16));
+  put16(18, static_cast<std::uint16_t>(dst.value()));
+  put16(10, internet_checksum(hdr));
   w.bytes(hdr);
 }
 

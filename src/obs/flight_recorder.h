@@ -41,7 +41,6 @@ enum class HopEvent : std::uint8_t {
   kIngressRewrite,  // edge AMAC->PMAC rewrite (§3.2)
   kEgressRewrite,   // edge PMAC->AMAC rewrite back toward the host
   kFibLookup,       // down-path FIB index load chose a port
-  kFlowCacheHit,    // up-path served from the exact-match flow cache
   kEcmpChoice,      // up-path hashed (or sprayed) across ECMP candidates
   kLinkTx,          // admitted to a link queue (detail = queued bytes)
   kDeliver,         // reached a host's protocol stack
@@ -49,10 +48,9 @@ enum class HopEvent : std::uint8_t {
 };
 
 [[nodiscard]] constexpr const char* hop_event_name(HopEvent e) {
-  constexpr std::array<const char*, 9> kNames{
-      "ingress",        "ingress_rewrite", "egress_rewrite",
-      "fib_lookup",     "flow_cache_hit",  "ecmp_choice",
-      "link_tx",        "deliver",         "drop",
+  constexpr std::array<const char*, 8> kNames{
+      "ingress",     "ingress_rewrite", "egress_rewrite", "fib_lookup",
+      "ecmp_choice", "link_tx",         "deliver",        "drop",
   };
   return kNames[static_cast<std::size_t>(e)];
 }

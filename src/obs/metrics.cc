@@ -73,7 +73,6 @@ void append_snapshot_json(std::string* out, const MetricsSnapshot& s) {
   append_u64_field(out, "switch_table_bytes", s.memory.switch_table_bytes);
   append_u64_field(out, "host_table_bytes", s.memory.host_table_bytes);
   append_u64_field(out, "fib_bytes", s.memory.fib_bytes);
-  append_u64_field(out, "flow_cache_bytes", s.memory.flow_cache_bytes);
   append_u64_field(out, "arena_bytes", s.memory.arena_bytes);
   append_u64_field(out, "rss_bytes", s.memory.rss_bytes, false);
   out->append("},");
@@ -185,7 +184,6 @@ std::string MetricsRegistry::render_prometheus() const {
       {"portland_memory_switch_table_bytes", s.memory.switch_table_bytes},
       {"portland_memory_host_table_bytes", s.memory.host_table_bytes},
       {"portland_memory_fib_bytes", s.memory.fib_bytes},
-      {"portland_memory_flow_cache_bytes", s.memory.flow_cache_bytes},
       {"portland_memory_arena_bytes", s.memory.arena_bytes},
       {"portland_memory_rss_bytes", s.memory.rss_bytes},
   };

@@ -63,7 +63,6 @@ struct MemorySample {
   std::uint64_t switch_table_bytes = 0;  // total of the components below
   std::uint64_t host_table_bytes = 0;
   std::uint64_t fib_bytes = 0;
-  std::uint64_t flow_cache_bytes = 0;
   std::uint64_t arena_bytes = 0;  // Network arena reservation
   std::uint64_t rss_bytes = 0;    // VmRSS
 };

@@ -229,6 +229,98 @@ TEST(Fabric, StateScalesWithKNotHosts) {
   }
 }
 
+TEST(Fabric, SwitchTableBytesIndependentOfFlowCount) {
+  // PortLand's forwarding state is O(k) PMAC prefixes per switch, never
+  // O(flows) (§1): once the FIBs are built, 256 concurrent cross-pod
+  // flows leave every switch's table bytes exactly where one flow left
+  // them.
+  constexpr std::size_t kK = 8;
+  constexpr std::size_t kHalf = kK / 2;
+  auto fabric = make_fabric(static_cast<int>(kK));
+  auto run_ms = [&](int ms) {
+    fabric->sim().run_until(fabric->sim().now() + millis(ms));
+  };
+  std::uint64_t received = 0;
+  for (host::Host* h : fabric->hosts()) {
+    h->bind_udp(9, [&received](Ipv4Address, std::uint16_t, std::uint16_t,
+                               std::span<const std::uint8_t>) { ++received; });
+  }
+
+  // Warm-up builds the FIBs. Intra-pod traffic takes each edge up and
+  // each aggregation switch down; pod 0 alone also sends cross-pod, which
+  // reaches every core any up-path from another pod reaches. (Edge and
+  // aggregation index the same flow hash modulo k/2, so those are the k/2
+  // cores core-j-j.)
+  for (std::size_t pod = 0; pod < kK; ++pod) {
+    for (std::size_t e = 0; e < kHalf; ++e) {
+      for (std::size_t i = 0; i < kHalf; ++i) {
+        host::Host& a = fabric->host_at(pod, e, i);
+        const Ipv4Address b = fabric->host_at(pod, (e + 1) % kHalf, i).ip();
+        for (std::uint16_t sp = 0; sp < 8; ++sp) {
+          a.send_udp(b, static_cast<std::uint16_t>(21000 + sp), 9, {0});
+        }
+        if (pod != 0) continue;
+        for (std::size_t other = 1; other < kK; ++other) {
+          const Ipv4Address c = fabric->host_at(other, e, i).ip();
+          for (std::uint16_t sp = 0; sp < 4; ++sp) {
+            a.send_udp(c, static_cast<std::uint16_t>(22000 + sp), 9, {0});
+          }
+        }
+      }
+    }
+  }
+  run_ms(100);
+  for (const PortlandSwitch* sw : fabric->switches()) {
+    if (sw->locator().level == Level::kCore) continue;
+    ASSERT_GT(sw->fib_rebuilds(), 0u) << sw->name();
+  }
+
+  // Flows from each host of pods 1..k-1 to its twin in the next of those
+  // pods (7 -> 1), two or three flows per pair. Their senders learn the
+  // peers' PMACs up front, as proxy ARP would hand them out, so the
+  // measured window carries data frames only.
+  struct Flow {
+    host::Host* src;
+    Ipv4Address dst;
+    std::uint16_t port;
+  };
+  std::vector<Flow> flows;
+  for (std::size_t f = 0; f < 256; ++f) {
+    const std::size_t slot = f % ((kK - 1) * kHalf * kHalf);
+    const std::size_t pod = 1 + slot / (kHalf * kHalf);
+    const std::size_t e = (slot / kHalf) % kHalf;
+    const std::size_t i = slot % kHalf;
+    host::Host& src = fabric->host_at(pod, e, i);
+    const Ipv4Address dst = fabric->host_at(pod % (kK - 1) + 1, e, i).ip();
+    const auto record = fabric->fabric_manager().host(dst);
+    ASSERT_TRUE(record.has_value());
+    src.arp_cache().insert(dst, record->pmac, fabric->sim().now());
+    flows.push_back({&src, dst, static_cast<std::uint16_t>(30000 + f)});
+  }
+  auto drive = [&](std::size_t n) {
+    for (int round = 0; round < 4; ++round) {
+      for (std::size_t f = 0; f < n; ++f) {
+        flows[f].src->send_udp(flows[f].dst, flows[f].port, 9, {0});
+      }
+      run_ms(5);
+    }
+    run_ms(20);
+  };
+
+  drive(1);
+  std::vector<std::size_t> one_flow;
+  for (const PortlandSwitch* sw : fabric->switches()) {
+    one_flow.push_back(sw->table_bytes().total());
+  }
+  const std::uint64_t received_before = received;
+  drive(flows.size());
+  EXPECT_EQ(received - received_before, 4 * flows.size());
+  for (std::size_t s = 0; s < fabric->switches().size(); ++s) {
+    const PortlandSwitch* sw = fabric->switches()[s];
+    EXPECT_EQ(sw->table_bytes().total(), one_flow[s]) << sw->name();
+  }
+}
+
 TEST(Fabric, SkippedHostLeavesPortFree) {
   PortlandFabric::Options options;
   options.k = 4;

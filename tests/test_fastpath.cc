@@ -1,7 +1,7 @@
-// Data-plane fast path regressions: the precomputed FIB and flow cache
-// must never serve stale decisions (a PruneUpdate or neighbor loss landing
-// mid-flow reroutes the very next frame), and the parse-once metadata path
-// must preserve forwarding behavior hop by hop.
+// Data-plane fast path regressions: the precomputed FIB must never serve
+// stale decisions (a PruneUpdate or neighbor loss landing mid-flow
+// reroutes the very next frame), and the parse-once metadata path must
+// preserve forwarding behavior hop by hop.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -98,7 +98,7 @@ TEST(Fastpath, PruneUpdateMidFlowReroutesTheVeryNextFrame) {
   const SimTime prune_at = fx.fabric->sim().now();
   fx.fabric->sim().run_until(prune_at + millis(100));
 
-  // The FIB (and with it every cached flow) was invalidated...
+  // The FIB was invalidated...
   EXPECT_GT(edge.fib_rebuilds(), rebuilds_before);
   // ...the stale uplink carries control traffic only from then on (LDMs
   // are ~10 per 100 ms; the flow would have added ~100)...
@@ -168,14 +168,14 @@ TEST(Fastpath, UpPortAccessorsAreCachedAndStable) {
   EXPECT_EQ(&edge.ldp().down_ports(), &edge.ldp().down_ports());
 }
 
-TEST(Fastpath, PathAuditHoldsWithFlowCacheEnabled) {
+TEST(Fastpath, PathAuditHoldsWithPrunesInstalled) {
   PortlandFabric::Options options;
   options.k = 4;
   options.seed = 35;
   PortlandFabric fabric(options);
   ASSERT_TRUE(fabric.run_until_converged());
 
-  // Several cross-pod flows so multiple cached paths are live at once.
+  // Several cross-pod flows so multiple up-paths are live at once.
   std::vector<std::unique_ptr<host::UdpFlowReceiver>> receivers;
   std::vector<std::unique_ptr<host::UdpFlowSender>> senders;
   std::uint16_t port = 7100;
@@ -194,18 +194,35 @@ TEST(Fastpath, PathAuditHoldsWithFlowCacheEnabled) {
   }
 
   PathAuditor audit(fabric);
-  fabric.sim().run_until(fabric.sim().now() + millis(300));
+  fabric.sim().run_until(fabric.sim().now() + millis(150));
+
+  // Mid-run, every source edge gets a fine (pod, position) prune for its
+  // flow's destination edge, avoiding its first uplink neighbor, so the
+  // rest of the run forwards through the FIB's pruned_up lookup.
+  for (std::size_t pod = 0; pod < 4; ++pod) {
+    PortlandSwitch& edge = fabric.edge_at(pod, 0);
+    const auto nbr = edge.ldp().neighbor(edge.ldp().up_ports().front());
+    ASSERT_TRUE(nbr.has_value());
+    const SwitchLocator dst = fabric.edge_at((pod + 2) % 4, 1).ldp().self();
+    PruneUpdate prune;
+    prune.entries.push_back(
+        PruneEntry{dst.pod, dst.position, nbr->switch_id, /*add=*/true});
+    fabric.control().send(edge.id(), ControlMessage{kFabricManagerId, prune});
+  }
+  const SimTime prune_at = fabric.sim().now();
+  fabric.sim().run_until(prune_at + millis(150));
 
   EXPECT_GT(audit.packets_completed(), 500u);
   EXPECT_TRUE(audit.violations().empty())
       << audit.violations().front();
-
-  // The cache actually served the forwarding decisions being audited.
-  std::uint64_t cache_hits = 0;
-  for (const PortlandSwitch* sw : fabric.switches()) {
-    cache_hits += sw->flow_cache_hits();
+  for (std::size_t pod = 0; pod < 4; ++pod) {
+    EXPECT_EQ(fabric.edge_at(pod, 0).prune_entry_count(), 1u);
+    // The pruned lookup kept every flow delivering to the end.
+    EXPECT_GT(receivers[pod]->last_arrival_time(),
+              fabric.sim().now() - millis(10));
+    EXPECT_LE(receivers[pod]->max_gap(prune_at, fabric.sim().now()),
+              millis(10));
   }
-  EXPECT_GT(cache_hits, 500u);
 }
 
 TEST(Fastpath, SmallFnHeapFallbackStillRuns) {

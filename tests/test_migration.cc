@@ -109,6 +109,46 @@ TEST(Migration, OldEdgeInstallsRedirectAndCorrectsSenders) {
   EXPECT_EQ(old_edge.counters().get("migration_redirects"), redirects_before);
 }
 
+TEST(Migration, SameEdgeSenderGetsGratuitousArp) {
+  // The sender hangs off the migrant's old edge, so the trap fires on the
+  // very frame the edge just rewrote at host ingress. The correcting GARP
+  // must be addressed to the sender's PMAC (routable back down to it), not
+  // to the AMAC it sent with.
+  MigrationFixture fx;
+  host::Host& peer = fx.fabric->host_at(0, 0, 1);
+  host::Host& vm = fx.vm();
+
+  peer.send_udp(vm.ip(), 6000, 6000, {0});
+  fx.fabric->sim().run_until(fx.fabric->sim().now() + millis(50));
+  const auto old_cached =
+      peer.arp_cache().lookup(vm.ip(), fx.fabric->sim().now());
+  ASSERT_TRUE(old_cached.has_value());
+
+  const SimTime start = fx.fabric->sim().now() + millis(10);
+  fx.controller->schedule(fx.plan(start));
+  fx.fabric->sim().run_until(start + millis(400));
+
+  bool got = false;
+  vm.bind_udp(6001, [&](Ipv4Address, std::uint16_t, std::uint16_t,
+                        std::span<const std::uint8_t>) { got = true; });
+  peer.send_udp(vm.ip(), 6001, 6001, {1});
+  fx.fabric->sim().run_until(fx.fabric->sim().now() + millis(100));
+
+  EXPECT_TRUE(got);
+  const auto& old_edge = fx.fabric->edge_at(0, 0);
+  EXPECT_GE(old_edge.counters().get("migration_garps_sent"), 1u);
+  // The GARP came straight back down the old edge's own host port: no
+  // core saw a frame for a pod it cannot reach.
+  for (const PortlandSwitch* sw : fx.fabric->switches()) {
+    EXPECT_EQ(sw->counters().get("drop_no_pod_port"), 0u) << sw->name();
+  }
+  const auto new_cached =
+      peer.arp_cache().lookup(vm.ip(), fx.fabric->sim().now());
+  ASSERT_TRUE(new_cached.has_value());
+  EXPECT_NE(*new_cached, *old_cached);
+  EXPECT_EQ(*new_cached, fx.fabric->fabric_manager().host(vm.ip())->pmac);
+}
+
 TEST(Migration, UdpFlowResumesAfterMigration) {
   MigrationFixture fx;
   host::Host& sender = fx.fabric->host_at(1, 1, 0);

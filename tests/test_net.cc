@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/byte_io.h"
+#include "common/random.h"
 #include "net/arp.h"
 #include "net/checksum.h"
 #include "net/ethernet.h"
@@ -88,6 +89,65 @@ TEST(Checksum, OddLengthHandled) {
   const std::uint8_t data[] = {0xAB};
   // One byte pads as high lane: sum = 0xAB00 -> ~0xAB00.
   EXPECT_EQ(internet_checksum(data), static_cast<std::uint16_t>(~0xAB00));
+}
+
+TEST(Checksum, WordSumMatchesByteAccumulator) {
+  // internet_checksum sums 16-bit words; the incremental accumulator adds
+  // one byte at a time. They must agree on every length, odd ones
+  // included, and on the RFC 1071 example.
+  const auto by_bytes = [](std::span<const std::uint8_t> data) {
+    ChecksumAccumulator acc;
+    acc.add_bytes(data);
+    return acc.finish();
+  };
+  Rng rng(1071);
+  std::vector<std::uint8_t> buf;
+  for (std::size_t len = 0; len <= 1500; ++len) {
+    buf.resize(len);
+    for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next());
+    ASSERT_EQ(internet_checksum(buf), by_bytes(buf)) << "length " << len;
+  }
+  // All-ones words carry on every add.
+  buf.assign(1499, 0xFF);
+  EXPECT_EQ(internet_checksum(buf), by_bytes(buf));
+  const std::uint8_t rfc[] = {0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7};
+  EXPECT_EQ(internet_checksum(rfc), by_bytes(rfc));
+  EXPECT_EQ(internet_checksum(rfc), 0x220D);
+}
+
+TEST(Ipv4, SerializeMatchesFieldByFieldEncoding) {
+  Ipv4Header h;
+  h.dscp = 0x2E;
+  h.total_length = 1428;
+  h.identification = 0xBEEF;
+  h.ttl = 63;
+  h.protocol = kProtocolTcp;
+  h.src = kIpA;
+  h.dst = kIpB;
+  std::vector<std::uint8_t> buf;
+  ByteWriter w(buf);
+  h.serialize(w);
+
+  // The same header written field by field, checksummed by the byte-wise
+  // accumulator.
+  std::vector<std::uint8_t> want;
+  ByteWriter ww(want);
+  ww.u8(0x45);
+  ww.u8(h.dscp);
+  ww.u16(h.total_length);
+  ww.u16(h.identification);
+  ww.u16(0);
+  ww.u8(h.ttl);
+  ww.u8(h.protocol);
+  ww.u16(0);
+  h.src.serialize(ww);
+  h.dst.serialize(ww);
+  ChecksumAccumulator acc;
+  acc.add_bytes(want);
+  const std::uint16_t csum = acc.finish();
+  want[10] = static_cast<std::uint8_t>(csum >> 8);
+  want[11] = static_cast<std::uint8_t>(csum);
+  EXPECT_EQ(buf, want);
 }
 
 TEST(Ipv4, RoundTripAndChecksum) {

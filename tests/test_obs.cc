@@ -310,7 +310,6 @@ TEST(ObsIntegration, FabricTracesRewritesAndDelivery) {
       case HopEvent::kEgressRewrite: saw_egress_rw = true; break;
       case HopEvent::kDeliver: saw_deliver = true; break;
       case HopEvent::kEcmpChoice:
-      case HopEvent::kFlowCacheHit:
       case HopEvent::kFibLookup: saw_path_choice = true; break;
       case HopEvent::kLinkTx: saw_link_tx = true; break;
       default: break;

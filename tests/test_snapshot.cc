@@ -545,8 +545,8 @@ TEST(Snapshot, RestoreRejectsMismatchedFabric) {
   // An image from another format version (big-endian word after the
   // magic) is refused by the header check, before any state is touched.
   std::vector<std::uint8_t> old_version = image;
-  ASSERT_EQ(old_version[7], 5);
-  old_version[7] = 4;
+  ASSERT_EQ(old_version[7], 6);
+  old_version[7] = 5;
   EXPECT_FALSE(target.restore_snapshot(old_version, &error));
   EXPECT_NE(error.find("version mismatch"), std::string::npos) << error;
   // The same image with its own version word restores into that fabric.
