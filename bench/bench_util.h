@@ -73,8 +73,8 @@ struct ProbeFlow {
     cfg.burst = burst;
     cfg.phase = phase;
     sender = std::make_unique<host::UdpFlowSender>(from, cfg);
-    // On a sharded simulator the first transmission must be scheduled on
-    // the sender's shard; with the classic engine the guard is a no-op.
+    // The first transmission must be scheduled on the sender's shard; at
+    // 1 shard (workers=0) every shard id folds to shard 0.
     sim::ShardGuard guard(from.sim(), from.shard());
     sender->start();
   }

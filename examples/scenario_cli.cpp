@@ -95,10 +95,11 @@ void print_usage(std::FILE* to) {
       "                         and report resolutions and the per-shard "
       "query\n"
       "                         spread (0 = off)\n"
-      "  --workers N|auto       parallel engine worker threads (0 = classic "
-      "engine;\n"
+      "  --workers N|auto       engine worker threads (0 = 1 shard on the "
+      "calling\n"
+      "                         thread; N >= 1 = k+1 shards on N threads;\n"
       "                         auto = one per shard, capped at core count,\n"
-      "                         serial on single-core boxes)\n"
+      "                         1 shard on single-core boxes)\n"
       "  --metrics-out PATH     write per-interval metrics snapshots as "
       "JSONL\n"
       "  --metrics-interval-ms T  snapshot period (default 100)\n"
@@ -626,7 +627,7 @@ int main(int argc, char** argv) {
   // options() holds the resolved worker count (auto is resolved in the
   // fabric constructor).
   std::printf("engine: workers=%u (%s)\n", fabric.options().workers,
-              fabric.options().workers == 0 ? "classic" : "parallel");
+              fabric.options().workers == 0 ? "1 shard" : "k+1 shards");
   double converge_wall_ms = 0;
   std::vector<std::uint8_t> image;
   if (!args.snapshot_in.empty()) {

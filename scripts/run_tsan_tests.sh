@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer (-DPORTLAND_SANITIZE=thread) in a
-# separate build directory and soaks the parallel engine under it: the
-# sharded-simulator unit tests, the fabric-level determinism soak, which
+# separate build directory and soaks the parallel engine under it: every
+# simulator unit test (each runs the one windowed engine loop, at one
+# shard or many), the fabric-level determinism soak, which
 # runs the full chaos scenario (failures, repairs, VM migration,
 # multicast) with 4 worker threads, and the per-packet path auditor with
 # every window on the worker pool. Any cross-shard access the
@@ -15,8 +16,8 @@ cmake -S . -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$BUILD" --parallel --target test_sim test_soak test_fabric
 
 echo
-echo "################  test_sim / sharded engine (TSan)  ################"
-"$BUILD/tests/test_sim" --gtest_filter='Sharded.*'
+echo "################  test_sim / windowed engine (TSan)  ################"
+"$BUILD/tests/test_sim"
 
 echo
 echo "################  test_soak / parallel soak (TSan)  ################"

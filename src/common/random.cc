@@ -26,16 +26,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-Rng::Rng(std::uint64_t seed, std::uint64_t stream) {
-  // Fold the stream index through SplitMix64 before seeding so adjacent
-  // streams land far apart in the seed space.
-  std::uint64_t sm = stream;
-  const std::uint64_t offset = splitmix64(sm);
-  std::uint64_t base = seed ^ offset;
-  for (auto& s : s_) s = splitmix64(base);
-  if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
 std::uint64_t Rng::next() {
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
   const std::uint64_t t = s_[1] << 17;

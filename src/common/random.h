@@ -16,12 +16,6 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed);
 
-  /// Independent stream `stream` of the family keyed by `seed`: the same
-  /// (seed, stream) pair always yields the same sequence, and distinct
-  /// streams are decorrelated (used for per-shard RNG in the parallel
-  /// engine — shard s draws from stream s regardless of worker count).
-  Rng(std::uint64_t seed, std::uint64_t stream);
-
   /// Uniform in [0, 2^64).
   [[nodiscard]] std::uint64_t next();
 

@@ -110,7 +110,7 @@ class ControlPlane : public sim::DataEventOwner {
   std::unordered_map<SwitchId, Handler> endpoints_;
   std::unordered_map<SwitchId, sim::ShardId> shard_hints_;
   /// Guards the counts: switches on different shards send concurrently
-  /// during parallel windows. Uncontended in classic mode.
+  /// during parallel windows. Uncontended on a one-shard engine.
   mutable std::mutex mutex_;
   using TypeCounts = std::array<std::uint64_t, kControlTypeCount>;
   /// The count of control type `type`; an empty `type` sums every type.

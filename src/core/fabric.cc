@@ -30,15 +30,15 @@ PortlandFabric::PortlandFabric(Options options)
       net_(options_.seed, {options_.parallel_min_events}),
       injector_(net_) {
   if (options_.workers == Options::kAutoWorkers) {
-    // workers=auto: serial unless the box and the fabric can both feed a
-    // pool (Simulator::resolve_auto_workers); the engine additionally
-    // runs sparse windows inline at runtime, so even a resolved pool
-    // never loses to serial on light phases.
+    // workers=auto: one shard unless the box and the fabric can both
+    // feed a pool (Simulator::resolve_auto_workers); the engine
+    // additionally runs sparse windows inline at runtime, so even a
+    // resolved pool never loses to one thread on light phases.
     options_.workers = sim::Simulator::resolve_auto_workers(
         std::thread::hardware_concurrency(), tree_.shard_count());
   }
   if (options_.workers >= 1) {
-    // Conservative lookahead: no cross-shard effect (frame over an
+    // One shard per pod plus one for cores + FM. Conservative lookahead: no cross-shard effect (frame over an
     // agg<->core or host access link, control-plane message) can land
     // sooner than the smallest of these latencies, so windows this wide
     // are race-free and the merge order is well-defined.
@@ -46,8 +46,7 @@ PortlandFabric::PortlandFabric(Options options)
         std::min({options_.host_link.propagation,
                   options_.fabric_link.propagation,
                   options_.config.control_latency});
-    net_.sim().configure_shards(tree_.shard_count(), lookahead,
-                                options_.seed);
+    net_.sim().configure_shards(tree_.shard_count(), lookahead);
     net_.sim().set_workers(options_.workers);
   }
 
@@ -61,8 +60,9 @@ PortlandFabric::PortlandFabric(Options options)
     // LDP keepalives dominate frame counts but carry no tenant traffic;
     // keep them out of traces so rings hold the interesting hops.
     ro.skip_ethertype = net::to_u16(net::EtherType::kLdp);
-    // Sized for every shard even in classic mode: devices carry their
-    // shard assignment either way, so records always land in range.
+    // Sized for every fabric shard even on a one-shard engine: devices
+    // carry their shard assignment either way, so records always land in
+    // range.
     recorder_ =
         std::make_unique<obs::FlightRecorder>(tree_.shard_count(), ro);
     net_.set_flight_recorder(recorder_.get());
@@ -316,7 +316,7 @@ PortlandSwitch::TableBytes PortlandFabric::total_table_bytes() const {
 namespace {
 /// Image header magic: "PLFS" (PortLand Fabric Snapshot).
 constexpr std::uint32_t kSnapshotMagic = 0x504C4653;
-constexpr std::uint32_t kSnapshotVersion = 6;
+constexpr std::uint32_t kSnapshotVersion = 7;
 }  // namespace
 
 bool PortlandFabric::save_snapshot(std::vector<std::uint8_t>& out,

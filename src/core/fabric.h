@@ -55,16 +55,17 @@ class PortlandFabric {
     /// paper targets general multi-rooted trees, not only pristine fat
     /// trees). With c cores/group the oversubscription ratio is (k/2)/c.
     std::size_t cores_per_group = 0;
-    /// `workers = kAutoWorkers`: pick the engine automatically — serial
-    /// on boxes with fewer than two hardware cores, otherwise one worker
-    /// per shard capped at the core count (Simulator::resolve_auto_workers).
+    /// `workers = kAutoWorkers`: pick the engine automatically — one
+    /// shard on boxes with fewer than two hardware cores, otherwise one
+    /// worker per shard capped at the core count
+    /// (Simulator::resolve_auto_workers).
     static constexpr unsigned kAutoWorkers = ~0u;
-    /// 0 (default): classic single-threaded engine, byte-for-byte the
-    /// behavior every experiment has always had. >= 1: the sharded
-    /// parallel engine — one shard per pod plus one for cores + fabric
-    /// manager — driven by this many worker threads. Any worker count
-    /// schedules the identical event sequence (see Simulator).
-    /// kAutoWorkers resolves per the auto policy above.
+    /// 0 (default): 1 shard (workers=0) — the engine runs as one shard on
+    /// the calling thread, the (time, seq) stream of a serial event loop.
+    /// >= 1: k+1 shards — one per pod plus one for cores + fabric manager
+    /// — driven by this many worker threads. Any worker count schedules
+    /// the identical event sequence (see Simulator). kAutoWorkers resolves
+    /// per the auto policy above.
     unsigned workers = 0;
     /// Pooled-window threshold (Simulator::Options::parallel_min_events);
     /// 0 forces every window through the worker pool.
@@ -184,8 +185,11 @@ class PortlandFabric {
 
   /// Restores a save_snapshot image into this fabric. The fabric must
   /// have been constructed with the same k, seed, shard count, and
-  /// topology options (host/link layout); the worker count may differ —
-  /// the engine schedules the identical event sequence either way. Works
+  /// topology options (host/link layout); any worker count >= 1 may
+  /// restore another's image — the engine schedules the identical event
+  /// sequence either way — while a workers=0 (1 shard) image needs a
+  /// workers=0 fabric. A refused image (false + `error`) leaves the fabric
+  /// fit only for another restore. Works
   /// both for in-memory forks (restore a warmed fabric back to the
   /// checkpoint) and fresh processes (construct the fabric, then restore;
   /// app callbacks installed by extras/hosts must be re-wired by the

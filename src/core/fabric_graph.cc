@@ -523,7 +523,7 @@ void FabricGraph::merge_switch_body(sim::SnapshotReader& r, SwitchId id,
   }
 
   // Port mappings feed port_between / multicast mirrors, not the index.
-  const std::uint32_t n_ports = r.u32();
+  const std::uint32_t n_ports = r.count();
   auto pit = st.port_to_neighbor.begin();
   for (std::uint32_t p = 0; p < n_ports && r.ok(); ++p) {
     const std::uint16_t port = r.u16();
@@ -541,7 +541,7 @@ void FabricGraph::merge_switch_body(sim::SnapshotReader& r, SwitchId id,
   pit = st.port_to_neighbor.erase(pit, st.port_to_neighbor.end());
 
   bool adj_changed = false;
-  const std::uint32_t n_neighbors = r.u32();
+  const std::uint32_t n_neighbors = r.count();
   auto nit = st.neighbor_set.begin();
   for (std::uint32_t p = 0; p < n_neighbors && r.ok(); ++p) {
     const SwitchId nbr = r.u64();
@@ -569,7 +569,7 @@ void FabricGraph::merge_full(sim::SnapshotReader& r, bool& structural,
   // (erase-while-behind, assign-on-match, hint-insert otherwise) restores
   // the graph. Forks restore a warm image over an almost-identical live
   // graph, where this reuses every tree node.
-  const std::uint32_t n_switches = r.u32();
+  const std::uint32_t n_switches = r.count();
   r.skip(kOffsetEntryBytes * n_switches);  // random access not needed here
   (void)r.u32();                           // switch-block length
   auto sit = switches_.begin();
@@ -592,7 +592,7 @@ void FabricGraph::merge_full(sim::SnapshotReader& r, bool& structural,
     structural = true;
   }
 
-  const std::uint32_t n_links = r.u32();
+  const std::uint32_t n_links = r.count();
   auto lit = link_alive_.begin();
   for (std::uint32_t i = 0; i < n_links && r.ok(); ++i) {
     const SwitchId a = r.u64();
@@ -729,7 +729,10 @@ void FabricGraph::restore_state(sim::SnapshotReader& r) {
   }
   if (!merged) {
     sim::SnapshotReader pr(payload);
-    merge_full(pr, structural, adj_dirty);
+    // A later restore trusts the hash to merge selectively, so a payload
+    // that does not match its own hash is corrupt.
+    if (sim::content_hash(payload) != hash) pr.fail();
+    if (pr.ok()) merge_full(pr, structural, adj_dirty);
     if (!pr.ok()) {
       // Propagate the sub-reader's failure to the outer stream so the
       // whole restore reports it (the payload bytes themselves were

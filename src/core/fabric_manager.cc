@@ -465,12 +465,12 @@ void save_port_map(sim::SnapshotWriter& w,
 void restore_port_map(sim::SnapshotReader& r,
                       std::map<SwitchId, std::set<std::uint16_t>>& m) {
   m.clear();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count();
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     const SwitchId id = r.u64();
     std::set<std::uint16_t>& ports =
         m.emplace_hint(m.end(), id, std::set<std::uint16_t>{})->second;
-    const std::uint32_t np = r.u32();
+    const std::uint32_t np = r.count();
     for (std::uint32_t p = 0; p < np && r.ok(); ++p) {
       ports.emplace_hint(ports.end(), r.u16());
     }
@@ -528,7 +528,7 @@ void FabricManager::restore_core_state(sim::SnapshotReader& r) {
   next_pod_ = r.u16();
 
   pod_by_requester_.clear();
-  const std::uint32_t n_pods = r.u32();
+  const std::uint32_t n_pods = r.count();
   pod_by_requester_.reserve(n_pods);
   for (std::uint32_t i = 0; i < n_pods && r.ok(); ++i) {
     const SwitchId id = r.u64();
@@ -536,14 +536,14 @@ void FabricManager::restore_core_state(sim::SnapshotReader& r) {
   }
 
   synced_switches_.clear();
-  const std::uint32_t n_synced = r.u32();
+  const std::uint32_t n_synced = r.count();
   synced_switches_.reserve(n_synced);
   for (std::uint32_t i = 0; i < n_synced && r.ok(); ++i) {
     synced_switches_.push_back(r.u64());
   }
 
   installed_prunes_.clear();
-  const std::uint32_t n_prunes = r.u32();
+  const std::uint32_t n_prunes = r.count();
   for (std::uint32_t i = 0; i < n_prunes && r.ok(); ++i) {
     DstKey key;
     key.pod = r.u16();
@@ -552,12 +552,12 @@ void FabricManager::restore_core_state(sim::SnapshotReader& r) {
         installed_prunes_
             .emplace_hint(installed_prunes_.end(), key, PruneMap{})
             ->second;
-    const std::uint32_t n_sw = r.u32();
+    const std::uint32_t n_sw = r.count();
     for (std::uint32_t s = 0; s < n_sw && r.ok(); ++s) {
       const SwitchId sw = r.u64();
       std::set<SwitchId>& avoid =
           prunes.emplace_hint(prunes.end(), sw, std::set<SwitchId>{})->second;
-      const std::uint32_t n_avoid = r.u32();
+      const std::uint32_t n_avoid = r.count();
       for (std::uint32_t a = 0; a < n_avoid && r.ok(); ++a) {
         avoid.emplace_hint(avoid.end(), r.u64());
       }
@@ -565,19 +565,19 @@ void FabricManager::restore_core_state(sim::SnapshotReader& r) {
   }
 
   groups_.clear();
-  const std::uint32_t n_groups = r.u32();
+  const std::uint32_t n_groups = r.count();
   for (std::uint32_t i = 0; i < n_groups && r.ok(); ++i) {
     const Ipv4Address group(r.u32());
     GroupState& state = groups_[group];
     restore_port_map(r, state.receivers);
-    const std::uint32_t n_senders = r.u32();
+    const std::uint32_t n_senders = r.count();
     for (std::uint32_t s = 0; s < n_senders && r.ok(); ++s) {
       state.senders.insert(r.u64());
     }
   }
 
   installed_trees_.clear();
-  const std::uint32_t n_trees = r.u32();
+  const std::uint32_t n_trees = r.count();
   for (std::uint32_t i = 0; i < n_trees && r.ok(); ++i) {
     const Ipv4Address group(r.u32());
     MulticastTree& tree = installed_trees_[group];
@@ -603,7 +603,7 @@ void FabricManager::restore_registry(sim::SnapshotReader& r) {
   // Entries land in whichever shard owns them under the *current* shard
   // count — a same-config restore reproduces the saved split exactly, a
   // mismatched one redistributes gracefully.
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count();
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     const Ipv4Address ip(r.u32());
     HostRecord rec;
@@ -653,7 +653,7 @@ void FabricManager::restore_state(sim::SnapshotReader& r) {
     s.delta_version = 0;
     s.dirty = false;
   }
-  const std::uint32_t n_shards = r.u32();
+  const std::uint32_t n_shards = r.count();
   const bool same_split = n_shards == shards_.size();
   for (std::uint32_t i = 0; i < n_shards && r.ok(); ++i) {
     restore_registry(r);
@@ -681,7 +681,7 @@ void FabricManager::restore_state(sim::SnapshotReader& r) {
   const bool had_replica = r.u8() != 0;
   for (ReplicaSection& s : replica_) s = ReplicaSection{};
   if (had_replica) {
-    const std::uint32_t n = r.u32();
+    const std::uint32_t n = r.count();
     for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
       const std::uint64_t version = r.u64();
       std::vector<std::uint8_t> image = r.blob();

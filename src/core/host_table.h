@@ -124,7 +124,7 @@ class HostTable {
   }
 
   void restore_state(sim::SnapshotReader& r) {
-    const std::uint32_t n = r.u32();
+    const std::uint32_t n = r.count();
     slots_.clear();
     by_amac_.clear();
     by_pmac_.clear();
@@ -139,8 +139,13 @@ class HostTable {
       e.port = r.u64();
       slots_.push_back(e);
     }
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) by_amac_.push_back(r.u32());
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) by_pmac_.push_back(r.u32());
+    for (Index* idx : {&by_amac_, &by_pmac_}) {
+      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+        const std::uint32_t slot = r.u32();
+        if (slot >= n) r.fail();  // a corrupt image; never index past slots_
+        idx->push_back(slot);
+      }
+    }
   }
 
  private:

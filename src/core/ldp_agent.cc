@@ -498,7 +498,7 @@ void LdpAgent::restore_state(sim::SnapshotReader& r) {
   for (std::uint64_t& word : rng) word = r.u64();
   rng_.set_state(rng);
 
-  const std::uint32_t n_ports = r.u32();
+  const std::uint32_t n_ports = r.count();
   if (n_ports != ports_.size()) return;  // image/topology mismatch
   for (PortState& ps : ports_) {
     if (r.u8() != 0) {
@@ -521,19 +521,19 @@ void LdpAgent::restore_state(sim::SnapshotReader& r) {
   proposed_position_ = r.u8();
   proposal_nonce_ = r.u32();
   proposal_pending_.clear();
-  const std::uint32_t n_pending = r.u32();
+  const std::uint32_t n_pending = r.count();
   for (std::uint32_t i = 0; i < n_pending && r.ok(); ++i) {
     proposal_pending_.insert(r.u64());
   }
   positions_nacked_.clear();
-  const std::uint32_t n_nacked = r.u32();
+  const std::uint32_t n_nacked = r.count();
   for (std::uint32_t i = 0; i < n_nacked && r.ok(); ++i) {
     positions_nacked_.insert(r.u8());
   }
   position_timer_.restore_at(r, [this] { propose_position(); });
 
   position_owners_.clear();
-  const std::uint32_t n_owners = r.u32();
+  const std::uint32_t n_owners = r.count();
   for (std::uint32_t i = 0; i < n_owners && r.ok(); ++i) {
     const std::uint8_t pos = r.u8();
     position_owners_[pos] = r.u64();

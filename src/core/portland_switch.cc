@@ -969,7 +969,7 @@ void save_ports(sim::SnapshotWriter& w, const std::vector<sim::PortId>& v) {
 
 void restore_ports(sim::SnapshotReader& r, std::vector<sim::PortId>& v) {
   v.clear();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count();
   v.reserve(n);
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) v.push_back(r.u64());
 }
@@ -981,9 +981,14 @@ void save_port_set(sim::SnapshotWriter& w, const PortSet& s) {
 
 PortSet restore_port_set(sim::SnapshotReader& r) {
   PortSet s;
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count();
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    s.insert(static_cast<std::size_t>(r.u64()));
+    const std::uint64_t port = r.u64();
+    if (port >= PortSet::kMaxPorts) {
+      r.fail();  // a corrupt image
+      break;
+    }
+    s.insert(static_cast<std::size_t>(port));
   }
   return s;
 }
@@ -1101,20 +1106,20 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
   rng_.set_state(rng);
 
   host_table_.restore_state(r);
-  const std::uint32_t n_vmids = r.u32();
+  const std::uint32_t n_vmids = r.count();
   next_vmid_.assign(n_vmids, 0);
   for (std::uint32_t i = 0; i < n_vmids && r.ok(); ++i) {
     next_vmid_[i] = r.u16();
   }
 
   redirects_.clear();
-  const std::uint32_t n_redirects = r.u32();
+  const std::uint32_t n_redirects = r.count();
   for (std::uint32_t i = 0; i < n_redirects && r.ok(); ++i) {
     const MacAddress old_pmac = MacAddress::from_u64(r.u64());
     Redirect redirect;
     redirect.new_pmac = MacAddress::from_u64(r.u64());
     redirect.ip = Ipv4Address(r.u32());
-    const std::uint32_t n_senders = r.u32();
+    const std::uint32_t n_senders = r.count();
     for (std::uint32_t j = 0; j < n_senders && r.ok(); ++j) {
       redirect.garp_sent_to.insert(MacAddress::from_u64(r.u64()));
     }
@@ -1122,7 +1127,7 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
   }
 
   pending_arps_.clear();
-  const std::uint32_t n_arps = r.u32();
+  const std::uint32_t n_arps = r.count();
   for (std::uint32_t i = 0; i < n_arps && r.ok(); ++i) {
     const std::uint32_t query_id = r.u32();
     PendingArp pending;
@@ -1135,7 +1140,7 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
     pending.timer = std::make_unique<sim::Timer>(sim());
     pending.timer->restore_at(
         r, [this, query_id] { flood_arp_fallback(query_id); });
-    const std::uint32_t n_waiters = r.u32();
+    const std::uint32_t n_waiters = r.count();
     pending.waiters.reserve(n_waiters);
     for (std::uint32_t j = 0; j < n_waiters && r.ok(); ++j) {
       ArpWaiter waiter;
@@ -1156,7 +1161,7 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
   }
   std::sort(pending_by_target_.begin(), pending_by_target_.end());
   arp_negative_.clear();
-  const std::uint32_t n_negative = r.u32();
+  const std::uint32_t n_negative = r.count();
   arp_negative_.reserve(n_negative);
   for (std::uint32_t i = 0; i < n_negative && r.ok(); ++i) {
     NegativeArp e;
@@ -1166,13 +1171,13 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
   }
 
   prunes_.clear();
-  const std::uint32_t n_prunes = r.u32();
+  const std::uint32_t n_prunes = r.count();
   for (std::uint32_t i = 0; i < n_prunes && r.ok(); ++i) {
     DstKey key;
     key.pod = r.u16();
     key.position = r.u8();
     std::set<SwitchId>& avoid = prunes_[key];
-    const std::uint32_t n_avoid = r.u32();
+    const std::uint32_t n_avoid = r.count();
     for (std::uint32_t j = 0; j < n_avoid && r.ok(); ++j) {
       avoid.insert(r.u64());
     }
@@ -1183,7 +1188,7 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
   fib_.prune_gen = r.u64();
   restore_ports(r, fib_.base_up);
   fib_.pruned_up.clear();
-  const std::uint32_t n_routes = r.u32();
+  const std::uint32_t n_routes = r.count();
   fib_.pruned_up.reserve(n_routes);
   for (std::uint32_t i = 0; i < n_routes && r.ok(); ++i) {
     PrunedRoute route;
@@ -1191,12 +1196,12 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
     restore_ports(r, route.ports);
     fib_.pruned_up.push_back(std::move(route));
   }
-  const std::uint32_t n_by_pos = r.u32();
+  const std::uint32_t n_by_pos = r.count();
   fib_.down_by_position.assign(n_by_pos, -1);
   for (std::uint32_t i = 0; i < n_by_pos && r.ok(); ++i) {
     fib_.down_by_position[i] = static_cast<std::int32_t>(r.u32());
   }
-  const std::uint32_t n_by_pod = r.u32();
+  const std::uint32_t n_by_pod = r.count();
   fib_.down_by_pod.assign(n_by_pod, -1);
   for (std::uint32_t i = 0; i < n_by_pod && r.ok(); ++i) {
     fib_.down_by_pod[i] = static_cast<std::int32_t>(r.u32());
@@ -1205,25 +1210,25 @@ void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
   fib_rebuilds_ = r.u64();
 
   mcast_ports_.clear();
-  const std::uint32_t n_mcast = r.u32();
+  const std::uint32_t n_mcast = r.count();
   for (std::uint32_t i = 0; i < n_mcast && r.ok(); ++i) {
     const Ipv4Address group(r.u32());
     mcast_ports_[group] = restore_port_set(r);
   }
   local_members_.clear();
-  const std::uint32_t n_members = r.u32();
+  const std::uint32_t n_members = r.count();
   for (std::uint32_t i = 0; i < n_members && r.ok(); ++i) {
     const Ipv4Address group(r.u32());
     local_members_[group] = restore_port_set(r);
   }
   mcast_sender_reported_.clear();
-  const std::uint32_t n_senders = r.u32();
+  const std::uint32_t n_senders = r.count();
   for (std::uint32_t i = 0; i < n_senders && r.ok(); ++i) {
     mcast_sender_reported_.insert(Ipv4Address(r.u32()));
   }
 
   reported_down_.clear();
-  const std::uint32_t n_faults = r.u32();
+  const std::uint32_t n_faults = r.count();
   reported_down_.reserve(n_faults);
   for (std::uint32_t i = 0; i < n_faults && r.ok(); ++i) {
     PortFault fault;

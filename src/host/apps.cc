@@ -90,7 +90,7 @@ void UdpFlowReceiver::restore_state(sim::SnapshotReader& r) {
   count_ = r.u64();
   last_time_ = r.i64();
   arrivals_.clear();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count();
   arrivals_.reserve(n);
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     Arrival a;

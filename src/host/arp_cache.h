@@ -57,7 +57,7 @@ class ArpCache {
 
   void restore_state(sim::SnapshotReader& r) {
     entries_.clear();
-    const std::uint32_t n = r.u32();
+    const std::uint32_t n = r.count();
     for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
       const Ipv4Address ip(r.u32());
       Entry entry;

@@ -358,13 +358,13 @@ void Host::restore_state(sim::SnapshotReader& r) {
   arp_cache_.restore_state(r);
 
   pending_.clear();
-  const std::uint32_t n_pending = r.u32();
+  const std::uint32_t n_pending = r.count();
   for (std::uint32_t i = 0; i < n_pending && r.ok(); ++i) {
     const Ipv4Address dst(r.u32());
     Pending& p = pending_[dst];
     p.retries = static_cast<int>(r.u32());
     p.first_request_at = r.i64();
-    const std::uint32_t n_frames = r.u32();
+    const std::uint32_t n_frames = r.count();
     for (std::uint32_t j = 0; j < n_frames && r.ok(); ++j) {
       p.frames.push_back(r.blob());
     }
@@ -375,7 +375,7 @@ void Host::restore_state(sim::SnapshotReader& r) {
   next_ephemeral_port_ = r.u16();
   arp_requests_sent_ = r.u64();
 
-  const std::uint32_t n_conns = r.u32();
+  const std::uint32_t n_conns = r.count();
   std::vector<TcpEndpointKey> restored;
   restored.reserve(n_conns);
   for (std::uint32_t i = 0; i < n_conns && r.ok(); ++i) {

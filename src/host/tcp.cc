@@ -506,7 +506,7 @@ void TcpConnection::restore_state(sim::SnapshotReader& r) {
   peer_fin_seen_ = r.u8() != 0;
   peer_fin_seq_ = r.u32();
   ooo_.clear();
-  const std::uint32_t n_ooo = r.u32();
+  const std::uint32_t n_ooo = r.count();
   for (std::uint32_t i = 0; i < n_ooo && r.ok(); ++i) {
     const std::uint32_t seq = r.u32();
     ooo_[seq] = r.blob();

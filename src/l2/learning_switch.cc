@@ -331,7 +331,7 @@ void LearningSwitch::save_state(sim::SnapshotWriter& w) const {
 }
 
 void LearningSwitch::restore_state(sim::SnapshotReader& r) {
-  const std::uint32_t n_ports = r.u32();
+  const std::uint32_t n_ports = r.count();
   if (n_ports != ports_.size()) return;  // image/topology mismatch
   for (PortInfo& pi : ports_) {
     pi.role = static_cast<PortRole>(r.u8());
@@ -359,7 +359,7 @@ void LearningSwitch::restore_state(sim::SnapshotReader& r) {
   }
 
   mac_table_.clear();
-  const std::uint32_t n_macs = r.u32();
+  const std::uint32_t n_macs = r.count();
   mac_table_.reserve(n_macs);
   for (std::uint32_t i = 0; i < n_macs && r.ok(); ++i) {
     const MacAddress mac = MacAddress::from_u64(r.u64());

@@ -160,7 +160,7 @@ void FlightRecorder::save_state(sim::SnapshotWriter& w) const {
 }
 
 void FlightRecorder::restore_state(sim::SnapshotReader& r) {
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count();
   if (n != logs_.size()) return;  // shard-count mismatch; caller validates
   for (ShardLog& log : logs_) {
     log.ring.clear();

@@ -33,24 +33,11 @@ void EngineTracer::window_span(std::uint64_t index, SimTime sim_start,
   push(0, s);
 }
 
-void EngineTracer::dispatch_span(SimTime sim_start, SimTime sim_end,
-                                 std::uint64_t events, double wall_begin_us,
-                                 double wall_end_us) {
-  Span s;
-  s.kind = Span::Kind::kDispatch;
-  s.wall_begin_us = wall_begin_us;
-  s.wall_end_us = wall_end_us;
-  s.sim_start = sim_start;
-  s.sim_end = sim_end;
-  s.a = events;
-  push(0, s);
-}
-
 void EngineTracer::shard_span(std::uint32_t shard, SimTime sim_end,
                               std::uint64_t events, double wall_begin_us,
                               double wall_end_us) {
   Span s;
-  s.kind = Span::Kind::kShard;
+  s.kind = Span::Kind::kDispatch;
   s.shard = shard;
   s.wall_begin_us = wall_begin_us;
   s.wall_end_us = wall_end_us;
@@ -133,20 +120,15 @@ void append_engine_span(std::string* out, const EngineTracer::Span& s) {
   const double dur = s.wall_end_us > s.wall_begin_us
                          ? s.wall_end_us - s.wall_begin_us
                          : 0.0;
-  const int tid = s.kind == EngineTracer::Span::Kind::kShard
-                      ? 1 + static_cast<int>(s.shard)
-                      : 0;
-  const char* name = s.kind == EngineTracer::Span::Kind::kWindow ? "window"
-                     : s.kind == EngineTracer::Span::Kind::kDispatch
-                         ? "dispatch"
-                         : "shard";
+  // Windows belong to the coordinator's lane 0, dispatch spans to lane
+  // 1+shard.
   if (s.kind == EngineTracer::Span::Kind::kWindow) {
     std::snprintf(buf, sizeof(buf),
                   "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
                   "\"dur\":%.3f,\"name\":\"%s\",\"args\":{\"sim_start_ns\":"
                   "%" PRId64 ",\"sim_end_ns\":%" PRId64 ",\"window\":%" PRIu64
                   ",\"mail\":%" PRIu64 "}},\n",
-                  kEnginePid, tid, s.wall_begin_us, dur, name,
+                  kEnginePid, 0, s.wall_begin_us, dur, "window",
                   static_cast<std::int64_t>(s.sim_start),
                   static_cast<std::int64_t>(s.sim_end), s.a, s.b);
   } else {
@@ -155,8 +137,8 @@ void append_engine_span(std::string* out, const EngineTracer::Span& s) {
                   "\"dur\":%.3f,\"name\":\"%s\",\"args\":{\"sim_start_ns\":"
                   "%" PRId64 ",\"sim_end_ns\":%" PRId64 ",\"events\":%" PRIu64
                   "}},\n",
-                  kEnginePid, tid, s.wall_begin_us, dur, name,
-                  static_cast<std::int64_t>(s.sim_start),
+                  kEnginePid, 1 + static_cast<int>(s.shard), s.wall_begin_us,
+                  dur, "dispatch", static_cast<std::int64_t>(s.sim_start),
                   static_cast<std::int64_t>(s.sim_end), s.a);
   }
   out->append(buf);

@@ -1,9 +1,8 @@
 // Engine profiling spans + Chrome trace-event ("Perfetto") JSON export.
 //
 // EngineTracer collects wall-clock spans the Simulator emits while it
-// runs: lookahead-window spans and per-window mailbox merges (parallel
-// engine), chunked dispatch spans (classic engine), and per-shard
-// execution spans. Lane 0 belongs to the coordinating thread; lane 1+s
+// runs: one span per lookahead window (with its mailbox merge) and one
+// dispatch span per shard slice of a window. Lane 0 belongs to the coordinating thread; lane 1+s
 // to whichever thread executes shard s during a window — exactly one
 // writer at a time under the engine's window barrier, so the tracer
 // needs no locks and stays TSan-clean. The tracer only *reads* the wall
@@ -33,9 +32,8 @@ class EngineTracer {
  public:
   struct Span {
     enum class Kind : std::uint8_t {
-      kWindow,    // one parallel lookahead window (a/b = index/mail merged)
-      kDispatch,  // one classic-engine dispatch chunk (a = events)
-      kShard,     // one shard's slice of a window (a = events)
+      kWindow,    // one lookahead window (a/b = index/mail merged)
+      kDispatch,  // one shard's slice of a window (a = events)
     };
     Kind kind = Kind::kWindow;
     std::uint32_t shard = 0;
@@ -60,9 +58,8 @@ class EngineTracer {
   void window_span(std::uint64_t index, SimTime sim_start, SimTime sim_end,
                    double wall_begin_us, double wall_end_us,
                    std::uint64_t mail_merged);
-  void dispatch_span(SimTime sim_start, SimTime sim_end, std::uint64_t events,
-                     double wall_begin_us, double wall_end_us);
-  /// Only the thread currently executing `shard`'s window may call this.
+  /// A kDispatch span on lane 1+shard. Only the thread currently
+  /// executing `shard`'s window may call this.
   void shard_span(std::uint32_t shard, SimTime sim_end, std::uint64_t events,
                   double wall_begin_us, double wall_end_us);
 

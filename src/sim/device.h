@@ -80,8 +80,8 @@ class Device {
   [[nodiscard]] Simulator& sim() const { return *sim_; }
 
   /// Event shard this device's handlers run on (parallel engine). Fabric
-  /// wiring assigns shards before start(); defaults to 0, which is also
-  /// what classic single-threaded mode uses throughout.
+  /// wiring assigns shards before start(); defaults to 0. A one-shard
+  /// engine folds every id to shard 0.
   void set_shard(ShardId shard) { shard_ = shard; }
   [[nodiscard]] ShardId shard() const { return shard_; }
 

@@ -158,16 +158,29 @@ void Link::save_state(SnapshotWriter& w) {
   dir_[1].snap_clean = false;
 }
 
-void Link::restore_state(SnapshotReader& r) {
-  const std::uint64_t hash = r.u64();
-  const std::uint32_t len = r.u32();
+void Link::restore_state(SnapshotReader& outer) {
+  const std::uint64_t hash = outer.u64();
+  const std::uint32_t len = outer.u32();
+  const std::span<const std::uint8_t> section = outer.bytes_view(len);
+  if (!outer.ok()) return;
   if (dir_[0].snap_clean && dir_[1].snap_clean && hash == snap_hash_) {
     // Unchanged since we last restored this exact section (and, by the
     // clean invariant, our trains are empty, so there is nothing to
     // re-anchor): skip it wholesale.
-    r.skip(len);
     return;
   }
+  // The hash is what a later restore trusts to skip this section, so a
+  // section that does not match its own hash is corrupt.
+  if (content_hash(section) != hash) {
+    outer.fail();
+    return;
+  }
+  SnapshotReader r(section);
+  dir_[0].snap_clean = false;
+  dir_[1].snap_clean = false;
+  // Only an empty-train link may claim cleanliness: snapshot_clear wipes
+  // anchored trains without going through this object.
+  bool clean = true;
   for (int side = 0; side < 2; ++side) {
     Direction& d = dir_[side_index(side)];
     d.up = r.u8() != 0;
@@ -179,7 +192,7 @@ void Link::restore_state(SnapshotReader& r) {
     d.epoch = r.u64();
     d.drains.clear();
     d.drain_head = 0;
-    const std::uint32_t n_drains = r.u32();
+    const std::uint32_t n_drains = r.count();
     for (std::uint32_t i = 0; i < n_drains && r.ok(); ++i) {
       const SimTime done = r.i64();
       const std::uint32_t bytes = r.u32();
@@ -188,17 +201,25 @@ void Link::restore_state(SnapshotReader& r) {
     Train& tr = train_[side_index(side)];
     tr.entries.clear();
     tr.scheduled = false;
-    const std::uint32_t n_entries = r.u32();
+    const std::uint32_t n_entries = r.count();
     for (std::uint32_t i = 0; i < n_entries && r.ok(); ++i) {
       TrainEntry e;
       e.time = r.i64();
       e.seq = r.u64();
       e.epoch = r.u64();
       e.frame = r.frame();
+      // A train's arrivals are strictly time-ordered; a corrupt image
+      // that breaks the order is refused.
+      if (!tr.entries.empty() && e.time <= tr.entries.back().time) r.fail();
       tr.entries.push_back(std::move(e));
     }
-    if (!r.ok()) return;
+    if (!r.ok()) {
+      tr.entries.clear();
+      outer.fail();
+      return;
+    }
     if (!tr.entries.empty()) {
+      clean = false;
       // Re-anchor the train node in the *receiver's* shard queue at the
       // front entry's exact saved (time, seq).
       Device* receiver = end_[side_index(1 - side)].device;
@@ -206,9 +227,6 @@ void Link::restore_state(SnapshotReader& r) {
     }
   }
   snap_hash_ = hash;
-  // Only an empty-train link may claim cleanliness: snapshot_clear wipes
-  // anchored trains without going through this object.
-  const bool clean = train_[0].entries.empty() && train_[1].entries.empty();
   dir_[0].snap_clean = clean;
   dir_[1].snap_clean = clean;
 }

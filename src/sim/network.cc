@@ -17,7 +17,7 @@ void Network::disconnect(Link& link) {
 void Network::start_all() {
   for (Device* dev : devices_) {
     // Each device starts "on" its own shard so its initial timers land in
-    // the right event queue (no-op in classic mode).
+    // the right event queue (shard 0 on a one-shard engine).
     ShardGuard guard(sim_, dev->shard());
     dev->start();
   }

@@ -17,12 +17,10 @@ constexpr std::size_t kDefaultEventCapacity = 4096;
 
 constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
-/// Events per traced classic dispatch span.
-constexpr std::uint64_t kDispatchChunk = 4096;
-
 /// Which (simulator, shard) the calling thread is currently executing
 /// for. Set around every shard window and ShardGuard scope; everything
-/// else (the main thread between runs, barrier tasks) sees kNoShard.
+/// else (the main thread between runs, barrier tasks) sees kNoShard,
+/// which context_shard() reads as shard 0 on a one-shard engine.
 struct ExecCtx {
   const Simulator* sim = nullptr;
   ShardId shard = kNoShard;
@@ -40,18 +38,17 @@ Simulator::Simulator(Options options)
   sh.wheel.reserve(kDefaultEventCapacity);
   sh.slots.reserve(kDefaultEventCapacity);
   sh.free_slots.reserve(kDefaultEventCapacity);
+  sh.outbox.resize(1);
 }
 
 Simulator::~Simulator() { join_workers(); }
 
-ShardId Simulator::current_shard() { return g_ctx.shard; }
-
 ShardId Simulator::context_shard() const {
+  if (shards_.size() == 1) return 0;
   return g_ctx.sim == this ? g_ctx.shard : kNoShard;
 }
 
 SimTime Simulator::now() const {
-  if (!configured_) return shards_[0]->now;
   const ShardId ctx = context_shard();
   if (ctx != kNoShard) return shards_[ctx]->now;
   return global_now_;
@@ -138,11 +135,7 @@ std::uint32_t Simulator::register_data_owner(DataEventOwner* owner) {
 void Simulator::at_shard_data(ShardId dst, SimTime t, DataEventOwner* owner,
                               std::uint32_t kind, std::uint64_t arg,
                               FramePtr frame, FrameBytes bytes) {
-  if (!configured_) {
-    schedule_data_local(*shards_[0], t, owner, kind, arg, std::move(frame),
-                        std::move(bytes));
-    return;
-  }
+  dst = home(dst);
   if (dst == kNoShard) {
     // Unhinted destination: globally-serialized barrier execution, same
     // as at_shard's fallback. The closure wrapper is not serializable —
@@ -209,11 +202,7 @@ void Simulator::train_append_local(Shard& sh, Train& tr, SimTime t,
 
 bool Simulator::train_append(ShardId dst, SimTime t, std::uint64_t epoch,
                              const FramePtr& frame, Train& tr) {
-  if (!configured_ || dst == kNoShard) {
-    if (!tr.entries.empty() && t <= tr.entries.back().time) return false;
-    train_append_local(*shards_[0], tr, t, epoch, frame);
-    return true;
-  }
+  dst = home(dst);
   assert(dst < shards_.size());
   const ShardId ctx = context_shard();
   if (ctx != dst && in_window_ && ctx != kNoShard) {
@@ -240,10 +229,6 @@ bool Simulator::train_append(ShardId dst, SimTime t, std::uint64_t epoch,
 }
 
 void Simulator::at(SimTime t, SmallFn fn) {
-  if (!configured_) {
-    schedule_local(*shards_[0], t, std::move(fn));
-    return;
-  }
   const ShardId ctx = context_shard();
   if (ctx == kNoShard) {
     at_barrier(t, std::move(fn));
@@ -259,10 +244,6 @@ void Simulator::after(SimDuration delay, SmallFn fn) {
 
 void Simulator::at_timer(SimTime t, std::shared_ptr<TimerCore> core,
                          std::uint64_t generation) {
-  if (!configured_) {
-    schedule_timer_local(*shards_[0], 0, t, std::move(core), generation);
-    return;
-  }
   const ShardId ctx = context_shard();
   if (ctx != kNoShard) {
     schedule_timer_local(*shards_[ctx], ctx, t, std::move(core), generation);
@@ -281,15 +262,13 @@ void Simulator::cancel_timer(TimerCore& core) {
   if (core.handle == TimerCore::kNilHandle) return;
   const ShardId owner = core.shard;
   const ShardId ctx = context_shard();
-  // Erasing requires exclusive access to the owning shard's queue: always
-  // true in classic mode, from the owner shard itself, and from the main
-  // thread while no window is executing. The only unsafe case — a
+  // Erasing requires exclusive access to the owning shard's queue: true
+  // from the owner shard itself (always, on a one-shard engine) and from
+  // the main thread while no window is executing. The only unsafe case — a
   // cross-shard cancel from inside a foreign worker's window, which no
   // device performs — falls back to the generation tombstone: the stale
   // shot decays as a silent, uncounted no-op at its deadline.
-  const bool safe =
-      !configured_ || ctx == owner || (ctx == kNoShard && !in_window_);
-  if (!safe) return;
+  if (ctx != owner && (ctx != kNoShard || in_window_)) return;
   Shard& sh = *shards_[owner];
   const std::uint32_t slot = sh.wheel.erase(core.handle);
   sh.slots[slot].timer.reset();
@@ -300,7 +279,8 @@ void Simulator::cancel_timer(TimerCore& core) {
 }
 
 void Simulator::at_shard(ShardId dst, SimTime t, SmallFn fn) {
-  if (!configured_ || dst == kNoShard) {
+  dst = home(dst);
+  if (dst == kNoShard) {
     at(t, std::move(fn));
     return;
   }
@@ -327,18 +307,13 @@ void Simulator::at_shard(ShardId dst, SimTime t, SmallFn fn) {
 }
 
 void Simulator::at_barrier(SimTime t, SmallFn fn) {
-  if (!configured_) {
-    at(t, std::move(fn));
-    return;
-  }
   std::lock_guard<std::mutex> lk(barrier_mutex_);
   barrier_heap_.push_back(BarrierTask{t, barrier_seq_++, std::move(fn)});
   std::push_heap(barrier_heap_.begin(), barrier_heap_.end(), TaskLater{});
 }
 
-void Simulator::configure_shards(std::size_t count, SimDuration lookahead,
-                                 std::uint64_t seed) {
-  assert(!configured_ && "configure_shards may run once, before events flow");
+void Simulator::configure_shards(std::size_t count, SimDuration lookahead) {
+  assert(shards_.size() == 1 && "configure_shards may run once");
   assert(count >= 1);
   lookahead_ = std::max<SimDuration>(SimDuration{1}, lookahead);
   shards_.reserve(count);
@@ -350,30 +325,28 @@ void Simulator::configure_shards(std::size_t count, SimDuration lookahead,
     sh->now = shards_[0]->now;
     shards_.push_back(std::move(sh));
   }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    // Independent, deterministic per-shard stream: seed ⊕ stream index.
-    shards_[s]->rng = Rng(seed, static_cast<std::uint64_t>(s));
-    shards_[s]->outbox.resize(shards_.size());
-  }
+  for (auto& sh : shards_) sh->outbox.resize(shards_.size());
   global_now_ = shards_[0]->now;
-  configured_ = true;
-  if (workers_ > 1) spawn_workers();
+  if (workers_ > 1 && count > 1) spawn_workers();
 }
 
 void Simulator::set_workers(unsigned n) {
-  if (n == 0) n = 1;
-  if (n == workers_ && (n == 1 || !threads_.empty() || !configured_)) return;
+  n = std::max(1u, n);
+  if (n == workers_) return;
   join_workers();
   workers_ = n;
-  if (configured_ && workers_ > 1) spawn_workers();
+  if (workers_ > 1 && shards_.size() > 1) spawn_workers();
 }
 
 void Simulator::spawn_workers() {
   assert(threads_.empty());
   quit_ = false;
   threads_.reserve(workers_ - 1);
+  // A new worker starts at the current window generation: windows an
+  // earlier pool ran are not its to run.
   for (unsigned w = 1; w < workers_; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
+    threads_.emplace_back(
+        [this, w, gen = window_gen_] { worker_loop(w, gen); });
   }
 }
 
@@ -387,11 +360,6 @@ void Simulator::join_workers() {
   for (auto& t : threads_) t.join();
   threads_.clear();
   quit_ = false;
-}
-
-Rng& Simulator::shard_rng(ShardId shard) {
-  assert(shard < shards_.size());
-  return shards_[shard]->rng;
 }
 
 void Simulator::reserve_events(std::size_t capacity) {
@@ -449,8 +417,7 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
       // shard's echo cap below the bound this drain started with.
       SimTime eff = bound;
       if (sh.send_cap < eff) eff = std::max(window_floor_, sh.send_cap);
-      if (nx.time >= eff || nx.time >= peek_time(sh) ||
-          stopped_.load(std::memory_order_relaxed)) {
+      if (nx.time >= eff || nx.time >= peek_time(sh)) {
         const std::uint32_t s2 = acquire_slot(sh);
         sh.slots[s2].train = tr;
         push_node_at(sh, nx.time, nx.seq, s2);
@@ -501,40 +468,6 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
   fn();
 }
 
-void Simulator::classic_run(SimTime limit) {
-  obs::EngineTracer* const tracer = tracer_;
-  stopped_.store(false, std::memory_order_relaxed);
-  Shard& sh = *shards_[0];
-  const SimTime bound = limit == kNever ? kNever : limit + 1;
-  // Untraced, the whole run is one chunk and the clock is never read.
-  const std::uint64_t chunk = tracer != nullptr
-                                  ? kDispatchChunk
-                                  : std::numeric_limits<std::uint64_t>::max();
-  bool done = false;
-  while (!done && !stopped_.load(std::memory_order_relaxed)) {
-    const SimTime span_start = sh.now;
-    const double wall0 = tracer != nullptr ? tracer->now_us() : 0.0;
-    std::uint64_t n = 0;
-    while (n < chunk) {
-      const SimTime t = peek_time(sh);
-      if (t == kNever || t > limit) {
-        done = true;
-        break;
-      }
-      dispatch_one(sh, bound);
-      ++n;
-      if (stopped_.load(std::memory_order_relaxed)) break;
-    }
-    if (tracer != nullptr && n != 0) {
-      tracer->dispatch_span(span_start, sh.now, n, wall0, tracer->now_us());
-    }
-  }
-  if (limit != kNever && !stopped_.load(std::memory_order_relaxed) &&
-      sh.now < limit) {
-    sh.now = limit;
-  }
-}
-
 SimTime Simulator::earliest_shard_event() {
   SimTime t = kNever;
   for (auto& sh : shards_) t = std::min(t, peek_time(*sh));
@@ -551,7 +484,6 @@ void Simulator::run_due_barrier_tasks(SimTime bound) {
   // an earlier task may have scheduled: re-check the shard horizon after
   // every task. Ties (task time == event time) go to the task.
   for (;;) {
-    if (stopped_.load(std::memory_order_relaxed)) return;
     BarrierTask task;
     {
       std::lock_guard<std::mutex> lk(barrier_mutex_);
@@ -596,8 +528,7 @@ void Simulator::run_shard_window(Shard& sh, ShardId id, SimTime end) {
   g_ctx = saved;
 }
 
-void Simulator::worker_loop(unsigned worker_index) {
-  std::uint64_t seen_gen = 0;
+void Simulator::worker_loop(unsigned worker_index, std::uint64_t seen_gen) {
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(pool_mutex_);
@@ -716,13 +647,11 @@ void Simulator::merge_mailboxes() {
 }
 
 void Simulator::parallel_run(SimTime limit) {
-  stopped_.store(false, std::memory_order_relaxed);
   const std::size_t count = shards_.size();
   window_ends_.resize(count);
   for (;;) {
-    if (stopped_.load(std::memory_order_relaxed)) break;
     // One pass gives the two earliest shard peeks: min1 bounds everyone
-    // (the classic fixed window), min2 bounds the min1 shard itself —
+    // (the fixed window), min2 bounds the min1 shard itself —
     // no *currently queued* foreign event can mail it anything earlier
     // than min2 + lookahead. Mail the widened shard sends during its own
     // run can echo back sooner than that; the per-shard send_cap
@@ -807,31 +736,17 @@ void Simulator::parallel_run(SimTime limit) {
                              ? in_window
                              : 0.8 * window_events_ema_ + 0.2 * in_window;
   }
-  if (limit != kNever && !stopped_.load(std::memory_order_relaxed) &&
-      global_now_ < limit) {
+  if (limit != kNever && global_now_ < limit) {
     global_now_ = limit;
     for (auto& sh : shards_) sh->now = std::max(sh->now, limit);
   }
 }
 
-void Simulator::run() {
-  if (configured_) {
-    parallel_run(kNever);
-  } else {
-    classic_run(kNever);
-  }
-}
+void Simulator::run() { parallel_run(kNever); }
 
-void Simulator::run_until(SimTime t) {
-  if (configured_) {
-    parallel_run(t);
-  } else {
-    classic_run(t);
-  }
-}
+void Simulator::run_until(SimTime t) { parallel_run(t); }
 
 std::size_t Simulator::pending_events() const {
-  if (!configured_) return shards_[0]->live;
   std::size_t n = 0;
   for (const auto& sh : shards_) {
     n += sh->live;
@@ -893,9 +808,8 @@ TimingWheel::Stats Simulator::wheel_stats() const {
 
 ShardGuard::ShardGuard(Simulator& sim, ShardId shard)
     : prev_sim_(const_cast<Simulator*>(g_ctx.sim)), prev_shard_(g_ctx.shard) {
-  if (sim.sharded() && shard != kNoShard && shard < sim.shard_count()) {
-    g_ctx = ExecCtx{&sim, shard};
-  }
+  shard = sim.home(shard);
+  if (shard < sim.shard_count()) g_ctx = ExecCtx{&sim, shard};
 }
 
 ShardGuard::~ShardGuard() { g_ctx = ExecCtx{prev_sim_, prev_shard_}; }

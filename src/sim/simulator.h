@@ -1,4 +1,4 @@
-// Deterministic discrete-event simulation engine — classic and sharded.
+// Deterministic discrete-event simulation engine — one windowed loop.
 //
 // A `Simulator` owns the virtual clock and a time-ordered event queue.
 // Events scheduled for the same instant fire in insertion order, which —
@@ -20,20 +20,27 @@
 // event lambdas, so scheduling an event performs no heap allocation at
 // steady state.
 //
-// Sharded mode (`configure_shards` + `set_workers`) turns the engine into a
-// conservative parallel discrete-event simulator: every device belongs to
-// one shard (fat-tree pods; cores + fabric manager share a shard), each
-// shard owns its own event queue, slot pool, seq counter, and RNG stream,
-// and shards advance in conservative windows: every shard may run to the
-// earliest queued event plus the minimum cross-shard link latency (the
-// lookahead), and the shard holding that earliest event may run further, to
-// the second-earliest shard's event plus the lookahead (adaptive lookahead,
+// The engine is a conservative parallel discrete-event simulator with one
+// run loop. It is constructed with one shard; `configure_shards` splits it
+// once (fat-tree pods; cores + fabric manager share a shard), and each
+// shard owns its own event queue, slot pool and seq counter. Shards
+// advance in conservative windows: every shard may run to the earliest
+// queued event plus the minimum cross-shard link latency (the lookahead),
+// and the shard holding that earliest event may run further, to the
+// second-earliest shard's event plus the lookahead (adaptive lookahead,
 // see parallel_run). Within a window shards run independently on a worker
-// pool; cross-shard deliveries buffer into per-(src,dst) mailboxes that are
-// merged at the window barrier in a canonical (time, src-shard, push-order)
-// order. Because mailbox merge order — not thread completion order — assigns
-// sequence numbers, an N-worker run schedules exactly the same event
-// sequence as a 1-worker run. Classic (unsharded) mode is the default.
+// pool (`set_workers`); cross-shard deliveries buffer into per-(src,dst)
+// mailboxes that are merged at the window barrier in a canonical (time,
+// src-shard, push-order) order. Because mailbox merge order — not thread
+// completion order — assigns sequence numbers, an N-worker run schedules
+// exactly the same event sequence as a 1-worker run.
+//
+// A one-shard engine (the default) follows two rules. The calling thread
+// outside a window executes as shard 0, so `at()` calls and timer arms
+// made between runs are ordinary shard-0 events rather than barrier
+// tasks; and every device shard id folds to shard 0. Its windows run from one barrier task
+// (or run_until limit) to the next, so it dispatches exactly the
+// (time, seq) stream of a plain serial event loop.
 //
 // `Timer` and `PeriodicTimer` are cancellable wrappers used throughout the
 // protocol implementations (LDP keepalives, ARP retries, TCP RTO, ...).
@@ -50,7 +57,6 @@
 // shot decays as a silent, uncounted no-op at its deadline.)
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -66,7 +72,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/random.h"
 #include "common/units.h"
 #include "sim/frame.h"
 #include "sim/timing_wheel.h"
@@ -83,11 +88,11 @@ class SnapshotWriter;
 class SnapshotReader;
 
 /// Identifies an event shard. Devices created before `configure_shards`
-/// (and everything in classic mode) live on shard 0.
+/// live on shard 0; on a one-shard engine every id folds to shard 0.
 using ShardId = std::uint32_t;
 
-/// "Not executing on any shard" — scheduling from this context in sharded
-/// mode lands in the globally-serialized barrier task queue.
+/// "Not executing on any shard" — scheduling from this context on a
+/// multi-shard engine lands in the globally-serialized barrier task queue.
 constexpr ShardId kNoShard = 0xFFFFFFFFu;
 
 /// Move-only type-erased callable with inline storage. Captures up to
@@ -234,15 +239,16 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Current virtual time. In sharded mode, from inside an event this is
-  /// the executing shard's clock; between windows it is the global clock.
+  /// Current virtual time. From inside an event this is the executing
+  /// shard's clock; between windows it is the global clock (shard 0's
+  /// clock on a one-shard engine).
   [[nodiscard]] SimTime now() const;
 
-  /// Schedules `fn` at absolute time `t` (>= now). In sharded mode the
-  /// event lands on the calling context's shard; calls from outside any
-  /// shard (the main thread between runs, cross-cutting controllers) land
-  /// in the barrier task queue, which runs globally serialized between
-  /// windows.
+  /// Schedules `fn` at absolute time `t` (>= now). The event lands on the
+  /// calling context's shard; on a multi-shard engine, calls from outside
+  /// any shard (the main thread between runs, cross-cutting controllers)
+  /// land in the barrier task queue, which runs globally serialized
+  /// between windows.
   void at(SimTime t, SmallFn fn);
 
   /// Schedules `fn` after `delay` (>= 0).
@@ -267,8 +273,8 @@ class Simulator {
 
   /// Schedules `fn` in the globally-serialized barrier task queue (runs
   /// between windows, before shard events at the same instant). Used for
-  /// cross-cutting mutations: link up/down, migration rewiring. In classic
-  /// mode this is plain at().
+  /// cross-cutting mutations. A task ties ahead of every shard event at
+  /// the same instant, at every shard count.
   void at_barrier(SimTime t, SmallFn fn);
 
   /// Registers a data-event owner and returns its stable id. Ids are
@@ -283,16 +289,17 @@ class Simulator {
   /// quiescent direct / unhinted barrier) mirrors at_shard exactly, so a
   /// component can switch a closure-based delivery to this path without
   /// perturbing the schedule. Events scheduled via the unhinted barrier
-  /// fallback (dst == kNoShard in sharded mode) are NOT serializable.
+  /// fallback (dst == kNoShard on a multi-shard engine) are NOT
+  /// serializable.
   void at_shard_data(ShardId dst, SimTime t, DataEventOwner* owner,
                      std::uint32_t kind, std::uint64_t arg, FramePtr frame,
                      FrameBytes bytes);
 
   // --- checkpoint/restore (implemented in sim/snapshot.cc) ---------------
 
-  /// Serializes the engine: global clocks/counters, per-shard scalars and
-  /// RNG streams, and every pending event. Must be called at quiescence
-  /// (between run_until calls, no window executing). Timer shots and
+  /// Serializes the engine: global clocks/counters, per-shard scalars,
+  /// and every pending event. Must be called at quiescence (between
+  /// run_until calls, no window executing). Timer shots and
   /// train anchors are written as per-shard census counts only — their
   /// contents are saved by their owning Timer / Link — while data events
   /// are written in full. Returns false (with `error`) if the queue holds
@@ -356,49 +363,37 @@ class Simulator {
   /// `workers = auto` policy, kept pure and static so tests can pin it:
   /// a box with fewer than two hardware cores — or a fabric with fewer
   /// than two shards — gains nothing from windowed execution, so resolve
-  /// to 0 (the classic serial engine); otherwise one worker per shard,
-  /// capped at the core count. On a multicore box the engine still
-  /// guards the downside at runtime: sparse windows run inline on the
-  /// calling thread (Options::parallel_min_events), so parallel never
+  /// to 0 (one shard, run on the calling thread); otherwise one worker
+  /// per shard, capped at the core count. On a multicore box the engine
+  /// still guards the downside at runtime: sparse windows run inline on
+  /// the calling thread (Options::parallel_min_events), so parallel never
   /// loses to serial by more than the window bookkeeping.
   [[nodiscard]] static unsigned resolve_auto_workers(unsigned hw_cores,
                                                      std::size_t shard_count);
 
-  /// Splits the engine into `count` shards with the given conservative
-  /// lookahead (must be >= 1 ns: the minimum cross-shard link latency) and
-  /// per-shard RNG streams derived from `seed`. Must be called while the
-  /// queue holds no cross-shard state; existing events stay on shard 0.
-  void configure_shards(std::size_t count, SimDuration lookahead,
-                        std::uint64_t seed);
+  /// Splits the one-shard engine, once, into `count` shards with the
+  /// given conservative lookahead (must be >= 1 ns: the minimum
+  /// cross-shard link latency). Must be called while the queue holds no
+  /// cross-shard state; existing events stay on shard 0.
+  void configure_shards(std::size_t count, SimDuration lookahead);
 
-  /// Number of worker threads for sharded runs (>= 1). 1 executes all
-  /// shards on the calling thread — still windowed, still bit-identical
-  /// to any other worker count. No-op in classic mode.
+  /// Number of worker threads (>= 1). 1 executes all shards on the calling
+  /// thread — still windowed, still bit-identical to any other worker
+  /// count. A one-shard engine never starts a pool.
   void set_workers(unsigned n);
 
-  [[nodiscard]] bool sharded() const { return configured_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] unsigned workers() const { return workers_; }
   [[nodiscard]] SimDuration lookahead() const { return lookahead_; }
 
-  /// The shard the calling thread is currently executing on, or kNoShard.
-  [[nodiscard]] static ShardId current_shard();
-
-  /// Deterministic per-shard RNG stream (valid after configure_shards).
-  [[nodiscard]] Rng& shard_rng(ShardId shard);
-
   /// Pre-sizes the event queue (amortizes growth for large fabrics).
   void reserve_events(std::size_t capacity);
 
-  /// Runs until the queue is empty or `stop()` is called.
+  /// Runs until the queue is empty.
   void run();
 
   /// Runs all events with time <= `t`, then sets the clock to `t`.
   void run_until(SimTime t);
-
-  /// Makes run()/run_until() return after the current event (classic) or
-  /// at the next window boundary (sharded).
-  void stop() { stopped_.store(true, std::memory_order_relaxed); }
 
   /// Live (non-cancelled) scheduled events. A cancelled timer's shot
   /// leaves this count the moment it is cancelled, not at its deadline.
@@ -408,9 +403,9 @@ class Simulator {
   // --- observability (passive; never alters the event schedule) ----------
 
   /// Attaches a wall-clock profiling tracer (nullptr detaches) between
-  /// runs. The tracer receives window/dispatch/shard spans; the dispatch
-  /// loops read the wall clock only while one is attached, and never
-  /// change what they dispatch.
+  /// runs. The tracer receives a window span per window and a dispatch
+  /// span per shard slice of it; the loop reads the wall clock only while
+  /// one is attached, and never changes what it dispatches.
   void set_tracer(obs::EngineTracer* tracer) { tracer_ = tracer; }
 
   /// Lookahead windows completed by parallel_run.
@@ -434,8 +429,8 @@ class Simulator {
   [[nodiscard]] std::uint64_t trains_popped() const;
   /// Frames delivered through trains.
   [[nodiscard]] std::uint64_t train_frames() const;
-  /// Train nodes re-pushed mid-batch (tie with another event, window
-  /// boundary, or stop()).
+  /// Train nodes re-pushed mid-batch (tie with another event or window
+  /// boundary).
   [[nodiscard]] std::uint64_t train_repushes() const;
   /// Scheduler node insertions across all shards — the denominator of
   /// the E18 events/frame metric. Trains push one node per run of frames
@@ -512,7 +507,6 @@ class Simulator {
     std::uint64_t train_repushes = 0;
     std::uint64_t nodes_pushed = 0;
     SimTime now = 0;
-    Rng rng{0};
     /// outbox[dst]: mail pushed during the current window, merged at the
     /// barrier in (time, src, push-order) order.
     std::vector<std::vector<Mail>> outbox;
@@ -570,21 +564,22 @@ class Simulator {
   /// and anchors the train in the scheduler if it is not already.
   void train_append_local(Shard& sh, Train& tr, SimTime t,
                           std::uint64_t epoch, const FramePtr& frame);
-  /// The shard the calling thread is executing for *this* simulator.
+  /// The shard the calling thread is executing for *this* simulator; a
+  /// one-shard engine always answers shard 0.
   [[nodiscard]] ShardId context_shard() const;
+  /// Device shard ids fold to shard 0 on a one-shard engine.
+  [[nodiscard]] ShardId home(ShardId shard) const {
+    return shards_.size() == 1 ? 0 : shard;
+  }
   static void fire_timer(TimerCore& core, std::uint64_t generation);
   /// Earliest live event time in this shard, or kNoEvent.
   [[nodiscard]] SimTime peek_time(Shard& sh) { return sh.wheel.peek(); }
   /// Dispatches the earliest event. `bound` is the exclusive horizon for
   /// *additional* train deliveries piggybacking on this dispatch (the
-  /// window end, or limit + 1 in classic mode); the first delivery of a
-  /// popped node is always due by construction.
+  /// window end); the first delivery of a popped node is always due by
+  /// construction.
   void dispatch_one(Shard& sh, SimTime bound);
 
-  /// The unsharded loop. With a tracer attached it cuts the run into
-  /// dispatch spans of kDispatchChunk events; the cut only decides when
-  /// the wall clock is read.
-  void classic_run(SimTime limit);
   void parallel_run(SimTime limit);
   void run_shard_window(Shard& sh, ShardId id, SimTime end);
   /// Runs one window with per-shard ends in `window_ends_`, either on
@@ -593,7 +588,9 @@ class Simulator {
   void execute_window();
   void merge_mailboxes();
   void run_due_barrier_tasks(SimTime bound);
-  void worker_loop(unsigned worker_index);
+  /// Runs windows until quit_; `seen_gen` is the window generation the
+  /// worker was spawned at.
+  void worker_loop(unsigned worker_index, std::uint64_t seen_gen);
   void spawn_workers();
   void join_workers();
 
@@ -615,9 +612,8 @@ class Simulator {
     std::vector<TimingWheel::Stats> wheel_stats;
   };
 
-  // --- Shards. Classic mode is exactly shards_[0]. -----------------------
+  // --- Shards (one until configure_shards). -----------------------------
   std::vector<std::unique_ptr<Shard>> shards_;
-  bool configured_ = false;
   std::uint32_t parallel_min_events_ = 128;
   /// Hardware cores, cached once (hardware_concurrency may syscall).
   unsigned hw_cores_ = 1;
@@ -637,7 +633,6 @@ class Simulator {
   double window_events_ema_ = 0.0;
   std::uint64_t last_total_executed_ = 0;
   obs::EngineTracer* tracer_ = nullptr;
-  std::atomic<bool> stopped_{false};
 
   // --- Data-event owner registry (construction-order ids). ---------------
   std::vector<DataEventOwner*> data_owners_;
@@ -673,8 +668,8 @@ class Simulator {
 /// RAII: runs the enclosed scope "as shard `shard` of `sim`" so that
 /// device-scoped scheduling (timer arms in start(), gratuitous ARPs fired
 /// from test code) lands on the owning shard instead of the barrier queue.
-/// Nests; restores the previous context on destruction. Cheap no-op wrapper
-/// in classic mode.
+/// Nests; restores the previous context on destruction. On a one-shard
+/// engine every id folds to shard 0.
 class ShardGuard {
  public:
   ShardGuard(Simulator& sim, ShardId shard);

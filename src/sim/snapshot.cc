@@ -12,7 +12,6 @@
 #include "sim/snapshot.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <utility>
 
@@ -75,7 +74,6 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
 
   w.u32(kEngineMagic);
   w.u32(static_cast<std::uint32_t>(shards_.size()));
-  w.u8(configured_ ? 1 : 0);
   w.i64(global_now_);
   w.u64(barrier_executed_);
   w.u64(barrier_seq_);
@@ -105,7 +103,6 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
     w.u64(sh.train_repushes);
     w.u64(sh.nodes_pushed);
     w.u64(sh.live);
-    for (const std::uint64_t x : sh.rng.state()) w.u64(x);
     // Capture stats before the drain below perturbs them.
     const TimingWheel::Stats ws = sh.wheel.stats();
     w.u64(ws.inserts);
@@ -233,7 +230,6 @@ bool Simulator::restore_engine(SnapshotReader& r, std::string* error) {
   if (r.u32() != kEngineMagic) return fail("bad engine section magic");
   const std::uint32_t count = r.u32();
   if (count != shards_.size()) return fail("shard count mismatch");
-  if ((r.u8() != 0) != configured_) return fail("sharded-mode mismatch");
   global_now_ = r.i64();
   barrier_executed_ = r.u64();
   barrier_seq_ = r.u64();
@@ -268,9 +264,6 @@ bool Simulator::restore_engine(SnapshotReader& r, std::string* error) {
     // component's re-insertions (which would otherwise perturb them).
     restore_pending_.nodes_pushed[s] = r.u64();
     restore_pending_.expect_live[s] = r.u64();
-    std::array<std::uint64_t, 4> rng_state{};
-    for (auto& x : rng_state) x = r.u64();
-    sh.rng.set_state(rng_state);
     TimingWheel::Stats ws;
     ws.inserts = r.u64();
     ws.erases = r.u64();
@@ -286,7 +279,7 @@ bool Simulator::restore_engine(SnapshotReader& r, std::string* error) {
 
     restore_pending_.expect_timers[s] = r.u32();
     restore_pending_.expect_trains[s] = r.u32();
-    const std::uint32_t n_data = r.u32();
+    const std::uint32_t n_data = r.count();
     for (std::uint32_t i = 0; i < n_data; ++i) {
       const SimTime t = r.i64();
       const std::uint64_t seq = r.u64();
@@ -299,6 +292,7 @@ bool Simulator::restore_engine(SnapshotReader& r, std::string* error) {
       if (owner_id >= data_owners_.size()) {
         return fail("unknown data-event owner id");
       }
+      if (t < sh.now) return fail("data event before its shard's clock");
       const std::uint32_t slot = acquire_slot(sh);
       EventPayload& p = sh.slots[slot];
       p.data_owner = data_owners_[owner_id];
@@ -317,11 +311,17 @@ bool Simulator::restore_engine(SnapshotReader& r, std::string* error) {
 void Simulator::restore_timer_at(ShardId shard, SimTime t, std::uint64_t seq,
                                  std::shared_ptr<TimerCore> core,
                                  std::uint64_t generation) {
-  // Classic (unsharded) mode runs everything on shard 0 regardless of the
-  // owner's nominal shard id — mirror the schedule-path normalization.
+  // A one-shard engine runs everything on shard 0 regardless of the
+  // owner's nominal shard id — mirror the schedule-path fold.
   if (shard >= shards_.size()) shard = 0;
   Shard& sh = *shards_[shard];
   TimerCore* raw = core.get();
+  if (t < sh.now) {
+    // A corrupt image: the wheel cannot hold a shot behind its cursor.
+    // Leaving it out fails finish_restore's census.
+    raw->pending = false;
+    return;
+  }
   const std::uint32_t slot = acquire_slot(sh);
   sh.slots[slot].timer = std::move(core);
   sh.slots[slot].timer_gen = generation;
@@ -333,16 +333,20 @@ void Simulator::restore_timer_at(ShardId shard, SimTime t, std::uint64_t seq,
 }
 
 void Simulator::restore_train_anchor(ShardId shard, Train& tr) {
-  if (shard >= shards_.size()) shard = 0;  // classic-mode normalization
+  if (shard >= shards_.size()) shard = 0;  // one-shard fold
   assert(!tr.entries.empty());
   Shard& sh = *shards_[shard];
+  if (tr.entries.front().time < sh.now) {
+    tr.entries.clear();  // corrupt image; the census mismatch reports it
+    return;
+  }
   const std::uint32_t slot = acquire_slot(sh);
   sh.slots[slot].train = &tr;
   const TrainEntry& front = tr.entries.front();
   sh.wheel.insert(front.time, front.seq, slot);
   tr.scheduled = true;
   // Every pending train entry counts as one live event, exactly like the
-  // classic per-frame deliveries it stands for.
+  // per-frame deliveries it stands for.
   sh.live += tr.entries.size();
   if (restore_pending_.active) ++restore_pending_.got_trains[shard];
 }

@@ -21,6 +21,7 @@
 // the nonzero cells as (id, value) pairs, bounds-checked on restore.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -149,6 +150,19 @@ class SnapshotReader {
     FramePtr f = make_frame(std::move(bytes));
     if (trace_id != 0) (void)f->adopt_trace_id(trace_id);
     return f;
+  }
+
+  /// An element count (u32) for a list whose elements take at least
+  /// `min_bytes` each in the image. A count the remaining bytes cannot
+  /// hold fails the reader and reads as 0, so a corrupt count never sizes
+  /// an allocation or a loop beyond the image itself.
+  [[nodiscard]] std::uint32_t count(std::size_t min_bytes = 1) {
+    const std::uint32_t n = r_.u32();
+    if (n > r_.remaining_size() / std::max<std::size_t>(1, min_bytes)) {
+      r_.fail();
+      return 0;
+    }
+    return n;
   }
 
   void skip(std::size_t n) { r_.skip(n); }

@@ -226,16 +226,24 @@ TEST(EngineTracer, CollectsAndMergesSpans) {
   tracer.window_span(1, 0, 1000, 10.0, 20.0, 3);
   tracer.shard_span(0, 1000, 17, 12.0, 18.0);
   tracer.shard_span(1, 1000, 5, 11.0, 19.0);
-  tracer.dispatch_span(1000, 2000, 100, 30.0, 40.0);
-  EXPECT_EQ(tracer.span_count(), 4u);
+  // A 1 shard (workers=0) window: one dispatch span on shard 0's lane.
+  tracer.window_span(2, 1000, 2000, 30.0, 40.0, 0);
+  tracer.shard_span(0, 2000, 100, 31.0, 39.0);
+  EXPECT_EQ(tracer.span_count(), 5u);
   EXPECT_EQ(tracer.spans_dropped(), 0u);
   const auto spans = tracer.merged();
-  ASSERT_EQ(spans.size(), 4u);
+  ASSERT_EQ(spans.size(), 5u);
   // Ordered by wall-clock begin.
   EXPECT_DOUBLE_EQ(spans[0].wall_begin_us, 10.0);
   EXPECT_DOUBLE_EQ(spans[1].wall_begin_us, 11.0);
   EXPECT_DOUBLE_EQ(spans[2].wall_begin_us, 12.0);
   EXPECT_DOUBLE_EQ(spans[3].wall_begin_us, 30.0);
+  EXPECT_DOUBLE_EQ(spans[4].wall_begin_us, 31.0);
+  EXPECT_EQ(spans[0].kind, EngineTracer::Span::Kind::kWindow);
+  EXPECT_EQ(spans[1].kind, EngineTracer::Span::Kind::kDispatch);
+  EXPECT_EQ(spans[1].shard, 1u);
+  EXPECT_EQ(spans[4].kind, EngineTracer::Span::Kind::kDispatch);
+  EXPECT_EQ(spans[4].a, 100u);
 }
 
 TEST(TraceExport, WritesValidTraceEventJson) {
@@ -332,9 +340,16 @@ TEST(ObsIntegration, FabricTracesRewritesAndDelivery) {
   EXPECT_EQ(by_reason[static_cast<std::size_t>(DropReason::kBeforeLocated)],
             counter_drops);
 
-  // The engine tracer profiled the run and the whole thing exports.
+  // The engine tracer profiled the run and the whole thing exports. The
+  // fabric runs at 1 shard (workers=0), so its dispatch spans sit on
+  // shard 0's lane.
   ASSERT_NE(fabric.engine_tracer(), nullptr);
   EXPECT_GT(fabric.engine_tracer()->span_count(), 0u);
+  const auto spans = fabric.engine_tracer()->merged();
+  EXPECT_TRUE(std::any_of(spans.begin(), spans.end(), [](const auto& sp) {
+    return sp.kind == EngineTracer::Span::Kind::kDispatch && sp.shard == 0 &&
+           sp.a > 0;
+  }));
   const std::string path = testing::TempDir() + "obs_fabric_trace.json";
   ASSERT_TRUE(write_perfetto_trace(path, fabric.engine_tracer(), rec));
   const std::string text = read_file(path);

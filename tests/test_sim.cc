@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "sim/link.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "sim/snapshot.h"
 
 namespace portland::sim {
 namespace {
@@ -68,18 +70,64 @@ TEST(Simulator, RunUntilLeavesLaterEvents) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(Simulator, Stop) {
+/// Logs each data event's `arg` — a label the test chose.
+struct LabelOwner final : DataEventOwner {
+  explicit LabelOwner(std::vector<int>& log) : log(&log) {}
+  void execute_data_event(std::uint32_t /*kind*/, std::uint64_t arg,
+                          const FramePtr& /*frame*/,
+                          const FrameBytes& /*bytes*/) override {
+    log->push_back(static_cast<int>(arg));
+  }
+  std::vector<int>* log;
+};
+
+TEST(Simulator, OneShardEngineRunsDriverWorkOnShardZero) {
+  // A bare engine has one shard, and the test thread executes as shard
+  // 0: its events, data events and timer arms are ordinary shard-0
+  // events (device shard ids fold to 0), never barrier tasks. They run
+  // in (time, seq) order, and a checkpoint can serialize them.
   Simulator sim;
-  int fired = 0;
-  sim.after(1, [&] {
-    ++fired;
-    sim.stop();
-  });
-  sim.after(2, [&] { ++fired; });
+  EXPECT_EQ(sim.shard_count(), 1u);
+  std::vector<int> order;
+  LabelOwner owner(order);
+  sim.register_data_owner(&owner);
+  Timer late(sim);
+  Timer tie(sim);
+  late.schedule_after(millis(2), [&] { order.push_back(20); });
+  sim.at_shard_data(kNoShard, millis(1), &owner, 0, 10, nullptr, {});
+  tie.schedule_after(millis(1), [&] { order.push_back(11); });
+  sim.at_shard_data(7, millis(3), &owner, 0, 30, nullptr, {});
+  EXPECT_EQ(sim.pending_events(), 4u);
+  std::vector<std::uint8_t> image;
+  SnapshotWriter w(image);
+  std::string error;
+  EXPECT_TRUE(sim.save_engine(w, &error)) << error;
+
+  sim.at(millis(1), [&] { order.push_back(12); });
+  {
+    ShardGuard guard(sim, 5);  // a device's shard id folds to shard 0
+    sim.at(millis(2), [&] { order.push_back(21); });
+  }
+  sim.after(0, [&] { order.push_back(0); });
   sim.run();
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(order, (std::vector<int>{0, 10, 11, 12, 20, 21, 30}));
+  EXPECT_EQ(sim.barrier_tasks_executed(), 0u);
+  EXPECT_EQ(sim.executed_events(), 7u);
+  EXPECT_EQ(sim.now(), millis(3));
+}
+
+TEST(Simulator, OneShardEngineRunsBarrierTasksFirstOnTies) {
+  // A barrier task ties ahead of an already-queued shard-0 event at the
+  // same instant — the rule at every shard count.
+  Simulator sim;
+  std::vector<std::string> order;
+  sim.at(millis(1), [&] { order.push_back("shard"); });
+  sim.at_barrier(millis(1), [&] { order.push_back("barrier"); });
+  sim.at(millis(2), [&] { order.push_back("later"); });
   sim.run();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(order, (std::vector<std::string>{"barrier", "shard", "later"}));
+  EXPECT_EQ(sim.barrier_tasks_executed(), 1u);
+  EXPECT_EQ(sim.executed_events(), 3u);
 }
 
 TEST(Timer, FiresOnce) {
@@ -261,12 +309,13 @@ TEST(Link, UnidirectionalFailure) {
 /// at t=0 over a 100 us link (arrivals 108..180 us, one train), then at
 /// 50 us cuts the propagation to 10 us and sends five more (arrivals
 /// 98..130 us). Each late arrival is earlier than the train's last entry,
-/// so it must take the per-frame data-event path. `workers` = 0 runs the
-/// classic engine; otherwise a and b sit on different shards, so the
-/// late arrivals reach b's train through the mailbox merge. A no-op
-/// event on b at 20 us bounds the first lookahead window, so the early
-/// frames join b's train at an earlier barrier than the late ones (one
-/// window holding all fifteen sends would merge them in time order).
+/// so it must take the per-frame data-event path. `workers` = 0 keeps the
+/// engine at 1 shard (workers=0); otherwise a and b sit on different
+/// shards, so the late arrivals reach b's train through the mailbox
+/// merge. A no-op event on b at 20 us bounds the first lookahead window,
+/// so the early frames join b's train at an earlier barrier than the late
+/// ones (one window holding all fifteen sends would merge them in time
+/// order).
 struct ShrinkResult {
   std::vector<std::pair<SimTime, std::uint8_t>> deliveries;  // (time, id)
   std::uint64_t train_frames = 0;
@@ -276,7 +325,7 @@ struct ShrinkResult {
 ShrinkResult run_propagation_shrink(unsigned workers) {
   Network net;
   if (workers > 0) {
-    net.sim().configure_shards(2, micros(1), 3);
+    net.sim().configure_shards(2, micros(1));
     net.sim().set_workers(workers);
   }
   auto& a = net.add_device<SinkDevice>("a");
@@ -319,31 +368,33 @@ ShrinkResult run_propagation_shrink(unsigned workers) {
 }
 
 TEST(Link, PropagationShrinkFallsBackToPerFrameDelivery) {
-  const ShrinkResult classic = run_propagation_shrink(0);
+  const ShrinkResult one_shard = run_propagation_shrink(0);
   // Only the ten pre-shrink frames rode the train; the five late ones
   // were delivered one data event each.
-  EXPECT_EQ(classic.train_frames, 10u);
-  EXPECT_EQ(classic.executed, 3u + 15u);  // three plain events + deliveries
+  EXPECT_EQ(one_shard.train_frames, 10u);
+  // Three plain events plus the deliveries.
+  EXPECT_EQ(one_shard.executed, 3u + 15u);
   // Every frame exactly once, in arrival-time order.
-  ASSERT_EQ(classic.deliveries.size(), 15u);
+  ASSERT_EQ(one_shard.deliveries.size(), 15u);
   std::set<std::uint8_t> ids;
-  for (const auto& [time, id] : classic.deliveries) {
+  for (const auto& [time, id] : one_shard.deliveries) {
     EXPECT_TRUE(ids.insert(id).second) << "frame " << int{id} << " twice";
     const SimTime expected =
         id < 10 ? micros(108 + 8 * id) : micros(98 + 8 * (id - 10));
     EXPECT_EQ(time, expected) << "frame " << int{id};
   }
-  EXPECT_TRUE(std::is_sorted(classic.deliveries.begin(),
-                             classic.deliveries.end()));
+  EXPECT_TRUE(std::is_sorted(one_shard.deliveries.begin(),
+                             one_shard.deliveries.end()));
   // The late frames overtake the train: the first delivery is frame 10.
-  EXPECT_EQ(classic.deliveries.front().second, 10);
+  EXPECT_EQ(one_shard.deliveries.front().second, 10);
 
   for (const unsigned workers : {1u, 4u}) {
     const ShrinkResult sharded = run_propagation_shrink(workers);
-    EXPECT_EQ(sharded.deliveries, classic.deliveries) << workers << " workers";
-    EXPECT_EQ(sharded.train_frames, classic.train_frames)
+    EXPECT_EQ(sharded.deliveries, one_shard.deliveries)
         << workers << " workers";
-    EXPECT_EQ(sharded.executed, classic.executed) << workers << " workers";
+    EXPECT_EQ(sharded.train_frames, one_shard.train_frames)
+        << workers << " workers";
+    EXPECT_EQ(sharded.executed, one_shard.executed) << workers << " workers";
   }
 }
 
@@ -459,7 +510,7 @@ struct PingPongResult {
 
 PingPongResult run_pingpong(unsigned workers) {
   Network net;
-  net.sim().configure_shards(2, micros(1), 99);
+  net.sim().configure_shards(2, micros(1));
   net.sim().set_workers(workers);
   auto& a = net.add_device<EchoDevice>("a", 200);
   auto& b = net.add_device<EchoDevice>("b", 200);
@@ -492,7 +543,7 @@ TEST(Sharded, CrossShardPingPongIsWorkerCountInvariant) {
 
 TEST(Sharded, BarrierTasksRunBeforeShardEventsAtTheSameInstant) {
   Simulator sim;
-  sim.configure_shards(2, micros(1), 1);
+  sim.configure_shards(2, micros(1));
   std::vector<std::string> order;
   {
     ShardGuard guard(sim, 0);
@@ -509,7 +560,7 @@ TEST(Sharded, BarrierTasksRunBeforeShardEventsAtTheSameInstant) {
 
 TEST(Sharded, RunUntilAdvancesClockWithoutEvents) {
   Simulator sim;
-  sim.configure_shards(3, micros(1), 1);
+  sim.configure_shards(3, micros(1));
   sim.set_workers(2);
   sim.run_until(millis(7));
   EXPECT_EQ(sim.now(), millis(7));
@@ -519,7 +570,7 @@ TEST(Sharded, RunUntilAdvancesClockWithoutEvents) {
 
 TEST(Sharded, TimersTickOnTheGuardedShard) {
   Simulator sim;
-  sim.configure_shards(2, micros(1), 1);
+  sim.configure_shards(2, micros(1));
   sim.set_workers(2);
   int ticks = 0;
   PeriodicTimer timer(sim, millis(1), [&] { ++ticks; });
@@ -541,7 +592,7 @@ struct FailRecoverResult {
 
 FailRecoverResult run_fail_recover(unsigned workers) {
   Network net;
-  net.sim().configure_shards(2, micros(1), 5);
+  net.sim().configure_shards(2, micros(1));
   net.sim().set_workers(workers);
   auto& a = net.add_device<SinkDevice>("a");
   auto& b = net.add_device<SinkDevice>("b");
@@ -907,7 +958,7 @@ TEST(Sharded, AdaptiveLookaheadWidensSparseWindows) {
   // time — and the observed widths must never drop below the configured
   // lookahead floor.
   Simulator sim;
-  sim.configure_shards(2, micros(1), 3);
+  sim.configure_shards(2, micros(1));
   // The anchor sits inside the run limit: widths of limit-clamped windows
   // are deliberately not recorded, so min2 must be a real event time.
   {
@@ -943,7 +994,7 @@ TEST(Sharded, WidenedShardNeverOutrunsItsOwnEchoes) {
   // shard 0's local chain fires one echo round-trip through shard 1.
   for (const unsigned workers : {1u, 2u}) {
     Simulator sim;
-    sim.configure_shards(3, micros(1), 7);
+    sim.configure_shards(3, micros(1));
     sim.set_workers(workers);
     {
       ShardGuard guard(sim, 2);
@@ -981,28 +1032,55 @@ TEST(Sharded, WidenedShardNeverOutrunsItsOwnEchoes) {
   }
 }
 
+/// Runs a cross-shard ping-pong in 40 us legs that alternate between
+/// `workers` threads and 1, with every window on the pool, so the pool is
+/// torn down and rebuilt between legs. Returns the receive times.
+std::vector<SimTime> run_pool_respawn(unsigned workers) {
+  Network net(1, Simulator::Options{0});
+  net.sim().configure_shards(3, micros(1));
+  net.sim().set_workers(workers);
+  auto& a = net.add_device<EchoDevice>("a", 300);
+  auto& b = net.add_device<EchoDevice>("b", 300);
+  a.set_shard(0);
+  b.set_shard(2);
+  Link::Config cfg;
+  cfg.propagation = micros(5);
+  net.connect(a, 0, b, 0, cfg);
+  {
+    ShardGuard guard(net.sim(), 0);
+    net.sim().at(0, [&] { a.send(0, frame_of_size(200)); });
+  }
+  for (int leg = 1; leg <= 100; ++leg) {
+    net.sim().set_workers(leg % 2 == 1 ? workers : 1);
+    net.sim().run_until(micros(40 * leg));
+  }
+  net.sim().run();
+  std::vector<SimTime> times = a.times;
+  times.insert(times.end(), b.times.begin(), b.times.end());
+  return times;
+}
+
+TEST(Sharded, RespawnedPoolRunsOnlyNewWindows) {
+  // A pool rebuilt by set_workers must start at the current window: a
+  // worker that replayed an earlier generation would run a stale window
+  // beside the coordinator and miscount the window barrier.
+  const std::vector<SimTime> one = run_pool_respawn(1);
+  ASSERT_EQ(one.size(), 599u);
+  // The stale start races the coordinator's next window, so one run
+  // rarely shows it; twenty give it fifty rebuilds each.
+  for (int rep = 0; rep < 20; ++rep) {
+    ASSERT_EQ(run_pool_respawn(3), one) << "repetition " << rep;
+  }
+}
+
 TEST(Sharded, ResolveAutoWorkersPolicy) {
-  // A single-core box or a single-shard fabric resolves to the classic
-  // serial engine; otherwise one worker per shard, capped at the cores.
+  // A single-core box or a single-shard fabric resolves to 1 shard
+  // (workers=0); otherwise one worker per shard, capped at the cores.
   EXPECT_EQ(Simulator::resolve_auto_workers(1, 8), 0u);
   EXPECT_EQ(Simulator::resolve_auto_workers(2, 1), 0u);
   EXPECT_EQ(Simulator::resolve_auto_workers(8, 4), 4u);
   EXPECT_EQ(Simulator::resolve_auto_workers(2, 8), 2u);
   EXPECT_EQ(Simulator::resolve_auto_workers(4, 4), 4u);
-}
-
-TEST(Sharded, ShardRngStreamsAreIndependentAndStable) {
-  Simulator sim1;
-  sim1.configure_shards(3, micros(1), 42);
-  Simulator sim2;
-  sim2.configure_shards(3, micros(1), 42);
-  for (ShardId s = 0; s < 3; ++s) {
-    EXPECT_EQ(sim1.shard_rng(s).next(), sim2.shard_rng(s).next());
-  }
-  // Distinct shards draw from distinct streams.
-  Simulator sim3;
-  sim3.configure_shards(2, micros(1), 42);
-  EXPECT_NE(sim3.shard_rng(0).next(), sim3.shard_rng(1).next());
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/random.h"
 #include "core/fabric.h"
 #include "host/apps.h"
 #include "sim/snapshot.h"
@@ -545,12 +546,129 @@ TEST(Snapshot, RestoreRejectsMismatchedFabric) {
   // An image from another format version (big-endian word after the
   // magic) is refused by the header check, before any state is touched.
   std::vector<std::uint8_t> old_version = image;
-  ASSERT_EQ(old_version[7], 6);
-  old_version[7] = 5;
+  ASSERT_EQ(old_version[7], 7);
+  old_version[7] = 6;
   EXPECT_FALSE(target.restore_snapshot(old_version, &error));
   EXPECT_NE(error.find("version mismatch"), std::string::npos) << error;
   // The same image with its own version word restores into that fabric.
   EXPECT_TRUE(target.restore_snapshot(image, &error)) << error;
+}
+
+// ---------------------------------------------------------------------------
+// Mutation loop: a corrupt image restores or is refused, and never crashes
+// (ASan and UBSan run this suite).
+// ---------------------------------------------------------------------------
+
+/// Byte offsets at which the sections of `sc`'s image end, found by
+/// replaying PortlandFabric::save_snapshot's walk one section at a time —
+/// saving is invisible, so each section writes the same bytes again. The
+/// engine section is split further at its header fields.
+std::vector<std::size_t> section_ends(Scenario& sc) {
+  PortlandFabric& fabric = *sc.fabric;
+  std::vector<std::uint8_t> buf;
+  sim::SnapshotWriter w(buf);
+  std::vector<std::size_t> ends;
+  // Fabric header: magic, version, k, seed, then four counts.
+  w.u32(0);
+  w.u32(0);
+  w.u32(0);
+  w.u64(0);
+  for (int i = 0; i < 4; ++i) w.u32(0);
+  ends.push_back(buf.size());
+  const std::size_t engine = buf.size();
+  std::string error;
+  EXPECT_TRUE(fabric.sim().save_engine(w, &error)) << error;
+  // Engine header: magic + shard count, then the twelve global scalars,
+  // then shard 0's twelve scalars and its three census counts.
+  for (const std::size_t off : {8u, 104u, 200u, 212u}) {
+    ends.push_back(engine + off);
+  }
+  ends.push_back(buf.size());
+  for (sim::Link* link : fabric.network().links()) {
+    link->save_state(w);
+    ends.push_back(buf.size());
+  }
+  for (const sim::Device* dev : fabric.network().devices()) {
+    sim::save_counters(w, dev->counters().cells());
+    ends.push_back(buf.size());
+    dev->save_state(w);
+    ends.push_back(buf.size());
+  }
+  fabric.fabric_manager().save_state(w);
+  ends.push_back(buf.size());
+  fabric.control().save_state(w);
+  ends.push_back(buf.size());
+  w.u8(0);  // no flight recorder
+  ends.push_back(buf.size());
+  for (const sim::Snapshotable* x : sc.extras()) {
+    x->save_state(w);
+    ends.push_back(buf.size());
+  }
+  return ends;
+}
+
+TEST(Snapshot, MutatedImagesRestoreOrAreRefusedCleanly) {
+  auto ref = make_scenario(small_options());
+  run_epilogue(*ref);
+  const RunResult expected = finish(*ref);
+
+  auto sc = make_scenario(small_options());
+  std::vector<std::uint8_t> image;
+  std::string error;
+  const auto extras = sc->extras();
+  ASSERT_TRUE(sc->fabric->save_snapshot(image, extras, &error)) << error;
+  const std::vector<std::size_t> ends = section_ends(*sc);
+  ASSERT_EQ(ends.back(), image.size()) << "section walk out of step";
+
+  // Returns whether the image restored; a refusal must say why.
+  const auto restore = [&](std::span<const std::uint8_t> mutated,
+                           const std::string& what) {
+    std::string why;
+    if (sc->fabric->restore_snapshot(mutated, extras, &why)) return true;
+    EXPECT_FALSE(why.empty()) << what;
+    return false;
+  };
+
+  // Truncation at, and one byte short of, every section boundary.
+  for (const std::size_t end : ends) {
+    for (const std::size_t cut : {end - 1, end}) {
+      if (cut >= image.size()) continue;
+      EXPECT_FALSE(restore(std::span(image).first(cut),
+                           "truncated at " + std::to_string(cut)))
+          << "an image truncated at " << cut << " restored";
+    }
+  }
+
+  // Byte flips: the first byte of every section, then seeded positions.
+  Rng rng(20261017);
+  std::vector<std::size_t> positions{0};
+  for (const std::size_t end : ends) {
+    if (end < image.size()) positions.push_back(end);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    positions.push_back(static_cast<std::size_t>(rng.next_below(image.size())));
+  }
+  std::size_t refused = 0;
+  for (const std::size_t pos : positions) {
+    std::vector<std::uint8_t> mutated = image;
+    mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+    if (!restore(mutated, "byte " + std::to_string(pos) + " flipped")) {
+      ++refused;
+    }
+  }
+  EXPECT_GT(refused, 0u);
+
+  // None of it left residue: the intact image still restores and
+  // replays exactly like the uninterrupted run.
+  ASSERT_TRUE(sc->fabric->restore_snapshot(image, extras, &error)) << error;
+  {
+    std::lock_guard<std::mutex> lock(sc->trace_mutex);
+    std::erase_if(sc->trace, [&](const auto& rec) {
+      return std::get<0>(rec) > sc->t_save;
+    });
+  }
+  run_epilogue(*sc);
+  expect_same(finish(*sc), expected, "restore after mutated images");
 }
 
 // ---------------------------------------------------------------------------
