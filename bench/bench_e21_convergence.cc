@@ -56,14 +56,7 @@ std::unique_ptr<core::PortlandFabric> make_monitored_fabric(int k,
   // difference the variant run adds is the monitor itself.
   options.obs.flight_recorder = true;
   options.obs.convergence_monitor = monitor;
-  options.obs.check_invariants = monitor;
-  auto fabric = std::make_unique<core::PortlandFabric>(options);
-  if (!fabric->run_until_converged()) {
-    std::fprintf(stderr, "FATAL: LDP did not converge (k=%d seed=%llu)\n", k,
-                 static_cast<unsigned long long>(seed));
-    std::abort();
-  }
-  return fabric;
+  return make_fabric(options);
 }
 
 /// Mixed workload: UDP permutation probes, one cross-pod TCP bulk flow,
@@ -111,18 +104,16 @@ struct RoundStats {
 RoundStats run_round(core::PortlandFabric& fabric, std::size_t faults,
                      Rng& rng) {
   obs::ConvergenceMonitor& monitor = *fabric.convergence_monitor();
-  monitor.advance();
   const std::size_t base = monitor.completed().size();
   const SimTime t0 = fabric.sim().now();
   const auto victims = fabric.failures().fail_random_links_at(
       fabric.fabric_links(), faults, t0 + millis(1), rng);
-  fabric.sim().run_until(t0 + millis(300));
+  run_monitored(fabric, t0 + millis(300));
   for (sim::Link* l : victims) {
     fabric.failures().repair_link_at(*l, fabric.sim().now() + millis(1));
   }
   // Settle: repairs close the timelines, LDP rediscovers the links.
-  fabric.sim().run_until(fabric.sim().now() + millis(250));
-  monitor.advance();
+  run_monitored(fabric, fabric.sim().now() + millis(250));
 
   RoundStats stats;
   const auto& done = monitor.completed();
@@ -194,24 +185,25 @@ int main(int argc, char** argv) {
               flows);
   std::printf("%5s %7s %10s %9s %9s %9s %9s %9s %11s %7s\n", "k", "faults",
               "timelines", "detect", "conv_p50", "conv_p95", "conv_max",
-              "bh_max", "blackholes", "loops");
+              "bh_max", "blackholes", "path_viol");
 
   std::string json_rows = "[";
   bool first_row = true;
   double convergence_ms_max = 0;
-  std::uint64_t loops_total = 0;
+  std::uint64_t violations_total = 0;
+  std::uint64_t overflowed_total = 0;
   for (const int k : ks) {
     auto fabric = make_monitored_fabric(k, 21, /*monitor=*/true);
     Rng rng(static_cast<std::uint64_t>(k) * 1000003 + 21);
     Workload workload(*fabric, flows, rng);
     // Warm up: ARP resolution, TCP ramp, multicast tree install.
-    fabric->sim().run_until(fabric->sim().now() + millis(100));
+    run_monitored(*fabric, fabric->sim().now() + millis(100));
     obs::ConvergenceMonitor& monitor = *fabric->convergence_monitor();
     for (const int faults : fault_counts) {
+      const std::uint64_t before = monitor.path_violations();
       const RoundStats stats =
           run_round(*fabric, static_cast<std::size_t>(faults), rng);
-      const std::uint64_t loops = monitor.loop_violations();
-      loops_total = loops;
+      const std::uint64_t violations = monitor.path_violations() - before;
       const double conv_p50 = median_of(stats.convergence_ms);
       const double conv_p95 = percentile(stats.convergence_ms, 95);
       double conv_max = 0;
@@ -225,17 +217,19 @@ int main(int argc, char** argv) {
                   k, faults, stats.timelines, median_of(stats.detect_ms),
                   conv_p50, conv_p95, conv_max, bh_max,
                   stats.blackhole_ms.size(),
-                  static_cast<unsigned long long>(loops));
-      char buf[256];
+                  static_cast<unsigned long long>(violations));
+      char buf[320];
       std::snprintf(
           buf, sizeof(buf),
           "%s\n    {\"k\": %d, \"faults\": %d, \"timelines\": %zu, "
           "\"detect_ms_p50\": %.2f, \"convergence_ms_p50\": %.2f, "
           "\"convergence_ms_p95\": %.2f, \"convergence_ms_max\": %.2f, "
-          "\"blackhole_ms_max\": %.2f, \"blackholes_closed\": %zu}",
+          "\"blackhole_ms_max\": %.2f, \"blackholes_closed\": %zu, "
+          "\"path_violations\": %llu}",
           first_row ? "" : ",", k, faults, stats.timelines,
           median_of(stats.detect_ms), conv_p50, conv_p95, conv_max, bh_max,
-          stats.blackhole_ms.size());
+          stats.blackhole_ms.size(),
+          static_cast<unsigned long long>(violations));
       json_rows += buf;
       first_row = false;
     }
@@ -248,6 +242,8 @@ int main(int argc, char** argv) {
                     : 0.0,
                 static_cast<unsigned long long>(workload.mcast_delivered));
     workload.mcast_stream->stop();
+    violations_total += monitor.path_violations();
+    overflowed_total += monitor.events_overflowed();
   }
 
   std::printf("\nMonitor-off vs monitor-on A/B (k=%d, identical fault "
@@ -264,7 +260,8 @@ int main(int argc, char** argv) {
     report.add("flows", flows);
     report.add_raw("rows", json_rows);
     report.add("convergence_ms_max", convergence_ms_max);
-    report.add("loop_violations", loops_total);
+    report.add("path_violations", violations_total);
+    report.add("events_overflowed", overflowed_total);
     report.add("monitor_overhead_events", overhead);
     report.write(json);
   }

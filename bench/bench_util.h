@@ -15,6 +15,7 @@
 #include "common/rss.h"
 #include "core/fabric.h"
 #include "host/apps.h"
+#include "obs/convergence_monitor.h"
 
 namespace portland::bench {
 
@@ -35,6 +36,17 @@ struct MemoryReport {
 };
 
 inline std::unique_ptr<core::PortlandFabric> make_fabric(
+    const core::PortlandFabric::Options& options) {
+  auto fabric = std::make_unique<core::PortlandFabric>(options);
+  if (!fabric->run_until_converged()) {
+    std::fprintf(stderr, "FATAL: LDP did not converge (k=%d seed=%llu)\n",
+                 options.k, static_cast<unsigned long long>(options.seed));
+    std::abort();
+  }
+  return fabric;
+}
+
+inline std::unique_ptr<core::PortlandFabric> make_fabric(
     int k, std::uint64_t seed, core::PortlandConfig config = {},
     std::set<std::size_t> skip = {}) {
   core::PortlandFabric::Options options;
@@ -42,13 +54,18 @@ inline std::unique_ptr<core::PortlandFabric> make_fabric(
   options.seed = seed;
   options.config = config;
   options.skip_host_indices = std::move(skip);
-  auto fabric = std::make_unique<core::PortlandFabric>(options);
-  if (!fabric->run_until_converged()) {
-    std::fprintf(stderr, "FATAL: LDP did not converge (k=%d seed=%llu)\n", k,
-                 static_cast<unsigned long long>(seed));
-    std::abort();
+  return make_fabric(options);
+}
+
+/// Runs a fabric with the convergence monitor on to `until`, draining
+/// the monitor every 10 ms of simulated time: its stream buffers every
+/// switch hop of every unicast frame, so frequent drains keep it small.
+inline void run_monitored(core::PortlandFabric& fabric, SimTime until) {
+  obs::ConvergenceMonitor& monitor = *fabric.convergence_monitor();
+  while (fabric.sim().now() < until) {
+    fabric.sim().run_until(std::min(until, fabric.sim().now() + millis(10)));
+    monitor.advance();
   }
-  return fabric;
 }
 
 /// One measured UDP probe flow (sender + receiver + gap bookkeeping).

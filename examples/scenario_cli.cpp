@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/fabric.h"
-#include "core/path_audit.h"
 #include "host/apps.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
@@ -493,21 +492,21 @@ int run_serve(core::PortlandFabric& fabric,
         break;
       }
       default: {  // Path audit: E13's per-packet loop-freedom invariants.
-        core::PathAuditor auditor(fabric);
+        // The restore cleared the monitor, so it audits this query alone.
         std::vector<Probe> probes = make_probes(fabric, rng, 8, 7200);
         fabric.sim().run_until(t0 + millis(150));
         const ProbeReport rep = finish_probes(fabric, probes, t0);
-        std::size_t max_hops = 0;
-        for (const auto& [hops, count] : auditor.hop_histogram()) {
-          max_hops = std::max(max_hops, hops);
-        }
+        monitor->finalize();
+        const auto& hist = monitor->path_hop_histogram();
+        const std::size_t max_hops = hist.empty() ? 0 : hist.rbegin()->first;
         std::printf(
             "  q%-3d path-audit   fork %6.2f ms  answer %7.2f ms  "
-            "%llu packets audited, %zu violations, max %zu switch hops, "
+            "%llu packets audited, %llu violations, max %zu switch hops, "
             "probe %llu/%llu recv\n",
             q, fork_ms, ms_since(wall0),
-            static_cast<unsigned long long>(auditor.packets_completed()),
-            auditor.violations().size(), max_hops,
+            static_cast<unsigned long long>(monitor->paths_completed()),
+            static_cast<unsigned long long>(monitor->path_violations()),
+            max_hops,
             static_cast<unsigned long long>(rep.recv),
             static_cast<unsigned long long>(rep.sent));
         break;
@@ -532,7 +531,7 @@ int run_serve(core::PortlandFabric& fabric,
     if (monitor != nullptr) {
       monitor->finalize();
       const auto& done = monitor->completed();
-      if (!done.empty() || monitor->loop_violations() > 0) {
+      if (!done.empty() || monitor->path_violations() > 0) {
         std::vector<double> conv;
         double worst_blackhole = 0;
         for (const auto& tl : done) {
@@ -549,10 +548,10 @@ int run_serve(core::PortlandFabric& fabric,
         std::sort(conv.begin(), conv.end());
         std::printf(
             "        timelines: %zu completed, convergence p50 %.2f ms "
-            "max %.2f ms, worst blackhole %.2f ms, %llu loop violations\n",
+            "max %.2f ms, worst blackhole %.2f ms, %llu path violations\n",
             done.size(), conv.empty() ? 0.0 : conv[conv.size() / 2],
             conv.empty() ? 0.0 : conv.back(), worst_blackhole,
-            static_cast<unsigned long long>(monitor->loop_violations()));
+            static_cast<unsigned long long>(monitor->path_violations()));
       }
       std::string jsonl;
       monitor->write_timelines_jsonl(&jsonl);
@@ -614,9 +613,8 @@ int main(int argc, char** argv) {
   options.obs.engine_trace = want_trace && args.trace_engine;
   options.obs.trace_frames = static_cast<std::uint64_t>(args.trace_frames);
   // Serve mode runs the convergence observatory: per-failure reaction
-  // timelines plus streaming loop-freedom checks, sampled between queries.
+  // timelines plus per-packet path checks, sampled between queries.
   options.obs.convergence_monitor = args.serve > 0;
-  options.obs.check_invariants = args.serve > 0;
   core::PortlandFabric fabric(options);
   std::printf("fabric: k=%d, %zu switches, %zu hosts, seed=%llu, ecmp=%s\n",
               args.k, fabric.switches().size(), fabric.hosts().size(),

@@ -56,6 +56,25 @@ def floor(label, observed, baseline):
           f"{observed:.0f} vs floor {limit:.0f} (baseline {baseline:.0f})")
 
 
+def check_e13(base):
+    """Per-packet path audit (E13). Both checks are exact: every audited
+    frame must keep §3.5's four path invariants, and in a fat tree a path
+    crosses 1, 3 or 5 switches (same edge, same pod, other pod). A
+    monitor stream that overflowed lost events, so its audit cannot
+    pass."""
+    e13 = load("BENCH_e13.json")
+    check("e13 path violations",
+          e13["violations"] <= base["e13"]["violations_max"],
+          f'{e13["violations"]} <= {base["e13"]["violations_max"]}')
+    check("e13 monitor events overflowed", e13["events_overflowed"] == 0,
+          f'{e13["events_overflowed"]} == 0')
+    for row in e13["rows"]:
+        classes = sorted(int(h) for h in row["hops"])
+        check(f'e13 k={row["k"]} failures={row["failures"]} hop classes',
+              set(classes) <= {1, 3, 5},
+              f'{classes} within [1, 3, 5]')
+
+
 def check_e14(base):
     e14 = load("BENCH_e14.json")
     floor("e14 frames/s", e14["frames_per_sec"],
@@ -146,9 +165,10 @@ def check_e21(base):
     """Convergence-observatory guards (E21). Reaction times are measured
     in simulated time, so they are deterministic per seed; the ceiling is
     generous (full run: 45-57 ms vs paper ~65 ms) and only trips when
-    detection or rerouting structurally breaks. The overhead and
-    loop-violation counts are exact invariants, checked with zero
-    tolerance."""
+    detection or rerouting structurally breaks. The overhead, the
+    path-violation count (all four §3.5 invariants, summed over every
+    fabric) and the monitor's lost-event count are exact invariants,
+    checked with zero tolerance."""
     e21 = load("BENCH_e21.json")
     check("e21 convergence ceiling",
           e21["convergence_ms_max"] <= base["e21"]["convergence_ms_max"],
@@ -160,9 +180,11 @@ def check_e21(base):
           f'{e21["monitor_overhead_events"]} executed-event delta '
           f'(monitor on vs off) <= '
           f'{base["e21"]["monitor_overhead_events_max"]}')
-    check("e21 loop violations",
-          e21["loop_violations"] <= base["e21"]["loop_violations_max"],
-          f'{e21["loop_violations"]} <= {base["e21"]["loop_violations_max"]}')
+    check("e21 path violations",
+          e21["path_violations"] <= base["e21"]["path_violations_max"],
+          f'{e21["path_violations"]} <= {base["e21"]["path_violations_max"]}')
+    check("e21 monitor events overflowed", e21["events_overflowed"] == 0,
+          f'{e21["events_overflowed"]} == 0')
     for row in e21["rows"]:
         check(f'e21 k={row["k"]} faults={row["faults"]} timelines',
               row["timelines"] >= row["faults"],
@@ -205,6 +227,7 @@ def check_e22(base):
 
 
 SECTIONS = {
+    "e13": check_e13,
     "e14": check_e14,
     "e15": check_e15,
     "e18": check_e18,

@@ -2,10 +2,11 @@
 # Builds the tree with ThreadSanitizer (-DPORTLAND_SANITIZE=thread) in a
 # separate build directory and soaks the parallel engine under it: every
 # simulator unit test (each runs the one windowed engine loop, at one
-# shard or many), the fabric-level determinism soak, which
-# runs the full chaos scenario (failures, repairs, VM migration,
-# multicast) with 4 worker threads, and the per-packet path auditor with
-# every window on the worker pool. Any cross-shard access the
+# shard or many), the fabric-level determinism soak, which runs the full
+# chaos scenario (failures, repairs, VM migration, multicast) with 4
+# worker threads, and the convergence monitor's per-packet path audit
+# with every window on the worker pool, so its shard streams fill from
+# several threads at once. Any cross-shard access the
 # conservative-lookahead windows fail to order shows up here as a data
 # race.
 set -eu
@@ -30,4 +31,4 @@ echo
 echo "################  test_fabric / pooled path audit (TSan)  ################"
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   "$BUILD/tests/test_fabric" \
-  --gtest_filter='Fabric.PathAuditorIsSafeWithWorkerPool'
+  --gtest_filter='Fabric.PathAuditIsWorkerCountInvariant'

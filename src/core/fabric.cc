@@ -72,10 +72,8 @@ PortlandFabric::PortlandFabric(Options options)
     net_.sim().set_tracer(tracer_.get());
   }
   if (options_.obs.convergence_monitor) {
-    obs::ConvergenceMonitor::Options mo;
-    mo.check_invariants = options_.obs.check_invariants;
     monitor_ = std::make_unique<obs::ConvergenceMonitor>(
-        tree_.shard_count(), mo);
+        tree_.shard_count(), obs::ConvergenceMonitor::Options{});
     net_.set_convergence_monitor(monitor_.get());
   }
 

@@ -81,13 +81,10 @@ class PortlandFabric {
       std::size_t ring_capacity = 4096;
       /// Attach an EngineTracer (wall-clock window/dispatch profiling).
       bool engine_trace = false;
-      /// Attach a ConvergenceMonitor (per-failure reaction timelines).
-      /// Implies flight_recorder: the monitor derives blackhole windows
-      /// from the recorder's hop/drop streams.
+      /// Attach a ConvergenceMonitor (per-failure reaction timelines and
+      /// §3.5's per-packet path invariants). Implies flight_recorder: the
+      /// monitor reads the recorder's hop/drop streams.
       bool convergence_monitor = false;
-      /// Streaming loop-freedom checking inside the monitor (costs
-      /// per-ingress table work; only meaningful with the monitor on).
-      bool check_invariants = false;
     } obs;
   };
 

@@ -129,7 +129,8 @@ void PortlandSwitch::handle_frame(sim::PortId in_port,
   if (host_port) ldp_.note_host_traffic(in_port);
 
   if (flight_recorder() != nullptr) {
-    record_hop(obs::HopEvent::kIngress, frame, in_port, frame->size());
+    record_hop(obs::HopEvent::kIngress, frame, in_port, frame->size(),
+               static_cast<std::uint8_t>(locator().level));
   }
 
   if (!parsed.valid) {

@@ -9,21 +9,6 @@ namespace portland::obs {
 
 namespace {
 
-constexpr std::size_t kLoopProbeWindow = 8;
-
-[[nodiscard]] std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  return x;
-}
-
 void append_ms_field(std::string* out, const char* key, SimTime base,
                      SimTime stage, bool trailing_comma = true) {
   char buf[96];
@@ -38,7 +23,34 @@ void append_ms_field(std::string* out, const char* key, SimTime base,
   out->append(buf);
 }
 
+/// The trace id a frame's path is checked under: 0 unless the frame is
+/// traced and unicast. Multicast replicas share one trace id across
+/// their branches, so they have no single path. `data` holds at least an
+/// Ethernet header (the caller parsed a valid IPv4 flow key from it).
+[[nodiscard]] std::uint64_t path_id(std::uint64_t trace_id,
+                                    const std::uint8_t* data) {
+  return (data[0] & 1) != 0 ? 0 : trace_id;
+}
+
+[[nodiscard]] constexpr std::uint8_t bit_of(PathInvariant kind) {
+  return static_cast<std::uint8_t>(1u << static_cast<unsigned>(kind));
+}
+
 }  // namespace
+
+const char* path_invariant_name(PathInvariant kind) {
+  switch (kind) {
+    case PathInvariant::kRevisit:
+      return "revisit";
+    case PathInvariant::kValley:
+      return "valley";
+    case PathInvariant::kLateral:
+      return "lateral";
+    case PathInvariant::kTooLong:
+      return "too_long";
+  }
+  return "unknown";
+}
 
 FlowKey parse_flow_key(const std::uint8_t* data, std::size_t size) {
   FlowKey key;
@@ -95,17 +107,7 @@ std::string flow_key_to_string(const FlowKey& key) {
 
 ConvergenceMonitor::ConvergenceMonitor(std::size_t shard_count,
                                        Options options)
-    : options_(options),
-      shards_(shard_count == 0 ? 1 : shard_count) {
-  options_.loop_table_capacity =
-      round_up_pow2(std::max<std::size_t>(options_.loop_table_capacity,
-                                          kLoopProbeWindow));
-  if (options_.check_invariants) {
-    for (ShardState& s : shards_) {
-      s.loop_table.resize(options_.loop_table_capacity);
-    }
-  }
-}
+    : options_(options), shards_(shard_count == 0 ? 1 : shard_count) {}
 
 void ConvergenceMonitor::append(std::uint32_t shard, Event e) {
   ShardState& s = shard_for(shard);
@@ -157,24 +159,24 @@ void ConvergenceMonitor::on_prune_install(std::uint32_t shard, SimTime t,
 void ConvergenceMonitor::on_hop(std::uint32_t shard, SimTime t,
                                 const char* device, HopEvent event,
                                 std::uint64_t trace_id,
-                                const std::uint8_t* data, std::size_t size) {
+                                const std::uint8_t* data, std::size_t size,
+                                std::uint8_t level) {
+  if (event != HopEvent::kDeliver && event != HopEvent::kIngress) return;
+  const FlowKey flow = parse_flow_key(data, size);
+  if (!flow.valid()) return;
+  Event e;
+  e.time = t;
+  e.a = device;
+  e.trace_id = path_id(trace_id, data);
   if (event == HopEvent::kDeliver) {
-    const FlowKey flow = parse_flow_key(data, size);
-    if (flow.valid()) {
-      Event e;
-      e.time = t;
-      e.kind = EventKind::kFlowDeliver;
-      e.a = device;
-      e.flow = flow;
-      append(shard, e);
-    }
-    if (options_.check_invariants && trace_id != 0) {
-      loop_erase(shard_for(shard), trace_id);
-    }
-  } else if (options_.check_invariants && event == HopEvent::kIngress &&
-             trace_id != 0) {
-    loop_visit(shard_for(shard), t, device, trace_id);
+    e.kind = EventKind::kFlowDeliver;
+    e.flow = flow;
+  } else {
+    if (e.trace_id == 0) return;
+    e.kind = EventKind::kSwitchIngress;
+    e.level = level;
   }
+  append(shard, e);
 }
 
 void ConvergenceMonitor::on_drop(std::uint32_t shard, SimTime t,
@@ -182,66 +184,13 @@ void ConvergenceMonitor::on_drop(std::uint32_t shard, SimTime t,
                                  const std::uint8_t* data,
                                  std::size_t size) {
   const FlowKey flow = parse_flow_key(data, size);
-  if (flow.valid()) {
-    Event e;
-    e.time = t;
-    e.kind = EventKind::kFlowDrop;
-    e.flow = flow;
-    append(shard, e);
-  }
-  if (options_.check_invariants && trace_id != 0) {
-    loop_erase(shard_for(shard), trace_id);
-  }
-}
-
-void ConvergenceMonitor::loop_visit(ShardState& s, SimTime t,
-                                    const char* device,
-                                    std::uint64_t trace_id) {
-  const std::size_t mask = s.loop_table.size() - 1;
-  const std::size_t start = mix64(trace_id) & mask;
-  LoopSlot* slot = nullptr;
-  LoopSlot* empty = nullptr;
-  for (std::size_t i = 0; i < kLoopProbeWindow; ++i) {
-    LoopSlot& cand = s.loop_table[(start + i) & mask];
-    if (cand.trace_id == trace_id) {
-      slot = &cand;
-      break;
-    }
-    if (cand.trace_id == 0 && empty == nullptr) empty = &cand;
-  }
-  if (slot == nullptr) {
-    if (empty == nullptr) {
-      empty = &s.loop_table[start];  // deterministic eviction
-      ++s.loop_evictions;
-    }
-    *empty = LoopSlot{};
-    empty->trace_id = trace_id;
-    slot = empty;
-  }
-  for (std::size_t i = 0; i < slot->count; ++i) {
-    if (slot->visited[i] == device) {
-      ++s.violation_total;
-      if (s.violations.size() < options_.max_loop_violations) {
-        s.violations.push_back(LoopViolation{t, trace_id, device});
-      }
-      return;
-    }
-  }
-  if (slot->count < slot->visited.size()) {
-    slot->visited[slot->count++] = device;
-  }
-}
-
-void ConvergenceMonitor::loop_erase(ShardState& s, std::uint64_t trace_id) {
-  const std::size_t mask = s.loop_table.size() - 1;
-  const std::size_t start = mix64(trace_id) & mask;
-  for (std::size_t i = 0; i < kLoopProbeWindow; ++i) {
-    LoopSlot& cand = s.loop_table[(start + i) & mask];
-    if (cand.trace_id == trace_id) {
-      cand = LoopSlot{};
-      return;
-    }
-  }
+  if (!flow.valid()) return;
+  Event e;
+  e.time = t;
+  e.kind = EventKind::kFlowDrop;
+  e.flow = flow;
+  e.trace_id = path_id(trace_id, data);
+  append(shard, e);
 }
 
 void ConvergenceMonitor::advance() {
@@ -318,7 +267,11 @@ void ConvergenceMonitor::process(const Event& e) {
         if (tl.reroute == 0 && tl.notify != 0) tl.reroute = e.time;
       }
       break;
+    case EventKind::kSwitchIngress:
+      path_hop(e);
+      break;
     case EventKind::kFlowDrop: {
+      if (e.trace_id != 0) open_paths_.erase(e.trace_id);
       if (open_.empty()) break;  // flows only tracked during failures
       for (const OpenWindow& w : open_windows_) {
         if (w.flow == e.flow) return;  // window already open
@@ -336,6 +289,18 @@ void ConvergenceMonitor::process(const Event& e) {
       break;
     }
     case EventKind::kFlowDeliver:
+      if (e.trace_id != 0) {
+        // A delivery without ingress hops crossed no PortLand switch
+        // (e.g. a hypervisor vswitch kept it local): a 0-hop path.
+        std::size_t hops = 0;
+        if (const auto it = open_paths_.find(e.trace_id);
+            it != open_paths_.end()) {
+          hops = it->second.hops;
+          open_paths_.erase(it);
+        }
+        ++path_hops_[hops];
+        ++paths_completed_;
+      }
       for (std::size_t i = 0; i < open_windows_.size(); ++i) {
         if (!(open_windows_[i].flow == e.flow)) continue;
         const OpenWindow w = open_windows_[i];
@@ -351,6 +316,45 @@ void ConvergenceMonitor::process(const Event& e) {
         break;
       }
       break;
+  }
+}
+
+void ConvergenceMonitor::path_hop(const Event& e) {
+  OpenPath& path = open_paths_[e.trace_id];
+  // After a revisit the list stops growing, so a looping frame's list
+  // stays bounded by the switches it reached before the loop.
+  if ((path.flagged & bit_of(PathInvariant::kRevisit)) == 0) {
+    if (std::find(path.visited.begin(), path.visited.end(), e.a) !=
+        path.visited.end()) {
+      flag(e, path, PathInvariant::kRevisit);
+    } else {
+      path.visited.push_back(e.a);
+    }
+  }
+  if (++path.hops > kMaxSwitchHops) flag(e, path, PathInvariant::kTooLong);
+  // Levels rise, then fall, and never rise again; the first valley or
+  // lateral hop ends the level check for this path.
+  constexpr std::uint8_t kLevelRules =
+      bit_of(PathInvariant::kValley) | bit_of(PathInvariant::kLateral);
+  if (path.hops > 1 && (path.flagged & kLevelRules) == 0) {
+    if (e.level < path.last_level) {
+      path.descending = true;
+    } else if (path.descending && e.level > path.last_level) {
+      flag(e, path, PathInvariant::kValley);
+    } else if (e.level == path.last_level) {
+      flag(e, path, PathInvariant::kLateral);
+    }
+  }
+  path.last_level = e.level;
+}
+
+void ConvergenceMonitor::flag(const Event& e, OpenPath& path,
+                              PathInvariant kind) {
+  if ((path.flagged & bit_of(kind)) != 0) return;
+  path.flagged |= bit_of(kind);
+  ++path_violations_;
+  if (violation_details_.size() < kMaxViolationDetails) {
+    violation_details_.push_back(PathViolation{e.time, e.trace_id, kind, e.a});
   }
 }
 
@@ -423,36 +427,6 @@ std::uint64_t ConvergenceMonitor::events_overflowed() const {
   return total;
 }
 
-std::uint64_t ConvergenceMonitor::loop_violations() const {
-  std::uint64_t total = 0;
-  for (const ShardState& s : shards_) total += s.violation_total;
-  return total;
-}
-
-std::vector<LoopViolation> ConvergenceMonitor::loop_violation_details()
-    const {
-  struct Tagged {
-    LoopViolation v;
-    std::uint32_t shard;
-    std::size_t index;
-  };
-  std::vector<Tagged> all;
-  for (std::uint32_t i = 0; i < shards_.size(); ++i) {
-    for (std::size_t j = 0; j < shards_[i].violations.size(); ++j) {
-      all.push_back({shards_[i].violations[j], i, j});
-    }
-  }
-  std::sort(all.begin(), all.end(), [](const Tagged& x, const Tagged& y) {
-    if (x.v.time != y.v.time) return x.v.time < y.v.time;
-    if (x.shard != y.shard) return x.shard < y.shard;
-    return x.index < y.index;
-  });
-  std::vector<LoopViolation> out;
-  out.reserve(all.size());
-  for (const Tagged& t : all) out.push_back(t.v);
-  return out;
-}
-
 std::uint64_t ConvergenceMonitor::unresolved_blackholes() const {
   return unresolved_blackholes_;
 }
@@ -507,7 +481,7 @@ void ConvergenceMonitor::render_prometheus(std::string* out) const {
        static_cast<std::uint64_t>(open_.size())},
       {"portland_convergence_events_captured", events_captured()},
       {"portland_convergence_events_overflowed", events_overflowed()},
-      {"portland_convergence_loop_violations", loop_violations()},
+      {"portland_convergence_path_violations", path_violations_},
       {"portland_convergence_unresolved_blackholes",
        unresolved_blackholes_},
   };
@@ -555,12 +529,6 @@ void ConvergenceMonitor::clear() {
     s.events.clear();
     s.seq = 0;
     s.overflow = 0;
-    if (!s.loop_table.empty()) {
-      std::fill(s.loop_table.begin(), s.loop_table.end(), LoopSlot{});
-    }
-    s.violations.clear();
-    s.violation_total = 0;
-    s.loop_evictions = 0;
   }
   open_.clear();
   completed_.clear();
@@ -569,6 +537,11 @@ void ConvergenceMonitor::clear() {
   next_timeline_id_ = 1;
   unresolved_blackholes_ = 0;
   completed_dropped_ = 0;
+  open_paths_.clear();
+  path_hops_.clear();
+  violation_details_.clear();
+  path_violations_ = 0;
+  paths_completed_ = 0;
 }
 
 }  // namespace portland::obs

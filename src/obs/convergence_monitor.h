@@ -28,20 +28,24 @@
 // (Soak.ConvergenceMonitorIsInvisibleToExecution pins bit-identical
 // frame traces off-vs-on).
 //
-// The optional *invariant monitor* (off by default; one pointer branch
-// per hop when off) additionally checks loop-freedom streamingly: a
-// bounded per-shard open-addressed table maps trace id → switches
-// visited, and a second ingress at the same switch flags a forwarding
-// loop. Per-trace visits at one switch always land on that switch's
-// own shard, so per-shard detection is sound. Blackhole-freedom is the
-// timeline-level check: every blackhole window must eventually close
-// (unresolved_blackholes() counts the ones that never did).
+// The monitor is also the per-packet path checker for §3.5's Theorem 1.
+// Every switch ingress of a traced unicast IPv4 frame joins the stream
+// with the switch's LDP level; advance() rebuilds each frame's path by
+// trace id and checks each hop as it arrives: no switch entered twice,
+// no valley (up after down), no lateral hop between same-level switches,
+// at most 5 switch hops. Checking per hop rather than at delivery
+// catches a loop even when the looping frame is never delivered. A
+// host delivery closes the path into the switch-hop histogram; a drop
+// discards it. Blackhole-freedom is the timeline-level check: every
+// blackhole window must eventually close (unresolved_blackholes()
+// counts the ones that never did).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
@@ -108,25 +112,33 @@ struct FailureTimeline {
   }
 };
 
-/// A forwarding-loop detection: `trace_id` entered `device` twice.
-struct LoopViolation {
+/// §3.5's per-packet invariants, one kind per rule a path can break.
+enum class PathInvariant : std::uint8_t {
+  kRevisit = 0,  // a switch entered twice: a forwarding loop
+  kValley,       // went up after going down
+  kLateral,      // hop between two switches of the same level
+  kTooLong,      // more than kMaxSwitchHops switch hops
+};
+
+[[nodiscard]] const char* path_invariant_name(PathInvariant kind);
+
+/// One broken invariant on one frame's path: `device` is the switch at
+/// whose ingress the rule broke.
+struct PathViolation {
   SimTime time = 0;
   std::uint64_t trace_id = 0;
+  PathInvariant kind = PathInvariant::kRevisit;
   const char* device = nullptr;
 };
 
 class ConvergenceMonitor {
  public:
+  /// The fat-tree diameter: edge, agg, core, agg, edge.
+  static constexpr std::size_t kMaxSwitchHops = 5;
+  /// Cap on retained violation details (the total keeps counting).
+  static constexpr std::size_t kMaxViolationDetails = 64;
+
   struct Options {
-    /// Enables the streaming loop-freedom check (per-ingress table work;
-    /// costs nothing when false beyond one predicted branch).
-    bool check_invariants = false;
-    /// Per-shard open-addressed loop-table slots (rounded up to a power
-    /// of two). Old traces are evicted deterministically when full.
-    std::size_t loop_table_capacity = 1024;
-    /// Per-shard cap on retained loop-violation details (totals keep
-    /// counting past the cap).
-    std::size_t max_loop_violations = 64;
     /// Per-shard cap on buffered events between advance() drains; the
     /// overflow counter records anything past it.
     std::size_t max_events_per_shard = 1 << 20;
@@ -158,11 +170,13 @@ class ConvergenceMonitor {
   /// A switch applied a PruneUpdate.
   void on_prune_install(std::uint32_t shard, SimTime t, const char* sw);
 
-  /// Per-hop feed from Device::record_hop (only deliveries and — with
-  /// invariants on — ingresses do any work).
+  /// Per-hop feed from Device::record_hop (only deliveries and switch
+  /// ingresses do any work). `level` is the switch's LDP level on a
+  /// kIngress hop (higher = nearer the core); only PortlandSwitch sets it.
   void on_hop(std::uint32_t shard, SimTime t, const char* device,
               HopEvent event, std::uint64_t trace_id,
-              const std::uint8_t* data, std::size_t size);
+              const std::uint8_t* data, std::size_t size,
+              std::uint8_t level = 0);
 
   /// Per-drop feed from Device::record_drop.
   void on_drop(std::uint32_t shard, SimTime t, std::uint64_t trace_id,
@@ -188,9 +202,25 @@ class ConvergenceMonitor {
   }
   [[nodiscard]] std::uint64_t events_captured() const;
   [[nodiscard]] std::uint64_t events_overflowed() const;
-  [[nodiscard]] std::uint64_t loop_violations() const;
-  /// Retained violation details, canonically ordered (bounded per shard).
-  [[nodiscard]] std::vector<LoopViolation> loop_violation_details() const;
+  /// Broken §3.5 invariants over every checked path (one per kind per
+  /// path).
+  [[nodiscard]] std::uint64_t path_violations() const {
+    return path_violations_;
+  }
+  /// The first kMaxViolationDetails violations, in stream order.
+  [[nodiscard]] const std::vector<PathViolation>& path_violation_details()
+      const {
+    return violation_details_;
+  }
+  /// Unicast IPv4 frames delivered to a host with their path checked.
+  [[nodiscard]] std::uint64_t paths_completed() const {
+    return paths_completed_;
+  }
+  /// switch hops -> delivered frames.
+  [[nodiscard]] const std::map<std::size_t, std::uint64_t>&
+  path_hop_histogram() const {
+    return path_hops_;
+  }
   /// Blackhole windows on completed timelines that never saw a recovery
   /// frame — the blackhole-freedom invariant's violation count.
   [[nodiscard]] std::uint64_t unresolved_blackholes() const;
@@ -202,7 +232,7 @@ class ConvergenceMonitor {
   /// portland_blackhole_ms) for scraping alongside the metrics registry.
   void render_prometheus(std::string* out) const;
 
-  /// Forgets everything (timelines, buffered events, loop tables);
+  /// Forgets everything (timelines, buffered events, open paths);
   /// snapshot restores call this — timelines never cross a fork.
   void clear();
 
@@ -217,25 +247,20 @@ class ConvergenceMonitor {
     kPruneInstall,
     kFlowDrop,
     kFlowDeliver,
+    kSwitchIngress,
   };
 
   struct Event {
     SimTime time = 0;
     std::uint64_t seq = 0;  // per-shard capture index
-    EventKind kind = EventKind::kLinkDown;
     const char* a = nullptr;  // device / link endpoint name
     const char* b = nullptr;  // link's other endpoint (link events only)
     FlowKey flow;             // kFlowDrop / kFlowDeliver
-  };
-
-  /// Loop-table slot: switches visited by one in-flight trace. The probe
-  /// window is short and slots are overwritten deterministically, so the
-  /// check is best-effort (false negatives possible under eviction,
-  /// never false positives).
-  struct LoopSlot {
+    /// kSwitchIngress / kFlowDrop / kFlowDeliver of a traced unicast IPv4
+    /// frame: the path it belongs to (0 = no path).
     std::uint64_t trace_id = 0;
-    std::uint8_t count = 0;
-    std::array<const char*, 8> visited{};
+    EventKind kind = EventKind::kLinkDown;
+    std::uint8_t level = 0;  // kSwitchIngress: the switch's LDP level
   };
 
   /// Padded so neighboring shards' buffers never share a cache line.
@@ -243,25 +268,28 @@ class ConvergenceMonitor {
     std::vector<Event> events;
     std::uint64_t seq = 0;       // total appended == next seq
     std::uint64_t overflow = 0;  // events past max_events_per_shard
-    std::vector<LoopSlot> loop_table;
-    std::vector<LoopViolation> violations;  // bounded details
-    std::uint64_t violation_total = 0;
-    std::uint64_t loop_evictions = 0;
   };
 
   [[nodiscard]] ShardState& shard_for(std::uint32_t shard) {
     return shards_[shard < shards_.size() ? shard : 0];
   }
   void append(std::uint32_t shard, Event e);
-  void loop_visit(ShardState& s, SimTime t, const char* device,
-                  std::uint64_t trace_id);
-  void loop_erase(ShardState& s, std::uint64_t trace_id);
 
   // State-machine steps (main thread, quiescent).
   void process(const Event& e);
   void open_timeline(const Event& e);
   void close_timeline(std::size_t index, SimTime repaired, bool flapped,
                       bool count_unresolved);
+  /// One frame still in flight, as far as the stream has seen it.
+  struct OpenPath {
+    std::vector<const char*> visited;  // distinct switches, path order
+    std::size_t hops = 0;
+    std::uint8_t last_level = 0;
+    bool descending = false;
+    std::uint8_t flagged = 0;  // bit per PathInvariant already raised
+  };
+  void path_hop(const Event& e);
+  void flag(const Event& e, OpenPath& path, PathInvariant kind);
 
   Options options_;
   std::vector<ShardState> shards_;
@@ -279,6 +307,13 @@ class ConvergenceMonitor {
   std::uint64_t next_timeline_id_ = 1;
   std::uint64_t unresolved_blackholes_ = 0;
   std::uint64_t completed_dropped_ = 0;  // past max_completed
+
+  // Path checker (quiescent-only).
+  std::unordered_map<std::uint64_t, OpenPath> open_paths_;
+  std::map<std::size_t, std::uint64_t> path_hops_;
+  std::vector<PathViolation> violation_details_;
+  std::uint64_t path_violations_ = 0;
+  std::uint64_t paths_completed_ = 0;
 };
 
 }  // namespace portland::obs

@@ -63,7 +63,8 @@ void Device::trace_on_send(const FramePtr& frame) {
 }
 
 void Device::record_hop(obs::HopEvent event, const FramePtr& frame,
-                        PortId port, std::uint64_t detail) const {
+                        PortId port, std::uint64_t detail,
+                        std::uint8_t level) const {
   if (recorder_ == nullptr) return;
   const std::uint64_t id = frame->trace_id();
   if (id == 0) return;
@@ -77,8 +78,8 @@ void Device::record_hop(obs::HopEvent event, const FramePtr& frame,
   recorder_->record(static_cast<std::uint32_t>(shard_), r);
   if (monitor_ != nullptr) {
     monitor_->on_hop(static_cast<std::uint32_t>(shard_), r.time,
-                     name_.c_str(), event, id, frame->data(),
-                     frame->size());
+                     name_.c_str(), event, id, frame->data(), frame->size(),
+                     level);
   }
 }
 

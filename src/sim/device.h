@@ -104,9 +104,11 @@ class Device {
   }
 
   /// Appends a hop record for `frame` on this device's shard; no-op when
-  /// tracing is off or the frame carries no trace id.
+  /// tracing is off or the frame carries no trace id. `level` rides along
+  /// to the convergence monitor's path check: a switch's LDP level on its
+  /// kIngress hop (only PortlandSwitch sets it).
   void record_hop(obs::HopEvent event, const FramePtr& frame, PortId port,
-                  std::uint64_t detail = 0) const;
+                  std::uint64_t detail = 0, std::uint8_t level = 0) const;
 
   /// Counts a drop by reason (drops are recorded even for untraced
   /// frames); no-op when tracing is off.

@@ -25,7 +25,10 @@ class Link;
 /// Observation hook invoked for every frame the moment it is delivered to
 /// a receiving device (after loss/failure filtering): `rx_side` is the
 /// receiving endpoint's side of the link. Installed network-wide via
-/// Network::set_frame_tap; used for per-packet path audits and tracing.
+/// Network::set_frame_tap. It is the soaks' independent delivery trace:
+/// the only observer that sees every link delivery (LDP included), and
+/// one that bypasses the flight recorder and the convergence monitor, so
+/// the soaks can use it to prove those two invisible to execution.
 using FrameTap = std::function<void(const Link&, int rx_side,
                                     const FramePtr&)>;
 

@@ -75,9 +75,10 @@ class Network {
                 Link::Config config = {});
 
   /// Installs (or clears, with {}) an observation tap invoked on every
-  /// frame delivery network-wide. Zero cost when unset. With a sharded
-  /// simulator and >1 worker the tap runs concurrently from shard
-  /// threads — it must do its own locking.
+  /// frame delivery network-wide (see FrameTap: the soaks' independent
+  /// delivery trace). Zero cost when unset. With a sharded simulator and
+  /// >1 worker the tap runs concurrently from shard threads — it must do
+  /// its own locking.
   void set_frame_tap(FrameTap tap) { frame_tap_ = std::move(tap); }
 
   /// Permanently takes `link` down and detaches it from both endpoint

@@ -1,7 +1,7 @@
 // ConvergenceMonitor unit tests: the failure-timeline state machine fed
 // with synthetic event streams (flap during reroute, zero affected
-// flows, overlapping failures, unresolved blackholes), the streaming
-// loop-freedom invariant, 5-tuple parsing, the JSONL/Prometheus
+// flows, overlapping failures, unresolved blackholes), §3.5's per-packet
+// path invariants, 5-tuple parsing, the JSONL/Prometheus
 // renderers, and a real-socket round trip through the HTTP exporter.
 //
 // The end-to-end feeds (devices, FM, links) are covered by the soak
@@ -14,6 +14,8 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -199,40 +201,110 @@ TEST(ConvergenceMonitor, UnresolvedBlackholeOnFinalize) {
   EXPECT_EQ(monitor.unresolved_blackholes(), 1u);
 }
 
-TEST(ConvergenceMonitor, LoopInvariantFlagsRevisits) {
-  ConvergenceMonitor::Options opts;
-  opts.check_invariants = true;
-  ConvergenceMonitor monitor(1, opts);
-  const auto frame = udp_frame(0x0A000001, 0x0A010002, 7100, 7100);
+// §3.5's four path invariants, each broken by one synthetic path. Hops
+// alternate between two shards and are fed newest first, so the check
+// only sees paths in order because advance() merges the streams.
+TEST(ConvergenceMonitor, PathInvariantsFlagEachViolation) {
+  // LDP levels: edge 1, aggregation 2, core 3; kSpine is a fourth level
+  // that only a deeper tree than a fat tree would have.
+  constexpr std::uint8_t kE = 1;
+  constexpr std::uint8_t kA = 2;
+  constexpr std::uint8_t kC = 3;
+  static constexpr char kEdge3[] = "edge-p2-0";
+  static constexpr char kAgg2[] = "agg-p1-0";
+  static constexpr char kSpine[] = "spine-0";
+  static constexpr char kHost[] = "host-0";
+  const auto unicast = udp_frame(0x0A000001, 0x0A010002, 7100, 7100);
+  auto multicast = unicast;
+  multicast[0] = 0x01;  // group bit of the destination MAC
 
-  // edge -> agg -> edge again: a forwarding loop.
-  monitor.on_hop(0, millis(1), kEdge, HopEvent::kIngress, 7, frame.data(),
+  struct Path {
+    std::uint64_t trace = 0;
+    SimTime start = 0;
+    std::vector<std::pair<const char*, std::uint8_t>> hops;
+    bool dropped = false;
+    bool is_multicast = false;
+  };
+  const std::vector<Path> paths = {
+      {1, micros(0), {{kEdge, kE}, {kAgg, kA}, {kCore, kC}, {kAgg2, kA},
+                      {kEdge2, kE}}},                                 // clean
+      {2, micros(1), {{kEdge, kE}, {kAgg, kA}, {kEdge, kE}}},          // revisit
+      {3, micros(2), {{kEdge, kE}, {kAgg, kA}, {kEdge2, kE}, {kAgg2, kA},
+                      {kEdge3, kE}}},                                 // valley
+      {4, micros(3), {{kEdge, kE}, {kAgg, kA}, {kAgg2, kA}, {kEdge2, kE}}},
+      {5, micros(4), {{kEdge, kE}, {kAgg, kA}, {kCore, kC}, {kSpine, 4},
+                      {kAgg2, kA}, {kEdge2, kE}}},                    // 6 hops
+      {6, micros(5), {}},                                             // 0 hops
+      {7, micros(6), {{kEdge, kE}, {kAgg, kA}}, /*dropped=*/true},
+      {8, micros(7), {{kEdge, kE}, {kAgg, kA}, {kEdge, kE}}, false,
+       /*is_multicast=*/true},
+      // The dropped trace again: a fresh path, not a revisit.
+      {7, micros(100), {{kEdge, kE}, {kAgg, kA}}},
+  };
+  std::vector<std::function<void(ConvergenceMonitor&)>> feed;
+  for (const Path& p : paths) {
+    const auto& frame = p.is_multicast ? multicast : unicast;
+    for (std::size_t j = 0; j < p.hops.size(); ++j) {
+      const auto [device, level] = p.hops[j];
+      const SimTime t = p.start + micros(10 * static_cast<SimTime>(j));
+      feed.push_back([&frame, &p, j, t, device, level](ConvergenceMonitor& m) {
+        m.on_hop(static_cast<std::uint32_t>(j % 2), t, device,
+                 HopEvent::kIngress, p.trace, frame.data(), frame.size(),
+                 level);
+      });
+    }
+    const std::size_t n = p.hops.size();
+    const SimTime t = p.start + micros(10 * static_cast<SimTime>(n));
+    feed.push_back([&frame, &p, n, t](ConvergenceMonitor& m) {
+      const auto shard = static_cast<std::uint32_t>(n % 2);
+      if (p.dropped) {
+        m.on_drop(shard, t, p.trace, frame.data(), frame.size());
+      } else {
+        m.on_hop(shard, t, kHost, HopEvent::kDeliver, p.trace, frame.data(),
                  frame.size());
-  monitor.on_hop(0, millis(2), kAgg, HopEvent::kIngress, 7, frame.data(),
-                 frame.size());
-  monitor.on_hop(0, millis(3), kEdge, HopEvent::kIngress, 7, frame.data(),
-                 frame.size());
-  EXPECT_EQ(monitor.loop_violations(), 1u);
-  const auto details = monitor.loop_violation_details();
-  ASSERT_EQ(details.size(), 1u);
-  EXPECT_EQ(details[0].trace_id, 7u);
-  EXPECT_STREQ(details[0].device, kEdge);
+      }
+    });
+  }
+  ConvergenceMonitor monitor(2, {});
+  for (auto it = feed.rbegin(); it != feed.rend(); ++it) (*it)(monitor);
+  monitor.advance();
 
-  // Delivery retires the trace: a fresh packet through the same switch
-  // is a new journey, not a loop.
-  monitor.on_hop(0, millis(4), kEdge2, HopEvent::kDeliver, 7, frame.data(),
-                 frame.size());
-  monitor.on_hop(0, millis(5), kEdge, HopEvent::kIngress, 7, frame.data(),
-                 frame.size());
-  EXPECT_EQ(monitor.loop_violations(), 1u);
+  // One violation of the right kind per broken path, in stream order:
+  // revisit at 21 us, lateral at 23 us, valley at 32 us, 6th hop at 54 us.
+  EXPECT_EQ(monitor.path_violations(), 4u);
+  const auto& details = monitor.path_violation_details();
+  ASSERT_EQ(details.size(), 4u);
+  EXPECT_EQ(details[0].kind, PathInvariant::kRevisit);
+  EXPECT_EQ(details[0].trace_id, 2u);
+  EXPECT_EQ(details[0].device, kEdge);
+  EXPECT_EQ(details[0].time, micros(21));
+  EXPECT_EQ(details[1].kind, PathInvariant::kLateral);
+  EXPECT_EQ(details[1].trace_id, 4u);
+  EXPECT_EQ(details[1].device, kAgg2);
+  EXPECT_EQ(details[2].kind, PathInvariant::kValley);
+  EXPECT_EQ(details[2].trace_id, 3u);
+  EXPECT_EQ(details[2].device, kAgg2);
+  EXPECT_EQ(details[3].kind, PathInvariant::kTooLong);
+  EXPECT_EQ(details[3].trace_id, 5u);
+  EXPECT_EQ(details[3].device, kEdge2);
+  EXPECT_STREQ(path_invariant_name(details[3].kind), "too_long");
 
-  // With the check off, ingress feeds are free and nothing is tracked.
-  ConvergenceMonitor off(1, {});
-  off.on_hop(0, millis(1), kEdge, HopEvent::kIngress, 7, frame.data(),
-             frame.size());
-  off.on_hop(0, millis(2), kEdge, HopEvent::kIngress, 7, frame.data(),
-             frame.size());
-  EXPECT_EQ(off.loop_violations(), 0u);
+  // Seven unicast deliveries close a path; the drop and the multicast
+  // frame (despite its repeated switch) add none.
+  EXPECT_EQ(monitor.paths_completed(), 7u);
+  const std::map<std::size_t, std::uint64_t> expected = {
+      {0, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 2}, {6, 1}};
+  EXPECT_EQ(monitor.path_hop_histogram(), expected);
+
+  std::string prom;
+  monitor.render_prometheus(&prom);
+  EXPECT_NE(prom.find("portland_convergence_path_violations 4\n"),
+            std::string::npos);
+  monitor.clear();
+  EXPECT_EQ(monitor.path_violations(), 0u);
+  EXPECT_EQ(monitor.paths_completed(), 0u);
+  EXPECT_TRUE(monitor.path_hop_histogram().empty());
+  EXPECT_TRUE(monitor.path_violation_details().empty());
 }
 
 TEST(ConvergenceMonitor, RendersJsonlAndPrometheus) {

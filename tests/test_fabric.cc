@@ -9,16 +9,18 @@
 #include <vector>
 
 #include "core/fabric.h"
-#include "core/path_audit.h"
 #include "host/apps.h"
+#include "obs/convergence_monitor.h"
 
 namespace portland::core {
 namespace {
 
-std::unique_ptr<PortlandFabric> make_fabric(int k, std::uint64_t seed = 1) {
+std::unique_ptr<PortlandFabric> make_fabric(int k, std::uint64_t seed = 1,
+                                            bool monitor = false) {
   PortlandFabric::Options options;
   options.k = k;
   options.seed = seed;
+  options.obs.convergence_monitor = monitor;
   auto fabric = std::make_unique<PortlandFabric>(options);
   EXPECT_TRUE(fabric->run_until_converged());
   return fabric;
@@ -333,9 +335,9 @@ TEST(Fabric, SkippedHostLeavesPortFree) {
   EXPECT_FALSE(fabric.edge_at(3, 1).port_connected(1));
 }
 
-TEST(Fabric, PathAuditorprovesLoopFreedomPerPacket) {
-  auto fabric = make_fabric(4, 77);
-  PathAuditor auditor(*fabric);
+TEST(Fabric, PathAuditProvesLoopFreedomPerPacket) {
+  auto fabric = make_fabric(4, 77, /*monitor=*/true);
+  obs::ConvergenceMonitor& monitor = *fabric->convergence_monitor();
 
   // Three flows covering the 1/3/5-switch-hop classes.
   host::UdpFlowReceiver r1(fabric->host_at(0, 0, 1), 7100);  // same edge
@@ -357,12 +359,12 @@ TEST(Fabric, PathAuditorprovesLoopFreedomPerPacket) {
   fabric->sim().run_until(fabric->sim().now() + millis(200));
   for (auto& s : senders) s->stop();
   fabric->sim().run_until(fabric->sim().now() + millis(20));
+  monitor.finalize();
 
-  EXPECT_TRUE(auditor.violations().empty())
-      << auditor.violations().front();
-  EXPECT_GT(auditor.packets_completed(), 400u);
+  EXPECT_EQ(monitor.path_violations(), 0u);
+  EXPECT_GT(monitor.paths_completed(), 400u);
   // All three hop classes observed, nothing else.
-  const auto& h = auditor.hop_histogram();
+  const auto& h = monitor.path_hop_histogram();
   EXPECT_TRUE(h.count(1));
   EXPECT_TRUE(h.count(3));
   EXPECT_TRUE(h.count(5));
@@ -372,8 +374,8 @@ TEST(Fabric, PathAuditorprovesLoopFreedomPerPacket) {
 }
 
 TEST(Fabric, PathAuditHoldsDuringFailureRecovery) {
-  auto fabric = make_fabric(4, 78);
-  PathAuditor auditor(*fabric);
+  auto fabric = make_fabric(4, 78, /*monitor=*/true);
+  obs::ConvergenceMonitor& monitor = *fabric->convergence_monitor();
   Rng rng(78);
   host::UdpFlowReceiver receiver(fabric->host_at(2, 1, 0), 7103);
   host::UdpFlowSender::Config cfg;
@@ -389,18 +391,18 @@ TEST(Fabric, PathAuditHoldsDuringFailureRecovery) {
   fabric->sim().run_until(fabric->sim().now() + millis(400));
   sender.stop();
   fabric->sim().run_until(fabric->sim().now() + millis(20));
-  EXPECT_TRUE(auditor.violations().empty())
-      << auditor.violations().front();
-  EXPECT_GT(auditor.packets_completed(), 100u);
+  monitor.finalize();
+  EXPECT_EQ(monitor.path_violations(), 0u);
+  EXPECT_GT(monitor.paths_completed(), 100u);
 }
 
 /// Audits three cross-pod flows plus two intra-pod ones on a k=4 fabric
 /// run by the sharded engine with `workers` threads, every window handed
-/// to the worker pool (parallel_min_events = 0), so the frame tap fires
-/// from several threads at once.
+/// to the worker pool (parallel_min_events = 0), so the monitor's shard
+/// streams fill from several threads at once.
 struct PooledAudit {
   std::uint64_t completed = 0;
-  std::size_t violations = 0;
+  std::uint64_t violations = 0;
   std::map<std::size_t, std::uint64_t> hops;
 };
 
@@ -410,9 +412,10 @@ PooledAudit run_pooled_audit(unsigned workers) {
   options.seed = 79;
   options.workers = workers;
   options.parallel_min_events = 0;
+  options.obs.convergence_monitor = true;
   PortlandFabric fabric(options);
   EXPECT_TRUE(fabric.run_until_converged());
-  PathAuditor auditor(fabric);
+  obs::ConvergenceMonitor& monitor = *fabric.convergence_monitor();
   const std::array<std::array<std::size_t, 6>, 5> pairs = {{
       {0, 0, 0, 1, 0, 1},
       {1, 1, 0, 2, 0, 0},
@@ -439,11 +442,12 @@ PooledAudit run_pooled_audit(unsigned workers) {
   fabric.sim().run_until(fabric.sim().now() + millis(100));
   for (auto& s : senders) s->stop();
   fabric.sim().run_until(fabric.sim().now() + millis(20));
-  return PooledAudit{auditor.packets_completed(), auditor.violations().size(),
-                     auditor.hop_histogram()};
+  monitor.finalize();
+  return PooledAudit{monitor.paths_completed(), monitor.path_violations(),
+                     monitor.path_hop_histogram()};
 }
 
-TEST(Fabric, PathAuditorIsSafeWithWorkerPool) {
+TEST(Fabric, PathAuditIsWorkerCountInvariant) {
   const PooledAudit one = run_pooled_audit(1);
   const PooledAudit four = run_pooled_audit(4);
   EXPECT_GT(one.completed, 1000u);

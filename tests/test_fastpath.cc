@@ -7,9 +7,9 @@
 #include <array>
 
 #include "core/fabric.h"
-#include "core/path_audit.h"
 #include "host/apps.h"
 #include "net/packet.h"
+#include "obs/convergence_monitor.h"
 #include "sim/simulator.h"
 
 namespace portland::core {
@@ -172,8 +172,10 @@ TEST(Fastpath, PathAuditHoldsWithPrunesInstalled) {
   PortlandFabric::Options options;
   options.k = 4;
   options.seed = 35;
+  options.obs.convergence_monitor = true;
   PortlandFabric fabric(options);
   ASSERT_TRUE(fabric.run_until_converged());
+  obs::ConvergenceMonitor& monitor = *fabric.convergence_monitor();
 
   // Several cross-pod flows so multiple up-paths are live at once.
   std::vector<std::unique_ptr<host::UdpFlowReceiver>> receivers;
@@ -193,7 +195,6 @@ TEST(Fastpath, PathAuditHoldsWithPrunesInstalled) {
     ++port;
   }
 
-  PathAuditor audit(fabric);
   fabric.sim().run_until(fabric.sim().now() + millis(150));
 
   // Mid-run, every source edge gets a fine (pod, position) prune for its
@@ -212,9 +213,9 @@ TEST(Fastpath, PathAuditHoldsWithPrunesInstalled) {
   const SimTime prune_at = fabric.sim().now();
   fabric.sim().run_until(prune_at + millis(150));
 
-  EXPECT_GT(audit.packets_completed(), 500u);
-  EXPECT_TRUE(audit.violations().empty())
-      << audit.violations().front();
+  monitor.finalize();
+  EXPECT_GT(monitor.paths_completed(), 500u);
+  EXPECT_EQ(monitor.path_violations(), 0u);
   for (std::size_t pod = 0; pod < 4; ++pod) {
     EXPECT_EQ(fabric.edge_at(pod, 0).prune_entry_count(), 1u);
     // The pruned lookup kept every flow delivering to the end.

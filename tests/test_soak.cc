@@ -12,8 +12,8 @@
 
 #include "core/fabric.h"
 #include "core/migration.h"
-#include "core/path_audit.h"
 #include "host/apps.h"
+#include "obs/convergence_monitor.h"
 
 namespace portland::core {
 namespace {
@@ -24,11 +24,12 @@ TEST(Soak, EverythingAtOnce) {
   options.k = 4;
   options.seed = 20260705;
   options.skip_host_indices = {tree.host_index(3, 1, 1)};  // migration slot
+  options.obs.convergence_monitor = true;
   PortlandFabric fabric(options);
   ASSERT_TRUE(fabric.run_until_converged());
   const SimTime t0 = fabric.sim().now();
+  obs::ConvergenceMonitor& monitor = *fabric.convergence_monitor();
 
-  PathAuditor auditor(fabric);
   Rng rng(options.seed);
 
   // --- 4 unicast probe flows across pods -------------------------------
@@ -118,8 +119,10 @@ TEST(Soak, EverythingAtOnce) {
 
   // --- the reckoning -----------------------------------------------------
   // 1. Loop freedom held for every audited packet through all of it.
-  EXPECT_TRUE(auditor.violations().empty()) << auditor.violations().front();
-  EXPECT_GT(auditor.packets_completed(), 5000u);
+  monitor.finalize();
+  EXPECT_EQ(monitor.path_violations(), 0u);
+  EXPECT_EQ(monitor.events_overflowed(), 0u);
+  EXPECT_GT(monitor.paths_completed(), 5000u);
 
   // 2. Every probe flow is alive and lost only transient packets.
   for (const auto& p : probes) {
@@ -185,7 +188,8 @@ struct ParallelRunResult {
   /// Convergence-monitor totals (zero when it was off).
   std::uint64_t mon_events = 0;
   std::uint64_t mon_timelines = 0;
-  std::uint64_t mon_loops = 0;
+  std::uint64_t mon_path_violations = 0;
+  std::map<std::size_t, std::uint64_t> mon_path_hops;
   std::uint64_t mon_overflow = 0;
 };
 
@@ -202,7 +206,6 @@ ParallelRunResult run_parallel_soak(unsigned workers, bool obs_on = false,
   options.obs.flight_recorder = obs_on;
   options.obs.engine_trace = obs_on;
   options.obs.convergence_monitor = monitor_on;
-  options.obs.check_invariants = monitor_on;
   options.config.fm_shards = fm_shards;
   options.config.fm_replica = fm_replica;
   PortlandFabric fabric(options);
@@ -327,7 +330,8 @@ ParallelRunResult run_parallel_soak(unsigned workers, bool obs_on = false,
     result.mon_events = monitor->events_captured();
     monitor->finalize();
     result.mon_timelines = monitor->timelines_total();
-    result.mon_loops = monitor->loop_violations();
+    result.mon_path_violations = monitor->path_violations();
+    result.mon_path_hops = monitor->path_hop_histogram();
     result.mon_overflow = monitor->events_overflowed();
   }
   std::sort(result.trace.begin(), result.trace.end());
@@ -406,13 +410,14 @@ TEST(Soak, FlightRecorderIsInvisibleToExecution) {
   EXPECT_EQ(off1.rec_captured, 0u);
 }
 
-// The convergence monitor (timeline engine + streaming loop-freedom
-// checks) is passive like the recorder it rides on: attaching it must
-// not move a single event. The same chaos scenario — failures, repairs,
-// migration, TCP, multicast — runs with the monitor off and on, across
-// 1/4 workers, and every sim-visible quantity must match the plain run
-// bit for bit. The monitor's own observations (events captured,
-// timelines opened, loop violations) must be worker-count invariant too.
+// The convergence monitor (timeline engine + per-packet path checks) is
+// passive like the recorder it rides on: attaching it must not move a
+// single event. The same chaos scenario — failures, repairs, migration,
+// TCP, multicast — runs with the monitor off and on, across 1/4
+// workers, and every sim-visible quantity must match the plain run bit
+// for bit. The monitor's own observations (events captured, timelines
+// opened, path histogram and violations) must be worker-count invariant
+// too.
 TEST(Soak, ConvergenceMonitorIsInvisibleToExecution) {
   const ParallelRunResult plain1 = run_parallel_soak(1);
   const ParallelRunResult on1 = run_parallel_soak(
@@ -443,12 +448,14 @@ TEST(Soak, ConvergenceMonitorIsInvisibleToExecution) {
   EXPECT_GE(on1.mon_timelines, 3u);
   EXPECT_GT(on1.mon_events, 1000u);
   EXPECT_EQ(on1.mon_overflow, 0u);
-  // ...the fabric stayed loop-free throughout...
-  EXPECT_EQ(on1.mon_loops, 0u);
+  // ...every checked path kept §3.5's invariants throughout...
+  EXPECT_FALSE(on1.mon_path_hops.empty());
+  EXPECT_EQ(on1.mon_path_violations, 0u);
   // ...and what it observed is worker-count invariant.
   EXPECT_EQ(on1.mon_events, on4.mon_events);
   EXPECT_EQ(on1.mon_timelines, on4.mon_timelines);
-  EXPECT_EQ(on1.mon_loops, on4.mon_loops);
+  EXPECT_EQ(on1.mon_path_hops, on4.mon_path_hops);
+  EXPECT_EQ(on1.mon_path_violations, on4.mon_path_violations);
   // The monitor-off runs observed nothing.
   EXPECT_EQ(plain1.mon_events, 0u);
   EXPECT_EQ(plain1.mon_timelines, 0u);

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/fabric.h"
-#include "core/path_audit.h"
 #include "host/vswitch.h"
+#include "obs/convergence_monitor.h"
 
 namespace portland::core {
 namespace {
@@ -18,11 +18,12 @@ struct VmFixture {
   host::Host* vm2 = nullptr;
   host::Host* vm3 = nullptr;
 
-  VmFixture() {
+  explicit VmFixture(bool monitor = false) {
     topo::FatTree tree(4);
     PortlandFabric::Options options;
     options.k = 4;
     options.seed = 314;
+    options.obs.convergence_monitor = monitor;
     // Free the (0,0,0) slot: a vswitch with three VMs goes there instead.
     options.skip_host_indices = {tree.host_index(0, 0, 0)};
     fabric = std::make_unique<PortlandFabric>(options);
@@ -102,18 +103,18 @@ TEST(Vmid, VmToVmTrafficNeverEntersTheFabric) {
   // paper's guarantee is that co-resident traffic never climbs past the
   // edge switch: audited per packet, every vm1 -> vm2 datagram crosses at
   // most ONE PortLand switch.
-  VmFixture fx;
-  PathAuditor auditor(*fx.fabric);
+  VmFixture fx(/*monitor=*/true);
+  obs::ConvergenceMonitor& monitor = *fx.fabric->convergence_monitor();
   ASSERT_TRUE(fx.ping(*fx.vm1, *fx.vm2));
-  // The auditor keys packets on a u64 sequence prefix: send >= 8 bytes.
   for (std::uint8_t i = 0; i < 20; ++i) {
     fx.vm1->send_udp(fx.vm2->ip(), 1, 2, {0, 0, 0, 0, 0, 0, 0, i});
   }
   fx.fabric->sim().run_until(fx.fabric->sim().now() + millis(50));
+  monitor.finalize();
 
-  EXPECT_GT(auditor.packets_completed(), 0u);
-  EXPECT_TRUE(auditor.violations().empty());
-  for (const auto& [hops, n] : auditor.hop_histogram()) {
+  EXPECT_GT(monitor.paths_completed(), 0u);
+  EXPECT_EQ(monitor.path_violations(), 0u);
+  for (const auto& [hops, n] : monitor.path_hop_histogram()) {
     EXPECT_LE(hops, 1u) << "co-resident traffic entered the fabric";
   }
 }
