@@ -4,7 +4,7 @@
 Compares the smoke-mode bench reports (build/BENCH_e*.json for the
 sections listed in SECTIONS — written by run_all_benches.sh --smoke)
 against the committed floors in bench/baseline.json. Run with --list to
-print the guarded keys per section. Two kinds of check:
+print the guarded keys per section. Three kinds of check:
 
 * Throughput floors: fail when frames/s drops more than 10% below the
   baseline value. The baselines are deliberately conservative (roughly
@@ -15,6 +15,9 @@ print the guarded keys per section. Two kinds of check:
   workers-1 ratio are deterministic (or nearly so), so they get tight
   thresholds. A burst-path regression shows up here long before it shows
   up in wall-clock noise.
+* Trajectory: every line of bench/trajectory.jsonl parses and carries
+  the machine (CPU model, nproc, effective cores) and the per-workload
+  parent/change medians of perfbench's three end-to-end metrics.
 
 The workers comparison is skipped when the bench itself reports the run
 as oversubscribed (more workers than hardware cores): losing to serial
@@ -226,6 +229,46 @@ def check_e22(base):
               base["e22"]["resolutions_per_sec"])
 
 
+TRAJECTORY_KEYS = ("date", "commit", "cpu_model", "nproc", "effective_cores",
+                   "workloads")
+END_TO_END = ("delivered_fps", "setup_s", "peak_rss_mb")
+
+
+def check_trajectory(base):
+    """The committed perf trajectory (bench/trajectory.jsonl, one line per
+    change): every line must parse and carry the machine and the
+    parent/change medians of the three end-to-end metrics per workload.
+    `commit` is the parent commit both sides were measured against."""
+    del base  # the trajectory is its own record, not a floor
+    path = ROOT / "bench" / "trajectory.jsonl"
+    if not path.is_file():
+        check("trajectory", False, f"{path.name} missing")
+        return
+    with open(path) as f:
+        lines = [line for line in f if line.strip()]
+    check("trajectory lines", len(lines) > 0, f"{len(lines)} lines")
+    for n, line in enumerate(lines, start=1):
+        label = f"trajectory line {n}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as e:
+            check(label, False, f"does not parse: {e}")
+            continue
+        missing = [k for k in TRAJECTORY_KEYS if k not in row]
+        workloads = row.get("workloads")
+        if not missing and (not isinstance(workloads, dict) or not workloads):
+            missing.append("workloads{...}")
+        for name, sides in (workloads or {}).items():
+            for side in ("parent", "change"):
+                metrics = sides.get(side, {}) if isinstance(sides, dict) else {}
+                missing += [f"{name}.{side}.{m}" for m in END_TO_END
+                            if not isinstance(metrics.get(m), (int, float))]
+        check(label, not missing,
+              "missing " + ", ".join(missing) if missing else
+              f"{row['commit']} on {row['cpu_model']}, "
+              f"{len(workloads)} workloads")
+
+
 SECTIONS = {
     "e13": check_e13,
     "e14": check_e14,
@@ -235,6 +278,7 @@ SECTIONS = {
     "e20": check_e20,
     "e21": check_e21,
     "e22": check_e22,
+    "trajectory": check_trajectory,
 }
 
 

@@ -4,6 +4,7 @@
 
 #include "common/byte_io.h"
 #include "net/ethernet.h"
+#include "sim/frame.h"
 
 namespace portland::core {
 
@@ -12,7 +13,9 @@ namespace portland::core {
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> LdpMessage::to_frame() const {
-  std::vector<std::uint8_t> out;
+  // Every switch port sends an LDM per period, so the buffer comes from
+  // the retired-frame pool rather than the heap.
+  std::vector<std::uint8_t> out = sim::acquire_frame_bytes();
   out.reserve(net::EthernetHeader::kSize + 24);
   ByteWriter w(out);
   // LDP frames are link-local: broadcast dst, synthetic src derived from

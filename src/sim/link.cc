@@ -136,14 +136,15 @@ void Link::save_state(SnapshotWriter& w) {
     bw.u64(d.tx_bytes);
     bw.u64(d.dropped);
     bw.u64(d.epoch);
-    bw.u32(static_cast<std::uint32_t>(d.drains.size() - d.drain_head));
-    for (std::size_t i = d.drain_head; i < d.drains.size(); ++i) {
+    bw.u32(static_cast<std::uint32_t>(d.drains.size()));
+    for (std::size_t i = 0; i < d.drains.size(); ++i) {
       bw.i64(d.drains[i].done);
       bw.u32(d.drains[i].bytes);
     }
     const Train& tr = train_[side_index(side)];
     bw.u32(static_cast<std::uint32_t>(tr.entries.size()));
-    for (const TrainEntry& e : tr.entries) {
+    for (std::size_t i = 0; i < tr.entries.size(); ++i) {
+      const TrainEntry& e = tr.entries[i];
       bw.i64(e.time);
       bw.u64(e.seq);
       bw.u64(e.epoch);
@@ -191,7 +192,6 @@ void Link::restore_state(SnapshotReader& outer) {
     d.dropped = r.u64();
     d.epoch = r.u64();
     d.drains.clear();
-    d.drain_head = 0;
     const std::uint32_t n_drains = r.count();
     for (std::uint32_t i = 0; i < n_drains && r.ok(); ++i) {
       const SimTime done = r.i64();
@@ -264,7 +264,6 @@ void Link::set_direction_up(int from_side, bool up) {
     ++dir.epoch;  // voids all in-flight frames in this direction
     dir.queued_bytes = 0;
     dir.drains.clear();
-    dir.drain_head = 0;
     dir.busy_until = sim_->now();
   }
 }

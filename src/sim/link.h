@@ -11,11 +11,11 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "common/units.h"
 #include "sim/device.h"
 #include "sim/frame.h"
+#include "sim/ring.h"
 #include "sim/train.h"
 
 namespace portland::sim {
@@ -99,6 +99,14 @@ class Link : public DataEventOwner {
     return dir.queued_bytes;
   }
 
+  /// True when both of this direction's rings (the train and the drain
+  /// log) run past the end of their buffers: lets tests pin snapshot
+  /// state that is not laid out from index 0.
+  [[nodiscard]] bool rings_wrap(int from_side) const {
+    return train_[side_index(from_side)].entries.wraps() &&
+           dir_[side_index(from_side)].drains.wraps();
+  }
+
   /// Delivers one frame that was transmitted from `from_side` while the
   /// direction's failure epoch was `epoch`: drops it if the direction has
   /// since failed, else counts it at the receiver, shows it to the frame
@@ -117,7 +125,7 @@ class Link : public DataEventOwner {
                           const FrameBytes& bytes) override;
 
   /// Checkpoint: per-direction transmitter state (up/busy/queue/epoch/
-  /// counters, un-settled drains) plus the in-flight train deques. The
+  /// counters, un-settled drains) plus the in-flight train entries. The
   /// restore re-anchors non-empty trains in the receiver's shard queue at
   /// their exact saved (time, seq).
   ///
@@ -151,22 +159,20 @@ class Link : public DataEventOwner {
     /// records when its serialization completes, and the next transmit()
     /// settles everything already serialized before the drop-tail check.
     /// `queued_bytes` is only ever read there, so this is equivalent to
-    /// the eager version but costs zero simulator events.
+    /// the eager version but costs zero simulator events. The ring holds
+    /// only the frames still serializing, so its capacity follows the
+    /// queue's peak depth, and a drained ring hands a large buffer back
+    /// to the pool (sim/ring.h).
     struct PendingDrain {
       SimTime done;
       std::uint32_t bytes;
     };
-    std::vector<PendingDrain> drains;
-    std::size_t drain_head = 0;
+    Ring<PendingDrain> drains;
 
     void settle(SimTime now) {
-      while (drain_head < drains.size() && drains[drain_head].done <= now) {
-        queued_bytes -= drains[drain_head].bytes;
-        ++drain_head;
-      }
-      if (drain_head == drains.size()) {
-        drains.clear();  // capacity is retained: no realloc at steady state
-        drain_head = 0;
+      while (!drains.empty() && drains.front().done <= now) {
+        queued_bytes -= drains.front().bytes;
+        drains.pop_front();
       }
     }
   };

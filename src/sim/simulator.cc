@@ -207,7 +207,7 @@ bool Simulator::train_append(ShardId dst, SimTime t, std::uint64_t epoch,
   const ShardId ctx = context_shard();
   if (ctx != dst && in_window_ && ctx != kNoShard) {
     // Mid-window cross-shard arrival: the destination worker owns the
-    // train's deque right now, so even *peeking* at it would race. Park
+    // train's ring right now, so even *peeking* at it would race. Park
     // the arrival in the (src,dst) mailbox unconditionally; the barrier
     // merge re-checks monotonicity and appends (or falls back) there, in
     // canonical order.

@@ -464,7 +464,7 @@ class Simulator {
 
   /// One of four is set: a plain callback, a timer shot, a train node
   /// (the slot anchors the train's scheduler presence; the frames live in
-  /// the train's own deque), or a data event (owner + kind/arg/frame/
+  /// the train's own ring), or a data event (owner + kind/arg/frame/
   /// bytes — the serializable closure replacement).
   struct EventPayload {
     SmallFn fn;

@@ -391,9 +391,12 @@ bool Simulator::finish_restore(std::string* error) {
 void Timer::save_state(SnapshotWriter& w) const {
   w.u8(state_->fn != nullptr ? 1 : 0);
   w.u8(state_->pending ? 1 : 0);
-  w.u32(state_->shard);
+  // An idle timer's shard and seq are leftovers of its last shot, which
+  // restore never reads: write fixed values so that saving a restored
+  // fabric reproduces the image byte for byte.
+  w.u32(state_->pending ? state_->shard : kNoShard);
   w.i64(deadline_);
-  w.u64(state_->seq);
+  w.u64(state_->pending ? state_->seq : 0);
 }
 
 void Timer::restore_at(SnapshotReader& r, std::function<void()> fn) {

@@ -14,7 +14,7 @@
 // self-delimiting section; the reader consumes sections in the same
 // order. Closures never serialize — restorable events are either timer
 // shots (the owning Timer re-arms its retained callback), train entries
-// (the owning Link re-anchors its deque), or *data events*
+// (the owning Link re-anchors its train), or *data events*
 // (sim::DataEventOwner), and anything else makes save refuse rather than
 // silently drop state. Counter arrays (a CounterSet's cells, the control
 // plane's per-type counts) go through save_counters/restore_counters:

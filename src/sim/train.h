@@ -4,18 +4,19 @@
 // times are strictly increasing (serialization on the transmitter orders
 // them), so one scheduler event per frame hop would have the scheduler
 // popping, dispatching, and re-inserting thousands of near-identical
-// events. A Train collapses such a run into one scheduler node: the deque
-// holds one entry per frame, each stamped with the exact (time, seq) a
-// single-frame event would have been given, and the node sits in the
-// queue at the *front* entry's (time, seq). Dispatch walks the deque,
-// delivering every entry that is strictly earlier than both the shard's
-// next queued event and the current execution bound; the moment an entry
-// ties or trails another event — or crosses a window boundary — the node
-// is re-pushed at that entry's own (time, seq) and ordinary scheduling
-// resumes. Because every entry carries its own sequence number, batching
-// leaves the dispatch order exactly that of one event per frame.
+// events. A Train collapses such a run into one scheduler node: its ring
+// (sim/ring.h) holds one entry per frame, each stamped with the exact
+// (time, seq) a single-frame event would have been given, and the node
+// sits in the queue at the *front* entry's (time, seq). Dispatch walks
+// the ring, delivering every entry that is strictly earlier than both the
+// shard's next queued event and the current execution bound; the moment
+// an entry ties or trails another event — or crosses a window boundary —
+// the node is re-pushed at that entry's own (time, seq) and ordinary
+// scheduling resumes. Because every entry carries its own sequence
+// number, batching leaves the dispatch order exactly that of one event
+// per frame.
 //
-// An arrival that would break the deque's time order (the link's
+// An arrival that would break the ring's time order (the link's
 // propagation delay shrank while frames were in flight) is not appended:
 // it is scheduled on its own as a Link data event (Link::execute_data_event).
 //
@@ -26,10 +27,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "common/units.h"
 #include "sim/frame.h"
+#include "sim/ring.h"
 
 namespace portland::sim {
 
@@ -57,7 +58,7 @@ struct Train {
   Link* owner = nullptr;
   int from_side = 0;
   bool scheduled = false;
-  std::deque<TrainEntry> entries;
+  Ring<TrainEntry> entries;
 };
 
 }  // namespace portland::sim

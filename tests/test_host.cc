@@ -14,6 +14,12 @@ const MacAddress kMacB = MacAddress::from_u64(0x020000000002);
 const Ipv4Address kIpA(10, 0, 0, 1);
 const Ipv4Address kIpB(10, 0, 0, 2);
 
+HostConfig with_announce(bool announce_on_start) {
+  HostConfig cfg;
+  cfg.announce_on_start = announce_on_start;
+  return cfg;
+}
+
 struct TwoHosts {
   sim::Network net;
   Host* a;
@@ -22,7 +28,7 @@ struct TwoHosts {
   // On a shared segment a boot-time gratuitous ARP would pre-populate the
   // peer's cache (correct, but it hides the resolution path under test),
   // so announcements default off here.
-  explicit TwoHosts(HostConfig cfg = {.announce_on_start = false}) {
+  explicit TwoHosts(HostConfig cfg = with_announce(false)) {
     a = &net.add_device<Host>("a", kMacA, kIpA, cfg);
     b = &net.add_device<Host>("b", kMacB, kIpB, cfg);
     net.connect(*a, 0, *b, 0);
@@ -113,7 +119,7 @@ TEST(Host, AnswersArpForItsIp) {
 }
 
 TEST(Host, GratuitousArpOnStartRefreshesPeers) {
-  TwoHosts fx(HostConfig{.announce_on_start = true});
+  TwoHosts fx(with_announce(true));
   fx.net.sim().run_until(millis(50));
   // Both hosts announced at boot.
   EXPECT_EQ(fx.a->counters().get("garp_sent"), 1u);

@@ -15,6 +15,7 @@
 #include "sim/failure.h"
 #include "sim/link.h"
 #include "sim/network.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "sim/snapshot.h"
 
@@ -205,6 +206,80 @@ class SinkDevice : public Device {
 
 FramePtr frame_of_size(std::size_t n) {
   return make_frame(FrameBytes(n, 0xEE));
+}
+
+TEST(Ring, FifoOrderHoldsAcrossWrapAndGrowth) {
+  Ring<int> ring;
+  int next_in = 0;
+  int next_out = 0;
+  // Three in, two out, repeatedly: the live window walks around the
+  // buffer, wrapping past its end between each doubling.
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 3; ++i) ring.push_back(next_in++);
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_EQ(ring.front(), next_out++);
+      ring.pop_front();
+    }
+    ASSERT_EQ(ring.back(), next_in - 1);
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      ASSERT_EQ(ring[i], next_out + static_cast<int>(i));
+    }
+  }
+  EXPECT_EQ(ring.size(), 200u);
+  EXPECT_EQ(ring.capacity(), 256u);
+  while (!ring.empty()) {
+    ASSERT_EQ(ring.front(), next_out++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TrainEntry entry_at(SimTime time) {
+  TrainEntry e;
+  e.time = time;
+  return e;
+}
+
+TEST(Ring, IdleRingOwnsNoBuffer) {
+  Ring<TrainEntry> ring;
+  EXPECT_EQ(ring.capacity(), 0u);
+  // A drained burst hands its buffer back: the idle ring owns nothing.
+  for (int i = 0; i < 100; ++i) ring.push_back(entry_at(i));
+  EXPECT_EQ(ring.capacity(), 128u);
+  while (!ring.empty()) ring.pop_front();
+  EXPECT_EQ(ring.capacity(), 0u);
+  for (int i = 0; i < 100; ++i) ring.push_back(entry_at(i));
+  ring.clear();
+  EXPECT_EQ(ring.capacity(), 0u);
+  // One frame at a time keeps its small buffer.
+  ring.push_back(TrainEntry{});
+  ring.pop_front();
+  EXPECT_LE(ring.capacity(), Ring<TrainEntry>::kKeepCapacity);
+}
+
+TEST(Ring, CapacityIsBoundedByPeakOccupancyNotThroughput) {
+  Ring<std::uint64_t> ring;
+  std::uint64_t next_out = 0;
+  for (std::uint64_t i = 0; i < 1'000'000; ++i) {
+    ring.push_back(i);
+    if (ring.size() == 5) {
+      ASSERT_EQ(ring.front(), next_out++);
+      ring.pop_front();
+    }
+  }
+  EXPECT_LE(ring.capacity(), 8u);
+}
+
+TEST(Ring, PopReleasesTheFrame) {
+  Ring<TrainEntry> ring;
+  const FramePtr frame = frame_of_size(64);
+  ring.push_back(TrainEntry{.frame = frame});
+  ring.push_back(TrainEntry{.frame = frame});
+  EXPECT_EQ(frame.use_count(), 3);
+  ring.pop_front();
+  EXPECT_EQ(frame.use_count(), 2);
+  ring.pop_front();
+  EXPECT_EQ(frame.use_count(), 1);
 }
 
 TEST(Link, DeliversWithSerializationAndPropagation) {

@@ -471,6 +471,72 @@ TEST(Snapshot, PendingPerFrameFallbackDeliverySurvivesRestore) {
   }
 }
 
+/// Leaves a host uplink's train and drain rings wrapped past the end of
+/// their buffers at the current quiescent point. The host sends six
+/// back-to-back 1500 B datagrams (both rings grow to 8 slots), the run
+/// stops the instant the fourth arrives (four entries popped from each
+/// ring, the fifth and sixth still serializing), and four more datagrams
+/// land in slots 4..7 and 0..1. Returns the uplink.
+sim::Link& leave_rings_wrapped(Scenario& sc) {
+  PortlandFabric& fabric = *sc.fabric;
+  host::Host& src = fabric.host_at(0, 0, 1);
+  const Ipv4Address dst = fabric.host_at(1, 0, 0).ip();  // already resolved
+  sim::Link& uplink = *src.port_link(0);
+  constexpr std::size_t kFrame = 1500;
+  constexpr std::size_t kHeaders = 14 + 20 + 8;  // Ethernet + IPv4 + UDP
+  const auto serialization = static_cast<SimDuration>(
+      static_cast<double>(kFrame) * 8.0 / uplink.config().bandwidth_bps * 1e9);
+  // The fifth frame must still be serializing when the fourth arrives.
+  EXPECT_LT(uplink.config().propagation, serialization);
+  const auto send = [&](int n) {
+    sim::ShardGuard guard(fabric.sim(), src.shard());
+    for (int i = 0; i < n; ++i) {
+      src.send_udp(dst, 7700, 7700,
+                   std::vector<std::uint8_t>(kFrame - kHeaders));
+    }
+  };
+  const SimTime start = fabric.sim().now();
+  send(6);
+  fabric.sim().run_until(start + 4 * serialization +
+                         uplink.config().propagation);
+  send(4);
+  sc.t_save = fabric.sim().now();
+  return uplink;
+}
+
+TEST(Snapshot, WrappedTrainRestoresExactly) {
+  for (const unsigned workers : {0u, 4u}) {
+    const std::string label = "workers=" + std::to_string(workers);
+    // Source: saved with wrapped rings, then run on uninterrupted.
+    auto src = make_scenario(small_options(workers));
+    sim::Link& src_uplink = leave_rings_wrapped(*src);
+    ASSERT_TRUE(src_uplink.rings_wrap(0)) << label;
+    std::vector<std::uint8_t> image;
+    std::string error;
+    ASSERT_TRUE(src->fabric->save_snapshot(image, src->extras(), &error))
+        << label << ": " << error;
+    run_epilogue(*src);
+    const RunResult expected = finish(*src);
+
+    // A fresh fabric lays the restored entries out from slot 0; its own
+    // image must still be byte-identical, and its replay the source's.
+    auto dst = make_scenario(small_options(workers), /*warm=*/false);
+    const auto extras = dst->extras();
+    ASSERT_TRUE(dst->fabric->restore_snapshot(image, extras, &error))
+        << label << ": " << error;
+    EXPECT_FALSE(dst->fabric->host_at(0, 0, 1).port_link(0)->rings_wrap(0))
+        << label;
+    std::vector<std::uint8_t> resaved;
+    ASSERT_TRUE(dst->fabric->save_snapshot(resaved, extras, &error))
+        << label << ": " << error;
+    EXPECT_TRUE(resaved == image) << label << ": images differ";
+    dst->t_save = dst->fabric->sim().now();
+    ASSERT_EQ(dst->t_save, src->t_save) << label;
+    run_epilogue(*dst);
+    expect_same(finish(*dst), expected, label.c_str());
+  }
+}
+
 // Satellite: recycled byte buffers must never alias into a restored
 // image. The source fabric (and its frame pool contents) is destroyed
 // before the restore happens; ASan (run_asan_tests.sh) turns any
