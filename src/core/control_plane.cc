@@ -47,20 +47,12 @@ void ControlPlane::execute_data_event(std::uint32_t kind, std::uint64_t arg,
   it->second(*parsed);
 }
 
-void ControlPlane::save_state(sim::SnapshotWriter& w) const {
+void ControlPlane::snapshot(sim::SnapshotIo& io) {
   std::lock_guard<std::mutex> lk(mutex_);
-  sim::save_counters(w, type_messages_);
-  sim::save_counters(w, type_bytes_);
-  w.u64(undeliverable_);
-  w.u64(parse_errors_);
-}
-
-void ControlPlane::restore_state(sim::SnapshotReader& r) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  sim::restore_counters(r, type_messages_);
-  sim::restore_counters(r, type_bytes_);
-  undeliverable_ = r.u64();
-  parse_errors_ = r.u64();
+  io.counters(type_messages_);
+  io.counters(type_bytes_);
+  io.field(undeliverable_);
+  io.field(parse_errors_);
 }
 
 std::uint64_t ControlPlane::read(const TypeCounts& counts,

@@ -71,8 +71,7 @@ class ControlPlane : public sim::DataEventOwner {
 
   /// Checkpoint: the per-type counts. Handlers and shard hints are
   /// construction-time wiring and are not serialized.
-  void save_state(sim::SnapshotWriter& w) const;
-  void restore_state(sim::SnapshotReader& r);
+  void snapshot(sim::SnapshotIo& io);
 
   /// Totals over every control type.
   [[nodiscard]] std::uint64_t messages_sent() const {

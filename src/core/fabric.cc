@@ -321,105 +321,103 @@ bool PortlandFabric::save_snapshot(std::vector<std::uint8_t>& out,
                                    std::span<sim::Snapshotable* const> extras,
                                    std::string* error) {
   sim::SnapshotWriter w(out);
-  w.u32(kSnapshotMagic);
-  w.u32(kSnapshotVersion);
-  w.u32(static_cast<std::uint32_t>(options_.k));
-  w.u64(options_.seed);
-  w.u32(static_cast<std::uint32_t>(tree_.shard_count()));
-  w.u32(static_cast<std::uint32_t>(net_.devices().size()));
-  w.u32(static_cast<std::uint32_t>(net_.links().size()));
-  w.u32(static_cast<std::uint32_t>(extras.size()));
-
-  // 1. Engine: pending events in (time, seq) order. Refuses on plain
-  //    closures — nothing else in this walk can fail.
-  if (!sim().save_engine(w, error)) return false;
-
-  // 2. Links (network construction order): queue occupancy, in-flight
-  //    trains, epochs, down state.
-  for (sim::Link* link : net_.links()) link->save_state(w);
-
-  // 3. Devices (construction order): generic counters, then the device's
-  //    own state (tables, FIBs, protocol timers, TCP stacks, ...).
-  for (sim::Device* dev : net_.devices()) {
-    sim::save_counters(w, dev->counters().cells());
-    dev->save_state(w);
-  }
-
-  // 4. Central services + observability.
-  fm_->save_state(w);
-  control_->save_state(w);
-  w.u8(recorder_ != nullptr ? 1 : 0);
-  if (recorder_ != nullptr) recorder_->save_state(w);
-
-  // 5. App-level extras, in caller order.
-  for (sim::Snapshotable* s : extras) s->save_state(w);
-  return true;
+  sim::SnapshotIo io(w);
+  return snapshot(io, extras, error);
 }
 
 bool PortlandFabric::restore_snapshot(std::span<const std::uint8_t> image,
                                       std::span<sim::Snapshotable* const>
                                           extras,
                                       std::string* error) {
-  auto fail = [&](const std::string& msg) {
+  sim::SnapshotReader r(image);
+  sim::SnapshotIo io(r);
+  return snapshot(io, extras, error);
+}
+
+bool PortlandFabric::snapshot(sim::SnapshotIo& io,
+                              std::span<sim::Snapshotable* const> extras,
+                              std::string* error) {
+  const auto fail = [error](const std::string& msg) {
     if (error != nullptr) *error = msg;
     return false;
   };
-  sim::SnapshotReader r(image);
-  if (r.u32() != kSnapshotMagic) return fail("snapshot: bad magic");
-  if (r.u32() != kSnapshotVersion) return fail("snapshot: version mismatch");
-  if (r.u32() != static_cast<std::uint32_t>(options_.k)) {
+  if (!io.expect<std::uint32_t>(kSnapshotMagic)) {
+    return fail("snapshot: bad magic");
+  }
+  if (!io.expect<std::uint32_t>(kSnapshotVersion)) {
+    return fail("snapshot: version mismatch");
+  }
+  if (!io.expect<std::uint32_t>(options_.k)) {
     return fail("snapshot: fabric k mismatch");
   }
-  if (r.u64() != options_.seed) return fail("snapshot: seed mismatch");
-  if (r.u32() != static_cast<std::uint32_t>(tree_.shard_count())) {
+  if (!io.expect<std::uint64_t>(options_.seed)) {
+    return fail("snapshot: seed mismatch");
+  }
+  if (!io.expect<std::uint32_t>(tree_.shard_count())) {
     return fail("snapshot: shard count mismatch");
   }
-  if (r.u32() != static_cast<std::uint32_t>(net_.devices().size())) {
+  if (!io.expect<std::uint32_t>(net_.devices().size())) {
     return fail("snapshot: device count mismatch");
   }
-  if (r.u32() != static_cast<std::uint32_t>(net_.links().size())) {
+  if (!io.expect<std::uint32_t>(net_.links().size())) {
     return fail("snapshot: link count mismatch");
   }
-  if (r.u32() != static_cast<std::uint32_t>(extras.size())) {
+  if (!io.expect<std::uint32_t>(extras.size())) {
     return fail("snapshot: extras count mismatch");
   }
-  if (!r.ok()) return fail("snapshot: truncated header");
 
-  // Drop whatever this fabric is currently doing; the image replaces it.
-  sim().snapshot_clear();
-  if (!sim().restore_engine(r, error)) return false;
-
-  for (sim::Link* link : net_.links()) link->restore_state(r);
-
-  for (sim::Device* dev : net_.devices()) {
-    // Device restores run as the owning shard: re-armed timers and
-    // re-anchored state must land in that shard's queues.
-    sim::ShardGuard guard(sim(), dev->shard());
-    sim::restore_counters(r, dev->counters().cells());
-    dev->restore_state(r);
+  // 1. Engine: pending events in (time, seq) order. A save refuses plain
+  //    closures — nothing else in this walk can fail a save.
+  if (io.loading()) {
+    // Drop whatever this fabric is currently doing; the image replaces it.
+    sim().snapshot_clear();
+    if (!sim().restore_engine(io.reader(), error)) return false;
+  } else if (!sim().save_engine(io.writer(), error)) {
+    return false;
   }
 
-  fm_->restore_state(r);
-  control_->restore_state(r);
-  const bool had_recorder = r.u8() != 0;
-  if (had_recorder && recorder_ != nullptr) {
-    recorder_->restore_state(r);
-  } else if (had_recorder && recorder_ == nullptr) {
-    // Image traced, this fabric doesn't: skip the section by replaying it
-    // into a throwaway recorder of the right shape.
-    obs::FlightRecorder scratch(tree_.shard_count(), {});
-    scratch.restore_state(r);
-  } else if (!had_recorder && recorder_ != nullptr) {
-    recorder_->clear();
+  // 2. Links (network construction order): queue occupancy, in-flight
+  //    trains, epochs, down state.
+  for (sim::Link* link : net_.links()) io.save_or_restore(*link);
+
+  // 3. Devices (construction order): generic counters, then the device's
+  //    own state (tables, FIBs, protocol timers, TCP stacks, ...). Each
+  //    walks as its owning shard, so timers re-armed by a load land in
+  //    that shard's queues.
+  for (sim::Device* dev : net_.devices()) {
+    sim::ShardGuard guard(sim(), dev->shard());
+    io.counters(dev->counters().cells());
+    dev->snapshot(io);
+  }
+
+  // 4. Central services + observability.
+  fm_->snapshot(io);
+  control_->snapshot(io);
+  bool traced = recorder_ != nullptr;
+  io.field(traced);
+  if (traced && recorder_ != nullptr) {
+    recorder_->snapshot(io);
+  } else if (traced) {
+    // Image traced, this fabric doesn't: walk the section into a
+    // throwaway recorder of the right shape.
+    obs::FlightRecorder unused(tree_.shard_count(), {});
+    unused.snapshot(io);
+  } else if (recorder_ != nullptr) {
+    recorder_->clear();  // an untraced image loaded into a traced fabric
   }
   // Timelines never cross a fork: the monitor is passive state derived
-  // from one run's event stream, so a restore starts it fresh (mirrors
-  // the recorder's ring semantics).
-  if (monitor_ != nullptr) monitor_->clear();
+  // from one run's event stream, so a load starts it fresh (mirrors the
+  // recorder's ring semantics).
+  if (io.loading() && monitor_ != nullptr) monitor_->clear();
 
-  for (sim::Snapshotable* s : extras) s->restore_state(r);
+  // 5. App-level extras, in caller order.
+  for (sim::Snapshotable* s : extras) io.save_or_restore(*s);
 
-  if (!r.ok()) return fail("snapshot: image truncated or corrupt");
+  if (!io.loading()) return true;
+  if (!io.ok()) return fail("snapshot: image truncated or corrupt");
+  if (io.reader().remaining_size() != 0) {
+    return fail("snapshot: trailing bytes after the last section");
+  }
   return sim().finish_restore(error);
 }
 

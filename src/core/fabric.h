@@ -200,6 +200,12 @@ class PortlandFabric {
   }
 
  private:
+  /// The one checkpoint walk behind save_snapshot and restore_snapshot,
+  /// in the direction `io` was built for.
+  bool snapshot(sim::SnapshotIo& io,
+                std::span<sim::Snapshotable* const> extras,
+                std::string* error);
+
   Options options_;
   topo::FatTree tree_;
   sim::Network net_;

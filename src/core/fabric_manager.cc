@@ -245,7 +245,8 @@ void FabricManager::sync_core_section() {
   d.section = 0;
   d.version = ++core_version_;
   sim::SnapshotWriter w(d.image);
-  save_core_state(w);
+  sim::SnapshotIo io(w);
+  snapshot_core(io);
   send(kFmReplicaId, std::move(d));
 }
 
@@ -257,7 +258,8 @@ void FabricManager::sync_shard_section(std::size_t shard) {
   d.section = static_cast<std::uint32_t>(1 + shard);
   d.version = ++sh.delta_version;
   sim::SnapshotWriter w(d.image);
-  save_registry(w, sh);
+  sim::SnapshotIo io(w);
+  snapshot_registry(io, sh);
   send(kFmReplicaId, std::move(d));
 }
 
@@ -275,13 +277,15 @@ void FabricManager::failover_to_replica() {
   wipe_soft_state();
   if (!replica_.empty() && replica_[0].version > 0) {
     sim::SnapshotReader r(replica_[0].image);
-    restore_core_state(r);
+    sim::SnapshotIo io(r);
+    snapshot_core(io);
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::size_t section = 1 + s;
     if (section < replica_.size() && replica_[section].version > 0) {
       sim::SnapshotReader r(replica_[section].image);
-      restore_registry(r);
+      sim::SnapshotIo io(r);
+      snapshot_registry(io, shards_[s]);
     }
   }
   // Everything the new incarnation now holds is unsynced: stream it all
@@ -452,258 +456,145 @@ std::optional<MulticastTree> FabricManager::installed_tree(
 
 namespace {
 
-void save_port_map(sim::SnapshotWriter& w,
-                   const std::map<SwitchId, std::set<std::uint16_t>>& m) {
-  w.u32(static_cast<std::uint32_t>(m.size()));
-  for (const auto& [id, ports] : m) {
-    w.u64(id);
-    w.u32(static_cast<std::uint32_t>(ports.size()));
-    for (const std::uint16_t p : ports) w.u16(p);
-  }
-}
-
-void restore_port_map(sim::SnapshotReader& r,
-                      std::map<SwitchId, std::set<std::uint16_t>>& m) {
-  m.clear();
-  const std::uint32_t n = r.count();
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    const SwitchId id = r.u64();
-    std::set<std::uint16_t>& ports =
-        m.emplace_hint(m.end(), id, std::set<std::uint16_t>{})->second;
-    const std::uint32_t np = r.count();
-    for (std::uint32_t p = 0; p < np && r.ok(); ++p) {
-      ports.emplace_hint(ports.end(), r.u16());
-    }
-  }
-}
-
-/// A serialized sim::Timer image is fixed-size (armed, pending, shard,
-/// deadline, seq); consumed when the restoring FM has no matching timer.
-void skip_timer(sim::SnapshotReader& r) { r.skip(1 + 1 + 4 + 8 + 8); }
-
-}  // namespace
-
-void FabricManager::save_core_state(sim::SnapshotWriter& w) const {
-  graph_.save_state(w);
-  w.u16(next_pod_);
-  w.u32(static_cast<std::uint32_t>(pod_by_requester_.size()));
-  for (const auto& [id, pod] : pod_by_requester_) {
-    w.u64(id);
-    w.u16(pod);
-  }
-  w.u32(static_cast<std::uint32_t>(synced_switches_.size()));
-  for (const SwitchId id : synced_switches_) w.u64(id);
-
-  w.u32(static_cast<std::uint32_t>(installed_prunes_.size()));
-  for (const auto& [key, prunes] : installed_prunes_) {
-    w.u16(key.pod);
-    w.u8(key.position);
-    w.u32(static_cast<std::uint32_t>(prunes.size()));
-    for (const auto& [sw, avoid] : prunes) {
-      w.u64(sw);
-      w.u32(static_cast<std::uint32_t>(avoid.size()));
-      for (const SwitchId a : avoid) w.u64(a);
-    }
-  }
-
-  w.u32(static_cast<std::uint32_t>(groups_.size()));
-  for (const auto& [group, state] : groups_) {
-    w.u32(group.value());
-    save_port_map(w, state.receivers);
-    w.u32(static_cast<std::uint32_t>(state.senders.size()));
-    for (const SwitchId s : state.senders) w.u64(s);
-  }
-
-  w.u32(static_cast<std::uint32_t>(installed_trees_.size()));
-  for (const auto& [group, tree] : installed_trees_) {
-    w.u32(group.value());
-    w.u32(tree.group.value());
-    w.u64(tree.core);
-    save_port_map(w, tree.ports);
-  }
-}
-
-void FabricManager::restore_core_state(sim::SnapshotReader& r) {
-  graph_.restore_state(r);
-  next_pod_ = r.u16();
-
-  pod_by_requester_.clear();
-  const std::uint32_t n_pods = r.count();
-  pod_by_requester_.reserve(n_pods);
-  for (std::uint32_t i = 0; i < n_pods && r.ok(); ++i) {
-    const SwitchId id = r.u64();
-    pod_by_requester_.emplace_back(id, r.u16());
-  }
-
-  synced_switches_.clear();
-  const std::uint32_t n_synced = r.count();
-  synced_switches_.reserve(n_synced);
-  for (std::uint32_t i = 0; i < n_synced && r.ok(); ++i) {
-    synced_switches_.push_back(r.u64());
-  }
-
-  installed_prunes_.clear();
-  const std::uint32_t n_prunes = r.count();
-  for (std::uint32_t i = 0; i < n_prunes && r.ok(); ++i) {
-    DstKey key;
-    key.pod = r.u16();
-    key.position = r.u8();
-    PruneMap& prunes =
-        installed_prunes_
-            .emplace_hint(installed_prunes_.end(), key, PruneMap{})
-            ->second;
-    const std::uint32_t n_sw = r.count();
-    for (std::uint32_t s = 0; s < n_sw && r.ok(); ++s) {
-      const SwitchId sw = r.u64();
-      std::set<SwitchId>& avoid =
-          prunes.emplace_hint(prunes.end(), sw, std::set<SwitchId>{})->second;
-      const std::uint32_t n_avoid = r.count();
-      for (std::uint32_t a = 0; a < n_avoid && r.ok(); ++a) {
-        avoid.emplace_hint(avoid.end(), r.u64());
-      }
-    }
-  }
-
-  groups_.clear();
-  const std::uint32_t n_groups = r.count();
-  for (std::uint32_t i = 0; i < n_groups && r.ok(); ++i) {
-    const Ipv4Address group(r.u32());
-    GroupState& state = groups_[group];
-    restore_port_map(r, state.receivers);
-    const std::uint32_t n_senders = r.count();
-    for (std::uint32_t s = 0; s < n_senders && r.ok(); ++s) {
-      state.senders.insert(r.u64());
-    }
-  }
-
-  installed_trees_.clear();
-  const std::uint32_t n_trees = r.count();
-  for (std::uint32_t i = 0; i < n_trees && r.ok(); ++i) {
-    const Ipv4Address group(r.u32());
-    MulticastTree& tree = installed_trees_[group];
-    tree.group = Ipv4Address(r.u32());
-    tree.core = r.u64();
-    restore_port_map(r, tree.ports);
-  }
-}
-
-void FabricManager::save_registry(sim::SnapshotWriter& w,
-                                  const RegistryShard& s) const {
-  w.u32(static_cast<std::uint32_t>(s.hosts.size()));
-  s.hosts.for_each_sorted([&w](const FmRegistry<HostRecord>::Entry& e) {
-    w.u32(e.ip.value());
-    w.u64(e.rec.pmac.to_u64());
-    w.u64(e.rec.amac.to_u64());
-    w.u64(e.rec.edge);
-    w.u16(e.rec.edge_port);
+void snapshot_port_map(sim::SnapshotIo& io,
+                       std::map<SwitchId, std::set<std::uint16_t>>& m) {
+  io.list(m, [&io](SwitchId& id, std::set<std::uint16_t>& ports) {
+    io.field(id);
+    io.list(ports);
   });
 }
 
-void FabricManager::restore_registry(sim::SnapshotReader& r) {
+/// A replica sync timer's armed flag and shot. A load into an FM with no
+/// matching timer (`t` null) walks the shot through a throwaway Timer,
+/// which cancels it again on scope exit.
+void snapshot_sync_timer(sim::SnapshotIo& io, sim::Simulator& sim,
+                         sim::PeriodicTimer* t) {
+  bool armed = t != nullptr;
+  io.field(armed);
+  if (!armed) return;
+  if (t != nullptr) {
+    t->snapshot(io);
+  } else {
+    sim::Timer unused(sim);
+    unused.snapshot(io, {});
+  }
+}
+
+}  // namespace
+
+void FabricManager::snapshot_core(sim::SnapshotIo& io) {
+  io.save_or_restore(graph_);
+  io.field(next_pod_);
+  io.list(pod_by_requester_, [&io](std::pair<SwitchId, std::uint16_t>& e) {
+    io.field(e.first);
+    io.field(e.second);
+  });
+  io.list(synced_switches_);
+
+  io.list(installed_prunes_, [&io](DstKey& key, PruneMap& prunes) {
+    io.field(key.pod);
+    io.field(key.position);
+    io.list(prunes, [&io](SwitchId& sw, std::set<SwitchId>& avoid) {
+      io.field(sw);
+      io.list(avoid);
+    });
+  });
+
+  io.list(groups_, [&io](Ipv4Address& group, GroupState& state) {
+    io.field(group);
+    snapshot_port_map(io, state.receivers);
+    io.list(state.senders);
+  });
+
+  io.list(installed_trees_, [&io](Ipv4Address& group, MulticastTree& tree) {
+    io.field(group);
+    io.field(tree.group);
+    io.field(tree.core);
+    snapshot_port_map(io, tree.ports);
+  });
+}
+
+void FabricManager::snapshot_registry(sim::SnapshotIo& io,
+                                      RegistryShard& s) {
+  const auto record = [&io](Ipv4Address& ip, HostRecord& rec) {
+    io.field(ip);
+    io.field(rec.pmac);
+    io.field(rec.amac);
+    io.field(rec.edge);
+    io.field(rec.edge_port);
+  };
+  const std::uint32_t n = io.count(s.hosts.size());
+  if (!io.loading()) {
+    s.hosts.for_each_sorted([&record](const FmRegistry<HostRecord>::Entry& e) {
+      Ipv4Address ip = e.ip;
+      HostRecord rec = e.rec;
+      record(ip, rec);
+    });
+    return;
+  }
   // Entries land in whichever shard owns them under the *current* shard
-  // count — a same-config restore reproduces the saved split exactly, a
+  // count — a same-config load reproduces the saved split exactly, a
   // mismatched one redistributes gracefully.
-  const std::uint32_t n = r.count();
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    const Ipv4Address ip(r.u32());
+  for (std::uint32_t i = 0; i < n && io.ok(); ++i) {
+    Ipv4Address ip;
     HostRecord rec;
-    rec.pmac = MacAddress::from_u64(r.u64());
-    rec.amac = MacAddress::from_u64(r.u64());
-    rec.edge = r.u64();
-    rec.edge_port = r.u16();
+    record(ip, rec);
     shards_[shard_of(ip)].hosts.insert_or_assign(ip, rec);
   }
 }
 
-void FabricManager::save_state(sim::SnapshotWriter& w) const {
-  save_core_state(w);
+void FabricManager::snapshot(sim::SnapshotIo& io) {
+  snapshot_core(io);
 
-  w.u32(static_cast<std::uint32_t>(shards_.size()));
-  for (const RegistryShard& s : shards_) {
-    save_registry(w, s);
-    w.u64(s.delta_version);
-    w.u8(s.dirty ? 1 : 0);
-    sim::save_counters(w, s.counters.cells());
-    w.u8(s.sync_timer != nullptr ? 1 : 0);
-    if (s.sync_timer != nullptr) s.sync_timer->save_state(w);
-  }
-
-  sim::save_counters(w, counters_.cells());
-
-  w.u8(config_.fm_replica ? 1 : 0);
-  if (config_.fm_replica) {
-    w.u32(static_cast<std::uint32_t>(replica_.size()));
-    for (const ReplicaSection& s : replica_) {
-      w.u64(s.version);
-      w.blob(s.image);
+  if (io.loading()) {
+    for (RegistryShard& s : shards_) {
+      s.hosts.clear();
+      s.counters.reset();
+      s.delta_version = 0;
+      s.dirty = false;
     }
-    w.u64(core_version_);
-    w.u8(core_dirty_ ? 1 : 0);
-    w.u8(core_sync_timer_ != nullptr ? 1 : 0);
-    if (core_sync_timer_ != nullptr) core_sync_timer_->save_state(w);
   }
-}
-
-void FabricManager::restore_state(sim::SnapshotReader& r) {
-  restore_core_state(r);
-
-  for (RegistryShard& s : shards_) {
-    s.hosts.clear();
-    s.counters.reset();
-    s.delta_version = 0;
-    s.dirty = false;
-  }
-  const std::uint32_t n_shards = r.count();
+  const std::uint32_t n_shards = io.count(shards_.size());
   const bool same_split = n_shards == shards_.size();
-  for (std::uint32_t i = 0; i < n_shards && r.ok(); ++i) {
-    restore_registry(r);
-    const std::uint64_t version = r.u64();
-    const bool dirty = r.u8() != 0;
-    RegistryShard& target = shards_[same_split ? i : i % shards_.size()];
-    target.delta_version = std::max(target.delta_version, version);
-    target.dirty = target.dirty || dirty;
+  for (std::uint32_t i = 0; i < n_shards && io.ok(); ++i) {
     // A different split folds image shard i into i % count.
-    CounterSet saved;
-    sim::restore_counters(r, saved.cells());
-    target.counters += saved;
-    const bool had_timer = r.u8() != 0;
-    if (had_timer) {
-      if (same_split && target.sync_timer != nullptr) {
-        target.sync_timer->restore_state(r);
-      } else {
-        skip_timer(r);
-      }
+    RegistryShard& target = shards_[same_split ? i : i % shards_.size()];
+    snapshot_registry(io, target);
+    std::uint64_t version = target.delta_version;
+    bool dirty = target.dirty;
+    CounterSet counters = io.loading() ? CounterSet{} : target.counters;
+    io.field(version);
+    io.field(dirty);
+    io.counters(counters.cells());
+    if (io.loading()) {
+      target.delta_version = std::max(target.delta_version, version);
+      target.dirty = target.dirty || dirty;
+      target.counters += counters;
     }
+    snapshot_sync_timer(io, *sim_,
+                        same_split ? target.sync_timer.get() : nullptr);
   }
 
-  sim::restore_counters(r, counters_.cells());
+  io.counters(counters_.cells());
 
-  const bool had_replica = r.u8() != 0;
-  for (ReplicaSection& s : replica_) s = ReplicaSection{};
-  if (had_replica) {
-    const std::uint32_t n = r.count();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      const std::uint64_t version = r.u64();
-      std::vector<std::uint8_t> image = r.blob();
-      if (i < replica_.size()) {
-        replica_[i].version = version;
-        replica_[i].image = std::move(image);
-      }
-    }
-    core_version_ = r.u64();
-    core_dirty_ = r.u8() != 0;
-    const bool had_timer = r.u8() != 0;
-    if (had_timer) {
-      if (core_sync_timer_ != nullptr) {
-        core_sync_timer_->restore_state(r);
-      } else {
-        skip_timer(r);
-      }
-    }
-  } else {
+  bool had_replica = config_.fm_replica;
+  io.field(had_replica);
+  if (io.loading()) {
+    for (ReplicaSection& s : replica_) s = ReplicaSection{};
     core_version_ = 0;
     core_dirty_ = false;
   }
+  if (!had_replica) return;
+  const std::uint32_t n = io.count(replica_.size());
+  for (std::uint32_t i = 0; i < n && io.ok(); ++i) {
+    ReplicaSection unused;
+    ReplicaSection& s = i < replica_.size() ? replica_[i] : unused;
+    io.field(s.version);
+    io.blob(s.image);
+  }
+  io.field(core_version_);
+  io.field(core_dirty_);
+  snapshot_sync_timer(io, *sim_, core_sync_timer_.get());
 }
 
 }  // namespace portland::core

@@ -168,8 +168,7 @@ class FabricManager {
   /// host registry (every shard), installed prunes, multicast
   /// groups/trees, counters, and the standby's streamed images. The
   /// control-plane endpoint registration is construction wiring.
-  void save_state(sim::SnapshotWriter& w) const;
-  void restore_state(sim::SnapshotReader& r);
+  void snapshot(sim::SnapshotIo& io);
 
   /// Attaches the convergence monitor (nullptr = off). The FM is not a
   /// Device, so the fabric tells it which shard its handlers run on (the
@@ -229,10 +228,11 @@ class FabricManager {
 
   /// Everything the primary owns except the registry shards and counters
   /// (replica section 0 and the head of the snapshot image).
-  void save_core_state(sim::SnapshotWriter& w) const;
-  void restore_core_state(sim::SnapshotReader& r);
-  void save_registry(sim::SnapshotWriter& w, const RegistryShard& s) const;
-  void restore_registry(sim::SnapshotReader& r);
+  void snapshot_core(sim::SnapshotIo& io);
+  /// One registry shard's entries, ascending by IP. A load re-homes each
+  /// entry by IP under the current shard count, so `s` is the save source
+  /// only.
+  void snapshot_registry(sim::SnapshotIo& io, RegistryShard& s);
 
   void sync_core_section();
   void sync_shard_section(std::size_t shard);

@@ -110,40 +110,23 @@ class HostTable {
   }
 
   /// Checkpoint: slots and both index vectors, verbatim (slot order is
-  /// state — erase back-fills from the end).
-  void save_state(sim::SnapshotWriter& w) const {
-    w.u32(static_cast<std::uint32_t>(slots_.size()));
-    for (const HostEntry& e : slots_) {
-      w.u64(e.amac.to_u64());
-      w.u64(e.pmac.to_mac().to_u64());
-      w.u32(e.ip.value());
-      w.u64(e.port);
-    }
-    for (const std::uint32_t slot : by_amac_) w.u32(slot);
-    for (const std::uint32_t slot : by_pmac_) w.u32(slot);
-  }
-
-  void restore_state(sim::SnapshotReader& r) {
-    const std::uint32_t n = r.count();
-    slots_.clear();
-    by_amac_.clear();
-    by_pmac_.clear();
-    slots_.reserve(n);
-    by_amac_.reserve(n);
-    by_pmac_.reserve(n);
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      HostEntry e;
-      e.amac = MacAddress::from_u64(r.u64());
-      e.pmac = Pmac::from_mac(MacAddress::from_u64(r.u64()));
-      e.ip = Ipv4Address(r.u32());
-      e.port = r.u64();
-      slots_.push_back(e);
-    }
+  /// state — erase back-fills from the end). A load fails the reader on a
+  /// slot id past the table or a port id at or past `port_limit`.
+  void snapshot(sim::SnapshotIo& io, std::size_t port_limit) {
+    io.list(slots_, [&io, port_limit](HostEntry& e) {
+      io.field(e.amac);
+      MacAddress pmac = e.pmac.to_mac();
+      io.field(pmac);
+      if (io.loading()) e.pmac = Pmac::from_mac(pmac);
+      io.field(e.ip);
+      io.port(e.port, port_limit);
+    });
     for (Index* idx : {&by_amac_, &by_pmac_}) {
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        const std::uint32_t slot = r.u32();
-        if (slot >= n) r.fail();  // a corrupt image; never index past slots_
-        idx->push_back(slot);
+      if (io.loading()) idx->assign(slots_.size(), 0);
+      for (std::uint32_t& slot : *idx) {
+        if (!io.ok()) break;
+        io.field(slot);
+        if (slot >= slots_.size()) io.fail();  // never index past slots_
       }
     }
   }

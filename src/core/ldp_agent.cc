@@ -11,20 +11,11 @@ namespace portland::core {
 
 namespace {
 
-void save_locator(sim::SnapshotWriter& w, const SwitchLocator& loc) {
-  w.u64(loc.switch_id);
-  w.u8(static_cast<std::uint8_t>(loc.level));
-  w.u16(loc.pod);
-  w.u8(loc.position);
-}
-
-SwitchLocator restore_locator(sim::SnapshotReader& r) {
-  SwitchLocator loc;
-  loc.switch_id = r.u64();
-  loc.level = static_cast<Level>(r.u8());
-  loc.pod = r.u16();
-  loc.position = r.u8();
-  return loc;
+void snapshot_locator(sim::SnapshotIo& io, SwitchLocator& loc) {
+  io.field(loc.switch_id);
+  io.field<std::uint8_t>(loc.level);
+  io.field(loc.pod);
+  io.field(loc.position);
 }
 
 }  // namespace
@@ -448,105 +439,49 @@ const std::vector<sim::PortId>& LdpAgent::down_ports() const {
   return down_cache_;
 }
 
-void LdpAgent::save_state(sim::SnapshotWriter& w) const {
-  save_locator(w, self_);
-  const auto rng = rng_.state();
-  for (const std::uint64_t word : rng) w.u64(word);
+void LdpAgent::snapshot(sim::SnapshotIo& io) {
+  snapshot_locator(io, self_);
+  auto rng = rng_.state();
+  for (std::uint64_t& word : rng) io.field(word);
+  if (io.loading()) rng_.set_state(rng);
 
-  w.u32(static_cast<std::uint32_t>(ports_.size()));
-  for (const PortState& ps : ports_) {
-    w.u8(ps.neighbor.has_value() ? 1 : 0);
-    if (ps.neighbor.has_value()) save_locator(w, *ps.neighbor);
-    w.i64(ps.last_ldm);
-    w.i64(ps.last_echo);
-    w.u8(ps.host_seen ? 1 : 0);
-    w.u8(ps.reported_down ? 1 : 0);
-    w.u8(ps.echo_lost ? 1 : 0);
-  }
-
-  w.u64(topology_generation_);
-  w.u64(port_cache_rebuilds_);
-
-  w.u8(position_confirmed_ ? 1 : 0);
-  w.u8(proposed_position_);
-  w.u32(proposal_nonce_);
-  w.u32(static_cast<std::uint32_t>(proposal_pending_.size()));
-  for (const SwitchId id : proposal_pending_) w.u64(id);
-  w.u32(static_cast<std::uint32_t>(positions_nacked_.size()));
-  for (const std::uint8_t pos : positions_nacked_) w.u8(pos);
-  position_timer_.save_state(w);
-
-  w.u32(static_cast<std::uint32_t>(position_owners_.size()));
-  for (const auto& [pos, owner] : position_owners_) {
-    w.u8(pos);
-    w.u64(owner);
-  }
-
-  w.u8(pod_requested_ ? 1 : 0);
-  pod_timer_.save_state(w);
-  ldm_timer_.save_state(w);
-  sweep_timer_.save_state(w);
-
-  w.u64(ldms_sent_);
-  w.u64(ldms_received_);
-  w.u64(ldm_bytes_sent_);
-}
-
-void LdpAgent::restore_state(sim::SnapshotReader& r) {
-  self_ = restore_locator(r);
-  std::array<std::uint64_t, 4> rng{};
-  for (std::uint64_t& word : rng) word = r.u64();
-  rng_.set_state(rng);
-
-  const std::uint32_t n_ports = r.count();
-  if (n_ports != ports_.size()) return;  // image/topology mismatch
+  if (!io.expect<std::uint32_t>(ports_.size())) return;  // another topology
   for (PortState& ps : ports_) {
-    if (r.u8() != 0) {
-      ps.neighbor = restore_locator(r);
-    } else {
+    bool has_neighbor = ps.neighbor.has_value();
+    io.field(has_neighbor);
+    if (!has_neighbor) {
       ps.neighbor.reset();
+    } else {
+      if (io.loading()) ps.neighbor.emplace();
+      snapshot_locator(io, *ps.neighbor);
     }
-    ps.last_ldm = r.i64();
-    ps.last_echo = r.i64();
-    ps.host_seen = r.u8() != 0;
-    ps.reported_down = r.u8() != 0;
-    ps.echo_lost = r.u8() != 0;
+    io.field(ps.last_ldm);
+    io.field(ps.last_echo);
+    io.field(ps.host_seen);
+    io.field(ps.reported_down);
+    io.field(ps.echo_lost);
   }
 
-  topology_generation_ = r.u64();
-  port_cache_rebuilds_ = r.u64();
-  port_caches_dirty_ = true;  // pure caches: rebuilt lazily
+  io.field(topology_generation_);
+  io.field(port_cache_rebuilds_);
+  if (io.loading()) port_caches_dirty_ = true;  // pure caches: rebuilt lazily
 
-  position_confirmed_ = r.u8() != 0;
-  proposed_position_ = r.u8();
-  proposal_nonce_ = r.u32();
-  proposal_pending_.clear();
-  const std::uint32_t n_pending = r.count();
-  for (std::uint32_t i = 0; i < n_pending && r.ok(); ++i) {
-    proposal_pending_.insert(r.u64());
-  }
-  positions_nacked_.clear();
-  const std::uint32_t n_nacked = r.count();
-  for (std::uint32_t i = 0; i < n_nacked && r.ok(); ++i) {
-    positions_nacked_.insert(r.u8());
-  }
-  position_timer_.restore_at(r, [this] { propose_position(); });
+  io.field(position_confirmed_);
+  io.field(proposed_position_);
+  io.field(proposal_nonce_);
+  io.list(proposal_pending_);
+  io.list(positions_nacked_);
+  position_timer_.snapshot(io, [this] { propose_position(); });
+  io.list(position_owners_);
 
-  position_owners_.clear();
-  const std::uint32_t n_owners = r.count();
-  for (std::uint32_t i = 0; i < n_owners && r.ok(); ++i) {
-    const std::uint8_t pos = r.u8();
-    position_owners_[pos] = r.u64();
-  }
+  io.field(pod_requested_);
+  pod_timer_.snapshot(io, [this] { maybe_request_pod(); });
+  ldm_timer_.snapshot(io);
+  sweep_timer_.snapshot(io);
 
-  pod_requested_ = r.u8() != 0;
-  pod_timer_.restore_at(r, [this] { maybe_request_pod(); });
-  ldm_timer_.restore_state(r);
-  sweep_timer_.restore_state(r);
-
-  ldms_sent_ = r.u64();
-  ldms_received_ = r.u64();
-  ldm_bytes_sent_ = r.u64();
+  io.field(ldms_sent_);
+  io.field(ldms_received_);
+  io.field(ldm_bytes_sent_);
 }
 
 std::vector<NeighborEntry> LdpAgent::neighbor_entries() const {

@@ -109,9 +109,9 @@ class LdpAgent {
 
   /// Checkpoint: discovered location, per-port neighbor/liveness state,
   /// position negotiation, pending protocol timers, rng stream, stats.
-  /// The port-list caches are rebuilt lazily after restore.
-  void save_state(sim::SnapshotWriter& w) const;
-  void restore_state(sim::SnapshotReader& r);
+  /// The port-list caches are rebuilt lazily after a load. A load of an
+  /// image with another port count fails the reader.
+  void snapshot(sim::SnapshotIo& io);
 
   // --- stats --------------------------------------------------------------
   [[nodiscard]] std::uint64_t ldms_sent() const { return ldms_sent_; }

@@ -963,292 +963,124 @@ void PortlandSwitch::on_neighbor_event(sim::PortId port, SwitchId neighbor,
 
 namespace {
 
-void save_ports(sim::SnapshotWriter& w, const std::vector<sim::PortId>& v) {
-  w.u32(static_cast<std::uint32_t>(v.size()));
-  for (const sim::PortId p : v) w.u64(p);
-}
-
-void restore_ports(sim::SnapshotReader& r, std::vector<sim::PortId>& v) {
-  v.clear();
-  const std::uint32_t n = r.count();
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) v.push_back(r.u64());
-}
-
-void save_port_set(sim::SnapshotWriter& w, const PortSet& s) {
-  w.u32(static_cast<std::uint32_t>(s.size()));
-  s.for_each([&w](std::size_t p) { w.u64(p); });
-}
-
-PortSet restore_port_set(sim::SnapshotReader& r) {
-  PortSet s;
-  const std::uint32_t n = r.count();
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    const std::uint64_t port = r.u64();
-    if (port >= PortSet::kMaxPorts) {
-      r.fail();  // a corrupt image
-      break;
-    }
-    s.insert(static_cast<std::size_t>(port));
+void snapshot_port_set(sim::SnapshotIo& io, PortSet& s, std::size_t limit) {
+  std::vector<sim::PortId> ports;
+  if (!io.loading()) {
+    s.for_each([&ports](std::size_t p) { ports.push_back(p); });
   }
-  return s;
+  limit = std::min(limit, PortSet::kMaxPorts);
+  io.list(ports, [&io, limit](sim::PortId& p) { io.port(p, limit); });
+  if (!io.loading() || !io.ok()) return;
+  s = PortSet{};
+  for (const sim::PortId p : ports) s.insert(p);
 }
 
 }  // namespace
 
-void PortlandSwitch::save_state(sim::SnapshotWriter& w) const {
-  ldp_.save_state(w);
-  const auto rng = rng_.state();
-  for (const std::uint64_t word : rng) w.u64(word);
+void PortlandSwitch::snapshot(sim::SnapshotIo& io) {
+  const std::size_t ports = port_count();
+  ldp_.snapshot(io);
+  auto rng = rng_.state();
+  for (std::uint64_t& word : rng) io.field(word);
+  if (io.loading()) rng_.set_state(rng);
 
-  host_table_.save_state(w);
-  w.u32(static_cast<std::uint32_t>(next_vmid_.size()));
-  for (const std::uint16_t vmid : next_vmid_) w.u16(vmid);
+  host_table_.snapshot(io, ports);
+  io.list(next_vmid_);
 
-  w.u32(static_cast<std::uint32_t>(redirects_.size()));
-  for (const auto& [old_pmac, redirect] : redirects_) {
-    w.u64(old_pmac.to_u64());
-    w.u64(redirect.new_pmac.to_u64());
-    w.u32(redirect.ip.value());
-    w.u32(static_cast<std::uint32_t>(redirect.garp_sent_to.size()));
-    for (const MacAddress sender : redirect.garp_sent_to) {
-      w.u64(sender.to_u64());
+  io.list(redirects_, [&io](MacAddress& old_pmac, Redirect& redirect) {
+    io.field(old_pmac);
+    io.field(redirect.new_pmac);
+    io.field(redirect.ip);
+    io.list(redirect.garp_sent_to);
+  });
+
+  io.list(pending_arps_,
+          [this, &io, ports](std::uint32_t& query_id, PendingArp& pending) {
+            io.field(query_id);
+            io.port(pending.host_port, ports);
+            io.field(pending.requester_amac);
+            io.field(pending.requester_pmac);
+            io.field(pending.requester_ip);
+            io.field(pending.target);
+            io.frame(pending.original);
+            if (io.loading()) {
+              pending.timer = std::make_unique<sim::Timer>(sim());
+            }
+            pending.timer->snapshot(
+                io, [this, query_id] { flood_arp_fallback(query_id); });
+            io.list(pending.waiters, [&io, ports](ArpWaiter& waiter) {
+              io.port(waiter.host_port, ports);
+              io.field(waiter.amac);
+              io.field(waiter.pmac);
+              io.field(waiter.ip);
+              io.frame(waiter.original);
+            });
+          });
+  io.field(next_query_id_);
+  if (io.loading()) {
+    // The coalescer index is derived from pending_arps_; rebuild it.
+    pending_by_target_.clear();
+    for (const auto& [query_id, pending] : pending_arps_) {
+      pending_by_target_.emplace_back(pending.target.value(), query_id);
     }
+    std::sort(pending_by_target_.begin(), pending_by_target_.end());
   }
+  io.list(arp_negative_, [&io](NegativeArp& e) {
+    io.field(e.ip);
+    io.field(e.expires);
+  });
 
-  w.u32(static_cast<std::uint32_t>(pending_arps_.size()));
-  for (const auto& [query_id, pending] : pending_arps_) {
-    w.u32(query_id);
-    w.u64(pending.host_port);
-    w.u64(pending.requester_amac.to_u64());
-    w.u64(pending.requester_pmac.to_u64());
-    w.u32(pending.requester_ip.value());
-    w.u32(pending.target.value());
-    w.frame(pending.original);
-    pending.timer->save_state(w);
-    w.u32(static_cast<std::uint32_t>(pending.waiters.size()));
-    for (const ArpWaiter& waiter : pending.waiters) {
-      w.u64(waiter.host_port);
-      w.u64(waiter.amac.to_u64());
-      w.u64(waiter.pmac.to_u64());
-      w.u32(waiter.ip.value());
-      w.frame(waiter.original);
-    }
-  }
-  w.u32(next_query_id_);
-  w.u32(static_cast<std::uint32_t>(arp_negative_.size()));
-  for (const NegativeArp& e : arp_negative_) {
-    w.u32(e.ip);
-    w.i64(e.expires);
-  }
+  io.list(prunes_, [&io](DstKey& key, std::set<SwitchId>& avoid) {
+    io.field(key.pod);
+    io.field(key.position);
+    io.list(avoid);
+  });
+  io.field(prune_generation_);
 
-  w.u32(static_cast<std::uint32_t>(prunes_.size()));
-  for (const auto& [key, avoid] : prunes_) {
-    w.u16(key.pod);
-    w.u8(key.position);
-    w.u32(static_cast<std::uint32_t>(avoid.size()));
-    for (const SwitchId id : avoid) w.u64(id);
-  }
-  w.u64(prune_generation_);
+  // Precomputed FIB: logically derived, but walked as saved rather than
+  // rebuilt, since a rebuild would bump fib_rebuilds_.
+  const auto port_list = [&io, ports](std::vector<sim::PortId>& v) {
+    io.list(v, [&io, ports](sim::PortId& p) { io.port(p, ports); });
+  };
+  const auto port_index = [&io, ports](std::int32_t& p) {
+    io.port<std::uint32_t>(p, ports);
+  };
+  io.field(fib_.ldp_gen);
+  io.field(fib_.prune_gen);
+  port_list(fib_.base_up);
+  io.list(fib_.pruned_up, [&io, &port_list](PrunedRoute& route) {
+    io.field(route.key);
+    port_list(route.ports);
+  });
+  io.list(fib_.down_by_position, port_index);
+  io.list(fib_.down_by_pod, port_index);
 
-  // Precomputed FIB: logically derived, but restored as saved rather
-  // than rebuilt, since a rebuild would bump fib_rebuilds_.
-  w.u64(fib_.ldp_gen);
-  w.u64(fib_.prune_gen);
-  save_ports(w, fib_.base_up);
-  w.u32(static_cast<std::uint32_t>(fib_.pruned_up.size()));
-  for (const PrunedRoute& route : fib_.pruned_up) {
-    w.u32(route.key);
-    save_ports(w, route.ports);
-  }
-  w.u32(static_cast<std::uint32_t>(fib_.down_by_position.size()));
-  for (const std::int32_t p : fib_.down_by_position) {
-    w.u32(static_cast<std::uint32_t>(p));
-  }
-  w.u32(static_cast<std::uint32_t>(fib_.down_by_pod.size()));
-  for (const std::int32_t p : fib_.down_by_pod) {
-    w.u32(static_cast<std::uint32_t>(p));
-  }
+  io.field(fib_rebuilds_);
 
-  w.u64(fib_rebuilds_);
+  for (auto* groups : {&mcast_ports_, &local_members_}) {
+    io.list(*groups, [&io, ports](Ipv4Address& group, PortSet& members) {
+      io.field(group);
+      snapshot_port_set(io, members, ports);
+    });
+  }
+  io.list(mcast_sender_reported_);
 
-  w.u32(static_cast<std::uint32_t>(mcast_ports_.size()));
-  for (const auto& [group, ports] : mcast_ports_) {
-    w.u32(group.value());
-    save_port_set(w, ports);
-  }
-  w.u32(static_cast<std::uint32_t>(local_members_.size()));
-  for (const auto& [group, ports] : local_members_) {
-    w.u32(group.value());
-    save_port_set(w, ports);
-  }
-  w.u32(static_cast<std::uint32_t>(mcast_sender_reported_.size()));
-  for (const Ipv4Address group : mcast_sender_reported_) {
-    w.u32(group.value());
-  }
+  io.list(reported_down_, [&io, ports](PortFault& fault) {
+    io.port(fault.port, ports);
+    io.field(fault.neighbor);
+  });
 
-  w.u32(static_cast<std::uint32_t>(reported_down_.size()));
-  for (const PortFault& fault : reported_down_) {
-    w.u64(fault.port);
-    w.u64(fault.neighbor);
-  }
-
-  hello_timer_.save_state(w);
-  hello_periodic_.save_state(w);
-  refresh_periodic_.save_state(w);
-  w.u8(hello_pending_ ? 1 : 0);
-  w.u64(spray_counter_);
-}
-
-void PortlandSwitch::restore_state(sim::SnapshotReader& r) {
-  ldp_.restore_state(r);
-  std::array<std::uint64_t, 4> rng{};
-  for (std::uint64_t& word : rng) word = r.u64();
-  rng_.set_state(rng);
-
-  host_table_.restore_state(r);
-  const std::uint32_t n_vmids = r.count();
-  next_vmid_.assign(n_vmids, 0);
-  for (std::uint32_t i = 0; i < n_vmids && r.ok(); ++i) {
-    next_vmid_[i] = r.u16();
-  }
-
-  redirects_.clear();
-  const std::uint32_t n_redirects = r.count();
-  for (std::uint32_t i = 0; i < n_redirects && r.ok(); ++i) {
-    const MacAddress old_pmac = MacAddress::from_u64(r.u64());
-    Redirect redirect;
-    redirect.new_pmac = MacAddress::from_u64(r.u64());
-    redirect.ip = Ipv4Address(r.u32());
-    const std::uint32_t n_senders = r.count();
-    for (std::uint32_t j = 0; j < n_senders && r.ok(); ++j) {
-      redirect.garp_sent_to.insert(MacAddress::from_u64(r.u64()));
-    }
-    redirects_.emplace(old_pmac, std::move(redirect));
-  }
-
-  pending_arps_.clear();
-  const std::uint32_t n_arps = r.count();
-  for (std::uint32_t i = 0; i < n_arps && r.ok(); ++i) {
-    const std::uint32_t query_id = r.u32();
-    PendingArp pending;
-    pending.host_port = r.u64();
-    pending.requester_amac = MacAddress::from_u64(r.u64());
-    pending.requester_pmac = MacAddress::from_u64(r.u64());
-    pending.requester_ip = Ipv4Address(r.u32());
-    pending.target = Ipv4Address(r.u32());
-    pending.original = r.frame();
-    pending.timer = std::make_unique<sim::Timer>(sim());
-    pending.timer->restore_at(
-        r, [this, query_id] { flood_arp_fallback(query_id); });
-    const std::uint32_t n_waiters = r.count();
-    pending.waiters.reserve(n_waiters);
-    for (std::uint32_t j = 0; j < n_waiters && r.ok(); ++j) {
-      ArpWaiter waiter;
-      waiter.host_port = r.u64();
-      waiter.amac = MacAddress::from_u64(r.u64());
-      waiter.pmac = MacAddress::from_u64(r.u64());
-      waiter.ip = Ipv4Address(r.u32());
-      waiter.original = r.frame();
-      pending.waiters.push_back(std::move(waiter));
-    }
-    pending_arps_.emplace(query_id, std::move(pending));
-  }
-  next_query_id_ = r.u32();
-  // The coalescer index is derived from pending_arps_; rebuild it.
-  pending_by_target_.clear();
-  for (const auto& [query_id, pending] : pending_arps_) {
-    pending_by_target_.emplace_back(pending.target.value(), query_id);
-  }
-  std::sort(pending_by_target_.begin(), pending_by_target_.end());
-  arp_negative_.clear();
-  const std::uint32_t n_negative = r.count();
-  arp_negative_.reserve(n_negative);
-  for (std::uint32_t i = 0; i < n_negative && r.ok(); ++i) {
-    NegativeArp e;
-    e.ip = r.u32();
-    e.expires = r.i64();
-    arp_negative_.push_back(e);
-  }
-
-  prunes_.clear();
-  const std::uint32_t n_prunes = r.count();
-  for (std::uint32_t i = 0; i < n_prunes && r.ok(); ++i) {
-    DstKey key;
-    key.pod = r.u16();
-    key.position = r.u8();
-    std::set<SwitchId>& avoid = prunes_[key];
-    const std::uint32_t n_avoid = r.count();
-    for (std::uint32_t j = 0; j < n_avoid && r.ok(); ++j) {
-      avoid.insert(r.u64());
-    }
-  }
-  prune_generation_ = r.u64();
-
-  fib_.ldp_gen = r.u64();
-  fib_.prune_gen = r.u64();
-  restore_ports(r, fib_.base_up);
-  fib_.pruned_up.clear();
-  const std::uint32_t n_routes = r.count();
-  fib_.pruned_up.reserve(n_routes);
-  for (std::uint32_t i = 0; i < n_routes && r.ok(); ++i) {
-    PrunedRoute route;
-    route.key = r.u32();
-    restore_ports(r, route.ports);
-    fib_.pruned_up.push_back(std::move(route));
-  }
-  const std::uint32_t n_by_pos = r.count();
-  fib_.down_by_position.assign(n_by_pos, -1);
-  for (std::uint32_t i = 0; i < n_by_pos && r.ok(); ++i) {
-    fib_.down_by_position[i] = static_cast<std::int32_t>(r.u32());
-  }
-  const std::uint32_t n_by_pod = r.count();
-  fib_.down_by_pod.assign(n_by_pod, -1);
-  for (std::uint32_t i = 0; i < n_by_pod && r.ok(); ++i) {
-    fib_.down_by_pod[i] = static_cast<std::int32_t>(r.u32());
-  }
-
-  fib_rebuilds_ = r.u64();
-
-  mcast_ports_.clear();
-  const std::uint32_t n_mcast = r.count();
-  for (std::uint32_t i = 0; i < n_mcast && r.ok(); ++i) {
-    const Ipv4Address group(r.u32());
-    mcast_ports_[group] = restore_port_set(r);
-  }
-  local_members_.clear();
-  const std::uint32_t n_members = r.count();
-  for (std::uint32_t i = 0; i < n_members && r.ok(); ++i) {
-    const Ipv4Address group(r.u32());
-    local_members_[group] = restore_port_set(r);
-  }
-  mcast_sender_reported_.clear();
-  const std::uint32_t n_senders = r.count();
-  for (std::uint32_t i = 0; i < n_senders && r.ok(); ++i) {
-    mcast_sender_reported_.insert(Ipv4Address(r.u32()));
-  }
-
-  reported_down_.clear();
-  const std::uint32_t n_faults = r.count();
-  reported_down_.reserve(n_faults);
-  for (std::uint32_t i = 0; i < n_faults && r.ok(); ++i) {
-    PortFault fault;
-    fault.port = r.u64();
-    fault.neighbor = r.u64();
-    reported_down_.push_back(fault);
-  }
-
-  hello_timer_.restore_at(r, [this] {
+  hello_timer_.snapshot(io, [this] {
     hello_pending_ = false;
     send_hello();
   });
-  hello_periodic_.restore_state(r);
-  refresh_periodic_.restore_state(r);
-  hello_pending_ = r.u8() != 0;
-  spray_counter_ = r.u64();
+  hello_periodic_.snapshot(io);
+  refresh_periodic_.snapshot(io);
+  io.field(hello_pending_);
+  io.field(spray_counter_);
 
   // The control-plane endpoint registration from start() survives in a
-  // forked image (same object); a fresh fabric restores after its own
+  // forked image (same object); a fresh fabric loads after its own
   // start(), which re-registered it. Nothing to redo here.
 }
 

@@ -59,9 +59,9 @@ class PortlandSwitch : public sim::Device {
   /// Checkpoint: LDP state, host/redirect/prune/multicast tables, the
   /// precomputed FIB (restored rather than rebuilt, so fib_rebuilds()
   /// reads the same after a restore), pending ARP queries with their
-  /// timers, fault reports, rng.
-  void save_state(sim::SnapshotWriter& w) const override;
-  void restore_state(sim::SnapshotReader& r) override;
+  /// timers, fault reports, rng. A load fails the reader on any port id
+  /// at or past port_count().
+  void snapshot(sim::SnapshotIo& io) override;
 
   // --- inspection --------------------------------------------------------
   [[nodiscard]] SwitchId id() const { return id_; }

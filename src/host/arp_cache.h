@@ -5,11 +5,9 @@
 // ARPs and the old-edge invalidation path exist (paper §3.3).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "common/ipv4_address.h"
 #include "common/mac_address.h"
@@ -39,32 +37,14 @@ class ArpCache {
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] SimDuration lifetime() const { return lifetime_; }
 
-  /// Checkpoint: entries sorted by IP so the image is deterministic (the
+  /// Checkpoint: entries in IP order so the image is deterministic (the
   /// map itself is unordered and only ever queried by key).
-  void save_state(sim::SnapshotWriter& w) const {
-    std::vector<std::pair<Ipv4Address, Entry>> sorted(entries_.begin(),
-                                                      entries_.end());
-    std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-      return a.first.value() < b.first.value();
+  void snapshot(sim::SnapshotIo& io) {
+    io.list(entries_, [&io](Ipv4Address& ip, Entry& entry) {
+      io.field(ip);
+      io.field(entry.mac);
+      io.field(entry.learned_at);
     });
-    w.u32(static_cast<std::uint32_t>(sorted.size()));
-    for (const auto& [ip, entry] : sorted) {
-      w.u32(ip.value());
-      w.u64(entry.mac.to_u64());
-      w.i64(entry.learned_at);
-    }
-  }
-
-  void restore_state(sim::SnapshotReader& r) {
-    entries_.clear();
-    const std::uint32_t n = r.count();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      const Ipv4Address ip(r.u32());
-      Entry entry;
-      entry.mac = MacAddress::from_u64(r.u64());
-      entry.learned_at = r.i64();
-      entries_.emplace(ip, entry);
-    }
   }
 
  private:

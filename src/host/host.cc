@@ -315,88 +315,48 @@ void Host::arp_retry_tick(Ipv4Address target) {
 // Checkpoint
 // --------------------------------------------------------------------------
 
-void Host::save_state(sim::SnapshotWriter& w) const {
-  arp_cache_.save_state(w);
+void Host::snapshot(sim::SnapshotIo& io) {
+  arp_cache_.snapshot(io);
 
-  // Unresolved sends: sorted by destination IP (the map is unordered and
-  // only keyed lookups matter, so sorting is free determinism).
-  std::vector<const std::pair<const Ipv4Address, Pending>*> pending;
-  pending.reserve(pending_.size());
-  for (const auto& kv : pending_) pending.push_back(&kv);
-  std::sort(pending.begin(), pending.end(), [](const auto* a, const auto* b) {
-    return a->first.value() < b->first.value();
+  // Unresolved sends, walked in destination-IP order.
+  io.list(pending_, [this, &io](Ipv4Address& dst, Pending& p) {
+    io.field(dst);
+    io.field<std::uint32_t>(p.retries);
+    io.field(p.first_request_at);
+    io.list(p.frames, [&io](std::vector<std::uint8_t>& f) { io.blob(f); });
+    if (io.loading()) p.timer = std::make_unique<sim::Timer>(sim());
+    p.timer->snapshot(io, [this, dst] { arp_retry_tick(dst); });
   });
-  w.u32(static_cast<std::uint32_t>(pending.size()));
-  for (const auto* kv : pending) {
-    w.u32(kv->first.value());
-    w.u32(static_cast<std::uint32_t>(kv->second.retries));
-    w.i64(kv->second.first_request_at);
-    w.u32(static_cast<std::uint32_t>(kv->second.frames.size()));
-    for (const std::vector<std::uint8_t>& frame : kv->second.frames) {
-      w.blob(frame);
-    }
-    kv->second.timer->save_state(w);
+
+  io.field(next_ephemeral_port_);
+  io.field(arp_requests_sent_);
+
+  std::vector<TcpEndpointKey> keys;
+  if (!io.loading()) {
+    for (const auto& [key, conn] : connections_) keys.push_back(key);
   }
-
-  w.u16(next_ephemeral_port_);
-  w.u64(arp_requests_sent_);
-
-  w.u32(static_cast<std::uint32_t>(connections_.size()));
-  for (const auto& [key, conn] : connections_) {
-    w.u32(key.remote_ip.value());
-    w.u16(key.remote_port);
-    w.u16(key.local_port);
-    conn->save_state(w);
-  }
-  // Written after connections: a fresh-process restore creates missing
-  // connections through make_connection, which advances isn_state_ — the
-  // exact value is reapplied last either way.
-  w.u64(isn_state_);
-}
-
-void Host::restore_state(sim::SnapshotReader& r) {
-  arp_cache_.restore_state(r);
-
-  pending_.clear();
-  const std::uint32_t n_pending = r.count();
-  for (std::uint32_t i = 0; i < n_pending && r.ok(); ++i) {
-    const Ipv4Address dst(r.u32());
-    Pending& p = pending_[dst];
-    p.retries = static_cast<int>(r.u32());
-    p.first_request_at = r.i64();
-    const std::uint32_t n_frames = r.count();
-    for (std::uint32_t j = 0; j < n_frames && r.ok(); ++j) {
-      p.frames.push_back(r.blob());
-    }
-    p.timer = std::make_unique<sim::Timer>(sim());
-    p.timer->restore_at(r, [this, dst] { arp_retry_tick(dst); });
-  }
-
-  next_ephemeral_port_ = r.u16();
-  arp_requests_sent_ = r.u64();
-
-  const std::uint32_t n_conns = r.count();
-  std::vector<TcpEndpointKey> restored;
-  restored.reserve(n_conns);
-  for (std::uint32_t i = 0; i < n_conns && r.ok(); ++i) {
-    TcpEndpointKey key;
-    key.remote_ip = Ipv4Address(r.u32());
-    key.remote_port = r.u16();
-    key.local_port = r.u16();
-    auto it = connections_.find(key);
+  io.list(keys, [this, &io](TcpEndpointKey& key) {
+    io.field(key.remote_ip);
+    io.field(key.remote_port);
+    io.field(key.local_port);
+    const auto it = connections_.find(key);
     TcpConnection& conn =
         it != connections_.end() ? *it->second : make_connection(key);
-    conn.restore_state(r);
-    restored.push_back(key);
+    conn.snapshot(io);
+  });
+  if (io.loading()) {
+    // Drop connections the image does not know about (a fork target that
+    // had diverged before restore).
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      const bool keep =
+          std::find(keys.begin(), keys.end(), it->first) != keys.end();
+      it = keep ? std::next(it) : connections_.erase(it);
+    }
   }
-  // Drop connections the image does not know about (a fork target that
-  // had diverged before restore).
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    const bool keep = std::find(restored.begin(), restored.end(),
-                                it->first) != restored.end();
-    it = keep ? std::next(it) : connections_.erase(it);
-  }
-  isn_state_ = r.u64();
+  // Walked after connections: a fresh-process load creates missing
+  // connections through make_connection, which advances isn_state_ — the
+  // exact value is reapplied last either way.
+  io.field(isn_state_);
 }
 
 void Host::flush_pending(Ipv4Address dst, MacAddress mac) {

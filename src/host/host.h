@@ -53,8 +53,7 @@ class Host : public sim::Device {
   /// process restore; app deliver/finished callbacks must be re-installed
   /// by the application — in-place forks keep them automatically), ISN
   /// state. UDP/listener handler maps are construction wiring.
-  void save_state(sim::SnapshotWriter& w) const override;
-  void restore_state(sim::SnapshotReader& r) override;
+  void snapshot(sim::SnapshotIo& io) override;
 
   [[nodiscard]] MacAddress mac() const { return mac_; }
   [[nodiscard]] Ipv4Address ip() const { return ip_; }

@@ -424,101 +424,51 @@ void TcpConnection::handle_segment(const TcpHeader& h,
   }
 }
 
-void TcpConnection::save_state(sim::SnapshotWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(state_));
+void TcpConnection::snapshot(sim::SnapshotIo& io) {
+  io.field<std::uint8_t>(state_);
 
-  w.u32(isn_);
-  w.u32(snd_una_);
-  w.u32(snd_nxt_);
-  w.u32(snd_max_);
-  w.u64(stream_len_);
-  w.u64(snd_offset_base_);
-  w.u8(fin_queued_ ? 1 : 0);
-  w.u8(fin_sent_ ? 1 : 0);
-  w.u8(fin_ever_sent_ ? 1 : 0);
-  w.u32(fin_wire_seq_);
-  w.u32(cwnd_);
-  w.u32(ssthresh_);
-  w.u16(peer_window_);
-  w.u32(static_cast<std::uint32_t>(dup_acks_));
-  w.u8(in_recovery_ ? 1 : 0);
-  w.u32(recovery_point_);
-  w.i64(rto_);
-  w.u32(static_cast<std::uint32_t>(backoff_));
-  w.f64(srtt_);
-  w.f64(rttvar_);
-  w.u8(rtt_valid_ ? 1 : 0);
-  w.u32(timed_seq_);
-  w.i64(timed_sent_at_);
-  rto_timer_.save_state(w);
-  w.u32(static_cast<std::uint32_t>(syn_retries_));
+  io.field(isn_);
+  io.field(snd_una_);
+  io.field(snd_nxt_);
+  io.field(snd_max_);
+  io.field(stream_len_);
+  io.field(snd_offset_base_);
+  io.field(fin_queued_);
+  io.field(fin_sent_);
+  io.field(fin_ever_sent_);
+  io.field(fin_wire_seq_);
+  io.field(cwnd_);
+  io.field(ssthresh_);
+  io.field(peer_window_);
+  io.field<std::uint32_t>(dup_acks_);
+  io.field(in_recovery_);
+  io.field(recovery_point_);
+  io.field(rto_);
+  io.field<std::uint32_t>(backoff_);
+  io.field(srtt_);
+  io.field(rttvar_);
+  io.field(rtt_valid_);
+  io.field(timed_seq_);
+  io.field(timed_sent_at_);
+  rto_timer_.snapshot(io, [this] { on_rto(); });
+  io.field<std::uint32_t>(syn_retries_);
 
-  w.u32(irs_);
-  w.u32(rcv_nxt_);
-  w.u8(peer_fin_seen_ ? 1 : 0);
-  w.u32(peer_fin_seq_);
-  w.u32(static_cast<std::uint32_t>(ooo_.size()));
-  for (const auto& [seq, payload] : ooo_) {
-    w.u32(seq);
-    w.blob(payload);
-  }
+  io.field(irs_);
+  io.field(rcv_nxt_);
+  io.field(peer_fin_seen_);
+  io.field(peer_fin_seq_);
+  io.list(ooo_, [&io](std::uint32_t& seq, std::vector<std::uint8_t>& payload) {
+    io.field(seq);
+    io.blob(payload);
+  });
 
-  w.u64(bytes_acked_);
-  w.u64(bytes_delivered_);
-  w.u64(ooo_segments_);
-  w.u64(segments_sent_);
-  w.u64(retransmissions_);
-  w.u64(timeouts_);
-  w.u8(payload_corruption_ ? 1 : 0);
-}
-
-void TcpConnection::restore_state(sim::SnapshotReader& r) {
-  state_ = static_cast<State>(r.u8());
-
-  isn_ = r.u32();
-  snd_una_ = r.u32();
-  snd_nxt_ = r.u32();
-  snd_max_ = r.u32();
-  stream_len_ = r.u64();
-  snd_offset_base_ = r.u64();
-  fin_queued_ = r.u8() != 0;
-  fin_sent_ = r.u8() != 0;
-  fin_ever_sent_ = r.u8() != 0;
-  fin_wire_seq_ = r.u32();
-  cwnd_ = r.u32();
-  ssthresh_ = r.u32();
-  peer_window_ = r.u16();
-  dup_acks_ = static_cast<int>(r.u32());
-  in_recovery_ = r.u8() != 0;
-  recovery_point_ = r.u32();
-  rto_ = r.i64();
-  backoff_ = static_cast<int>(r.u32());
-  srtt_ = r.f64();
-  rttvar_ = r.f64();
-  rtt_valid_ = r.u8() != 0;
-  timed_seq_ = r.u32();
-  timed_sent_at_ = r.i64();
-  rto_timer_.restore_at(r, [this] { on_rto(); });
-  syn_retries_ = static_cast<int>(r.u32());
-
-  irs_ = r.u32();
-  rcv_nxt_ = r.u32();
-  peer_fin_seen_ = r.u8() != 0;
-  peer_fin_seq_ = r.u32();
-  ooo_.clear();
-  const std::uint32_t n_ooo = r.count();
-  for (std::uint32_t i = 0; i < n_ooo && r.ok(); ++i) {
-    const std::uint32_t seq = r.u32();
-    ooo_[seq] = r.blob();
-  }
-
-  bytes_acked_ = r.u64();
-  bytes_delivered_ = r.u64();
-  ooo_segments_ = r.u64();
-  segments_sent_ = r.u64();
-  retransmissions_ = r.u64();
-  timeouts_ = r.u64();
-  payload_corruption_ = r.u8() != 0;
+  io.field(bytes_acked_);
+  io.field(bytes_delivered_);
+  io.field(ooo_segments_);
+  io.field(segments_sent_);
+  io.field(retransmissions_);
+  io.field(timeouts_);
+  io.field(payload_corruption_);
 }
 
 }  // namespace portland::host

@@ -134,8 +134,7 @@ class TcpConnection {
   /// segment sink and app callbacks are construction wiring and survive
   /// in-place; a fresh-process restore re-creates the sink but app
   /// callbacks must be re-installed by the application.
-  void save_state(sim::SnapshotWriter& w) const;
-  void restore_state(sim::SnapshotReader& r);
+  void snapshot(sim::SnapshotIo& io);
 
  private:
   void send_segment(std::uint32_t seq_wire, std::uint32_t len, bool fin,

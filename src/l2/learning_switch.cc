@@ -1,11 +1,8 @@
 #include "l2/learning_switch.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "net/ethernet.h"
 #include "net/packet.h"
-#include "sim/snapshot.h"
 
 namespace portland::l2 {
 
@@ -287,97 +284,6 @@ void LearningSwitch::forward_data(sim::PortId in_port,
     if (!port_connected(p)) continue;
     send(p, frame);
   }
-}
-
-void LearningSwitch::save_state(sim::SnapshotWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(ports_.size()));
-  for (const PortInfo& pi : ports_) {
-    w.u8(static_cast<std::uint8_t>(pi.role));
-    w.u8(static_cast<std::uint8_t>(pi.state));
-    w.u8(pi.best.has_value() ? 1 : 0);
-    if (pi.best.has_value()) {
-      w.u64(pi.best->root);
-      w.u32(pi.best->root_cost);
-      w.u64(pi.best->bridge);
-      w.u16(pi.best->port);
-      w.u32(pi.best->age_ms);
-    }
-    w.i64(pi.best_received_at);
-    w.u64(pi.state_generation);
-  }
-  w.u64(root_);
-  w.u32(root_cost_);
-  w.u8(root_port_.has_value() ? 1 : 0);
-  if (root_port_.has_value()) w.u64(*root_port_);
-
-  // MAC table is unordered; sort for a deterministic image.
-  std::vector<std::pair<MacAddress, MacEntry>> macs(mac_table_.begin(),
-                                                    mac_table_.end());
-  std::sort(macs.begin(), macs.end(), [](const auto& a, const auto& b) {
-    return a.first.to_u64() < b.first.to_u64();
-  });
-  w.u32(static_cast<std::uint32_t>(macs.size()));
-  for (const auto& [mac, entry] : macs) {
-    w.u64(mac.to_u64());
-    w.u64(entry.port);
-    w.i64(entry.learned_at);
-  }
-
-  hello_timer_.save_state(w);
-  age_timer_.save_state(w);
-  w.u64(floods_);
-  w.u64(topology_changes_);
-  w.u64(memo_hits_);
-}
-
-void LearningSwitch::restore_state(sim::SnapshotReader& r) {
-  const std::uint32_t n_ports = r.count();
-  if (n_ports != ports_.size()) return;  // image/topology mismatch
-  for (PortInfo& pi : ports_) {
-    pi.role = static_cast<PortRole>(r.u8());
-    pi.state = static_cast<PortState>(r.u8());
-    if (r.u8() != 0) {
-      Bpdu b;
-      b.root = r.u64();
-      b.root_cost = r.u32();
-      b.bridge = r.u64();
-      b.port = r.u16();
-      b.age_ms = r.u32();
-      pi.best = b;
-    } else {
-      pi.best.reset();
-    }
-    pi.best_received_at = r.i64();
-    pi.state_generation = r.u64();
-  }
-  root_ = r.u64();
-  root_cost_ = r.u32();
-  if (r.u8() != 0) {
-    root_port_ = static_cast<sim::PortId>(r.u64());
-  } else {
-    root_port_.reset();
-  }
-
-  mac_table_.clear();
-  const std::uint32_t n_macs = r.count();
-  mac_table_.reserve(n_macs);
-  for (std::uint32_t i = 0; i < n_macs && r.ok(); ++i) {
-    const MacAddress mac = MacAddress::from_u64(r.u64());
-    MacEntry entry;
-    entry.port = static_cast<sim::PortId>(r.u64());
-    entry.learned_at = r.i64();
-    mac_table_.emplace(mac, entry);
-  }
-
-  hello_timer_.restore_state(r);
-  age_timer_.restore_state(r);
-  floods_ = r.u64();
-  topology_changes_ = r.u64();
-  memo_hits_ = r.u64();
-
-  // The memo caches a MacEntry* into the old table; invalidate it.
-  memo_ = FwdMemo{};
-  ++memo_generation_;
 }
 
 }  // namespace portland::l2

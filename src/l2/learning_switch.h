@@ -34,13 +34,6 @@ class LearningSwitch : public sim::Device {
   void handle_frame(sim::PortId in_port, const sim::FramePtr& frame) override;
   void handle_link_status(sim::PortId port, bool up) override;
 
-  /// Checkpoint: STP port roles/states + best BPDUs, root view, MAC table,
-  /// protocol timers. The forwarding memo is invalidated on restore. Saves
-  /// taken mid listening->forwarding walk are rejected upstream (those
-  /// transitions are plain closures); converged fabrics are past them.
-  void save_state(sim::SnapshotWriter& w) const override;
-  void restore_state(sim::SnapshotReader& r) override;
-
   // --- inspection --------------------------------------------------------
   [[nodiscard]] std::uint64_t bridge_id() const { return bridge_id_; }
   [[nodiscard]] bool believes_root() const { return root_ == bridge_id_; }

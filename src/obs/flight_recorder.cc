@@ -149,36 +149,21 @@ void FlightRecorder::clear() {
   }
 }
 
-void FlightRecorder::save_state(sim::SnapshotWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(logs_.size()));
-  for (const ShardLog& log : logs_) {
-    w.u64(log.captured);
-    w.u64(log.trace_ids);
-    w.u64(log.drop_total);
-    for (const std::uint64_t n : log.by_reason) w.u64(n);
-  }
-}
-
-void FlightRecorder::restore_state(sim::SnapshotReader& r) {
-  const std::uint32_t n = r.count();
-  if (n != logs_.size()) return;  // shard-count mismatch; caller validates
+void FlightRecorder::snapshot(sim::SnapshotIo& io) {
+  if (!io.expect<std::uint32_t>(logs_.size())) return;  // shard count
   for (ShardLog& log : logs_) {
-    log.ring.clear();
-    log.drops.clear();
-    // Only the trace-id allocators carry over: fresh ids must never
-    // collide with ids burned before the save. Capture/drop counting
-    // restarts at zero, exactly like clear() — the ring's lazy-growth
-    // placement keys off `captured`, so a restored recorder and a
-    // save-side clear()ed recorder must agree on it or their rings
-    // retain different records once a shard wraps.
-    (void)r.u64();  // captured at save time; reporting only, not restored
-    log.captured = 0;
-    log.trace_ids = r.u64();
-    (void)r.u64();  // drop_total at save time
-    log.drop_total = 0;
-    log.by_reason.fill(0);
-    for (std::size_t i = 0; i < log.by_reason.size(); ++i) (void)r.u64();
+    io.field(log.captured);
+    io.field(log.trace_ids);
+    io.field(log.drop_total);
+    for (std::uint64_t& n : log.by_reason) io.field(n);
   }
+  // Only the trace-id allocators carry over: fresh ids must never collide
+  // with ids burned before the save. Capture/drop counting restarts at
+  // zero, exactly like clear() — the ring's lazy-growth placement keys off
+  // `captured`, so a restored recorder and a save-side clear()ed recorder
+  // must agree on it or their rings retain different records once a shard
+  // wraps.
+  if (io.loading()) clear();
 }
 
 }  // namespace portland::obs

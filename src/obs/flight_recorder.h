@@ -29,8 +29,7 @@
 #include "obs/drop_reason.h"
 
 namespace portland::sim {
-class SnapshotWriter;
-class SnapshotReader;
+class SnapshotIo;
 }  // namespace portland::sim
 
 namespace portland::obs {
@@ -129,12 +128,12 @@ class FlightRecorder {
   /// allocators, so a restored fabric keeps handing out fresh ids that
   /// never collide with ids already burned before the save. Hop records
   /// hold `const char*` device names owned by the *saving* process, so
-  /// rings and drop logs are not serialized; restore clears them and
+  /// rings and drop logs are not serialized; a load clears them and
   /// restarts capture/drop counting at zero (the same state clear()
   /// leaves behind, so a saver that clear()s at the checkpoint and a
-  /// restorer retain bit-identical rings from then on).
-  void save_state(sim::SnapshotWriter& w) const;
-  void restore_state(sim::SnapshotReader& r);
+  /// restorer retain bit-identical rings from then on). A load of an
+  /// image with another shard count fails the reader.
+  void snapshot(sim::SnapshotIo& io);
 
  private:
   struct Stamped {

@@ -51,14 +51,13 @@ class Device {
   /// their timers here.
   virtual void start() {}
 
-  /// Checkpoint hooks: serialize/rebuild everything beyond construction —
-  /// tables, caches, pending timers, protocol state. The base counters
-  /// are saved by the fabric around these calls, so a device with no
-  /// state beyond its counters needs no override. Restores run inside a
-  /// ShardGuard for the device's shard, so re-armed timers land on the
-  /// owning shard's queue.
-  virtual void save_state(SnapshotWriter& w) const { (void)w; }
-  virtual void restore_state(SnapshotReader& r) { (void)r; }
+  /// Checkpoint hook: walks everything beyond construction — tables,
+  /// caches, pending timers, protocol state — in the direction `io` was
+  /// built for. The base counters are walked by the fabric before this
+  /// call, so a device with no state beyond its counters needs no
+  /// override. The walk runs inside a ShardGuard for the device's shard,
+  /// so timers re-armed by a load land on the owning shard's queue.
+  virtual void snapshot(SnapshotIo& io) { (void)io; }
 
   /// Adds one port; returns its id (ids are dense, starting at 0).
   PortId add_port();

@@ -633,9 +633,6 @@ void Simulator::merge_mailboxes() {
                             m.payload.data_kind, m.payload.data_arg,
                             std::move(m.payload.data_frame),
                             std::move(m.payload.data_bytes));
-      } else if (m.payload.timer != nullptr) {
-        schedule_timer_local(d, static_cast<ShardId>(dst), m.time,
-                             std::move(m.payload.timer), m.payload.timer_gen);
       } else {
         schedule_local(d, m.time, std::move(m.payload.fn));
       }

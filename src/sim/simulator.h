@@ -86,6 +86,7 @@ struct Train;
 struct TrainEntry;
 class SnapshotWriter;
 class SnapshotReader;
+class SnapshotIo;
 
 /// Identifies an event shard. Devices created before `configure_shards`
 /// live on shard 0; on a one-shard engine every id folds to shard 0.
@@ -711,13 +712,12 @@ class Timer {
   /// Absolute time of the pending shot (meaningful only when pending()).
   [[nodiscard]] SimTime deadline() const { return deadline_; }
 
-  /// Checkpoint support (sim/snapshot.cc). save_state writes the shot's
-  /// {armed, shard, deadline, seq}; restore_at re-installs `fn` as the
-  /// retained callback (closures do not serialize — the owner rebuilds
-  /// its own) and, if the image had a pending shot, re-inserts it at its
-  /// exact saved rank via Simulator::restore_timer_at.
-  void save_state(SnapshotWriter& w) const;
-  void restore_at(SnapshotReader& r, std::function<void()> fn);
+  /// Checkpoint support (sim/snapshot.cc): walks the shot's {armed,
+  /// shard, deadline, seq}. A load re-installs `fn` as the retained
+  /// callback (closures do not serialize — the owner rebuilds its own;
+  /// a save ignores it) and, if the image had a pending shot, re-inserts
+  /// it at its exact saved rank via Simulator::restore_timer_at.
+  void snapshot(SnapshotIo& io, std::function<void()> fn);
 
  private:
   Simulator* sim_;
@@ -741,11 +741,13 @@ class PeriodicTimer {
 
   /// Checkpoint support: the periodic callback itself is owner state (it
   /// was supplied at construction in both processes), so only the inner
-  /// timer's shot needs saving.
-  void save_state(SnapshotWriter& w) const { timer_.save_state(w); }
-  void restore_state(SnapshotReader& r) {
-    timer_.restore_at(r, [this] { tick(); });
+  /// timer's shot is walked. save_state/restore_state run the same walk
+  /// for Snapshotable extras.
+  void snapshot(SnapshotIo& io) {
+    timer_.snapshot(io, [this] { tick(); });
   }
+  void save_state(SnapshotWriter& w) const;
+  void restore_state(SnapshotReader& r);
 
  private:
   void tick();

@@ -24,31 +24,36 @@ namespace {
 constexpr std::uint32_t kEngineMagic = 0x534E4150u;  // "SNAP"
 }  // namespace
 
-void save_counters(SnapshotWriter& w, std::span<const std::uint64_t> cells) {
+void SnapshotIo::counters(std::span<std::uint64_t> cells) {
   assert(cells.size() <= 0xFFFF);
-  const auto nonzero = std::count_if(cells.begin(), cells.end(),
-                                     [](std::uint64_t v) { return v != 0; });
-  w.u16(static_cast<std::uint16_t>(nonzero));
-  for (std::size_t id = 0; id < cells.size(); ++id) {
-    if (cells[id] == 0) continue;
-    w.u16(static_cast<std::uint16_t>(id));
-    w.u64(cells[id]);
+  std::uint16_t n = 0;
+  if (!loading()) {
+    n = static_cast<std::uint16_t>(std::count_if(
+        cells.begin(), cells.end(), [](std::uint64_t v) { return v != 0; }));
   }
-}
-
-void restore_counters(SnapshotReader& r, std::span<std::uint64_t> cells) {
-  std::fill(cells.begin(), cells.end(), 0);
-  const std::uint16_t n = r.u16();
-  if (n > cells.size()) {
-    r.fail();
-    return;
+  field(n);
+  if (loading()) {
+    std::fill(cells.begin(), cells.end(), 0);
+    if (n > cells.size()) {
+      fail();
+      return;
+    }
   }
+  std::size_t next = 0;  // save: where the scan for a nonzero cell resumes
   for (std::uint16_t i = 0; i < n; ++i) {
-    const std::uint16_t id = r.u16();
-    const std::uint64_t value = r.u64();
-    if (!r.ok() || id >= cells.size()) {
+    std::uint16_t id = 0;
+    std::uint64_t value = 0;
+    if (!loading()) {
+      while (cells[next] == 0) ++next;
+      id = static_cast<std::uint16_t>(next);
+      value = cells[next++];
+    }
+    field(id);
+    field(value);
+    if (!loading()) continue;
+    if (!ok() || id >= cells.size()) {
       std::fill(cells.begin(), cells.end(), 0);
-      r.fail();
+      fail();
       return;
     }
     cells[id] = value;
@@ -388,24 +393,21 @@ bool Simulator::finish_restore(std::string* error) {
   return true;
 }
 
-void Timer::save_state(SnapshotWriter& w) const {
-  w.u8(state_->fn != nullptr ? 1 : 0);
-  w.u8(state_->pending ? 1 : 0);
-  // An idle timer's shard and seq are leftovers of its last shot, which
-  // restore never reads: write fixed values so that saving a restored
-  // fabric reproduces the image byte for byte.
-  w.u32(state_->pending ? state_->shard : kNoShard);
-  w.i64(deadline_);
-  w.u64(state_->pending ? state_->seq : 0);
-}
-
-void Timer::restore_at(SnapshotReader& r, std::function<void()> fn) {
-  const bool had_fn = r.u8() != 0;
-  const bool pending = r.u8() != 0;
-  const ShardId shard = r.u32();
-  const SimTime deadline = r.i64();
-  const std::uint64_t seq = r.u64();
-  if (!r.ok()) return;
+void Timer::snapshot(SnapshotIo& io, std::function<void()> fn) {
+  bool had_fn = state_->fn != nullptr;
+  bool pending = state_->pending;
+  // An idle timer's shard and seq are leftovers of its last shot, which a
+  // load never reads: save fixed values so that saving a restored fabric
+  // reproduces the image byte for byte.
+  ShardId shard = pending ? state_->shard : kNoShard;
+  SimTime deadline = deadline_;
+  std::uint64_t seq = pending ? state_->seq : 0;
+  io.field(had_fn);
+  io.field(pending);
+  io.field(shard);
+  io.field(deadline);
+  io.field(seq);
+  if (!io.loading() || !io.ok()) return;
   // Safe no-op after snapshot_clear (the core was neutralized), and the
   // correct cleanup when restoring in place over a still-armed timer.
   sim_->cancel_timer(*state_);
@@ -416,6 +418,16 @@ void Timer::restore_at(SnapshotReader& r, std::function<void()> fn) {
   state_->pending = true;
   sim_->restore_timer_at(shard == kNoShard ? 0 : shard, deadline, seq,
                          state_, gen);
+}
+
+void PeriodicTimer::save_state(SnapshotWriter& w) const {
+  SnapshotIo io(w);
+  const_cast<PeriodicTimer*>(this)->snapshot(io);  // a save only reads
+}
+
+void PeriodicTimer::restore_state(SnapshotReader& r) {
+  SnapshotIo io(r);
+  snapshot(io);
 }
 
 }  // namespace portland::sim

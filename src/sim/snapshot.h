@@ -5,20 +5,27 @@
 // both feasible and verifiable: `restore(save(S))` followed by run must
 // produce the exact frame trace running S uninterrupted would. This
 // header provides the typed byte streams every component serializes
-// through, plus the `Snapshotable` hook for app-level objects (traffic
-// generators, test timers) that ride along with a fabric image.
+// through, the SnapshotIo walk that drives them, and the `Snapshotable`
+// hook for app-level objects (traffic generators, test timers) that ride
+// along with a fabric image.
 //
 // Layering: a snapshot is assembled by PortlandFabric (core/fabric.h),
 // which walks engine → links → devices → control plane → observability
 // in deterministic construction order. Each layer writes a
 // self-delimiting section; the reader consumes sections in the same
-// order. Closures never serialize — restorable events are either timer
-// shots (the owning Timer re-arms its retained callback), train entries
-// (the owning Link re-anchors its train), or *data events*
+// order. A component describes its section once, in a
+// `snapshot(SnapshotIo&)` that names every field by reference: over a
+// SnapshotWriter the walk saves, over a SnapshotReader it loads, so the
+// two layouts cannot drift. Only the walks that are not mirror images
+// keep separate save and restore code: the engine's drain-and-rebuild,
+// Link's hashed sections, FabricGraph's content-addressed blocks and the
+// Snapshotable extras. Closures never serialize — restorable events are
+// either timer shots (the owning Timer re-arms its retained callback),
+// train entries (the owning Link re-anchors its train), or *data events*
 // (sim::DataEventOwner), and anything else makes save refuse rather than
-// silently drop state. Counter arrays (a CounterSet's cells, the control
-// plane's per-type counts) go through save_counters/restore_counters:
-// the nonzero cells as (id, value) pairs, bounds-checked on restore.
+// silently drop state. A load never trusts the image: counts are bounded
+// by the bytes left, port ids by the device's port count, and the reader
+// latches failed on the first bad value.
 #pragma once
 
 #include <algorithm>
@@ -26,9 +33,13 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/byte_io.h"
+#include "common/ipv4_address.h"
+#include "common/mac_address.h"
 #include "sim/frame.h"
 
 namespace portland::sim {
@@ -185,6 +196,195 @@ class SnapshotReader {
   ByteReader r_;
 };
 
+/// One walk for both directions. A component's `snapshot(SnapshotIo&)`
+/// names each field once, by reference: built over a SnapshotWriter the
+/// walk writes the fields, built over a SnapshotReader it assigns them.
+/// Steps that only a load needs (rebuilding a derived index, re-homing
+/// entries) sit in `if (io.loading())` blocks. A load never trusts the
+/// image: every count is bounded by the bytes left, every port id by its
+/// limit, and the reader latches failed on the first bad value — callers
+/// check ok() per section, not per field.
+class SnapshotIo {
+ public:
+  explicit SnapshotIo(SnapshotWriter& w) : w_(&w) {}
+  explicit SnapshotIo(SnapshotReader& r) : r_(&r) {}
+
+  [[nodiscard]] bool loading() const { return r_ != nullptr; }
+  [[nodiscard]] bool ok() const { return r_ == nullptr || r_->ok(); }
+  /// Fails a load (a section rejected by its own checks); a save ignores it.
+  void fail() {
+    if (r_ != nullptr) r_->fail();
+  }
+
+  /// The underlying streams, for the walks that are not mirror images.
+  [[nodiscard]] SnapshotWriter& writer() { return *w_; }
+  [[nodiscard]] SnapshotReader& reader() { return *r_; }
+
+  /// A component that keeps separate save_state and restore_state (Link,
+  /// FabricGraph, Snapshotable extras): calls the one for this direction.
+  template <typename T>
+  void save_or_restore(T& c) {
+    if (w_ != nullptr) {
+      c.save_state(*w_);
+    } else {
+      c.restore_state(*r_);
+    }
+  }
+
+  // Scalars at their natural wire width.
+  void field(std::uint8_t& v) {
+    w_ != nullptr ? w_->u8(v) : void(v = r_->u8());
+  }
+  void field(std::uint16_t& v) {
+    w_ != nullptr ? w_->u16(v) : void(v = r_->u16());
+  }
+  void field(std::uint32_t& v) {
+    w_ != nullptr ? w_->u32(v) : void(v = r_->u32());
+  }
+  void field(std::uint64_t& v) {
+    w_ != nullptr ? w_->u64(v) : void(v = r_->u64());
+  }
+  void field(std::int64_t& v) {
+    w_ != nullptr ? w_->i64(v) : void(v = r_->i64());
+  }
+  void field(double& v) { w_ != nullptr ? w_->f64(v) : void(v = r_->f64()); }
+  void field(bool& v) { field<std::uint8_t>(v); }
+  void field(MacAddress& v) {
+    std::uint64_t wire = v.to_u64();
+    field(wire);
+    if (loading()) v = MacAddress::from_u64(wire);
+  }
+  void field(Ipv4Address& v) {
+    std::uint32_t wire = v.value();
+    field(wire);
+    if (loading()) v = Ipv4Address(wire);
+  }
+
+  /// A scalar stored as `Wire` (an int count as u32, an enum as u8).
+  template <typename Wire, typename T>
+  void field(T& v) {
+    Wire wire = static_cast<Wire>(v);
+    field(wire);
+    if (loading()) v = static_cast<T>(wire);
+  }
+
+  /// A port id stored as `Wire`. A load of an id at or past `limit` fails
+  /// the reader; a negative id (the FIB's -1, "no port") names no port and
+  /// passes.
+  template <typename Wire = std::uint64_t, typename T>
+  void port(T& p, std::size_t limit) {
+    field<Wire>(p);
+    bool bad = false;
+    if constexpr (std::is_signed_v<T>) {
+      bad = p >= 0 && static_cast<std::size_t>(p) >= limit;
+    } else {
+      bad = p >= limit;
+    }
+    if (loading() && bad) fail();
+  }
+
+  void blob(std::vector<std::uint8_t>& v) {
+    w_ != nullptr ? w_->blob(v) : void(v = r_->blob());
+  }
+  void frame(FramePtr& f) {
+    w_ != nullptr ? w_->frame(f) : void(f = r_->frame());
+  }
+
+  /// An element count: `n` on save. A load returns the stored count, or 0
+  /// and fails when the bytes left cannot hold that many elements.
+  std::uint32_t count(std::size_t n) {
+    if (w_ != nullptr) {
+      w_->u32(static_cast<std::uint32_t>(n));
+      return static_cast<std::uint32_t>(n);
+    }
+    return r_->count();
+  }
+
+  /// A value both sides must agree on (a header word, a fixed table
+  /// size): written on save. A load of any other value fails the reader.
+  /// Returns ok().
+  template <typename T>
+  bool expect(T value) {
+    T v = value;
+    field(v);
+    if (v != value) fail();
+    return ok();
+  }
+
+  /// A container: its size, then `fn` on each element — `fn(elem&)` for
+  /// sequences and sets, `fn(key&, value&)` for maps. Set elements and map
+  /// keys are walked through a copy, and unordered maps in key order so
+  /// the image is deterministic. A load clears the container, bounds the
+  /// count by the bytes left and stops at the first failure.
+  template <typename C, typename Fn>
+  void list(C& c, Fn&& fn) {
+    constexpr bool kMap = requires { typename C::mapped_type; };
+    constexpr bool kSet = !kMap && requires { typename C::key_type; };
+    constexpr bool kOrdered = requires { typename C::key_compare; };
+    if (w_ != nullptr) {
+      w_->u32(static_cast<std::uint32_t>(c.size()));
+      if constexpr (kMap && !kOrdered) {
+        std::vector<std::pair<typename C::key_type, typename C::mapped_type*>>
+            sorted;
+        sorted.reserve(c.size());
+        for (auto& [k, v] : c) sorted.emplace_back(k, &v);
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const auto& a, const auto& b) {
+                    return a.first < b.first;
+                  });
+        for (auto& [k, v] : sorted) fn(k, *v);
+      } else if constexpr (kMap) {
+        for (auto& [k, v] : c) {
+          typename C::key_type key = k;
+          fn(key, v);
+        }
+      } else if constexpr (kSet) {
+        for (typename C::key_type key : c) fn(key);
+      } else {
+        for (auto& e : c) fn(e);
+      }
+      return;
+    }
+    c.clear();
+    const std::uint32_t n = r_->count();
+    if constexpr (!kMap && !kSet && requires { c.reserve(n); }) c.reserve(n);
+    for (std::uint32_t i = 0; i < n && r_->ok(); ++i) {
+      if constexpr (kMap) {
+        typename C::key_type k{};
+        typename C::mapped_type v{};
+        fn(k, v);
+        if constexpr (kOrdered) {
+          c.emplace_hint(c.end(), std::move(k), std::move(v));
+        } else {
+          c.emplace(std::move(k), std::move(v));
+        }
+      } else if constexpr (kSet) {
+        typename C::key_type k{};
+        fn(k);
+        c.insert(c.end(), std::move(k));
+      } else {
+        fn(c.emplace_back());
+      }
+    }
+  }
+
+  /// A container of scalars (or a map of scalar to scalar).
+  template <typename C>
+  void list(C& c) {
+    list(c, [this](auto&... e) { (field(e), ...); });
+  }
+
+  /// A dense counter array (a CounterSet's cells, or any per-id count
+  /// array), stored sparsely: u16 count, then (u16 id, u64 value) for each
+  /// nonzero cell. A load zeroes the cells first; a count or id beyond
+  /// them fails the reader and leaves every cell zero.
+  void counters(std::span<std::uint64_t> cells);
+
+ private:
+  SnapshotWriter* w_ = nullptr;
+  SnapshotReader* r_ = nullptr;
+};
+
 /// Implemented by app-level objects (traffic generators, scenario
 /// timers) checkpointed alongside a fabric as "extras". Save and restore
 /// are invoked in the exact span order the caller supplies to
@@ -195,14 +395,5 @@ struct Snapshotable {
   virtual void save_state(SnapshotWriter& w) const = 0;
   virtual void restore_state(SnapshotReader& r) = 0;
 };
-
-/// Writes a dense counter array (a CounterSet's cells, or any per-id
-/// count array) sparsely: u16 count, then (u16 id, u64 value) for each
-/// nonzero cell.
-void save_counters(SnapshotWriter& w, std::span<const std::uint64_t> cells);
-
-/// Zeroes `cells` and assigns the saved ones. A count or id beyond
-/// `cells` fails the reader and leaves every cell zero.
-void restore_counters(SnapshotReader& r, std::span<std::uint64_t> cells);
 
 }  // namespace portland::sim

@@ -471,7 +471,8 @@ TEST(FabricManager, SnapshotRedistributesAcrossShardCounts) {
   }
   std::vector<std::uint8_t> image;
   sim::SnapshotWriter w(image);
-  fm_a.save_state(w);
+  sim::SnapshotIo save(w);
+  fm_a.snapshot(save);
 
   // Restoring a 4-shard image into a single-shard FM re-homes every
   // record, and folds every shard's counters, under the new shard count.
@@ -481,7 +482,8 @@ TEST(FabricManager, SnapshotRedistributesAcrossShardCounts) {
   FabricManager fm_b(sim_b, control_b, PortlandConfig{});
   fm_b.handle_message({1, ArpQuery{99, Ipv4Address(10, 9, 9, 9)}});
   sim::SnapshotReader r(image);
-  fm_b.restore_state(r);
+  sim::SnapshotIo load(r);
+  fm_b.snapshot(load);
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(fm_b.counters() == fm_a.counters());
   EXPECT_EQ(fm_b.shard_counters(0).get(Counter::arp_queries), 25u);

@@ -89,13 +89,15 @@ TEST(Snapshot, CounterSectionRoundTripsNonzeroCells) {
   c.add(Counter::mcast_trees_unavailable, 0xFFFFFFFFFFull);
   std::vector<std::uint8_t> buf;
   sim::SnapshotWriter w(buf);
-  sim::save_counters(w, c.cells());
+  sim::SnapshotIo save(w);
+  save.counters(c.cells());
   EXPECT_EQ(buf.size(), 2u + 2 * (2 + 8));  // count + two (id, value)
 
   CounterSet restored;
   restored.add(Counter::floods, 5);  // stale: restore zeroes it
   sim::SnapshotReader r(buf);
-  sim::restore_counters(r, restored.cells());
+  sim::SnapshotIo load(r);
+  load.counters(restored.cells());
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.remaining_size(), 0u);
   EXPECT_TRUE(restored == c);
@@ -109,7 +111,8 @@ TEST(Snapshot, CorruptCounterSectionIsRejectedWithoutAllocating) {
     CounterSet c;
     c.add(Counter::rx_frames, 9);
     sim::SnapshotReader r(buf);
-    sim::restore_counters(r, c.cells());
+    sim::SnapshotIo load(r);
+    load.counters(c.cells());
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(c == CounterSet{}) << "a rejected section restored cells";
     return r.remaining_size();
@@ -654,15 +657,16 @@ std::vector<std::size_t> section_ends(Scenario& sc) {
     link->save_state(w);
     ends.push_back(buf.size());
   }
-  for (const sim::Device* dev : fabric.network().devices()) {
-    sim::save_counters(w, dev->counters().cells());
+  sim::SnapshotIo io(w);
+  for (sim::Device* dev : fabric.network().devices()) {
+    io.counters(dev->counters().cells());
     ends.push_back(buf.size());
-    dev->save_state(w);
+    dev->snapshot(io);
     ends.push_back(buf.size());
   }
-  fabric.fabric_manager().save_state(w);
+  fabric.fabric_manager().snapshot(io);
   ends.push_back(buf.size());
-  fabric.control().save_state(w);
+  fabric.control().snapshot(io);
   ends.push_back(buf.size());
   w.u8(0);  // no flight recorder
   ends.push_back(buf.size());
@@ -723,6 +727,49 @@ TEST(Snapshot, MutatedImagesRestoreOrAreRefusedCleanly) {
     }
   }
   EXPECT_GT(refused, 0u);
+
+  // Targeted corruptions that a load must refuse, never restore: a byte
+  // past the last section, a switch's LDP port count, and a FIB port id
+  // past the switch's ports.
+  std::vector<std::uint8_t> padded = image;
+  padded.push_back(0);
+  EXPECT_FALSE(restore(padded, "one trailing byte"))
+      << "an image with a trailing byte restored";
+
+  // ends: the fabric header, five engine offsets, one per link, then two
+  // per device (counters, state).
+  const auto& devices = sc->fabric->network().devices();
+  const auto core = std::find_if(devices.begin(), devices.end(), [](auto* d) {
+    return d->name().rfind("core-", 0) == 0;
+  });
+  ASSERT_NE(core, devices.end());
+  const std::size_t dev_ends =
+      6 + sc->fabric->network().links().size() + 2 * (core - devices.begin());
+  const std::uint32_t ports = static_cast<std::uint32_t>((*core)->port_count());
+  const auto u32_at = [&image](std::size_t off) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i) v = v << 8 | image[off + i];
+    return v;
+  };
+  const auto with_u32 = [&image](std::size_t off, std::uint32_t v) {
+    std::vector<std::uint8_t> out = image;
+    for (std::size_t i = 0; i < 4; ++i) out[off + i] = v >> (24 - 8 * i) & 0xFF;
+    return out;
+  };
+  // The LDP section opens the switch's state: its locator (12 bytes) and
+  // rng (32 bytes), then the port count.
+  const std::size_t ldp_ports = ends[dev_ends] + 12 + 32;
+  ASSERT_EQ(u32_at(ldp_ports), ports);
+  EXPECT_FALSE(restore(with_u32(ldp_ports, ports - 1), "LDP port count"))
+      << "an LDP section with another port count restored";
+  // A core switch's state ends with its FIB's down_by_pod (one u32 port per
+  // pod), fib_rebuilds (8), four empty lists (16), three timers (66),
+  // hello_pending (1) and spray_counter (8).
+  const std::size_t last_down = ends[dev_ends + 1] - 99 - 4;
+  ASSERT_EQ(u32_at(last_down - 4 * 4), 4u);  // k = 4 pods
+  ASSERT_LT(u32_at(last_down), ports);
+  EXPECT_FALSE(restore(with_u32(last_down, ports), "FIB port id"))
+      << "a FIB port id past the switch's ports restored";
 
   // None of it left residue: the intact image still restores and
   // replays exactly like the uninterrupted run.
