@@ -3,10 +3,13 @@
 // The nanosecond-scale costs behind every forwarded frame: PMAC
 // encode/decode, flow hashing, whole-frame parse, LDM parse, and the
 // PMAC<->AMAC rewrite an edge switch performs per frame — plus the
-// timing-wheel event queue's own hot ops (schedule, timer rearm).
+// timing-wheel event queue's own hot ops (schedule, timer rearm) and the
+// fabric manager's per-message topology work (hello ingest, prune
+// computation) on a k=32 view.
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
+#include "core/fabric_graph.h"
 #include "core/messages.h"
 #include "core/pmac.h"
 #include "net/packet.h"
@@ -128,6 +131,118 @@ void BM_TimerRearm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TimerRearm);
+
+/// The hellos a converged k-ary fat tree sends the fabric manager. Ids:
+/// edge, agg and core blocks of `kBase`-spaced ranges; edge and agg
+/// uplinks on ports k/2.., cores on port = pod.
+struct FatTreeHellos {
+  static constexpr core::SwitchId kEdgeBase = 0x10000;
+  static constexpr core::SwitchId kAggBase = 0x20000;
+  static constexpr core::SwitchId kCoreBase = 0x30000;
+
+  explicit FatTreeHellos(int k) : half(k / 2) {
+    const auto edge = [&](int pod, int e) {
+      return core::SwitchLocator{kEdgeBase + static_cast<core::SwitchId>(
+                                                 pod * half + e),
+                                 core::Level::kEdge,
+                                 static_cast<std::uint16_t>(pod),
+                                 static_cast<std::uint8_t>(e)};
+    };
+    const auto agg = [&](int pod, int a) {
+      return core::SwitchLocator{kAggBase + static_cast<core::SwitchId>(
+                                                pod * half + a),
+                                 core::Level::kAggregation,
+                                 static_cast<std::uint16_t>(pod),
+                                 static_cast<std::uint8_t>(a)};
+    };
+    const auto core_at = [&](int a, int m) {
+      return core::SwitchLocator{
+          kCoreBase + static_cast<core::SwitchId>(a * half + m),
+          core::Level::kCore, core::kUnknownPod, core::kUnknownPosition};
+    };
+    const auto port = [](int p) { return static_cast<std::uint16_t>(p); };
+    for (int pod = 0; pod < k; ++pod) {
+      for (int e = 0; e < half; ++e) {
+        core::SwitchHello h{edge(pod, e), {}};
+        for (int a = 0; a < half; ++a) {
+          h.neighbors.push_back({port(half + a), agg(pod, a)});
+        }
+        hellos.push_back(std::move(h));
+      }
+      for (int a = 0; a < half; ++a) {
+        core::SwitchHello h{agg(pod, a), {}};
+        for (int e = 0; e < half; ++e) {
+          h.neighbors.push_back({port(e), edge(pod, e)});
+        }
+        for (int m = 0; m < half; ++m) {
+          h.neighbors.push_back({port(half + m), core_at(a, m)});
+        }
+        hellos.push_back(std::move(h));
+      }
+    }
+    for (int a = 0; a < half; ++a) {
+      for (int m = 0; m < half; ++m) {
+        core::SwitchHello h{core_at(a, m), {}};
+        for (int pod = 0; pod < k; ++pod) {
+          h.neighbors.push_back({port(pod), agg(pod, a)});
+        }
+        hellos.push_back(std::move(h));
+      }
+    }
+  }
+
+  void apply(core::FabricGraph& g) const {
+    for (const core::SwitchHello& h : hellos) {
+      g.apply_hello(h.self.switch_id, h);
+    }
+  }
+
+  int half;
+  std::vector<core::SwitchHello> hellos;
+};
+
+void BM_FabricGraphApplyHello(benchmark::State& state, bool changed) {
+  const FatTreeHellos tree(32);
+  core::FabricGraph graph;
+  tree.apply(graph);
+  // The changed case alternates one aggregation switch's report between
+  // one neighbour withdrawn and the full adjacency; the unchanged case
+  // re-sends every switch's report in turn, as keepalive hellos do.
+  const core::SwitchHello& full = tree.hellos[tree.half];  // agg (0, 0)
+  core::SwitchHello withdrawn = full;
+  withdrawn.neighbors.erase(withdrawn.neighbors.begin());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (changed) {
+      const core::SwitchHello& h = (i++ & 1) == 0 ? withdrawn : full;
+      benchmark::DoNotOptimize(graph.apply_hello(h.self.switch_id, h));
+    } else {
+      const core::SwitchHello& h = tree.hellos[i++ % tree.hellos.size()];
+      benchmark::DoNotOptimize(graph.apply_hello(h.self.switch_id, h));
+    }
+  }
+}
+BENCHMARK_CAPTURE(BM_FabricGraphApplyHello, unchanged, false);
+BENCHMARK_CAPTURE(BM_FabricGraphApplyHello, changed, true);
+
+void BM_FabricGraphComputePrunes(benchmark::State& state) {
+  const FatTreeHellos tree(32);
+  core::FabricGraph graph;
+  tree.apply(graph);
+  const int half = tree.half;
+  // Edge (0,0) loses one uplink; agg (0,1) and agg (2,0) each lose a core.
+  graph.set_link_state(FatTreeHellos::kEdgeBase, FatTreeHellos::kAggBase,
+                       false);
+  graph.set_link_state(FatTreeHellos::kAggBase + 1,
+                       FatTreeHellos::kCoreBase + half, false);
+  graph.set_link_state(FatTreeHellos::kAggBase + 2 * half,
+                       FatTreeHellos::kCoreBase, false);
+  const core::DstKey key{0, 0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph.compute_prunes(key));
+  }
+}
+BENCHMARK(BM_FabricGraphComputePrunes);
 
 }  // namespace
 

@@ -1,27 +1,12 @@
 #include "core/fabric_graph.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "sim/snapshot.h"
 
 namespace portland::core {
 namespace {
-
-constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-
-/// Slot of `id` in an info vector sorted ascending by id; kNoSlot if
-/// absent.
-template <typename InfoVec>
-std::uint32_t find_slot(const InfoVec& v, SwitchId id) {
-  const auto it = std::lower_bound(
-      v.begin(), v.end(), id,
-      [](const auto& info, SwitchId x) { return info.id < x; });
-  if (it == v.end() || it->id != id) return kNoSlot;
-  return static_cast<std::uint32_t>(it - v.begin());
-}
-
-// Aliased by adjacency entries whose link has no fault-matrix cell yet.
-constexpr bool kDead = false;
 
 std::uint32_t be32_at(const std::uint8_t* p) {
   std::uint32_t v = 0;
@@ -37,116 +22,296 @@ std::uint64_t be64_at(const std::uint8_t* p) {
 
 constexpr std::size_t kOffsetEntryBytes = 12;  // u64 id + u32 offset
 constexpr std::size_t kLinkRecordBytes = 17;   // u64 a + u64 b + u8 up
+constexpr std::size_t kPortRecordBytes = 10;   // u16 port + u64 neighbour
+// u64 id + locator (u64 + u8 + u16 + u8) + u32 n_ports + u32 n_neighbours
+constexpr std::size_t kSwitchHeaderBytes = 8 + 12 + 4 + 4;
 constexpr std::size_t kDirtyCap = 128;
+
+/// Open-addressing hash of a normalized link key.
+std::size_t link_hash(SwitchId a, SwitchId b) {
+  std::uint64_t x = a * 0x9E3779B97F4A7C15ull ^ b;
+  x ^= x >> 33;
+  x *= 0xFF51AFD7ED558CCDull;
+  x ^= x >> 33;
+  return static_cast<std::size_t>(x);
+}
 
 }  // namespace
 
+template <typename InfoVec>
+std::uint32_t FabricGraph::find_slot(const InfoVec& v, SwitchId id) {
+  const auto it = std::lower_bound(
+      v.begin(), v.end(), id,
+      [](const auto& info, SwitchId x) { return info.id < x; });
+  if (it == v.end() || it->id != id) return kNoSlot;
+  return static_cast<std::uint32_t>(it - v.begin());
+}
+
 HelloDelta FabricGraph::apply_hello(SwitchId id, const SwitchHello& hello) {
-  const auto [mit, created] = switches_.try_emplace(id);
-  SwitchState& st = mit->second;
-  if (created) note_switch_dirty(id);
-  const SwitchLocator old_locator = st.locator;
-  const std::map<std::uint16_t, SwitchId> old_ports = st.port_to_neighbor;
+  canonicalize(hello);
+  bool created = false;
+  SwitchState& st = upsert_switch(id, created);
+  if (created) {
+    note_switch_dirty(id);
+  } else if (st.locator == hello.self && st.ports == scratch_ports_ &&
+             st.nbrs == scratch_nbrs_) {
+    // Same report. Every stored neighbour already has its link cell (see
+    // nbr_links), so ingesting it again would write exactly what is
+    // stored.
+    return {};
+  }
 
   // Effective adjacency before the hello: reported neighbors whose link the
   // fault matrix still believes alive. Captured before the fresh neighbors
-  // are ingested (ingestion emplaces default-alive entries).
-  std::vector<SwitchId> old_effective;
-  old_effective.reserve(st.neighbor_set.size());
-  for (const SwitchId n : st.neighbor_set) {
-    if (link_alive(id, n)) old_effective.push_back(n);
-  }
-
-  st.locator = hello.self;
-  st.port_to_neighbor.clear();
-  st.neighbor_set.clear();
-  for (const NeighborEntry& n : hello.neighbors) {
-    st.port_to_neighbor[n.port] = n.neighbor.switch_id;
-    st.neighbor_set.insert(n.neighbor.switch_id);
-    // Newly learned links default to alive.
-    const auto [lit, inserted] =
-        link_alive_.emplace(link_key(id, n.neighbor.switch_id), true);
-    if (inserted) note_link_dirty(lit->first);
+  // are ingested (ingestion adds default-alive cells).
+  std::vector<SwitchId>& old_effective = scratch_live_;
+  old_effective.clear();
+  for (std::size_t i = 0; i < st.nbrs.size(); ++i) {
+    if (link_up(st.nbr_links[i])) old_effective.push_back(st.nbrs[i]);
   }
 
   HelloDelta delta;
-  delta.changed =
-      old_locator != st.locator || old_ports != st.port_to_neighbor;
+  const bool locator_changed = st.locator != hello.self;
+  delta.changed = locator_changed || st.ports != scratch_ports_ ||
+                  st.nbrs != scratch_nbrs_;
+  st.locator = hello.self;
+  st.ports = scratch_ports_;
+  st.nbrs = scratch_nbrs_;
+  st.nbr_links.assign(st.nbrs.size(), kNoSlot);
+  for (std::size_t i = 0; i < st.nbrs.size(); ++i) {
+    const SwitchId n = st.nbrs[i];
+    std::uint32_t slot = find_link(id, n);
+    if (slot == kNoSlot) {
+      // Newly learned links default to alive.
+      slot = add_link(id, n, true);
+      note_link_dirty(std::minmax(id, n));
+    }
+    st.nbr_links[i] = slot;
+  }
+
   if (delta.changed) note_switch_dirty(id);
   if (delta.changed && idx_.valid) {
-    if (old_locator == st.locator) {
+    if (!locator_changed) {
       // Same locator: the switch population and every level/pod/position
       // the index depends on are untouched; only this switch's own
       // adjacency lists can differ, so patch them in place. (A
       // brand-new switch always takes the invalidate branch — its old
       // locator is the default-constructed one.)
-      patch_index_adjacency(id, st);
+      patch_index_adjacency(st);
     } else {
       idx_.valid = false;
     }
   }
 
-  delta.routing_changed = old_locator != st.locator;
+  delta.routing_changed = locator_changed;
   if (!delta.routing_changed) {
-    std::vector<SwitchId> new_effective;
-    new_effective.reserve(st.neighbor_set.size());
-    for (const SwitchId n : st.neighbor_set) {
-      if (link_alive(id, n)) new_effective.push_back(n);
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < st.nbrs.size(); ++i) {
+      if (!link_up(st.nbr_links[i])) continue;
+      if (j == old_effective.size() || old_effective[j] != st.nbrs[i]) {
+        delta.routing_changed = true;
+        break;
+      }
+      ++j;
     }
-    delta.routing_changed = old_effective != new_effective;
+    if (j != old_effective.size()) delta.routing_changed = true;
   }
   return delta;
 }
 
+void FabricGraph::canonicalize(const SwitchHello& hello) {
+  scratch_nbrs_.clear();
+  for (const NeighborEntry& n : hello.neighbors) {
+    scratch_nbrs_.push_back(n.neighbor.switch_id);
+  }
+  std::sort(scratch_nbrs_.begin(), scratch_nbrs_.end());
+  scratch_nbrs_.erase(std::unique(scratch_nbrs_.begin(), scratch_nbrs_.end()),
+                      scratch_nbrs_.end());
+
+  scratch_ports_.clear();
+  bool ascending = true;
+  for (const NeighborEntry& n : hello.neighbors) {
+    const auto it = std::lower_bound(scratch_nbrs_.begin(), scratch_nbrs_.end(),
+                                     n.neighbor.switch_id);
+    if (!scratch_ports_.empty() && scratch_ports_.back().port >= n.port) {
+      ascending = false;
+    }
+    scratch_ports_.push_back(
+        {n.port, static_cast<std::uint32_t>(it - scratch_nbrs_.begin())});
+  }
+  if (ascending) return;
+  // A port reported twice keeps its last neighbour: stable-sort by port,
+  // then keep the last row of each run.
+  std::stable_sort(scratch_ports_.begin(), scratch_ports_.end(),
+                   [](const Port& x, const Port& y) { return x.port < y.port; });
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < scratch_ports_.size(); ++i) {
+    if (i + 1 < scratch_ports_.size() &&
+        scratch_ports_[i + 1].port == scratch_ports_[i].port) {
+      continue;
+    }
+    scratch_ports_[w++] = scratch_ports_[i];
+  }
+  scratch_ports_.resize(w);
+}
+
 bool FabricGraph::set_link_state(SwitchId a, SwitchId b, bool up) {
-  auto [it, inserted] = link_alive_.emplace(link_key(a, b), up);
-  // A brand-new entry has no adjacency yet (adjacency only comes from
-  // hellos), so the index cannot reference it — but invalidating is cheap
-  // and keeps the invariant local. In-place flips stay index-transparent.
-  if (inserted) idx_.valid = false;
-  if (!inserted && it->second == up) return false;
-  it->second = up;
-  note_link_dirty(it->first);
+  const std::uint32_t slot = find_link(a, b);
+  if (slot == kNoSlot) {
+    // A cell no hello named: no adjacency entry refers to it, so the
+    // index is unaffected.
+    add_link(a, b, up);
+  } else if (links_[slot].up == up) {
+    return false;
+  } else {
+    set_up(slot, up);
+  }
+  note_link_dirty(std::minmax(a, b));
   return true;
 }
 
+std::vector<FabricGraph::SwitchState>::iterator FabricGraph::switch_pos(
+    SwitchId id) {
+  return std::lower_bound(
+      switches_.begin(), switches_.end(), id,
+      [](const SwitchState& st, SwitchId x) { return st.id < x; });
+}
+
+FabricGraph::SwitchState* FabricGraph::find_switch(SwitchId id) {
+  const auto it = switch_pos(id);
+  return it == switches_.end() || it->id != id ? nullptr : &*it;
+}
+
+const FabricGraph::SwitchState* FabricGraph::find_switch(SwitchId id) const {
+  return const_cast<FabricGraph*>(this)->find_switch(id);
+}
+
+FabricGraph::SwitchState& FabricGraph::upsert_switch(SwitchId id,
+                                                     bool& created) {
+  const auto it = switch_pos(id);
+  created = it == switches_.end() || it->id != id;
+  if (!created) return *it;
+  SwitchState fresh;
+  fresh.id = id;
+  return *switches_.insert(it, std::move(fresh));
+}
+
+std::uint32_t FabricGraph::find_link(SwitchId a, SwitchId b) const {
+  if (link_table_.empty()) return kNoSlot;
+  if (b < a) std::swap(a, b);
+  const std::size_t mask = link_table_.size() - 1;
+  for (std::size_t i = link_hash(a, b) & mask;; i = (i + 1) & mask) {
+    const std::uint32_t slot = link_table_[i];
+    if (slot == kNoSlot) return kNoSlot;
+    if (links_[slot].a == a && links_[slot].b == b) return slot;
+  }
+}
+
+std::uint32_t FabricGraph::add_link(SwitchId a, SwitchId b, bool up) {
+  if (b < a) std::swap(a, b);
+  const auto slot = static_cast<std::uint32_t>(links_.size());
+  links_.push_back({a, b, up});
+  if (!up) ++failed_links_;
+  link_order_.clear();
+  if (2 * links_.size() > link_table_.size()) {
+    rehash();  // indexes the new cell too
+  } else {
+    index_link(slot);
+  }
+  return slot;
+}
+
+void FabricGraph::index_link(std::uint32_t slot) {
+  const std::size_t mask = link_table_.size() - 1;
+  std::size_t i = link_hash(links_[slot].a, links_[slot].b) & mask;
+  while (link_table_[i] != kNoSlot) i = (i + 1) & mask;
+  link_table_[i] = slot;
+}
+
+void FabricGraph::rehash() {
+  // At most half full, so a probe always meets an empty cell.
+  std::size_t cap = 16;
+  while (cap < 2 * links_.size()) cap *= 2;
+  link_table_.assign(cap, kNoSlot);
+  for (std::uint32_t slot = 0; slot < links_.size(); ++slot) index_link(slot);
+}
+
+void FabricGraph::set_up(std::uint32_t slot, bool up) {
+  Link& link = links_[slot];
+  if (link.up == up) return;
+  link.up = up;
+  if (up) {
+    --failed_links_;
+  } else {
+    ++failed_links_;
+  }
+}
+
+bool FabricGraph::relink(SwitchState& st) {
+  bool complete = true;
+  st.nbr_links.resize(st.nbrs.size());
+  for (std::size_t i = 0; i < st.nbrs.size(); ++i) {
+    st.nbr_links[i] = find_link(st.id, st.nbrs[i]);
+    complete = complete && st.nbr_links[i] != kNoSlot;
+  }
+  return complete;
+}
+
+void FabricGraph::erase_links(const std::vector<std::uint32_t>& slots) {
+  std::vector<std::uint8_t> gone(links_.size(), 0);
+  for (const std::uint32_t s : slots) gone[s] = 1;
+  std::size_t w = 0;
+  failed_links_ = 0;
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    if (gone[i]) continue;
+    if (!links_[i].up) ++failed_links_;
+    links_[w++] = links_[i];
+  }
+  links_.resize(w);
+  link_order_.clear();
+  rehash();
+}
+
 const SwitchLocator* FabricGraph::locator(SwitchId id) const {
-  const auto it = switches_.find(id);
-  return it == switches_.end() ? nullptr : &it->second.locator;
+  const SwitchState* st = find_switch(id);
+  return st == nullptr ? nullptr : &st->locator;
 }
 
 bool FabricGraph::link_alive(SwitchId a, SwitchId b) const {
-  const auto it = link_alive_.find(link_key(a, b));
-  return it != link_alive_.end() && it->second;
+  return link_up(find_link(a, b));
 }
 
 bool FabricGraph::adjacent(SwitchId a, SwitchId b) const {
-  const auto it = switches_.find(a);
-  return it != switches_.end() && it->second.neighbor_set.count(b) != 0;
+  const SwitchState* st = find_switch(a);
+  return st != nullptr &&
+         std::binary_search(st->nbrs.begin(), st->nbrs.end(), b);
 }
 
 int FabricGraph::port_between(SwitchId from, SwitchId to) const {
-  const auto it = switches_.find(from);
-  if (it == switches_.end()) return -1;
-  for (const auto& [port, nbr] : it->second.port_to_neighbor) {
-    if (nbr == to) return static_cast<int>(port);
+  const SwitchState* st = find_switch(from);
+  if (st == nullptr) return -1;
+  const auto it = std::lower_bound(st->nbrs.begin(), st->nbrs.end(), to);
+  if (it == st->nbrs.end() || *it != to) return -1;
+  const auto nbr = static_cast<std::uint32_t>(it - st->nbrs.begin());
+  for (const Port& p : st->ports) {
+    if (p.nbr == nbr) return static_cast<int>(p.port);
   }
   return -1;
 }
 
 std::vector<SwitchId> FabricGraph::switches_at(Level level) const {
   std::vector<SwitchId> out;
-  for (const auto& [id, st] : switches_) {
-    if (st.locator.level == level) out.push_back(id);
+  for (const SwitchState& st : switches_) {
+    if (st.locator.level == level) out.push_back(st.id);
   }
   return out;
 }
 
 std::vector<SwitchId> FabricGraph::edges_in_pod(std::uint16_t pod) const {
   std::vector<SwitchId> out;
-  for (const auto& [id, st] : switches_) {
+  for (const SwitchState& st : switches_) {
     if (st.locator.level == Level::kEdge && st.locator.pod == pod) {
-      out.push_back(id);
+      out.push_back(st.id);
     }
   }
   return out;
@@ -154,9 +319,9 @@ std::vector<SwitchId> FabricGraph::edges_in_pod(std::uint16_t pod) const {
 
 std::vector<SwitchId> FabricGraph::aggs_in_pod(std::uint16_t pod) const {
   std::vector<SwitchId> out;
-  for (const auto& [id, st] : switches_) {
+  for (const SwitchState& st : switches_) {
     if (st.locator.level == Level::kAggregation && st.locator.pod == pod) {
-      out.push_back(id);
+      out.push_back(st.id);
     }
   }
   return out;
@@ -166,25 +331,17 @@ std::vector<SwitchId> FabricGraph::cores() const {
   return switches_at(Level::kCore);
 }
 
-const std::set<SwitchId>& FabricGraph::neighbors(SwitchId id) const {
-  static const std::set<SwitchId> kEmpty;
-  const auto it = switches_.find(id);
-  return it == switches_.end() ? kEmpty : it->second.neighbor_set;
-}
-
-std::size_t FabricGraph::failed_link_count() const {
-  std::size_t n = 0;
-  for (const auto& [key, alive] : link_alive_) {
-    if (!alive) ++n;
-  }
-  return n;
+std::span<const SwitchId> FabricGraph::neighbors(SwitchId id) const {
+  const SwitchState* st = find_switch(id);
+  if (st == nullptr) return {};
+  return st->nbrs;
 }
 
 SwitchId FabricGraph::edge_at(std::uint16_t pod, std::uint8_t position) const {
-  for (const auto& [id, st] : switches_) {
+  for (const SwitchState& st : switches_) {
     if (st.locator.level == Level::kEdge && st.locator.pod == pod &&
         st.locator.position == position) {
-      return id;
+      return st.id;
     }
   }
   return kInvalidSwitchId;
@@ -199,35 +356,37 @@ const FabricGraph::TopoIndex& FabricGraph::index() const {
   ix.aggs_by_pod.clear();
   ix.edges_by_pod.clear();
 
-  // Pass 1: slot assignment per level, ascending id (map order).
-  for (const auto& [id, st] : switches_) {
+  // Pass 1: slot assignment per level, ascending id (switch order).
+  for (const SwitchState& st : switches_) {
     switch (st.locator.level) {
       case Level::kCore: {
-        ix.cores.push_back({id, {}});
+        ix.cores.push_back({st.id, {}});
         break;
       }
       case Level::kAggregation: {
-        ix.aggs.push_back({id, st.locator.pod, {}, {}});
-        ix.aggs_by_pod[st.locator.pod].push_back(
-            static_cast<std::uint32_t>(ix.aggs.size() - 1));
+        ix.aggs_by_pod.emplace_back(
+            st.locator.pod, static_cast<std::uint32_t>(ix.aggs.size()));
+        ix.aggs.push_back({st.id, st.locator.pod, {}, {}});
         break;
       }
       case Level::kEdge: {
-        ix.edges.push_back({id, st.locator.pod, st.locator.position, {}});
-        ix.edges_by_pod[st.locator.pod].push_back(
-            static_cast<std::uint32_t>(ix.edges.size() - 1));
+        ix.edges_by_pod.emplace_back(
+            st.locator.pod, static_cast<std::uint32_t>(ix.edges.size()));
+        ix.edges.push_back({st.id, st.locator.pod, st.locator.position, {}});
         break;
       }
       default:
         break;
     }
   }
+  std::sort(ix.aggs_by_pod.begin(), ix.aggs_by_pod.end());
+  std::sort(ix.edges_by_pod.begin(), ix.edges_by_pod.end());
 
   // Pass 2: adjacency lists, each from the owning switch's own report.
-  // Slots are found by binary search on the pass-1 vectors; map iteration
-  // order guarantees they are ascending by id.
+  // Slots are found by binary search on the pass-1 vectors, which switch
+  // order keeps ascending by id.
   std::size_t c = 0, a = 0, e = 0;
-  for (const auto& [id, st] : switches_) {
+  for (const SwitchState& st : switches_) {
     switch (st.locator.level) {
       case Level::kCore:
         build_site_adjacency(ix, Level::kCore, c++, st);
@@ -249,18 +408,14 @@ const FabricGraph::TopoIndex& FabricGraph::index() const {
 void FabricGraph::build_site_adjacency(TopoIndex& ix, Level level,
                                        std::size_t slot,
                                        const SwitchState& st) const {
-  const auto cell_or_dead = [this](SwitchId a, SwitchId b) -> const bool* {
-    const auto it = link_alive_.find(link_key(a, b));
-    return it == link_alive_.end() ? &kDead : &it->second;
-  };
   switch (level) {
     case Level::kCore: {
       TopoIndex::CoreInfo& core = ix.cores[slot];
       core.down.clear();
-      for (const SwitchId nbr : st.neighbor_set) {
-        const std::uint32_t as = find_slot(ix.aggs, nbr);
+      for (std::size_t i = 0; i < st.nbrs.size(); ++i) {
+        const std::uint32_t as = find_slot(ix.aggs, st.nbrs[i]);
         if (as == kNoSlot) continue;
-        core.down.emplace_back(as, ix.aggs[as].pod, cell_or_dead(core.id, nbr));
+        core.down.push_back({as, ix.aggs[as].pod, st.nbr_links[i]});
       }
       break;
     }
@@ -268,13 +423,13 @@ void FabricGraph::build_site_adjacency(TopoIndex& ix, Level level,
       TopoIndex::AggInfo& agg = ix.aggs[slot];
       agg.up.clear();
       agg.down.clear();
-      for (const SwitchId nbr : st.neighbor_set) {
-        const bool* cell = cell_or_dead(agg.id, nbr);
+      for (std::size_t i = 0; i < st.nbrs.size(); ++i) {
+        const SwitchId nbr = st.nbrs[i];
         if (const std::uint32_t cs = find_slot(ix.cores, nbr); cs != kNoSlot) {
-          agg.up.emplace_back(cs, cell);
+          agg.up.push_back({cs, st.nbr_links[i]});
         } else if (const SwitchLocator* loc = locator(nbr);
                    loc != nullptr && loc->level == Level::kEdge) {
-          agg.down.emplace_back(nbr, cell);
+          agg.down.push_back({nbr, st.nbr_links[i]});
         }
       }
       break;
@@ -282,7 +437,7 @@ void FabricGraph::build_site_adjacency(TopoIndex& ix, Level level,
     case Level::kEdge: {
       TopoIndex::EdgeInfo& edge = ix.edges[slot];
       edge.aggs.clear();
-      for (const SwitchId nbr : st.neighbor_set) {
+      for (const SwitchId nbr : st.nbrs) {
         const std::uint32_t as = find_slot(ix.aggs, nbr);
         if (as != kNoSlot) edge.aggs.push_back(as);
       }
@@ -293,66 +448,66 @@ void FabricGraph::build_site_adjacency(TopoIndex& ix, Level level,
   }
 }
 
-void FabricGraph::patch_index_adjacency(SwitchId id,
-                                        const SwitchState& st) const {
+void FabricGraph::patch_index_adjacency(const SwitchState& st) const {
   TopoIndex& ix = idx_;
   if (!ix.valid) return;
+  std::uint32_t slot = kNoSlot;
   switch (st.locator.level) {
-    case Level::kCore: {
-      const std::uint32_t slot = find_slot(ix.cores, id);
-      if (slot == kNoSlot) {
-        ix.valid = false;  // population drifted; shouldn't happen
-        return;
-      }
-      build_site_adjacency(ix, Level::kCore, slot, st);
+    case Level::kCore:
+      slot = find_slot(ix.cores, st.id);
       break;
-    }
-    case Level::kAggregation: {
-      const std::uint32_t slot = find_slot(ix.aggs, id);
-      if (slot == kNoSlot) {
-        ix.valid = false;
-        return;
-      }
-      build_site_adjacency(ix, Level::kAggregation, slot, st);
+    case Level::kAggregation:
+      slot = find_slot(ix.aggs, st.id);
       break;
-    }
-    case Level::kEdge: {
-      const std::uint32_t slot = find_slot(ix.edges, id);
-      if (slot == kNoSlot) {
-        ix.valid = false;
-        return;
-      }
-      build_site_adjacency(ix, Level::kEdge, slot, st);
+    case Level::kEdge:
+      slot = find_slot(ix.edges, st.id);
       break;
-    }
     default:
       // Unknown-level switches are not in the index; their own adjacency
       // lists don't exist and nothing referencing them changed.
-      break;
+      return;
   }
+  if (slot == kNoSlot) {
+    ix.valid = false;  // population drifted; shouldn't happen
+    return;
+  }
+  build_site_adjacency(ix, st.locator.level, slot, st);
 }
 
 PruneMap FabricGraph::compute_prunes(const DstKey& key) const {
   PruneMap out;
   const bool pod_level = key.position == kUnknownPosition;
-  const SwitchId target_edge =
-      pod_level ? kInvalidSwitchId : edge_at(key.pod, key.position);
-  if (!pod_level && target_edge == kInvalidSwitchId) return out;
-
   const TopoIndex& ix = index();
+  const auto pod_range = [&key](const TopoIndex::PodSlots& v) {
+    return std::equal_range(
+        v.begin(), v.end(), std::make_pair(key.pod, std::uint32_t{0}),
+        [](const auto& x, const auto& y) { return x.first < y.first; });
+  };
+  const auto [edges_begin, edges_end] = pod_range(ix.edges_by_pod);
+
+  // The target edge: the lowest id registered at (pod, position), as
+  // edge_at would answer.
+  SwitchId target_edge = kInvalidSwitchId;
+  if (!pod_level) {
+    for (auto it = edges_begin; it != edges_end; ++it) {
+      if (ix.edges[it->second].position == key.position) {
+        target_edge = ix.edges[it->second].id;
+        break;
+      }
+    }
+    if (target_edge == kInvalidSwitchId) return out;
+  }
 
   // Which aggs in the destination pod still have an alive downlink to the
   // target edge (trivially all of them for pod-level keys).
   std::vector<std::uint8_t> agg_serves(ix.aggs.size(), pod_level ? 1 : 0);
   if (!pod_level) {
-    const auto pit = ix.aggs_by_pod.find(key.pod);
-    if (pit != ix.aggs_by_pod.end()) {
-      for (const std::uint32_t a : pit->second) {
-        for (const auto& [edge_id, alive] : ix.aggs[a].down) {
-          if (edge_id == target_edge && *alive) {
-            agg_serves[a] = 1;
-            break;
-          }
+    const auto [begin, end] = pod_range(ix.aggs_by_pod);
+    for (auto it = begin; it != end; ++it) {
+      for (const TopoIndex::AggDown& down : ix.aggs[it->second].down) {
+        if (down.edge == target_edge && link_up(down.link)) {
+          agg_serves[it->second] = 1;
+          break;
         }
       }
     }
@@ -362,8 +517,8 @@ PruneMap FabricGraph::compute_prunes(const DstKey& key) const {
   // the core's report) into a destination-pod agg that still serves it.
   std::vector<std::uint8_t> ok_core(ix.cores.size(), 0);
   for (std::uint32_t c = 0; c < ix.cores.size(); ++c) {
-    for (const auto& [agg, pod, alive] : ix.cores[c].down) {
-      if (pod == key.pod && *alive && agg_serves[agg]) {
+    for (const TopoIndex::CoreDown& down : ix.cores[c].down) {
+      if (down.pod == key.pod && link_up(down.link) && agg_serves[down.agg]) {
         ok_core[c] = 1;
         break;
       }
@@ -378,16 +533,16 @@ PruneMap FabricGraph::compute_prunes(const DstKey& key) const {
   for (std::uint32_t a = 0; a < ix.aggs.size(); ++a) {
     const TopoIndex::AggInfo& agg = ix.aggs[a];
     bool has_path = false;
-    for (const auto& [core, alive] : agg.up) {
-      if (*alive && ok_core[core]) has_path = true;
+    for (const TopoIndex::AggUp& up : agg.up) {
+      if (link_up(up.link) && ok_core[up.core]) has_path = true;
     }
     agg_has_path[a] = has_path ? 1 : 0;
     if (agg.pod == key.pod) continue;
     std::set<SwitchId>* avoid = nullptr;
-    for (const auto& [core, alive] : agg.up) {
-      if (ok_core[core]) continue;
+    for (const TopoIndex::AggUp& up : agg.up) {
+      if (ok_core[up.core]) continue;
       if (avoid == nullptr) avoid = &out[agg.id];
-      avoid->insert(ix.cores[core].id);
+      avoid->insert(ix.cores[up.core].id);
     }
   }
 
@@ -406,17 +561,14 @@ PruneMap FabricGraph::compute_prunes(const DstKey& key) const {
   // 3. Edges inside the destination pod avoid aggregation switches whose
   //    downlink to the destination edge died (edge-locator keys only).
   if (!pod_level) {
-    const auto pit = ix.edges_by_pod.find(key.pod);
-    if (pit != ix.edges_by_pod.end()) {
-      for (const std::uint32_t e : pit->second) {
-        const TopoIndex::EdgeInfo& edge = ix.edges[e];
-        if (edge.id == target_edge) continue;
-        std::set<SwitchId>* avoid = nullptr;
-        for (const std::uint32_t a : edge.aggs) {
-          if (agg_serves[a]) continue;
-          if (avoid == nullptr) avoid = &out[edge.id];
-          avoid->insert(ix.aggs[a].id);
-        }
+    for (auto it = edges_begin; it != edges_end; ++it) {
+      const TopoIndex::EdgeInfo& edge = ix.edges[it->second];
+      if (edge.id == target_edge) continue;
+      std::set<SwitchId>* avoid = nullptr;
+      for (const std::uint32_t a : edge.aggs) {
+        if (agg_serves[a]) continue;
+        if (avoid == nullptr) avoid = &out[edge.id];
+        avoid->insert(ix.aggs[a].id);
       }
     }
   }
@@ -469,49 +621,66 @@ void FabricGraph::save_state(sim::SnapshotWriter& w) const {
   //   | u32 n_links | n × (u64 a, u64 b, u8 up)   fixed 17-byte stride
   // The hash + offset table + fixed-stride link block let a restore onto
   // a graph already holding this exact payload touch only its own dirty
-  // entries (see restore_state).
-  std::vector<std::uint8_t> block;
-  sim::SnapshotWriter bw(block);
-  std::vector<std::pair<SwitchId, std::uint32_t>> offsets;
-  offsets.reserve(switches_.size());
-  for (const auto& [id, st] : switches_) {
-    offsets.emplace_back(id, static_cast<std::uint32_t>(bw.size()));
-    bw.u64(id);
-    bw.u64(st.locator.switch_id);
-    bw.u8(static_cast<std::uint8_t>(st.locator.level));
-    bw.u16(st.locator.pod);
-    bw.u8(st.locator.position);
-    bw.u32(static_cast<std::uint32_t>(st.port_to_neighbor.size()));
-    for (const auto& [port, neighbor] : st.port_to_neighbor) {
-      bw.u16(port);
-      bw.u64(neighbor);
-    }
-    bw.u32(static_cast<std::uint32_t>(st.neighbor_set.size()));
-    for (SwitchId n : st.neighbor_set) bw.u64(n);
+  // entries (see restore_state). Record sizes are known up front, so the
+  // table and the block are written in one pass.
+  const auto record_bytes = [](const SwitchState& st) {
+    return kSwitchHeaderBytes + kPortRecordBytes * st.ports.size() +
+           sizeof(std::uint64_t) * st.nbrs.size();
+  };
+  std::size_t block_len = 0;
+  for (const SwitchState& st : switches_) block_len += record_bytes(st);
+  if (link_order_.size() != links_.size()) {
+    link_order_.resize(links_.size());
+    for (std::uint32_t i = 0; i < links_.size(); ++i) link_order_[i] = i;
+    std::sort(link_order_.begin(), link_order_.end(),
+              [this](std::uint32_t x, std::uint32_t y) {
+                const Link& lx = links_[x];
+                const Link& ly = links_[y];
+                return lx.a != ly.a ? lx.a < ly.a : lx.b < ly.b;
+              });
   }
 
   std::vector<std::uint8_t> payload;
+  payload.reserve(3 * sizeof(std::uint32_t) +
+                  kOffsetEntryBytes * switches_.size() + block_len +
+                  kLinkRecordBytes * links_.size());
   sim::SnapshotWriter pw(payload);
-  pw.u32(static_cast<std::uint32_t>(offsets.size()));
-  for (const auto& [id, off] : offsets) {
-    pw.u64(id);
+  pw.u32(static_cast<std::uint32_t>(switches_.size()));
+  std::uint32_t off = 0;
+  for (const SwitchState& st : switches_) {
+    pw.u64(st.id);
     pw.u32(off);
+    off += static_cast<std::uint32_t>(record_bytes(st));
   }
-  pw.blob(block);
-  pw.u32(static_cast<std::uint32_t>(link_alive_.size()));
-  for (const auto& [key, up] : link_alive_) {
-    pw.u64(key.first);
-    pw.u64(key.second);
-    pw.u8(up ? 1 : 0);
+  pw.u32(static_cast<std::uint32_t>(block_len));
+  for (const SwitchState& st : switches_) {
+    pw.u64(st.id);
+    pw.u64(st.locator.switch_id);
+    pw.u8(static_cast<std::uint8_t>(st.locator.level));
+    pw.u16(st.locator.pod);
+    pw.u8(st.locator.position);
+    pw.u32(static_cast<std::uint32_t>(st.ports.size()));
+    for (const Port& p : st.ports) {
+      pw.u16(p.port);
+      pw.u64(st.nbrs[p.nbr]);
+    }
+    pw.u32(static_cast<std::uint32_t>(st.nbrs.size()));
+    for (const SwitchId n : st.nbrs) pw.u64(n);
+  }
+  pw.u32(static_cast<std::uint32_t>(links_.size()));
+  for (const std::uint32_t slot : link_order_) {
+    const Link& link = links_[slot];
+    pw.u64(link.a);
+    pw.u64(link.b);
+    pw.u8(link.up ? 1 : 0);
   }
 
   w.u64(sim::content_hash(payload));
   w.blob(payload);
 }
 
-void FabricGraph::merge_switch_body(sim::SnapshotReader& r, SwitchId id,
-                                    SwitchState& st, bool& structural,
-                                    AdjDirtyList& adj_dirty) {
+void FabricGraph::merge_switch_body(sim::SnapshotReader& r, SwitchState& st,
+                                    MergeNotes& notes) {
   SwitchLocator loc;
   loc.switch_id = r.u64();
   loc.level = static_cast<Level>(r.u8());
@@ -519,108 +688,130 @@ void FabricGraph::merge_switch_body(sim::SnapshotReader& r, SwitchId id,
   loc.position = r.u8();
   if (st.locator != loc) {
     st.locator = loc;
-    structural = true;
+    notes.structural = true;
   }
 
-  // Port mappings feed port_between / multicast mirrors, not the index.
-  const std::uint32_t n_ports = r.count();
-  auto pit = st.port_to_neighbor.begin();
+  // A saved record is canonical: ports strictly ascending, neighbours
+  // strictly ascending, every port facing a listed neighbour. Anything
+  // else did not come from save_state and is refused.
+  scratch_pairs_.clear();
+  const std::uint32_t n_ports = r.count(kPortRecordBytes);
   for (std::uint32_t p = 0; p < n_ports && r.ok(); ++p) {
     const std::uint16_t port = r.u16();
     const SwitchId nbr = r.u64();
-    while (pit != st.port_to_neighbor.end() && pit->first < port) {
-      pit = st.port_to_neighbor.erase(pit);
+    if (!scratch_pairs_.empty() && scratch_pairs_.back().first >= port) {
+      r.fail();
     }
-    if (pit == st.port_to_neighbor.end() || pit->first != port) {
-      pit = st.port_to_neighbor.emplace_hint(pit, port, nbr);
-    } else if (pit->second != nbr) {
-      pit->second = nbr;
-    }
-    ++pit;
+    scratch_pairs_.emplace_back(port, nbr);
   }
-  pit = st.port_to_neighbor.erase(pit, st.port_to_neighbor.end());
-
-  bool adj_changed = false;
-  const std::uint32_t n_neighbors = r.count();
-  auto nit = st.neighbor_set.begin();
+  scratch_nbrs_.clear();
+  const std::uint32_t n_neighbors = r.count(sizeof(std::uint64_t));
   for (std::uint32_t p = 0; p < n_neighbors && r.ok(); ++p) {
     const SwitchId nbr = r.u64();
-    while (nit != st.neighbor_set.end() && *nit < nbr) {
-      nit = st.neighbor_set.erase(nit);
-      adj_changed = true;
-    }
-    if (nit == st.neighbor_set.end() || *nit != nbr) {
-      nit = st.neighbor_set.emplace_hint(nit, nbr);
-      adj_changed = true;
-    }
-    ++nit;
+    if (!scratch_nbrs_.empty() && scratch_nbrs_.back() >= nbr) r.fail();
+    scratch_nbrs_.push_back(nbr);
   }
-  if (nit != st.neighbor_set.end()) {
-    st.neighbor_set.erase(nit, st.neighbor_set.end());
-    adj_changed = true;
+  scratch_ports_.clear();
+  for (const auto& [port, nbr] : scratch_pairs_) {
+    const auto it =
+        std::lower_bound(scratch_nbrs_.begin(), scratch_nbrs_.end(), nbr);
+    if (it == scratch_nbrs_.end() || *it != nbr) {
+      r.fail();
+      break;
+    }
+    scratch_ports_.push_back(
+        {port, static_cast<std::uint32_t>(it - scratch_nbrs_.begin())});
   }
-  if (adj_changed) adj_dirty.emplace_back(id, &st);
+  if (!r.ok()) return;
+
+  if (st.nbrs != scratch_nbrs_) {
+    st.nbrs = scratch_nbrs_;
+    st.nbr_links.assign(st.nbrs.size(), kNoSlot);  // relinked after merge
+    notes.adj.push_back(st.id);
+  }
+  // Port mappings feed port_between / multicast mirrors, not the index.
+  if (st.ports != scratch_ports_) st.ports = scratch_ports_;
 }
 
-void FabricGraph::merge_full(sim::SnapshotReader& r, bool& structural,
-                             AdjDirtyList& adj_dirty) {
-  // In-place lockstep merge rather than clear-and-rebuild. Both the image
-  // and the live maps are sorted, so one forward reconciliation pass
-  // (erase-while-behind, assign-on-match, hint-insert otherwise) restores
-  // the graph. Forks restore a warm image over an almost-identical live
-  // graph, where this reuses every tree node.
-  const std::uint32_t n_switches = r.count();
-  r.skip(kOffsetEntryBytes * n_switches);  // random access not needed here
-  (void)r.u32();                           // switch-block length
-  auto sit = switches_.begin();
-  for (std::uint32_t i = 0; i < n_switches && r.ok(); ++i) {
-    const SwitchId id = r.u64();
-    while (sit != switches_.end() && sit->first < id) {
-      sit = switches_.erase(sit);
-      structural = true;
+void FabricGraph::merge_full(sim::SnapshotReader& r, MergeNotes& notes) {
+  // In-place reconciliation rather than clear-and-rebuild: forks restore
+  // a warm image over an almost-identical live graph, where this keeps
+  // every switch's arrays and every link slot.
+  const std::uint32_t n_switches = r.count(kOffsetEntryBytes);
+  const std::span<const std::uint8_t> table =
+      r.bytes_view(kOffsetEntryBytes * n_switches);
+  (void)r.u32();  // switch-block length
+  if (!r.ok()) return;
+  bool same_population = n_switches == switches_.size();
+  for (std::uint32_t i = 0; i < n_switches; ++i) {
+    const SwitchId id = be64_at(table.data() + i * kOffsetEntryBytes);
+    if (i > 0 && be64_at(table.data() + (i - 1) * kOffsetEntryBytes) >= id) {
+      r.fail();
+      return;
     }
-    if (sit == switches_.end() || sit->first != id) {
-      sit = switches_.emplace_hint(sit, id, SwitchState{});
-      structural = true;
-    }
-    SwitchState& st = sit->second;
-    ++sit;
-    merge_switch_body(r, id, st, structural, adj_dirty);
+    same_population = same_population && switches_[i].id == id;
   }
-  while (sit != switches_.end()) {
-    sit = switches_.erase(sit);
-    structural = true;
+  if (!same_population) {
+    notes.structural = true;
+    std::vector<SwitchState> next(n_switches);
+    std::size_t j = 0;
+    for (std::uint32_t i = 0; i < n_switches; ++i) {
+      const SwitchId id = be64_at(table.data() + i * kOffsetEntryBytes);
+      while (j < switches_.size() && switches_[j].id < id) ++j;
+      if (j < switches_.size() && switches_[j].id == id) {
+        next[i] = std::move(switches_[j]);
+      } else {
+        next[i].id = id;
+      }
+    }
+    switches_ = std::move(next);
+  }
+  for (SwitchState& st : switches_) {
+    if (r.u64() != st.id) r.fail();
+    if (!r.ok()) return;
+    merge_switch_body(r, st, notes);
   }
 
-  const std::uint32_t n_links = r.count();
-  auto lit = link_alive_.begin();
+  const std::uint32_t n_links = r.count(kLinkRecordBytes);
+  const std::size_t live_links = links_.size();
+  std::vector<std::uint8_t> seen(live_links, 0);
+  std::size_t matched = 0;
+  std::pair<SwitchId, SwitchId> prev{0, 0};
   for (std::uint32_t i = 0; i < n_links && r.ok(); ++i) {
     const SwitchId a = r.u64();
     const SwitchId b = r.u64();
     const bool up = r.u8() != 0;
-    const std::pair<SwitchId, SwitchId> key{a, b};
-    while (lit != link_alive_.end() && lit->first < key) {
-      lit = link_alive_.erase(lit);
-      structural = true;
+    if (a > b || (i > 0 && std::make_pair(a, b) <= prev)) {
+      r.fail();
+      return;
     }
-    if (lit == link_alive_.end() || lit->first != key) {
-      lit = link_alive_.emplace_hint(lit, key, up);
-      structural = true;
+    prev = {a, b};
+    const std::uint32_t slot = find_link(a, b);
+    if (slot == kNoSlot) {
+      add_link(a, b, up);
+      notes.structural = true;
+      notes.link_set = true;
     } else {
-      // Value flip on an existing node: index cells alias it, so this is
-      // index-transparent by construction.
-      lit->second = up;
+      // Value flip on an existing cell: index entries hold the slot, so
+      // this is index-transparent by construction.
+      set_up(slot, up);
+      if (slot < live_links && seen[slot] == 0) {
+        seen[slot] = 1;
+        ++matched;
+      }
     }
-    ++lit;
   }
-  while (lit != link_alive_.end()) {
-    lit = link_alive_.erase(lit);
-    structural = true;
+  notes.drop.clear();
+  if (matched != live_links) {
+    for (std::uint32_t s = 0; s < live_links; ++s) {
+      if (seen[s] == 0) notes.drop.push_back(s);
+    }
+    notes.structural = true;
   }
 }
 
 bool FabricGraph::merge_selective(std::span<const std::uint8_t> payload,
-                                  bool& structural, AdjDirtyList& adj_dirty) {
+                                  MergeNotes& notes) {
   // The live graph *is* this payload plus the mutations noted in the
   // dirty lists — reconcile only those entries, via the offset table for
   // switches and the fixed-stride sorted block for links.
@@ -640,7 +831,7 @@ bool FabricGraph::merge_selective(std::span<const std::uint8_t> payload,
       std::unique(dirty_switches_.begin(), dirty_switches_.end()),
       dirty_switches_.end());
   for (const SwitchId id : dirty_switches_) {
-    // Binary search the offset table (ids ascending, map save order).
+    // Binary search the offset table (ids ascending, save order).
     std::size_t lo = 0, hi = n_switches;
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
@@ -653,9 +844,14 @@ bool FabricGraph::merge_selective(std::span<const std::uint8_t> payload,
     }
     const bool found =
         lo < n_switches && be64_at(table.data() + lo * kOffsetEntryBytes) == id;
+    const auto sit = switch_pos(id);
+    const bool live = sit != switches_.end() && sit->id == id;
     if (!found) {
       // Dirty switch absent from the image: the mutation created it.
-      if (switches_.erase(id) > 0) structural = true;
+      if (live) {
+        switches_.erase(sit);
+        notes.structural = true;
+      }
       continue;
     }
     const std::uint32_t off =
@@ -663,16 +859,10 @@ bool FabricGraph::merge_selective(std::span<const std::uint8_t> payload,
     if (off >= block_len) return false;
     sim::SnapshotReader sr(block.subspan(off));
     if (sr.u64() != id) return false;
-    const auto sit = switches_.lower_bound(id);
-    if (sit == switches_.end() || sit->first != id) {
-      bool s = false;
-      merge_switch_body(
-          sr, id, switches_.emplace_hint(sit, id, SwitchState{})->second, s,
-          adj_dirty);
-      structural = true;
-    } else {
-      merge_switch_body(sr, id, sit->second, structural, adj_dirty);
-    }
+    bool created = false;
+    SwitchState& st = upsert_switch(id, created);
+    if (created) notes.structural = true;
+    merge_switch_body(sr, st, notes);
     if (!sr.ok()) return false;
   }
 
@@ -695,17 +885,21 @@ bool FabricGraph::merge_selective(std::span<const std::uint8_t> payload,
     const std::uint8_t* rec = links.data() + lo * kLinkRecordBytes;
     const bool found = lo < n_links && be64_at(rec) == key.first &&
                        be64_at(rec + sizeof(std::uint64_t)) == key.second;
+    const std::uint32_t slot = find_link(key.first, key.second);
     if (!found) {
-      if (link_alive_.erase(key) > 0) structural = true;
+      if (slot != kNoSlot) {
+        notes.drop.push_back(slot);
+        notes.structural = true;
+      }
       continue;
     }
     const bool up = rec[2 * sizeof(std::uint64_t)] != 0;
-    const auto lit = link_alive_.lower_bound(key);
-    if (lit == link_alive_.end() || lit->first != key) {
-      link_alive_.emplace_hint(lit, key, up);
-      structural = true;
+    if (slot == kNoSlot) {
+      add_link(key.first, key.second, up);
+      notes.structural = true;
+      notes.link_set = true;
     } else {
-      lit->second = up;  // index-transparent value flip
+      set_up(slot, up);  // index-transparent value flip
     }
   }
   return true;
@@ -721,27 +915,45 @@ void FabricGraph::restore_state(sim::SnapshotReader& r) {
     return;
   }
 
-  bool structural = false;
-  AdjDirtyList adj_dirty;
+  MergeNotes notes;
   bool merged = false;
+  bool failed = false;
   if (restored_hash_valid_ && hash == restored_hash_ && !dirty_overflow_) {
-    merged = merge_selective(payload, structural, adj_dirty);
+    merged = merge_selective(payload, notes);
   }
   if (!merged) {
     sim::SnapshotReader pr(payload);
     // A later restore trusts the hash to merge selectively, so a payload
     // that does not match its own hash is corrupt.
     if (sim::content_hash(payload) != hash) pr.fail();
-    if (pr.ok()) merge_full(pr, structural, adj_dirty);
-    if (!pr.ok()) {
-      // Propagate the sub-reader's failure to the outer stream so the
-      // whole restore reports it (the payload bytes themselves were
-      // already consumed above).
-      r.skip(r.remaining_size() + 1);
-      restored_hash_valid_ = false;
-      idx_.valid = false;
-      return;
+    if (pr.ok()) merge_full(pr, notes);
+    failed = !pr.ok();
+  }
+
+  // Re-derive what holds link slots: a dropped link compacts the array
+  // and an added one may complete a stored adjacency, so either relinks
+  // every switch; otherwise only switches whose neighbour set moved need
+  // fresh slots. save_state only writes adjacency whose links it also
+  // writes, so an entry left without a slot marks a forged image.
+  if (!notes.drop.empty()) erase_links(notes.drop);
+  bool linked = true;
+  if (!notes.drop.empty() || notes.link_set) {
+    for (SwitchState& st : switches_) linked = relink(st) && linked;
+  } else {
+    for (const SwitchId id : notes.adj) {
+      if (SwitchState* st = find_switch(id)) linked = relink(*st) && linked;
     }
+  }
+  failed = failed || !linked;
+
+  if (failed) {
+    // Propagate the sub-reader's failure to the outer stream so the
+    // whole restore reports it (the payload bytes themselves were
+    // already consumed above).
+    r.skip(r.remaining_size() + 1);
+    restored_hash_valid_ = false;
+    idx_.valid = false;
+    return;
   }
 
   restored_hash_ = hash;
@@ -750,16 +962,17 @@ void FabricGraph::restore_state(sim::SnapshotReader& r) {
   dirty_switches_.clear();
   dirty_links_.clear();
 
-  if (structural) {
+  if (notes.structural) {
     idx_.valid = false;
     return;
   }
-  // Population, locators, and link nodes are all unchanged — the index
+  // Population, locators and the link set are all unchanged — the index
   // still describes this graph except for the adjacency lists of switches
-  // whose reported neighbor set moved (e.g. forks undoing a what-if's
-  // hello withdrawals). Patch those sites; everything else, including the
-  // aliased alive pointers, is already correct.
-  for (const auto& [id, st] : adj_dirty) patch_index_adjacency(id, *st);
+  // whose reported neighbours moved (e.g. forks undoing a what-if's hello
+  // withdrawals). Patch those sites; every slot they hold is current.
+  for (const SwitchId id : notes.adj) {
+    if (const SwitchState* st = find_switch(id)) patch_index_adjacency(*st);
+  }
 }
 
 }  // namespace portland::core

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/messages.h"
@@ -56,7 +57,9 @@ struct HelloDelta {
 class FabricGraph {
  public:
   /// Ingests a switch's location + adjacency report. Newly reported links
-  /// default to alive. See HelloDelta for what the two flags mean.
+  /// default to alive. See HelloDelta for what the two flags mean; a
+  /// report identical to the stored one returns both false and writes
+  /// nothing.
   HelloDelta apply_hello(SwitchId id, const SwitchHello& hello);
 
   /// Marks the (a, b) link up/down in the fault matrix. Returns true if
@@ -74,9 +77,11 @@ class FabricGraph {
   [[nodiscard]] std::vector<SwitchId> edges_in_pod(std::uint16_t pod) const;
   [[nodiscard]] std::vector<SwitchId> aggs_in_pod(std::uint16_t pod) const;
   [[nodiscard]] std::vector<SwitchId> cores() const;
-  [[nodiscard]] const std::set<SwitchId>& neighbors(SwitchId id) const;
+  /// The switch ids `id` reported as neighbours, ascending and unique.
+  /// The view is valid until the graph is next mutated.
+  [[nodiscard]] std::span<const SwitchId> neighbors(SwitchId id) const;
   [[nodiscard]] std::size_t switch_count() const { return switches_.size(); }
-  [[nodiscard]] std::size_t failed_link_count() const;
+  [[nodiscard]] std::size_t failed_link_count() const { return failed_links_; }
 
   /// The edge switch registered at (pod, position); kInvalidSwitchId if
   /// unknown.
@@ -101,49 +106,78 @@ class FabricGraph {
   /// matrix). The section is content-addressed (hash + per-switch offset
   /// table), so a fabric repeatedly forked from the same image merges
   /// only the records its own mutations touched since the last restore.
+  /// A restore fails the reader on an image save_state cannot have
+  /// written (records out of order, a port facing an unlisted neighbour,
+  /// adjacency without its link record).
   void save_state(sim::SnapshotWriter& w) const;
   void restore_state(sim::SnapshotReader& r);
 
  private:
-  struct SwitchState {
-    SwitchLocator locator;
-    std::map<std::uint16_t, SwitchId> port_to_neighbor;
-    std::set<SwitchId> neighbor_set;
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// One row of a switch's port table: the port and the index of the
+  /// neighbour it faces in the same switch's `nbrs`.
+  struct Port {
+    std::uint16_t port = 0;
+    std::uint32_t nbr = 0;
+    friend bool operator==(const Port&, const Port&) = default;
   };
 
-  [[nodiscard]] static std::pair<SwitchId, SwitchId> link_key(SwitchId a,
-                                                              SwitchId b) {
-    return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-  }
+  /// One switch's last report. `ports` is ascending by port (a repeated
+  /// port keeps its last neighbour, as a port table would); `nbrs` holds
+  /// every neighbour id the report named, ascending and unique, so a
+  /// neighbour shadowed by a repeated port still counts as adjacent.
+  /// `nbr_links[i]` is the slot of the (id, nbrs[i]) link. Every entry
+  /// has one: a hello adds the links it names, and a restore refuses an
+  /// image whose adjacency names a link it has no record of. (kNoSlot
+  /// appears only inside a restore, and after a refused one.)
+  struct SwitchState {
+    SwitchId id = kInvalidSwitchId;
+    SwitchLocator locator;
+    std::vector<Port> ports;
+    std::vector<SwitchId> nbrs;
+    std::vector<std::uint32_t> nbr_links;
+  };
+
+  /// One fault-matrix cell, keyed by the normalized pair a <= b.
+  struct Link {
+    SwitchId a = kInvalidSwitchId;
+    SwitchId b = kInvalidSwitchId;
+    bool up = true;
+  };
 
   /// Flattened fat-tree view, rebuilt lazily only after *structural*
-  /// change (switch population, locators, link key-set). The `alive`
-  /// pointers alias link_alive_ map nodes — std::map nodes are stable, so
-  /// set_link_state's in-place flips are visible through the index with
-  /// no rebuild, and any path that does erase link nodes invalidates the
-  /// whole index first. Adjacency-only changes (hello withdrawals,
-  /// snapshot forks undoing them) patch the affected site's lists in
-  /// place via patch_index_adjacency. Each per-site adjacency list is
-  /// built from the *same switch's* reported neighbor set the map-based
-  /// code read, so transiently asymmetric adjacency (one endpoint's hello
-  /// processed, the other's not) prunes identically to the original
-  /// implementation.
+  /// change (switch population, locators, link set). Adjacency entries
+  /// hold link slots, so set_link_state's in-place flips are visible
+  /// through the index with no rebuild. Adjacency-only changes (hello
+  /// withdrawals, snapshot forks undoing them) patch the affected site's
+  /// lists in place via patch_index_adjacency. Each per-site adjacency
+  /// list is built from the *same switch's* reported neighbours, so
+  /// transiently asymmetric adjacency (one endpoint's hello processed,
+  /// the other's not) prunes exactly as each switch reported it.
   struct TopoIndex {
+    struct AggUp {
+      std::uint32_t core = 0;  // core slot
+      std::uint32_t link = kNoSlot;
+    };
+    struct AggDown {
+      SwitchId edge = kInvalidSwitchId;
+      std::uint32_t link = kNoSlot;
+    };
+    struct CoreDown {
+      std::uint32_t agg = 0;  // agg slot
+      std::uint16_t pod = kUnknownPod;
+      std::uint32_t link = kNoSlot;
+    };
     struct AggInfo {
       SwitchId id = kInvalidSwitchId;
       std::uint16_t pod = kUnknownPod;
-      // Core neighbors by the agg's own report (steps 1-2 of
-      // compute_prunes): (core slot, alive flag).
-      std::vector<std::pair<std::uint32_t, const bool*>> up;
-      // Edge neighbors by the agg's own report (cores_reaching target
-      // check + step 3): (edge id, alive flag).
-      std::vector<std::pair<SwitchId, const bool*>> down;
+      std::vector<AggUp> up;      // core neighbours by the agg's report
+      std::vector<AggDown> down;  // edge neighbours by the agg's report
     };
     struct CoreInfo {
       SwitchId id = kInvalidSwitchId;
-      // Agg neighbors by the core's own report (cores_reaching):
-      // (agg slot, agg pod, alive flag).
-      std::vector<std::tuple<std::uint32_t, std::uint16_t, const bool*>> down;
+      std::vector<CoreDown> down;  // agg neighbours by the core's report
     };
     struct EdgeInfo {
       SwitchId id = kInvalidSwitchId;
@@ -151,55 +185,104 @@ class FabricGraph {
       std::uint8_t position = kUnknownPosition;
       std::vector<std::uint32_t> aggs;  // agg slots, by the edge's report
     };
+    /// (pod, slot) pairs, ascending: one pod's slots are an equal_range.
+    using PodSlots = std::vector<std::pair<std::uint16_t, std::uint32_t>>;
     bool valid = false;
     std::vector<CoreInfo> cores;  // ascending id
     std::vector<AggInfo> aggs;    // ascending id
     std::vector<EdgeInfo> edges;  // ascending id
-    std::map<std::uint16_t, std::vector<std::uint32_t>> aggs_by_pod;
-    std::map<std::uint16_t, std::vector<std::uint32_t>> edges_by_pod;
+    PodSlots aggs_by_pod;
+    PodSlots edges_by_pod;
   };
+
+  /// What a restore merge moved, so the caller re-derives only that.
+  struct MergeNotes {
+    bool structural = false;  // population, a locator or the link set
+    bool link_set = false;    // links added
+    std::vector<SwitchId> adj;          // neighbour sets that moved
+    std::vector<std::uint32_t> drop;    // link slots the image lacks
+  };
+
+  /// Slot of `id` in an index vector sorted ascending by id; kNoSlot if
+  /// absent.
+  template <typename InfoVec>
+  static std::uint32_t find_slot(const InfoVec& v, SwitchId id);
+
+  /// First switch whose id is not below `id`.
+  std::vector<SwitchState>::iterator switch_pos(SwitchId id);
+  [[nodiscard]] SwitchState* find_switch(SwitchId id);
+  [[nodiscard]] const SwitchState* find_switch(SwitchId id) const;
+  /// Returns `id`'s state, inserting an empty one in id order if absent.
+  SwitchState& upsert_switch(SwitchId id, bool& created);
+
+  [[nodiscard]] std::uint32_t find_link(SwitchId a, SwitchId b) const;
+  [[nodiscard]] bool link_up(std::uint32_t slot) const {
+    return slot != kNoSlot && links_[slot].up;
+  }
+  /// Appends the (a, b) cell, which must be absent, and indexes it.
+  std::uint32_t add_link(SwitchId a, SwitchId b, bool up);
+  void set_up(std::uint32_t slot, bool up);
+  /// Enters `slot` into the (a,b) table, which has a free cell.
+  void index_link(std::uint32_t slot);
+  /// Re-reads `st.nbr_links` from the link table. Returns false if a
+  /// neighbour has no link cell.
+  bool relink(SwitchState& st);
+  void rehash();
+  /// Removes the given slots and compacts the link array; every
+  /// `nbr_links` and index entry is stale until relinked.
+  void erase_links(const std::vector<std::uint32_t>& slots);
+
+  /// Reads a report's adjacency into scratch_nbrs_ (ascending, unique)
+  /// and scratch_ports_ (ascending port, last report of a port wins).
+  void canonicalize(const SwitchHello& hello);
 
   const TopoIndex& index() const;
 
-  /// Fills one site's adjacency vectors from its own reported neighbor
-  /// set (clearing them first). Shared by the full index build and the
+  /// Fills one site's adjacency vectors from its own reported neighbours
+  /// (clearing them first). Shared by the full index build and the
   /// incremental patch below.
   void build_site_adjacency(TopoIndex& ix, Level level, std::size_t slot,
                             const SwitchState& st) const;
 
-  /// Rebuilds just `id`'s adjacency lists inside a valid index after its
-  /// reported neighbor set changed. Legal only while the switch's locator
+  /// Rebuilds just `st`'s adjacency lists inside a valid index after its
+  /// reported neighbours changed. Legal only while the switch's locator
   /// (level, pod, position) and the overall switch population are
   /// unchanged — callers invalidate the whole index otherwise.
-  void patch_index_adjacency(SwitchId id, const SwitchState& st) const;
-
-  using AdjDirtyList = std::vector<std::pair<SwitchId, const SwitchState*>>;
+  void patch_index_adjacency(const SwitchState& st) const;
 
   /// Merges one saved switch record body (everything after the id) into
-  /// `st`. Flags `structural` on locator change; appends to `adj_dirty`
-  /// when the reported neighbor set moved.
-  void merge_switch_body(sim::SnapshotReader& r, SwitchId id, SwitchState& st,
-                         bool& structural, AdjDirtyList& adj_dirty);
+  /// `st`.
+  void merge_switch_body(sim::SnapshotReader& r, SwitchState& st,
+                         MergeNotes& notes);
 
-  /// Sequential whole-graph reconciliation of a saved payload (offset
-  /// table already skipped by the caller).
-  void merge_full(sim::SnapshotReader& r, bool& structural,
-                  AdjDirtyList& adj_dirty);
+  /// Sequential whole-graph reconciliation of a saved payload.
+  void merge_full(sim::SnapshotReader& r, MergeNotes& notes);
 
   /// Merges only the entries in dirty_switches_ / dirty_links_, using the
   /// payload's offset table / fixed-stride link block for random access.
   /// Returns false if anything unexpected forces a full merge instead.
   bool merge_selective(std::span<const std::uint8_t> payload,
-                       bool& structural, AdjDirtyList& adj_dirty);
+                       MergeNotes& notes);
 
   /// Mutation notes for selective restore; capped — once the caps
   /// overflow, the next restore falls back to a full merge.
   void note_switch_dirty(SwitchId id);
   void note_link_dirty(std::pair<SwitchId, SwitchId> key);
 
-  std::map<SwitchId, SwitchState> switches_;
-  std::map<std::pair<SwitchId, SwitchId>, bool> link_alive_;
+  std::vector<SwitchState> switches_;  // ascending id
+  std::vector<Link> links_;            // slot order = first report
+  std::vector<std::uint32_t> link_table_;  // open-addressed (a,b) -> slot
+  std::size_t failed_links_ = 0;
+  /// Link slots ascending by (a, b) for save_state; stale (and cleared)
+  /// whenever the link set changes.
+  mutable std::vector<std::uint32_t> link_order_;
   mutable TopoIndex idx_;
+
+  // apply_hello / merge scratch, reused so an ingest does not allocate.
+  std::vector<Port> scratch_ports_;
+  std::vector<SwitchId> scratch_nbrs_;
+  std::vector<std::pair<std::uint16_t, SwitchId>> scratch_pairs_;
+  std::vector<SwitchId> scratch_live_;
 
   /// Content hash of the payload this graph was last restored from, and
   /// the mutations applied since. While the hash matches the incoming

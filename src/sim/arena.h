@@ -96,7 +96,9 @@ class Arena {
   void add_chunk(std::size_t min_bytes) {
     const std::size_t cap = min_bytes > chunk_bytes_ ? min_bytes : chunk_bytes_;
     Chunk c;
-    c.data = std::make_unique<unsigned char[]>(cap);
+    // Every object is placement-constructed, so the bytes need no
+    // zeroing: an untouched tail of a bulk reservation stays unbacked.
+    c.data = std::make_unique_for_overwrite<unsigned char[]>(cap);
     c.cap = cap;
     chunks_.push_back(std::move(c));
   }

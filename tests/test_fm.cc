@@ -3,8 +3,14 @@
 // computation, and multicast tree computation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+
 #include "core/fabric_graph.h"
 #include "core/fabric_manager.h"
+#include "common/random.h"
 #include "core/multicast.h"
 #include "sim/simulator.h"
 #include "sim/snapshot.h"
@@ -191,6 +197,434 @@ TEST(FabricGraph, CompoundFaultsEscalateToEdgePruning) {
   const SwitchId e00 = GraphFixture::edge_id(0, 0);
   ASSERT_TRUE(prunes.count(e00));
   EXPECT_TRUE(prunes.at(e00).count(GraphFixture::agg_id(0, 1)));
+}
+
+/// The fabric manager's topology view written the obvious way, over
+/// ordered maps: the semantics FabricGraph's slot-indexed arrays must
+/// reproduce query for query.
+class ReferenceGraph {
+ public:
+  struct Switch {
+    SwitchLocator locator;
+    std::map<std::uint16_t, SwitchId> ports;  // last report of a port wins
+    std::set<SwitchId> nbrs;                  // every neighbour named
+  };
+  using LinkKey = std::pair<SwitchId, SwitchId>;
+
+  static LinkKey key(SwitchId a, SwitchId b) { return std::minmax(a, b); }
+
+  HelloDelta apply_hello(SwitchId id, const SwitchHello& h) {
+    Switch& st = switches[id];
+    const Switch old = st;
+    const std::set<SwitchId> old_live = live(id, old.nbrs);
+    st = Switch{h.self, {}, {}};
+    for (const NeighborEntry& n : h.neighbors) {
+      st.ports[n.port] = n.neighbor.switch_id;
+      st.nbrs.insert(n.neighbor.switch_id);
+      links.emplace(key(id, n.neighbor.switch_id), true);
+    }
+    HelloDelta d;
+    d.changed = old.locator != st.locator || old.ports != st.ports ||
+                old.nbrs != st.nbrs;
+    d.routing_changed =
+        old.locator != st.locator || old_live != live(id, st.nbrs);
+    return d;
+  }
+
+  bool set_link_state(SwitchId a, SwitchId b, bool up) {
+    const auto [it, inserted] = links.emplace(key(a, b), up);
+    if (!inserted && it->second == up) return false;
+    it->second = up;
+    return true;
+  }
+
+  bool alive(SwitchId a, SwitchId b) const {
+    const auto it = links.find(key(a, b));
+    return it != links.end() && it->second;
+  }
+
+  const Switch* find(SwitchId id) const {
+    const auto it = switches.find(id);
+    return it == switches.end() ? nullptr : &it->second;
+  }
+
+  bool is(SwitchId id, Level level) const {
+    const Switch* st = find(id);
+    return st != nullptr && st->locator.level == level;
+  }
+
+  int port_between(SwitchId from, SwitchId to) const {
+    const Switch* st = find(from);
+    if (st == nullptr) return -1;
+    for (const auto& [port, nbr] : st->ports) {
+      if (nbr == to) return port;
+    }
+    return -1;
+  }
+
+  std::size_t failed() const {
+    std::size_t n = 0;
+    for (const auto& [k, up] : links) n += up ? 0 : 1;
+    return n;
+  }
+
+  std::vector<DstKey> keys_for_link(SwitchId a, SwitchId b) const {
+    const Switch* sa = find(a);
+    const Switch* sb = find(b);
+    if (sa == nullptr || sb == nullptr) return {};
+    SwitchLocator la = sa->locator;
+    SwitchLocator lb = sb->locator;
+    if (static_cast<int>(la.level) > static_cast<int>(lb.level)) {
+      std::swap(la, lb);
+    }
+    if (la.level == Level::kEdge && lb.level == Level::kAggregation &&
+        la.pod != kUnknownPod && la.position != kUnknownPosition) {
+      return {DstKey{la.pod, la.position}};
+    }
+    if (la.level == Level::kAggregation && lb.level == Level::kCore &&
+        la.pod != kUnknownPod) {
+      return {DstKey{la.pod, kUnknownPosition}};
+    }
+    return {};
+  }
+
+  /// §3.6's avoid-sets, evaluated neighbour by neighbour from each
+  /// switch's own report.
+  PruneMap compute_prunes(const DstKey& k) const {
+    PruneMap out;
+    const bool pod_level = k.position == kUnknownPosition;
+    SwitchId target = kInvalidSwitchId;
+    for (const auto& [id, st] : switches) {
+      if (st.locator.level == Level::kEdge && st.locator.pod == k.pod &&
+          st.locator.position == k.position) {
+        target = id;
+        break;
+      }
+    }
+    if (!pod_level && target == kInvalidSwitchId) return out;
+
+    const auto serves = [&](SwitchId agg) {
+      if (pod_level) return true;
+      const Switch& st = switches.at(agg);
+      return st.locator.pod == k.pod && st.nbrs.count(target) != 0 &&
+             alive(agg, target);
+    };
+    std::map<SwitchId, bool> core_ok_memo;
+    const auto core_ok = [&](SwitchId core) {
+      const auto [it, fresh] = core_ok_memo.try_emplace(core, false);
+      if (!fresh) return it->second;
+      for (const SwitchId n : switches.at(core).nbrs) {
+        if (is(n, Level::kAggregation) && find(n)->locator.pod == k.pod &&
+            alive(core, n) && serves(n)) {
+          it->second = true;
+        }
+      }
+      return it->second;
+    };
+    std::map<SwitchId, bool> has_path_memo;
+    const auto has_path = [&](SwitchId agg) {
+      const auto [it, fresh] = has_path_memo.try_emplace(agg, false);
+      if (!fresh) return it->second;
+      for (const SwitchId n : switches.at(agg).nbrs) {
+        if (is(n, Level::kCore) && alive(agg, n) && core_ok(n)) {
+          it->second = true;
+        }
+      }
+      return it->second;
+    };
+    for (const auto& [id, st] : switches) {
+      if (st.locator.level == Level::kAggregation && st.locator.pod != k.pod) {
+        for (const SwitchId n : st.nbrs) {
+          if (is(n, Level::kCore) && !core_ok(n)) out[id].insert(n);
+        }
+      }
+      if (st.locator.level != Level::kEdge) continue;
+      for (const SwitchId n : st.nbrs) {
+        if (!is(n, Level::kAggregation)) continue;
+        if (st.locator.pod != k.pod && !has_path(n)) out[id].insert(n);
+        if (st.locator.pod == k.pod && !pod_level && id != target &&
+            !serves(n)) {
+          out[id].insert(n);
+        }
+      }
+    }
+    return out;
+  }
+
+  std::map<SwitchId, Switch> switches;
+  std::map<LinkKey, bool> links;
+
+ private:
+  std::set<SwitchId> live(SwitchId id, const std::set<SwitchId>& nbrs) const {
+    std::set<SwitchId> out;
+    for (const SwitchId n : nbrs) {
+      if (alive(id, n)) out.insert(n);
+    }
+    return out;
+  }
+};
+
+std::vector<std::uint8_t> save_graph(const FabricGraph& g) {
+  std::vector<std::uint8_t> bytes;
+  sim::SnapshotWriter w(bytes);
+  g.save_state(w);
+  return bytes;
+}
+
+bool restore_graph(FabricGraph& g, const std::vector<std::uint8_t>& bytes) {
+  sim::SnapshotReader r(bytes);
+  g.restore_state(r);
+  return r.ok() && r.remaining_size() == 0;
+}
+
+/// The full adjacency report of every switch of a k-ary fat tree: edges
+/// 1000+, aggs 2000+, cores 3000+, uplinks on ports k/2.., core port =
+/// pod.
+std::map<SwitchId, SwitchHello> fat_tree_hellos(int k) {
+  const int half = k / 2;
+  std::map<SwitchId, SwitchHello> out;
+  const auto edge = [&](int pod, int e) {
+    return SwitchLocator{static_cast<SwitchId>(1000 + pod * half + e),
+                         Level::kEdge, static_cast<std::uint16_t>(pod),
+                         static_cast<std::uint8_t>(e)};
+  };
+  const auto agg = [&](int pod, int a) {
+    return SwitchLocator{static_cast<SwitchId>(2000 + pod * half + a),
+                         Level::kAggregation, static_cast<std::uint16_t>(pod),
+                         static_cast<std::uint8_t>(a)};
+  };
+  const auto core = [&](int a, int m) {
+    return SwitchLocator{static_cast<SwitchId>(3000 + a * half + m),
+                         Level::kCore, kUnknownPod, kUnknownPosition};
+  };
+  const auto link = [&](const SwitchLocator& x, int px, const SwitchLocator& y,
+                        int py) {
+    out[x.switch_id].self = x;
+    out[y.switch_id].self = y;
+    out[x.switch_id].neighbors.push_back(
+        {static_cast<std::uint16_t>(px), y});
+    out[y.switch_id].neighbors.push_back(
+        {static_cast<std::uint16_t>(py), x});
+  };
+  for (int pod = 0; pod < k; ++pod) {
+    for (int a = 0; a < half; ++a) {
+      for (int e = 0; e < half; ++e) link(edge(pod, e), half + a, agg(pod, a), e);
+      for (int m = 0; m < half; ++m) link(agg(pod, a), half + m, core(a, m), pod);
+    }
+  }
+  return out;
+}
+
+void expect_same_view(const FabricGraph& g, const ReferenceGraph& ref, int k,
+                      const std::string& where) {
+  SCOPED_TRACE(where);
+  ASSERT_EQ(g.switch_count(), ref.switches.size());
+  ASSERT_EQ(g.failed_link_count(), ref.failed());
+  std::vector<SwitchId> ref_cores;
+  for (const auto& [id, st] : ref.switches) {
+    if (st.locator.level == Level::kCore) ref_cores.push_back(id);
+    ASSERT_NE(g.locator(id), nullptr);
+    ASSERT_EQ(*g.locator(id), st.locator);
+    const std::span<const SwitchId> nbrs = g.neighbors(id);
+    ASSERT_TRUE(std::equal(nbrs.begin(), nbrs.end(), st.nbrs.begin(),
+                           st.nbrs.end()))
+        << "neighbors of " << id;
+    for (const SwitchId n : st.nbrs) {
+      ASSERT_EQ(g.port_between(id, n), ref.port_between(id, n))
+          << id << " -> " << n;
+      ASSERT_TRUE(g.adjacent(id, n));
+    }
+    ASSERT_EQ(g.port_between(id, 1), -1);
+  }
+  ASSERT_EQ(g.cores(), ref_cores);
+  for (const auto& [key, up] : ref.links) {
+    ASSERT_EQ(g.link_alive(key.first, key.second), up)
+        << key.first << "-" << key.second;
+    ASSERT_EQ(g.keys_for_link(key.second, key.first),
+              ref.keys_for_link(key.second, key.first));
+  }
+  for (int pod = 0; pod <= k; ++pod) {
+    for (int pos = 0; pos <= k / 2; ++pos) {
+      const DstKey key{static_cast<std::uint16_t>(pod),
+                       pos == k / 2 ? kUnknownPosition
+                                    : static_cast<std::uint8_t>(pos)};
+      ASSERT_EQ(g.compute_prunes(key), ref.compute_prunes(key))
+          << "key (" << pod << ", " << pos << ")";
+    }
+  }
+}
+
+TEST(FabricGraph, MatchesReferenceModel) {
+  constexpr int kK = 8;
+  constexpr int kSteps = 2000;
+  const std::map<SwitchId, SwitchHello> full = fat_tree_hellos(kK);
+  std::vector<SwitchId> ids;
+  for (const auto& [id, h] : full) ids.push_back(id);
+
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    FabricGraph graph;
+    ReferenceGraph ref;
+    std::map<SwitchId, SwitchHello> last;
+    struct Image {
+      std::vector<std::uint8_t> bytes;
+      ReferenceGraph ref;
+    };
+    std::vector<Image> images;
+    const auto pick = [&](const auto& v) {
+      return v[rng.next_below(v.size())];
+    };
+    const auto send = [&](SwitchId id, const SwitchHello& h) {
+      last[id] = h;
+      const HelloDelta got = graph.apply_hello(id, h);
+      const HelloDelta want = ref.apply_hello(id, h);
+      EXPECT_EQ(got.changed, want.changed);
+      EXPECT_EQ(got.routing_changed, want.routing_changed);
+    };
+    for (const SwitchId id : ids) send(id, full.at(id));
+    expect_same_view(graph, ref, kK, "bring-up");
+
+    for (int step = 0; step < kSteps; ++step) {
+      const std::uint64_t op = rng.next_below(11);
+      std::string what;
+      if (op == 0) {
+        // Unchanged: re-send a switch's last report.
+        what = "unchanged";
+        const auto it = std::next(last.begin(),
+                                  static_cast<long>(rng.next_below(last.size())));
+        send(it->first, it->second);
+      } else if (op == 1) {
+        // Withdraw some neighbours.
+        what = "withdraw";
+        const SwitchId id = pick(ids);
+        SwitchHello h = full.at(id);
+        std::erase_if(h.neighbors,
+                      [&](const NeighborEntry&) { return rng.chance(0.3); });
+        send(id, h);
+      } else if (op == 2) {
+        what = "restore adjacency";
+        const SwitchId id = pick(ids);
+        send(id, full.at(id));
+      } else if (op == 3) {
+        // A switch the tree does not have, naming a few that it does.
+        what = "new switch";
+        const SwitchId id = 4000 + rng.next_below(8);
+        SwitchHello h;
+        h.self = SwitchLocator{id, static_cast<Level>(rng.next_below(4)),
+                               static_cast<std::uint16_t>(rng.next_below(kK)),
+                               static_cast<std::uint8_t>(rng.next_below(kK / 2))};
+        for (std::uint64_t n = rng.next_below(4); n > 0; --n) {
+          h.neighbors.push_back(
+              {static_cast<std::uint16_t>(rng.next_below(kK)),
+               SwitchLocator{pick(ids), Level::kUnknown, 0, 0}});
+        }
+        send(id, h);
+      } else if (op == 4) {
+        what = "locator change";
+        const SwitchId id = pick(ids);
+        SwitchHello h = last.count(id) != 0 ? last.at(id) : full.at(id);
+        if (rng.chance(0.5)) {
+          h.self = full.at(id).self;
+        } else if (rng.chance(0.5)) {
+          h.self.level = static_cast<Level>(rng.next_below(4));
+        } else {
+          h.self.pod = static_cast<std::uint16_t>(rng.next_below(kK + 1));
+          h.self.position = static_cast<std::uint8_t>(rng.next_below(kK / 2));
+        }
+        send(id, h);
+      } else if (op == 5) {
+        // What ordered maps deduplicate silently: a port named twice, a
+        // neighbour named on two ports, a switch naming itself.
+        what = "duplicates";
+        const SwitchId id = pick(ids);
+        SwitchHello h = full.at(id);
+        const NeighborEntry first = h.neighbors.front();
+        h.neighbors.push_back({first.port, full.at(pick(ids)).self});
+        h.neighbors.push_back(
+            {static_cast<std::uint16_t>(kK + rng.next_below(4)),
+             pick(h.neighbors).neighbor});
+        if (rng.chance(0.5)) {
+          h.neighbors.push_back({static_cast<std::uint16_t>(kK + 7), h.self});
+        }
+        rng.shuffle(h.neighbors);
+        send(id, h);
+      } else if (op <= 7) {
+        what = "flip";
+        SwitchId a = pick(ids);
+        SwitchId b = pick(ids);
+        if (op == 6 && !ref.links.empty()) {
+          const auto it = std::next(
+              ref.links.begin(), static_cast<long>(rng.next_below(ref.links.size())));
+          a = it->first.first;
+          b = it->first.second;
+        }
+        const bool up = rng.chance(0.5);
+        EXPECT_EQ(graph.set_link_state(a, b, up), ref.set_link_state(a, b, up));
+      } else if (op == 8) {
+        what = "save";
+        images.push_back({save_graph(graph), ref});
+        if (images.size() > 3) images.erase(images.begin());
+      } else if (op == 9 && !images.empty()) {
+        // The last image restored again merges selectively; any other
+        // image (or a dirty-list overflow) takes the full merge.
+        what = "restore";
+        const Image& img = rng.chance(0.6) ? images.back() : pick(images);
+        ASSERT_TRUE(restore_graph(graph, img.bytes));
+        ref = img.ref;
+        ASSERT_EQ(save_graph(graph), img.bytes) << "step " << step;
+        // A restore forgets which report produced each switch's state.
+        last.clear();
+        for (const auto& [id, st] : ref.switches) {
+          SwitchHello h{st.locator, {}};
+          for (const auto& [port, nbr] : st.ports) {
+            h.neighbors.push_back({port, SwitchLocator{nbr, Level::kUnknown, 0, 0}});
+          }
+          last[id] = h;
+        }
+      } else {
+        what = "fresh restore";
+        const std::vector<std::uint8_t> bytes = save_graph(graph);
+        FabricGraph fresh;
+        ASSERT_TRUE(restore_graph(fresh, bytes));
+        ASSERT_EQ(save_graph(fresh), bytes) << "step " << step;
+        expect_same_view(fresh, ref, kK, "fresh graph, step " +
+                                             std::to_string(step));
+      }
+      expect_same_view(graph, ref, kK,
+                       "seed " + std::to_string(seed) + " step " +
+                           std::to_string(step) + " (" + what + ")");
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(FabricGraph, RestoreRefusesAdjacencyWithoutItsLink) {
+  // Every adjacency entry a hello stores has its link cell, which is what
+  // lets an unchanged hello return without writing. An image that names
+  // a neighbour but carries no link record for it (here: the link block
+  // emptied and the hash recomputed) cannot come from save_state.
+  GraphFixture fx;
+  std::vector<std::uint8_t> image = save_graph(fx.graph);
+  sim::SnapshotReader r(image);
+  (void)r.u64();
+  const std::uint32_t payload_len = r.u32();
+  const std::size_t payload_at = image.size() - payload_len;
+  std::vector<std::uint8_t> payload(image.begin() + payload_at, image.end());
+  // The link block is last: u32 count + 17-byte records.
+  const std::size_t n_links = 32;  // k=4: 16 edge-agg + 16 agg-core
+  ASSERT_GE(payload.size(), 4 + 17 * n_links);
+  payload.resize(payload.size() - 17 * n_links - 4);
+  sim::SnapshotWriter(payload).u32(0);  // no link records
+  std::vector<std::uint8_t> forged;
+  sim::SnapshotWriter w(forged);
+  w.u64(sim::content_hash(payload));
+  w.blob(payload);
+
+  FabricGraph fresh;
+  EXPECT_FALSE(restore_graph(fresh, forged));
+  // The untouched image still restores.
+  EXPECT_TRUE(restore_graph(fresh, image));
+  EXPECT_EQ(save_graph(fresh), image);
 }
 
 TEST(Multicast, TreeSpansParticipantPods) {

@@ -1,7 +1,13 @@
 // Serialization round-trips for every LDP and control-plane message, plus
-// the PMAC codec and locator semantics.
+// the PMAC codec and locator semantics, and the fabric manager's topology
+// view fed with mutated control bytes.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
+#include "common/random.h"
+#include "core/fabric_graph.h"
 #include "core/locator.h"
 #include "core/messages.h"
 #include "core/pmac.h"
@@ -196,6 +202,134 @@ TEST(Control, GarbageRejected) {
   EXPECT_FALSE(parse_control(std::vector<std::uint8_t>{}).has_value());
   std::vector<std::uint8_t> junk(9, 0xFF);
   EXPECT_FALSE(parse_control(junk).has_value());
+}
+
+/// A fabric-manager topology view under arbitrary decoded reports, with
+/// every link key it can hold tracked alongside so the failed-link count
+/// can be recounted by brute force.
+struct MutationSink {
+  FabricGraph graph;
+  std::set<std::pair<SwitchId, SwitchId>> keys;
+
+  void apply(const ControlMessage& m) {
+    if (const auto* h = std::get_if<SwitchHello>(&m.body)) {
+      graph.apply_hello(m.sender, *h);
+      for (const NeighborEntry& n : h->neighbors) {
+        keys.insert(std::minmax(m.sender, n.neighbor.switch_id));
+      }
+    } else if (const auto* f = std::get_if<FaultNotify>(&m.body)) {
+      graph.set_link_state(m.sender, f->neighbor, f->link_up);
+      keys.insert(std::minmax(m.sender, f->neighbor));
+    }
+  }
+
+  std::size_t brute_failed() const {
+    std::size_t n = 0;
+    for (const auto& [a, b] : keys) n += graph.link_alive(a, b) ? 0 : 1;
+    return n;
+  }
+};
+
+/// The hellos of a k=4 fat tree: edge 100 + 2*pod + e, agg 200 + 2*pod +
+/// a, core 300 + 2*a + m; uplinks on ports 2..3, core port = pod.
+std::vector<ControlMessage> k4_hellos() {
+  std::map<SwitchId, SwitchHello> by_id;
+  const auto link = [&](const SwitchLocator& x, std::uint16_t px,
+                        const SwitchLocator& y, std::uint16_t py) {
+    by_id[x.switch_id].self = x;
+    by_id[y.switch_id].self = y;
+    by_id[x.switch_id].neighbors.push_back({px, y});
+    by_id[y.switch_id].neighbors.push_back({py, x});
+  };
+  for (std::uint16_t pod = 0; pod < 4; ++pod) {
+    for (std::uint8_t a = 0; a < 2; ++a) {
+      const SwitchLocator agg{200u + 2u * pod + a, Level::kAggregation, pod, a};
+      for (std::uint8_t e = 0; e < 2; ++e) {
+        link({100u + 2u * pod + e, Level::kEdge, pod, e},
+             static_cast<std::uint16_t>(2 + a), agg, e);
+      }
+      for (std::uint8_t m = 0; m < 2; ++m) {
+        link(agg, static_cast<std::uint16_t>(2 + m),
+             {300u + 2u * a + m, Level::kCore, kUnknownPod, kUnknownPosition},
+             pod);
+      }
+    }
+  }
+  std::vector<ControlMessage> out;
+  for (auto& [id, h] : by_id) out.push_back({id, std::move(h)});
+  return out;
+}
+
+TEST(Control, MutatedMessagesDecodeOrRejectCleanly) {
+  const std::vector<ControlMessage> hellos = k4_hellos();
+  MutationSink sink;
+  for (const ControlMessage& m : hellos) sink.apply(m);
+  ASSERT_EQ(sink.graph.switch_count(), 20u);
+
+  const Ipv4Address group(224, 0, 1, 5);
+  PruneUpdate prune{false, {PruneEntry{2, 1, 0x3001, true}}};
+  McastInstall install{group, {0, 2, 3}};
+  FmDelta delta{1, 9, {1, 2, 3, 4, 5}};
+  const std::vector<ControlMessage> samples = {
+      hellos[3],
+      {100, PodRequest{}},
+      {kFabricManagerId, PodAssignment{3}},
+      {100, HostRegister{Ipv4Address(10, 0, 0, 2),
+                         MacAddress::from_u64(0x020000000005),
+                         MacAddress::from_u64(0x000000010001), 1}},
+      {100, ArpQuery{7, Ipv4Address(10, 1, 0, 2)}},
+      {kFabricManagerId, ArpResponse{7, Ipv4Address(10, 1, 0, 2),
+                                     MacAddress::from_u64(0x000100000001),
+                                     true}},
+      {200, FaultNotify{2, 300, false}},
+      {kFabricManagerId, prune},
+      {100, McastJoin{group, 1}},
+      {100, McastLeave{group, 1}},
+      {100, McastSenderSeen{group}},
+      {kFabricManagerId, install},
+      {kFabricManagerId, McastRemove{group}},
+      {kFabricManagerId, InvalidateHost{Ipv4Address(10, 0, 0, 2),
+                                        MacAddress::from_u64(0x000000010001),
+                                        MacAddress::from_u64(0x000300010001)}},
+      {kFabricManagerId, delta},
+  };
+  std::set<std::size_t> covered;
+  for (const ControlMessage& m : samples) covered.insert(m.body.index());
+  ASSERT_EQ(covered.size(), kControlTypeCount);
+
+  Rng rng(22);
+  std::size_t decoded = 0;
+  const auto feed = [&](std::span<const std::uint8_t> bytes) {
+    const std::optional<ControlMessage> m = parse_control(bytes);
+    if (!m.has_value()) return;
+    ++decoded;
+    // Whatever decodes may reach the fabric manager as-is.
+    (void)serialize_control(*m);
+    sink.apply(*m);
+    ASSERT_EQ(sink.graph.failed_link_count(), sink.brute_failed());
+  };
+  for (const ControlMessage& m : samples) {
+    SCOPED_TRACE(control_type_name(m.body));
+    const std::vector<std::uint8_t> valid = serialize_control(m);
+    for (std::size_t n = 0; n <= valid.size(); ++n) {
+      feed(std::span(valid).first(n));
+    }
+    for (int i = 0; i < 2000; ++i) {
+      std::vector<std::uint8_t> bytes = valid;
+      for (std::uint64_t flips = 1 + rng.next_below(3); flips > 0; --flips) {
+        bytes[rng.next_below(bytes.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.next_below(255));
+      }
+      feed(bytes);
+    }
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(decoded, kControlTypeCount);  // the unmutated encodings at least
+  // The graph still answers prune queries over whatever it was told.
+  for (std::uint16_t pod = 0; pod < 4; ++pod) {
+    (void)sink.graph.compute_prunes(DstKey{pod, kUnknownPosition});
+    (void)sink.graph.compute_prunes(DstKey{pod, 0});
+  }
 }
 
 TEST(Control, TypeNames) {
