@@ -6,6 +6,8 @@
 // that took, the fabric manager's resulting state, and the wall-clock
 // cost of simulating it — demonstrating the protocol's O(1)-per-switch
 // convergence behavior as the fabric grows from 20 to 320 switches.
+//
+// Usage: bench_e12_ldp_scale [max_k] [--json PATH]   (default max_k 16)
 #include <chrono>
 
 #include "bench/bench_util.h"
@@ -13,9 +15,14 @@
 using namespace portland;
 using namespace portland::bench;
 
+namespace {
+constexpr const char* kUsage = "bench_e12_ldp_scale [max_k] [--json PATH]";
+}  // namespace
+
 int main(int argc, char** argv) {
   const auto pos = positional_args(argc, argv);
-  const int max_k = !pos.empty() ? std::atoi(pos[0].c_str()) : 16;
+  if (pos.size() > 1) usage_exit(kUsage, pos[1]);
+  const int max_k = !pos.empty() ? fat_tree_k_or_exit(pos[0], kUsage) : 16;
   print_header(
       "E12 LDP discovery at scale: convergence time and control cost vs k");
 

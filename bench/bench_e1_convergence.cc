@@ -9,6 +9,9 @@
 //
 // Output: one row per fault count with mean/p95/max convergence across
 // affected flows, averaged over several seeds.
+//
+// Usage: bench_e1_convergence [k] [seeds] [sequential] [--json PATH]
+//        defaults: 6  5  (simultaneous failures)
 #include <algorithm>
 #include <string_view>
 
@@ -65,13 +68,19 @@ Sample run_trial(int k, std::size_t failures, std::uint64_t seed,
   return sample;
 }
 
+constexpr const char* kUsage =
+    "bench_e1_convergence [k] [seeds] [sequential] [--json PATH]";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto pos = positional_args(argc, argv);
-  const int k = !pos.empty() ? std::atoi(pos[0].c_str()) : 6;
-  const int seeds = pos.size() > 1 ? std::atoi(pos[1].c_str()) : 5;
-  const bool sequential = pos.size() > 2 && pos[2] == "sequential";
+  if (pos.size() > 3) usage_exit(kUsage, pos[3]);
+  if (pos.size() > 2 && pos[2] != "sequential") usage_exit(kUsage, pos[2]);
+  const int k = !pos.empty() ? fat_tree_k_or_exit(pos[0], kUsage) : 6;
+  const int seeds =
+      pos.size() > 1 ? int_arg_or_exit(pos[1], 1, 1000, kUsage) : 5;
+  const bool sequential = pos.size() > 2;
 
   print_header(
       "E1  Convergence time vs. number of failures (paper Fig. 9: ~65 ms at "

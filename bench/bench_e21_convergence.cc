@@ -32,14 +32,20 @@ using namespace portland::bench;
 
 namespace {
 
-std::vector<int> parse_list(const std::string& text) {
+constexpr const char* kUsage =
+    "bench_e21_convergence [k_list] [flows] [fault_list] [--json PATH]";
+
+/// A comma-separated list of integers in [lo, hi] (even ones, if asked);
+/// an empty or unreadable entry is a usage_exit.
+std::vector<int> parse_list(const std::string& text, long long lo,
+                            long long hi, bool even = false) {
   std::vector<int> out;
   std::size_t start = 0;
-  while (start <= text.size()) {
+  while (true) {
     const std::size_t comma = text.find(',', start);
-    const std::string tok =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!tok.empty()) out.push_back(std::atoi(tok.c_str()));
+    const std::string_view tok = std::string_view(text).substr(
+        start, comma == std::string::npos ? comma : comma - start);
+    out.push_back(int_arg_or_exit(tok, lo, hi, kUsage, even));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -170,11 +176,13 @@ std::uint64_t monitor_overhead_events(int k, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   const auto pos = positional_args(argc, argv);
+  if (pos.size() > 3) usage_exit(kUsage, pos[3]);
   const std::vector<int> ks =
-      parse_list(!pos.empty() ? pos[0] : "16,32,48");
-  const int flows = pos.size() > 1 ? std::atoi(pos[1].c_str()) : 24;
+      parse_list(!pos.empty() ? pos[0] : "16,32,48", 4, 64, /*even=*/true);
+  const int flows =
+      pos.size() > 1 ? int_arg_or_exit(pos[1], 1, 100000, kUsage) : 24;
   const std::vector<int> fault_counts =
-      parse_list(pos.size() > 2 ? pos[2] : "1,3,6");
+      parse_list(pos.size() > 2 ? pos[2] : "1,3,6", 1, 1000);
 
   print_header(
       "E21 Convergence observatory: measured per-failure reaction "

@@ -29,7 +29,10 @@
 //   * arp_p99_us — end-to-end resolution latency p99 in simulated time,
 //     from the hosts' log2 histograms (deterministic per seed),
 //   * replica_blackout_ms / cold_blackout_ms — simulated time until the
-//     registry is whole again after the mid-storm failover.
+//     registry is whole again after the mid-storm failover,
+//   * storm_rss_delta_mb — current RSS after the steady storm minus
+//     before it: the per-host ARP state the storm leaves behind
+//     (reported, not gated).
 //
 // Usage: bench_e22_arp_storm [--ks N[,N...]] [--full] [--resolutions N]
 //                            [--incast-targets N] [--absent-hosts N]
@@ -181,6 +184,9 @@ struct Row {
   double p99_us = 0;
   double service_speedup = 1.0;
   double blackout_ms = -1;  // -1: no failover phase in this row
+  /// Current RSS after the steady storm minus before it: what the hosts'
+  /// ARP state (cache entries, unresolved sends) grew the process by.
+  double storm_rss_delta_mb = 0;
 };
 
 /// Steps the simulation in 1 ms increments until the registry holds
@@ -262,6 +268,7 @@ Row run_one(const Args& args, int k, Mode mode) {
       (args.resolutions + n - 1) / n;
   const LatencyHistogram h0 = LatencyHistogram::capture(fabric);
   const std::uint64_t storm_q0 = total_fm_queries(fm);
+  const std::size_t storm_rss0 = current_rss_bytes();
   std::vector<std::size_t> offsets;
   for (std::size_t r = 0; offsets.size() < rounds; ++r) {
     std::size_t off = (static_cast<std::size_t>(r + 1) * 2654435761ull) % n;
@@ -303,6 +310,10 @@ Row run_one(const Args& args, int k, Mode mode) {
   }
   // Drain stragglers (retried resolutions after the failover blackout).
   sim.run_until(sim.now() + millis(500));
+  row.storm_rss_delta_mb =
+      (static_cast<double>(current_rss_bytes()) -
+       static_cast<double>(storm_rss0)) /
+      (1024.0 * 1024.0);
 
   const LatencyHistogram hist = LatencyHistogram::capture(fabric) - h0;
   row.storm_resolutions = hist.resolutions;
@@ -332,6 +343,7 @@ Row run_one(const Args& args, int k, Mode mode) {
               row.p50_us, row.p99_us);
   std::printf("service speedup       : %.2fx across %zu shards\n",
               row.service_speedup, row.shards);
+  std::printf("storm RSS delta       : %.2f MiB\n", row.storm_rss_delta_mb);
   return row;
 }
 
@@ -390,6 +402,7 @@ void run(const Args& args) {
       report.add("arp_p99_us", sharded->p99_us);
       report.add("service_speedup", sharded->service_speedup);
       report.add("replica_blackout_ms", sharded->blackout_ms);
+      report.add("storm_rss_delta_mb", sharded->storm_rss_delta_mb);
     }
     if (single != nullptr) {
       report.add("cold_blackout_ms", single->blackout_ms);
@@ -410,11 +423,11 @@ void run(const Args& args) {
           ", \"storm_resolutions\": %" PRIu64
           ", \"resolutions_per_sec\": %.0f, \"arp_p50_us\": %.0f, "
           "\"arp_p99_us\": %.0f, \"service_speedup\": %.2f, "
-          "\"blackout_ms\": %.1f}",
+          "\"blackout_ms\": %.1f, \"storm_rss_delta_mb\": %.2f}",
           i == 0 ? "" : ",", r.k, mode_name(r.mode), r.hosts, r.shards,
           r.boot_s, r.incast_fm_queries, r.coalesced, r.negative_hits,
           r.storm_resolutions, r.resolutions_per_sec, r.p50_us, r.p99_us,
-          r.service_speedup, r.blackout_ms);
+          r.service_speedup, r.blackout_ms, r.storm_rss_delta_mb);
       arr += buf;
     }
     arr += "\n  ]";

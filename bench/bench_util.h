@@ -4,11 +4,14 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -227,6 +230,39 @@ class JsonReport {
     out.emplace_back(argv[i]);
   }
   return out;
+}
+
+/// Prints `usage` on stderr, after naming `bad` unless it asked for help,
+/// and exits 2: what every bench does with an argument it cannot read.
+[[noreturn]] inline void usage_exit(const char* usage, std::string_view bad) {
+  if (bad != "--help" && bad != "-h") {
+    std::fprintf(stderr, "bad argument: %.*s\n", static_cast<int>(bad.size()),
+                 bad.data());
+  }
+  std::fprintf(stderr, "usage: %s\n", usage);
+  std::exit(2);
+}
+
+/// A positional argument that must be a base-10 integer in [lo, hi] (and
+/// even, if asked). Anything else (`--help`, an empty token, junk around
+/// the digits, a value out of range) is a usage_exit.
+[[nodiscard]] inline int int_arg_or_exit(std::string_view text, long long lo,
+                                         long long hi, const char* usage,
+                                         bool even = false) {
+  long long v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || ptr != end || v < lo || v > hi ||
+      (even && v % 2 != 0)) {
+    usage_exit(usage, text);
+  }
+  return static_cast<int>(v);
+}
+
+/// A fat-tree k the benches can build: even, 4..64.
+[[nodiscard]] inline int fat_tree_k_or_exit(std::string_view text,
+                                            const char* usage) {
+  return int_arg_or_exit(text, 4, 64, usage, /*even=*/true);
 }
 
 }  // namespace portland::bench

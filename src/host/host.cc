@@ -273,19 +273,18 @@ void Host::send_resolved(Ipv4Address dst, std::vector<std::uint8_t> frame) {
     send(0, sim::make_frame(std::move(frame)));
     return;
   }
-  Pending& p = pending_[dst];
+  const auto [it, fresh] = pending_.try_emplace(dst, sim());
+  Pending& p = it->second;
   if (p.frames.size() >= config_.max_pending_frames_per_dst) {
     counters().add(Counter::arp_pending_overflow);
     p.frames.pop_front();
   }
   p.frames.push_back(std::move(frame));
-  if (!p.timer) {
-    p.timer = std::make_unique<sim::Timer>(sim());
-    p.retries = 0;
+  if (fresh) {
     p.first_request_at = sim().now();
     send_arp_request(dst);
-    p.timer->schedule_after(config_.arp_retry_interval,
-                            [this, dst] { arp_retry_tick(dst); });
+    p.timer.schedule_after(config_.arp_retry_interval,
+                           [this, dst] { arp_retry_tick(dst); });
   }
 }
 
@@ -307,8 +306,7 @@ void Host::arp_retry_tick(Ipv4Address target) {
     return;
   }
   send_arp_request(target);
-  p.timer->schedule_after(config_.arp_retry_interval,
-                          [this, target] { arp_retry_tick(target); });
+  p.timer.rearm(config_.arp_retry_interval);
 }
 
 // --------------------------------------------------------------------------
@@ -318,15 +316,34 @@ void Host::arp_retry_tick(Ipv4Address target) {
 void Host::snapshot(sim::SnapshotIo& io) {
   arp_cache_.snapshot(io);
 
-  // Unresolved sends, walked in destination-IP order.
-  io.list(pending_, [this, &io](Ipv4Address& dst, Pending& p) {
+  // Unresolved sends, in destination-IP order. Entries neither move nor
+  // default-construct, so a load builds each in place under its key, and
+  // refuses keys that are not strictly ascending.
+  std::vector<Ipv4Address> dsts;
+  if (io.loading()) {
+    pending_.clear();
+  } else {
+    dsts.reserve(pending_.size());
+    for (const auto& [dst, p] : pending_) dsts.push_back(dst);
+    std::sort(dsts.begin(), dsts.end());
+  }
+  const std::uint32_t n_dsts = io.count(dsts.size());
+  Ipv4Address prev;
+  for (std::uint32_t i = 0; i < n_dsts && io.ok(); ++i) {
+    Ipv4Address dst = io.loading() ? Ipv4Address{} : dsts[i];
     io.field(dst);
+    if (i > 0 && !(prev < dst)) io.fail();
+    prev = dst;
+    Pending& p = pending_.try_emplace(dst, sim()).first->second;
     io.field<std::uint32_t>(p.retries);
     io.field(p.first_request_at);
-    io.list(p.frames, [&io](std::vector<std::uint8_t>& f) { io.blob(f); });
-    if (io.loading()) p.timer = std::make_unique<sim::Timer>(sim());
-    p.timer->snapshot(io, [this, dst] { arp_retry_tick(dst); });
-  });
+    const std::uint32_t n_frames = io.count(p.frames.size());
+    for (std::uint32_t f = 0; f < n_frames && io.ok(); ++f) {
+      if (io.loading()) p.frames.push_back({});
+      io.blob(p.frames[f]);
+    }
+    p.timer.snapshot(io, [this, dst] { arp_retry_tick(dst); });
+  }
 
   io.field(next_ephemeral_port_);
   io.field(arp_requests_sent_);
@@ -362,17 +379,19 @@ void Host::snapshot(sim::SnapshotIo& io) {
 void Host::flush_pending(Ipv4Address dst, MacAddress mac) {
   const auto it = pending_.find(dst);
   if (it == pending_.end()) return;
-  if (it->second.first_request_at >= 0) {
+  Pending& p = it->second;
+  if (p.first_request_at >= 0) {
     counters().add(Counter::arp_resolutions);
-    counters().add(arp_latency_bucket(sim().now() -
-                                      it->second.first_request_at));
+    counters().add(arp_latency_bucket(sim().now() - p.first_request_at));
   }
-  std::deque<std::vector<std::uint8_t>> frames = std::move(it->second.frames);
+  // Retire the retry shot before the queued frames go out, as erasing the
+  // entry first would.
+  p.timer.cancel();
+  for (std::size_t i = 0; i < p.frames.size(); ++i) {
+    patch_eth_dst(p.frames[i], mac);
+    send(0, sim::make_frame(std::move(p.frames[i])));
+  }
   pending_.erase(it);
-  for (auto& f : frames) {
-    patch_eth_dst(f, mac);
-    send(0, sim::make_frame(std::move(f)));
-  }
 }
 
 }  // namespace portland::host

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -23,6 +22,7 @@
 #include "host/tcp.h"
 #include "net/packet.h"
 #include "sim/device.h"
+#include "sim/ring.h"
 
 namespace portland::host {
 
@@ -123,10 +123,16 @@ class Host : public sim::Device {
   ArpCache arp_cache_;
   std::uint64_t isn_state_;
 
+  /// One unresolved destination. Every host may hold one per fresh peer
+  /// at once (an ARP storm), so the entry is kept small: the frame queue
+  /// allocates nothing until its first push and the retry timer lives
+  /// inline. Neither moves, so entries are built in place in the map.
   struct Pending {
-    std::deque<std::vector<std::uint8_t>> frames;
+    explicit Pending(sim::Simulator& sim) : timer(sim) {}
+
+    sim::Ring<std::vector<std::uint8_t>> frames;
     int retries = 0;
-    std::unique_ptr<sim::Timer> timer;
+    sim::Timer timer;
     /// When the first ARP request for this destination went out; stamps
     /// the resolution-latency histogram when the answer arrives (E22).
     SimTime first_request_at = -1;

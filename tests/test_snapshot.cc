@@ -540,6 +540,80 @@ TEST(Snapshot, WrappedTrainRestoresExactly) {
   }
 }
 
+/// Leaves hosts holding unresolved destinations at the current quiescent
+/// point. Nobody owns the 10.250.0.x addresses, so their ARP requests go
+/// unanswered and retry every 200 ms:
+///   * one host sent to its absent address 250 ms ago and has retried once;
+///   * another queued three frames for its absent address;
+///   * a third sent two more frames than its queue holds (overflow);
+///   * a fourth has just asked for a real host, its answer still to come.
+/// Returns the number of hosts with an unresolved destination.
+std::size_t leave_unresolved_sends(Scenario& sc, std::size_t queue_cap) {
+  PortlandFabric& fabric = *sc.fabric;
+  const auto send = [&](host::Host& h, Ipv4Address dst, std::size_t n) {
+    sim::ShardGuard guard(fabric.sim(), h.shard());
+    for (std::size_t i = 0; i < n; ++i) h.send_udp(dst, 7800, 7800, {1, 2});
+  };
+  host::Host& retried = fabric.host_at(2, 0, 1);
+  host::Host& queued = fabric.host_at(0, 0, 0);
+  host::Host& overflowed = fabric.host_at(1, 1, 0);
+  host::Host& resolving = fabric.host_at(3, 1, 1);
+  send(retried, Ipv4Address(10, 250, 0, 1), 1);
+  fabric.sim().run_until(fabric.sim().now() + millis(250));
+  EXPECT_EQ(retried.arp_requests_sent(), 2u);
+  send(queued, Ipv4Address(10, 250, 0, 2), 3);
+  send(overflowed, Ipv4Address(10, 250, 0, 3), queue_cap + 2);
+  EXPECT_EQ(overflowed.counters().get(Counter::arp_pending_overflow), 2u);
+  send(resolving, fabric.host_at(1, 0, 1).ip(), 2);
+  sc.t_save = fabric.sim().now();
+  return 4;
+}
+
+TEST(Snapshot, UnresolvedSendsSurviveRestore) {
+  constexpr std::size_t kQueueCap = 4;
+  for (const unsigned workers : {0u, 4u}) {
+    const std::string label = "workers=" + std::to_string(workers);
+    PortlandFabric::Options options = small_options(workers);
+    options.host_config.max_pending_frames_per_dst = kQueueCap;
+
+    // Source: saved mid-resolution, then run on uninterrupted.
+    auto src = make_scenario(options);
+    ASSERT_EQ(leave_unresolved_sends(*src, kQueueCap), 4u);
+    std::vector<std::uint8_t> image;
+    std::string error;
+    ASSERT_TRUE(src->fabric->save_snapshot(image, src->extras(), &error))
+        << label << ": " << error;
+    run_epilogue(*src);
+    const RunResult expected = finish(*src);
+    const auto counter_sum = [&](Counter c) {
+      std::uint64_t total = 0;
+      for (const host::Host* h : src->fabric->hosts()) {
+        total += h->counters().get(c);
+      }
+      return total;
+    };
+    // The absent addresses kept retrying after the save point, and the
+    // real host's answer flushed its queue.
+    EXPECT_GE(counter_sum(Counter::arp_requests_sent), 8u) << label;
+    EXPECT_EQ(counter_sum(Counter::arp_resolution_failed), 0u) << label;
+
+    // A fresh fabric builds every pending entry from the image: its own
+    // image must be byte-identical, and its replay the source's.
+    auto dst = make_scenario(options, /*warm=*/false);
+    const auto extras = dst->extras();
+    ASSERT_TRUE(dst->fabric->restore_snapshot(image, extras, &error))
+        << label << ": " << error;
+    std::vector<std::uint8_t> resaved;
+    ASSERT_TRUE(dst->fabric->save_snapshot(resaved, extras, &error))
+        << label << ": " << error;
+    EXPECT_TRUE(resaved == image) << label << ": images differ";
+    dst->t_save = dst->fabric->sim().now();
+    ASSERT_EQ(dst->t_save, src->t_save) << label;
+    run_epilogue(*dst);
+    expect_same(finish(*dst), expected, label.c_str());
+  }
+}
+
 // Satellite: recycled byte buffers must never alias into a restored
 // image. The source fabric (and its frame pool contents) is destroyed
 // before the restore happens; ASan (run_asan_tests.sh) turns any
