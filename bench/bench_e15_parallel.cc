@@ -36,6 +36,10 @@ using namespace portland::bench;
 
 namespace {
 
+constexpr const char* kUsage =
+    "bench_e15_parallel [--k N[,N...]] [--threads N] [--reps N] "
+    "[--measure-ms N] [--flows-per-host N] [--full] [--json PATH]";
+
 struct Args {
   std::vector<int> ks = {16, 32};
   unsigned max_threads = 8;
@@ -47,41 +51,24 @@ struct Args {
 
 Args parse_args(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--k") {
-      a.ks.clear();
-      std::string list = next();
-      for (std::size_t pos = 0; pos < list.size();) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string tok =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        a.ks.push_back(std::atoi(tok.c_str()));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-    } else if (arg == "--threads") {
-      a.max_threads = static_cast<unsigned>(std::atoi(next()));
-    } else if (arg == "--reps") {
-      a.reps = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--measure-ms") {
-      a.measure = millis(std::atoll(next()));
-    } else if (arg == "--flows-per-host") {
-      a.flows_per_host = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--full") {
+  FlagReader flags(argc, argv, kUsage);
+  while (flags.next()) {
+    if (flags.is("--k")) {
+      a.ks = flags.k_list();
+    } else if (flags.is("--threads")) {
+      a.max_threads = static_cast<unsigned>(flags.integer(1, 256));
+    } else if (flags.is("--reps")) {
+      a.reps = static_cast<std::size_t>(flags.integer(1, 1000));
+    } else if (flags.is("--measure-ms")) {
+      a.measure = millis(flags.integer(1, 1000000));
+    } else if (flags.is("--flows-per-host")) {
+      a.flows_per_host = static_cast<std::size_t>(flags.integer(1, 1000));
+    } else if (flags.is("--full")) {
       a.ks = {16, 32, 48};
-    } else if (arg == "--json") {
-      a.json_path = next();
+    } else if (flags.is("--json")) {
+      a.json_path = flags.value();
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
+      flags.unknown();
     }
   }
   return a;

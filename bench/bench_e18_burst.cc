@@ -53,6 +53,10 @@ using namespace portland::bench;
 
 namespace {
 
+constexpr const char* kUsage =
+    "bench_e18_burst [--k N] [--reps N] [--measure-us N] [--interval-us N] "
+    "[--burst N] [--bandwidth-gbps N] [--flows-per-host N] [--json PATH]";
+
 struct Args {
   int k = 16;
   std::size_t reps = 10;
@@ -66,34 +70,26 @@ struct Args {
 
 Args parse_args(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--k") {
-      a.k = std::atoi(next());
-    } else if (arg == "--reps") {
-      a.reps = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--measure-us") {
-      a.measure = micros(std::atoll(next()));
-    } else if (arg == "--interval-us") {
-      a.interval = micros(std::atoll(next()));
-    } else if (arg == "--burst") {
-      a.burst = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--bandwidth-gbps") {
-      a.bandwidth_gbps = std::atof(next());
-    } else if (arg == "--flows-per-host") {
-      a.flows_per_host = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--json") {
-      a.json_path = next();
+  FlagReader flags(argc, argv, kUsage);
+  while (flags.next()) {
+    if (flags.is("--k")) {
+      a.k = flags.k();
+    } else if (flags.is("--reps")) {
+      a.reps = static_cast<std::size_t>(flags.integer(1, 1000));
+    } else if (flags.is("--measure-us")) {
+      a.measure = micros(flags.integer(1, 1000000000));
+    } else if (flags.is("--interval-us")) {
+      a.interval = micros(flags.integer(1, 1000000000));
+    } else if (flags.is("--burst")) {
+      a.burst = static_cast<std::size_t>(flags.integer(1, 1 << 20));
+    } else if (flags.is("--bandwidth-gbps")) {
+      a.bandwidth_gbps = flags.real(0.001, 100000);
+    } else if (flags.is("--flows-per-host")) {
+      a.flows_per_host = static_cast<std::size_t>(flags.integer(1, 1000));
+    } else if (flags.is("--json")) {
+      a.json_path = flags.value();
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
+      flags.unknown();
     }
   }
   return a;

@@ -39,6 +39,10 @@ using namespace portland::bench;
 
 namespace {
 
+constexpr const char* kUsage =
+    "bench_e19_scale [--ks N[,N...]] [--full] [--flows N] [--measure-ms N] "
+    "[--warm-ms N] [--converge-budget-s N] [--json PATH]";
+
 struct Args {
   std::vector<int> ks = {16, 32, 48};
   bool full = false;            // adds k=64
@@ -51,40 +55,24 @@ struct Args {
 
 Args parse_args(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--ks") {
-      a.ks.clear();
-      std::string list = next();
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        std::size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        a.ks.push_back(std::atoi(list.substr(pos, comma - pos).c_str()));
-        pos = comma + 1;
-      }
-    } else if (arg == "--full") {
+  FlagReader flags(argc, argv, kUsage);
+  while (flags.next()) {
+    if (flags.is("--ks")) {
+      a.ks = flags.k_list();
+    } else if (flags.is("--full")) {
       a.full = true;
-    } else if (arg == "--flows") {
-      a.flows = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--measure-ms") {
-      a.measure = millis(std::atoll(next()));
-    } else if (arg == "--warm-ms") {
-      a.warm = millis(std::atoll(next()));
-    } else if (arg == "--converge-budget-s") {
-      a.converge_budget_s = std::atof(next());
-    } else if (arg == "--json") {
-      a.json_path = next();
+    } else if (flags.is("--flows")) {
+      a.flows = static_cast<std::size_t>(flags.integer(0, 1000000));
+    } else if (flags.is("--measure-ms")) {
+      a.measure = millis(flags.integer(0, 1000000));
+    } else if (flags.is("--warm-ms")) {
+      a.warm = millis(flags.integer(0, 1000000));
+    } else if (flags.is("--converge-budget-s")) {
+      a.converge_budget_s = flags.real(0, 1e6);
+    } else if (flags.is("--json")) {
+      a.json_path = flags.value();
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
+      flags.unknown();
     }
   }
   if (a.full) a.ks.push_back(64);

@@ -49,6 +49,10 @@ using namespace portland::bench;
 
 namespace {
 
+constexpr const char* kUsage =
+    "bench_e20_snapshot [--ks N[,N...]] [--queries N] [--window-ms N] "
+    "[--flows N] [--warm-ms N] [--json PATH]";
+
 struct Args {
   std::vector<int> ks = {16, 32, 48};
   int queries = 5;
@@ -60,38 +64,22 @@ struct Args {
 
 Args parse_args(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--ks") {
-      a.ks.clear();
-      std::string list = next();
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        std::size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        a.ks.push_back(std::atoi(list.substr(pos, comma - pos).c_str()));
-        pos = comma + 1;
-      }
-    } else if (arg == "--queries") {
-      a.queries = std::atoi(next());
-    } else if (arg == "--window-ms") {
-      a.window = millis(std::atoll(next()));
-    } else if (arg == "--flows") {
-      a.flows = std::atoi(next());
-    } else if (arg == "--warm-ms") {
-      a.warm = millis(std::atoll(next()));
-    } else if (arg == "--json") {
-      a.json_path = next();
+  FlagReader flags(argc, argv, kUsage);
+  while (flags.next()) {
+    if (flags.is("--ks")) {
+      a.ks = flags.k_list();
+    } else if (flags.is("--queries")) {
+      a.queries = flags.integer(1, 100000);
+    } else if (flags.is("--window-ms")) {
+      a.window = millis(flags.integer(1, 1000000));
+    } else if (flags.is("--flows")) {
+      a.flows = flags.integer(1, 1000000);
+    } else if (flags.is("--warm-ms")) {
+      a.warm = millis(flags.integer(0, 1000000));
+    } else if (flags.is("--json")) {
+      a.json_path = flags.value();
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
+      flags.unknown();
     }
   }
   return a;

@@ -17,6 +17,7 @@
 //
 // Usage: bench_e21_convergence [k_list] [flows] [fault_list] [--json P]
 //        defaults: 16,32,48  24  1,3,6
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <memory>
@@ -34,23 +35,6 @@ namespace {
 
 constexpr const char* kUsage =
     "bench_e21_convergence [k_list] [flows] [fault_list] [--json PATH]";
-
-/// A comma-separated list of integers in [lo, hi] (even ones, if asked);
-/// an empty or unreadable entry is a usage_exit.
-std::vector<int> parse_list(const std::string& text, long long lo,
-                            long long hi, bool even = false) {
-  std::vector<int> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = text.find(',', start);
-    const std::string_view tok = std::string_view(text).substr(
-        start, comma == std::string::npos ? comma : comma - start);
-    out.push_back(int_arg_or_exit(tok, lo, hi, kUsage, even));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
 
 std::unique_ptr<core::PortlandFabric> make_monitored_fabric(int k,
                                                             std::uint64_t seed,
@@ -178,11 +162,22 @@ int main(int argc, char** argv) {
   const auto pos = positional_args(argc, argv);
   if (pos.size() > 3) usage_exit(kUsage, pos[3]);
   const std::vector<int> ks =
-      parse_list(!pos.empty() ? pos[0] : "16,32,48", 4, 64, /*even=*/true);
+      int_list_or_exit(!pos.empty() ? pos[0] : "16,32,48", 4, 64, kUsage,
+                       /*even=*/true);
   const int flows =
       pos.size() > 1 ? int_arg_or_exit(pos[1], 1, 100000, kUsage) : 24;
+  const std::string fault_text = pos.size() > 2 ? pos[2] : "1,3,6";
   const std::vector<int> fault_counts =
-      parse_list(pos.size() > 2 ? pos[2] : "1,3,6", 1, 1000);
+      int_list_or_exit(fault_text, 1, 1000, kUsage);
+  // A round fails that many distinct links; every k must have them.
+  const int most_faults =
+      *std::max_element(fault_counts.begin(), fault_counts.end());
+  for (const int k : ks) {
+    if (static_cast<std::size_t>(most_faults) >
+        topo::FatTree::num_fabric_links(k)) {
+      usage_exit(kUsage, fault_text);
+    }
+  }
 
   print_header(
       "E21 Convergence observatory: measured per-failure reaction "

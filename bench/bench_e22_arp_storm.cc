@@ -30,27 +30,73 @@
 //     from the hosts' log2 histograms (deterministic per seed),
 //   * replica_blackout_ms / cold_blackout_ms — simulated time until the
 //     registry is whole again after the mid-storm failover,
-//   * storm_rss_delta_mb — current RSS after the steady storm minus
+//   * storm_heap_delta_mb — live heap bytes after the steady storm minus
 //     before it: the per-host ARP state the storm leaves behind
-//     (reported, not gated).
+//     (reported, not gated). Counted by this binary's global operator
+//     new/delete, with each row in its own child process, so a row reads
+//     the same wherever it runs in the order.
 //
 // Usage: bench_e22_arp_storm [--ks N[,N...]] [--full] [--resolutions N]
 //                            [--incast-targets N] [--absent-hosts N]
 //                            [--round-gap-ms N] [--json PATH]
+#include <malloc.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_util.h"
+
+// ---------------------------------------------------------------------------
+// Live heap accounting (this binary only): each global new adds its
+// block's usable size and each delete takes it back, so the count is
+// what is live now, not what the allocator keeps in reserve.
+// ---------------------------------------------------------------------------
+
+namespace {
+std::atomic<std::int64_t> g_live_heap_bytes{0};
+
+void* counted_alloc(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_heap_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                              std::memory_order_relaxed);
+  return p;
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_heap_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                              std::memory_order_relaxed);
+  std::free(p);
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 using namespace portland;
 using namespace portland::bench;
 
 namespace {
+
+constexpr const char* kUsage =
+    "bench_e22_arp_storm [--ks N[,N...]] [--full] [--resolutions N] "
+    "[--incast-targets N] [--absent-hosts N] [--round-gap-ms N] "
+    "[--json PATH]";
 
 struct Args {
   std::vector<int> ks = {48};
@@ -64,40 +110,24 @@ struct Args {
 
 Args parse_args(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--ks") {
-      a.ks.clear();
-      std::string list = next();
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        std::size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        a.ks.push_back(std::atoi(list.substr(pos, comma - pos).c_str()));
-        pos = comma + 1;
-      }
-    } else if (arg == "--full") {
+  FlagReader flags(argc, argv, kUsage);
+  while (flags.next()) {
+    if (flags.is("--ks")) {
+      a.ks = flags.k_list();
+    } else if (flags.is("--full")) {
       a.full = true;
-    } else if (arg == "--resolutions") {
-      a.resolutions = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--incast-targets") {
-      a.incast_targets = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--absent-hosts") {
-      a.absent_hosts = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--round-gap-ms") {
-      a.round_gap = millis(std::atoll(next()));
-    } else if (arg == "--json") {
-      a.json_path = next();
+    } else if (flags.is("--resolutions")) {
+      a.resolutions = static_cast<std::uint64_t>(flags.integer(1, 1000000000));
+    } else if (flags.is("--incast-targets")) {
+      a.incast_targets = static_cast<std::size_t>(flags.integer(1, 100000));
+    } else if (flags.is("--absent-hosts")) {
+      a.absent_hosts = static_cast<std::size_t>(flags.integer(0, 1000000));
+    } else if (flags.is("--round-gap-ms")) {
+      a.round_gap = millis(flags.integer(1, 1000000));
+    } else if (flags.is("--json")) {
+      a.json_path = flags.value();
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
+      flags.unknown();
     }
   }
   if (a.full) a.ks.push_back(64);
@@ -184,9 +214,9 @@ struct Row {
   double p99_us = 0;
   double service_speedup = 1.0;
   double blackout_ms = -1;  // -1: no failover phase in this row
-  /// Current RSS after the steady storm minus before it: what the hosts'
-  /// ARP state (cache entries, unresolved sends) grew the process by.
-  double storm_rss_delta_mb = 0;
+  /// Live heap after the steady storm minus before it: what the hosts'
+  /// ARP state (cache entries, unresolved sends) holds.
+  double storm_heap_delta_mb = 0;
 };
 
 /// Steps the simulation in 1 ms increments until the registry holds
@@ -268,7 +298,7 @@ Row run_one(const Args& args, int k, Mode mode) {
       (args.resolutions + n - 1) / n;
   const LatencyHistogram h0 = LatencyHistogram::capture(fabric);
   const std::uint64_t storm_q0 = total_fm_queries(fm);
-  const std::size_t storm_rss0 = current_rss_bytes();
+  const std::int64_t storm_heap0 = g_live_heap_bytes.load();
   std::vector<std::size_t> offsets;
   for (std::size_t r = 0; offsets.size() < rounds; ++r) {
     std::size_t off = (static_cast<std::size_t>(r + 1) * 2654435761ull) % n;
@@ -310,9 +340,8 @@ Row run_one(const Args& args, int k, Mode mode) {
   }
   // Drain stragglers (retried resolutions after the failover blackout).
   sim.run_until(sim.now() + millis(500));
-  row.storm_rss_delta_mb =
-      (static_cast<double>(current_rss_bytes()) -
-       static_cast<double>(storm_rss0)) /
+  row.storm_heap_delta_mb =
+      static_cast<double>(g_live_heap_bytes.load() - storm_heap0) /
       (1024.0 * 1024.0);
 
   const LatencyHistogram hist = LatencyHistogram::capture(fabric) - h0;
@@ -343,7 +372,44 @@ Row run_one(const Args& args, int k, Mode mode) {
               row.p50_us, row.p99_us);
   std::printf("service speedup       : %.2fx across %zu shards\n",
               row.service_speedup, row.shards);
-  std::printf("storm RSS delta       : %.2f MiB\n", row.storm_rss_delta_mb);
+  std::printf("storm heap delta      : %.2f MiB\n", row.storm_heap_delta_mb);
+  return row;
+}
+
+/// Runs one row in a child process, so every row starts from the same
+/// heap: buffers an earlier row retired into the frame and ring pools
+/// cannot serve this row's storm and hide its growth.
+Row run_isolated(const Args& args, int k, Mode mode) {
+  static_assert(std::is_trivially_copyable_v<Row>);
+  std::fflush(stdout);
+  int fds[2];
+  if (pipe(fds) != 0) {
+    std::perror("pipe");
+    std::exit(1);
+  }
+  const pid_t pid = fork();
+  if (pid < 0) {
+    std::perror("fork");
+    std::exit(1);
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    const Row row = run_one(args, k, mode);
+    std::fflush(stdout);
+    const bool sent = write(fds[1], &row, sizeof(row)) == sizeof(row);
+    _exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  Row row;
+  const bool got = read(fds[0], &row, sizeof(row)) == sizeof(row);
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    std::fprintf(stderr, "FATAL: row k=%d %s did not finish\n", k,
+                 mode_name(mode));
+    std::exit(1);
+  }
   return row;
 }
 
@@ -354,9 +420,9 @@ void run(const Args& args) {
 
   std::vector<Row> rows;
   for (const int k : args.ks) {
-    rows.push_back(run_one(args, k, Mode::kSingle));
-    rows.push_back(run_one(args, k, Mode::kSharded));
-    rows.push_back(run_one(args, k, Mode::kNoCoalesce));
+    rows.push_back(run_isolated(args, k, Mode::kSingle));
+    rows.push_back(run_isolated(args, k, Mode::kSharded));
+    rows.push_back(run_isolated(args, k, Mode::kNoCoalesce));
   }
 
   // Headline comparisons at the largest k.
@@ -402,7 +468,7 @@ void run(const Args& args) {
       report.add("arp_p99_us", sharded->p99_us);
       report.add("service_speedup", sharded->service_speedup);
       report.add("replica_blackout_ms", sharded->blackout_ms);
-      report.add("storm_rss_delta_mb", sharded->storm_rss_delta_mb);
+      report.add("storm_heap_delta_mb", sharded->storm_heap_delta_mb);
     }
     if (single != nullptr) {
       report.add("cold_blackout_ms", single->blackout_ms);
@@ -423,11 +489,11 @@ void run(const Args& args) {
           ", \"storm_resolutions\": %" PRIu64
           ", \"resolutions_per_sec\": %.0f, \"arp_p50_us\": %.0f, "
           "\"arp_p99_us\": %.0f, \"service_speedup\": %.2f, "
-          "\"blackout_ms\": %.1f, \"storm_rss_delta_mb\": %.2f}",
+          "\"blackout_ms\": %.1f, \"storm_heap_delta_mb\": %.2f}",
           i == 0 ? "" : ",", r.k, mode_name(r.mode), r.hosts, r.shards,
           r.boot_s, r.incast_fm_queries, r.coalesced, r.negative_hits,
           r.storm_resolutions, r.resolutions_per_sec, r.p50_us, r.p99_us,
-          r.service_speedup, r.blackout_ms, r.storm_rss_delta_mb);
+          r.service_speedup, r.blackout_ms, r.storm_heap_delta_mb);
       arr += buf;
     }
     arr += "\n  ]";

@@ -265,4 +265,88 @@ class JsonReport {
   return int_arg_or_exit(text, 4, 64, usage, /*even=*/true);
 }
 
+/// A comma-separated list of integers, each as int_arg_or_exit reads it;
+/// an empty entry is a usage_exit too.
+[[nodiscard]] inline std::vector<int> int_list_or_exit(std::string_view text,
+                                                       long long lo,
+                                                       long long hi,
+                                                       const char* usage,
+                                                       bool even = false) {
+  std::vector<int> out;
+  while (true) {
+    const std::size_t comma = text.find(',');
+    out.push_back(int_arg_or_exit(text.substr(0, comma), lo, hi, usage, even));
+    if (comma == std::string_view::npos) return out;
+    text.remove_prefix(comma + 1);
+  }
+}
+
+/// A finite decimal number in [lo, hi]; anything else is a usage_exit.
+[[nodiscard]] inline double real_arg_or_exit(std::string_view text, double lo,
+                                             double hi, const char* usage) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || ptr != end || !(v >= lo) ||
+      !(v <= hi)) {
+    usage_exit(usage, text);
+  }
+  return v;
+}
+
+/// Walks the `--flag [value]` arguments of a flag bench. Every value goes
+/// through the checked parsers above, so a missing or unreadable value,
+/// an unknown flag and `--help` all exit 2 with the bench's usage line:
+///
+///   FlagReader flags(argc, argv, kUsage);
+///   while (flags.next()) {
+///     if (flags.is("--k")) {
+///       a.k = flags.k();
+///     } else if (flags.is("--json")) {
+///       a.json_path = flags.value();
+///     } else {
+///       flags.unknown();
+///     }
+///   }
+class FlagReader {
+ public:
+  FlagReader(int argc, char** argv, const char* usage)
+      : argc_(argc), argv_(argv), usage_(usage) {}
+
+  /// Steps to the next flag; false past the last argument.
+  [[nodiscard]] bool next() {
+    if (++i_ >= argc_) return false;
+    flag_ = argv_[i_];
+    return true;
+  }
+  [[nodiscard]] bool is(std::string_view name) const { return flag_ == name; }
+
+  /// The current flag's operand, as given.
+  [[nodiscard]] std::string value() {
+    if (i_ + 1 >= argc_) usage_exit(usage_, flag_);
+    return argv_[++i_];
+  }
+  [[nodiscard]] int integer(long long lo, long long hi) {
+    return int_arg_or_exit(value(), lo, hi, usage_);
+  }
+  [[nodiscard]] double real(double lo, double hi) {
+    return real_arg_or_exit(value(), lo, hi, usage_);
+  }
+  [[nodiscard]] int k() { return fat_tree_k_or_exit(value(), usage_); }
+  /// A comma-separated list of fat-tree ks.
+  [[nodiscard]] std::vector<int> k_list() {
+    return int_list_or_exit(value(), 4, 64, usage_, /*even=*/true);
+  }
+
+  /// The current flag is not one the bench knows (or is `--help`).
+  [[noreturn]] void unknown() const { usage_exit(usage_, flag_); }
+
+ private:
+  int argc_;
+  char** argv_;
+  const char* usage_;
+  int i_ = 0;
+  std::string_view flag_;
+};
+
 }  // namespace portland::bench

@@ -264,6 +264,12 @@ Args parse_args(int argc, char** argv) {
   if (out.http_port >= 0 && out.serve == 0) {
     die_usage("flag %s requires --serve", "--http-port");
   }
+  // --fail picks distinct fabric links.
+  const std::size_t links = topo::FatTree::num_fabric_links(out.k);
+  if (static_cast<std::size_t>(out.fail) > links) {
+    const std::string n = std::to_string(links);
+    die_usage("--fail is above the fabric's %s links", n.c_str());
+  }
   return out;
 }
 

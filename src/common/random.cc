@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace portland {
 namespace {
@@ -69,7 +70,9 @@ double Rng::exponential(double mean) {
 }
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t count) {
-  assert(count <= n);
+  if (count > n) {
+    throw std::invalid_argument("sample_indices: count exceeds population");
+  }
   std::vector<std::size_t> all(n);
   for (std::size_t i = 0; i < n; ++i) all[i] = i;
   shuffle(all);

@@ -45,7 +45,8 @@ class Rng {
     }
   }
 
-  /// Picks `count` distinct indices from [0, n); count must be <= n.
+  /// Picks `count` distinct indices from [0, n). Throws
+  /// std::invalid_argument when count > n.
   [[nodiscard]] std::vector<std::size_t> sample_indices(std::size_t n,
                                                         std::size_t count);
 

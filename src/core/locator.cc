@@ -24,20 +24,4 @@ std::string SwitchLocator::to_string() const {
                     portland::core::to_string(level), pod, position);
 }
 
-void SwitchLocator::serialize(ByteWriter& w) const {
-  w.u64(switch_id);
-  w.u8(static_cast<std::uint8_t>(level));
-  w.u16(pod);
-  w.u8(position);
-}
-
-SwitchLocator SwitchLocator::deserialize(ByteReader& r) {
-  SwitchLocator loc;
-  loc.switch_id = r.u64();
-  loc.level = static_cast<Level>(r.u8());
-  loc.pod = r.u16();
-  loc.position = r.u8();
-  return loc;
-}
-
 }  // namespace portland::core

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/byte_io.h"
-
 namespace portland::core {
 
 /// Tree level of a switch. LDP starts every switch at kUnknown and settles
@@ -50,8 +48,13 @@ struct SwitchLocator {
 
   [[nodiscard]] std::string to_string() const;
 
-  void serialize(ByteWriter& w) const;
-  [[nodiscard]] static SwitchLocator deserialize(ByteReader& r);
+  /// Wire layout in LDP frames and control messages (core/messages.h).
+  /// A decode refuses a level above kCore.
+  template <class Io>
+  void walk(Io& io) {
+    io(switch_id, level, pod, position);
+    io.check(level <= Level::kCore);
+  }
 
   friend bool operator==(const SwitchLocator&, const SwitchLocator&) = default;
 };

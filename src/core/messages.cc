@@ -1,12 +1,135 @@
 #include "core/messages.h"
 
 #include <array>
+#include <utility>
 
 #include "common/byte_io.h"
 #include "net/ethernet.h"
 #include "sim/frame.h"
 
 namespace portland::core {
+
+namespace {
+
+// The two directions of a message walk. Each is its own type, so a walk
+// compiles to straight-line code for its direction. A field is a nested
+// message (walked in place), an address with its own wire form, or a
+// bool, enum or unsigned integer at its natural width.
+
+/// Writes the fields a walk names. Walks take their message by non-const
+/// reference; an encoder only reads them.
+class Encoder {
+ public:
+  explicit Encoder(ByteWriter& w) : w_(w) {}
+
+  template <class... T>
+  void operator()(T&... v) {
+    (put(v), ...);
+  }
+  /// u16 count, then each element.
+  template <class T>
+  void list(std::vector<T>& v) {
+    w_.u16(static_cast<std::uint16_t>(v.size()));
+    for (T& e : v) put(e);
+  }
+  /// u32 count, then the bytes in bulk.
+  void blob(const std::vector<std::uint8_t>& v) {
+    w_.u32(static_cast<std::uint32_t>(v.size()));
+    w_.bytes(v);
+  }
+  void check(bool) {}
+
+ private:
+  template <class T>
+  void put(T& v) {
+    if constexpr (requires { v.walk(*this); }) {
+      v.walk(*this);
+    } else if constexpr (requires { v.serialize(w_); }) {
+      v.serialize(w_);
+    } else if constexpr (sizeof(T) == 1) {
+      w_.u8(static_cast<std::uint8_t>(v));
+    } else if constexpr (sizeof(T) == 2) {
+      w_.u16(static_cast<std::uint16_t>(v));
+    } else if constexpr (sizeof(T) == 4) {
+      w_.u32(static_cast<std::uint32_t>(v));
+    } else {
+      w_.u64(static_cast<std::uint64_t>(v));
+    }
+  }
+
+  ByteWriter& w_;
+};
+
+/// Assigns the fields a walk names; the reader latches failed on the
+/// first short read or refused check.
+class Decoder {
+ public:
+  explicit Decoder(ByteReader& r) : r_(r) {}
+
+  template <class... T>
+  void operator()(T&... v) {
+    (get(v), ...);
+  }
+  template <class T>
+  void list(std::vector<T>& v) {
+    const std::uint16_t n = r_.u16();
+    v.clear();
+    for (std::uint16_t i = 0; i < n && r_.ok(); ++i) get(v.emplace_back());
+  }
+  void blob(std::vector<std::uint8_t>& v) {
+    const auto view = r_.view(r_.u32());
+    v.assign(view.begin(), view.end());
+  }
+  void check(bool ok) {
+    if (!ok) r_.fail();
+  }
+
+ private:
+  template <class T>
+  void get(T& v) {
+    if constexpr (requires { v.walk(*this); }) {
+      v.walk(*this);
+    } else if constexpr (requires { T::deserialize(r_); }) {
+      v = T::deserialize(r_);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      v = r_.u8() != 0;
+    } else if constexpr (sizeof(T) == 1) {
+      v = static_cast<T>(r_.u8());
+    } else if constexpr (sizeof(T) == 2) {
+      v = static_cast<T>(r_.u16());
+    } else if constexpr (sizeof(T) == 4) {
+      v = static_cast<T>(r_.u32());
+    } else {
+      v = static_cast<T>(r_.u64());
+    }
+  }
+
+  ByteReader& r_;
+};
+
+using BodyDecoder = void (*)(ControlBody&, Decoder&);
+
+/// Per ControlBody index: build that alternative in place and walk it.
+template <std::size_t... I>
+constexpr std::array<BodyDecoder, sizeof...(I)> body_decoders(
+    std::index_sequence<I...>) {
+  return {[](ControlBody& body, Decoder& dec) {
+    body.emplace<I>().walk(dec);
+  }...};
+}
+
+template <std::size_t... I>
+constexpr std::array<const char*, sizeof...(I)> type_names(
+    std::index_sequence<I...>) {
+  return {std::variant_alternative_t<I, ControlBody>::kName...};
+}
+
+constexpr auto kBodyDecoders =
+    body_decoders(std::make_index_sequence<kControlTypeCount>());
+constexpr auto kTypeNames =
+    type_names(std::make_index_sequence<kControlTypeCount>());
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // LDP frames
@@ -24,12 +147,8 @@ std::vector<std::uint8_t> LdpMessage::to_frame() const {
                           MacAddress::from_u64(from.switch_id & 0xFFFFFFFFFFFF),
                           net::to_u16(net::EtherType::kLdp)};
   eth.serialize(w);
-  w.u8(static_cast<std::uint8_t>(type));
-  from.serialize(w);
-  w.u16(sender_port);
-  w.u64(heard_id);
-  w.u8(position);
-  w.u32(nonce);
+  Encoder enc(w);
+  const_cast<LdpMessage&>(*this).walk(enc);
   return out;
 }
 
@@ -39,15 +158,9 @@ std::optional<LdpMessage> LdpMessage::from_frame(
   const net::EthernetHeader eth = net::EthernetHeader::deserialize(r);
   if (!r.ok() || !eth.is(net::EtherType::kLdp)) return std::nullopt;
   LdpMessage m;
-  const std::uint8_t type = r.u8();
-  m.from = SwitchLocator::deserialize(r);
-  m.sender_port = r.u16();
-  m.heard_id = r.u64();
-  m.position = r.u8();
-  m.nonce = r.u32();
+  Decoder dec(r);
+  m.walk(dec);
   if (!r.ok()) return std::nullopt;
-  if (type < 1 || type > 4) return std::nullopt;
-  m.type = static_cast<LdpType>(type);
   return m;
 }
 
@@ -55,279 +168,31 @@ std::optional<LdpMessage> LdpMessage::from_frame(
 // Control messages
 // ---------------------------------------------------------------------------
 
-namespace {
-
-enum class Tag : std::uint8_t {
-  kSwitchHello = 1,
-  kPodRequest,
-  kPodAssignment,
-  kHostRegister,
-  kArpQuery,
-  kArpResponse,
-  kFaultNotify,
-  kPruneUpdate,
-  kMcastJoin,
-  kMcastLeave,
-  kMcastSenderSeen,
-  kMcastInstall,
-  kMcastRemove,
-  kInvalidateHost,
-  kFmDelta,
-};
-
-struct BodyWriter {
-  ByteWriter& w;
-
-  void operator()(const SwitchHello& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kSwitchHello));
-    m.self.serialize(w);
-    w.u16(static_cast<std::uint16_t>(m.neighbors.size()));
-    for (const NeighborEntry& n : m.neighbors) {
-      w.u16(n.port);
-      n.neighbor.serialize(w);
-    }
-  }
-  void operator()(const PodRequest&) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kPodRequest));
-  }
-  void operator()(const PodAssignment& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kPodAssignment));
-    w.u16(m.pod);
-  }
-  void operator()(const HostRegister& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kHostRegister));
-    m.ip.serialize(w);
-    m.amac.serialize(w);
-    m.pmac.serialize(w);
-    w.u16(m.edge_port);
-  }
-  void operator()(const ArpQuery& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kArpQuery));
-    w.u32(m.query_id);
-    m.ip.serialize(w);
-  }
-  void operator()(const ArpResponse& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kArpResponse));
-    w.u32(m.query_id);
-    m.ip.serialize(w);
-    m.pmac.serialize(w);
-    w.u8(m.found ? 1 : 0);
-  }
-  void operator()(const FaultNotify& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kFaultNotify));
-    w.u16(m.port);
-    w.u64(m.neighbor);
-    w.u8(m.link_up ? 1 : 0);
-  }
-  void operator()(const PruneUpdate& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kPruneUpdate));
-    w.u8(m.flush ? 1 : 0);
-    w.u16(static_cast<std::uint16_t>(m.entries.size()));
-    for (const PruneEntry& e : m.entries) {
-      w.u16(e.dst_pod);
-      w.u8(e.dst_position);
-      w.u64(e.avoid);
-      w.u8(e.add ? 1 : 0);
-    }
-  }
-  void operator()(const McastJoin& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kMcastJoin));
-    m.group.serialize(w);
-    w.u16(m.host_port);
-  }
-  void operator()(const McastLeave& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kMcastLeave));
-    m.group.serialize(w);
-    w.u16(m.host_port);
-  }
-  void operator()(const McastSenderSeen& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kMcastSenderSeen));
-    m.group.serialize(w);
-  }
-  void operator()(const McastInstall& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kMcastInstall));
-    m.group.serialize(w);
-    w.u16(static_cast<std::uint16_t>(m.ports.size()));
-    for (const std::uint16_t p : m.ports) w.u16(p);
-  }
-  void operator()(const McastRemove& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kMcastRemove));
-    m.group.serialize(w);
-  }
-  void operator()(const InvalidateHost& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kInvalidateHost));
-    m.ip.serialize(w);
-    m.old_pmac.serialize(w);
-    m.new_pmac.serialize(w);
-  }
-  void operator()(const FmDelta& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kFmDelta));
-    w.u32(m.section);
-    w.u64(m.version);
-    w.u32(static_cast<std::uint32_t>(m.image.size()));
-    w.bytes(m.image);
-  }
-};
-
-}  // namespace
-
 std::vector<std::uint8_t> serialize_control(const ControlMessage& msg) {
   std::vector<std::uint8_t> out;
   ByteWriter w(out);
-  w.u64(msg.sender);
-  std::visit(BodyWriter{w}, msg.body);
+  Encoder enc(w);
+  auto tag = static_cast<std::uint8_t>(msg.body.index() + 1);
+  enc(msg.sender, tag);
+  std::visit([&](auto& body) { body.walk(enc); },
+             const_cast<ControlBody&>(msg.body));
   return out;
 }
 
 std::optional<ControlMessage> parse_control(
     std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
+  Decoder dec(r);
   ControlMessage msg;
-  msg.sender = r.u64();
-  const std::uint8_t tag = r.u8();
-  switch (static_cast<Tag>(tag)) {
-    case Tag::kSwitchHello: {
-      SwitchHello m;
-      m.self = SwitchLocator::deserialize(r);
-      const std::uint16_t n = r.u16();
-      for (std::uint16_t i = 0; i < n && r.ok(); ++i) {
-        NeighborEntry e;
-        e.port = r.u16();
-        e.neighbor = SwitchLocator::deserialize(r);
-        m.neighbors.push_back(e);
-      }
-      msg.body = std::move(m);
-      break;
-    }
-    case Tag::kPodRequest:
-      msg.body = PodRequest{};
-      break;
-    case Tag::kPodAssignment: {
-      PodAssignment m;
-      m.pod = r.u16();
-      msg.body = m;
-      break;
-    }
-    case Tag::kHostRegister: {
-      HostRegister m;
-      m.ip = Ipv4Address::deserialize(r);
-      m.amac = MacAddress::deserialize(r);
-      m.pmac = MacAddress::deserialize(r);
-      m.edge_port = r.u16();
-      msg.body = m;
-      break;
-    }
-    case Tag::kArpQuery: {
-      ArpQuery m;
-      m.query_id = r.u32();
-      m.ip = Ipv4Address::deserialize(r);
-      msg.body = m;
-      break;
-    }
-    case Tag::kArpResponse: {
-      ArpResponse m;
-      m.query_id = r.u32();
-      m.ip = Ipv4Address::deserialize(r);
-      m.pmac = MacAddress::deserialize(r);
-      m.found = r.u8() != 0;
-      msg.body = m;
-      break;
-    }
-    case Tag::kFaultNotify: {
-      FaultNotify m;
-      m.port = r.u16();
-      m.neighbor = r.u64();
-      m.link_up = r.u8() != 0;
-      msg.body = m;
-      break;
-    }
-    case Tag::kPruneUpdate: {
-      PruneUpdate m;
-      m.flush = r.u8() != 0;
-      const std::uint16_t n = r.u16();
-      for (std::uint16_t i = 0; i < n && r.ok(); ++i) {
-        PruneEntry e;
-        e.dst_pod = r.u16();
-        e.dst_position = r.u8();
-        e.avoid = r.u64();
-        e.add = r.u8() != 0;
-        m.entries.push_back(e);
-      }
-      msg.body = std::move(m);
-      break;
-    }
-    case Tag::kMcastJoin: {
-      McastJoin m;
-      m.group = Ipv4Address::deserialize(r);
-      m.host_port = r.u16();
-      msg.body = m;
-      break;
-    }
-    case Tag::kMcastLeave: {
-      McastLeave m;
-      m.group = Ipv4Address::deserialize(r);
-      m.host_port = r.u16();
-      msg.body = m;
-      break;
-    }
-    case Tag::kMcastSenderSeen: {
-      McastSenderSeen m;
-      m.group = Ipv4Address::deserialize(r);
-      msg.body = m;
-      break;
-    }
-    case Tag::kMcastInstall: {
-      McastInstall m;
-      m.group = Ipv4Address::deserialize(r);
-      const std::uint16_t n = r.u16();
-      for (std::uint16_t i = 0; i < n && r.ok(); ++i) {
-        m.ports.push_back(r.u16());
-      }
-      msg.body = std::move(m);
-      break;
-    }
-    case Tag::kMcastRemove: {
-      McastRemove m;
-      m.group = Ipv4Address::deserialize(r);
-      msg.body = m;
-      break;
-    }
-    case Tag::kInvalidateHost: {
-      InvalidateHost m;
-      m.ip = Ipv4Address::deserialize(r);
-      m.old_pmac = MacAddress::deserialize(r);
-      m.new_pmac = MacAddress::deserialize(r);
-      msg.body = m;
-      break;
-    }
-    case Tag::kFmDelta: {
-      FmDelta m;
-      m.section = r.u32();
-      m.version = r.u64();
-      const std::uint32_t n = r.u32();
-      const auto view = r.view(n);
-      m.image.assign(view.begin(), view.end());
-      msg.body = std::move(m);
-      break;
-    }
-    default:
-      return std::nullopt;
-  }
-  if (!r.ok()) return std::nullopt;
+  std::uint8_t tag = 0;
+  dec(msg.sender, tag);
+  if (tag < 1 || tag > kControlTypeCount) return std::nullopt;
+  kBodyDecoders[tag - 1](msg.body, dec);
+  if (!r.ok() || r.remaining_size() != 0) return std::nullopt;
   return msg;
 }
 
-const char* control_type_name(std::size_t index) {
-  // In ControlBody alternative order.
-  constexpr std::array<const char*, kControlTypeCount> kNames{
-      "switch_hello",      "pod_request",   "pod_assignment",
-      "host_register",     "arp_query",     "arp_response",
-      "fault_notify",      "prune_update",  "mcast_join",
-      "mcast_leave",       "mcast_sender_seen", "mcast_install",
-      "mcast_remove",      "invalidate_host",   "fm_delta",
-  };
-  return kNames[index];
-}
+const char* control_type_name(std::size_t index) { return kTypeNames[index]; }
 
 const char* control_type_name(const ControlBody& body) {
   return control_type_name(body.index());

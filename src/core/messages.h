@@ -12,6 +12,14 @@
 // Everything serializes to bytes: LDP because it rides simulated links,
 // control messages so the control-plane overhead experiment (E7) can count
 // real message sizes.
+//
+// Each message lists its wire fields once, in a `walk(Io&)` next to the
+// fields: `io(a, b, ...)` for fixed fields in wire order, `io.list(v)` for
+// a u16-counted list, `io.blob(v)` for a u32-counted byte image, and
+// `io.check(cond)` for a value a decode must refuse. messages.cc runs the
+// same walk to encode and to decode, so the two directions cannot drift.
+// A control message's type tag is its ControlBody index + 1, and its name
+// for counters and logs is the alternative's `kName`.
 #pragma once
 
 #include <cstddef>
@@ -55,10 +63,18 @@ struct LdpMessage {
   /// Proposal nonce, echoed in acks/nacks.
   std::uint32_t nonce = 0;
 
+  /// The body after the Ethernet header.
+  template <class Io>
+  void walk(Io& io) {
+    io(type, from, sender_port, heard_id, position, nonce);
+    io.check(type >= LdpType::kLdm && type <= LdpType::kPositionNack);
+  }
+
   /// Builds the complete Ethernet frame (EtherType kLdp, broadcast dst).
   [[nodiscard]] std::vector<std::uint8_t> to_frame() const;
 
-  /// Parses a whole frame previously built by to_frame().
+  /// Parses a whole frame previously built by to_frame(). Bytes past the
+  /// body (link padding) are ignored.
   [[nodiscard]] static std::optional<LdpMessage> from_frame(
       std::span<const std::uint8_t> frame);
 };
@@ -97,54 +113,89 @@ struct NeighborEntry {
   std::uint16_t port = 0;
   SwitchLocator neighbor;
 
+  template <class Io>
+  void walk(Io& io) { io(port, neighbor); }
+
   friend bool operator==(const NeighborEntry&, const NeighborEntry&) = default;
 };
 
 /// Switch -> FM: location + neighbor table, on every change and as a
 /// periodic keepalive. The FM builds its topology view from these.
 struct SwitchHello {
+  static constexpr const char* kName = "switch_hello";
   SwitchLocator self;
   std::vector<NeighborEntry> neighbors;
+
+  template <class Io>
+  void walk(Io& io) {
+    io(self);
+    io.list(neighbors);
+  }
 };
 
 /// Edge (position 0) -> FM: request a pod number for my pod.
-struct PodRequest {};
+struct PodRequest {
+  static constexpr const char* kName = "pod_request";
+
+  template <class Io>
+  void walk(Io&) {}
+};
 
 /// FM -> switch: pod number assignment.
 struct PodAssignment {
+  static constexpr const char* kName = "pod_assignment";
   std::uint16_t pod = kUnknownPod;
+
+  template <class Io>
+  void walk(Io& io) { io(pod); }
 };
 
 /// Edge -> FM: host (ip, amac, pmac) appeared behind me. A register for an
 /// IP already mapped elsewhere is how the FM detects VM migration.
 struct HostRegister {
+  static constexpr const char* kName = "host_register";
   Ipv4Address ip;
   MacAddress amac;
   MacAddress pmac;
   std::uint16_t edge_port = 0;
+
+  template <class Io>
+  void walk(Io& io) { io(ip, amac, pmac, edge_port); }
 };
 
 /// Edge -> FM: proxy-ARP lookup.
 struct ArpQuery {
+  static constexpr const char* kName = "arp_query";
   std::uint32_t query_id = 0;
   Ipv4Address ip;
+
+  template <class Io>
+  void walk(Io& io) { io(query_id, ip); }
 };
 
 /// FM -> edge: proxy-ARP answer. `found == false` directs the edge to fall
 /// back to a loop-free broadcast of the original request.
 struct ArpResponse {
+  static constexpr const char* kName = "arp_response";
   std::uint32_t query_id = 0;
   Ipv4Address ip;
   MacAddress pmac;
   bool found = false;
+
+  template <class Io>
+  void walk(Io& io) { io(query_id, ip, pmac, found); }
 };
 
 /// Switch -> FM: liveness of the link behind `port` changed (detected by
 /// LDM timeout, or carrier in the fast-detection ablation).
 struct FaultNotify {
+  static constexpr const char* kName = "fault_notify";
   std::uint16_t port = 0;
   SwitchId neighbor = kInvalidSwitchId;
   bool link_up = false;
+
+  template <class Io>
+  void walk(Io& io) { io(port, neighbor, link_up); }
 };
 
 /// One reroute rule: for traffic to (dst_pod, dst_position), do not use a
@@ -156,6 +207,9 @@ struct PruneEntry {
   SwitchId avoid = kInvalidSwitchId;
   bool add = true;  // false = remove (link repaired)
 
+  template <class Io>
+  void walk(Io& io) { io(dst_pod, dst_position, avoid, add); }
+
   friend bool operator==(const PruneEntry&, const PruneEntry&) = default;
 };
 
@@ -163,47 +217,81 @@ struct PruneEntry {
 /// informs all affected switches of the failure, which then individually
 /// recalculate their forwarding tables").
 struct PruneUpdate {
+  static constexpr const char* kName = "prune_update";
   /// When true the switch clears all installed prunes before applying
   /// `entries` — sent by a freshly started (failed-over) fabric manager so
   /// stale reroutes from its predecessor cannot linger (§3.1 soft state).
   bool flush = false;
   std::vector<PruneEntry> entries;
+
+  template <class Io>
+  void walk(Io& io) {
+    io(flush);
+    io.list(entries);
+  }
 };
 
 /// Edge -> FM: a host behind `host_port` joined/left `group`.
 struct McastJoin {
+  static constexpr const char* kName = "mcast_join";
   Ipv4Address group;
   std::uint16_t host_port = 0;
+
+  template <class Io>
+  void walk(Io& io) { io(group, host_port); }
 };
 struct McastLeave {
+  static constexpr const char* kName = "mcast_leave";
   Ipv4Address group;
   std::uint16_t host_port = 0;
+
+  template <class Io>
+  void walk(Io& io) { io(group, host_port); }
 };
 
 /// Edge -> FM: a local host transmits to `group`; graft me into the tree.
 struct McastSenderSeen {
+  static constexpr const char* kName = "mcast_sender_seen";
   Ipv4Address group;
+
+  template <class Io>
+  void walk(Io& io) { io(group); }
 };
 
 /// FM -> switch: forwarding set for `group` (replicate to every listed
 /// port except the ingress port). Replaces any previous entry.
 struct McastInstall {
+  static constexpr const char* kName = "mcast_install";
   Ipv4Address group;
   std::vector<std::uint16_t> ports;
+
+  template <class Io>
+  void walk(Io& io) {
+    io(group);
+    io.list(ports);
+  }
 };
 
 /// FM -> switch: remove the group's forwarding entry.
 struct McastRemove {
+  static constexpr const char* kName = "mcast_remove";
   Ipv4Address group;
+
+  template <class Io>
+  void walk(Io& io) { io(group); }
 };
 
 /// FM -> old edge after a migration: trap frames addressed to `old_pmac`,
 /// rewrite them to `new_pmac`, and unicast a gratuitous ARP correcting
 /// stale caches back to each sender (paper §3.7).
 struct InvalidateHost {
+  static constexpr const char* kName = "invalidate_host";
   Ipv4Address ip;
   MacAddress old_pmac;
   MacAddress new_pmac;
+
+  template <class Io>
+  void walk(Io& io) { io(ip, old_pmac, new_pmac); }
 };
 
 /// FM (primary / registry shard) -> kFmReplicaId: one section of FM state
@@ -213,9 +301,16 @@ struct InvalidateHost {
 /// discard reordered stale images (control delivery is FIFO per sender,
 /// so in practice versions only move forward).
 struct FmDelta {
+  static constexpr const char* kName = "fm_delta";
   std::uint32_t section = 0;
   std::uint64_t version = 0;
   std::vector<std::uint8_t> image;
+
+  template <class Io>
+  void walk(Io& io) {
+    io(section, version);
+    io.blob(image);
+  }
 };
 
 using ControlBody =
@@ -230,11 +325,13 @@ struct ControlMessage {
   ControlBody body;
 };
 
-/// Serializes a control message to bytes (type tag + fields).
+/// Serializes a control message to bytes: sender, type tag
+/// (body.index() + 1), then the body's walk.
 [[nodiscard]] std::vector<std::uint8_t> serialize_control(
     const ControlMessage& msg);
 
-/// Parses bytes produced by serialize_control.
+/// Parses bytes produced by serialize_control. Refuses an unknown tag, a
+/// short body, a locator level above kCore and unread trailing bytes.
 [[nodiscard]] std::optional<ControlMessage> parse_control(
     std::span<const std::uint8_t> bytes);
 

@@ -1,7 +1,5 @@
 #include "sim/failure.h"
 
-#include <cassert>
-
 namespace portland::sim {
 
 void FailureInjector::fail_link_at(Link& link, SimTime t) {
@@ -27,7 +25,6 @@ void FailureInjector::crash_device_at(Device& device, SimTime t) {
 std::vector<Link*> FailureInjector::fail_random_links_at(
     const std::vector<Link*>& candidates, std::size_t count, SimTime t,
     Rng& rng) {
-  assert(count <= candidates.size());
   const std::vector<std::size_t> picks =
       rng.sample_indices(candidates.size(), count);
   std::vector<Link*> chosen;

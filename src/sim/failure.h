@@ -23,7 +23,8 @@ class FailureInjector {
   void crash_device_at(Device& device, SimTime t);
 
   /// Picks `count` distinct links uniformly from `candidates` and fails
-  /// them all at time `t`. Returns the chosen links.
+  /// them all at time `t`. Returns the chosen links. Throws
+  /// std::invalid_argument when count exceeds the candidates.
   std::vector<Link*> fail_random_links_at(const std::vector<Link*>& candidates,
                                           std::size_t count, SimTime t,
                                           Rng& rng);

@@ -362,14 +362,6 @@ void Simulator::join_workers() {
   quit_ = false;
 }
 
-void Simulator::reserve_events(std::size_t capacity) {
-  for (auto& sh : shards_) {
-    sh->wheel.reserve(capacity);
-    sh->slots.reserve(capacity);
-    sh->free_slots.reserve(capacity);
-  }
-}
-
 void Simulator::fire_timer(TimerCore& core, std::uint64_t generation) {
   if (core.generation != generation || !core.pending) return;
   core.pending = false;

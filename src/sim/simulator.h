@@ -355,12 +355,6 @@ class Simulator {
   bool train_append(ShardId dst, SimTime t, std::uint64_t epoch,
                     const FramePtr& frame, Train& tr);
 
-  /// Re-tunes the pooled-window threshold (see Options::parallel_min_events)
-  /// after construction. 0 forces every window through the worker pool.
-  void set_parallel_threshold(std::uint32_t min_events) {
-    parallel_min_events_ = min_events;
-  }
-
   /// `workers = auto` policy, kept pure and static so tests can pin it:
   /// a box with fewer than two hardware cores — or a fabric with fewer
   /// than two shards — gains nothing from windowed execution, so resolve
@@ -386,9 +380,6 @@ class Simulator {
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] unsigned workers() const { return workers_; }
   [[nodiscard]] SimDuration lookahead() const { return lookahead_; }
-
-  /// Pre-sizes the event queue (amortizes growth for large fabrics).
-  void reserve_events(std::size_t capacity);
 
   /// Runs until the queue is empty.
   void run();

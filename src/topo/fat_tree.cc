@@ -30,7 +30,7 @@ FatTree::FatTree(int k) : k_(k) {
   // Bulk reservation: a k=64 tree has 70k nodes and 200k links — growing
   // these vectors by doubling churns hundreds of MB of reallocation.
   nodes_.reserve(num_hosts() + num_edge() + num_agg() + num_core());
-  links_.reserve(num_hosts() + pods() * half * half + pods() * half * half);
+  links_.reserve(num_hosts() + num_fabric_links(k));
 
   // Hosts.
   for (std::size_t pod = 0; pod < pods(); ++pod) {

@@ -86,6 +86,12 @@ class FatTree {
   [[nodiscard]] std::size_t num_switches() const {
     return num_edge() + num_agg() + num_core();
   }
+  /// Switch<->switch links of a k-ary fat tree: k/2 * k/2 edge-agg and as
+  /// many agg-core links per pod (the candidates for link failures).
+  [[nodiscard]] static std::size_t num_fabric_links(int k) {
+    const std::size_t half = static_cast<std::size_t>(k) / 2;
+    return 2 * static_cast<std::size_t>(k) * half * half;
+  }
 
   [[nodiscard]] const std::vector<NodeSpec>& nodes() const { return nodes_; }
   [[nodiscard]] const std::vector<LinkSpec>& links() const { return links_; }

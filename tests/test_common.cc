@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -165,6 +166,13 @@ TEST(Rng, SampleIndicesDistinct) {
   std::set<std::size_t> unique(picks.begin(), picks.end());
   EXPECT_EQ(unique.size(), 8u);
   for (const auto p : picks) EXPECT_LT(p, 20u);
+}
+
+TEST(Rng, SampleIndicesRefusesCountAboveN) {
+  Rng rng(13);
+  EXPECT_EQ(rng.sample_indices(4, 4).size(), 4u);
+  EXPECT_THROW((void)rng.sample_indices(4, 5), std::invalid_argument);
+  EXPECT_THROW((void)rng.sample_indices(0, 1), std::invalid_argument);
 }
 
 TEST(Rng, ExponentialMeanApproximate) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/random.h"
@@ -260,18 +261,15 @@ std::vector<ControlMessage> k4_hellos() {
   return out;
 }
 
-TEST(Control, MutatedMessagesDecodeOrRejectCleanly) {
-  const std::vector<ControlMessage> hellos = k4_hellos();
-  MutationSink sink;
-  for (const ControlMessage& m : hellos) sink.apply(m);
-  ASSERT_EQ(sink.graph.switch_count(), 20u);
-
+/// One encoding of every ControlBody alternative, in alternative order:
+/// `hello` for SwitchHello, fixed values for the rest.
+std::vector<ControlMessage> control_samples(const ControlMessage& hello) {
   const Ipv4Address group(224, 0, 1, 5);
   PruneUpdate prune{false, {PruneEntry{2, 1, 0x3001, true}}};
   McastInstall install{group, {0, 2, 3}};
   FmDelta delta{1, 9, {1, 2, 3, 4, 5}};
-  const std::vector<ControlMessage> samples = {
-      hellos[3],
+  return {
+      hello,
       {100, PodRequest{}},
       {kFabricManagerId, PodAssignment{3}},
       {100, HostRegister{Ipv4Address(10, 0, 0, 2),
@@ -293,6 +291,15 @@ TEST(Control, MutatedMessagesDecodeOrRejectCleanly) {
                                         MacAddress::from_u64(0x000300010001)}},
       {kFabricManagerId, delta},
   };
+}
+
+TEST(Control, MutatedMessagesDecodeOrRejectCleanly) {
+  const std::vector<ControlMessage> hellos = k4_hellos();
+  MutationSink sink;
+  for (const ControlMessage& m : hellos) sink.apply(m);
+  ASSERT_EQ(sink.graph.switch_count(), 20u);
+
+  const std::vector<ControlMessage> samples = control_samples(hellos[3]);
   std::set<std::size_t> covered;
   for (const ControlMessage& m : samples) covered.insert(m.body.index());
   ASSERT_EQ(covered.size(), kControlTypeCount);
@@ -330,6 +337,129 @@ TEST(Control, MutatedMessagesDecodeOrRejectCleanly) {
     (void)sink.graph.compute_prunes(DstKey{pod, kUnknownPosition});
     (void)sink.graph.compute_prunes(DstKey{pod, 0});
   }
+}
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    constexpr char kDigits[] = "0123456789abcdef";
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+/// One LDP message of every LdpType, in type order.
+std::vector<LdpMessage> ldp_samples() {
+  std::vector<LdpMessage> out(4);
+  out[0].type = LdpType::kLdm;
+  out[0].from = SwitchLocator{0x1234, Level::kAggregation, 7, kUnknownPosition};
+  out[0].sender_port = 3;
+  out[0].heard_id = 0x5678;
+  out[1].type = LdpType::kProposePosition;
+  out[1].from =
+      SwitchLocator{0x99, Level::kEdge, kUnknownPod, kUnknownPosition};
+  out[1].position = 2;
+  out[1].nonce = 0xCAFEBABE;
+  for (const LdpType t : {LdpType::kPositionAck, LdpType::kPositionNack}) {
+    LdpMessage& m = out[static_cast<std::size_t>(t) - 1];
+    m.type = t;
+    m.from = SwitchLocator{0x2001, Level::kAggregation, 1, 0};
+    m.sender_port = 1;
+    m.heard_id = 0x99;
+    m.position = 2;
+    m.nonce = 0xCAFEBABE;
+  }
+  return out;
+}
+
+// The bytes every message type encoded to when its layout was last
+// changed on purpose; E7's byte counts and the in-flight control traffic
+// in snapshot images both depend on them.
+TEST(Control, WireBytesArePinned) {
+  const std::vector<ControlMessage> samples = control_samples(k4_hellos()[3]);
+  const std::vector<std::string> control = {
+      "0000000000000067010000000000000067010001010002000200000000000000"
+      "ca02000100000300000000000000cb02000101",
+      "000000000000006402",
+      "0000000000000001030003",
+      "0000000000000064040a0000020200000000050000000100010001",
+      "000000000000006405000000070a010002",
+      "000000000000000106000000070a01000200010000000101",
+      "00000000000000c8070002000000000000012c00",
+      "000000000000000108000001000201000000000000300101",
+      "000000000000006409e00001050001",
+      "00000000000000640ae00001050001",
+      "00000000000000640be0000105",
+      "00000000000000010ce00001050003000000020003",
+      "00000000000000010de0000105",
+      "00000000000000010e0a000002000000010001000300010001",
+      "00000000000000010f000000010000000000000009000000050102030405",
+  };
+  ASSERT_EQ(samples.size(), control.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    SCOPED_TRACE(control_type_name(i));
+    const std::vector<std::uint8_t> bytes = serialize_control(samples[i]);
+    EXPECT_EQ(hex(bytes), control[i]);
+    const std::optional<ControlMessage> back = parse_control(bytes);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->body.index(), i);
+    EXPECT_EQ(serialize_control(*back), bytes);
+  }
+
+  const std::vector<LdpMessage> ldp = ldp_samples();
+  const std::vector<std::string> frames = {
+      "ffffffffffff00000000123488b5010000000000001234020007ff0003000000"
+      "0000005678ff00000000",
+      "ffffffffffff00000000009988b502000000000000009901ffffff0000000000"
+      "000000000002cafebabe",
+      "ffffffffffff00000000200188b5030000000000002001020001000001000000"
+      "000000009902cafebabe",
+      "ffffffffffff00000000200188b5040000000000002001020001000001000000"
+      "000000009902cafebabe",
+  };
+  ASSERT_EQ(ldp.size(), frames.size());
+  for (std::size_t i = 0; i < ldp.size(); ++i) {
+    SCOPED_TRACE(i + 1);
+    const std::vector<std::uint8_t> frame = ldp[i].to_frame();
+    EXPECT_EQ(hex(frame), frames[i]);
+    const std::optional<LdpMessage> back = LdpMessage::from_frame(frame);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->to_frame(), frame);
+  }
+}
+
+TEST(Control, TrailingByteRejected) {
+  for (const ControlMessage& m : control_samples(k4_hellos()[3])) {
+    SCOPED_TRACE(control_type_name(m.body));
+    std::vector<std::uint8_t> bytes = serialize_control(m);
+    ASSERT_TRUE(parse_control(bytes).has_value());
+    bytes.push_back(0);
+    EXPECT_FALSE(parse_control(bytes).has_value());
+  }
+  // LDM frames may carry link padding, so a trailing byte is kept.
+  std::vector<std::uint8_t> frame = ldp_samples()[0].to_frame();
+  frame.push_back(0);
+  EXPECT_TRUE(LdpMessage::from_frame(frame).has_value());
+}
+
+TEST(Control, LocatorLevelAboveCoreRejected) {
+  const SwitchLocator bad{0x1000, static_cast<Level>(4), 2, 1};
+  SwitchHello self_bad;
+  self_bad.self = bad;
+  SwitchHello neighbor_bad;
+  neighbor_bad.self = SwitchLocator{0x1000, Level::kEdge, 2, 1};
+  neighbor_bad.neighbors.push_back(NeighborEntry{4, bad});
+  EXPECT_FALSE(
+      parse_control(serialize_control({0x1000, self_bad})).has_value());
+  EXPECT_FALSE(
+      parse_control(serialize_control({0x1000, neighbor_bad})).has_value());
+
+  LdpMessage ldm = ldp_samples()[0];
+  ldm.from = bad;
+  EXPECT_FALSE(LdpMessage::from_frame(ldm.to_frame()).has_value());
+  ldm.from.level = Level::kCore;
+  EXPECT_TRUE(LdpMessage::from_frame(ldm.to_frame()).has_value());
 }
 
 TEST(Control, TypeNames) {

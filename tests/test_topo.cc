@@ -22,8 +22,9 @@ TEST_P(FatTreeSizes, CountsMatchFormulas) {
   EXPECT_EQ(tree.num_switches(), 5 * uk * uk / 4);
   EXPECT_EQ(tree.nodes().size(), tree.num_hosts() + tree.num_switches());
   // Links: hosts + edge-agg (k/2 * k/2 per pod * k) + agg-core (same).
+  EXPECT_EQ(FatTree::num_fabric_links(k), uk * (uk / 2) * (uk / 2) * 2);
   EXPECT_EQ(tree.links().size(),
-            tree.num_hosts() + uk * (uk / 2) * (uk / 2) * 2);
+            tree.num_hosts() + FatTree::num_fabric_links(k));
 }
 
 TEST_P(FatTreeSizes, EverySwitchHasExactlyKLinks) {
