@@ -6,6 +6,9 @@
 // benches and metrics read it by. A `CounterSet` is a dense array with
 // one cell per id: hot paths increment by id, snapshots store
 // (id, value) pairs, and only the cold by-name read touches a string.
+// The engine's counter structs (per-shard counts, timing-wheel and parser
+// stats) declare theirs once too, in a static `walk` that names each
+// field; `add_counters` sums two of them by that walk.
 #pragma once
 
 #include <algorithm>
@@ -14,6 +17,7 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace portland {
@@ -166,6 +170,13 @@ class CounterSet {
  private:
   std::array<std::uint64_t, kCounterCount> cells_{};
 };
+
+/// Adds every counter of `from` into `into`. `T::walk(fn)` lists each
+/// counter field once, as fn(metric name, member pointer).
+template <typename T>
+void add_counters(T& into, const std::type_identity_t<T>& from) {
+  T::walk([&](const char*, auto field) { into.*field += from.*field; });
+}
 
 /// Computes the p-th percentile (0..100) of `values` by sorting a copy.
 /// Returns 0 for an empty vector.

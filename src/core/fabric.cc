@@ -425,39 +425,24 @@ void PortlandFabric::snapshot_metrics(obs::MetricsRegistry& registry) {
   sim::Simulator& s = sim();
   obs::MetricsSnapshot& snap = registry.begin_snapshot(s.now());
 
-  snap.engine.executed = s.executed_events();
-  snap.engine.windows = s.windows_executed();
-  snap.engine.mail_merged = s.mail_merged();
-  snap.engine.barrier_tasks = s.barrier_tasks_executed();
-  snap.engine.pending = s.pending_events();
-  snap.engine.trains_popped = s.trains_popped();
-  snap.engine.train_frames = s.train_frames();
-  snap.engine.train_repushes = s.train_repushes();
-  snap.engine.nodes_pushed = s.nodes_pushed();
-  snap.engine.windows_inline = s.windows_inline();
-  snap.engine.windows_widened = s.windows_widened();
-  snap.engine.per_shard_executed.reserve(s.shard_count());
+  std::vector<obs::ScalarSample>& rows = snap.scalars;
+  s.counters([&](const char* key, std::uint64_t value) {
+    rows.push_back({"engine", key, value});
+  });
+  snap.per_shard_executed.reserve(s.shard_count());
   for (sim::ShardId sh = 0; sh < s.shard_count(); ++sh) {
-    snap.engine.per_shard_executed.push_back(s.shard_executed(sh));
+    snap.per_shard_executed.push_back(s.shard_executed(sh));
   }
-  const sim::TimingWheel::Stats wheel = s.wheel_stats();
-  snap.engine.wheel_inserts = wheel.inserts;
-  snap.engine.wheel_erases = wheel.erases;
-  snap.engine.wheel_cascaded = wheel.cascaded_nodes;
-  snap.engine.wheel_overflow_rehomed = wheel.overflow_rehomed;
-
   const net::ParseStats parse = net::parse_stats();
-  snap.parse.parse_calls = parse.parse_calls;
-  snap.parse.meta_hits = parse.meta_hits;
-  snap.parse.meta_attaches = parse.meta_attaches;
-  snap.parse.rewrite_copies = parse.rewrite_copies;
-
+  net::ParseStats::walk([&](const char* key, auto field) {
+    rows.push_back({"parse", key, parse.*field});
+  });
   const PortlandSwitch::TableBytes tables = total_table_bytes();
-  snap.memory.switch_table_bytes = tables.total();
-  snap.memory.host_table_bytes = tables.host_table;
-  snap.memory.fib_bytes = tables.fib;
-  snap.memory.arena_bytes = net_.arena().bytes_reserved();
-  snap.memory.rss_bytes = current_rss_bytes();
+  rows.push_back({"memory", "switch_table_bytes", tables.total()});
+  rows.push_back({"memory", "host_table_bytes", tables.host_table});
+  rows.push_back({"memory", "fib_bytes", tables.fib});
+  rows.push_back({"memory", "arena_bytes", net_.arena().bytes_reserved()});
+  rows.push_back({"memory", "rss_bytes", current_rss_bytes()});
 
   snap.devices.reserve(net_.devices().size());
   for (const auto& dev : net_.devices()) {

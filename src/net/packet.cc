@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/byte_io.h"
+#include "common/stats.h"
 
 namespace portland::net {
 
@@ -24,13 +25,6 @@ StatsRegistry& stats_registry() {
   return reg;
 }
 
-void add_into(ParseStats& into, const ParseStats& from) {
-  into.parse_calls += from.parse_calls;
-  into.meta_hits += from.meta_hits;
-  into.meta_attaches += from.meta_attaches;
-  into.rewrite_copies += from.rewrite_copies;
-}
-
 struct TlsStats {
   ParseStats stats;
   TlsStats() {
@@ -41,7 +35,7 @@ struct TlsStats {
   ~TlsStats() {
     auto& reg = stats_registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    add_into(reg.retired, stats);
+    add_counters(reg.retired, stats);
     std::erase(reg.live, &stats);
   }
 };
@@ -55,7 +49,7 @@ ParseStats parse_stats() {
   auto& reg = stats_registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
   ParseStats total = reg.retired;
-  for (const ParseStats* s : reg.live) add_into(total, *s);
+  for (const ParseStats* s : reg.live) add_counters(total, *s);
   return total;
 }
 

@@ -83,6 +83,15 @@ struct ParseStats {
   std::uint64_t meta_hits = 0;      // parsed_of served from cache
   std::uint64_t meta_attaches = 0;  // parsed_of had to parse + attach
   std::uint64_t rewrite_copies = 0; // rewrite_frame buffer copies
+
+  /// Each counter once: fn(metric name, member pointer).
+  template <typename Fn>
+  static void walk(Fn&& fn) {
+    fn("parse_calls", &ParseStats::parse_calls);
+    fn("meta_hits", &ParseStats::meta_hits);
+    fn("meta_attaches", &ParseStats::meta_attaches);
+    fn("rewrite_copies", &ParseStats::rewrite_copies);
+  }
 };
 [[nodiscard]] ParseStats parse_stats();
 

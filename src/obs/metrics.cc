@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
 
 namespace portland::obs {
 
@@ -30,52 +31,43 @@ void append_u64_field(std::string* out, const char* key, std::uint64_t v,
   out->append(buf);
 }
 
+/// The scalar rows, one JSON object per run of rows in the same section;
+/// the "engine" object ends with the per-shard executed counts.
+void append_scalars_json(std::string* out, const MetricsSnapshot& s) {
+  char buf[96];
+  std::string_view section;
+  const auto close_section = [&] {
+    if (section == "engine") {
+      out->append(",\"per_shard_executed\":[");
+      for (std::size_t i = 0; i < s.per_shard_executed.size(); ++i) {
+        std::snprintf(buf, sizeof(buf), "%s%" PRIu64, i == 0 ? "" : ",",
+                      s.per_shard_executed[i]);
+        out->append(buf);
+      }
+      out->append("]");
+    }
+    out->append("},");
+  };
+  for (const ScalarSample& row : s.scalars) {
+    if (row.section != section) {
+      if (!section.empty()) close_section();
+      section = row.section;
+      out->append("\"").append(section).append("\":{");
+    } else {
+      out->append(",");
+    }
+    append_u64_field(out, row.key, row.value, false);
+  }
+  if (!section.empty()) close_section();
+}
+
 void append_snapshot_json(std::string* out, const MetricsSnapshot& s) {
   char buf[96];
   out->append("{");
   std::snprintf(buf, sizeof(buf), "\"t_ns\":%" PRId64 ",",
                 static_cast<std::int64_t>(s.t));
   out->append(buf);
-
-  out->append("\"engine\":{");
-  append_u64_field(out, "executed", s.engine.executed);
-  append_u64_field(out, "windows", s.engine.windows);
-  append_u64_field(out, "mail_merged", s.engine.mail_merged);
-  append_u64_field(out, "barrier_tasks", s.engine.barrier_tasks);
-  append_u64_field(out, "pending", s.engine.pending);
-  append_u64_field(out, "trains_popped", s.engine.trains_popped);
-  append_u64_field(out, "train_frames", s.engine.train_frames);
-  append_u64_field(out, "train_repushes", s.engine.train_repushes);
-  append_u64_field(out, "nodes_pushed", s.engine.nodes_pushed);
-  append_u64_field(out, "windows_inline", s.engine.windows_inline);
-  append_u64_field(out, "windows_widened", s.engine.windows_widened);
-  append_u64_field(out, "wheel_inserts", s.engine.wheel_inserts);
-  append_u64_field(out, "wheel_erases", s.engine.wheel_erases);
-  append_u64_field(out, "wheel_cascaded", s.engine.wheel_cascaded);
-  append_u64_field(out, "wheel_overflow_rehomed",
-                   s.engine.wheel_overflow_rehomed);
-  out->append("\"per_shard_executed\":[");
-  for (std::size_t i = 0; i < s.engine.per_shard_executed.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%s%" PRIu64, i == 0 ? "" : ",",
-                  s.engine.per_shard_executed[i]);
-    out->append(buf);
-  }
-  out->append("]},");
-
-  out->append("\"parse\":{");
-  append_u64_field(out, "parse_calls", s.parse.parse_calls);
-  append_u64_field(out, "meta_hits", s.parse.meta_hits);
-  append_u64_field(out, "meta_attaches", s.parse.meta_attaches);
-  append_u64_field(out, "rewrite_copies", s.parse.rewrite_copies, false);
-  out->append("},");
-
-  out->append("\"memory\":{");
-  append_u64_field(out, "switch_table_bytes", s.memory.switch_table_bytes);
-  append_u64_field(out, "host_table_bytes", s.memory.host_table_bytes);
-  append_u64_field(out, "fib_bytes", s.memory.fib_bytes);
-  append_u64_field(out, "arena_bytes", s.memory.arena_bytes);
-  append_u64_field(out, "rss_bytes", s.memory.rss_bytes, false);
-  out->append("},");
+  append_scalars_json(out, s);
 
   out->append("\"devices\":{");
   bool first_dev = true;
@@ -136,6 +128,17 @@ void append_prom_label(std::string* out, const std::string& s) {
   }
 }
 
+/// What precedes a scalar row's key in its Prometheus name: "portland_",
+/// plus the section unless the key already leads with a family name.
+std::string prom_prefix(const ScalarSample& row) {
+  constexpr std::string_view kFamilies[] = {"wheel_", "parse_"};
+  const std::string_view key = row.key;
+  for (const std::string_view family : kFamilies) {
+    if (key.starts_with(family)) return "portland_";
+  }
+  return std::string("portland_") + row.section + "_";
+}
+
 }  // namespace
 
 MetricsSnapshot& MetricsRegistry::begin_snapshot(SimTime t) {
@@ -161,40 +164,15 @@ std::string MetricsRegistry::render_prometheus() const {
   std::snprintf(buf, sizeof(buf), "portland_sim_time_ns %" PRId64 "\n",
                 static_cast<std::int64_t>(s.t));
   out.append(buf);
-  const std::pair<const char*, std::uint64_t> engine_metrics[] = {
-      {"portland_engine_executed", s.engine.executed},
-      {"portland_engine_windows", s.engine.windows},
-      {"portland_engine_mail_merged", s.engine.mail_merged},
-      {"portland_engine_barrier_tasks", s.engine.barrier_tasks},
-      {"portland_engine_pending", s.engine.pending},
-      {"portland_engine_trains_popped", s.engine.trains_popped},
-      {"portland_engine_train_frames", s.engine.train_frames},
-      {"portland_engine_train_repushes", s.engine.train_repushes},
-      {"portland_engine_nodes_pushed", s.engine.nodes_pushed},
-      {"portland_engine_windows_inline", s.engine.windows_inline},
-      {"portland_engine_windows_widened", s.engine.windows_widened},
-      {"portland_wheel_inserts", s.engine.wheel_inserts},
-      {"portland_wheel_erases", s.engine.wheel_erases},
-      {"portland_wheel_cascaded", s.engine.wheel_cascaded},
-      {"portland_wheel_overflow_rehomed", s.engine.wheel_overflow_rehomed},
-      {"portland_parse_calls", s.parse.parse_calls},
-      {"portland_parse_meta_hits", s.parse.meta_hits},
-      {"portland_parse_meta_attaches", s.parse.meta_attaches},
-      {"portland_parse_rewrite_copies", s.parse.rewrite_copies},
-      {"portland_memory_switch_table_bytes", s.memory.switch_table_bytes},
-      {"portland_memory_host_table_bytes", s.memory.host_table_bytes},
-      {"portland_memory_fib_bytes", s.memory.fib_bytes},
-      {"portland_memory_arena_bytes", s.memory.arena_bytes},
-      {"portland_memory_rss_bytes", s.memory.rss_bytes},
-  };
-  for (const auto& [name, value] : engine_metrics) {
-    std::snprintf(buf, sizeof(buf), "%s %" PRIu64 "\n", name, value);
+  for (const ScalarSample& row : s.scalars) {
+    std::snprintf(buf, sizeof(buf), "%s%s %" PRIu64 "\n",
+                  prom_prefix(row).c_str(), row.key, row.value);
     out.append(buf);
   }
-  for (std::size_t i = 0; i < s.engine.per_shard_executed.size(); ++i) {
+  for (std::size_t i = 0; i < s.per_shard_executed.size(); ++i) {
     std::snprintf(buf, sizeof(buf),
                   "portland_shard_executed{shard=\"%zu\"} %" PRIu64 "\n", i,
-                  s.engine.per_shard_executed[i]);
+                  s.per_shard_executed[i]);
     out.append(buf);
   }
 

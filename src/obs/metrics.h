@@ -1,12 +1,15 @@
 // Metrics snapshotting: periodic, timestamped captures of engine,
-// parser, device, and link state, exportable as JSONL (one snapshot per
-// line, for offline analysis) and Prometheus text exposition (last
-// snapshot, for scraping).
+// parser, memory, device, and link state, exportable as JSONL (one
+// snapshot per line, for offline analysis) and Prometheus text exposition
+// (last snapshot, for scraping).
 //
 // The registry is filled by PortlandFabric::snapshot_metrics() between
 // simulation events — typically from a chunked run_until() loop in the
 // driver — so sampling never injects events into the schedule and the
-// replay guarantee is untouched.
+// replay guarantee is untouched. The engine, timing-wheel, parser and
+// memory values arrive as one list of named rows, filled by running each
+// counter family's walk (sim::Simulator::counters, net::ParseStats::walk),
+// so a new counter needs no line here: both renderers loop over the rows.
 #pragma once
 
 #include <cstddef>
@@ -19,52 +22,20 @@
 
 namespace portland::obs {
 
-/// One engine-wide sample: scheduler and parallel-window progress.
-struct EngineSample {
-  std::uint64_t executed = 0;        // events dispatched (all shards)
-  std::uint64_t windows = 0;         // lookahead windows completed
-  std::uint64_t mail_merged = 0;     // cross-shard mailbox merges
-  std::uint64_t barrier_tasks = 0;   // window-barrier tasks run
-  std::size_t pending = 0;           // events still queued
-  // Burst/train execution (see sim/train.h).
-  std::uint64_t trains_popped = 0;   // train nodes dispatched
-  std::uint64_t train_frames = 0;    // frames delivered via trains
-  std::uint64_t train_repushes = 0;  // trains handed back mid-batch
-  std::uint64_t nodes_pushed = 0;    // scheduler inserts (all kinds)
-  // Adaptive windows / pooled-vs-inline execution.
-  std::uint64_t windows_inline = 0;  // windows run inline despite a pool
-  std::uint64_t windows_widened = 0; // windows widened past the lookahead
-  std::vector<std::uint64_t> per_shard_executed;
-  // Aggregated timing-wheel activity.
-  std::uint64_t wheel_inserts = 0;
-  std::uint64_t wheel_erases = 0;
-  std::uint64_t wheel_cascaded = 0;
-  std::uint64_t wheel_overflow_rehomed = 0;
-};
-
-/// net-layer parse/rewrite activity (from net::parse_stats()).
-struct ParseSample {
-  std::uint64_t parse_calls = 0;
-  std::uint64_t meta_hits = 0;
-  std::uint64_t meta_attaches = 0;
-  std::uint64_t rewrite_copies = 0;
+/// One scalar series. JSONL puts consecutive rows of a section in one
+/// object ("engine", "parse", "memory"), keyed by `key`. Prometheus names
+/// a row portland_<section>_<key>, or portland_<key> when the key already
+/// leads with a family name (wheel_inserts, parse_calls).
+struct ScalarSample {
+  const char* section = "";
+  const char* key = "";
+  std::uint64_t value = 0;
 };
 
 /// One device's nonzero counters, in name order.
 struct DeviceSample {
   std::string name;
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-};
-
-/// Fabric memory footprint at the snapshot instant: counted
-/// forwarding-table bytes by component (summed over all switches), the
-/// device/link arena, and the process RSS (0 where procfs is absent).
-struct MemorySample {
-  std::uint64_t switch_table_bytes = 0;  // total of the components below
-  std::uint64_t host_table_bytes = 0;
-  std::uint64_t fib_bytes = 0;
-  std::uint64_t arena_bytes = 0;  // Network arena reservation
-  std::uint64_t rss_bytes = 0;    // VmRSS
 };
 
 /// One link direction ("a->b").
@@ -79,9 +50,11 @@ struct LinkSample {
 
 struct MetricsSnapshot {
   SimTime t = 0;  // simulated time of the capture
-  EngineSample engine;
-  ParseSample parse;
-  MemorySample memory;
+  /// Engine, timing-wheel, parser and memory values, in render order.
+  std::vector<ScalarSample> scalars;
+  /// Events dispatched by each shard; JSONL ends the "engine" object with
+  /// them, Prometheus labels them portland_shard_executed{shard="i"}.
+  std::vector<std::uint64_t> per_shard_executed;
   std::vector<DeviceSample> devices;
   std::vector<LinkSample> links;
 };

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 
+#include "common/stats.h"
 #include "obs/trace_export.h"
 #include "sim/link.h"
 #include "sim/train.h"
@@ -745,34 +746,10 @@ std::size_t Simulator::pending_events() const {
   return n + barrier_heap_.size();
 }
 
-std::uint64_t Simulator::executed_events() const {
-  std::uint64_t n = barrier_executed_;
-  for (const auto& sh : shards_) n += sh->executed;
-  return n;
-}
-
-std::uint64_t Simulator::trains_popped() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->trains_popped;
-  return n;
-}
-
-std::uint64_t Simulator::train_frames() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->train_frames;
-  return n;
-}
-
-std::uint64_t Simulator::train_repushes() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->train_repushes;
-  return n;
-}
-
-std::uint64_t Simulator::nodes_pushed() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->nodes_pushed;
-  return n;
+Simulator::ShardCounters Simulator::shard_sums() const {
+  ShardCounters total;
+  for (const auto& sh : shards_) add_counters(total, *sh);
+  return total;
 }
 
 unsigned Simulator::resolve_auto_workers(unsigned hw_cores,
@@ -784,14 +761,7 @@ unsigned Simulator::resolve_auto_workers(unsigned hw_cores,
 
 TimingWheel::Stats Simulator::wheel_stats() const {
   TimingWheel::Stats total;
-  for (const auto& sh : shards_) {
-    const TimingWheel::Stats& s = sh->wheel.stats();
-    total.inserts += s.inserts;
-    total.erases += s.erases;
-    total.pops += s.pops;
-    total.cascaded_nodes += s.cascaded_nodes;
-    total.overflow_rehomed += s.overflow_rehomed;
-  }
+  for (const auto& sh : shards_) add_counters(total, sh->wheel.stats());
   return total;
 }
 

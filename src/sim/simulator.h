@@ -313,15 +313,15 @@ class Simulator {
   /// are neutralized on their cores (so later cancels cannot touch freed
   /// nodes), trains are unscheduled and emptied, all payload slots are
   /// released, and the barrier queue is cleared. Clocks and counters are
-  /// left for restore_engine to overwrite.
+  /// left for restore_engine and finish_restore to overwrite.
   void snapshot_clear();
 
-  /// Restores engine scalars and data events from `r` (inverse of
-  /// save_engine's direct writes). Must run on a snapshot_clear'ed engine
-  /// whose shard count matches the image. Timer shots and train anchors
-  /// are re-inserted afterwards by component restores via
-  /// restore_timer_at / restore_train_anchor; finish_restore then
-  /// validates the census.
+  /// Restores engine scalars and data events from `r` (the scalars by the
+  /// same walk save_engine writes them with, the data events by hand).
+  /// Must run on a snapshot_clear'ed engine whose shard count matches the
+  /// image. Timer shots and train anchors are re-inserted afterwards by
+  /// component restores via restore_timer_at / restore_train_anchor;
+  /// finish_restore then validates the census.
   bool restore_engine(SnapshotReader& r, std::string* error);
 
   /// Re-inserts a pending timer shot at its exact saved (time, seq) and
@@ -337,8 +337,8 @@ class Simulator {
   void restore_train_anchor(ShardId shard, Train& tr);
 
   /// Validates the restore against the image's census (timer/train/live
-  /// counts per shard) and applies the deferred scalar fixups
-  /// (nodes_pushed, wheel stats) that the re-insertions perturbed.
+  /// counts per shard) and applies the image's shard counters and wheel
+  /// stats, which the re-insertions would otherwise perturb.
   bool finish_restore(std::string* error);
 
   /// Link deliveries: appends one frame arrival to `tr` (a
@@ -390,7 +390,9 @@ class Simulator {
   /// Live (non-cancelled) scheduled events. A cancelled timer's shot
   /// leaves this count the moment it is cancelled, not at its deadline.
   [[nodiscard]] std::size_t pending_events() const;
-  [[nodiscard]] std::uint64_t executed_events() const;
+  [[nodiscard]] std::uint64_t executed_events() const {
+    return barrier_executed_ + shard_sums().executed;
+  }
 
   // --- observability (passive; never alters the event schedule) ----------
 
@@ -417,18 +419,19 @@ class Simulator {
   /// Timing-wheel activity aggregated over all shards.
   [[nodiscard]] TimingWheel::Stats wheel_stats() const;
 
-  /// Train nodes popped from the schedulers (each covers >= 1 frame).
-  [[nodiscard]] std::uint64_t trains_popped() const;
-  /// Frames delivered through trains.
-  [[nodiscard]] std::uint64_t train_frames() const;
-  /// Train nodes re-pushed mid-batch (tie with another event or window
-  /// boundary).
-  [[nodiscard]] std::uint64_t train_repushes() const;
-  /// Scheduler node insertions across all shards — the denominator of
-  /// the E18 events/frame metric. Trains push one node per run of frames
-  /// instead of one per frame, so this divided by delivered frames drops
-  /// below 1 when trains form.
-  [[nodiscard]] std::uint64_t nodes_pushed() const;
+  // Per-shard counters summed over shards (see ShardCounters).
+  [[nodiscard]] std::uint64_t trains_popped() const {
+    return shard_sums().trains_popped;
+  }
+  [[nodiscard]] std::uint64_t train_frames() const {
+    return shard_sums().train_frames;
+  }
+  [[nodiscard]] std::uint64_t train_repushes() const {
+    return shard_sums().train_repushes;
+  }
+  [[nodiscard]] std::uint64_t nodes_pushed() const {
+    return shard_sums().nodes_pushed;
+  }
   /// Windows the calling thread ran inline while a worker pool existed
   /// (the sparse-window fallback that keeps parallel >= serial).
   [[nodiscard]] std::uint64_t windows_inline() const {
@@ -451,8 +454,59 @@ class Simulator {
     return window_width_max_;
   }
 
+  /// Every engine counter as fn(metric name, value), in the order metrics
+  /// render them: the engine-wide counters, the per-shard ones summed
+  /// over shards (`executed` also counts barrier tasks) and the timing
+  /// wheel's.
+  template <typename Fn>
+  void counters(Fn&& fn) const {
+    const ShardCounters sums = shard_sums();
+    fn("executed", executed_events());
+    fn("windows", windows_executed_);
+    fn("mail_merged", mail_merged_);
+    fn("barrier_tasks", barrier_executed_);
+    fn("pending", std::uint64_t{pending_events()});
+    ShardCounters::walk([&](const char* name, auto field) {
+      if (field != &ShardCounters::executed) fn(name, sums.*field);
+    });
+    fn("windows_inline", windows_inline_);
+    fn("windows_widened", windows_widened_);
+    const TimingWheel::Stats wheel = wheel_stats();
+    TimingWheel::Stats::walk(
+        [&](const char* name, auto field) { fn(name, wheel.*field); });
+  }
+
  private:
   friend class ShardGuard;
+
+  /// The counters each shard's worker bumps for its own shard. `walk`
+  /// lists each once, in engine-image order: fn(metric name, member).
+  struct ShardCounters {
+    /// Events dispatched by this shard.
+    std::uint64_t executed = 0;
+    /// Train nodes popped from the scheduler (each covers >= 1 frame).
+    std::uint64_t trains_popped = 0;
+    /// Frames delivered through trains.
+    std::uint64_t train_frames = 0;
+    /// Train nodes re-pushed mid-batch (tie with another event or window
+    /// boundary).
+    std::uint64_t train_repushes = 0;
+    /// Scheduler node insertions — the denominator of the E18 events/frame
+    /// metric. Trains push one node per run of frames instead of one per
+    /// frame, so this divided by delivered frames drops below 1 when
+    /// trains form.
+    std::uint64_t nodes_pushed = 0;
+
+    template <typename Fn>
+    static void walk(Fn&& fn) {
+      fn("executed", &ShardCounters::executed);
+      fn("trains_popped", &ShardCounters::trains_popped);
+      fn("train_frames", &ShardCounters::train_frames);
+      fn("train_repushes", &ShardCounters::train_repushes);
+      fn("nodes_pushed", &ShardCounters::nodes_pushed);
+    }
+  };
+  [[nodiscard]] ShardCounters shard_sums() const;
 
   /// One of four is set: a plain callback, a timer shot, a train node
   /// (the slot anchors the train's scheduler presence; the frames live in
@@ -485,19 +539,14 @@ class Simulator {
 
   /// Everything one shard touches while executing a window, padded so
   /// neighboring shards never share a cache line.
-  struct alignas(64) Shard {
+  struct alignas(64) Shard : ShardCounters {
     TimingWheel wheel;
     std::vector<EventPayload> slots;
     std::vector<std::uint32_t> free_slots;
     std::uint64_t next_seq = 0;
-    std::uint64_t executed = 0;
     /// Live (non-cancelled) events currently queued here. Each pending
     /// train entry counts as one, exactly like a single-frame event.
     std::size_t live = 0;
-    std::uint64_t trains_popped = 0;
-    std::uint64_t train_frames = 0;
-    std::uint64_t train_repushes = 0;
-    std::uint64_t nodes_pushed = 0;
     SimTime now = 0;
     /// outbox[dst]: mail pushed during the current window, merged at the
     /// barrier in (time, src, push-order) order.
@@ -589,19 +638,33 @@ class Simulator {
   [[nodiscard]] SimTime earliest_shard_event();
   [[nodiscard]] SimTime earliest_barrier_task() const;
 
-  /// Bookkeeping alive between restore_engine and finish_restore: the
-  /// image's per-shard census, the counts actually re-inserted, and the
-  /// scalar values (nodes_pushed, wheel stats) whose final application is
-  /// deferred until every component has re-inserted its events.
+  /// One shard's scalars as the engine image lays them out, walked by
+  /// save and load alike (sim/snapshot.cc). A save fills it from the
+  /// live shard; a load parks it until finish_restore.
+  struct ShardImage {
+    SimTime now = 0;
+    std::uint64_t next_seq = 0;
+    ShardCounters counters;
+    std::uint64_t live = 0;
+    TimingWheel::Stats wheel;
+    std::uint32_t timers = 0;  // census: live timer shots
+    std::uint32_t trains = 0;  // census: anchored trains
+    void walk(SnapshotIo& io);
+  };
+
+  /// The engine image's header and global scalars, one walk for save and
+  /// load. Returns the reason a load refuses the header, else nullptr.
+  const char* snapshot_scalars(SnapshotIo& io);
+
+  /// Bookkeeping alive between restore_engine and finish_restore: each
+  /// shard's image scalars (census, counters and wheel stats, applied only
+  /// after every component has re-inserted its events) and the counts
+  /// actually re-inserted.
   struct RestorePending {
     bool active = false;
-    std::vector<std::uint32_t> expect_timers;
-    std::vector<std::uint32_t> expect_trains;
+    std::vector<ShardImage> shards;
     std::vector<std::uint32_t> got_timers;
     std::vector<std::uint32_t> got_trains;
-    std::vector<std::uint64_t> expect_live;
-    std::vector<std::uint64_t> nodes_pushed;
-    std::vector<TimingWheel::Stats> wheel_stats;
   };
 
   // --- Shards (one until configure_shards). -----------------------------

@@ -8,7 +8,10 @@
 // shots and train anchors as per-shard census counts only: their contents
 // are owned (and serialized) by the Timer and Link that will re-insert them
 // on restore, and finish_restore() validates that every counted event
-// actually came back.
+// actually came back. The image's scalars (header, engine-wide counters,
+// each shard's clock, counters, wheel stats and census) are one SnapshotIo
+// walk that save and restore share; only the event records are written
+// and read by hand, because a save drains them and a load rebuilds them.
 #include "sim/snapshot.h"
 
 #include <algorithm>
@@ -60,6 +63,37 @@ void SnapshotIo::counters(std::span<std::uint64_t> cells) {
   }
 }
 
+const char* Simulator::snapshot_scalars(SnapshotIo& io) {
+  if (!io.expect(kEngineMagic)) return "bad engine section magic";
+  if (!io.expect(static_cast<std::uint32_t>(shards_.size()))) {
+    return "shard count mismatch";
+  }
+  io.field(global_now_);
+  io.field(barrier_executed_);
+  io.field(barrier_seq_);
+  io.field(windows_executed_);
+  io.field(mail_merged_);
+  io.field(windows_inline_);
+  io.field(windows_widened_);
+  io.field(window_width_min_);
+  io.field(window_width_max_);
+  io.field(window_events_ema_);
+  io.field(last_total_executed_);
+  return nullptr;
+}
+
+void Simulator::ShardImage::walk(SnapshotIo& io) {
+  io.field(now);
+  io.field(next_seq);
+  ShardCounters::walk(
+      [&](const char*, auto field) { io.field(counters.*field); });
+  io.field(live);
+  TimingWheel::Stats::walk(
+      [&](const char*, auto field) { io.field(wheel.*field); });
+  io.field(timers);
+  io.field(trains);
+}
+
 bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
   const auto fail = [error](const char* msg) {
     if (error != nullptr) *error = msg;
@@ -77,19 +111,8 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
     }
   }
 
-  w.u32(kEngineMagic);
-  w.u32(static_cast<std::uint32_t>(shards_.size()));
-  w.i64(global_now_);
-  w.u64(barrier_executed_);
-  w.u64(barrier_seq_);
-  w.u64(windows_executed_);
-  w.u64(mail_merged_);
-  w.u64(windows_inline_);
-  w.u64(windows_widened_);
-  w.i64(window_width_min_);
-  w.i64(window_width_max_);
-  w.f64(window_events_ema_);
-  w.u64(last_total_executed_);
+  SnapshotIo io(w);
+  (void)snapshot_scalars(io);
 
   struct Rec {
     SimTime time;
@@ -100,21 +123,8 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
   const char* bad = nullptr;
   for (auto& shp : shards_) {
     Shard& sh = *shp;
-    w.i64(sh.now);
-    w.u64(sh.next_seq);
-    w.u64(sh.executed);
-    w.u64(sh.trains_popped);
-    w.u64(sh.train_frames);
-    w.u64(sh.train_repushes);
-    w.u64(sh.nodes_pushed);
-    w.u64(sh.live);
-    // Capture stats before the drain below perturbs them.
-    const TimingWheel::Stats ws = sh.wheel.stats();
-    w.u64(ws.inserts);
-    w.u64(ws.erases);
-    w.u64(ws.pops);
-    w.u64(ws.cascaded_nodes);
-    w.u64(ws.overflow_rehomed);
+    // Capture the scalars before the drain below perturbs the wheel stats.
+    ShardImage img{sh.now, sh.next_seq, sh, sh.live, sh.wheel.stats()};
 
     // Drain the wheel in (time, seq) order. Erase is true removal, so the
     // only dead residue is staged nodes, which pop() discards with
@@ -131,15 +141,13 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
     // mismatch after an unsafe cross-shard cancel) decays invisibly —
     // no clock advance, no executed count — so it is re-inserted in the
     // live engine but dropped from the image.
-    std::uint32_t n_timers = 0;
-    std::uint32_t n_trains = 0;
     std::vector<const Rec*> data_recs;
     for (const Rec& rec : recs) {
       const EventPayload& p = sh.slots[rec.slot];
       if (p.train != nullptr) {
-        ++n_trains;
+        ++img.trains;
       } else if (p.timer != nullptr) {
-        if (p.timer->generation == p.timer_gen) ++n_timers;
+        if (p.timer->generation == p.timer_gen) ++img.timers;
       } else if (p.data_owner != nullptr) {
         if (data_owner_ids_.find(p.data_owner) == data_owner_ids_.end()) {
           bad = "data event with unregistered owner";
@@ -149,8 +157,7 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
         bad = "opaque closure event in queue (not checkpointable)";
       }
     }
-    w.u32(n_timers);
-    w.u32(n_trains);
+    img.walk(io);
     w.u32(static_cast<std::uint32_t>(data_recs.size()));
     for (const Rec* rp : data_recs) {
       const EventPayload& p = sh.slots[rp->slot];
@@ -178,7 +185,7 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
         p.timer->handle = handle;
       }
     }
-    sh.wheel.restore_stats(ws);
+    sh.wheel.restore_stats(img.wheel);
   }
   if (bad != nullptr) return fail(bad);
   return true;
@@ -232,58 +239,30 @@ bool Simulator::restore_engine(SnapshotReader& r, std::string* error) {
     if (error != nullptr) *error = msg;
     return false;
   };
-  if (r.u32() != kEngineMagic) return fail("bad engine section magic");
-  const std::uint32_t count = r.u32();
-  if (count != shards_.size()) return fail("shard count mismatch");
-  global_now_ = r.i64();
-  barrier_executed_ = r.u64();
-  barrier_seq_ = r.u64();
-  windows_executed_ = r.u64();
-  mail_merged_ = r.u64();
-  windows_inline_ = r.u64();
-  windows_widened_ = r.u64();
-  window_width_min_ = r.i64();
-  window_width_max_ = r.i64();
-  window_events_ema_ = r.f64();
-  last_total_executed_ = r.u64();
+  SnapshotIo io(r);
+  if (const char* bad = snapshot_scalars(io)) return fail(bad);
 
+  const std::size_t count = shards_.size();
   restore_pending_ = RestorePending{};
   restore_pending_.active = true;
-  restore_pending_.expect_timers.assign(count, 0);
-  restore_pending_.expect_trains.assign(count, 0);
+  restore_pending_.shards.assign(count, ShardImage{});
   restore_pending_.got_timers.assign(count, 0);
   restore_pending_.got_trains.assign(count, 0);
-  restore_pending_.expect_live.assign(count, 0);
-  restore_pending_.nodes_pushed.assign(count, 0);
-  restore_pending_.wheel_stats.assign(count, TimingWheel::Stats{});
 
   for (std::size_t s = 0; s < count; ++s) {
     Shard& sh = *shards_[s];
-    sh.now = r.i64();
-    sh.next_seq = r.u64();
-    sh.executed = r.u64();
-    sh.trains_popped = r.u64();
-    sh.train_frames = r.u64();
-    sh.train_repushes = r.u64();
-    // nodes_pushed and wheel stats apply in finish_restore, after every
-    // component's re-insertions (which would otherwise perturb them).
-    restore_pending_.nodes_pushed[s] = r.u64();
-    restore_pending_.expect_live[s] = r.u64();
-    TimingWheel::Stats ws;
-    ws.inserts = r.u64();
-    ws.erases = r.u64();
-    ws.pops = r.u64();
-    ws.cascaded_nodes = r.u64();
-    ws.overflow_rehomed = r.u64();
-    restore_pending_.wheel_stats[s] = ws;
+    // The shard's counters and wheel stats apply in finish_restore, after
+    // every component's re-insertions (which would otherwise perturb them).
+    ShardImage& img = restore_pending_.shards[s];
+    img.walk(io);
+    sh.now = img.now;
+    sh.next_seq = img.next_seq;
     // Re-anchor at the restored clock so every saved event (all > the
     // saved now) is insertable regardless of where the cleared fresh
     // engine's cursor had advanced to.
     sh.wheel.reset(sh.now);
     sh.live = 0;
 
-    restore_pending_.expect_timers[s] = r.u32();
-    restore_pending_.expect_trains[s] = r.u32();
     const std::uint32_t n_data = r.count();
     for (std::uint32_t i = 0; i < n_data; ++i) {
       const SimTime t = r.i64();
@@ -367,26 +346,24 @@ bool Simulator::finish_restore(std::string* error) {
   std::string mismatch;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& sh = *shards_[s];
-    if (restore_pending_.got_timers[s] != restore_pending_.expect_timers[s]) {
+    const ShardImage& img = restore_pending_.shards[s];
+    if (restore_pending_.got_timers[s] != img.timers) {
       mismatch = "shard " + std::to_string(s) + ": restored " +
                  std::to_string(restore_pending_.got_timers[s]) +
-                 " timer shots, image counted " +
-                 std::to_string(restore_pending_.expect_timers[s]);
+                 " timer shots, image counted " + std::to_string(img.timers);
     }
-    if (restore_pending_.got_trains[s] != restore_pending_.expect_trains[s]) {
+    if (restore_pending_.got_trains[s] != img.trains) {
       mismatch = "shard " + std::to_string(s) + ": restored " +
                  std::to_string(restore_pending_.got_trains[s]) +
-                 " train anchors, image counted " +
-                 std::to_string(restore_pending_.expect_trains[s]);
+                 " train anchors, image counted " + std::to_string(img.trains);
     }
-    if (sh.live != restore_pending_.expect_live[s]) {
+    if (sh.live != img.live) {
       mismatch = "shard " + std::to_string(s) + ": " +
                  std::to_string(sh.live) + " live events after restore, " +
-                 "image counted " +
-                 std::to_string(restore_pending_.expect_live[s]);
+                 "image counted " + std::to_string(img.live);
     }
-    sh.nodes_pushed = restore_pending_.nodes_pushed[s];
-    sh.wheel.restore_stats(restore_pending_.wheel_stats[s]);
+    static_cast<ShardCounters&>(sh) = img.counters;
+    sh.wheel.restore_stats(img.wheel);
   }
   restore_pending_ = RestorePending{};
   if (!mismatch.empty()) return fail("event census mismatch: " + mismatch);

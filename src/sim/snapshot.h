@@ -17,7 +17,8 @@
 // `snapshot(SnapshotIo&)` that names every field by reference: over a
 // SnapshotWriter the walk saves, over a SnapshotReader it loads, so the
 // two layouts cannot drift. Only the walks that are not mirror images
-// keep separate save and restore code: the engine's drain-and-rebuild,
+// keep separate save and restore code: the engine's event records (a save
+// drains them, a load rebuilds them; the engine's scalars are one walk),
 // Link's hashed sections, FabricGraph's content-addressed blocks and the
 // Snapshotable extras. Closures never serialize — restorable events are
 // either timer shots (the owning Timer re-arms its retained callback),

@@ -64,6 +64,16 @@ class TimingWheel {
     std::uint64_t cascaded_nodes = 0;
     /// Overflow-parked nodes re-placed onto the wheel.
     std::uint64_t overflow_rehomed = 0;
+
+    /// Each counter once, in engine-image order: fn(metric name, member).
+    template <typename Fn>
+    static void walk(Fn&& fn) {
+      fn("wheel_inserts", &Stats::inserts);
+      fn("wheel_erases", &Stats::erases);
+      fn("wheel_pops", &Stats::pops);
+      fn("wheel_cascaded", &Stats::cascaded_nodes);
+      fn("wheel_overflow_rehomed", &Stats::overflow_rehomed);
+    }
   };
 
   TimingWheel();

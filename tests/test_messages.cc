@@ -12,6 +12,7 @@
 #include "core/locator.h"
 #include "core/messages.h"
 #include "core/pmac.h"
+#include "mutation.h"
 
 namespace portland::core {
 namespace {
@@ -317,18 +318,7 @@ TEST(Control, MutatedMessagesDecodeOrRejectCleanly) {
   };
   for (const ControlMessage& m : samples) {
     SCOPED_TRACE(control_type_name(m.body));
-    const std::vector<std::uint8_t> valid = serialize_control(m);
-    for (std::size_t n = 0; n <= valid.size(); ++n) {
-      feed(std::span(valid).first(n));
-    }
-    for (int i = 0; i < 2000; ++i) {
-      std::vector<std::uint8_t> bytes = valid;
-      for (std::uint64_t flips = 1 + rng.next_below(3); flips > 0; --flips) {
-        bytes[rng.next_below(bytes.size())] ^=
-            static_cast<std::uint8_t>(1 + rng.next_below(255));
-      }
-      feed(bytes);
-    }
+    for_each_mutation(serialize_control(m), rng, feed);
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(decoded, kControlTypeCount);  // the unmutated encodings at least
@@ -460,6 +450,40 @@ TEST(Control, LocatorLevelAboveCoreRejected) {
   EXPECT_FALSE(LdpMessage::from_frame(ldm.to_frame()).has_value());
   ldm.from.level = Level::kCore;
   EXPECT_TRUE(LdpMessage::from_frame(ldm.to_frame()).has_value());
+}
+
+// LDMs arrive from the wire, so a decoder that trusts them is one corrupt
+// frame away from a crash. Every LdpType, truncated at every byte and
+// mutated 2,000 times, must decode or be refused cleanly; whatever
+// decodes re-encodes stably and, reported as the receiver's neighbour the
+// way a switch would pass it on, keeps the fabric manager's failed-link
+// count equal to a brute-force recount.
+TEST(Ldp, MutatedFramesDecodeOrRejectCleanly) {
+  const std::vector<ControlMessage> hellos = k4_hellos();
+  MutationSink sink;
+  for (const ControlMessage& m : hellos) sink.apply(m);
+  const SwitchHello receiver = std::get<SwitchHello>(hellos[0].body);
+
+  Rng rng(23);
+  std::size_t decoded = 0;
+  const auto feed = [&](std::span<const std::uint8_t> bytes) {
+    const std::optional<LdpMessage> m = LdpMessage::from_frame(bytes);
+    if (!m.has_value()) return;
+    ++decoded;
+    const std::vector<std::uint8_t> again = m->to_frame();
+    const std::optional<LdpMessage> twice = LdpMessage::from_frame(again);
+    ASSERT_TRUE(twice.has_value());
+    ASSERT_EQ(twice->to_frame(), again);
+    SwitchHello report{receiver.self, {{m->sender_port, m->from}}};
+    sink.apply({receiver.self.switch_id, std::move(report)});
+    ASSERT_EQ(sink.graph.failed_link_count(), sink.brute_failed());
+  };
+  for (const LdpMessage& m : ldp_samples()) {
+    SCOPED_TRACE(static_cast<int>(m.type));
+    for_each_mutation(m.to_frame(), rng, feed);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(decoded, ldp_samples().size());  // the unmutated frames at least
 }
 
 TEST(Control, TypeNames) {

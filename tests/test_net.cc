@@ -12,6 +12,7 @@
 #include "net/packet.h"
 #include "net/tcp.h"
 #include "net/udp.h"
+#include "mutation.h"
 
 namespace portland::net {
 namespace {
@@ -329,6 +330,62 @@ TEST(Packet, FuzzedBytesNeverCrash) {
     }
     (void)parse_frame(junk);  // must not crash or overread (ASAN-clean)
   }
+}
+
+// Valid ARP, UDP, TCP and IGMP frames, truncated at every byte and
+// mutated 2,000 times each, must parse or be refused cleanly: a parse that
+// succeeds hands out a payload inside the buffer (read in full here, so
+// ASan sees any overrun), and an IGMP payload goes to its decoder as an
+// edge switch would pass it.
+TEST(Packet, MutatedFramesParseOrRejectCleanly) {
+  TcpHeader tcp;
+  tcp.src_port = 33000;
+  tcp.dst_port = 5001;
+  tcp.seq = 77;
+  tcp.ack = 91;
+  tcp.flags.ack = true;
+  tcp.flags.psh = true;
+  const Ipv4Address group(224, 0, 1, 5);
+  const std::vector<std::uint8_t> data = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const std::vector<std::vector<std::uint8_t>> samples = {
+      build_arp_frame(MacAddress::broadcast(), kMacA,
+                      ArpMessage::request(kMacA, kIpA, kIpB)),
+      build_arp_frame(kMacA, kMacB,
+                      ArpMessage::reply(kMacB, kIpB, kMacA, kIpA)),
+      build_udp_frame(kMacA, kMacB, kIpA, kIpB, 7000, 7001, data),
+      build_tcp_frame(kMacA, kMacB, kIpA, kIpB, tcp, data),
+      build_ipv4_frame(multicast_mac(group), kMacA, kIpA, group, kProtocolIgmp,
+                       IgmpMessage{IgmpType::kMembershipReport, group}
+                           .serialize(),
+                       1),
+  };
+
+  Rng rng(24);
+  std::size_t parsed = 0;
+  std::uint64_t sum = 0;
+  const auto feed = [&](std::span<const std::uint8_t> bytes) {
+    const ParsedFrame p = parse_frame(bytes);
+    if (!p.valid) return;
+    ++parsed;
+    if (!p.payload.empty()) {
+      ASSERT_GE(p.payload.data(), bytes.data());
+      ASSERT_LE(p.payload.data() + p.payload.size(),
+                bytes.data() + bytes.size());
+    }
+    for (const std::uint8_t b : p.payload) sum += b;
+    if (p.ipv4.has_value() && p.ipv4->protocol == kProtocolIgmp) {
+      (void)IgmpMessage::deserialize(p.payload);
+    }
+    (void)flow_key_of(p);
+  };
+  for (const std::vector<std::uint8_t>& frame : samples) {
+    SCOPED_TRACE(frame.size());
+    ASSERT_TRUE(parse_frame(frame).valid);
+    for_each_mutation(frame, rng, feed);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(parsed, samples.size());  // the unmutated frames at least
+  EXPECT_GT(sum, 0u);
 }
 
 TEST(Packet, FlowKeyAndHash) {

@@ -6,10 +6,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <sstream>
+#include <string_view>
 
 #include "core/fabric.h"
 #include "host/apps.h"
+#include "net/packet.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace_export.h"
@@ -132,12 +136,12 @@ TEST(DropReason, NamesAndCountersCoverEveryReason) {
 TEST(Metrics, JsonlAndPrometheusWriters) {
   MetricsRegistry reg;
   MetricsSnapshot& s1 = reg.begin_snapshot(millis(1));
-  s1.engine.executed = 42;
-  s1.engine.per_shard_executed = {40, 2};
+  s1.scalars.push_back({"engine", "executed", 42});
+  s1.per_shard_executed = {40, 2};
   s1.devices.push_back({"edge-p0-0", {{"rx_frames", 7}}});
   s1.links.push_back({"a->b", true, 5, 320, 1, 64});
   MetricsSnapshot& s2 = reg.begin_snapshot(millis(2));
-  s2.engine.executed = 99;
+  s2.scalars.push_back({"engine", "executed", 99});
   ASSERT_EQ(reg.snapshots().size(), 2u);
 
   const std::string jsonl = testing::TempDir() + "obs_metrics.jsonl";
@@ -369,7 +373,13 @@ TEST(ObsIntegration, MetricsSnapshotSeesDevicesAndLinks) {
   ASSERT_EQ(reg.snapshots().size(), 1u);
   const MetricsSnapshot& snap = reg.snapshots().front();
   EXPECT_EQ(snap.t, fabric.sim().now());
-  EXPECT_GT(snap.engine.executed, 0u);
+  const auto executed =
+      std::find_if(snap.scalars.begin(), snap.scalars.end(),
+                   [](const ScalarSample& r) {
+                     return std::string_view(r.key) == "executed";
+                   });
+  ASSERT_NE(executed, snap.scalars.end());
+  EXPECT_GT(executed->value, 0u);
   // Every device and both directions of every link are present.
   EXPECT_EQ(snap.devices.size(), fabric.network().devices().size());
   EXPECT_EQ(snap.links.size(), fabric.network().links().size() * 2);
@@ -378,6 +388,138 @@ TEST(ObsIntegration, MetricsSnapshotSeesDevicesAndLinks) {
   const std::uint64_t before = fabric.sim().executed_events();
   fabric.snapshot_metrics(reg);
   EXPECT_EQ(fabric.sim().executed_events(), before);
+}
+
+// The scalar series a fabric renders, in order, and the accessor behind
+// each value: renaming, reordering or dropping an engine, wheel, parse or
+// memory series fails here. The lists are written out as rendered;
+// wheel_pops is the one series the timing wheel's walk added.
+TEST(Metrics, ScalarSeriesArePinned) {
+  core::PortlandFabric::Options options;
+  options.k = 4;
+  options.seed = 5;
+  core::PortlandFabric fabric(options);
+  host::Host& a = fabric.host_at(0, 0, 0);
+  host::Host& b = fabric.host_at(3, 1, 1);
+  host::UdpFlowReceiver rx(b, 7000);
+  host::UdpFlowSender::Config cfg;
+  cfg.dst = b.ip();
+  cfg.src_port = cfg.dst_port = 7000;
+  cfg.interval = micros(100);
+  host::UdpFlowSender tx(a, cfg);
+  fabric.sim().run_until(millis(100));
+  tx.start();
+  fabric.sim().run_until(millis(150));
+  MetricsRegistry reg;
+  fabric.snapshot_metrics(reg);
+
+  std::vector<std::string> names;
+  std::map<std::string, std::uint64_t> values;
+  std::istringstream prom(reg.render_prometheus());
+  for (std::string line; std::getline(prom, line);) {
+    if (line.starts_with("portland_device_") ||
+        line.starts_with("portland_link_")) {
+      continue;
+    }
+    const std::size_t space = line.rfind(' ');
+    names.push_back(line.substr(0, space));
+    values[names.back()] = std::stoull(line.substr(space + 1));
+  }
+  const std::vector<std::string> expected = {
+      "portland_sim_time_ns",
+      "portland_engine_executed",
+      "portland_engine_windows",
+      "portland_engine_mail_merged",
+      "portland_engine_barrier_tasks",
+      "portland_engine_pending",
+      "portland_engine_trains_popped",
+      "portland_engine_train_frames",
+      "portland_engine_train_repushes",
+      "portland_engine_nodes_pushed",
+      "portland_engine_windows_inline",
+      "portland_engine_windows_widened",
+      "portland_wheel_inserts",
+      "portland_wheel_erases",
+      "portland_wheel_pops",
+      "portland_wheel_cascaded",
+      "portland_wheel_overflow_rehomed",
+      "portland_parse_calls",
+      "portland_parse_meta_hits",
+      "portland_parse_meta_attaches",
+      "portland_parse_rewrite_copies",
+      "portland_memory_switch_table_bytes",
+      "portland_memory_host_table_bytes",
+      "portland_memory_fib_bytes",
+      "portland_memory_arena_bytes",
+      "portland_memory_rss_bytes",
+      "portland_shard_executed{shard=\"0\"}",
+  };
+  EXPECT_EQ(names, expected);
+
+  const sim::Simulator& s = fabric.sim();
+  const sim::TimingWheel::Stats wheel = s.wheel_stats();
+  const net::ParseStats parse = net::parse_stats();
+  const std::pair<const char*, std::uint64_t> accessors[] = {
+      {"portland_sim_time_ns", static_cast<std::uint64_t>(s.now())},
+      {"portland_engine_executed", s.executed_events()},
+      {"portland_engine_windows", s.windows_executed()},
+      {"portland_engine_mail_merged", s.mail_merged()},
+      {"portland_engine_barrier_tasks", s.barrier_tasks_executed()},
+      {"portland_engine_pending", s.pending_events()},
+      {"portland_engine_trains_popped", s.trains_popped()},
+      {"portland_engine_train_frames", s.train_frames()},
+      {"portland_engine_train_repushes", s.train_repushes()},
+      {"portland_engine_nodes_pushed", s.nodes_pushed()},
+      {"portland_engine_windows_inline", s.windows_inline()},
+      {"portland_engine_windows_widened", s.windows_widened()},
+      {"portland_wheel_inserts", wheel.inserts},
+      {"portland_wheel_erases", wheel.erases},
+      {"portland_wheel_pops", wheel.pops},
+      {"portland_wheel_cascaded", wheel.cascaded_nodes},
+      {"portland_wheel_overflow_rehomed", wheel.overflow_rehomed},
+      {"portland_parse_calls", parse.parse_calls},
+      {"portland_parse_meta_hits", parse.meta_hits},
+      {"portland_parse_meta_attaches", parse.meta_attaches},
+      {"portland_parse_rewrite_copies", parse.rewrite_copies},
+      {"portland_shard_executed{shard=\"0\"}", s.shard_executed(0)},
+  };
+  for (const auto& [name, value] : accessors) {
+    EXPECT_EQ(values[name], value) << name;
+  }
+  EXPECT_GT(values["portland_engine_train_frames"], 0u);
+  EXPECT_GT(values["portland_parse_meta_hits"], 0u);
+
+  // JSONL: the keys of the engine, parse and memory objects, in order.
+  const std::string path = testing::TempDir() + "obs_pinned.jsonl";
+  ASSERT_TRUE(reg.write_jsonl(path));
+  const std::string line = read_file(path);
+  const auto keys_of = [&line](const std::string& section) {
+    const std::size_t open = line.find("\"" + section + "\":{");
+    const std::string body =
+        line.substr(open, line.find('}', open) - open);
+    const std::regex key("[{,]\"([a-z_]+)\":");
+    std::vector<std::string> keys;
+    for (auto it = std::sregex_iterator(body.begin(), body.end(), key);
+         it != std::sregex_iterator(); ++it) {
+      keys.push_back((*it)[1]);
+    }
+    return keys;
+  };
+  EXPECT_EQ(keys_of("engine"),
+            (std::vector<std::string>{
+                "executed", "windows", "mail_merged", "barrier_tasks",
+                "pending", "trains_popped", "train_frames", "train_repushes",
+                "nodes_pushed", "windows_inline", "windows_widened",
+                "wheel_inserts", "wheel_erases", "wheel_pops",
+                "wheel_cascaded", "wheel_overflow_rehomed",
+                "per_shard_executed"}));
+  EXPECT_EQ(keys_of("parse"),
+            (std::vector<std::string>{"parse_calls", "meta_hits",
+                                      "meta_attaches", "rewrite_copies"}));
+  EXPECT_EQ(keys_of("memory"),
+            (std::vector<std::string>{"switch_table_bytes",
+                                      "host_table_bytes", "fib_bytes",
+                                      "arena_bytes", "rss_bytes"}));
 }
 
 }  // namespace
