@@ -13,10 +13,26 @@ using namespace portland::bench;
 namespace {
 
 struct Result {
-  double seconds = 0;
-  std::uint64_t ooo = 0;
+  double completion_s = 0;
+  std::uint64_t ooo_segments = 0;
   std::uint64_t retransmissions = 0;
-  std::uint64_t segments = 0;
+  std::uint64_t segments = 0;  // printed, not reported
+
+  static void walk(auto&& fn) {
+    fn("completion_s", &Result::completion_s);
+    fn("ooo_segments", &Result::ooo_segments);
+    fn("retransmissions", &Result::retransmissions);
+  }
+};
+
+struct Report {
+  Result hash;
+  Result spray;
+
+  static void walk(auto&& fn) {
+    fn("hash_", &Report::hash);
+    fn("spray_", &Report::spray);
+  }
 };
 
 Result run(core::PortlandConfig::EcmpMode mode) {
@@ -52,8 +68,8 @@ Result run(core::PortlandConfig::EcmpMode mode) {
     if (fabric->sim().now() - t0 > seconds(120)) break;  // safety
   }
   Result r;
-  r.seconds = to_seconds(fabric->sim().now() - t0);
-  r.ooo = accepted->out_of_order_segments();
+  r.completion_s = to_seconds(fabric->sim().now() - t0);
+  r.ooo_segments = accepted->out_of_order_segments();
   r.retransmissions = conn->retransmissions();
   r.segments = conn->segments_sent();
   if (accepted->payload_corruption_seen()) {
@@ -70,19 +86,16 @@ int main(int argc, char** argv) {
       "     spraying — 100 MB TCP transfer across pods, k=4, one core group\n"
       "     40 us slower (heterogeneous path delays)");
 
-  const Result hash = run(core::PortlandConfig::EcmpMode::kFlowHash);
-  const Result spray = run(core::PortlandConfig::EcmpMode::kPacketSpray);
+  Report report;
+  report.hash = run(core::PortlandConfig::EcmpMode::kFlowHash);
+  report.spray = run(core::PortlandConfig::EcmpMode::kPacketSpray);
 
-  std::printf("\n%-24s %14s %14s %16s %12s\n", "mode", "completion_s",
-              "ooo_segments", "retransmissions", "segments");
-  std::printf("%-24s %14.2f %14llu %16llu %12llu\n", "flow hash (paper)",
-              hash.seconds, static_cast<unsigned long long>(hash.ooo),
-              static_cast<unsigned long long>(hash.retransmissions),
-              static_cast<unsigned long long>(hash.segments));
-  std::printf("%-24s %14.2f %14llu %16llu %12llu\n", "packet spray",
-              spray.seconds, static_cast<unsigned long long>(spray.ooo),
-              static_cast<unsigned long long>(spray.retransmissions),
-              static_cast<unsigned long long>(spray.segments));
+  std::printf("\n");
+  print_table(std::vector<Result>{report.hash, report.spray}, "mode",
+              {"flow hash (paper)", "packet spray"});
+  std::printf("segments sent: %llu (flow hash), %llu (packet spray)\n",
+              static_cast<unsigned long long>(report.hash.segments),
+              static_cast<unsigned long long>(report.spray.segments));
 
   std::printf(
       "\nFlow hashing keeps the stream strictly in order (0 out-of-order\n"
@@ -90,15 +103,6 @@ int main(int argc, char** argv) {
       "retransmissions — the reason §3.5 pins flows to paths.\n");
 
   const std::string json = json_path_from_args(argc, argv);
-  if (!json.empty()) {
-    JsonReport report("e11_ecmp_ablation");
-    report.add("hash_completion_s", hash.seconds);
-    report.add("hash_ooo_segments", hash.ooo);
-    report.add("hash_retransmissions", hash.retransmissions);
-    report.add("spray_completion_s", spray.seconds);
-    report.add("spray_ooo_segments", spray.ooo);
-    report.add("spray_retransmissions", spray.retransmissions);
-    report.write(json);
-  }
+  if (!json.empty()) write_json(json, "e11_ecmp_ablation", report);
   return 0;
 }

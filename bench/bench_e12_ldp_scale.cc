@@ -16,7 +16,27 @@ using namespace portland;
 using namespace portland::bench;
 
 namespace {
+
 constexpr const char* kUsage = "bench_e12_ldp_scale [max_k] [--json PATH]";
+
+struct Row {
+  int k = 0;
+  std::size_t switches = 0;
+  std::size_t hosts = 0;
+  double converge_ms = 0;
+  std::uint64_t ctrl_msgs = 0;
+  long long wall_ms = 0;
+
+  static void walk(auto&& fn) {
+    fn("k", &Row::k);
+    fn("switches", &Row::switches);
+    fn("hosts", &Row::hosts);
+    fn("converge_ms", &Row::converge_ms);
+    fn("ctrl_msgs", &Row::ctrl_msgs);
+    fn("wall_ms", &Row::wall_ms);
+  }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -26,11 +46,8 @@ int main(int argc, char** argv) {
   print_header(
       "E12 LDP discovery at scale: convergence time and control cost vs k");
 
-  std::printf("\n%4s %10s %8s %16s %14s %16s %14s\n", "k", "switches",
-              "hosts", "converge_ms", "ctrl_msgs", "fm_switches",
-              "wall_ms");
-  std::string json_rows = "[";
-  bool first_row = true;
+  std::printf("\n");
+  RowsReport<Row> report;
   for (int k = 4; k <= max_k; k += 4) {
     const auto wall0 = std::chrono::steady_clock::now();
     core::PortlandFabric::Options options;
@@ -42,39 +59,30 @@ int main(int argc, char** argv) {
       continue;
     }
     const auto wall1 = std::chrono::steady_clock::now();
-    const long long wall_ms = static_cast<long long>(
+    Row row;
+    row.k = k;
+    row.switches = fabric.switches().size();
+    row.hosts = fabric.hosts().size();
+    row.converge_ms = to_millis(fabric.sim().now());
+    row.ctrl_msgs = fabric.control().messages_sent();
+    row.wall_ms = static_cast<long long>(
         std::chrono::duration_cast<std::chrono::milliseconds>(wall1 - wall0)
             .count());
-    std::printf("%4d %10zu %8zu %16.1f %14llu %16zu %14lld\n", k,
-                fabric.switches().size(), fabric.hosts().size(),
-                to_millis(fabric.sim().now()),
-                static_cast<unsigned long long>(
-                    fabric.control().messages_sent()),
-                fabric.fabric_manager().graph().switch_count(), wall_ms);
-    char buf[224];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n    {\"k\": %d, \"switches\": %zu, \"hosts\": %zu, "
-                  "\"converge_ms\": %.1f, \"ctrl_msgs\": %llu, "
-                  "\"wall_ms\": %lld}",
-                  first_row ? "" : ",", k, fabric.switches().size(),
-                  fabric.hosts().size(), to_millis(fabric.sim().now()),
-                  static_cast<unsigned long long>(
-                      fabric.control().messages_sent()),
-                  wall_ms);
-    json_rows += buf;
-    first_row = false;
+    report.rows.push_back(row);
+    const std::size_t fm_switches =
+        fabric.fabric_manager().graph().switch_count();
+    if (fm_switches != row.switches) {
+      std::printf("k=%d: the fabric manager knows only %zu switches\n", k,
+                  fm_switches);
+    }
   }
-  json_rows += "\n  ]";
+  print_table(report.rows);
   std::printf(
       "\nDiscovery time is dominated by per-pod position negotiation and is\n"
       "nearly flat in k: every switch resolves its location from purely\n"
       "local exchanges plus one pod-number round trip per pod (§3.4).\n");
 
   const std::string json = json_path_from_args(argc, argv);
-  if (!json.empty()) {
-    JsonReport report("e12_ldp_scale");
-    report.add_raw("rows", json_rows);
-    report.write(json);
-  }
+  if (!json.empty()) write_json(json, "e12_ldp_scale", report);
   return 0;
 }

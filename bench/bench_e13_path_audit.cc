@@ -8,6 +8,7 @@
 // distribution (2/4/6 link hops = 1/3/5 switch hops for
 // same-edge/same-pod/inter-pod pairs). The audit repeats under random
 // link failures: rerouted paths must obey the same invariants.
+#include <map>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -17,14 +18,38 @@ using namespace portland::bench;
 
 namespace {
 
-struct AuditResult {
-  std::uint64_t packets = 0;
+struct Row {
+  int k = 0;
+  int failures = 0;
+  std::uint64_t packets_audited = 0;
   std::uint64_t violations = 0;
-  std::uint64_t overflowed = 0;
-  std::string row;  // JSON object for the report's "rows"
+  std::map<std::size_t, std::uint64_t> hops;  // switch hops -> packets
+  std::uint64_t events_overflowed = 0;        // summed into the report
+
+  static void walk(auto&& fn) {
+    fn("k", &Row::k);
+    fn("failures", &Row::failures);
+    fn("packets_audited", &Row::packets_audited);
+    fn("violations", &Row::violations);
+    fn("hops", &Row::hops);
+  }
 };
 
-AuditResult run_audit(int k, bool with_failures) {
+struct Report {
+  std::uint64_t packets_audited = 0;
+  std::uint64_t violations = 0;
+  std::uint64_t events_overflowed = 0;
+  std::vector<Row> rows;
+
+  static void walk(auto&& fn) {
+    fn("packets_audited", &Report::packets_audited);
+    fn("violations", &Report::violations);
+    fn("events_overflowed", &Report::events_overflowed);
+    fn("rows", &Report::rows);
+  }
+};
+
+Row run_audit(int k, bool with_failures) {
   core::PortlandFabric::Options options;
   options.k = k;
   options.seed = 1234 + static_cast<std::uint64_t>(k);
@@ -35,7 +60,7 @@ AuditResult run_audit(int k, bool with_failures) {
   Rng rng(99);
   const auto& hosts = fabric->hosts();
   const auto perm = host::permutation_pairing(hosts.size(), rng);
-  std::vector<std::unique_ptr<ProbeFlow>> flows;
+  Flows flows;
   std::uint16_t port = 7100;
   for (std::size_t i = 0; i < perm.size(); ++i) {
     flows.push_back(std::make_unique<ProbeFlow>(*hosts[i], *hosts[perm[i]],
@@ -55,14 +80,11 @@ AuditResult run_audit(int k, bool with_failures) {
               flows.size(), with_failures ? " + 3 link failures" : "",
               static_cast<unsigned long long>(monitor.paths_completed()));
   std::printf("  %-14s %10s %10s\n", "switch_hops", "packets", "share");
-  std::string hops_json;
   for (const auto& [hops, n] : monitor.path_hop_histogram()) {
     std::printf("  %-14zu %10llu %9.1f%%\n", hops,
                 static_cast<unsigned long long>(n),
                 100.0 * static_cast<double>(n) /
                     static_cast<double>(monitor.paths_completed()));
-    hops_json += (hops_json.empty() ? "\"" : ", \"") + std::to_string(hops) +
-                 "\": " + std::to_string(n);
   }
   const auto& details = monitor.path_violation_details();
   if (monitor.path_violations() == 0) {
@@ -77,15 +99,12 @@ AuditResult run_audit(int k, bool with_failures) {
                 static_cast<unsigned long long>(details.front().trace_id));
   }
 
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "{\"k\": %d, \"failures\": %d, \"packets_audited\": %llu, "
-                "\"violations\": %llu, \"hops\": {",
-                k, with_failures ? 3 : 0,
-                static_cast<unsigned long long>(monitor.paths_completed()),
-                static_cast<unsigned long long>(monitor.path_violations()));
-  return {monitor.paths_completed(), monitor.path_violations(),
-          monitor.events_overflowed(), buf + hops_json + "}}"};
+  return {k,
+          with_failures ? 3 : 0,
+          monitor.paths_completed(),
+          monitor.path_violations(),
+          monitor.path_hop_histogram(),
+          monitor.events_overflowed()};
 }
 
 }  // namespace
@@ -93,33 +112,23 @@ AuditResult run_audit(int k, bool with_failures) {
 int main(int argc, char** argv) {
   print_header(
       "E13 Per-packet loop-freedom audit + empirical path lengths (§3.5)");
-  const AuditResult results[] = {
+  Report report;
+  report.rows = {
       run_audit(4, /*with_failures=*/false),
       run_audit(6, /*with_failures=*/false),
       run_audit(4, /*with_failures=*/true),
   };
+  for (const Row& r : report.rows) {
+    report.packets_audited += r.packets_audited;
+    report.violations += r.violations;
+    report.events_overflowed += r.events_overflowed;
+  }
   std::printf(
       "\n1/3/5 switch hops correspond to same-edge / same-pod / inter-pod\n"
       "destinations; failures shift traffic but never create loops or\n"
       "valleys — the paper's Theorem 1, checked packet by packet.\n");
 
   const std::string json = json_path_from_args(argc, argv);
-  if (!json.empty()) {
-    AuditResult total;
-    std::string rows = "[";
-    for (const AuditResult& r : results) {
-      total.packets += r.packets;
-      total.violations += r.violations;
-      total.overflowed += r.overflowed;
-      rows += (rows.size() > 1 ? ",\n    " : "\n    ") + r.row;
-    }
-    rows += "\n  ]";
-    JsonReport report("e13_path_audit");
-    report.add("packets_audited", total.packets);
-    report.add("violations", total.violations);
-    report.add("events_overflowed", total.overflowed);
-    report.add_raw("rows", rows);
-    report.write(json);
-  }
+  if (!json.empty()) write_json(json, "e13_path_audit", report);
   return 0;
 }

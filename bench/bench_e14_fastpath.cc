@@ -82,6 +82,38 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
+struct Report {
+  int k = 0;
+  std::size_t hosts = 0;
+  std::size_t flows = 0;
+  std::uint64_t delivered_frames = 0;
+  double wall_seconds = 0;
+  double frames_per_sec = 0;
+  double ns_per_frame = 0;
+  double allocs_per_frame = 0;
+  double alloc_bytes_per_frame = 0;
+  double events_per_frame = 0;
+  double parse_calls_per_frame = 0;
+  double meta_hits_per_frame = 0;
+  std::uint64_t fib_rebuilds = 0;
+
+  static void walk(auto&& fn) {
+    fn("k", &Report::k);
+    fn("hosts", &Report::hosts);
+    fn("flows", &Report::flows);
+    fn("delivered_frames", &Report::delivered_frames);
+    fn("wall_seconds", &Report::wall_seconds);
+    fn("frames_per_sec", &Report::frames_per_sec);
+    fn("ns_per_frame", &Report::ns_per_frame);
+    fn("allocs_per_frame", &Report::allocs_per_frame);
+    fn("alloc_bytes_per_frame", &Report::alloc_bytes_per_frame);
+    fn("events_per_frame", &Report::events_per_frame);
+    fn("parse_calls_per_frame", &Report::parse_calls_per_frame);
+    fn("meta_hits_per_frame", &Report::meta_hits_per_frame);
+    fn("fib_rebuilds", &Report::fib_rebuilds);
+  }
+};
+
 std::uint64_t switch_counter_sum(core::PortlandFabric& fabric,
                                  const char* name) {
   std::uint64_t sum = 0;
@@ -96,36 +128,13 @@ void run(const Args& args) {
                std::to_string(args.k) + " fat tree, all-to-all UDP)");
 
   auto fabric = make_fabric(args.k, /*seed=*/14);
-  const auto& hosts = fabric->hosts();
-  const std::size_t n = hosts.size();
-  const std::size_t hosts_per_pod = n / static_cast<std::size_t>(args.k);
-
-  // All-to-all style pairing: host i sends flow f to the host with the
-  // same intra-pod index f+1 pods away, so every pod pair carries traffic
-  // and every flow crosses the core.
-  std::vector<std::unique_ptr<ProbeFlow>> flows;
-  std::uint16_t port = 9000;
-  for (std::size_t f = 0; f < args.flows_per_host; ++f) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t dst = (i + (f + 1) * hosts_per_pod) % n;
-      flows.push_back(std::make_unique<ProbeFlow>(
-          *hosts[i], *hosts[dst], port++, /*interval=*/millis(1),
-          /*payload_bytes=*/64));
-    }
-  }
-
+  const Flows flows = all_to_all_flows(*fabric, args.flows_per_host);
   sim::Simulator& sim = fabric->sim();
 
   // Warm up: ARP resolution, flow pinning, cache fill.
   sim.run_until(sim.now() + millis(200));
 
-  auto delivered = [&] {
-    std::uint64_t d = 0;
-    for (const auto& fl : flows) d += fl->receiver->packets_received();
-    return d;
-  };
-
-  const std::uint64_t delivered0 = delivered();
+  const std::uint64_t delivered0 = packets_received(flows);
   const std::uint64_t events0 = sim.executed_events();
   const std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
   const std::uint64_t alloc_bytes0 =
@@ -141,90 +150,54 @@ void run(const Args& args) {
   sim.run_until(sim.now() + args.measure);
 
   const auto wall1 = std::chrono::steady_clock::now();
-  const std::uint64_t frames = delivered() - delivered0;
-  const std::uint64_t events = sim.executed_events() - events0;
   const std::uint64_t allocs =
       g_alloc_count.load(std::memory_order_relaxed) - allocs0;
   const std::uint64_t alloc_bytes =
       g_alloc_bytes.load(std::memory_order_relaxed) - alloc_bytes0;
-  const std::uint64_t hop_rx = switch_counter_sum(*fabric, "rx_frames") - hop_rx0;
+  Report r;
+  r.k = args.k;
+  r.hosts = fabric->hosts().size();
+  r.flows = flows.size();
+  r.delivered_frames = packets_received(flows) - delivered0;
+  const auto frames = static_cast<double>(r.delivered_frames);
+  const auto per_frame = [frames](std::uint64_t count) {
+    return static_cast<double>(count) / frames;
+  };
   const net::ParseStats& parse1 = net::parse_stats();
-  const std::uint64_t parses = parse1.parse_calls - parse0.parse_calls;
-  const std::uint64_t meta_hits = parse1.meta_hits - parse0.meta_hits;
-  std::uint64_t fib_rebuilds = 0;
   for (const core::PortlandSwitch* sw : fabric->switches()) {
-    fib_rebuilds += sw->fib_rebuilds();
+    r.fib_rebuilds += sw->fib_rebuilds();
   }
-  fib_rebuilds -= fib_rebuilds0;
-  const double wall_s =
-      std::chrono::duration<double>(wall1 - wall0).count();
-
-  const double fps = static_cast<double>(frames) / wall_s;
-  const double ns_per_frame = wall_s * 1e9 / static_cast<double>(frames);
-  const double allocs_per_frame =
-      static_cast<double>(allocs) / static_cast<double>(frames);
-  const double events_per_frame =
-      static_cast<double>(events) / static_cast<double>(frames);
+  r.fib_rebuilds -= fib_rebuilds0;
+  r.wall_seconds = std::chrono::duration<double>(wall1 - wall0).count();
+  r.frames_per_sec = frames / r.wall_seconds;
+  r.ns_per_frame = r.wall_seconds * 1e9 / frames;
+  r.allocs_per_frame = per_frame(allocs);
+  r.alloc_bytes_per_frame = per_frame(alloc_bytes);
+  r.events_per_frame = per_frame(sim.executed_events() - events0);
+  r.parse_calls_per_frame = per_frame(parse1.parse_calls - parse0.parse_calls);
+  r.meta_hits_per_frame = per_frame(parse1.meta_hits - parse0.meta_hits);
   const double hops_per_frame =
-      static_cast<double>(hop_rx) / static_cast<double>(frames);
+      per_frame(switch_counter_sum(*fabric, "rx_frames") - hop_rx0);
 
-  std::printf("hosts                 : %zu\n", n);
-  std::printf("flows                 : %zu\n", flows.size());
+  std::printf("hosts                 : %zu\n", r.hosts);
+  std::printf("flows                 : %zu\n", r.flows);
   std::printf("delivered data frames : %llu (in %lld ms simulated)\n",
-              static_cast<unsigned long long>(frames),
+              static_cast<unsigned long long>(r.delivered_frames),
               static_cast<long long>(args.measure / 1000000));
-  std::printf("wall time             : %.3f s\n", wall_s);
-  std::printf("frames/sec (wall)     : %.0f\n", fps);
-  std::printf("ns/frame (wall)       : %.0f\n", ns_per_frame);
-  std::printf("allocs/frame          : %.2f (%.0f bytes)\n", allocs_per_frame,
-              static_cast<double>(alloc_bytes) / static_cast<double>(frames));
-  std::printf("events/frame          : %.2f\n", events_per_frame);
+  std::printf("wall time             : %.3f s\n", r.wall_seconds);
+  std::printf("frames/sec (wall)     : %.0f\n", r.frames_per_sec);
+  std::printf("ns/frame (wall)       : %.0f\n", r.ns_per_frame);
+  std::printf("allocs/frame          : %.2f (%.0f bytes)\n",
+              r.allocs_per_frame, r.alloc_bytes_per_frame);
+  std::printf("events/frame          : %.2f\n", r.events_per_frame);
   std::printf("switch-hop rx/frame   : %.2f (includes LDP keepalives)\n",
               hops_per_frame);
   std::printf("parse calls/frame     : %.3f (meta hits/frame %.3f)\n",
-              static_cast<double>(parses) / static_cast<double>(frames),
-              static_cast<double>(meta_hits) / static_cast<double>(frames));
+              r.parse_calls_per_frame, r.meta_hits_per_frame);
   std::printf("FIB rebuilds          : %llu (in measured window)\n",
-              static_cast<unsigned long long>(fib_rebuilds));
+              static_cast<unsigned long long>(r.fib_rebuilds));
 
-  if (!args.json_path.empty()) {
-    FILE* f = std::fopen(args.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", args.json_path.c_str());
-      std::exit(1);
-    }
-    const bench::MemoryReport mem = bench::MemoryReport::capture();
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"e14_fastpath\",\n"
-                 "  \"k\": %d,\n"
-                 "  \"hosts\": %zu,\n"
-                 "  \"flows\": %zu,\n"
-                 "  \"delivered_frames\": %llu,\n"
-                 "  \"wall_seconds\": %.6f,\n"
-                 "  \"frames_per_sec\": %.1f,\n"
-                 "  \"ns_per_frame\": %.1f,\n"
-                 "  \"allocs_per_frame\": %.3f,\n"
-                 "  \"alloc_bytes_per_frame\": %.1f,\n"
-                 "  \"events_per_frame\": %.3f,\n"
-                 "  \"parse_calls_per_frame\": %.4f,\n"
-                 "  \"meta_hits_per_frame\": %.4f,\n"
-                 "  \"fib_rebuilds\": %llu,\n"
-                 "  \"rss_bytes\": %zu,\n"
-                 "  \"peak_rss_bytes\": %zu\n"
-                 "}\n",
-                 args.k, n, flows.size(),
-                 static_cast<unsigned long long>(frames), wall_s, fps,
-                 ns_per_frame, allocs_per_frame,
-                 static_cast<double>(alloc_bytes) / static_cast<double>(frames),
-                 events_per_frame,
-                 static_cast<double>(parses) / static_cast<double>(frames),
-                 static_cast<double>(meta_hits) / static_cast<double>(frames),
-                 static_cast<unsigned long long>(fib_rebuilds),
-                 mem.rss_bytes, mem.peak_rss_bytes);
-    std::fclose(f);
-    std::printf("json written          : %s\n", args.json_path.c_str());
-  }
+  if (!args.json_path.empty()) write_json(args.json_path, "e14_fastpath", r);
 }
 
 }  // namespace

@@ -82,9 +82,34 @@ struct Row {
   double speedup = 0;
   std::uint64_t events = 0;
   bool oversubscribed = false;
+
+  static void walk(auto&& fn) {
+    fn("k", &Row::k);
+    fn("workers", &Row::workers);
+    fn("wall_seconds", &Row::wall_s);
+    fn("frames_per_sec", &Row::frames_per_sec);
+    fn("speedup", &Row::speedup);
+    fn("window_events", &Row::events);
+    fn("oversubscribed", &Row::oversubscribed);
+  }
 };
 
-void run_k(const Args& args, int k, unsigned hw, std::vector<Row>& rows) {
+struct Report {
+  unsigned hardware_concurrency = 0;
+  std::size_t reps = 0;
+  std::uint64_t measure_ms = 0;
+  std::vector<Row> rows;
+
+  static void walk(auto&& fn) {
+    fn("hardware_concurrency", &Report::hardware_concurrency);
+    fn("reps", &Report::reps);
+    fn("measure_ms", &Report::measure_ms);
+    fn("rows", &Report::rows);
+  }
+};
+
+/// Times one fabric at 1, 2, 4, ... workers and prints its rows.
+std::vector<Row> run_k(const Args& args, int k, unsigned hw) {
   core::PortlandFabric::Options options;
   options.k = k;
   options.seed = 15;
@@ -94,53 +119,30 @@ void run_k(const Args& args, int k, unsigned hw, std::vector<Row>& rows) {
   // apart). 5 us is still far below any protocol timescale in the sim.
   options.host_link.propagation = micros(5);
   options.fabric_link.propagation = micros(5);
-  core::PortlandFabric fabric(options);
-  if (!fabric.run_until_converged(seconds(30))) {
-    std::fprintf(stderr, "FATAL: LDP did not converge (k=%d)\n", k);
-    std::exit(1);
-  }
+  const auto fabric = make_fabric(options, seconds(30));
 
-  const auto& hosts = fabric.hosts();
-  const std::size_t n = hosts.size();
-  const std::size_t hosts_per_pod = n / static_cast<std::size_t>(k);
-  std::vector<std::unique_ptr<ProbeFlow>> flows;
-  std::uint16_t port = 9000;
-  for (std::size_t f = 0; f < args.flows_per_host; ++f) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t dst = (i + (f + 1) * hosts_per_pod) % n;
-      flows.push_back(std::make_unique<ProbeFlow>(
-          *hosts[i], *hosts[dst], port++, /*interval=*/millis(1),
-          /*payload_bytes=*/64));
-    }
-  }
-
-  sim::Simulator& sim = fabric.sim();
+  const Flows flows = all_to_all_flows(*fabric, args.flows_per_host);
+  sim::Simulator& sim = fabric->sim();
   sim.run_until(sim.now() + millis(100));  // warm-up: ARP, flow pinning
 
   std::printf("\nk=%d: %zu hosts, %zu switches, %zu flows, %zu shards, "
               "lookahead %lld ns\n",
-              k, n, fabric.switches().size(), flows.size(), sim.shard_count(),
+              k, fabric->hosts().size(), fabric->switches().size(),
+              flows.size(), sim.shard_count(),
               static_cast<long long>(sim.lookahead()));
-  std::printf("%4s %8s %10s %12s %10s %8s\n", "k", "workers", "wall_s",
-              "frames/s", "speedup", "note");
-
+  std::vector<Row> rows;
   double base_wall = 0;
   for (unsigned w = 1; w <= args.max_threads; w *= 2) {
     sim.set_workers(w);
     std::uint64_t window_events = 0;
     std::uint64_t window_frames = 0;
     const double wall_s = repeat_median(args.reps, [&] {
-      auto delivered = [&] {
-        std::uint64_t d = 0;
-        for (const auto& fl : flows) d += fl->receiver->packets_received();
-        return d;
-      };
-      const std::uint64_t d0 = delivered();
+      const std::uint64_t d0 = packets_received(flows);
       const std::uint64_t e0 = sim.executed_events();
       const auto wall0 = std::chrono::steady_clock::now();
       sim.run_until(sim.now() + args.measure);
       const auto wall1 = std::chrono::steady_clock::now();
-      window_frames = delivered() - d0;
+      window_frames = packets_received(flows) - d0;
       window_events = sim.executed_events() - e0;
       return std::chrono::duration<double>(wall1 - wall0).count();
     });
@@ -155,16 +157,19 @@ void run_k(const Args& args, int k, unsigned hw, std::vector<Row>& rows) {
     row.events = window_events;
     row.oversubscribed = w > hw;
     rows.push_back(row);
-    std::printf("%4d %8u %10.3f %12.0f %9.2fx %8s\n", k, w, wall_s,
-                row.frames_per_sec, row.speedup,
-                row.oversubscribed ? "> cores" : "");
   }
+  print_table(rows);
+  return rows;
 }
 
 void run(const Args& args) {
   print_header("E15: sharded parallel engine thread-scaling "
                "(all-to-all UDP, per-pod shards)");
-  const unsigned hw = std::thread::hardware_concurrency();
+  Report report;
+  report.hardware_concurrency = std::thread::hardware_concurrency();
+  report.reps = args.reps;
+  report.measure_ms = static_cast<std::uint64_t>(args.measure) / 1000000ull;
+  const unsigned hw = report.hardware_concurrency;
   std::printf("hardware_concurrency  : %u\n", hw);
   if (hw < args.max_threads) {
     std::printf("NOTE: only %u core(s) available — speedup beyond %u "
@@ -173,34 +178,12 @@ void run(const Args& args) {
                 hw, hw);
   }
 
-  std::vector<Row> rows;
-  for (const int k : args.ks) run_k(args, k, hw, rows);
+  for (const int k : args.ks) {
+    for (const Row& row : run_k(args, k, hw)) report.rows.push_back(row);
+  }
 
   if (!args.json_path.empty()) {
-    JsonReport report("e15_parallel");
-    report.add("hardware_concurrency", static_cast<std::uint64_t>(hw));
-    report.add("reps", args.reps);
-    report.add("measure_ms", static_cast<std::uint64_t>(
-                                 static_cast<std::uint64_t>(args.measure) /
-                                 1000000ull));
-    std::string arr = "[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "%s\n    {\"k\": %d, \"workers\": %u, "
-                    "\"wall_seconds\": %.6f, \"frames_per_sec\": %.1f, "
-                    "\"speedup\": %.3f, \"window_events\": %llu, "
-                    "\"oversubscribed\": %s}",
-                    i == 0 ? "" : ",", r.k, r.workers, r.wall_s,
-                    r.frames_per_sec, r.speedup,
-                    static_cast<unsigned long long>(r.events),
-                    r.oversubscribed ? "true" : "false");
-      arr += buf;
-    }
-    arr += "\n  ]";
-    report.add_raw("rows", arr);
-    report.write(args.json_path);
+    write_json(args.json_path, "e15_parallel", report);
   }
 }
 

@@ -98,22 +98,23 @@ std::vector<std::unique_ptr<sim::Timer>> make_backlog(sim::Simulator& sim,
 }
 
 struct MicroRow {
-  std::string op;
+  const char* op = "";
   double ns_per_op = 0;
+
+  static void walk(auto&& fn) {
+    fn("op", &MicroRow::op);
+    fn("ns_per_op", &MicroRow::ns_per_op);
+  }
 };
 
-void run_micro(const Args& args, std::vector<MicroRow>& rows) {
+std::vector<MicroRow> run_micro(const Args& args) {
   print_header("E16 micro: event-queue ops, ns/op (backlog 65536)");
-  std::printf("%18s %12s\n", "op", "ns/op");
   const std::size_t ops = args.micro_ops;
-  const auto report = [&rows](const char* op, double ns) {
-    rows.push_back(MicroRow{op, ns});
-    std::printf("%18s %12.1f\n", op, ns);
-  };
+  std::vector<MicroRow> rows;
 
   // schedule_at: one-shot inserts at erratic offsets, never dispatched
   // within the measured window.
-  double ns = repeat_median(args.reps, [&] {
+  rows.push_back({"schedule_at", repeat_median(args.reps, [&] {
     sim::Simulator sim;
     Rng rng(16);
     const auto backlog = make_backlog(sim, rng);
@@ -123,12 +124,11 @@ void run_micro(const Args& args, std::vector<MicroRow>& rows) {
              [] {});
     }
     return elapsed_ns(t0) / static_cast<double>(ops);
-  });
-  report("schedule_at", ns);
+  })});
 
   // schedule+dispatch: the full queue round trip — insert at erratic
   // offsets, then drain (bucket staging and cascades).
-  ns = repeat_median(args.reps, [&] {
+  rows.push_back({"schedule_dispatch", repeat_median(args.reps, [&] {
     sim::Simulator sim;
     Rng rng(17);
     const auto backlog = make_backlog(sim, rng);
@@ -139,12 +139,11 @@ void run_micro(const Args& args, std::vector<MicroRow>& rows) {
     }
     sim.run_until(sim.now() + millis(20));
     return elapsed_ns(t0) / static_cast<double>(ops);
-  });
-  report("schedule_dispatch", ns);
+  })});
 
   // timer_rearm: the LDP-keepalive hot path — erase the pending shot,
   // re-insert at a new deadline, no closure rebuild.
-  ns = repeat_median(args.reps, [&] {
+  rows.push_back({"timer_rearm", repeat_median(args.reps, [&] {
     sim::Simulator sim;
     Rng rng(18);
     const auto backlog = make_backlog(sim, rng);
@@ -156,11 +155,10 @@ void run_micro(const Args& args, std::vector<MicroRow>& rows) {
               static_cast<SimDuration>(rng.next_below(millis(50))));
     }
     return elapsed_ns(t0) / static_cast<double>(ops);
-  });
-  report("timer_rearm", ns);
+  })});
 
   // timer_cancel: schedule + true-cancel pairs.
-  ns = repeat_median(args.reps, [&] {
+  rows.push_back({"timer_cancel", repeat_median(args.reps, [&] {
     sim::Simulator sim;
     Rng rng(19);
     const auto backlog = make_backlog(sim, rng);
@@ -174,8 +172,9 @@ void run_micro(const Args& args, std::vector<MicroRow>& rows) {
       t.cancel();
     }
     return elapsed_ns(t0) / static_cast<double>(2 * ops);
-  });
-  report("timer_cancel", ns);
+  })});
+  print_table(rows);
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -187,27 +186,43 @@ struct MacroRow {
   double wall_s = 0;
   double events_per_sec = 0;
   std::uint64_t window_events = 0;
-  std::uint64_t pending = 0;
+
+  static void walk(auto&& fn) {
+    fn("k", &MacroRow::k);
+    fn("wall_seconds", &MacroRow::wall_s);
+    fn("events_per_sec", &MacroRow::events_per_sec);
+    fn("window_events", &MacroRow::window_events);
+  }
+};
+
+struct Report {
+  std::size_t reps = 0;
+  std::uint64_t measure_ms = 0;
+  std::vector<MicroRow> micro;
+  std::vector<MacroRow> macro;
+
+  static void walk(auto&& fn) {
+    fn("reps", &Report::reps);
+    fn("measure_ms", &Report::measure_ms);
+    fn("micro", &Report::micro);
+    fn("macro", &Report::macro);
+  }
 };
 
 MacroRow run_macro_one(const Args& args, int k) {
   core::PortlandFabric::Options options;
   options.k = k;
   options.seed = 16;
-  core::PortlandFabric fabric(options);
-  if (!fabric.run_until_converged(seconds(30))) {
-    std::fprintf(stderr, "FATAL: LDP did not converge (k=%d)\n", k);
-    std::exit(1);
-  }
-  sim::Simulator& sim = fabric.sim();
+  const auto fabric = make_fabric(options, seconds(30));
+  sim::Simulator& sim = fabric->sim();
 
   // Standing transport load: one long-lived cross-pod TCP flow per pod.
   // Every ACK re-arms the sender's RTO, so the scheduler sees continuous
   // rearm/cancel churn on top of the LDP keepalive population — the
   // timer-dominated regime this experiment targets.
   for (int f = 0; f < k; ++f) {
-    host::Host& src = fabric.host_at(f, 0, 0);
-    host::Host& dst = fabric.host_at((f + k / 2) % k, 1, 0);
+    host::Host& src = fabric->host_at(f, 0, 0);
+    host::Host& dst = fabric->host_at((f + k / 2) % k, 1, 0);
     dst.tcp_listen(static_cast<std::uint16_t>(5000 + f),
                    [](host::TcpConnection&) {});
     host::TcpConnection* conn =
@@ -218,7 +233,8 @@ MacroRow run_macro_one(const Args& args, int k) {
 
   MacroRow row;
   row.k = k;
-  row.pending = sim.pending_events();
+  std::printf("k=%d: %zu events pending at steady state\n", k,
+              sim.pending_events());
   row.wall_s = repeat_median(args.reps, [&] {
     const std::uint64_t e0 = sim.executed_events();
     const auto wall0 = std::chrono::steady_clock::now();
@@ -228,57 +244,21 @@ MacroRow run_macro_one(const Args& args, int k) {
     return std::chrono::duration<double>(wall1 - wall0).count();
   });
   row.events_per_sec = static_cast<double>(row.window_events) / row.wall_s;
-  std::printf("%4d %10.3f %14.0f %12llu %10llu\n", k, row.wall_s,
-              row.events_per_sec,
-              static_cast<unsigned long long>(row.window_events),
-              static_cast<unsigned long long>(row.pending));
   return row;
 }
 
 void run(const Args& args) {
-  std::vector<MicroRow> micro;
-  run_micro(args, micro);
+  Report report;
+  report.reps = args.reps;
+  report.measure_ms = static_cast<std::uint64_t>(args.measure) / 1000000ull;
+  report.micro = run_micro(args);
 
   print_header("E16 macro: LDP steady state, executed events/sec");
-  std::printf("%4s %10s %14s %12s %10s\n", "k", "wall_s", "events/s",
-              "events", "pending");
-  std::vector<MacroRow> macro;
-  for (const int k : args.ks) macro.push_back(run_macro_one(args, k));
+  for (const int k : args.ks) report.macro.push_back(run_macro_one(args, k));
+  print_table(report.macro);
 
   if (!args.json_path.empty()) {
-    JsonReport report("e16_event_queue");
-    report.add("reps", args.reps);
-    report.add("measure_ms",
-               static_cast<std::uint64_t>(static_cast<std::uint64_t>(
-                                              args.measure) /
-                                          1000000ull));
-    std::string arr = "[";
-    for (std::size_t i = 0; i < micro.size(); ++i) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "%s\n    {\"op\": \"%s\", \"ns_per_op\": %.2f}",
-                    i == 0 ? "" : ",", micro[i].op.c_str(),
-                    micro[i].ns_per_op);
-      arr += buf;
-    }
-    arr += "\n  ]";
-    report.add_raw("micro", arr);
-    arr = "[";
-    for (std::size_t i = 0; i < macro.size(); ++i) {
-      const MacroRow& r = macro[i];
-      char buf[200];
-      std::snprintf(buf, sizeof(buf),
-                    "%s\n    {\"k\": %d, "
-                    "\"wall_seconds\": %.6f, \"events_per_sec\": %.1f, "
-                    "\"window_events\": %llu}",
-                    i == 0 ? "" : ",", r.k, r.wall_s,
-                    r.events_per_sec,
-                    static_cast<unsigned long long>(r.window_events));
-      arr += buf;
-    }
-    arr += "\n  ]";
-    report.add_raw("macro", arr);
-    report.write(args.json_path);
+    write_json(args.json_path, "e16_event_queue", report);
   }
 }
 

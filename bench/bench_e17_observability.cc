@@ -75,6 +75,35 @@ struct ModeResult {
   std::uint64_t traced_frames = 0;
   std::uint64_t engine_spans = 0;
   std::size_t snapshots = 0;
+  double overhead_pct = 0.0;  // frames/s slowdown against `off`
+
+  static void walk(auto&& fn) {
+    fn("frames_per_sec", &ModeResult::frames_per_sec);
+    fn("delivered", &ModeResult::delivered);
+    fn("hop_records", &ModeResult::hop_records);
+    fn("traced_frames", &ModeResult::traced_frames);
+    fn("engine_spans", &ModeResult::engine_spans);
+    fn("snapshots", &ModeResult::snapshots);
+    fn("overhead_pct", &ModeResult::overhead_pct);
+  }
+};
+
+struct Report {
+  int k = 0;
+  std::size_t reps = 0;
+  std::uint64_t measure_ms = 0;
+  ModeResult off;
+  ModeResult frames;
+  ModeResult full;
+
+  static void walk(auto&& fn) {
+    fn("k", &Report::k);
+    fn("reps", &Report::reps);
+    fn("measure_ms", &Report::measure_ms);
+    fn("off_", &Report::off);
+    fn("frames_", &Report::frames);
+    fn("full_", &Report::full);
+  }
 };
 
 /// One full fabric lifetime: converge, wire flows, warm up, measure one
@@ -85,37 +114,14 @@ ModeResult run_once(const Args& args, Mode mode) {
   options.seed = 17;
   options.obs.flight_recorder = mode != Mode::kOff;
   options.obs.engine_trace = mode == Mode::kFull;
-  core::PortlandFabric fabric(options);
-  if (!fabric.run_until_converged()) {
-    std::fprintf(stderr, "FATAL: LDP did not converge (k=%d)\n", args.k);
-    std::abort();
-  }
+  const auto fabric = make_fabric(options);
 
-  const auto& hosts = fabric.hosts();
-  const std::size_t n = hosts.size();
-  const std::size_t hosts_per_pod = n / static_cast<std::size_t>(args.k);
-  std::vector<std::unique_ptr<ProbeFlow>> flows;
-  std::uint16_t port = 9000;
-  for (std::size_t f = 0; f < args.flows_per_host; ++f) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t dst = (i + (f + 1) * hosts_per_pod) % n;
-      flows.push_back(std::make_unique<ProbeFlow>(
-          *hosts[i], *hosts[dst], port++, /*interval=*/millis(1),
-          /*payload_bytes=*/64));
-    }
-  }
-
-  sim::Simulator& sim = fabric.sim();
+  const Flows flows = all_to_all_flows(*fabric, args.flows_per_host);
+  sim::Simulator& sim = fabric->sim();
   sim.run_until(sim.now() + millis(100));  // ARP + cache warmup
 
-  auto delivered = [&] {
-    std::uint64_t d = 0;
-    for (const auto& fl : flows) d += fl->receiver->packets_received();
-    return d;
-  };
-
   obs::MetricsRegistry metrics;
-  const std::uint64_t delivered0 = delivered();
+  const std::uint64_t delivered0 = packets_received(flows);
   const auto wall0 = std::chrono::steady_clock::now();
   if (mode == Mode::kFull) {
     // The "full" deployment samples metrics while it runs, exactly like
@@ -125,7 +131,7 @@ ModeResult run_once(const Args& args, Mode mode) {
     for (SimTime t = sim.now(); t < end;) {
       t = std::min(end, t + step);
       sim.run_until(t);
-      fabric.snapshot_metrics(metrics);
+      fabric->snapshot_metrics(metrics);
     }
   } else {
     sim.run_until(sim.now() + args.measure);
@@ -133,14 +139,14 @@ ModeResult run_once(const Args& args, Mode mode) {
   const auto wall1 = std::chrono::steady_clock::now();
 
   ModeResult r;
-  r.delivered = delivered() - delivered0;
+  r.delivered = packets_received(flows) - delivered0;
   const double wall_s = std::chrono::duration<double>(wall1 - wall0).count();
   r.frames_per_sec = static_cast<double>(r.delivered) / wall_s;
-  if (const obs::FlightRecorder* rec = fabric.flight_recorder()) {
+  if (const obs::FlightRecorder* rec = fabric->flight_recorder()) {
     r.hop_records = rec->records_captured();
     r.traced_frames = rec->traced_frames();
   }
-  if (const obs::EngineTracer* tracer = fabric.engine_tracer()) {
+  if (const obs::EngineTracer* tracer = fabric->engine_tracer()) {
     r.engine_spans = tracer->span_count();
   }
   r.snapshots = metrics.snapshots().size();
@@ -151,53 +157,34 @@ void run(const Args& args) {
   print_header("E17: observability overhead (k=" + std::to_string(args.k) +
                " fat tree, recorder off/frames/full)");
 
+  Report report;
+  report.k = args.k;
+  report.reps = args.reps;
+  report.measure_ms = static_cast<std::uint64_t>(args.measure / 1000000);
   constexpr Mode kModes[] = {Mode::kOff, Mode::kFrames, Mode::kFull};
-  ModeResult results[3];
+  ModeResult* const results[] = {&report.off, &report.frames, &report.full};
   for (std::size_t m = 0; m < 3; ++m) {
     std::vector<double> fps;
     fps.reserve(args.reps);
     for (std::size_t rep = 0; rep < args.reps; ++rep) {
-      results[m] = run_once(args, kModes[m]);
-      fps.push_back(results[m].frames_per_sec);
+      *results[m] = run_once(args, kModes[m]);
+      fps.push_back(results[m]->frames_per_sec);
     }
-    results[m].frames_per_sec = median_of(std::move(fps));
+    results[m]->frames_per_sec = median_of(std::move(fps));
   }
 
-  const double base = results[0].frames_per_sec;
-  std::printf("%-8s %14s %10s %14s %12s %8s %10s\n", "mode", "frames/sec",
-              "overhead", "hop records", "traced", "spans", "snapshots");
-  for (std::size_t m = 0; m < 3; ++m) {
-    const ModeResult& r = results[m];
-    const double overhead =
-        base > 0.0 ? (base / r.frames_per_sec - 1.0) * 100.0 : 0.0;
-    std::printf("%-8s %14.0f %9.2f%% %14llu %12llu %8llu %10zu\n",
-                mode_name(kModes[m]), r.frames_per_sec, overhead,
-                static_cast<unsigned long long>(r.hop_records),
-                static_cast<unsigned long long>(r.traced_frames),
-                static_cast<unsigned long long>(r.engine_spans), r.snapshots);
+  const double base = report.off.frames_per_sec;
+  for (ModeResult* r : results) {
+    if (base > 0.0 && r->frames_per_sec > 0.0) {
+      r->overhead_pct = (base / r->frames_per_sec - 1.0) * 100.0;
+    }
   }
+  print_table(std::vector<ModeResult>{report.off, report.frames, report.full},
+              "mode", {mode_name(Mode::kOff), mode_name(Mode::kFrames),
+                       mode_name(Mode::kFull)});
 
   if (!args.json_path.empty()) {
-    JsonReport report("e17_observability");
-    report.add("k", args.k);
-    report.add("reps", static_cast<std::uint64_t>(args.reps));
-    report.add("measure_ms",
-               static_cast<std::uint64_t>(args.measure / 1000000));
-    for (std::size_t m = 0; m < 3; ++m) {
-      const ModeResult& r = results[m];
-      const std::string p = mode_name(kModes[m]);
-      report.add(p + "_frames_per_sec", r.frames_per_sec);
-      report.add(p + "_delivered", r.delivered);
-      report.add(p + "_hop_records", r.hop_records);
-      report.add(p + "_traced_frames", r.traced_frames);
-      report.add(p + "_engine_spans", r.engine_spans);
-      report.add(p + "_snapshots", static_cast<std::uint64_t>(r.snapshots));
-      report.add(p + "_overhead_pct",
-                 base > 0.0 && r.frames_per_sec > 0.0
-                     ? (base / r.frames_per_sec - 1.0) * 100.0
-                     : 0.0);
-    }
-    report.write(args.json_path);
+    write_json(args.json_path, "e17_observability", report);
   }
 }
 

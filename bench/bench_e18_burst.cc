@@ -104,13 +104,54 @@ struct Row {
   double events_per_hop = 0;
   double events_per_frame = 0;  // scheduler inserts per *delivered* frame
   double train_share = 0;
-  double train_len = 0;    // frames per dispatched train
-  double repush_ratio = 0; // repushes per dispatched train
+  double train_len = 0;    // frames per dispatched train (printed only)
+  double repush_ratio = 0; // repushes per dispatched train (printed only)
+
+  static void walk(auto&& fn) {
+    fn("k", &Row::k);
+    fn("workers", &Row::workers);
+    fn("wall_seconds", &Row::wall_s);
+    fn("probe_frames_per_sec", &Row::probe_per_sec);
+    fn("hop_frames_per_sec", &Row::hops_per_sec);
+    fn("events_per_hop", &Row::events_per_hop);
+    fn("events_per_frame", &Row::events_per_frame);
+    fn("train_share", &Row::train_share);
+  }
+};
+
+/// The acceptance headline is the sharded engine at workers=1.
+struct Report {
+  int k = 0;
+  std::size_t reps = 0;
+  std::uint64_t measure_us = 0;
+  std::uint64_t interval_us = 0;
+  std::size_t flows_per_host = 0;
+  Row one_shard;  // workers=0
+  Row w1;
+  double w4_over_w1 = 0;
+  std::vector<Row> rows;
+
+  static void walk(auto&& fn) {
+    fn("k", &Report::k);
+    fn("reps", &Report::reps);
+    fn("measure_us", &Report::measure_us);
+    fn("interval_us", &Report::interval_us);
+    fn("flows_per_host", &Report::flows_per_host);
+    fn("frames_per_sec", &Report::w1, &Row::probe_per_sec);
+    fn("hop_frames_per_sec", &Report::w1, &Row::hops_per_sec);
+    fn("events_per_frame", &Report::w1, &Row::events_per_frame);
+    fn("events_per_hop", &Report::w1, &Row::events_per_hop);
+    fn("train_share", &Report::w1, &Row::train_share);
+    // The 1 shard row; the key predates the relabel.
+    fn("serial_frames_per_sec", &Report::one_shard, &Row::probe_per_sec);
+    fn("w4_over_w1", &Report::w4_over_w1);
+    fn("rows", &Report::rows);
+  }
 };
 
 struct Workload {
   std::unique_ptr<core::PortlandFabric> fabric;
-  std::vector<std::unique_ptr<ProbeFlow>> flows;
+  Flows flows;
 };
 
 /// Builds a converged fabric plus the all-to-all probe set (each host
@@ -129,30 +170,12 @@ Workload make_workload(const Args& args, int k,
   options.fabric_link.bandwidth_bps = args.bandwidth_gbps * 1e9;
   options.host_link.propagation = micros(5);
   options.fabric_link.propagation = micros(5);
-  w.fabric = std::make_unique<core::PortlandFabric>(options);
-  if (!w.fabric->run_until_converged(seconds(30))) {
-    std::fprintf(stderr, "FATAL: LDP did not converge (k=%d)\n", k);
-    std::exit(1);
-  }
-  const auto& hosts = w.fabric->hosts();
-  const std::size_t n = hosts.size();
-  const std::size_t hosts_per_pod = n / static_cast<std::size_t>(k);
-  std::uint16_t port = 9000;
-  const std::size_t total = args.flows_per_host * n;
-  std::size_t idx = 0;
-  for (std::size_t f = 0; f < args.flows_per_host; ++f) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t dst = (i + (f + 1) * hosts_per_pod) % n;
-      // Spread flow phases across the period so bursts from different
-      // senders rarely collide on the same instant (real shuffles are
-      // not nanosecond-synchronized; neither should the model be).
-      const SimDuration phase = static_cast<SimDuration>(
-          (static_cast<std::uint64_t>(args.interval) * idx++) / total);
-      w.flows.push_back(std::make_unique<ProbeFlow>(
-          *hosts[i], *hosts[dst], port++, args.interval,
-          /*payload_bytes=*/64, args.burst, phase, /*record=*/false));
-    }
-  }
+  w.fabric = make_fabric(options, seconds(30));
+  // Staggered phases: real shuffles are not nanosecond-synchronized;
+  // neither should the model be.
+  w.flows = all_to_all_flows(*w.fabric, args.flows_per_host, args.interval,
+                             args.burst, /*staggered=*/true,
+                             /*record=*/false);
   // Warm-up: ARP resolution, FIB builds, a few full burst periods.
   // Delivered counting starts after this.
   const SimDuration warm =
@@ -179,13 +202,8 @@ struct Sample {
 
 Sample measure_once(const Args& args, Workload& w) {
   sim::Simulator& sim = w.fabric->sim();
-  auto delivered = [&] {
-    std::uint64_t d = 0;
-    for (const auto& fl : w.flows) d += fl->receiver->packets_received();
-    return d;
-  };
   Sample s;
-  const std::uint64_t p0 = delivered();
+  const std::uint64_t p0 = packets_received(w.flows);
   const std::uint64_t h0 = total_hops(*w.fabric);
   const std::uint64_t n0 = sim.nodes_pushed();
   const std::uint64_t t0 = sim.train_frames();
@@ -195,13 +213,18 @@ Sample measure_once(const Args& args, Workload& w) {
   sim.run_until(sim.now() + args.measure);
   const auto wall1 = std::chrono::steady_clock::now();
   s.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
-  s.probe = delivered() - p0;
+  s.probe = packets_received(w.flows) - p0;
   s.hops = total_hops(*w.fabric) - h0;
   s.nodes = sim.nodes_pushed() - n0;
   s.train = sim.train_frames() - t0;
   s.pops = sim.trains_popped() - tp0;
   s.repush = sim.train_repushes() - tr0;
   return s;
+}
+
+/// num / den, or 0 when nothing was counted.
+double ratio(std::uint64_t num, std::uint64_t den) {
+  return den == 0 ? 0 : static_cast<double>(num) / static_cast<double>(den);
 }
 
 Row row_from(Workload& w, unsigned workers, double wall_s,
@@ -212,23 +235,11 @@ Row row_from(Workload& w, unsigned workers, double wall_s,
   row.wall_s = wall_s;
   row.probe_per_sec = static_cast<double>(s.probe) / wall_s;
   row.hops_per_sec = static_cast<double>(s.hops) / wall_s;
-  row.events_per_hop =
-      s.hops == 0 ? 0
-                  : static_cast<double>(s.nodes) / static_cast<double>(s.hops);
-  row.events_per_frame =
-      s.probe == 0
-          ? 0
-          : static_cast<double>(s.nodes) / static_cast<double>(s.probe);
-  row.train_share =
-      s.hops == 0 ? 0
-                  : static_cast<double>(s.train) / static_cast<double>(s.hops);
-  row.train_len =
-      s.pops == 0 ? 0
-                  : static_cast<double>(s.train) / static_cast<double>(s.pops);
-  row.repush_ratio =
-      s.pops == 0
-          ? 0
-          : static_cast<double>(s.repush) / static_cast<double>(s.pops);
+  row.events_per_hop = ratio(s.nodes, s.hops);
+  row.events_per_frame = ratio(s.nodes, s.probe);
+  row.train_share = ratio(s.train, s.hops);
+  row.train_len = ratio(s.train, s.pops);
+  row.repush_ratio = ratio(s.repush, s.pops);
   return row;
 }
 
@@ -267,20 +278,6 @@ Row measure_row(const Args& args, Workload& w, unsigned workers) {
   return row_from(w, workers, best_of(walls), last);
 }
 
-void print_row(const Row& r) {
-  std::printf("%4d %8u %10.3f %12.0f %12.0f %10.3f %8.2f %8.2f %8.2f  %s\n",
-              r.k, r.workers, r.wall_s,
-              r.probe_per_sec, r.hops_per_sec, r.events_per_hop,
-              r.train_share, r.train_len, r.repush_ratio,
-              r.workers == 0 ? "1 shard (workers=0)" : "k+1 shards");
-}
-
-void print_table_header() {
-  std::printf("%4s %8s %10s %12s %12s %10s %8s %8s %8s  %s\n", "k",
-              "workers", "wall_s", "probe/s", "hops/s", "ev/hop", "train",
-              "len", "repush", "engine");
-}
-
 void run(const Args& args) {
   print_header("E18: burst/train execution (near-line-rate all-to-all UDP)");
   std::printf("burst %zu x %zu flows/host every %lld us, %.0f Gb/s links, "
@@ -289,9 +286,14 @@ void run(const Args& args) {
               static_cast<long long>(args.interval / 1000),
               args.bandwidth_gbps,
               static_cast<long long>(args.measure / 1000), args.reps);
-  print_table_header();
 
-  std::vector<Row> rows;
+  Report report;
+  report.k = args.k;
+  report.reps = args.reps;
+  report.measure_us = static_cast<std::uint64_t>(args.measure) / 1000ull;
+  report.interval_us = static_cast<std::uint64_t>(args.interval) / 1000ull;
+  report.flows_per_host = args.flows_per_host;
+  std::vector<Row>& rows = report.rows;
   core::PortlandFabric::Options engine;
 
   // 1 shard (workers=0), then k+1 shards at 1 and 4 workers.
@@ -299,75 +301,40 @@ void run(const Args& args) {
     engine.workers = 0;
     Workload one_shard = make_workload(args, args.k, engine);
     rows.push_back(measure_row(args, one_shard, 0));
-    print_row(rows.back());
   }
   {
     engine.workers = 1;
     Workload shard = make_workload(args, args.k, engine);
     auto [r1, r4] = measure_worker_pair(args, shard);
     rows.push_back(r1);
-    print_row(r1);
     rows.push_back(r4);
-    print_row(r4);
   }
+  print_table(rows);
+  std::printf("workers=0 runs 1 shard, workers 1 and 4 run k+1 shards; "
+              "frames per train (repushes per train):");
+  for (const Row& r : rows) {
+    std::printf(" %.2f (%.2f)", r.train_len, r.repush_ratio);
+  }
+  std::printf("\n");
 
   // Headline summary: the acceptance numbers, stated explicitly. The
   // acceptance row is the sharded engine at workers=1 — "single-worker"
   // in the roadmap's words: one execution thread, per-pod event queues,
   // trains at full length.
-  const Row& one_shard = rows[0];
-  const Row& w1_row = rows[1];
-  const Row& w4_row = rows[2];
-  const double shard_w1 = w1_row.probe_per_sec;
-  const double shard_w4 = w4_row.probe_per_sec;
+  report.one_shard = rows[0];
+  report.w1 = rows[1];
+  const double shard_w1 = report.w1.probe_per_sec;
+  const double shard_w4 = rows[2].probe_per_sec;
+  report.w4_over_w1 = shard_w1 > 0 ? shard_w4 / shard_w1 : 0.0;
   std::printf("\nheadline (k=%d, workers=1): %.0f data frames/s, "
               "%.3f scheduler inserts per delivered frame\n",
-              args.k, shard_w1, w1_row.events_per_frame);
-  std::printf("workers 4 vs 1          : %.2fx %s\n",
-              shard_w1 > 0 ? shard_w4 / shard_w1 : 0.0,
+              args.k, shard_w1, report.w1.events_per_frame);
+  std::printf("workers 4 vs 1          : %.2fx %s\n", report.w4_over_w1,
               shard_w4 + 1e-9 >= shard_w1 * 0.95 ? "(parallel never loses)"
                                                  : "(REGRESSION)");
 
   if (!args.json_path.empty()) {
-    JsonReport report("e18_burst");
-    report.add("k", args.k);
-    report.add("reps", args.reps);
-    report.add("measure_us",
-               static_cast<std::uint64_t>(static_cast<std::uint64_t>(
-                   args.measure) / 1000ull));
-    report.add("interval_us",
-               static_cast<std::uint64_t>(static_cast<std::uint64_t>(
-                   args.interval) / 1000ull));
-    report.add("flows_per_host", static_cast<std::uint64_t>(
-                                     args.flows_per_host));
-    // Acceptance headline: single-worker (sharded, workers=1).
-    report.add("frames_per_sec", shard_w1);
-    report.add("hop_frames_per_sec", w1_row.hops_per_sec);
-    report.add("events_per_frame", w1_row.events_per_frame);
-    report.add("events_per_hop", w1_row.events_per_hop);
-    report.add("train_share", w1_row.train_share);
-    // The 1 shard (workers=0) row; the key predates the relabel.
-    report.add("serial_frames_per_sec", one_shard.probe_per_sec);
-    report.add("w4_over_w1", shard_w1 > 0 ? shard_w4 / shard_w1 : 0.0);
-    std::string arr = "[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      char buf[320];
-      std::snprintf(
-          buf, sizeof(buf),
-          "%s\n    {\"k\": %d, "
-          "\"workers\": %u, \"wall_seconds\": %.6f, "
-          "\"probe_frames_per_sec\": %.1f, "
-          "\"hop_frames_per_sec\": %.1f, \"events_per_hop\": %.4f, "
-          "\"events_per_frame\": %.4f, \"train_share\": %.4f}",
-          i == 0 ? "" : ",", r.k, r.workers, r.wall_s,
-          r.probe_per_sec, r.hops_per_sec, r.events_per_hop,
-          r.events_per_frame, r.train_share);
-      arr += buf;
-    }
-    arr += "\n  ]";
-    report.add_raw("rows", arr);
-    report.write(args.json_path);
+    write_json(args.json_path, "e18_burst", report);
   }
 }
 

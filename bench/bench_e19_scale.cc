@@ -86,6 +86,7 @@ struct Row {
   bool converged = false;
   double construct_s = 0;
   double converge_s = 0;
+  std::size_t table_bytes = 0;  // tables.total()
   core::PortlandSwitch::TableBytes tables;
   std::size_t arena_reserved = 0;
   long long rss_delta = 0;  // can go negative: the allocator reuses pages
@@ -93,6 +94,37 @@ struct Row {
   double table_bytes_per_host = 0;
   double rss_per_host = 0;
   double frames_per_sec = 0;
+
+  static void walk(auto&& fn) {
+    fn("k", &Row::k);
+    fn("hosts", &Row::hosts);
+    fn("switches", &Row::switches);
+    fn("converged", &Row::converged);
+    fn("construct_seconds", &Row::construct_s);
+    fn("converge_seconds", &Row::converge_s);
+    using Tables = core::PortlandSwitch::TableBytes;
+    fn("table_bytes", &Row::table_bytes);
+    fn("host_table_bytes", &Row::tables, &Tables::host_table);
+    fn("fib_bytes", &Row::tables, &Tables::fib);
+    fn("prune_bytes", &Row::tables, &Tables::prunes);
+    fn("multicast_bytes", &Row::tables, &Tables::multicast);
+    fn("other_bytes", &Row::tables, &Tables::other);
+    fn("arena_reserved_bytes", &Row::arena_reserved);
+    fn("rss_delta_bytes", &Row::rss_delta);
+    fn("table_bytes_per_host", &Row::table_bytes_per_host);
+    fn("rss_bytes_per_host", &Row::rss_per_host);
+    fn("frames_per_sec", &Row::frames_per_sec);
+  }
+};
+
+struct Report {
+  std::size_t peak_rss_bytes_overall = 0;
+  std::vector<Row> rows;
+
+  static void walk(auto&& fn) {
+    fn("peak_rss_bytes_overall", &Report::peak_rss_bytes_overall);
+    fn("rows", &Report::rows);
+  }
 };
 
 Row run_one(const Args& args, int k) {
@@ -120,10 +152,11 @@ Row run_one(const Args& args, int k) {
   row.hosts = fabric->hosts().size();
   row.switches = fabric->switches().size();
   row.tables = fabric->total_table_bytes();
+  row.table_bytes = row.tables.total();
   row.arena_reserved = fabric->network().arena().bytes_reserved();
   row.rss_delta = static_cast<long long>(current_rss_bytes()) -
                   static_cast<long long>(rss0);
-  row.table_bytes_per_host = static_cast<double>(row.tables.total()) /
+  row.table_bytes_per_host = static_cast<double>(row.table_bytes) /
                              static_cast<double>(row.hosts);
   row.rss_per_host =
       static_cast<double>(row.rss_delta) / static_cast<double>(row.hosts);
@@ -134,7 +167,7 @@ Row run_one(const Args& args, int k) {
               row.converged ? "converged" : "DID NOT CONVERGE");
   std::printf("table bytes           : %zu (host %zu, fib %zu, prune %zu, "
               "mcast %zu, other %zu)\n",
-              row.tables.total(), row.tables.host_table, row.tables.fib,
+              row.table_bytes, row.tables.host_table, row.tables.fib,
               row.tables.prunes, row.tables.multicast, row.tables.other);
   std::printf("table bytes/host      : %.1f\n", row.table_bytes_per_host);
   std::printf("arena reserved        : %zu\n", row.arena_reserved);
@@ -149,17 +182,13 @@ Row run_one(const Args& args, int k) {
   sim::Simulator& sim = fabric->sim();
   sim.run_until(sim.now() + args.warm);
 
-  auto delivered = [&] {
-    std::uint64_t d = 0;
-    for (const auto& fl : flows) d += fl->receiver->packets_received();
-    return d;
-  };
-  const std::uint64_t d0 = delivered();
+  const std::uint64_t d0 = packets_received(flows);
   const auto w0 = std::chrono::steady_clock::now();
   sim.run_until(sim.now() + args.measure);
   const auto w1 = std::chrono::steady_clock::now();
   const double wall_s = std::chrono::duration<double>(w1 - w0).count();
-  row.frames_per_sec = static_cast<double>(delivered() - d0) / wall_s;
+  row.frames_per_sec =
+      static_cast<double>(packets_received(flows) - d0) / wall_s;
   std::printf("frames/sec (wall)     : %.0f (%zu flows)\n",
               row.frames_per_sec, flows.size());
   return row;
@@ -168,7 +197,8 @@ Row run_one(const Args& args, int k) {
 void run(const Args& args) {
   print_header("E19: production-scale memory footprint and startup cost");
 
-  std::vector<Row> rows;
+  Report report;
+  std::vector<Row>& rows = report.rows;
   for (const int k : args.ks) rows.push_back(run_one(args, k));
 
   bool budget_blown = false;
@@ -183,35 +213,8 @@ void run(const Args& args) {
   }
 
   if (!args.json_path.empty()) {
-    JsonReport report("e19_scale");
-    report.add("peak_rss_bytes_overall",
-               static_cast<std::uint64_t>(peak_rss_bytes()));
-    std::string arr = "[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      char buf[640];
-      std::snprintf(
-          buf, sizeof(buf),
-          "%s\n    {\"k\": %d, \"hosts\": %zu, "
-          "\"switches\": %zu, \"converged\": %s, "
-          "\"construct_seconds\": %.3f, \"converge_seconds\": %.3f, "
-          "\"table_bytes\": %zu, \"host_table_bytes\": %zu, "
-          "\"fib_bytes\": %zu, "
-          "\"prune_bytes\": %zu, \"multicast_bytes\": %zu, "
-          "\"other_bytes\": %zu, \"arena_reserved_bytes\": %zu, "
-          "\"rss_delta_bytes\": %lld, \"table_bytes_per_host\": %.1f, "
-          "\"rss_bytes_per_host\": %.1f, \"frames_per_sec\": %.1f}",
-          i == 0 ? "" : ",", r.k, r.hosts,
-          r.switches, r.converged ? "true" : "false", r.construct_s,
-          r.converge_s, r.tables.total(), r.tables.host_table, r.tables.fib,
-          r.tables.prunes, r.tables.multicast, r.tables.other,
-          r.arena_reserved, r.rss_delta,
-          r.table_bytes_per_host, r.rss_per_host, r.frames_per_sec);
-      arr += buf;
-    }
-    arr += "\n  ]";
-    report.add_raw("rows", arr);
-    report.write(args.json_path);
+    report.peak_rss_bytes_overall = peak_rss_bytes();
+    write_json(args.json_path, "e19_scale", report);
   }
 
   for (const Row& r : rows) {

@@ -23,12 +23,39 @@ using namespace portland::bench;
 
 namespace {
 
-struct Sample {
-  std::vector<double> gaps_ms;  // affected flows only
+struct Row {
+  std::size_t failures = 0;
+  std::uint64_t flows_hit = 0;
+  double mean_ms = 0;
+  double p95_ms = 0;
+  double max_ms = 0;
+
+  static void walk(auto&& fn) {
+    fn("failures", &Row::failures);
+    fn("flows_hit", &Row::flows_hit);
+    fn("mean_ms", &Row::mean_ms);
+    fn("p95_ms", &Row::p95_ms);
+    fn("max_ms", &Row::max_ms);
+  }
 };
 
-Sample run_trial(int k, std::size_t failures, std::uint64_t seed,
-                 bool sequential) {
+struct Report {
+  int k = 0;
+  int seeds = 0;
+  bool sequential = false;
+  std::vector<Row> rows;
+
+  static void walk(auto&& fn) {
+    fn("k", &Report::k);
+    fn("seeds", &Report::seeds);
+    fn("sequential", &Report::sequential);
+    fn("rows", &Report::rows);
+  }
+};
+
+/// The convergence gaps (ms) of the flows the failures hit.
+std::vector<double> run_trial(int k, std::size_t failures, std::uint64_t seed,
+                              bool sequential) {
   auto fabric = make_fabric(k, seed);
   Rng rng(seed * 7919 + failures);
   auto flows = random_interpod_flows(*fabric, 20, rng);
@@ -56,16 +83,16 @@ Sample run_trial(int k, std::size_t failures, std::uint64_t seed,
   // Detection (50 ms) + reroute + slack.
   fabric->sim().run_until(window_end + millis(200));
 
-  Sample sample;
+  std::vector<double> gaps_ms;
   for (const auto& flow : flows) {
     // Ignore flows that ended up with no live path (rare at these counts).
     if (flow->receiver->last_arrival_time() < window_end) continue;
     const SimDuration gap =
         flow->receiver->max_gap(fail_at - millis(5), window_end);
     if (gap < millis(20)) continue;  // flow untouched by these failures
-    sample.gaps_ms.push_back(to_millis(gap));
+    gaps_ms.push_back(to_millis(gap));
   }
-  return sample;
+  return gaps_ms;
 }
 
 constexpr const char* kUsage =
@@ -77,63 +104,46 @@ int main(int argc, char** argv) {
   const auto pos = positional_args(argc, argv);
   if (pos.size() > 3) usage_exit(kUsage, pos[3]);
   if (pos.size() > 2 && pos[2] != "sequential") usage_exit(kUsage, pos[2]);
-  const int k = !pos.empty() ? fat_tree_k_or_exit(pos[0], kUsage) : 6;
-  const int seeds =
+  Report report;
+  report.k = !pos.empty() ? fat_tree_k_or_exit(pos[0], kUsage) : 6;
+  report.seeds =
       pos.size() > 1 ? int_arg_or_exit(pos[1], 1, 1000, kUsage) : 5;
-  const bool sequential = pos.size() > 2;
+  report.sequential = pos.size() > 2;
 
   print_header(
       "E1  Convergence time vs. number of failures (paper Fig. 9: ~65 ms at "
       "1 fault,\n     growing modestly; LDM period 10 ms, timeout 50 ms)");
   std::printf("k=%d fat tree, 20 probe flows @1000 pkt/s, %d seeds/row, "
-              "%s failures\n\n",
-              k, seeds, sequential ? "sequential (150 ms apart)" : "simultaneous");
-  std::printf("%9s %10s %12s %12s %12s %10s\n", "failures", "flows_hit",
-              "mean_ms", "p95_ms", "max_ms", "paper_ms");
+              "%s failures\n",
+              report.k, report.seeds,
+              report.sequential ? "sequential (150 ms apart)"
+                                : "simultaneous");
+  // Paper reference band (reconstructed): ~65 ms at 1 fault to ~140 ms
+  // at 16 sequential faults.
+  std::printf("paper: ~65 ms at 1 fault, rising ~5 ms per extra fault to "
+              "~140 ms at 16\n\n");
 
-  std::string json_rows = "[";
-  bool first_row = true;
   for (const std::size_t failures : {1, 2, 4, 6, 8, 12, 16}) {
     Accumulator acc;
     std::vector<double> all;
-    for (int s = 0; s < seeds; ++s) {
-      const Sample sample = run_trial(
-          k, failures, 1000 + static_cast<std::uint64_t>(s), sequential);
-      for (const double g : sample.gaps_ms) {
+    for (int s = 0; s < report.seeds; ++s) {
+      for (const double g :
+           run_trial(report.k, failures, 1000 + static_cast<std::uint64_t>(s),
+                     report.sequential)) {
         acc.add(g);
         all.push_back(g);
       }
     }
-    // Paper reference band (reconstructed): ~65 ms at 1 fault to ~140 ms
-    // at 16 sequential faults.
-    const double paper = 65.0 + 75.0 * (static_cast<double>(failures) - 1) / 15.0;
-    std::printf("%9zu %10llu %12.1f %12.1f %12.1f %10.0f\n", failures,
-                static_cast<unsigned long long>(acc.count()), acc.mean(),
-                percentile(all, 95), acc.max(), paper);
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n    {\"failures\": %zu, \"flows_hit\": %llu, "
-                  "\"mean_ms\": %.2f, \"p95_ms\": %.2f, \"max_ms\": %.2f}",
-                  first_row ? "" : ",", failures,
-                  static_cast<unsigned long long>(acc.count()), acc.mean(),
-                  percentile(all, 95), acc.max());
-    json_rows += buf;
-    first_row = false;
+    report.rows.push_back(
+        {failures, acc.count(), acc.mean(), percentile(all, 95), acc.max()});
   }
-  json_rows += "\n  ]";
+  print_table(report.rows);
   std::printf(
       "\nShape check: single-fault convergence is dominated by the 50 ms\n"
       "LDM timeout; additional non-overlapping faults add little because\n"
       "detection and reroute run per fault in parallel.\n");
 
   const std::string json = json_path_from_args(argc, argv);
-  if (!json.empty()) {
-    JsonReport report("e1_convergence");
-    report.add("k", k);
-    report.add("seeds", seeds);
-    report.add("sequential", sequential ? "true" : "false");
-    report.add_raw("rows", json_rows);
-    report.write(json);
-  }
+  if (!json.empty()) write_json(json, "e1_convergence", report);
   return 0;
 }

@@ -187,6 +187,39 @@ struct Row {
   std::uint64_t faults = 0;
   std::uint64_t reroutes = 0;
   std::uint64_t probe_rx = 0;
+
+  static void walk(auto&& fn) {
+    fn("k", &Row::k);
+    fn("hosts", &Row::hosts);
+    fn("flows", &Row::flows);
+    fn("snapshot_bytes", &Row::snapshot_bytes);
+    fn("snapshot_bytes_per_host", &Row::bytes_per_host);
+    fn("save_ms", &Row::save_ms);
+    fn("fork_ms", &Row::fork_ms);
+    fn("answer_ms", &Row::answer_ms);
+    fn("cold_ms", &Row::cold_ms);
+    fn("speedup", &Row::speedup);
+    fn("faults", &Row::faults);
+    fn("reroutes", &Row::reroutes);
+    fn("probe_rx", &Row::probe_rx);
+  }
+};
+
+/// The rows, then the headline floors (the largest k in the run) that the
+/// CI regression gate reads as flat keys.
+struct Report {
+  std::vector<Row> rows;
+  Row head;
+
+  static void walk(auto&& fn) {
+    fn("rows", &Report::rows);
+    fn("headline_k", &Report::head, &Row::k);
+    fn("snapshot_bytes_per_host", &Report::head, &Row::bytes_per_host);
+    fn("fork_ms", &Report::head, &Row::fork_ms);
+    fn("answer_ms", &Report::head, &Row::answer_ms);
+    fn("cold_ms", &Report::head, &Row::cold_ms);
+    fn("speedup_vs_cold", &Report::head, &Row::speedup);
+  }
 };
 
 Row run_one(const Args& args, int k) {
@@ -199,14 +232,10 @@ Row run_one(const Args& args, int k) {
   {
     Rng rng(71);
     const auto w0 = std::chrono::steady_clock::now();
-    core::PortlandFabric cold(fabric_options(k));
-    if (!cold.run_until_converged(seconds(60))) {
-      std::fprintf(stderr, "FATAL: k=%d did not converge\n", k);
-      std::exit(1);
-    }
-    WarmTraffic traffic(cold, args.flows, rng);
-    cold.sim().run_until(cold.sim().now() + args.warm);
-    const WhatIfResult r = run_what_if(cold, traffic, rng, args.window);
+    const auto cold = make_fabric(fabric_options(k), seconds(60));
+    WarmTraffic traffic(*cold, args.flows, rng);
+    cold->sim().run_until(cold->sim().now() + args.warm);
+    const WhatIfResult r = run_what_if(*cold, traffic, rng, args.window);
     row.cold_ms = ms_since(w0);
     std::printf("cold converge+warm+answer : %.1f ms (%llu faults, %llu "
                 "reroutes, %llu probe rx)\n",
@@ -218,21 +247,17 @@ Row run_one(const Args& args, int k) {
   // Warm fabric + checkpoint. Same construction: converge, warm the
   // caches with traffic, snapshot once with the apps as extras.
   Rng rng(71);
-  core::PortlandFabric fabric(fabric_options(k));
-  if (!fabric.run_until_converged(seconds(60))) {
-    std::fprintf(stderr, "FATAL: k=%d did not converge\n", k);
-    std::exit(1);
-  }
-  row.hosts = fabric.hosts().size();
-  WarmTraffic traffic(fabric, args.flows, rng);
+  const auto fabric = make_fabric(fabric_options(k), seconds(60));
+  row.hosts = fabric->hosts().size();
+  WarmTraffic traffic(*fabric, args.flows, rng);
   row.flows = traffic.senders.size();
-  fabric.sim().run_until(fabric.sim().now() + args.warm);
+  fabric->sim().run_until(fabric->sim().now() + args.warm);
 
   std::vector<std::uint8_t> image;
   std::string err;
   {
     const auto w0 = std::chrono::steady_clock::now();
-    if (!fabric.save_snapshot(image, traffic.extras, &err)) {
+    if (!fabric->save_snapshot(image, traffic.extras, &err)) {
       std::fprintf(stderr, "FATAL: save failed: %s\n", err.c_str());
       std::exit(1);
     }
@@ -250,12 +275,12 @@ Row run_one(const Args& args, int k) {
   std::vector<double> answer_samples;
   for (int q = 0; q < args.queries; ++q) {
     const auto w0 = std::chrono::steady_clock::now();
-    if (!fabric.restore_snapshot(image, traffic.extras, &err)) {
+    if (!fabric->restore_snapshot(image, traffic.extras, &err)) {
       std::fprintf(stderr, "FATAL: fork failed: %s\n", err.c_str());
       std::exit(1);
     }
     const double fork_ms = ms_since(w0);
-    const WhatIfResult r = run_what_if(fabric, traffic, rng, args.window);
+    const WhatIfResult r = run_what_if(*fabric, traffic, rng, args.window);
     const double answer_ms = ms_since(w0);
     fork_samples.push_back(fork_ms);
     answer_samples.push_back(answer_ms);
@@ -283,51 +308,15 @@ Row run_one(const Args& args, int k) {
 void run(const Args& args) {
   print_header("E20: checkpoint/fork what-if serving");
 
-  std::vector<Row> rows;
+  Report report;
+  std::vector<Row>& rows = report.rows;
   for (const int k : args.ks) rows.push_back(run_one(args, k));
+  std::printf("\n");
+  print_table(rows);
 
-  std::printf("\n%-6s %10s %8s %12s %12s %10s %12s %10s\n", "k", "hosts",
-              "flows", "snap bytes", "bytes/host", "fork ms", "answer ms",
-              "speedup");
-  for (const Row& r : rows) {
-    std::printf("%-6d %10zu %8zu %12zu %12.1f %10.2f %12.2f %9.1fx\n", r.k,
-                r.hosts, r.flows, r.snapshot_bytes, r.bytes_per_host,
-                r.fork_ms, r.answer_ms, r.speedup);
-  }
-
+  report.head = rows.back();
   if (!args.json_path.empty()) {
-    JsonReport report("e20_snapshot");
-    std::string arr = "[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      char buf[640];
-      std::snprintf(
-          buf, sizeof(buf),
-          "%s\n    {\"k\": %d, \"hosts\": %zu, \"flows\": %zu, "
-          "\"snapshot_bytes\": %zu, "
-          "\"snapshot_bytes_per_host\": %.1f, \"save_ms\": %.3f, "
-          "\"fork_ms\": %.3f, \"answer_ms\": %.3f, \"cold_ms\": %.1f, "
-          "\"speedup\": %.1f, \"faults\": %llu, \"reroutes\": %llu, "
-          "\"probe_rx\": %llu}",
-          i == 0 ? "" : ",", r.k, r.hosts, r.flows, r.snapshot_bytes,
-          r.bytes_per_host, r.save_ms, r.fork_ms, r.answer_ms, r.cold_ms,
-          r.speedup, static_cast<unsigned long long>(r.faults),
-          static_cast<unsigned long long>(r.reroutes),
-          static_cast<unsigned long long>(r.probe_rx));
-      arr += buf;
-    }
-    arr += "\n  ]";
-    report.add_raw("rows", arr);
-    // Headline floors (largest k in the run): the CI regression gate
-    // reads these flat keys.
-    const Row& head = rows.back();
-    report.add("headline_k", head.k);
-    report.add("snapshot_bytes_per_host", head.bytes_per_host);
-    report.add("fork_ms", head.fork_ms);
-    report.add("answer_ms", head.answer_ms);
-    report.add("cold_ms", head.cold_ms);
-    report.add("speedup_vs_cold", head.speedup);
-    report.write(args.json_path);
+    write_json(args.json_path, "e20_snapshot", report);
   }
 
   // Every query must actually observe the fabric reacting: a what-if

@@ -52,7 +52,7 @@ std::unique_ptr<core::PortlandFabric> make_monitored_fabric(int k,
 /// Mixed workload: UDP permutation probes, one cross-pod TCP bulk flow,
 /// one multicast group with receivers in three pods.
 struct Workload {
-  std::vector<std::unique_ptr<ProbeFlow>> probes;
+  Flows probes;
   host::TcpConnection* tcp = nullptr;
   std::unique_ptr<sim::PeriodicTimer> mcast_stream;
   std::uint64_t mcast_delivered = 0;
@@ -82,22 +82,42 @@ struct Workload {
   }
 };
 
-struct RoundStats {
+struct Row {
+  int k = 0;
+  int faults = 0;
   std::size_t timelines = 0;
-  std::vector<double> convergence_ms;
-  std::vector<double> detect_ms;
-  std::vector<double> blackhole_ms;
+  double detect_ms_p50 = 0;
+  double convergence_ms_p50 = 0;
+  double convergence_ms_p95 = 0;
+  double convergence_ms_max = 0;
+  double blackhole_ms_max = 0;
+  std::size_t blackholes_closed = 0;
+  std::uint64_t path_violations = 0;
+
+  static void walk(auto&& fn) {
+    fn("k", &Row::k);
+    fn("faults", &Row::faults);
+    fn("timelines", &Row::timelines);
+    fn("detect_ms_p50", &Row::detect_ms_p50);
+    fn("convergence_ms_p50", &Row::convergence_ms_p50);
+    fn("convergence_ms_p95", &Row::convergence_ms_p95);
+    fn("convergence_ms_max", &Row::convergence_ms_max);
+    fn("blackhole_ms_max", &Row::blackhole_ms_max);
+    fn("blackholes_closed", &Row::blackholes_closed);
+    fn("path_violations", &Row::path_violations);
+  }
 };
 
 /// One fault round: kill `faults` random fabric links, let the fabric
-/// react, repair, settle, then collect the timelines the round added.
-RoundStats run_round(core::PortlandFabric& fabric, std::size_t faults,
-                     Rng& rng) {
+/// react, repair, settle, then summarize the timelines the round added.
+Row run_round(core::PortlandFabric& fabric, int faults, Rng& rng) {
   obs::ConvergenceMonitor& monitor = *fabric.convergence_monitor();
   const std::size_t base = monitor.completed().size();
+  const std::uint64_t violations = monitor.path_violations();
   const SimTime t0 = fabric.sim().now();
   const auto victims = fabric.failures().fail_random_links_at(
-      fabric.fabric_links(), faults, t0 + millis(1), rng);
+      fabric.fabric_links(), static_cast<std::size_t>(faults), t0 + millis(1),
+      rng);
   run_monitored(fabric, t0 + millis(300));
   for (sim::Link* l : victims) {
     fabric.failures().repair_link_at(*l, fabric.sim().now() + millis(1));
@@ -105,27 +125,56 @@ RoundStats run_round(core::PortlandFabric& fabric, std::size_t faults,
   // Settle: repairs close the timelines, LDP rediscovers the links.
   run_monitored(fabric, fabric.sim().now() + millis(250));
 
-  RoundStats stats;
+  std::vector<double> convergence_ms;
+  std::vector<double> detect_ms;
+  Row row;
+  row.k = fabric.options().k;
+  row.faults = faults;
   const auto& done = monitor.completed();
-  stats.timelines = done.size() - base;
+  row.timelines = done.size() - base;
   for (std::size_t i = base; i < done.size(); ++i) {
     const obs::FailureTimeline& tl = done[i];
     if (tl.convergence() != 0) {
-      stats.convergence_ms.push_back(
-          static_cast<double>(tl.convergence()) / 1e6);
+      convergence_ms.push_back(static_cast<double>(tl.convergence()) / 1e6);
+      row.convergence_ms_max =
+          std::max(row.convergence_ms_max, convergence_ms.back());
     }
     if (tl.detect != 0) {
-      stats.detect_ms.push_back(
-          static_cast<double>(tl.detect - tl.link_down) / 1e6);
+      detect_ms.push_back(static_cast<double>(tl.detect - tl.link_down) /
+                          1e6);
     }
     for (const obs::BlackholeWindow& w : tl.blackholes) {
       if (w.closed()) {
-        stats.blackhole_ms.push_back(static_cast<double>(w.duration()) / 1e6);
+        row.blackhole_ms_max = std::max(
+            row.blackhole_ms_max, static_cast<double>(w.duration()) / 1e6);
+        ++row.blackholes_closed;
       }
     }
   }
-  return stats;
+  row.detect_ms_p50 = median_of(detect_ms);
+  row.convergence_ms_p50 = median_of(convergence_ms);
+  row.convergence_ms_p95 = percentile(convergence_ms, 95);
+  row.path_violations = monitor.path_violations() - violations;
+  return row;
 }
+
+struct Report {
+  int flows = 0;
+  std::vector<Row> rows;
+  double convergence_ms_max = 0;
+  std::uint64_t path_violations = 0;  // summed over every fabric
+  std::uint64_t events_overflowed = 0;
+  std::uint64_t monitor_overhead_events = 0;
+
+  static void walk(auto&& fn) {
+    fn("flows", &Report::flows);
+    fn("rows", &Report::rows);
+    fn("convergence_ms_max", &Report::convergence_ms_max);
+    fn("path_violations", &Report::path_violations);
+    fn("events_overflowed", &Report::events_overflowed);
+    fn("monitor_overhead_events", &Report::monitor_overhead_events);
+  }
+};
 
 /// Monitor-off vs monitor-on over an identical fault scenario: returns
 /// the absolute executed-event difference (0 = provably invisible).
@@ -164,7 +213,8 @@ int main(int argc, char** argv) {
   const std::vector<int> ks =
       int_list_or_exit(!pos.empty() ? pos[0] : "16,32,48", 4, 64, kUsage,
                        /*even=*/true);
-  const int flows =
+  Report report;
+  report.flows =
       pos.size() > 1 ? int_arg_or_exit(pos[1], 1, 100000, kUsage) : 24;
   const std::string fault_text = pos.size() > 2 ? pos[2] : "1,3,6";
   const std::vector<int> fault_counts =
@@ -185,59 +235,23 @@ int main(int argc, char** argv) {
       "notify + reroute)");
   std::printf("mixed workload: %d UDP probe flows @1000 pkt/s + 1 TCP bulk "
               "flow + 1 multicast group\n\n",
-              flows);
-  std::printf("%5s %7s %10s %9s %9s %9s %9s %9s %11s %7s\n", "k", "faults",
-              "timelines", "detect", "conv_p50", "conv_p95", "conv_max",
-              "bh_max", "blackholes", "path_viol");
+              report.flows);
 
-  std::string json_rows = "[";
-  bool first_row = true;
-  double convergence_ms_max = 0;
-  std::uint64_t violations_total = 0;
-  std::uint64_t overflowed_total = 0;
   for (const int k : ks) {
     auto fabric = make_monitored_fabric(k, 21, /*monitor=*/true);
     Rng rng(static_cast<std::uint64_t>(k) * 1000003 + 21);
-    Workload workload(*fabric, flows, rng);
+    Workload workload(*fabric, report.flows, rng);
     // Warm up: ARP resolution, TCP ramp, multicast tree install.
     run_monitored(*fabric, fabric->sim().now() + millis(100));
     obs::ConvergenceMonitor& monitor = *fabric->convergence_monitor();
     for (const int faults : fault_counts) {
-      const std::uint64_t before = monitor.path_violations();
-      const RoundStats stats =
-          run_round(*fabric, static_cast<std::size_t>(faults), rng);
-      const std::uint64_t violations = monitor.path_violations() - before;
-      const double conv_p50 = median_of(stats.convergence_ms);
-      const double conv_p95 = percentile(stats.convergence_ms, 95);
-      double conv_max = 0;
-      for (const double c : stats.convergence_ms) {
-        conv_max = std::max(conv_max, c);
-      }
-      convergence_ms_max = std::max(convergence_ms_max, conv_max);
-      double bh_max = 0;
-      for (const double b : stats.blackhole_ms) bh_max = std::max(bh_max, b);
-      std::printf("%5d %7d %10zu %9.1f %9.1f %9.1f %9.1f %9.1f %11zu %7llu\n",
-                  k, faults, stats.timelines, median_of(stats.detect_ms),
-                  conv_p50, conv_p95, conv_max, bh_max,
-                  stats.blackhole_ms.size(),
-                  static_cast<unsigned long long>(violations));
-      char buf[320];
-      std::snprintf(
-          buf, sizeof(buf),
-          "%s\n    {\"k\": %d, \"faults\": %d, \"timelines\": %zu, "
-          "\"detect_ms_p50\": %.2f, \"convergence_ms_p50\": %.2f, "
-          "\"convergence_ms_p95\": %.2f, \"convergence_ms_max\": %.2f, "
-          "\"blackhole_ms_max\": %.2f, \"blackholes_closed\": %zu, "
-          "\"path_violations\": %llu}",
-          first_row ? "" : ",", k, faults, stats.timelines,
-          median_of(stats.detect_ms), conv_p50, conv_p95, conv_max, bh_max,
-          stats.blackhole_ms.size(),
-          static_cast<unsigned long long>(violations));
-      json_rows += buf;
-      first_row = false;
+      report.rows.push_back(run_round(*fabric, faults, rng));
+      report.convergence_ms_max = std::max(
+          report.convergence_ms_max, report.rows.back().convergence_ms_max);
     }
-    std::printf("      unresolved blackholes: %llu, TCP acked %.1f MB, "
+    std::printf("k=%d: unresolved blackholes: %llu, TCP acked %.1f MB, "
                 "multicast delivered %llu\n",
+                k,
                 static_cast<unsigned long long>(
                     monitor.unresolved_blackholes()),
                 workload.tcp != nullptr
@@ -245,28 +259,20 @@ int main(int argc, char** argv) {
                     : 0.0,
                 static_cast<unsigned long long>(workload.mcast_delivered));
     workload.mcast_stream->stop();
-    violations_total += monitor.path_violations();
-    overflowed_total += monitor.events_overflowed();
+    report.path_violations += monitor.path_violations();
+    report.events_overflowed += monitor.events_overflowed();
   }
+  std::printf("\n");
+  print_table(report.rows);
 
   std::printf("\nMonitor-off vs monitor-on A/B (k=%d, identical fault "
               "scenario)...\n", ks.front());
-  const std::uint64_t overhead = monitor_overhead_events(ks.front(), 77);
+  report.monitor_overhead_events = monitor_overhead_events(ks.front(), 77);
   std::printf("monitor overhead: %llu events (must be 0 — the observatory "
               "is passive)\n",
-              static_cast<unsigned long long>(overhead));
+              static_cast<unsigned long long>(report.monitor_overhead_events));
 
-  json_rows += "\n  ]";
   const std::string json = json_path_from_args(argc, argv);
-  if (!json.empty()) {
-    JsonReport report("e21_convergence");
-    report.add("flows", flows);
-    report.add_raw("rows", json_rows);
-    report.add("convergence_ms_max", convergence_ms_max);
-    report.add("path_violations", violations_total);
-    report.add("events_overflowed", overflowed_total);
-    report.add("monitor_overhead_events", overhead);
-    report.write(json);
-  }
+  if (!json.empty()) write_json(json, "e21_convergence", report);
   return 0;
 }

@@ -200,7 +200,8 @@ std::uint64_t total_fm_queries(const core::FabricManager& fm) {
 
 struct Row {
   int k = 0;
-  Mode mode = Mode::kSingle;
+  const char* mode = "";  // mode_name(), a literal: the row stays
+                          // trivially copyable across the fork
   std::size_t hosts = 0;
   std::size_t shards = 0;
   double boot_s = 0;
@@ -217,6 +218,57 @@ struct Row {
   /// Live heap after the steady storm minus before it: what the hosts'
   /// ARP state (cache entries, unresolved sends) holds.
   double storm_heap_delta_mb = 0;
+
+  static void walk(auto&& fn) {
+    fn("k", &Row::k);
+    fn("mode", &Row::mode);
+    fn("hosts", &Row::hosts);
+    fn("fm_shards", &Row::shards);
+    fn("boot_seconds", &Row::boot_s);
+    fn("incast_fm_queries", &Row::incast_fm_queries);
+    fn("arp_coalesced", &Row::coalesced);
+    fn("arp_negative_hits", &Row::negative_hits);
+    fn("storm_resolutions", &Row::storm_resolutions);
+    fn("resolutions_per_sec", &Row::resolutions_per_sec);
+    fn("arp_p50_us", &Row::p50_us);
+    fn("arp_p99_us", &Row::p99_us);
+    fn("service_speedup", &Row::service_speedup);
+    fn("blackout_ms", &Row::blackout_ms);
+    fn("storm_heap_delta_mb", &Row::storm_heap_delta_mb);
+  }
+};
+
+/// The headline is the `sharded` row at the largest k, plus its
+/// comparisons against `single` and `nocoalesce` there.
+struct Report {
+  unsigned hw_cores = 0;
+  bool oversubscribed = false;
+  Row single;
+  Row sharded;
+  double coalesce_ratio = 0;
+  double throughput_ratio_wall = 0;
+  std::vector<Row> rows;
+
+  static void walk(auto&& fn) {
+    fn("hw_cores", &Report::hw_cores);
+    fn("oversubscribed", &Report::oversubscribed);
+    fn("headline_k", &Report::sharded, &Row::k);
+    fn("hosts", &Report::sharded, &Row::hosts);
+    fn("fm_shards", &Report::sharded, &Row::shards);
+    fn("storm_resolutions", &Report::sharded, &Row::storm_resolutions);
+    fn("resolutions_per_sec", &Report::sharded, &Row::resolutions_per_sec);
+    fn("arp_p50_us", &Report::sharded, &Row::p50_us);
+    fn("arp_p99_us", &Report::sharded, &Row::p99_us);
+    fn("service_speedup", &Report::sharded, &Row::service_speedup);
+    fn("replica_blackout_ms", &Report::sharded, &Row::blackout_ms);
+    fn("storm_heap_delta_mb", &Report::sharded, &Row::storm_heap_delta_mb);
+    fn("cold_blackout_ms", &Report::single, &Row::blackout_ms);
+    fn("single_resolutions_per_sec", &Report::single,
+       &Row::resolutions_per_sec);
+    fn("coalesce_ratio", &Report::coalesce_ratio);
+    fn("throughput_ratio_wall", &Report::throughput_ratio_wall);
+    fn("rows", &Report::rows);
+  }
 };
 
 /// Steps the simulation in 1 ms increments until the registry holds
@@ -234,7 +286,7 @@ double measure_blackout_ms(core::PortlandFabric& fabric,
 Row run_one(const Args& args, int k, Mode mode) {
   Row row;
   row.k = k;
-  row.mode = mode;
+  row.mode = mode_name(mode);
   std::printf("\n--- k=%d %s ---\n", k, mode_name(mode));
 
   core::PortlandFabric::Options options;
@@ -248,18 +300,13 @@ Row run_one(const Args& args, int k, Mode mode) {
   options.host_config.arp_max_retries = 2;
 
   const auto t0 = std::chrono::steady_clock::now();
-  core::PortlandFabric fabric(options);
-  if (!fabric.run_until_converged(seconds(60))) {
-    std::fprintf(stderr, "FATAL: k=%d %s did not converge\n", k,
-                 mode_name(mode));
-    std::exit(1);
-  }
+  const auto fabric = make_fabric(options, seconds(60));
   row.boot_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  core::FabricManager& fm = fabric.fabric_manager();
-  sim::Simulator& sim = fabric.sim();
-  const auto& hosts = fabric.hosts();
+  core::FabricManager& fm = fabric->fabric_manager();
+  sim::Simulator& sim = fabric->sim();
+  const auto& hosts = fabric->hosts();
   const std::size_t n = hosts.size();
   row.hosts = n;
   row.shards = fm.shard_count();
@@ -285,7 +332,7 @@ Row run_one(const Args& args, int k, Mode mode) {
   }
   sim.run_until(sim.now() + millis(700));  // 2 retries at 200 ms + settle
   row.incast_fm_queries = total_fm_queries(fm) - q_before;
-  for (const core::PortlandSwitch* sw : fabric.switches()) {
+  for (const core::PortlandSwitch* sw : fabric->switches()) {
     row.coalesced += sw->counters().get("arp_coalesced");
     row.negative_hits += sw->counters().get("arp_negative_hits");
   }
@@ -296,7 +343,7 @@ Row run_one(const Args& args, int k, Mode mode) {
   // --- steady storm: fresh (src, dst) pairs each round -------------------
   const std::size_t rounds =
       (args.resolutions + n - 1) / n;
-  const LatencyHistogram h0 = LatencyHistogram::capture(fabric);
+  const LatencyHistogram h0 = LatencyHistogram::capture(*fabric);
   const std::uint64_t storm_q0 = total_fm_queries(fm);
   const std::int64_t storm_heap0 = g_live_heap_bytes.load();
   std::vector<std::size_t> offsets;
@@ -327,7 +374,7 @@ Row run_one(const Args& args, int k, Mode mode) {
       } else {
         fm.simulate_failover();
       }
-      row.blackout_ms = measure_blackout_ms(fabric, n);
+      row.blackout_ms = measure_blackout_ms(*fabric, n);
       std::printf("%s blackout          : %.1f ms (simulated)\n",
                   mode == Mode::kSharded ? "replica" : "cold   ",
                   row.blackout_ms);
@@ -344,7 +391,7 @@ Row run_one(const Args& args, int k, Mode mode) {
       static_cast<double>(g_live_heap_bytes.load() - storm_heap0) /
       (1024.0 * 1024.0);
 
-  const LatencyHistogram hist = LatencyHistogram::capture(fabric) - h0;
+  const LatencyHistogram hist = LatencyHistogram::capture(*fabric) - h0;
   row.storm_resolutions = hist.resolutions;
   row.storm_wall_s = storm_wall;
   row.resolutions_per_sec =
@@ -415,90 +462,39 @@ Row run_isolated(const Args& args, int k, Mode mode) {
 
 void run(const Args& args) {
   print_header("E22: sharded proxy-ARP control plane under an ARP storm");
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool oversubscribed = hw < 2;
+  Report report;
+  report.hw_cores = std::thread::hardware_concurrency();
+  report.oversubscribed = report.hw_cores < 2;
 
-  std::vector<Row> rows;
+  std::vector<Row>& rows = report.rows;
   for (const int k : args.ks) {
     rows.push_back(run_isolated(args, k, Mode::kSingle));
     rows.push_back(run_isolated(args, k, Mode::kSharded));
     rows.push_back(run_isolated(args, k, Mode::kNoCoalesce));
   }
 
-  // Headline comparisons at the largest k.
-  const Row* single = nullptr;
-  const Row* sharded = nullptr;
-  const Row* nocoalesce = nullptr;
-  for (const Row& r : rows) {
-    if (r.k != args.ks.back()) continue;
-    if (r.mode == Mode::kSingle) single = &r;
-    if (r.mode == Mode::kSharded) sharded = &r;
-    if (r.mode == Mode::kNoCoalesce) nocoalesce = &r;
+  // Headline comparisons at the largest k: its three rows come last.
+  const Row& single = report.single = rows.end()[-3];
+  const Row& sharded = report.sharded = rows.end()[-2];
+  const Row& nocoalesce = rows.end()[-1];
+  if (sharded.incast_fm_queries > 0) {
+    report.coalesce_ratio = static_cast<double>(nocoalesce.incast_fm_queries) /
+                            static_cast<double>(sharded.incast_fm_queries);
   }
-  const double coalesce_ratio =
-      sharded != nullptr && nocoalesce != nullptr &&
-              sharded->incast_fm_queries > 0
-          ? static_cast<double>(nocoalesce->incast_fm_queries) /
-                static_cast<double>(sharded->incast_fm_queries)
-          : 0;
-  const double throughput_ratio =
-      single != nullptr && sharded != nullptr &&
-              single->resolutions_per_sec > 0
-          ? sharded->resolutions_per_sec / single->resolutions_per_sec
-          : 0;
+  if (single.resolutions_per_sec > 0) {
+    report.throughput_ratio_wall =
+        sharded.resolutions_per_sec / single.resolutions_per_sec;
+  }
   std::printf("\ncoalesce ratio        : %.1fx fewer FM-bound incast "
-              "queries\n", coalesce_ratio);
+              "queries\n", report.coalesce_ratio);
   std::printf("service speedup       : %.2fx (sharded) vs 1.00x (single)\n",
-              sharded != nullptr ? sharded->service_speedup : 0.0);
+              sharded.service_speedup);
   std::printf("wall throughput ratio : %.2fx sharded/single%s\n",
-              throughput_ratio,
-              oversubscribed ? " (oversubscribed: 1 core)" : "");
+              report.throughput_ratio_wall,
+              report.oversubscribed ? " (oversubscribed: 1 core)" : "");
 
   if (!args.json_path.empty()) {
-    JsonReport report("e22_arp_storm");
-    report.add("hw_cores", static_cast<std::uint64_t>(hw));
-    report.add("oversubscribed", oversubscribed ? "true" : "false");
-    if (sharded != nullptr) {
-      report.add("headline_k", args.ks.back());
-      report.add("hosts", static_cast<std::uint64_t>(sharded->hosts));
-      report.add("fm_shards", static_cast<std::uint64_t>(sharded->shards));
-      report.add("storm_resolutions", sharded->storm_resolutions);
-      report.add("resolutions_per_sec", sharded->resolutions_per_sec);
-      report.add("arp_p50_us", sharded->p50_us);
-      report.add("arp_p99_us", sharded->p99_us);
-      report.add("service_speedup", sharded->service_speedup);
-      report.add("replica_blackout_ms", sharded->blackout_ms);
-      report.add("storm_heap_delta_mb", sharded->storm_heap_delta_mb);
-    }
-    if (single != nullptr) {
-      report.add("cold_blackout_ms", single->blackout_ms);
-      report.add("single_resolutions_per_sec", single->resolutions_per_sec);
-    }
-    report.add("coalesce_ratio", coalesce_ratio);
-    report.add("throughput_ratio_wall", throughput_ratio);
-    std::string arr = "[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      char buf[512];
-      std::snprintf(
-          buf, sizeof(buf),
-          "%s\n    {\"k\": %d, \"mode\": \"%s\", \"hosts\": %zu, "
-          "\"fm_shards\": %zu, \"boot_seconds\": %.2f, "
-          "\"incast_fm_queries\": %" PRIu64 ", \"arp_coalesced\": %" PRIu64
-          ", \"arp_negative_hits\": %" PRIu64
-          ", \"storm_resolutions\": %" PRIu64
-          ", \"resolutions_per_sec\": %.0f, \"arp_p50_us\": %.0f, "
-          "\"arp_p99_us\": %.0f, \"service_speedup\": %.2f, "
-          "\"blackout_ms\": %.1f, \"storm_heap_delta_mb\": %.2f}",
-          i == 0 ? "" : ",", r.k, mode_name(r.mode), r.hosts, r.shards,
-          r.boot_s, r.incast_fm_queries, r.coalesced, r.negative_hits,
-          r.storm_resolutions, r.resolutions_per_sec, r.p50_us, r.p99_us,
-          r.service_speedup, r.blackout_ms, r.storm_heap_delta_mb);
-      arr += buf;
-    }
-    arr += "\n  ]";
-    report.add_raw("rows", arr);
-    report.write(args.json_path);
+    write_json(args.json_path, "e22_arp_storm", report);
   }
 }
 

@@ -12,6 +12,24 @@
 using namespace portland;
 using namespace portland::bench;
 
+namespace {
+
+struct Report {
+  double stall_ms = -1;
+  std::uint64_t timeouts = 0;
+  std::uint32_t cwnd_bytes = 0;
+  std::uint64_t bytes_acked = 0;
+
+  static void walk(auto&& fn) {
+    fn("stall_ms", &Report::stall_ms);
+    fn("timeouts", &Report::timeouts);
+    fn("cwnd_bytes", &Report::cwnd_bytes);
+    fn("bytes_acked", &Report::bytes_acked);
+  }
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   print_header(
       "E2  TCP convergence across a link failure (paper Fig. 10: stall ~= "
@@ -67,22 +85,18 @@ int main(int argc, char** argv) {
     last_acked = acked;
   }
 
-  const double stall_ms =
-      stall_end > 0 ? to_millis(stall_end - stall_start) : -1;
+  Report report;
+  if (stall_end > 0) report.stall_ms = to_millis(stall_end - stall_start);
+  report.timeouts = conn->timeouts();
+  report.cwnd_bytes = conn->cwnd_bytes();
+  report.bytes_acked = conn->bytes_acked();
   std::printf("\nMeasured TCP stall: ~%.0f ms (paper: ~200-270 ms; RTO_min "
-              "dominates)\n", stall_ms);
+              "dominates)\n", report.stall_ms);
   std::printf("Retransmission timeouts during episode: %llu, cwnd now %u B\n",
-              static_cast<unsigned long long>(conn->timeouts()),
-              conn->cwnd_bytes());
+              static_cast<unsigned long long>(report.timeouts),
+              report.cwnd_bytes);
 
   const std::string json = json_path_from_args(argc, argv);
-  if (!json.empty()) {
-    JsonReport report("e2_tcp_convergence");
-    report.add("stall_ms", stall_ms);
-    report.add("timeouts", conn->timeouts());
-    report.add("cwnd_bytes", static_cast<std::uint64_t>(conn->cwnd_bytes()));
-    report.add("bytes_acked", conn->bytes_acked());
-    report.write(json);
-  }
+  if (!json.empty()) write_json(json, "e2_tcp_convergence", report);
   return 0;
 }

@@ -12,6 +12,24 @@
 using namespace portland;
 using namespace portland::bench;
 
+namespace {
+
+struct Report {
+  double worst_gap_ms = 0;
+  std::size_t receivers = 0;
+  core::SwitchId old_core = 0;
+  core::SwitchId new_core = 0;
+
+  static void walk(auto&& fn) {
+    fn("worst_gap_ms", &Report::worst_gap_ms);
+    fn("receivers", &Report::receivers);
+    fn("old_core", &Report::old_core);
+    fn("new_core", &Report::new_core);
+  }
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   print_header(
       "E3  Multicast fault convergence (paper Fig. 11: ~110 ms — detection "
@@ -68,7 +86,9 @@ int main(int argc, char** argv) {
   stream.stop();
 
   std::printf("\n%-18s %14s %14s\n", "receiver", "gap_ms", "paper_ms");
-  double worst = 0;
+  Report report;
+  report.receivers = receivers.size();
+  report.old_core = tree->core;
   for (host::Host* r : receivers) {
     const auto& times = arrivals[r->name()];
     double gap_ms = 0;
@@ -78,28 +98,20 @@ int main(int argc, char** argv) {
         gap_ms = std::max(gap_ms, to_millis(times[i] - times[i - 1]));
       }
     }
-    worst = std::max(worst, gap_ms);
+    report.worst_gap_ms = std::max(report.worst_gap_ms, gap_ms);
     std::printf("%-18s %14.1f %14s\n", r->name().c_str(), gap_ms, "~110");
   }
 
-  const auto new_tree = fabric->fabric_manager().installed_tree(group);
+  if (const auto new_tree = fabric->fabric_manager().installed_tree(group)) {
+    report.new_core = new_tree->core;
+  }
   std::printf("\nNew rendezvous core: switch %llu (was %llu)\n",
-              new_tree.has_value()
-                  ? static_cast<unsigned long long>(new_tree->core)
-                  : 0ULL,
-              static_cast<unsigned long long>(tree->core));
+              static_cast<unsigned long long>(report.new_core),
+              static_cast<unsigned long long>(report.old_core));
   std::printf("Worst receiver outage: %.1f ms — above unicast (E1: ~65 ms), "
-              "matching the paper's ordering.\n", worst);
+              "matching the paper's ordering.\n", report.worst_gap_ms);
 
   const std::string json = json_path_from_args(argc, argv);
-  if (!json.empty()) {
-    JsonReport report("e3_multicast_convergence");
-    report.add("worst_gap_ms", worst);
-    report.add("receivers", receivers.size());
-    report.add("old_core", static_cast<std::uint64_t>(tree->core));
-    report.add("new_core", static_cast<std::uint64_t>(
-                               new_tree.has_value() ? new_tree->core : 0));
-    report.write(json);
-  }
+  if (!json.empty()) write_json(json, "e3_multicast_convergence", report);
   return 0;
 }

@@ -14,6 +14,24 @@
 using namespace portland;
 using namespace portland::bench;
 
+namespace {
+
+struct Report {
+  double blackout_ms = 0;
+  double disruption_ms = -1;
+  std::uint64_t migration_redirects = 0;
+  std::uint64_t migration_garps_sent = 0;
+
+  static void walk(auto&& fn) {
+    fn("blackout_ms", &Report::blackout_ms);
+    fn("disruption_ms", &Report::disruption_ms);
+    fn("migration_redirects", &Report::migration_redirects);
+    fn("migration_garps_sent", &Report::migration_garps_sent);
+  }
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   print_header(
       "E4  TCP flow across a live VM migration (paper Fig. 13: throughput "
@@ -73,31 +91,25 @@ int main(int argc, char** argv) {
     last = delivered;
   }
 
+  Report report;
+  report.blackout_ms = to_millis(downtime);
+  if (blackout_end > 0) {
+    report.disruption_ms = to_millis(blackout_end - blackout_start);
+  }
+  const CounterSet& old_edge = fabric->edge_at(0, 0).counters();
+  report.migration_redirects = old_edge.get("migration_redirects");
+  report.migration_garps_sent = old_edge.get("migration_garps_sent");
   std::printf("\nMeasured disruption: ~%.0f ms for a %.0f ms blackout "
               "(paper: total sub-second).\n",
-              blackout_end > 0 ? to_millis(blackout_end - blackout_start) : -1.0,
-              to_millis(downtime));
+              report.disruption_ms, report.blackout_ms);
   std::printf("Old edge redirected %llu frames and sent %llu corrective "
               "gratuitous ARPs.\n",
-              static_cast<unsigned long long>(
-                  fabric->edge_at(0, 0).counters().get("migration_redirects")),
-              static_cast<unsigned long long>(
-                  fabric->edge_at(0, 0).counters().get("migration_garps_sent")));
+              static_cast<unsigned long long>(report.migration_redirects),
+              static_cast<unsigned long long>(report.migration_garps_sent));
   std::printf("IP preserved: %s still reachable at %s (R1).\n",
               vm.name().c_str(), vm.ip().to_string().c_str());
 
   const std::string json = json_path_from_args(argc, argv);
-  if (!json.empty()) {
-    JsonReport report("e4_vm_migration");
-    report.add("blackout_ms", to_millis(downtime));
-    report.add("disruption_ms",
-               blackout_end > 0 ? to_millis(blackout_end - blackout_start)
-                                : -1.0);
-    report.add("migration_redirects",
-               fabric->edge_at(0, 0).counters().get("migration_redirects"));
-    report.add("migration_garps_sent",
-               fabric->edge_at(0, 0).counters().get("migration_garps_sent"));
-    report.write(json);
-  }
+  if (!json.empty()) write_json(json, "e4_vm_migration", report);
   return 0;
 }

@@ -24,7 +24,29 @@ struct Row {
   std::size_t portland_max = 0;
   double baseline_avg = 0;
   std::size_t baseline_max = 0;
+
+  static void walk(auto&& fn) {
+    fn("k", &Row::k);
+    fn("hosts", &Row::hosts);
+    fn("portland_edge_avg", &Row::portland_edge_avg);
+    fn("portland_max", &Row::portland_max);
+    fn("baseline_avg", &Row::baseline_avg);
+    fn("baseline_max", &Row::baseline_max);
+  }
 };
+
+/// Warms `fabric` with permutation traffic (every host sends one datagram
+/// to one peer) and lets it settle.
+template <class Fabric>
+void send_permutation(Fabric& fabric, SimDuration settle) {
+  Rng rng(99);
+  const auto& hosts = fabric.hosts();
+  const auto perm = host::permutation_pairing(hosts.size(), rng);
+  for (std::size_t i = 0; i < perm.size(); ++i) {
+    hosts[i]->send_udp(hosts[perm[i]]->ip(), 6000, 6000, {0});
+  }
+  fabric.sim().run_until(fabric.sim().now() + settle);
+}
 
 Row measure(int k) {
   Row row;
@@ -34,15 +56,7 @@ Row measure(int k) {
   {
     auto fabric = make_fabric(k, 5);
     row.hosts = fabric->hosts().size();
-    // Warm with permutation traffic (every host talks to one peer).
-    Rng rng(99);
-    const auto perm =
-        host::permutation_pairing(fabric->hosts().size(), rng);
-    for (std::size_t i = 0; i < perm.size(); ++i) {
-      fabric->hosts()[i]->send_udp(fabric->hosts()[perm[i]]->ip(), 6000, 6000,
-                                   {0});
-    }
-    fabric->sim().run_until(fabric->sim().now() + millis(300));
+    send_permutation(*fabric, millis(300));
 
     std::size_t edge_total = 0, edge_count = 0;
     for (const core::PortlandSwitch* sw : fabric->switches()) {
@@ -65,13 +79,7 @@ Row measure(int k) {
     options.switch_config.stp = l2::StpConfig::fast();
     l2::BaselineFabric fabric(options);
     fabric.run_until_stp_converged();
-    Rng rng(99);
-    const auto perm = host::permutation_pairing(fabric.hosts().size(), rng);
-    for (std::size_t i = 0; i < perm.size(); ++i) {
-      fabric.hosts()[i]->send_udp(fabric.hosts()[perm[i]]->ip(), 6000, 6000,
-                                  {0});
-    }
-    fabric.sim().run_until(fabric.sim().now() + millis(500));
+    send_permutation(fabric, millis(500));
 
     std::size_t total = 0;
     for (const l2::LearningSwitch* sw : fabric.switches()) {
@@ -92,28 +100,10 @@ int main(int argc, char** argv) {
       "     (permutation workload; 'state' = PMAC/host + neighbor + reroute\n"
       "     entries for PortLand, MAC-table entries for the baseline)");
 
-  std::printf("\n%4s %8s %20s %14s %16s %14s\n", "k", "hosts",
-              "portland_edge_avg", "portland_max", "baseline_avg",
-              "baseline_max");
-  std::string json_rows = "[";
-  bool first_row = true;
-  for (const int k : {4, 6, 8, 12}) {
-    const Row row = measure(k);
-    std::printf("%4d %8zu %20.1f %14zu %16.1f %14zu\n", row.k, row.hosts,
-                row.portland_edge_avg, row.portland_max, row.baseline_avg,
-                row.baseline_max);
-    char buf[224];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n    {\"k\": %d, \"hosts\": %zu, "
-                  "\"portland_edge_avg\": %.2f, \"portland_max\": %zu, "
-                  "\"baseline_avg\": %.2f, \"baseline_max\": %zu}",
-                  first_row ? "" : ",", row.k, row.hosts,
-                  row.portland_edge_avg, row.portland_max, row.baseline_avg,
-                  row.baseline_max);
-    json_rows += buf;
-    first_row = false;
-  }
-  json_rows += "\n  ]";
+  std::printf("\n");
+  RowsReport<Row> report;
+  for (const int k : {4, 6, 8, 12}) report.rows.push_back(measure(k));
+  print_table(report.rows);
 
   std::printf(
       "\nProjection at the paper's target scale (k=48, 27,648 hosts):\n"
@@ -123,10 +113,6 @@ int main(int argc, char** argv) {
       48 / 2 + 48);
 
   const std::string json = json_path_from_args(argc, argv);
-  if (!json.empty()) {
-    JsonReport report("e5_state_table");
-    report.add_raw("rows", json_rows);
-    report.write(json);
-  }
+  if (!json.empty()) write_json(json, "e5_state_table", report);
   return 0;
 }

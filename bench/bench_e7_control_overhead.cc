@@ -12,16 +12,34 @@
 using namespace portland;
 using namespace portland::bench;
 
+namespace {
+
+struct Row {
+  int k = 0;
+  std::size_t switches = 0;
+  double ldm_bytes_per_link_s = 0;
+  double fm_msgs_per_s = 0;
+  double fm_bytes_per_s = 0;
+  std::uint64_t fault_msgs = 0;
+
+  static void walk(auto&& fn) {
+    fn("k", &Row::k);
+    fn("switches", &Row::switches);
+    fn("ldm_bytes_per_link_s", &Row::ldm_bytes_per_link_s);
+    fn("fm_msgs_per_s", &Row::fm_msgs_per_s);
+    fn("fm_bytes_per_s", &Row::fm_bytes_per_s);
+    fn("fault_msgs", &Row::fault_msgs);
+  }
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   print_header(
       "E7  Control overhead: LDP wire cost, fabric-manager keepalives, and\n"
       "     per-fault reroute fan-out");
 
-  std::printf("\n%4s %10s %14s %16s %14s %18s %16s\n", "k", "switches",
-              "ldm_B/s/link", "fm_msgs/s", "fm_B/s", "fault_msgs", "fault_fanout");
-
-  std::string json_rows = "[";
-  bool first_row = true;
+  RowsReport<Row> report;
   for (const int k : {4, 6, 8}) {
     auto fabric = make_fabric(k, 31);
     const SimTime t0 = fabric->sim().now();
@@ -38,14 +56,16 @@ int main(int argc, char** argv) {
     for (const core::PortlandSwitch* sw : fabric->switches()) {
       ldm_bytes1 += sw->ldp().ldm_bytes_sent();
     }
-    const double fm_msgs_per_s =
+    Row row;
+    row.k = k;
+    row.switches = fabric->switches().size();
+    row.fm_msgs_per_s =
         static_cast<double>(fabric->control().messages_sent() - msgs0) / 2.0;
-    const double fm_bytes_per_s =
+    row.fm_bytes_per_s =
         static_cast<double>(fabric->control().bytes_sent() - bytes0) / 2.0;
     // Each fabric link sees LDMs from both sides; host links from one.
-    const double total_ports =
-        static_cast<double>(fabric->switches().size()) * k;
-    const double ldm_bytes_per_link_s =
+    const double total_ports = static_cast<double>(row.switches) * k;
+    row.ldm_bytes_per_link_s =
         static_cast<double>(ldm_bytes1 - ldm_bytes0) / 2.0 / total_ports * 2.0;
 
     // --- one edge-agg fault ---
@@ -56,39 +76,21 @@ int main(int argc, char** argv) {
     const SimTime fail_at = fabric->sim().now();
     victim->set_up(false);
     fabric->sim().run_until(fail_at + millis(200));
-    const std::uint64_t fault_msgs =
+    row.fault_msgs =
         fabric->control().messages_of("prune_update") - prune_msgs0;
-
-    std::printf("%4d %10zu %14.0f %16.1f %14.0f %18llu %15.0f%%\n", k,
-                fabric->switches().size(), ldm_bytes_per_link_s, fm_msgs_per_s,
-                fm_bytes_per_s, static_cast<unsigned long long>(fault_msgs),
-                100.0 * static_cast<double>(fault_msgs) /
-                    static_cast<double>(fabric->switches().size()));
-    char buf[224];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n    {\"k\": %d, \"switches\": %zu, "
-                  "\"ldm_bytes_per_link_s\": %.1f, \"fm_msgs_per_s\": %.2f, "
-                  "\"fm_bytes_per_s\": %.1f, \"fault_msgs\": %llu}",
-                  first_row ? "" : ",", k, fabric->switches().size(),
-                  ldm_bytes_per_link_s, fm_msgs_per_s, fm_bytes_per_s,
-                  static_cast<unsigned long long>(fault_msgs));
-    json_rows += buf;
-    first_row = false;
+    report.rows.push_back(row);
   }
-  json_rows += "\n  ]";
+  std::printf("\n");
+  print_table(report.rows);
 
   std::printf(
       "\nNotes: LDM cost is constant per link (34 B frame / 10 ms / "
       "direction ~=\n6.8 kB/s) independent of fabric size — the protocol's "
-      "key scaling property.\nFault fan-out counts one PruneUpdate per "
-      "affected switch; an edge-agg\nfailure touches all edges (they pick "
-      "uplinks per destination) but no cores.\n");
+      "key scaling property.\nFault fan-out (fault_msgs / switches) counts "
+      "one PruneUpdate per affected\nswitch; an edge-agg failure touches "
+      "all edges (they pick uplinks per\ndestination) but no cores.\n");
 
   const std::string json = json_path_from_args(argc, argv);
-  if (!json.empty()) {
-    JsonReport report("e7_control_overhead");
-    report.add_raw("rows", json_rows);
-    report.write(json);
-  }
+  if (!json.empty()) write_json(json, "e7_control_overhead", report);
   return 0;
 }

@@ -17,6 +17,24 @@ using namespace portland::bench;
 
 namespace {
 
+struct Report {
+  double portland_recovery_ms = 0;
+  double stp_recovery_ms = 0;
+  std::uint64_t arp_control_msgs = 0;
+  std::uint64_t arp_flood_events = 0;
+  std::size_t fabric_links = 0;
+  std::size_t stp_blocked_links = 0;
+
+  static void walk(auto&& fn) {
+    fn("portland_recovery_ms", &Report::portland_recovery_ms);
+    fn("stp_recovery_ms", &Report::stp_recovery_ms);
+    fn("arp_control_msgs", &Report::arp_control_msgs);
+    fn("arp_flood_events", &Report::arp_flood_events);
+    fn("fabric_links", &Report::fabric_links);
+    fn("stp_blocked_links", &Report::stp_blocked_links);
+  }
+};
+
 double portland_recovery_ms() {
   auto fabric = make_fabric(4, 77);
   host::Host& a = fabric->host_at(0, 0, 0);
@@ -90,18 +108,18 @@ int main(int argc, char** argv) {
   print_header(
       "E8  PortLand vs. conventional Ethernet + 802.1D STP (same k=4 fat "
       "tree)");
-  std::uint64_t arp_queries = 0, arp_floods = 0;
-  std::size_t links_blocked = 0, links_total = 0;
+  Report report;
 
   // --- 1. failure recovery ---
-  const double pl_ms = portland_recovery_ms();
-  const double stp_ms = baseline_recovery_ms();
+  report.portland_recovery_ms = portland_recovery_ms();
+  report.stp_recovery_ms = baseline_recovery_ms();
   std::printf("\n1. Failure recovery after one on-path link failure:\n");
   std::printf("   %-34s %12.1f ms\n", "PortLand (LDM timeout + reroute):",
-              pl_ms);
+              report.portland_recovery_ms);
   std::printf("   %-34s %12.1f ms\n", "Ethernet + STP (802.1D timers):",
-              stp_ms);
-  std::printf("   ratio: %.0fx\n", stp_ms / pl_ms);
+              report.stp_recovery_ms);
+  std::printf("   ratio: %.0fx\n",
+              report.stp_recovery_ms / report.portland_recovery_ms);
 
   // --- 2. ARP cost ---
   {
@@ -134,8 +152,8 @@ int main(int argc, char** argv) {
     std::printf("   %-34s %4llu switch flood events (fabric-wide)\n",
                 "Ethernet broadcast:",
                 static_cast<unsigned long long>(floods));
-    arp_queries = queries;
-    arp_floods = floods;
+    report.arp_control_msgs = queries;
+    report.arp_flood_events = floods;
   }
 
   // --- 3. usable links ---
@@ -161,20 +179,11 @@ int main(int argc, char** argv) {
     std::printf("   %-34s %zu of %zu (spanning tree blocks %zu)\n",
                 "Ethernet + STP:", total_fabric_ports - blocked,
                 total_fabric_ports, blocked);
-    links_blocked = blocked;
-    links_total = total_fabric_ports;
+    report.stp_blocked_links = blocked;
+    report.fabric_links = total_fabric_ports;
   }
 
   const std::string json = json_path_from_args(argc, argv);
-  if (!json.empty()) {
-    JsonReport report("e8_baseline_ethernet");
-    report.add("portland_recovery_ms", pl_ms);
-    report.add("stp_recovery_ms", stp_ms);
-    report.add("arp_control_msgs", arp_queries);
-    report.add("arp_flood_events", arp_floods);
-    report.add("fabric_links", static_cast<std::uint64_t>(links_total));
-    report.add("stp_blocked_links", static_cast<std::uint64_t>(links_blocked));
-    report.write(json);
-  }
+  if (!json.empty()) write_json(json, "e8_baseline_ethernet", report);
   return 0;
 }

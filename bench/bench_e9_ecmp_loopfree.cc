@@ -55,26 +55,23 @@ void flow_spread() {
   }
 }
 
-double permutation_goodput_portland() {
-  auto fabric = make_fabric(4, 13);
+/// Aggregate goodput (packets/s) of the permutation workload: every host
+/// sends a 1000-byte payload every 10 us (~800 Mb/s offered) to its peer.
+template <class Fabric>
+double permutation_goodput(Fabric& fabric) {
   Rng rng(13);
-  const auto perm = host::permutation_pairing(fabric->hosts().size(), rng);
-  std::vector<std::unique_ptr<ProbeFlow>> flows;
+  const auto perm = host::permutation_pairing(fabric.hosts().size(), rng);
+  Flows flows;
   for (std::size_t i = 0; i < perm.size(); ++i) {
-    // 1000-byte payload every 10 us ~= 800 Mb/s offered per host.
     flows.push_back(std::make_unique<ProbeFlow>(
-        *fabric->hosts()[i], *fabric->hosts()[perm[i]],
+        *fabric.hosts()[i], *fabric.hosts()[perm[i]],
         static_cast<std::uint16_t>(9000 + i), micros(10),
         /*payload_bytes=*/1000));
   }
-  fabric->sim().run_until(fabric->sim().now() + millis(100));
-  std::uint64_t rx0 = 0;
-  for (const auto& f : flows) rx0 += f->receiver->packets_received();
-  fabric->sim().run_until(fabric->sim().now() + millis(500));
-  std::uint64_t rx1 = 0;
-  for (const auto& f : flows) rx1 += f->receiver->packets_received();
-  // Goodput in packets/sec aggregate.
-  return static_cast<double>(rx1 - rx0) / 0.5;
+  fabric.sim().run_until(fabric.sim().now() + millis(100));
+  const std::uint64_t rx0 = packets_received(flows);
+  fabric.sim().run_until(fabric.sim().now() + millis(500));
+  return static_cast<double>(packets_received(flows) - rx0) / 0.5;
 }
 
 double permutation_goodput_baseline() {
@@ -84,40 +81,29 @@ double permutation_goodput_baseline() {
   options.switch_config.stp = l2::StpConfig::fast();
   l2::BaselineFabric fabric(options);
   fabric.run_until_stp_converged();
-  Rng rng(13);
-  const auto perm = host::permutation_pairing(fabric.hosts().size(), rng);
-  std::vector<std::unique_ptr<host::UdpFlowReceiver>> receivers;
-  std::vector<std::unique_ptr<host::UdpFlowSender>> senders;
-  std::uint16_t port = 9000;
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    receivers.push_back(std::make_unique<host::UdpFlowReceiver>(
-        *fabric.hosts()[perm[i]], port));
-    host::UdpFlowSender::Config cfg;
-    cfg.dst = fabric.hosts()[perm[i]]->ip();
-    cfg.src_port = cfg.dst_port = port;
-    cfg.interval = micros(10);
-    cfg.payload_bytes = 1000;
-    senders.push_back(
-        std::make_unique<host::UdpFlowSender>(*fabric.hosts()[i], cfg));
-    senders.back()->start();
-    ++port;
-  }
-  fabric.sim().run_until(fabric.sim().now() + millis(100));
-  std::uint64_t rx0 = 0;
-  for (const auto& r : receivers) rx0 += r->packets_received();
-  fabric.sim().run_until(fabric.sim().now() + millis(500));
-  std::uint64_t rx1 = 0;
-  for (const auto& r : receivers) rx1 += r->packets_received();
-  return static_cast<double>(rx1 - rx0) / 0.5;
+  return permutation_goodput(fabric);
 }
 
-struct LoopAuditResult {
-  std::uint64_t transmissions = 0;
-  double bound = 0;
-  bool pass = false;
+struct Report {
+  double portland_pkts_per_s = 0;
+  double baseline_pkts_per_s = 0;
+  double multipath_advantage = 0;
+  std::uint64_t loop_audit_transmissions = 0;
+  double loop_audit_bound = 0;
+  bool loop_audit_pass = false;
+
+  static void walk(auto&& fn) {
+    fn("portland_pkts_per_s", &Report::portland_pkts_per_s);
+    fn("baseline_pkts_per_s", &Report::baseline_pkts_per_s);
+    fn("multipath_advantage", &Report::multipath_advantage);
+    fn("loop_audit_transmissions", &Report::loop_audit_transmissions);
+    fn("loop_audit_bound", &Report::loop_audit_bound);
+    fn("loop_audit_pass", &Report::loop_audit_pass);
+  }
 };
 
-LoopAuditResult loop_audit() {
+/// Fills the report's loop_audit_* fields.
+void loop_audit(Report& report) {
   auto fabric = make_fabric(4, 15);
   Rng rng(15);
   auto flows = random_interpod_flows(*fabric, 10, rng);
@@ -145,15 +131,14 @@ LoopAuditResult loop_audit() {
   const double ldp = 20 * 4 * 100 * elapsed_s;            // LDM background
   const double data = 10 * 1000 * elapsed_s * 5;          // <=5 hops/pkt
   const double bound = (ldp + data) * 1.3 + 1000;
+  report.loop_audit_transmissions = tx1 - tx0;
+  report.loop_audit_bound = bound;
+  report.loop_audit_pass =
+      static_cast<double>(report.loop_audit_transmissions) < bound;
   std::printf("\n3. Loop audit under 3 random failures + rerouting:\n");
   std::printf("   switch transmissions: %llu; strict no-loop bound: %.0f -> %s\n",
-              static_cast<unsigned long long>(tx1 - tx0), bound,
-              static_cast<double>(tx1 - tx0) < bound ? "PASS" : "FAIL");
-  LoopAuditResult result;
-  result.transmissions = tx1 - tx0;
-  result.bound = bound;
-  result.pass = static_cast<double>(tx1 - tx0) < bound;
-  return result;
+              static_cast<unsigned long long>(report.loop_audit_transmissions),
+              bound, report.loop_audit_pass ? "PASS" : "FAIL");
 }
 
 }  // namespace
@@ -164,26 +149,22 @@ int main(int argc, char** argv) {
       "     over all up-paths; packets never travel down then up)");
   flow_spread();
 
-  const double pl = permutation_goodput_portland();
-  const double base = permutation_goodput_baseline();
+  Report report;
+  report.portland_pkts_per_s = permutation_goodput(*make_fabric(4, 13));
+  report.baseline_pkts_per_s = permutation_goodput_baseline();
+  report.multipath_advantage =
+      report.portland_pkts_per_s / report.baseline_pkts_per_s;
   std::printf("\n2. Permutation workload aggregate goodput (16 hosts, 800 "
               "Mb/s offered each):\n");
-  std::printf("   %-28s %10.0f pkt/s\n", "PortLand (ECMP, all links):", pl);
-  std::printf("   %-28s %10.0f pkt/s\n", "Ethernet+STP (single tree):", base);
-  std::printf("   multipath advantage: %.1fx\n", pl / base);
+  std::printf("   %-28s %10.0f pkt/s\n", "PortLand (ECMP, all links):",
+              report.portland_pkts_per_s);
+  std::printf("   %-28s %10.0f pkt/s\n", "Ethernet+STP (single tree):",
+              report.baseline_pkts_per_s);
+  std::printf("   multipath advantage: %.1fx\n", report.multipath_advantage);
 
-  const LoopAuditResult audit = loop_audit();
+  loop_audit(report);
 
   const std::string json = json_path_from_args(argc, argv);
-  if (!json.empty()) {
-    JsonReport report("e9_ecmp_loopfree");
-    report.add("portland_pkts_per_s", pl);
-    report.add("baseline_pkts_per_s", base);
-    report.add("multipath_advantage", pl / base);
-    report.add("loop_audit_transmissions", audit.transmissions);
-    report.add("loop_audit_bound", audit.bound);
-    report.add("loop_audit_pass", audit.pass ? "true" : "false");
-    report.write(json);
-  }
+  if (!json.empty()) write_json(json, "e9_ecmp_loopfree", report);
   return 0;
 }

@@ -5,13 +5,16 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -36,15 +39,22 @@ struct MemoryReport {
   [[nodiscard]] static MemoryReport capture() {
     return MemoryReport{current_rss_bytes(), portland::peak_rss_bytes()};
   }
+  static void walk(auto&& fn) {
+    fn("rss_bytes", &MemoryReport::rss_bytes);
+    fn("peak_rss_bytes", &MemoryReport::peak_rss_bytes);
+  }
 };
 
+/// Builds a fabric and runs it until LDP converges; exits 1 if it has not
+/// within `limit` of simulated time.
 inline std::unique_ptr<core::PortlandFabric> make_fabric(
-    const core::PortlandFabric::Options& options) {
+    const core::PortlandFabric::Options& options,
+    SimDuration limit = seconds(5)) {
   auto fabric = std::make_unique<core::PortlandFabric>(options);
-  if (!fabric->run_until_converged()) {
+  if (!fabric->run_until_converged(limit)) {
     std::fprintf(stderr, "FATAL: LDP did not converge (k=%d seed=%llu)\n",
                  options.k, static_cast<unsigned long long>(options.seed));
-    std::abort();
+    std::exit(1);
   }
   return fabric;
 }
@@ -100,11 +110,52 @@ struct ProbeFlow {
   }
 };
 
+using Flows = std::vector<std::unique_ptr<ProbeFlow>>;
+
+/// Data frames the flows' receivers have counted so far.
+[[nodiscard]] inline std::uint64_t packets_received(const Flows& flows) {
+  std::uint64_t total = 0;
+  for (const auto& flow : flows) total += flow->receiver->packets_received();
+  return total;
+}
+
+/// All-to-all 64 B probe flows, `per_host` per host: host i sends flow f
+/// to the host with the same intra-pod index f+1 pods away, so every pod
+/// pair carries traffic and every flow crosses the core. With `staggered`
+/// the flows' phases spread evenly over `interval`, so bursts from
+/// different senders rarely collide on the same instant.
+inline Flows all_to_all_flows(core::PortlandFabric& fabric,
+                              std::size_t per_host,
+                              SimDuration interval = millis(1),
+                              std::size_t burst = 1, bool staggered = false,
+                              bool record = true) {
+  const auto& hosts = fabric.hosts();
+  const std::size_t n = hosts.size();
+  const std::size_t hosts_per_pod =
+      n / static_cast<std::size_t>(fabric.options().k);
+  Flows flows;
+  std::uint16_t port = 9000;
+  for (std::size_t f = 0; f < per_host; ++f) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t dst = (i + (f + 1) * hosts_per_pod) % n;
+      const SimDuration phase =
+          staggered ? static_cast<SimDuration>(
+                          static_cast<std::uint64_t>(interval) * flows.size() /
+                          (per_host * n))
+                    : 0;
+      flows.push_back(std::make_unique<ProbeFlow>(*hosts[i], *hosts[dst],
+                                                  port++, interval, 64, burst,
+                                                  phase, record));
+    }
+  }
+  return flows;
+}
+
 /// Creates `count` probe flows between random hosts in distinct pods.
-inline std::vector<std::unique_ptr<ProbeFlow>> random_interpod_flows(
+inline Flows random_interpod_flows(
     core::PortlandFabric& fabric, std::size_t count, Rng& rng,
     SimDuration interval = millis(1)) {
-  std::vector<std::unique_ptr<ProbeFlow>> flows;
+  Flows flows;
   const auto& hosts = fabric.hosts();
   std::uint16_t port = 7100;
   while (flows.size() < count) {
@@ -152,61 +203,205 @@ template <typename Fn>
 }
 
 // ---------------------------------------------------------------------------
-// Machine-readable output: every bench emits one flat JSON object so
-// scripts/run_all_benches.sh can collect BENCH_<name>.json files.
+// Reports: a bench names each field of its report, and of every row
+// struct in it, once, in a static walk:
+//
+//   struct Row {
+//     int k = 0;
+//     double mean_ms = 0;
+//     static void walk(auto&& fn) {
+//       fn("k", &Row::k);
+//       fn("mean_ms", &Row::mean_ms);
+//     }
+//   };
+//
+// write_json renders the report as one JSON object and print_table renders
+// rows as a stdout table, both from that walk. A field is a number, a bool,
+// a string, a std::map (a JSON object), a std::vector of walked rows (a
+// JSON array, one row per line), or a walked struct, whose fields are
+// spliced in with its key as their prefix. A headline that reports a field
+// of one row names the path to it: fn("fork_ms", &Report::head, &Row::fork_ms).
 // ---------------------------------------------------------------------------
 
-class JsonReport {
- public:
-  explicit JsonReport(const std::string& bench) { add("bench", bench); }
+template <class T>
+concept Walked = requires { T::walk([](std::string_view, auto...) {}); };
 
-  void add(const std::string& key, const std::string& value) {
-    entries_.push_back("\"" + key + "\": \"" + value + "\"");
-  }
-  void add(const std::string& key, const char* value) {
-    add(key, std::string(value));
-  }
-  void add(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    entries_.push_back("\"" + key + "\": " + buf);
-  }
-  void add(const std::string& key, std::uint64_t value) {
-    entries_.push_back("\"" + key + "\": " + std::to_string(value));
-  }
-  void add(const std::string& key, int value) {
-    entries_.push_back("\"" + key + "\": " + std::to_string(value));
-  }
-  /// Pre-rendered JSON (an array or nested object) under `key`.
-  void add_raw(const std::string& key, const std::string& json) {
-    entries_.push_back("\"" + key + "\": " + json);
-  }
+namespace report_detail {
 
-  /// Writes the object to `path` and reports on stdout. Exits on I/O
-  /// failure — a bench whose output vanished should not look green.
-  /// Every report gains an RSS snapshot at write time (rss_bytes /
-  /// peak_rss_bytes), so memory rides along in all BENCH_e*.json files.
-  void write(const std::string& path) const {
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      std::exit(1);
+/// A table cell or JSON object key: integers exact, doubles to four
+/// significant digits (whole numbers from 1000 up), never in exponent form.
+template <class T>
+std::string cell(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v ? "true" : "false";
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    char buf[400];  // a fixed-format double needs up to 309 digits
+    char* end = buf;
+    if constexpr (std::is_floating_point_v<T>) {
+      const double a = std::fabs(static_cast<double>(v));
+      const int magnitude =
+          a > 0 && std::isfinite(a) ? static_cast<int>(std::floor(std::log10(a)))
+                                    : 0;
+      end = std::to_chars(buf, buf + sizeof(buf), static_cast<double>(v),
+                          std::chars_format::fixed,
+                          std::clamp(3 - magnitude, 0, 9))
+                .ptr;
+    } else {
+      end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
     }
-    const MemoryReport mem = MemoryReport::capture();
-    std::fprintf(f, "{\n");
-    for (const std::string& e : entries_) {
-      std::fprintf(f, "  %s,\n", e.c_str());
-    }
-    std::fprintf(f, "  \"rss_bytes\": %zu,\n", mem.rss_bytes);
-    std::fprintf(f, "  \"peak_rss_bytes\": %zu\n", mem.peak_rss_bytes);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("json written          : %s\n", path.c_str());
+    return std::string(buf, end);
+  } else {
+    return std::string(std::string_view(v));
   }
+}
 
- private:
-  std::vector<std::string> entries_;
+inline void append_string(std::string& out, std::string_view s) {
+  constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (u < 0x20) {
+      out += "\\u00";
+      out += kHex[u >> 4];
+      out += kHex[u & 0xF];
+    } else {
+      out += c;
+    }
+  }
+  out += '"';
+}
+
+template <class T>
+void append_fields(std::string& out, const T& obj, const std::string& prefix,
+                   std::string_view sep, bool& first);
+
+/// Integers exactly; doubles in their shortest round-trip form, always with
+/// a '.' or an exponent so they read back as floats (null if not finite).
+template <class T>
+void append_value(std::string& out, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out += v ? "true" : "false";
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    if (!std::isfinite(static_cast<double>(v))) {
+      out += "null";
+      return;
+    }
+    char buf[32];
+    const std::string_view text(buf, std::to_chars(buf, buf + 32, v).ptr);
+    out += text;
+    if (std::is_floating_point_v<T> && text.find_first_of(".e") == text.npos) {
+      out += ".0";
+    }
+  } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    append_string(out, v);
+  } else if constexpr (requires { typename T::mapped_type; }) {
+    const char* sep = "{";
+    for (const auto& [key, value] : v) {
+      out += std::exchange(sep, ", ");
+      append_string(out, cell(key));
+      out += ": ";
+      append_value(out, value);
+    }
+    out += v.empty() ? "{}" : "}";
+  } else if constexpr (requires { typename T::value_type; }) {
+    out += '[';
+    for (const auto& row : v) {
+      out += &row == &v.front() ? "\n    " : ",\n    ";
+      append_value(out, row);
+    }
+    out += "\n  ]";
+  } else {
+    bool first = true;
+    out += '{';
+    append_fields(out, v, {}, ", ", first);
+    out += '}';
+  }
+}
+
+/// Every field of `obj` as `"prefix+key": value`, separated by `sep`.
+template <class T>
+void append_fields(std::string& out, const T& obj, const std::string& prefix,
+                   std::string_view sep, bool& first) {
+  T::walk([&](std::string_view key, auto... path) {
+    const auto& v = (obj .* ... .* path);
+    if constexpr (Walked<std::remove_cvref_t<decltype(v)>>) {
+      append_fields(out, v, prefix + std::string(key), sep, first);
+    } else {
+      if (!std::exchange(first, false)) out += sep;
+      append_string(out, prefix + std::string(key));
+      out += ": ";
+      append_value(out, v);
+    }
+  });
+}
+
+}  // namespace report_detail
+
+/// The report of a bench whose rows are all it reports.
+template <Walked Row>
+struct RowsReport {
+  std::vector<Row> rows;
+  static void walk(auto&& fn) { fn("rows", &RowsReport::rows); }
 };
+
+/// Writes `{"bench": bench, <report's fields>, "rss_bytes": ...,
+/// "peak_rss_bytes": ...}` to `path` and says so on stdout. Exits on I/O
+/// failure: a bench whose output vanished should not look green.
+template <Walked Report>
+void write_json(const std::string& path, std::string_view bench,
+                const Report& report) {
+  std::string out = "{\n  \"bench\": ";
+  report_detail::append_string(out, bench);
+  bool first = false;
+  report_detail::append_fields(out, report, {}, ",\n  ", first);
+  report_detail::append_fields(out, MemoryReport::capture(), {}, ",\n  ",
+                               first);
+  out += "\n}\n";
+  FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr || std::fwrite(out.data(), 1, out.size(), f) != out.size()) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+  std::fclose(f);
+  std::printf("json written          : %s\n", path.c_str());
+}
+
+/// Prints `rows` as a right-aligned table under their walk's keys, each
+/// column as wide as its widest cell. With `labels` (one per row), a
+/// left-aligned first column headed `label_heading` names each row.
+template <Walked Row>
+void print_table(const std::vector<Row>& rows,
+                 std::string_view label_heading = {},
+                 const std::vector<std::string>& labels = {}) {
+  std::vector<std::vector<std::string>> columns;  // heading, then the cells
+  if (!labels.empty()) {
+    columns.push_back({std::string(label_heading)});
+    columns.back().insert(columns.back().end(), labels.begin(), labels.end());
+  }
+  Row::walk([&](std::string_view key, auto... path) {
+    auto& column = columns.emplace_back(1, std::string(key));
+    for (const Row& row : rows) {
+      column.push_back(report_detail::cell((row .* ... .* path)));
+    }
+  });
+  for (std::size_t r = 0; r <= rows.size(); ++r) {
+    std::string line;
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      std::size_t width = 0;
+      for (const std::string& text : columns[c]) {
+        width = std::max(width, text.size());
+      }
+      const std::string pad(width - columns[c][r].size(), ' ');
+      if (c > 0) line += "  ";
+      line += c == 0 && !labels.empty() ? columns[c][r] + pad
+                                        : pad + columns[c][r];
+    }
+    std::printf("%s\n", line.c_str());
+  }
+}
 
 /// Standard `--json PATH` handling for the simple benches: returns the
 /// path following a `--json` flag anywhere in argv, or empty.

@@ -221,7 +221,7 @@ def check_e22(base):
     check("e22 resolution latency p99",
           e22["arp_p99_us"] <= base["e22"]["arp_p99_us_max"],
           f'{e22["arp_p99_us"]:.0f} us <= {base["e22"]["arp_p99_us_max"]} us')
-    if e22.get("oversubscribed") == "true":
+    if e22.get("oversubscribed") is True:
         print(f'skip  e22 resolutions/s floor: {e22["hw_cores"]} core(s) '
               'on this runner')
     else:

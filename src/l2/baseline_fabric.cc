@@ -87,7 +87,9 @@ std::size_t BaselineFabric::total_mac_entries() const {
 
 std::uint64_t BaselineFabric::total_floods() const {
   std::uint64_t n = 0;
-  for (const LearningSwitch* sw : switches_) n += sw->floods();
+  for (const LearningSwitch* sw : switches_) {
+    n += sw->counters().get(Counter::floods);
+  }
   return n;
 }
 

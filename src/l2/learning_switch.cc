@@ -74,18 +74,14 @@ void LearningSwitch::age_tick() {
       changed = true;
     }
   }
-  // MAC aging. Any erase may free the node the memo's cached pointer
-  // refers to, so aging invalidates the memo.
-  bool aged = false;
+  // MAC aging.
   for (auto it = mac_table_.begin(); it != mac_table_.end();) {
     if (now - it->second.learned_at > config_.mac_aging) {
       it = mac_table_.erase(it);
-      aged = true;
     } else {
       ++it;
     }
   }
-  if (aged) ++memo_generation_;
   if (changed) recompute();
 }
 
@@ -170,7 +166,6 @@ void LearningSwitch::set_port(sim::PortId p, PortRole role) {
   ++pi.state_generation;
   ++topology_changes_;
   mac_table_.clear();  // simplified topology-change flush
-  ++memo_generation_;  // table flushed and port states about to move
 
   if (role == PortRole::kBlocked || role == PortRole::kDisabled) {
     pi.state = PortState::kBlocking;
@@ -189,12 +184,10 @@ void LearningSwitch::advance_state(sim::PortId p, std::uint64_t generation) {
   if (pi.state_generation != generation) return;  // role changed since
   if (pi.state == PortState::kListening) {
     pi.state = PortState::kLearning;
-    ++memo_generation_;
     sim().after(config_.stp.forward_delay,
                 [this, p, generation] { advance_state(p, generation); });
   } else if (pi.state == PortState::kLearning) {
     pi.state = PortState::kForwarding;
-    ++memo_generation_;
   }
 }
 
@@ -227,28 +220,10 @@ void LearningSwitch::forward_data(sim::PortId in_port,
     return;
   }
 
-  // Memo fast path: a frame train repeats (in_port, src, dst) exactly,
-  // and an unchanged generation proves the previous decision still
-  // holds, so the repeat skips both hash lookups. The cached src entry
-  // still gets its learning refresh — byte-for-byte what the slow path
-  // would have done.
-  if (memo_.generation == memo_generation_ && memo_.in_port == in_port &&
-      memo_.src == eth.src && memo_.dst == eth.dst) {
-    ++memo_hits_;
-    memo_.src_entry->learned_at = sim().now();
-    send(memo_.out_port, frame);
-    return;
-  }
-
-  MacEntry* learned = nullptr;
   if (!eth.src.is_multicast() && !eth.src.is_zero() &&
       (in.state == PortState::kLearning ||
        in.state == PortState::kForwarding || !config_.stp_enabled)) {
-    const auto [sit, inserted] = mac_table_.try_emplace(eth.src);
-    // A host moving ports changes the answer for any flow toward it.
-    if (!inserted && sit->second.port != in_port) ++memo_generation_;
-    sit->second = MacEntry{in_port, sim().now()};
-    learned = &sit->second;
+    mac_table_[eth.src] = MacEntry{in_port, sim().now()};
   }
 
   if (config_.stp_enabled && in.state != PortState::kForwarding) {
@@ -261,12 +236,6 @@ void LearningSwitch::forward_data(sim::PortId in_port,
     if (it != mac_table_.end()) {
       if (it->second.port != in_port &&
           ports_[it->second.port].state == PortState::kForwarding) {
-        // Memoize only the forwarding outcome (drops are cheap anyway);
-        // requires a learned src entry so the hit path can refresh it.
-        if (learned != nullptr) {
-          memo_ = FwdMemo{eth.src,          eth.dst, in_port,
-                          it->second.port,  learned, memo_generation_};
-        }
         send(it->second.port, frame);
       }
       return;
@@ -274,7 +243,6 @@ void LearningSwitch::forward_data(sim::PortId in_port,
   }
 
   // Broadcast, multicast, or unknown unicast: flood.
-  ++floods_;
   counters().add(Counter::floods);
   for (sim::PortId p = 0; p < ports_.size(); ++p) {
     if (p == in_port) continue;

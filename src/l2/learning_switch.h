@@ -46,9 +46,6 @@ class LearningSwitch : public sim::Device {
   }
   /// Flat forwarding-table size — the E5 comparison against PMAC state.
   [[nodiscard]] std::size_t mac_table_size() const { return mac_table_.size(); }
-  [[nodiscard]] std::uint64_t floods() const { return floods_; }
-  /// Frames forwarded through the one-entry memo (no hash lookups).
-  [[nodiscard]] std::uint64_t memo_hits() const { return memo_hits_; }
   [[nodiscard]] std::uint64_t topology_changes() const {
     return topology_changes_;
   }
@@ -67,20 +64,6 @@ class LearningSwitch : public sim::Device {
   struct MacEntry {
     sim::PortId port = 0;
     SimTime learned_at = 0;
-  };
-  /// One-entry forwarding memo. A train of back-to-back frames from one
-  /// flow repeats (in_port, src, dst) exactly, so the memo skips both
-  /// MAC-table lookups on the repeat. Valid only while `generation`
-  /// matches memo_generation_, which bumps on anything that could change
-  /// the cached decision: a port state/role change, a MAC moving ports,
-  /// or table aging (which may also free the cached entry's node).
-  struct FwdMemo {
-    MacAddress src;
-    MacAddress dst;
-    sim::PortId in_port = 0;
-    sim::PortId out_port = 0;
-    MacEntry* src_entry = nullptr;
-    std::uint64_t generation = 0;  // 0 never matches
   };
 
   void on_bpdu(sim::PortId port, const Bpdu& bpdu);
@@ -101,11 +84,7 @@ class LearningSwitch : public sim::Device {
   std::unordered_map<MacAddress, MacEntry> mac_table_;
   sim::PeriodicTimer hello_timer_;
   sim::PeriodicTimer age_timer_;
-  std::uint64_t floods_ = 0;
   std::uint64_t topology_changes_ = 0;
-  FwdMemo memo_;
-  std::uint64_t memo_generation_ = 1;
-  std::uint64_t memo_hits_ = 0;
 };
 
 }  // namespace portland::l2

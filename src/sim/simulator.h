@@ -388,7 +388,10 @@ class Simulator {
   void run_until(SimTime t);
 
   /// Live (non-cancelled) scheduled events. A cancelled timer's shot
-  /// leaves this count the moment it is cancelled, not at its deadline.
+  /// leaves this count the moment it is cancelled, not at its deadline,
+  /// unless it was cancelled from inside another shard's window: that
+  /// tombstone stays counted until it decays at its deadline (a snapshot
+  /// image leaves it out).
   [[nodiscard]] std::size_t pending_events() const;
   [[nodiscard]] std::uint64_t executed_events() const {
     return barrier_executed_ + shard_sums().executed;

@@ -140,14 +140,18 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
     // owners; only counts go here. A tombstoned timer shot (generation
     // mismatch after an unsafe cross-shard cancel) decays invisibly —
     // no clock advance, no executed count — so it is re-inserted in the
-    // live engine but dropped from the image.
+    // live engine but dropped from the image, census included.
     std::vector<const Rec*> data_recs;
     for (const Rec& rec : recs) {
       const EventPayload& p = sh.slots[rec.slot];
       if (p.train != nullptr) {
         ++img.trains;
       } else if (p.timer != nullptr) {
-        if (p.timer->generation == p.timer_gen) ++img.timers;
+        if (p.timer->generation == p.timer_gen) {
+          ++img.timers;
+        } else {
+          --img.live;
+        }
       } else if (p.data_owner != nullptr) {
         if (data_owner_ids_.find(p.data_owner) == data_owner_ids_.end()) {
           bad = "data event with unregistered owner";

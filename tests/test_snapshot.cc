@@ -644,6 +644,41 @@ TEST(Snapshot, RestoreAfterSourceTeardownOwnsItsBytes) {
   expect_same(finish(*dst), expected, "restore after source teardown");
 }
 
+TEST(Snapshot, TombstonedTimerShotLeavesTheCensus) {
+  // A timer owned by shard 1, cancelled from inside a shard-0 window,
+  // leaves a tombstone in shard 1's queue that still counts as live. The
+  // image drops the tombstone, so its census must not count it either,
+  // or every image saved while one is pending fails to restore.
+  sim::Simulator sim;
+  sim.configure_shards(2, micros(1));
+  sim::Timer victim(sim);
+  {
+    sim::ShardGuard guard(sim, 1);
+    victim.schedule_after(millis(10),
+                          [] { FAIL() << "a cancelled shot fired"; });
+  }
+  {
+    sim::ShardGuard guard(sim, 0);
+    sim.at(millis(1), [&victim] { victim.cancel(); });
+  }
+  sim.run_until(millis(2));
+  ASSERT_FALSE(victim.pending());
+  ASSERT_EQ(sim.pending_events(), 1u)
+      << "the tombstone counts until its deadline";
+
+  std::vector<std::uint8_t> image;
+  sim::SnapshotWriter w(image);
+  std::string error;
+  ASSERT_TRUE(sim.save_engine(w, &error)) << error;
+  sim.snapshot_clear();
+  sim::SnapshotReader r(image);
+  ASSERT_TRUE(sim.restore_engine(r, &error)) << error;
+  EXPECT_TRUE(sim.finish_restore(&error)) << error;
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_until(millis(20));
+  EXPECT_EQ(sim.executed_events(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Refusal paths.
 // ---------------------------------------------------------------------------
