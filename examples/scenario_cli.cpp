@@ -207,7 +207,8 @@ Args parse_args(int argc, char** argv) {
       if (!std::strcmp(v, "auto")) {
         out.fm_shards = 0;  // resolved to one shard per pod
       } else {
-        out.fm_shards = static_cast<std::size_t>(parse_int(flag, v, 1, 4096));
+        out.fm_shards = static_cast<std::size_t>(parse_int(
+            flag, v, 1, static_cast<long long>(core::kMaxFmShards)));
       }
     } else if (!std::strcmp(flag, "--arp-storm")) {
       out.arp_storm = static_cast<int>(int_value(1, 1024));

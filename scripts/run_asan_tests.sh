@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 BUILD=build-asan
 cmake -S . -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPORTLAND_SANITIZE=address >/dev/null
-cmake --build "$BUILD" --parallel \
+cmake --build "$BUILD" --parallel "$(nproc)" \
       --target test_common test_sim test_net test_messages test_host \
       test_fabric test_fastpath test_snapshot test_convergence test_fm test_migration \
       test_obs

@@ -14,7 +14,8 @@ cd "$(dirname "$0")/.."
 BUILD=build-tsan
 cmake -S . -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPORTLAND_SANITIZE=thread >/dev/null
-cmake --build "$BUILD" --parallel --target test_sim test_soak test_fabric
+cmake --build "$BUILD" --parallel "$(nproc)" \
+  --target test_sim test_soak test_fabric
 
 echo
 echo "################  test_sim / windowed engine (TSan)  ################"

@@ -17,7 +17,7 @@ cmake -S . -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPORTLAND_SANITIZE=undefined \
       -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=all" >/dev/null
 # shellcheck disable=SC2086
-cmake --build "$BUILD" --parallel --target $TESTS
+cmake --build "$BUILD" --parallel "$(nproc)" --target $TESTS
 for t in $TESTS; do
   echo
   echo "################  $t (UBSan)  ################"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <thread>
 
 #include "common/logging.h"
@@ -10,11 +11,6 @@
 #include "core/pmac.h"
 
 namespace portland::core {
-
-namespace {
-/// Switch ids start well above kFabricManagerId.
-constexpr SwitchId kSwitchIdBase = 0x1000;
-}  // namespace
 
 Ipv4Address PortlandFabric::ip_at(std::size_t pod, std::size_t edge,
                                   std::size_t port) {
@@ -29,6 +25,11 @@ PortlandFabric::PortlandFabric(Options options)
       tree_(options_.k),
       net_(options_.seed, {options_.parallel_min_events}),
       injector_(net_) {
+  if (options_.config.fm_shards > kMaxFmShards) {
+    throw std::invalid_argument(
+        "fm_shards above " + std::to_string(kMaxFmShards) +
+        ": registry shard addresses would reach the switch ids");
+  }
   if (options_.workers == Options::kAutoWorkers) {
     // workers=auto: one shard unless the box and the fabric can both
     // feed a pool (Simulator::resolve_auto_workers); the engine
@@ -314,7 +315,7 @@ PortlandSwitch::TableBytes PortlandFabric::total_table_bytes() const {
 namespace {
 /// Image header magic: "PLFS" (PortLand Fabric Snapshot).
 constexpr std::uint32_t kSnapshotMagic = 0x504C4653;
-constexpr std::uint32_t kSnapshotVersion = 7;
+constexpr std::uint32_t kSnapshotVersion = 8;
 }  // namespace
 
 bool PortlandFabric::save_snapshot(std::vector<std::uint8_t>& out,
@@ -378,7 +379,7 @@ bool PortlandFabric::snapshot(sim::SnapshotIo& io,
 
   // 2. Links (network construction order): queue occupancy, in-flight
   //    trains, epochs, down state.
-  for (sim::Link* link : net_.links()) io.save_or_restore(*link);
+  for (sim::Link* link : net_.links()) link->snapshot(io);
 
   // 3. Devices (construction order): generic counters, then the device's
   //    own state (tables, FIBs, protocol timers, TCP stacks, ...). Each
@@ -391,7 +392,9 @@ bool PortlandFabric::snapshot(sim::SnapshotIo& io,
   }
 
   // 4. Central services + observability.
-  fm_->snapshot(io);
+  if (const char* bad = fm_->snapshot(io)) {
+    return fail(std::string("snapshot: ") + bad);
+  }
   control_->snapshot(io);
   bool traced = recorder_ != nullptr;
   io.field(traced);
@@ -411,7 +414,13 @@ bool PortlandFabric::snapshot(sim::SnapshotIo& io,
   if (io.loading() && monitor_ != nullptr) monitor_->clear();
 
   // 5. App-level extras, in caller order.
-  for (sim::Snapshotable* s : extras) io.save_or_restore(*s);
+  for (sim::Snapshotable* s : extras) {
+    if (io.loading()) {
+      s->restore_state(io.reader());
+    } else {
+      s->save_state(io.writer());
+    }
+  }
 
   if (!io.loading()) return true;
   if (!io.ok()) return fail("snapshot: image truncated or corrupt");

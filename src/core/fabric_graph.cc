@@ -612,17 +612,28 @@ void FabricGraph::note_link_dirty(std::pair<SwitchId, SwitchId> key) {
   dirty_links_.push_back(key);
 }
 
-void FabricGraph::save_state(sim::SnapshotWriter& w) const {
-  // Section layout (content-addressed):
-  //   u64 payload hash | u32 payload length | payload
-  // payload:
+void FabricGraph::clear() {
+  switches_.clear();
+  links_.clear();
+  link_table_.clear();
+  failed_links_ = 0;
+  link_order_.clear();
+  idx_.valid = false;
+  restored_hash_valid_ = false;
+  dirty_overflow_ = false;
+  dirty_switches_.clear();
+  dirty_links_.clear();
+}
+
+void FabricGraph::save_payload(sim::SnapshotWriter& w) const {
+  // Payload layout (framed by SnapshotIo::hashed):
   //   u32 n_switches | n × (u64 id, u32 offset into switch block)
   //   | u32 switch-block length | switch block (records below)
   //   | u32 n_links | n × (u64 a, u64 b, u8 up)   fixed 17-byte stride
-  // The hash + offset table + fixed-stride link block let a restore onto
-  // a graph already holding this exact payload touch only its own dirty
-  // entries (see restore_state). Record sizes are known up front, so the
-  // table and the block are written in one pass.
+  // The offset table + fixed-stride link block let a restore onto a graph
+  // already holding this exact payload touch only its own dirty entries
+  // (see merge_selective). Record sizes are known up front, so the table
+  // and the block are written in one pass.
   const auto record_bytes = [](const SwitchState& st) {
     return kSwitchHeaderBytes + kPortRecordBytes * st.ports.size() +
            sizeof(std::uint64_t) * st.nbrs.size();
@@ -640,43 +651,35 @@ void FabricGraph::save_state(sim::SnapshotWriter& w) const {
               });
   }
 
-  std::vector<std::uint8_t> payload;
-  payload.reserve(3 * sizeof(std::uint32_t) +
-                  kOffsetEntryBytes * switches_.size() + block_len +
-                  kLinkRecordBytes * links_.size());
-  sim::SnapshotWriter pw(payload);
-  pw.u32(static_cast<std::uint32_t>(switches_.size()));
+  w.u32(static_cast<std::uint32_t>(switches_.size()));
   std::uint32_t off = 0;
   for (const SwitchState& st : switches_) {
-    pw.u64(st.id);
-    pw.u32(off);
+    w.u64(st.id);
+    w.u32(off);
     off += static_cast<std::uint32_t>(record_bytes(st));
   }
-  pw.u32(static_cast<std::uint32_t>(block_len));
+  w.u32(static_cast<std::uint32_t>(block_len));
   for (const SwitchState& st : switches_) {
-    pw.u64(st.id);
-    pw.u64(st.locator.switch_id);
-    pw.u8(static_cast<std::uint8_t>(st.locator.level));
-    pw.u16(st.locator.pod);
-    pw.u8(st.locator.position);
-    pw.u32(static_cast<std::uint32_t>(st.ports.size()));
+    w.u64(st.id);
+    w.u64(st.locator.switch_id);
+    w.u8(static_cast<std::uint8_t>(st.locator.level));
+    w.u16(st.locator.pod);
+    w.u8(st.locator.position);
+    w.u32(static_cast<std::uint32_t>(st.ports.size()));
     for (const Port& p : st.ports) {
-      pw.u16(p.port);
-      pw.u64(st.nbrs[p.nbr]);
+      w.u16(p.port);
+      w.u64(st.nbrs[p.nbr]);
     }
-    pw.u32(static_cast<std::uint32_t>(st.nbrs.size()));
-    for (const SwitchId n : st.nbrs) pw.u64(n);
+    w.u32(static_cast<std::uint32_t>(st.nbrs.size()));
+    for (const SwitchId n : st.nbrs) w.u64(n);
   }
-  pw.u32(static_cast<std::uint32_t>(links_.size()));
+  w.u32(static_cast<std::uint32_t>(links_.size()));
   for (const std::uint32_t slot : link_order_) {
     const Link& link = links_[slot];
-    pw.u64(link.a);
-    pw.u64(link.b);
-    pw.u8(link.up ? 1 : 0);
+    w.u64(link.a);
+    w.u64(link.b);
+    w.u8(link.up ? 1 : 0);
   }
-
-  w.u64(sim::content_hash(payload));
-  w.blob(payload);
 }
 
 void FabricGraph::merge_switch_body(sim::SnapshotReader& r, SwitchState& st,
@@ -693,7 +696,7 @@ void FabricGraph::merge_switch_body(sim::SnapshotReader& r, SwitchState& st,
 
   // A saved record is canonical: ports strictly ascending, neighbours
   // strictly ascending, every port facing a listed neighbour. Anything
-  // else did not come from save_state and is refused.
+  // else did not come from a save and is refused.
   scratch_pairs_.clear();
   const std::uint32_t n_ports = r.count(kPortRecordBytes);
   for (std::uint32_t p = 0; p < n_ports && r.ok(); ++p) {
@@ -733,88 +736,55 @@ void FabricGraph::merge_switch_body(sim::SnapshotReader& r, SwitchState& st,
   if (st.ports != scratch_ports_) st.ports = scratch_ports_;
 }
 
-void FabricGraph::merge_full(sim::SnapshotReader& r, MergeNotes& notes) {
-  // In-place reconciliation rather than clear-and-rebuild: forks restore
-  // a warm image over an almost-identical live graph, where this keeps
-  // every switch's arrays and every link slot.
+bool FabricGraph::rebuild(std::span<const std::uint8_t> payload) {
+  clear();
+  sim::SnapshotReader r(payload);
+  MergeNotes notes;  // a rebuild re-derives everything anyway
   const std::uint32_t n_switches = r.count(kOffsetEntryBytes);
   const std::span<const std::uint8_t> table =
       r.bytes_view(kOffsetEntryBytes * n_switches);
   (void)r.u32();  // switch-block length
-  if (!r.ok()) return;
-  bool same_population = n_switches == switches_.size();
-  for (std::uint32_t i = 0; i < n_switches; ++i) {
+  if (r.ok()) switches_.reserve(n_switches);
+  for (std::uint32_t i = 0; i < n_switches && r.ok(); ++i) {
+    // Records follow the offset table's ids, which ascend.
     const SwitchId id = be64_at(table.data() + i * kOffsetEntryBytes);
-    if (i > 0 && be64_at(table.data() + (i - 1) * kOffsetEntryBytes) >= id) {
+    if ((!switches_.empty() && switches_.back().id >= id) || r.u64() != id) {
       r.fail();
-      return;
     }
-    same_population = same_population && switches_[i].id == id;
-  }
-  if (!same_population) {
-    notes.structural = true;
-    std::vector<SwitchState> next(n_switches);
-    std::size_t j = 0;
-    for (std::uint32_t i = 0; i < n_switches; ++i) {
-      const SwitchId id = be64_at(table.data() + i * kOffsetEntryBytes);
-      while (j < switches_.size() && switches_[j].id < id) ++j;
-      if (j < switches_.size() && switches_[j].id == id) {
-        next[i] = std::move(switches_[j]);
-      } else {
-        next[i].id = id;
-      }
-    }
-    switches_ = std::move(next);
-  }
-  for (SwitchState& st : switches_) {
-    if (r.u64() != st.id) r.fail();
-    if (!r.ok()) return;
+    SwitchState& st = switches_.emplace_back();
+    st.id = id;
     merge_switch_body(r, st, notes);
   }
 
   const std::uint32_t n_links = r.count(kLinkRecordBytes);
-  const std::size_t live_links = links_.size();
-  std::vector<std::uint8_t> seen(live_links, 0);
-  std::size_t matched = 0;
-  std::pair<SwitchId, SwitchId> prev{0, 0};
+  links_.reserve(n_links);
   for (std::uint32_t i = 0; i < n_links && r.ok(); ++i) {
-    const SwitchId a = r.u64();
-    const SwitchId b = r.u64();
-    const bool up = r.u8() != 0;
-    if (a > b || (i > 0 && std::make_pair(a, b) <= prev)) {
+    Link link;
+    link.a = r.u64();
+    link.b = r.u64();
+    link.up = r.u8() != 0;
+    if (link.a > link.b ||
+        (!links_.empty() && std::make_pair(links_.back().a, links_.back().b) >=
+                                std::make_pair(link.a, link.b))) {
       r.fail();
-      return;
     }
-    prev = {a, b};
-    const std::uint32_t slot = find_link(a, b);
-    if (slot == kNoSlot) {
-      add_link(a, b, up);
-      notes.structural = true;
-      notes.link_set = true;
-    } else {
-      // Value flip on an existing cell: index entries hold the slot, so
-      // this is index-transparent by construction.
-      set_up(slot, up);
-      if (slot < live_links && seen[slot] == 0) {
-        seen[slot] = 1;
-        ++matched;
-      }
-    }
+    if (!link.up) ++failed_links_;
+    links_.push_back(link);
   }
-  notes.drop.clear();
-  if (matched != live_links) {
-    for (std::uint32_t s = 0; s < live_links; ++s) {
-      if (seen[s] == 0) notes.drop.push_back(s);
-    }
-    notes.structural = true;
-  }
+  if (!r.ok()) return false;
+  rehash();
+  // A save only writes adjacency whose links it also writes, so an entry
+  // left without a slot marks a forged image.
+  bool linked = true;
+  for (SwitchState& st : switches_) linked = relink(st) && linked;
+  return linked;
 }
 
-bool FabricGraph::merge_selective(std::span<const std::uint8_t> payload,
-                                  MergeNotes& notes) {
+bool FabricGraph::merge_selective(std::span<const std::uint8_t> payload) {
   // The live graph *is* this payload plus the mutations noted in the
   // dirty lists — reconcile only those entries, via the offset table for
   // switches and the fixed-stride sorted block for links.
+  MergeNotes notes;
   sim::SnapshotReader hr(payload);
   const std::uint32_t n_switches = hr.u32();
   const std::span<const std::uint8_t> table =
@@ -902,39 +872,12 @@ bool FabricGraph::merge_selective(std::span<const std::uint8_t> payload,
       set_up(slot, up);  // index-transparent value flip
     }
   }
-  return true;
-}
-
-void FabricGraph::restore_state(sim::SnapshotReader& r) {
-  const std::uint64_t hash = r.u64();
-  const std::uint32_t payload_len = r.u32();
-  const std::span<const std::uint8_t> payload = r.bytes_view(payload_len);
-  if (!r.ok()) {
-    restored_hash_valid_ = false;
-    idx_.valid = false;
-    return;
-  }
-
-  MergeNotes notes;
-  bool merged = false;
-  bool failed = false;
-  if (restored_hash_valid_ && hash == restored_hash_ && !dirty_overflow_) {
-    merged = merge_selective(payload, notes);
-  }
-  if (!merged) {
-    sim::SnapshotReader pr(payload);
-    // A later restore trusts the hash to merge selectively, so a payload
-    // that does not match its own hash is corrupt.
-    if (sim::content_hash(payload) != hash) pr.fail();
-    if (pr.ok()) merge_full(pr, notes);
-    failed = !pr.ok();
-  }
 
   // Re-derive what holds link slots: a dropped link compacts the array
   // and an added one may complete a stored adjacency, so either relinks
   // every switch; otherwise only switches whose neighbour set moved need
-  // fresh slots. save_state only writes adjacency whose links it also
-  // writes, so an entry left without a slot marks a forged image.
+  // fresh slots. A save only writes adjacency whose links it also writes,
+  // so an entry left without a slot marks a forged image.
   if (!notes.drop.empty()) erase_links(notes.drop);
   bool linked = true;
   if (!notes.drop.empty() || notes.link_set) {
@@ -944,27 +887,11 @@ void FabricGraph::restore_state(sim::SnapshotReader& r) {
       if (SwitchState* st = find_switch(id)) linked = relink(*st) && linked;
     }
   }
-  failed = failed || !linked;
-
-  if (failed) {
-    // Propagate the sub-reader's failure to the outer stream so the
-    // whole restore reports it (the payload bytes themselves were
-    // already consumed above).
-    r.skip(r.remaining_size() + 1);
-    restored_hash_valid_ = false;
-    idx_.valid = false;
-    return;
-  }
-
-  restored_hash_ = hash;
-  restored_hash_valid_ = true;
-  dirty_overflow_ = false;
-  dirty_switches_.clear();
-  dirty_links_.clear();
+  if (!linked) return false;
 
   if (notes.structural) {
     idx_.valid = false;
-    return;
+    return true;
   }
   // Population, locators and the link set are all unchanged — the index
   // still describes this graph except for the adjacency lists of switches
@@ -973,6 +900,32 @@ void FabricGraph::restore_state(sim::SnapshotReader& r) {
   for (const SwitchId id : notes.adj) {
     if (const SwitchState* st = find_switch(id)) patch_index_adjacency(*st);
   }
+  return true;
+}
+
+void FabricGraph::snapshot(sim::SnapshotIo& io) {
+  // The payload this graph last loaded is held while the dirty lists
+  // still name every mutation since.
+  const bool held = restored_hash_valid_ && !dirty_overflow_;
+  const sim::SnapshotIo::Hashed s =
+      io.hashed(held ? std::optional(restored_hash_) : std::nullopt,
+                [this](sim::SnapshotWriter& w) { save_payload(w); });
+  if (s.state == sim::SnapshotIo::Hashed::kSaved) return;
+  const bool ok = s.state == sim::SnapshotIo::Hashed::kHeld
+                      ? merge_selective(s.payload)
+                      : s.state == sim::SnapshotIo::Hashed::kFresh &&
+                            rebuild(s.payload);
+  if (!ok) {
+    io.fail();
+    clear();
+    return;
+  }
+  restored_hash_ = s.hash;
+  restored_hash_valid_ = true;
+  dirty_overflow_ = false;
+  dirty_switches_.clear();
+  dirty_links_.clear();
 }
 
 }  // namespace portland::core
+

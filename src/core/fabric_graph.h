@@ -17,8 +17,9 @@
 #include "core/messages.h"
 
 namespace portland::sim {
-class SnapshotWriter;
+class SnapshotIo;
 class SnapshotReader;
+class SnapshotWriter;
 }  // namespace portland::sim
 
 namespace portland::core {
@@ -103,14 +104,14 @@ class FabricGraph {
   [[nodiscard]] std::vector<DstKey> keys_for_link(SwitchId a, SwitchId b) const;
 
   /// Checkpoint: the full soft-state view (locators, adjacency, fault
-  /// matrix). The section is content-addressed (hash + per-switch offset
-  /// table), so a fabric repeatedly forked from the same image merges
-  /// only the records its own mutations touched since the last restore.
-  /// A restore fails the reader on an image save_state cannot have
-  /// written (records out of order, a port facing an unlisted neighbour,
-  /// adjacency without its link record).
-  void save_state(sim::SnapshotWriter& w) const;
-  void restore_state(sim::SnapshotReader& r);
+  /// matrix). The section is content-addressed (SnapshotIo::hashed, with a
+  /// per-switch offset table), so a fabric repeatedly forked from the same
+  /// image merges only the records its own mutations touched since the
+  /// last restore; any other load rebuilds the graph from the image. A
+  /// load fails the reader on an image a save cannot have written
+  /// (records out of order, a port facing an unlisted neighbour, adjacency
+  /// without its link record) and leaves the graph empty.
+  void snapshot(sim::SnapshotIo& io);
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -195,7 +196,7 @@ class FabricGraph {
     PodSlots edges_by_pod;
   };
 
-  /// What a restore merge moved, so the caller re-derives only that.
+  /// What a selective merge moved, so the caller re-derives only that.
   struct MergeNotes {
     bool structural = false;  // population, a locator or the link set
     bool link_set = false;    // links added
@@ -231,6 +232,8 @@ class FabricGraph {
   /// Removes the given slots and compacts the link array; every
   /// `nbr_links` and index entry is stale until relinked.
   void erase_links(const std::vector<std::uint32_t>& slots);
+  /// Empties the graph: no switch, no link, index invalid.
+  void clear();
 
   /// Reads a report's adjacency into scratch_nbrs_ (ascending, unique)
   /// and scratch_ports_ (ascending port, last report of a port wins).
@@ -250,22 +253,27 @@ class FabricGraph {
   /// unchanged — callers invalidate the whole index otherwise.
   void patch_index_adjacency(const SwitchState& st) const;
 
+  /// Writes the section payload (layout in fabric_graph.cc).
+  void save_payload(sim::SnapshotWriter& w) const;
+
   /// Merges one saved switch record body (everything after the id) into
   /// `st`.
   void merge_switch_body(sim::SnapshotReader& r, SwitchState& st,
                          MergeNotes& notes);
 
-  /// Sequential whole-graph reconciliation of a saved payload.
-  void merge_full(sim::SnapshotReader& r, MergeNotes& notes);
+  /// Replaces the whole graph with a saved payload, relinks every switch
+  /// and leaves the index invalid. Returns false on an image a save
+  /// cannot have written.
+  bool rebuild(std::span<const std::uint8_t> payload);
 
   /// Merges only the entries in dirty_switches_ / dirty_links_, using the
-  /// payload's offset table / fixed-stride link block for random access.
-  /// Returns false if anything unexpected forces a full merge instead.
-  bool merge_selective(std::span<const std::uint8_t> payload,
-                       MergeNotes& notes);
+  /// payload's offset table / fixed-stride link block for random access,
+  /// then relinks and re-indexes what moved. Returns false on a payload
+  /// that does not fit the graph it claims to be.
+  bool merge_selective(std::span<const std::uint8_t> payload);
 
   /// Mutation notes for selective restore; capped — once the caps
-  /// overflow, the next restore falls back to a full merge.
+  /// overflow, the next restore rebuilds.
   void note_switch_dirty(SwitchId id);
   void note_link_dirty(std::pair<SwitchId, SwitchId> key);
 

@@ -464,26 +464,16 @@ void snapshot_port_map(sim::SnapshotIo& io,
   });
 }
 
-/// A replica sync timer's armed flag and shot. A load into an FM with no
-/// matching timer (`t` null) walks the shot through a throwaway Timer,
-/// which cancels it again on scope exit.
-void snapshot_sync_timer(sim::SnapshotIo& io, sim::Simulator& sim,
-                         sim::PeriodicTimer* t) {
-  bool armed = t != nullptr;
-  io.field(armed);
-  if (!armed) return;
-  if (t != nullptr) {
-    t->snapshot(io);
-  } else {
-    sim::Timer unused(sim);
-    unused.snapshot(io, {});
-  }
+/// A replica sync timer's armed flag and shot. A load into an FM whose
+/// timer is not armed the same way fails the reader.
+void snapshot_sync_timer(sim::SnapshotIo& io, sim::PeriodicTimer* t) {
+  if (io.expect(t != nullptr) && t != nullptr) t->snapshot(io);
 }
 
 }  // namespace
 
 void FabricManager::snapshot_core(sim::SnapshotIo& io) {
-  io.save_or_restore(graph_);
+  graph_.snapshot(io);
   io.field(next_pod_);
   io.list(pod_by_requester_, [&io](std::pair<SwitchId, std::uint16_t>& e) {
     io.field(e.first);
@@ -532,69 +522,52 @@ void FabricManager::snapshot_registry(sim::SnapshotIo& io,
     });
     return;
   }
-  // Entries land in whichever shard owns them under the *current* shard
-  // count — a same-config load reproduces the saved split exactly, a
-  // mismatched one redistributes gracefully.
+  // A load replaces the shard's entries. Every entry belongs to the shard
+  // it was saved from; one that another shard owns did not come from a
+  // save under this configuration.
+  s.hosts.clear();
+  const std::size_t self = static_cast<std::size_t>(&s - shards_.data());
   for (std::uint32_t i = 0; i < n && io.ok(); ++i) {
     Ipv4Address ip;
     HostRecord rec;
     record(ip, rec);
-    shards_[shard_of(ip)].hosts.insert_or_assign(ip, rec);
+    if (shard_of(ip) != self) {
+      io.fail();
+      return;
+    }
+    s.hosts.insert_or_assign(ip, rec);
   }
 }
 
-void FabricManager::snapshot(sim::SnapshotIo& io) {
+const char* FabricManager::snapshot(sim::SnapshotIo& io) {
   snapshot_core(io);
-
-  if (io.loading()) {
-    for (RegistryShard& s : shards_) {
-      s.hosts.clear();
-      s.counters.reset();
-      s.delta_version = 0;
-      s.dirty = false;
-    }
+  // An image from another registry split or replica setting is refused,
+  // as the fabric's restore contract requires the same options. (A reader
+  // that already failed reports corruption, not a mismatch.)
+  if (!io.ok()) return nullptr;
+  if (!io.expect(static_cast<std::uint32_t>(shards_.size()))) {
+    return "fm registry shard count mismatch";
   }
-  const std::uint32_t n_shards = io.count(shards_.size());
-  const bool same_split = n_shards == shards_.size();
-  for (std::uint32_t i = 0; i < n_shards && io.ok(); ++i) {
-    // A different split folds image shard i into i % count.
-    RegistryShard& target = shards_[same_split ? i : i % shards_.size()];
-    snapshot_registry(io, target);
-    std::uint64_t version = target.delta_version;
-    bool dirty = target.dirty;
-    CounterSet counters = io.loading() ? CounterSet{} : target.counters;
-    io.field(version);
-    io.field(dirty);
-    io.counters(counters.cells());
-    if (io.loading()) {
-      target.delta_version = std::max(target.delta_version, version);
-      target.dirty = target.dirty || dirty;
-      target.counters += counters;
-    }
-    snapshot_sync_timer(io, *sim_,
-                        same_split ? target.sync_timer.get() : nullptr);
+  if (!io.expect(config_.fm_replica)) return "fm replica setting mismatch";
+  for (RegistryShard& s : shards_) {
+    snapshot_registry(io, s);
+    io.field(s.delta_version);
+    io.field(s.dirty);
+    io.counters(s.counters.cells());
+    snapshot_sync_timer(io, s.sync_timer.get());
   }
-
   io.counters(counters_.cells());
+  if (!config_.fm_replica) return nullptr;
 
-  bool had_replica = config_.fm_replica;
-  io.field(had_replica);
-  if (io.loading()) {
-    for (ReplicaSection& s : replica_) s = ReplicaSection{};
-    core_version_ = 0;
-    core_dirty_ = false;
-  }
-  if (!had_replica) return;
-  const std::uint32_t n = io.count(replica_.size());
-  for (std::uint32_t i = 0; i < n && io.ok(); ++i) {
-    ReplicaSection unused;
-    ReplicaSection& s = i < replica_.size() ? replica_[i] : unused;
+  if (!io.expect(static_cast<std::uint32_t>(replica_.size()))) return nullptr;
+  for (ReplicaSection& s : replica_) {
     io.field(s.version);
     io.blob(s.image);
   }
   io.field(core_version_);
   io.field(core_dirty_);
-  snapshot_sync_timer(io, *sim_, core_sync_timer_.get());
+  snapshot_sync_timer(io, core_sync_timer_.get());
+  return nullptr;
 }
 
 }  // namespace portland::core

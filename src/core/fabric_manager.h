@@ -167,8 +167,11 @@ class FabricManager {
   /// Checkpoint: the complete soft state — topology view, pod allocations,
   /// host registry (every shard), installed prunes, multicast
   /// groups/trees, counters, and the standby's streamed images. The
-  /// control-plane endpoint registration is construction wiring.
-  void snapshot(sim::SnapshotIo& io);
+  /// control-plane endpoint registration is construction wiring. A load
+  /// of an image saved under another registry shard count or replica
+  /// setting fails the reader and returns what differs; any other refusal
+  /// only fails the reader, and a save always returns nullptr.
+  const char* snapshot(sim::SnapshotIo& io);
 
   /// Attaches the convergence monitor (nullptr = off). The FM is not a
   /// Device, so the fabric tells it which shard its handlers run on (the
@@ -229,9 +232,8 @@ class FabricManager {
   /// Everything the primary owns except the registry shards and counters
   /// (replica section 0 and the head of the snapshot image).
   void snapshot_core(sim::SnapshotIo& io);
-  /// One registry shard's entries, ascending by IP. A load re-homes each
-  /// entry by IP under the current shard count, so `s` is the save source
-  /// only.
+  /// One registry shard's entries, ascending by IP. A load replaces `s`'s
+  /// entries and refuses one that another shard owns.
   void snapshot_registry(sim::SnapshotIo& io, RegistryShard& s);
 
   void sync_core_section();

@@ -94,6 +94,12 @@ constexpr SwitchId kFmReplicaId = 2;
 /// answers at kFmShardIdBase + s (registered only when fm_shards > 1).
 constexpr SwitchId kFmShardIdBase = 3;
 
+/// First switch id a fabric assigns. Every control-plane address below it
+/// belongs to the fabric manager, so at most kMaxFmShards registry shards
+/// fit before a shard address would collide with a switch.
+constexpr SwitchId kSwitchIdBase = 0x1000;
+constexpr std::size_t kMaxFmShards = kSwitchIdBase - kFmShardIdBase;
+
 /// Which registry shard owns `ip`, for `shards` shards. The same
 /// Fibonacci multiplicative hash the registry itself probes with, so the
 /// shard split is uniform even though the fabric's IP plan is dense in

@@ -289,7 +289,6 @@ void Host::send_resolved(Ipv4Address dst, std::vector<std::uint8_t> frame) {
 }
 
 void Host::send_arp_request(Ipv4Address target) {
-  ++arp_requests_sent_;
   counters().add(Counter::arp_requests_sent);
   const ArpMessage req = ArpMessage::request(mac_, ip_, target);
   send(0, sim::make_frame(
@@ -346,7 +345,6 @@ void Host::snapshot(sim::SnapshotIo& io) {
   }
 
   io.field(next_ephemeral_port_);
-  io.field(arp_requests_sent_);
 
   std::vector<TcpEndpointKey> keys;
   if (!io.loading()) {

@@ -101,7 +101,7 @@ class Host : public sim::Device {
   /// Number of ARP requests this host has transmitted (broadcasts in the
   /// baseline; intercepted by the edge switch in PortLand).
   [[nodiscard]] std::uint64_t arp_requests_sent() const {
-    return arp_requests_sent_;
+    return counters().get(Counter::arp_requests_sent);
   }
 
  private:
@@ -145,7 +145,6 @@ class Host : public sim::Device {
   std::map<Ipv4Address, UdpHandler> group_handlers_;
 
   std::uint16_t next_ephemeral_port_ = 49152;
-  std::uint64_t arp_requests_sent_ = 0;
 };
 
 }  // namespace portland::host

@@ -118,117 +118,97 @@ void Link::execute_data_event(std::uint32_t kind, std::uint64_t arg,
   deliver(static_cast<int>(kind), arg, frame);
 }
 
-void Link::save_state(SnapshotWriter& w) {
-  const SimTime now = sim_->now();
-  thread_local std::vector<std::uint8_t> scratch;
-  scratch.clear();
-  SnapshotWriter bw(scratch);
-  for (int side = 0; side < 2; ++side) {
-    Direction& d = dir_[side_index(side)];
-    // Settling here is idempotent: queued_bytes is only ever read
-    // post-settle, so the saved state equals what the next transmit()
-    // would have observed anyway.
-    d.settle(now);
-    bw.u8(d.up ? 1 : 0);
-    bw.i64(d.busy_until);
-    bw.u64(d.queued_bytes);
-    bw.u64(d.tx_frames);
-    bw.u64(d.tx_bytes);
-    bw.u64(d.dropped);
-    bw.u64(d.epoch);
-    bw.u32(static_cast<std::uint32_t>(d.drains.size()));
-    for (std::size_t i = 0; i < d.drains.size(); ++i) {
-      bw.i64(d.drains[i].done);
-      bw.u32(d.drains[i].bytes);
+void Link::snapshot(SnapshotIo& io) {
+  const auto walk = [this](SnapshotIo& body) {
+    for (int side = 0; side < 2; ++side) {
+      Direction& d = dir_[side_index(side)];
+      // Settling on save is idempotent: queued_bytes is only ever read
+      // post-settle, so the saved state equals what the next transmit()
+      // would have observed anyway.
+      if (!body.loading()) d.settle(sim_->now());
+      body.field(d.up);
+      body.field(d.busy_until);
+      body.field<std::uint64_t>(d.queued_bytes);
+      body.field(d.tx_frames);
+      body.field(d.tx_bytes);
+      body.field(d.dropped);
+      body.field(d.epoch);
+      const std::uint32_t n_drains = body.count(d.drains.size());
+      if (body.loading()) d.drains.clear();
+      for (std::uint32_t i = 0; i < n_drains && body.ok(); ++i) {
+        Direction::PendingDrain drain{};
+        if (!body.loading()) drain = d.drains[i];
+        body.field(drain.done);
+        body.field(drain.bytes);
+        if (body.loading()) d.drains.push_back(drain);
+      }
+      Train& tr = train_[side_index(side)];
+      const std::uint32_t n_entries = body.count(tr.entries.size());
+      if (body.loading()) {
+        tr.entries.clear();
+        tr.scheduled = false;
+      }
+      for (std::uint32_t i = 0; i < n_entries && body.ok(); ++i) {
+        TrainEntry loaded;
+        TrainEntry& e = body.loading() ? loaded : tr.entries[i];
+        body.field(e.time);
+        body.field(e.seq);
+        body.field(e.epoch);
+        body.frame(e.frame);
+        if (!body.loading()) continue;
+        // A train's arrivals are strictly time-ordered; a corrupt image
+        // that breaks the order is refused.
+        if (!tr.entries.empty() && e.time <= tr.entries.back().time) {
+          body.fail();
+        }
+        tr.entries.push_back(std::move(loaded));
+      }
+      if (!body.loading()) continue;
+      if (!body.ok()) {
+        tr.entries.clear();
+        return;
+      }
+      if (!tr.entries.empty()) {
+        // Re-anchor the train node in the *receiver's* shard queue at the
+        // front entry's exact saved (time, seq).
+        Device* receiver = end_[side_index(1 - side)].device;
+        sim_->restore_train_anchor(receiver->shard(), tr);
+      }
     }
-    const Train& tr = train_[side_index(side)];
-    bw.u32(static_cast<std::uint32_t>(tr.entries.size()));
-    for (std::size_t i = 0; i < tr.entries.size(); ++i) {
-      const TrainEntry& e = tr.entries[i];
-      bw.i64(e.time);
-      bw.u64(e.seq);
-      bw.u64(e.epoch);
-      bw.frame(e.frame);
-    }
-  }
-  w.u64(content_hash(scratch));
-  w.blob(scratch);
-  // The settle above may have drifted the drain bookkeeping off whatever
-  // section this link last restored; be conservative.
-  dir_[0].snap_clean = false;
-  dir_[1].snap_clean = false;
-}
+  };
 
-void Link::restore_state(SnapshotReader& outer) {
-  const std::uint64_t hash = outer.u64();
-  const std::uint32_t len = outer.u32();
-  const std::span<const std::uint8_t> section = outer.bytes_view(len);
-  if (!outer.ok()) return;
-  if (dir_[0].snap_clean && dir_[1].snap_clean && hash == snap_hash_) {
-    // Unchanged since we last restored this exact section (and, by the
-    // clean invariant, our trains are empty, so there is nothing to
-    // re-anchor): skip it wholesale.
+  const bool clean = dir_[0].snap_clean && dir_[1].snap_clean;
+  const SnapshotIo::Hashed s = io.hashed(
+      clean ? std::optional(snap_hash_) : std::nullopt,
+      [&walk](SnapshotWriter& w) {
+        SnapshotIo body(w);
+        walk(body);
+      });
+  // A save's settle may have drifted the drain bookkeeping off the section
+  // this link last restored, and a load rewrites it: either way the link
+  // no longer claims cleanliness. A held section is unchanged since that
+  // restore (and, by the clean invariant, the trains are empty, so there
+  // is nothing to re-anchor): it is skipped wholesale.
+  if (s.state == SnapshotIo::Hashed::kHeld ||
+      s.state == SnapshotIo::Hashed::kCorrupt) {
     return;
   }
-  // The hash is what a later restore trusts to skip this section, so a
-  // section that does not match its own hash is corrupt.
-  if (content_hash(section) != hash) {
-    outer.fail();
-    return;
-  }
-  SnapshotReader r(section);
   dir_[0].snap_clean = false;
   dir_[1].snap_clean = false;
+  if (s.state == SnapshotIo::Hashed::kSaved) return;
+  SnapshotReader r(s.payload);
+  SnapshotIo body(r);
+  walk(body);
+  if (!body.ok()) {
+    io.fail();
+    return;
+  }
   // Only an empty-train link may claim cleanliness: snapshot_clear wipes
   // anchored trains without going through this object.
-  bool clean = true;
-  for (int side = 0; side < 2; ++side) {
-    Direction& d = dir_[side_index(side)];
-    d.up = r.u8() != 0;
-    d.busy_until = r.i64();
-    d.queued_bytes = r.u64();
-    d.tx_frames = r.u64();
-    d.tx_bytes = r.u64();
-    d.dropped = r.u64();
-    d.epoch = r.u64();
-    d.drains.clear();
-    const std::uint32_t n_drains = r.count();
-    for (std::uint32_t i = 0; i < n_drains && r.ok(); ++i) {
-      const SimTime done = r.i64();
-      const std::uint32_t bytes = r.u32();
-      d.drains.push_back(Direction::PendingDrain{done, bytes});
-    }
-    Train& tr = train_[side_index(side)];
-    tr.entries.clear();
-    tr.scheduled = false;
-    const std::uint32_t n_entries = r.count();
-    for (std::uint32_t i = 0; i < n_entries && r.ok(); ++i) {
-      TrainEntry e;
-      e.time = r.i64();
-      e.seq = r.u64();
-      e.epoch = r.u64();
-      e.frame = r.frame();
-      // A train's arrivals are strictly time-ordered; a corrupt image
-      // that breaks the order is refused.
-      if (!tr.entries.empty() && e.time <= tr.entries.back().time) r.fail();
-      tr.entries.push_back(std::move(e));
-    }
-    if (!r.ok()) {
-      tr.entries.clear();
-      outer.fail();
-      return;
-    }
-    if (!tr.entries.empty()) {
-      clean = false;
-      // Re-anchor the train node in the *receiver's* shard queue at the
-      // front entry's exact saved (time, seq).
-      Device* receiver = end_[side_index(1 - side)].device;
-      sim_->restore_train_anchor(receiver->shard(), tr);
-    }
-  }
-  snap_hash_ = hash;
-  dir_[0].snap_clean = clean;
-  dir_[1].snap_clean = clean;
+  const bool empty = train_[0].entries.empty() && train_[1].entries.empty();
+  snap_hash_ = s.hash;
+  dir_[0].snap_clean = empty;
+  dir_[1].snap_clean = empty;
 }
 
 void Link::set_up(bool up) {

@@ -125,15 +125,15 @@ class Link : public DataEventOwner {
                           const FrameBytes& bytes) override;
 
   /// Checkpoint: per-direction transmitter state (up/busy/queue/epoch/
-  /// counters, un-settled drains) plus the in-flight train entries. The
-  /// restore re-anchors non-empty trains in the receiver's shard queue at
-  /// their exact saved (time, seq).
+  /// counters, un-settled drains) plus the in-flight train entries, one
+  /// walk for both directions. A load re-anchors non-empty trains in the
+  /// receiver's shard queue at their exact saved (time, seq).
   ///
-  /// The section is content-addressed: an idle link being re-forked from
-  /// the image it already matches (no mutation since the last restore)
-  /// skips its section wholesale instead of re-parsing it.
-  void save_state(SnapshotWriter& w);
-  void restore_state(SnapshotReader& r);
+  /// The section is content-addressed (SnapshotIo::hashed): an idle link
+  /// being re-forked from the image it already matches (no mutation since
+  /// the last restore) skips its section wholesale instead of re-parsing
+  /// it.
+  void snapshot(SnapshotIo& io);
 
  private:
   struct Endpoint {

@@ -592,14 +592,15 @@ void Simulator::merge_mailboxes() {
     }
     if (merge_refs_.empty()) continue;
     mail_merged_ += merge_refs_.size();
-    // Canonical order: (time, source shard); stable keeps push order for
-    // same-source ties. This — not thread completion order — assigns the
-    // destination sequence numbers.
-    std::stable_sort(merge_refs_.begin(), merge_refs_.end(),
-                     [](const MailRef& a, const MailRef& b) {
-                       if (a.time != b.time) return a.time < b.time;
-                       return a.src < b.src;
-                     });
+    // Canonical order: (time, source shard, push index). This — not
+    // thread completion order — assigns the destination sequence numbers.
+    // The key is total, so an unstable (allocation-free) sort suffices.
+    std::sort(merge_refs_.begin(), merge_refs_.end(),
+              [](const MailRef& a, const MailRef& b) {
+                if (a.time != b.time) return a.time < b.time;
+                if (a.src != b.src) return a.src < b.src;
+                return a.idx < b.idx;
+              });
     Shard& d = *shards_[dst];
     for (const MailRef& r : merge_refs_) {
       Mail& m = shards_[r.src]->outbox[dst][r.idx];

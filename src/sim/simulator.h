@@ -305,8 +305,8 @@ class Simulator {
   /// contents are saved by their owning Timer / Link — while data events
   /// are written in full. Returns false (with `error`) if the queue holds
   /// unserializable state: a pending barrier task, unmerged mailbox
-  /// entries, or an opaque SmallFn event. The walk drains and rebuilds
-  /// each shard's wheel but leaves the running engine bit-identical.
+  /// entries, or an opaque SmallFn event. The walk only reads each
+  /// shard's wheel, so the running engine is untouched.
   bool save_engine(SnapshotWriter& w, std::string* error);
 
   /// Drains every shard queue in preparation for a restore: timer shots

@@ -1,17 +1,16 @@
 // Engine-level checkpoint: serialize, clear, and rebuild the event queues.
 //
-// The save walk drains each shard's timing wheel into a record list,
-// classifies every live payload, and re-inserts the drained population
-// exactly as it was — so saving is invisible to the running engine (wheel
-// stats are captured before the walk and restored after; re-insertion
-// bypasses push_node so nodes_pushed never drifts). The image stores timer
-// shots and train anchors as per-shard census counts only: their contents
-// are owned (and serialized) by the Timer and Link that will re-insert them
-// on restore, and finish_restore() validates that every counted event
-// actually came back. The image's scalars (header, engine-wide counters,
-// each shard's clock, counters, wheel stats and census) are one SnapshotIo
-// walk that save and restore share; only the event records are written
-// and read by hand, because a save drains them and a load rebuilds them.
+// The save reads each shard's timing wheel without touching it: it walks
+// the live nodes, classifies every payload, and writes the data events in
+// (time, seq) order, so saving is invisible to the running engine. The
+// image stores timer shots and train anchors as per-shard census counts
+// only: their contents are owned (and serialized) by the Timer and Link
+// that will re-insert them on restore, and finish_restore() validates that
+// every counted event actually came back. The image's scalars (header,
+// engine-wide counters, each shard's clock, counters, wheel stats and
+// census) are one SnapshotIo walk that save and restore share; only the
+// event records are written and read by hand, because a save reads them
+// off the wheel and a load rebuilds it.
 #include "sim/snapshot.h"
 
 #include <algorithm>
@@ -61,6 +60,29 @@ void SnapshotIo::counters(std::span<std::uint64_t> cells) {
     }
     cells[id] = value;
   }
+}
+
+std::vector<std::uint8_t>& SnapshotIo::hashed_scratch() {
+  thread_local std::vector<std::uint8_t> scratch;
+  return scratch;
+}
+
+SnapshotIo::Hashed SnapshotIo::load_hashed(std::optional<std::uint64_t> held) {
+  Hashed s;
+  s.hash = r_->u64();
+  const std::uint32_t len = r_->u32();
+  s.payload = r_->bytes_view(len);
+  if (!r_->ok()) {
+    s.state = Hashed::kCorrupt;
+  } else if (held == s.hash) {
+    s.state = Hashed::kHeld;
+  } else if (content_hash(s.payload) == s.hash) {
+    s.state = Hashed::kFresh;
+  } else {
+    r_->fail();
+    s.state = Hashed::kCorrupt;
+  }
+  return s;
 }
 
 const char* Simulator::snapshot_scalars(SnapshotIo& io) {
@@ -121,52 +143,46 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
   };
   std::vector<Rec> recs;
   const char* bad = nullptr;
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    // Capture the scalars before the drain below perturbs the wheel stats.
+  for (const auto& shp : shards_) {
+    const Shard& sh = *shp;
     ShardImage img{sh.now, sh.next_seq, sh, sh.live, sh.wheel.stats()};
 
-    // Drain the wheel in (time, seq) order. Erase is true removal, so the
-    // only dead residue is staged nodes, which pop() discards with
-    // live == false.
+    // Classify the live population. Timer shots and train anchors
+    // serialize through their owners; only counts go here. A tombstoned
+    // timer shot (generation mismatch after an unsafe cross-shard cancel)
+    // decays invisibly — no clock advance, no executed count — so the
+    // image drops it, census included. Data events are written in
+    // (time, seq) order.
     recs.clear();
-    while (sh.wheel.has_events()) {
-      const TimingWheel::PopResult r = sh.wheel.pop();
-      if (!r.live) continue;
-      recs.push_back(Rec{r.time, r.seq, r.payload});
-    }
-
-    // Classify. Timer shots and train anchors serialize through their
-    // owners; only counts go here. A tombstoned timer shot (generation
-    // mismatch after an unsafe cross-shard cancel) decays invisibly —
-    // no clock advance, no executed count — so it is re-inserted in the
-    // live engine but dropped from the image, census included.
-    std::vector<const Rec*> data_recs;
+    sh.wheel.for_each_live(
+        [&](SimTime time, std::uint64_t seq, std::uint32_t slot) {
+          const EventPayload& p = sh.slots[slot];
+          if (p.train != nullptr) {
+            ++img.trains;
+          } else if (p.timer != nullptr) {
+            if (p.timer->generation == p.timer_gen) {
+              ++img.timers;
+            } else {
+              --img.live;
+            }
+          } else if (p.data_owner != nullptr) {
+            if (data_owner_ids_.find(p.data_owner) == data_owner_ids_.end()) {
+              bad = "data event with unregistered owner";
+            }
+            recs.push_back(Rec{time, seq, slot});
+          } else {
+            bad = "opaque closure event in queue (not checkpointable)";
+          }
+        });
+    std::sort(recs.begin(), recs.end(), [](const Rec& a, const Rec& b) {
+      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    });
+    img.walk(io);
+    w.u32(static_cast<std::uint32_t>(recs.size()));
     for (const Rec& rec : recs) {
       const EventPayload& p = sh.slots[rec.slot];
-      if (p.train != nullptr) {
-        ++img.trains;
-      } else if (p.timer != nullptr) {
-        if (p.timer->generation == p.timer_gen) {
-          ++img.timers;
-        } else {
-          --img.live;
-        }
-      } else if (p.data_owner != nullptr) {
-        if (data_owner_ids_.find(p.data_owner) == data_owner_ids_.end()) {
-          bad = "data event with unregistered owner";
-        }
-        data_recs.push_back(&rec);
-      } else {
-        bad = "opaque closure event in queue (not checkpointable)";
-      }
-    }
-    img.walk(io);
-    w.u32(static_cast<std::uint32_t>(data_recs.size()));
-    for (const Rec* rp : data_recs) {
-      const EventPayload& p = sh.slots[rp->slot];
-      w.i64(rp->time);
-      w.u64(rp->seq);
+      w.i64(rec.time);
+      w.u64(rec.seq);
       const auto it = data_owner_ids_.find(p.data_owner);
       w.u32(it != data_owner_ids_.end() ? it->second : 0xFFFFFFFFu);
       w.u32(p.data_kind);
@@ -174,22 +190,6 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
       w.frame(p.data_frame);
       w.blob(p.data_bytes);
     }
-
-    // Rebuild the wheel exactly as drained. Direct inserts bypass
-    // push_node, so nodes_pushed is untouched; wheel stats are restored
-    // below, so the whole walk is invisible to metrics. Wheel node
-    // indexes change across the rebuild, so live timer handles are
-    // re-recorded.
-    sh.wheel.reset(sh.now);
-    for (const Rec& rec : recs) {
-      const std::uint32_t handle = sh.wheel.insert(rec.time, rec.seq, rec.slot);
-      EventPayload& p = sh.slots[rec.slot];
-      if (p.timer != nullptr && p.timer->generation == p.timer_gen &&
-          p.timer->pending) {
-        p.timer->handle = handle;
-      }
-    }
-    sh.wheel.restore_stats(img.wheel);
   }
   if (bad != nullptr) return fail(bad);
   return true;

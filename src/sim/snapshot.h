@@ -18,20 +18,23 @@
 // SnapshotWriter the walk saves, over a SnapshotReader it loads, so the
 // two layouts cannot drift. Only the walks that are not mirror images
 // keep separate save and restore code: the engine's event records (a save
-// drains them, a load rebuilds them; the engine's scalars are one walk),
-// Link's hashed sections, FabricGraph's content-addressed blocks and the
-// Snapshotable extras. Closures never serialize — restorable events are
-// either timer shots (the owning Timer re-arms its retained callback),
-// train entries (the owning Link re-anchors its train), or *data events*
-// (sim::DataEventOwner), and anything else makes save refuse rather than
-// silently drop state. A load never trusts the image: counts are bounded
-// by the bytes left, port ids by the device's port count, and the reader
-// latches failed on the first bad value.
+// reads them off the wheel, a load rebuilds it; the engine's scalars are
+// one walk), FabricGraph's content-addressed blocks (a load merges the
+// dirty records or rebuilds the graph) and the Snapshotable extras. The
+// content-addressed sections (Link's and FabricGraph's) share one framing
+// and its hash check, SnapshotIo::hashed. Closures never serialize —
+// restorable events are either timer shots (the owning Timer re-arms its
+// retained callback), train entries (the owning Link re-anchors its
+// train), or *data events* (sim::DataEventOwner), and anything else makes
+// save refuse rather than silently drop state. A load never trusts the
+// image: counts are bounded by the bytes left, port ids by the device's
+// port count, and the reader latches failed on the first bad value.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -221,15 +224,41 @@ class SnapshotIo {
   [[nodiscard]] SnapshotWriter& writer() { return *w_; }
   [[nodiscard]] SnapshotReader& reader() { return *r_; }
 
-  /// A component that keeps separate save_state and restore_state (Link,
-  /// FabricGraph, Snapshotable extras): calls the one for this direction.
-  template <typename T>
-  void save_or_restore(T& c) {
-    if (w_ != nullptr) {
-      c.save_state(*w_);
-    } else {
-      c.restore_state(*r_);
-    }
+  /// One content-addressed section as hashed() saw it.
+  struct Hashed {
+    enum State : std::uint8_t {
+      kSaved,    // a save framed the payload
+      kHeld,     // a load found the payload the component holds
+      kFresh,    // a load found a payload that matches its hash
+      kCorrupt,  // a load found no payload, or one its hash does not match
+    };
+    State state = kSaved;
+    std::uint64_t hash = 0;
+    /// A load's payload bytes, a view into the image.
+    std::span<const std::uint8_t> payload;
+  };
+
+  /// A content-addressed section: u64 hash | u32 length | payload, where
+  /// the hash is content_hash(payload). A save fills the payload through
+  /// `fill(SnapshotWriter&)` and frames it. A load reads the frame. When
+  /// its hash equals `held` — the hash of the payload the component last
+  /// loaded, passed only while the component still holds that payload or
+  /// knows every change it made since — the result is kHeld, and the
+  /// component skips the payload or reverts its own changes from it
+  /// without a full parse. Otherwise a payload that does not match its own
+  /// hash fails the reader (kCorrupt), because a later load trusts that
+  /// hash to skip it; one that matches is kFresh, to be loaded in full.
+  template <typename Fill>
+  Hashed hashed(std::optional<std::uint64_t> held, Fill&& fill) {
+    if (loading()) return load_hashed(held);
+    std::vector<std::uint8_t>& payload = hashed_scratch();
+    payload.clear();
+    SnapshotWriter pw(payload);
+    fill(pw);
+    const std::uint64_t hash = content_hash(payload);
+    w_->u64(hash);
+    w_->blob(payload);
+    return Hashed{Hashed::kSaved, hash, {}};
   }
 
   // Scalars at their natural wire width.
@@ -382,6 +411,11 @@ class SnapshotIo {
   void counters(std::span<std::uint64_t> cells);
 
  private:
+  /// The save-side payload buffer of hashed(), reused per thread: a
+  /// save frames thousands of small Link sections.
+  static std::vector<std::uint8_t>& hashed_scratch();
+  Hashed load_hashed(std::optional<std::uint64_t> held);
+
   SnapshotWriter* w_ = nullptr;
   SnapshotReader* r_ = nullptr;
 };

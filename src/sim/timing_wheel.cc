@@ -268,7 +268,7 @@ TimingWheel::PopResult TimingWheel::pop() {
       occ_[0][slot >> 6] &= ~(1ull << (slot & 63));
       cache_valid_ = false;
       const Node& node = nodes_[head];
-      const PopResult result{node.time, node.payload, node.seq, true};
+      const PopResult result{node.time, node.payload, true};
       free_node(head);
       --size_;
       return result;
@@ -281,8 +281,7 @@ TimingWheel::PopResult TimingWheel::pop() {
     due_pos_ = 0;
   }
   const Node& node = nodes_[n];
-  const PopResult result{node.time, node.payload, node.seq,
-                         node.where == kStaged};
+  const PopResult result{node.time, node.payload, node.where == kStaged};
   free_node(n);
   --size_;
   return result;

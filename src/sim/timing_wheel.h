@@ -47,9 +47,6 @@ class TimingWheel {
   struct PopResult {
     SimTime time = 0;
     std::uint32_t payload = kNilIndex;
-    /// The node's tie-break rank, echoed back so a checkpoint's
-    /// drain-and-rebuild walk can re-insert at the identical (time, seq).
-    std::uint64_t seq = 0;
     /// False for a node cancelled while staged: its payload was already
     /// released by erase(); the caller just discards it.
     bool live = false;
@@ -106,9 +103,19 @@ class TimingWheel {
   /// an image; counters in stats() are preserved.
   void reset(SimTime cursor);
 
-  /// Overwrites the lifetime counters (checkpoint restore: a save's
-  /// drain-and-rebuild walk must not look like real scheduler activity).
+  /// Overwrites the lifetime counters (checkpoint restore: the rebuilt
+  /// population must not look like real scheduler activity).
   void restore_stats(const Stats& s) { stats_ = s; }
+
+  /// Calls fn(time, seq, payload) for every live node (on a level, in
+  /// overflow, or staged and not yet popped), in pool order, without
+  /// touching the wheel: a checkpoint save reads the population this way.
+  template <typename Fn>
+  void for_each_live(Fn&& fn) const {
+    for (const Node& node : nodes_) {
+      if (node.where <= kStaged) fn(node.time, node.seq, node.payload);
+    }
+  }
 
   /// True while any node (including cancelled-while-staged residue that
   /// pop() has not yet discarded) remains.

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/fabric.h"
@@ -470,6 +471,32 @@ TEST(Fabric, DegenerateK2FabricWorks) {
   host::Host& b = fabric->host_at(1, 0, 0);
   EXPECT_TRUE(ping(*fabric, a, b));
   EXPECT_TRUE(ping(*fabric, b, a));
+}
+
+TEST(Fabric, FmShardAddressesStayBelowSwitchIds) {
+  // Registry shard s answers at kFmShardIdBase + s; one more shard than
+  // kMaxFmShards would take the first switch's address.
+  PortlandFabric::Options options;
+  options.k = 4;
+  options.config.fm_shards = kMaxFmShards + 1;
+  EXPECT_THROW(PortlandFabric{options}, std::invalid_argument);
+
+  options.config.fm_shards = kMaxFmShards;
+  PortlandFabric fabric(options);
+  ASSERT_TRUE(fabric.run_until_converged());
+  for (const PortlandSwitch* sw : fabric.switches()) {
+    EXPECT_GE(sw->id(), kFmShardIdBase + kMaxFmShards);
+  }
+  // Every host's address is served by its own registry shard.
+  host::Host& a = fabric.host_at(0, 0, 0);
+  for (std::size_t pod = 1; pod < 4; ++pod) {
+    for (std::size_t edge = 0; edge < 2; ++edge) {
+      for (std::size_t port = 0; port < 2; ++port) {
+        EXPECT_TRUE(ping(fabric, a, fabric.host_at(pod, edge, port)))
+            << pod << "/" << edge << "/" << port;
+      }
+    }
+  }
 }
 
 class Oversubscribed : public ::testing::TestWithParam<std::size_t> {};

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 #include <string>
@@ -364,16 +365,18 @@ class ReferenceGraph {
   }
 };
 
-std::vector<std::uint8_t> save_graph(const FabricGraph& g) {
+std::vector<std::uint8_t> save_graph(FabricGraph& g) {
   std::vector<std::uint8_t> bytes;
   sim::SnapshotWriter w(bytes);
-  g.save_state(w);
+  sim::SnapshotIo io(w);
+  g.snapshot(io);
   return bytes;
 }
 
 bool restore_graph(FabricGraph& g, const std::vector<std::uint8_t>& bytes) {
   sim::SnapshotReader r(bytes);
-  g.restore_state(r);
+  sim::SnapshotIo io(r);
+  g.snapshot(io);
   return r.ok() && r.remaining_size() == 0;
 }
 
@@ -566,7 +569,7 @@ TEST(FabricGraph, MatchesReferenceModel) {
         if (images.size() > 3) images.erase(images.begin());
       } else if (op == 9 && !images.empty()) {
         // The last image restored again merges selectively; any other
-        // image (or a dirty-list overflow) takes the full merge.
+        // image (or a dirty-list overflow) rebuilds the graph.
         what = "restore";
         const Image& img = rng.chance(0.6) ? images.back() : pick(images);
         ASSERT_TRUE(restore_graph(graph, img.bytes));
@@ -602,7 +605,7 @@ TEST(FabricGraph, RestoreRefusesAdjacencyWithoutItsLink) {
   // Every adjacency entry a hello stores has its link cell, which is what
   // lets an unchanged hello return without writing. An image that names
   // a neighbour but carries no link record for it (here: the link block
-  // emptied and the hash recomputed) cannot come from save_state.
+  // emptied and the hash recomputed) cannot come from a save.
   GraphFixture fx;
   std::vector<std::uint8_t> image = save_graph(fx.graph);
   sim::SnapshotReader r(image);
@@ -887,48 +890,98 @@ TEST(FabricManager, ReplicaFailoverRestoresStreamedState) {
   EXPECT_EQ(fm.host_count(), 0u);
 }
 
-TEST(FabricManager, SnapshotRedistributesAcrossShardCounts) {
-  sim::Simulator sim_a;
-  ControlPlane control_a(sim_a, micros(10));
-  PortlandConfig config_a;
-  config_a.fm_shards = 4;
-  FabricManager fm_a(sim_a, control_a, config_a);
-  for (std::uint32_t i = 0; i < 24; ++i) {
-    fm_a.register_host_direct(
-        Ipv4Address(10, 0, 1, i),
-        {MacAddress::from_u64(0x000000020000ull + i),
-         MacAddress::from_u64(0x020000000000ull + i), 7, 0});
+TEST(FabricManager, SnapshotRefusesAnotherConfiguration) {
+  const auto save = [](const PortlandConfig& config) {
+    sim::Simulator sim;
+    ControlPlane control(sim, micros(10));
+    FabricManager fm(sim, control, config);
+    for (std::uint32_t i = 0; i < 24; ++i) {
+      fm.register_host_direct(
+          Ipv4Address(10, 0, 1, i),
+          {MacAddress::from_u64(0x000000020000ull + i),
+           MacAddress::from_u64(0x020000000000ull + i), 7, 0});
+    }
+    std::vector<std::uint8_t> image;
+    sim::SnapshotWriter w(image);
+    sim::SnapshotIo io(w);
+    EXPECT_EQ(fm.snapshot(io), nullptr);
+    return image;
+  };
+  // Returns the load's refusal, or "" when the image loaded.
+  const auto load = [](const PortlandConfig& config,
+                       const std::vector<std::uint8_t>& image) {
+    sim::Simulator sim;
+    ControlPlane control(sim, micros(10));
+    FabricManager fm(sim, control, config);
+    sim::SnapshotReader r(image);
+    sim::SnapshotIo io(r);
+    const char* bad = fm.snapshot(io);
+    EXPECT_EQ(bad == nullptr, r.ok());
+    if (bad == nullptr && r.ok()) {
+      EXPECT_EQ(fm.host_count(), 24u);
+    }
+    return std::string(bad == nullptr ? "" : bad);
+  };
+  PortlandConfig four;
+  four.fm_shards = 4;
+  PortlandConfig one;
+  PortlandConfig replica = four;
+  replica.fm_replica = true;
+  const std::vector<std::uint8_t> image = save(four);
+  EXPECT_EQ(load(four, image), "");
+  // Another registry split is refused, not folded or re-homed.
+  EXPECT_EQ(load(one, image), "fm registry shard count mismatch");
+  EXPECT_EQ(load(replica, image), "fm replica setting mismatch");
+  EXPECT_EQ(load(four, save(replica)), "fm replica setting mismatch");
+  EXPECT_EQ(load(replica, save(replica)), "");
+}
+
+TEST(FabricManager, SnapshotRefusesAnEntryInAnotherShard) {
+  PortlandConfig config;
+  config.fm_shards = 4;
+  sim::Simulator sim;
+  ControlPlane control(sim, micros(10));
+  FabricManager fm(sim, control, config);
+  const Ipv4Address a(10, 0, 1, 1);
+  Ipv4Address b = a;
+  for (std::uint8_t i = 2; fm.shard_of(b) == fm.shard_of(a); ++i) {
+    b = Ipv4Address(10, 0, 1, i);
   }
-  // Per-shard counters: 24 hits spread over the shards, plus one miss.
-  for (std::uint32_t i = 0; i <= 24; ++i) {
-    fm_a.handle_message({1, ArpQuery{i, Ipv4Address(10, 0, 1, i)}});
-  }
+  fm.register_host_direct(a, {MacAddress::from_u64(0x20000),
+                              MacAddress::from_u64(0x20000000000), 7, 0});
   std::vector<std::uint8_t> image;
   sim::SnapshotWriter w(image);
   sim::SnapshotIo save(w);
-  fm_a.snapshot(save);
+  ASSERT_EQ(fm.snapshot(save), nullptr);
 
-  // Restoring a 4-shard image into a single-shard FM re-homes every
-  // record, and folds every shard's counters, under the new shard count.
-  // Counts the target had before the restore do not survive it.
-  sim::Simulator sim_b;
-  ControlPlane control_b(sim_b, micros(10));
-  FabricManager fm_b(sim_b, control_b, PortlandConfig{});
-  fm_b.handle_message({1, ArpQuery{99, Ipv4Address(10, 9, 9, 9)}});
-  sim::SnapshotReader r(image);
+  // Rename the one entry to an IP another shard owns, in place: the image
+  // stores each IP once, as a big-endian word.
+  const auto be = [](Ipv4Address ip) {
+    const std::uint32_t v = ip.value();
+    return std::array<std::uint8_t, 4>{
+        static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
+        static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+  };
+  const std::array<std::uint8_t, 4> from = be(a);
+  const auto at = std::search(image.begin(), image.end(), from.begin(),
+                              from.end());
+  ASSERT_NE(at, image.end());
+  ASSERT_EQ(std::search(at + 1, image.end(), from.begin(), from.end()),
+            image.end());
+  std::vector<std::uint8_t> forged = image;
+  const std::array<std::uint8_t, 4> to = be(b);
+  std::copy(to.begin(), to.end(), forged.begin() + (at - image.begin()));
+
+  sim::SnapshotReader r(forged);
   sim::SnapshotIo load(r);
-  fm_b.snapshot(load);
-  EXPECT_TRUE(r.ok());
-  EXPECT_TRUE(fm_b.counters() == fm_a.counters());
-  EXPECT_EQ(fm_b.shard_counters(0).get(Counter::arp_queries), 25u);
-  EXPECT_EQ(fm_b.shard_counters(0).get(Counter::arp_hits), 24u);
-  EXPECT_EQ(fm_b.shard_counters(0).get(Counter::arp_misses), 1u);
-  EXPECT_EQ(fm_b.host_count(), 24u);
-  for (std::uint32_t i = 0; i < 24; ++i) {
-    EXPECT_EQ(fm_b.lookup_pmac(Ipv4Address(10, 0, 1, i)),
-              MacAddress::from_u64(0x000000020000ull + i))
-        << i;
-  }
+  (void)fm.snapshot(load);
+  EXPECT_FALSE(r.ok());
+
+  sim::SnapshotReader again(image);
+  sim::SnapshotIo reload(again);
+  EXPECT_EQ(fm.snapshot(reload), nullptr);
+  EXPECT_TRUE(again.ok());
+  EXPECT_EQ(fm.lookup_pmac(a), MacAddress::from_u64(0x20000));
 }
 
 TEST(ControlPlane, CountsPerTypeAndBytes) {

@@ -724,12 +724,40 @@ TEST(Snapshot, RestoreRejectsMismatchedFabric) {
   // An image from another format version (big-endian word after the
   // magic) is refused by the header check, before any state is touched.
   std::vector<std::uint8_t> old_version = image;
-  ASSERT_EQ(old_version[7], 7);
-  old_version[7] = 6;
+  ASSERT_EQ(old_version[7], 8);
+  old_version[7] = 7;
   EXPECT_FALSE(target.restore_snapshot(old_version, &error));
   EXPECT_NE(error.find("version mismatch"), std::string::npos) << error;
   // The same image with its own version word restores into that fabric.
   EXPECT_TRUE(target.restore_snapshot(image, &error)) << error;
+}
+
+TEST(Snapshot, RestoreRefusesAnotherFmConfiguration) {
+  // The restore contract requires the same options: an image saved under
+  // another registry split or replica setting is refused by name.
+  PortlandFabric::Options sharded = small_options();
+  sharded.config.fm_shards = 4;
+  PortlandFabric source(sharded);
+  ASSERT_TRUE(source.run_until_converged());
+  std::vector<std::uint8_t> image;
+  std::string error;
+  ASSERT_TRUE(source.save_snapshot(image, &error)) << error;
+
+  PortlandFabric one_shard(small_options());
+  ASSERT_TRUE(one_shard.run_until_converged());
+  EXPECT_FALSE(one_shard.restore_snapshot(image, &error));
+  EXPECT_EQ(error, "snapshot: fm registry shard count mismatch");
+
+  PortlandFabric::Options replica = sharded;
+  replica.config.fm_replica = true;
+  PortlandFabric standby(replica);
+  ASSERT_TRUE(standby.run_until_converged());
+  EXPECT_FALSE(standby.restore_snapshot(image, &error));
+  EXPECT_EQ(error, "snapshot: fm replica setting mismatch");
+
+  PortlandFabric same(sharded);
+  ASSERT_TRUE(same.run_until_converged());
+  EXPECT_TRUE(same.restore_snapshot(image, &error)) << error;
 }
 
 // ---------------------------------------------------------------------------
@@ -762,11 +790,11 @@ std::vector<std::size_t> section_ends(Scenario& sc) {
     ends.push_back(engine + off);
   }
   ends.push_back(buf.size());
+  sim::SnapshotIo io(w);
   for (sim::Link* link : fabric.network().links()) {
-    link->save_state(w);
+    link->snapshot(io);
     ends.push_back(buf.size());
   }
-  sim::SnapshotIo io(w);
   for (sim::Device* dev : fabric.network().devices()) {
     io.counters(dev->counters().cells());
     ends.push_back(buf.size());
