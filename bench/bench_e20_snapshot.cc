@@ -18,6 +18,7 @@
 //     (the price every query pays without checkpointing),
 //   * snapshot size (bytes, bytes/host) and save wall-clock,
 //   * fork (in-memory restore) wall-clock, median over --queries runs,
+//     and the median of each restore phase (fork_phase_ms.*),
 //   * answer wall-clock: fork + fail 3 random fabric links + run the
 //     reaction window + read the FM and flow counters, median over
 //     --queries runs (each query kills a different random link set, as
@@ -146,10 +147,8 @@ struct WarmTraffic {
 };
 
 struct WhatIfResult {
-  std::uint64_t faults = 0;
-  std::uint64_t reroutes = 0;
+  core::PortlandFabric::LinkKillAnswer fm;
   std::uint64_t probe_rx = 0;  // warm-flow packets delivered in the window
-  std::size_t failed_links = 0;
 };
 
 /// The query itself: kill 3 random fabric links just after `now`, run
@@ -157,21 +156,41 @@ struct WhatIfResult {
 /// and how the warm flows fared.
 WhatIfResult run_what_if(core::PortlandFabric& fabric, WarmTraffic& traffic,
                          Rng& rng, SimDuration window) {
-  const auto& fm = fabric.fabric_manager();
-  const std::uint64_t faults0 = fm.counters().get("fault_notifications");
-  const std::uint64_t reroutes0 = fm.counters().get("prune_updates_sent");
   const std::uint64_t rx0 = traffic.packets_received();
   const SimTime t0 = fabric.sim().now();
-  fabric.failures().fail_random_links_at(fabric.fabric_links(), 3,
-                                         t0 + micros(100), rng);
-  fabric.sim().run_until(t0 + window);
   WhatIfResult out;
-  out.faults = fm.counters().get("fault_notifications") - faults0;
-  out.reroutes = fm.counters().get("prune_updates_sent") - reroutes0;
+  out.fm = fabric.kill_random_links(3, t0 + micros(100), t0 + window, rng);
   out.probe_rx = traffic.packets_received() - rx0;
-  out.failed_links = fm.graph().failed_link_count();
   return out;
 }
+
+/// Median wall time of each restore phase over the forks of one row
+/// (PortlandFabric::restore_phases): where a fork's time goes.
+struct ForkPhases {
+  double clear = 0;
+  double engine = 0;
+  double links = 0;
+  double switches = 0;
+  double hosts = 0;
+  double fm = 0;
+  double extras = 0;
+
+  /// Medians of per-fork phase samples.
+  static ForkPhases median_of(
+      const std::vector<core::PortlandFabric::RestorePhases>& forks) {
+    using Phases = core::PortlandFabric::RestorePhases;
+    const auto ms = [&forks](std::uint64_t Phases::*phase) {
+      std::vector<double> samples;
+      samples.reserve(forks.size());
+      for (const Phases& f : forks) samples.push_back(1e-6 * f.*phase);
+      return bench::median_of(std::move(samples));
+    };
+    return ForkPhases{ms(&Phases::clear_ns),    ms(&Phases::engine_ns),
+                      ms(&Phases::links_ns),    ms(&Phases::switches_ns),
+                      ms(&Phases::hosts_ns),    ms(&Phases::fm_ns),
+                      ms(&Phases::extras_ns)};
+  }
+};
 
 struct Row {
   int k = 0;
@@ -182,6 +201,7 @@ struct Row {
   std::size_t snapshot_bytes = 0;
   double bytes_per_host = 0;
   double fork_ms = 0;       // median in-memory restore
+  ForkPhases fork_phase_ms;  // median of each restore phase
   double answer_ms = 0;     // median fork + what-if
   double speedup = 0;       // cold_ms / answer_ms
   std::uint64_t faults = 0;
@@ -196,6 +216,13 @@ struct Row {
     fn("snapshot_bytes_per_host", &Row::bytes_per_host);
     fn("save_ms", &Row::save_ms);
     fn("fork_ms", &Row::fork_ms);
+    fn("fork_phase_ms.clear", &Row::fork_phase_ms, &ForkPhases::clear);
+    fn("fork_phase_ms.engine", &Row::fork_phase_ms, &ForkPhases::engine);
+    fn("fork_phase_ms.links", &Row::fork_phase_ms, &ForkPhases::links);
+    fn("fork_phase_ms.switches", &Row::fork_phase_ms, &ForkPhases::switches);
+    fn("fork_phase_ms.hosts", &Row::fork_phase_ms, &ForkPhases::hosts);
+    fn("fork_phase_ms.fm", &Row::fork_phase_ms, &ForkPhases::fm);
+    fn("fork_phase_ms.extras", &Row::fork_phase_ms, &ForkPhases::extras);
     fn("answer_ms", &Row::answer_ms);
     fn("cold_ms", &Row::cold_ms);
     fn("speedup", &Row::speedup);
@@ -239,8 +266,8 @@ Row run_one(const Args& args, int k) {
     row.cold_ms = ms_since(w0);
     std::printf("cold converge+warm+answer : %.1f ms (%llu faults, %llu "
                 "reroutes, %llu probe rx)\n",
-                row.cold_ms, static_cast<unsigned long long>(r.faults),
-                static_cast<unsigned long long>(r.reroutes),
+                row.cold_ms, static_cast<unsigned long long>(r.fm.faults),
+                static_cast<unsigned long long>(r.fm.reroutes),
                 static_cast<unsigned long long>(r.probe_rx));
   }
 
@@ -273,6 +300,7 @@ Row run_one(const Args& args, int k) {
   // Forked what-if queries, each with its own random victim set.
   std::vector<double> fork_samples;
   std::vector<double> answer_samples;
+  std::vector<core::PortlandFabric::RestorePhases> phase_samples;
   for (int q = 0; q < args.queries; ++q) {
     const auto w0 = std::chrono::steady_clock::now();
     if (!fabric->restore_snapshot(image, traffic.extras, &err)) {
@@ -280,26 +308,33 @@ Row run_one(const Args& args, int k) {
       std::exit(1);
     }
     const double fork_ms = ms_since(w0);
+    phase_samples.push_back(fabric->restore_phases());
     const WhatIfResult r = run_what_if(*fabric, traffic, rng, args.window);
     const double answer_ms = ms_since(w0);
     fork_samples.push_back(fork_ms);
     answer_samples.push_back(answer_ms);
-    row.faults = r.faults;
-    row.reroutes = r.reroutes;
+    row.faults = r.fm.faults;
+    row.reroutes = r.fm.reroutes;
     row.probe_rx = r.probe_rx;
     std::printf("  query %d             : fork %.2f ms, answer %.2f ms "
                 "(%llu faults, %llu reroutes, %llu probe rx, %zu links "
                 "down)\n",
                 q, fork_ms, answer_ms,
-                static_cast<unsigned long long>(r.faults),
-                static_cast<unsigned long long>(r.reroutes),
+                static_cast<unsigned long long>(r.fm.faults),
+                static_cast<unsigned long long>(r.fm.reroutes),
                 static_cast<unsigned long long>(r.probe_rx),
-                r.failed_links);
+                r.fm.failed_links);
   }
   row.fork_ms = median_of(std::move(fork_samples));
+  row.fork_phase_ms = ForkPhases::median_of(phase_samples);
   row.answer_ms = median_of(std::move(answer_samples));
   row.speedup = row.answer_ms > 0 ? row.cold_ms / row.answer_ms : 0;
   std::printf("fork median           : %.2f ms\n", row.fork_ms);
+  const ForkPhases& ph = row.fork_phase_ms;
+  std::printf("fork phases (median)  : clear %.2f, engine %.2f, links %.2f, "
+              "switches %.2f, hosts %.2f, fm %.2f, extras %.2f ms\n",
+              ph.clear, ph.engine, ph.links, ph.switches, ph.hosts, ph.fm,
+              ph.extras);
   std::printf("fork+answer median    : %.2f ms\n", row.answer_ms);
   std::printf("speedup vs cold       : %.1fx\n", row.speedup);
   return row;

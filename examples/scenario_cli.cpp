@@ -408,19 +408,17 @@ int run_serve(core::PortlandFabric& fabric,
     switch (q % 4) {
       case 0: {  // Kill 3 random fabric links.
         std::vector<Probe> probes = make_probes(fabric, rng, 8, 7200);
-        const auto victims = fabric.failures().fail_random_links_at(
-            fabric.fabric_links(), 3, t0 + millis(1), rng);
-        fabric.sim().run_until(t0 + millis(250));
+        const core::PortlandFabric::LinkKillAnswer answer =
+            fabric.kill_random_links(3, t0 + millis(1), t0 + millis(250),
+                                     rng);
         const ProbeReport rep = finish_probes(fabric, probes, t0);
         std::printf(
             "  q%-3d kill-links   fork %6.2f ms  answer %7.2f ms  "
             "%zu links down, %llu faults, %llu reroutes, probe %llu/%llu "
             "recv, worst gap %s\n",
-            q, fork_ms, ms_since(wall0), victims.size(),
-            static_cast<unsigned long long>(
-                fm.counters().get("fault_notifications") - faults0),
-            static_cast<unsigned long long>(
-                fm.counters().get("prune_updates_sent") - reroutes0),
+            q, fork_ms, ms_since(wall0), answer.links_killed,
+            static_cast<unsigned long long>(answer.faults),
+            static_cast<unsigned long long>(answer.reroutes),
             static_cast<unsigned long long>(rep.recv),
             static_cast<unsigned long long>(rep.sent),
             format_time(rep.worst_gap).c_str());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 
@@ -293,6 +294,23 @@ bool PortlandFabric::run_until_converged(SimDuration limit) {
   return true;
 }
 
+PortlandFabric::LinkKillAnswer PortlandFabric::kill_random_links(
+    std::size_t count, SimTime fail_at, SimTime until, Rng& rng) {
+  const CounterSet before = fm_->counters();
+  LinkKillAnswer out;
+  out.links_killed =
+      injector_.fail_random_links_at(fabric_links_, count, fail_at, rng)
+          .size();
+  sim().run_until(until);
+  const CounterSet after = fm_->counters();
+  out.faults = after.get(Counter::fault_notifications) -
+               before.get(Counter::fault_notifications);
+  out.reroutes = after.get(Counter::prune_updates_sent) -
+                 before.get(Counter::prune_updates_sent);
+  out.failed_links = fm_->graph().failed_link_count();
+  return out;
+}
+
 std::size_t PortlandFabric::total_switch_state() const {
   std::size_t n = 0;
   for (const PortlandSwitch* sw : switches_) n += sw->forwarding_state_size();
@@ -315,7 +333,7 @@ PortlandSwitch::TableBytes PortlandFabric::total_table_bytes() const {
 namespace {
 /// Image header magic: "PLFS" (PortLand Fabric Snapshot).
 constexpr std::uint32_t kSnapshotMagic = 0x504C4653;
-constexpr std::uint32_t kSnapshotVersion = 8;
+constexpr std::uint32_t kSnapshotVersion = 9;
 }  // namespace
 
 bool PortlandFabric::save_snapshot(std::vector<std::uint8_t>& out,
@@ -367,12 +385,28 @@ bool PortlandFabric::snapshot(sim::SnapshotIo& io,
     return fail("snapshot: extras count mismatch");
   }
 
+  // A load stamps the wall clock at each phase boundary (restore_phases).
+  using Clock = std::chrono::steady_clock;
+  const bool timed = io.loading();
+  Clock::time_point stamp = timed ? Clock::now() : Clock::time_point{};
+  const auto lap = [timed, &stamp](std::uint64_t& phase_ns) {
+    if (!timed) return;
+    const Clock::time_point now = Clock::now();
+    phase_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - stamp)
+            .count());
+    stamp = now;
+  };
+  if (timed) restore_phases_ = RestorePhases{};
+
   // 1. Engine: pending events in (time, seq) order. A save refuses plain
   //    closures — nothing else in this walk can fail a save.
   if (io.loading()) {
     // Drop whatever this fabric is currently doing; the image replaces it.
     sim().snapshot_clear();
+    lap(restore_phases_.clear_ns);
     if (!sim().restore_engine(io.reader(), error)) return false;
+    lap(restore_phases_.engine_ns);
   } else if (!sim().save_engine(io.writer(), error)) {
     return false;
   }
@@ -380,16 +414,24 @@ bool PortlandFabric::snapshot(sim::SnapshotIo& io,
   // 2. Links (network construction order): queue occupancy, in-flight
   //    trains, epochs, down state.
   for (sim::Link* link : net_.links()) link->snapshot(io);
+  lap(restore_phases_.links_ns);
 
-  // 3. Devices (construction order): generic counters, then the device's
-  //    own state (tables, FIBs, protocol timers, TCP stacks, ...). Each
-  //    walks as its owning shard, so timers re-armed by a load land in
-  //    that shard's queues.
-  for (sim::Device* dev : net_.devices()) {
-    sim::ShardGuard guard(sim(), dev->shard());
-    io.counters(dev->counters().cells());
-    dev->snapshot(io);
-  }
+  // 3. Devices (construction order: every switch, then every host): each
+  //    walks its counters, then its own state (tables, FIBs, protocol
+  //    timers, TCP stacks, ...), as its owning shard, so timers re-armed
+  //    by a load land in that shard's queues.
+  const std::span<sim::Device* const> devices(net_.devices());
+  const std::size_t n_switches = std::min(switches_.size(), devices.size());
+  const auto walk_devices = [this, &io](std::span<sim::Device* const> some) {
+    for (sim::Device* dev : some) {
+      sim::ShardGuard guard(sim(), dev->shard());
+      dev->snapshot(io);
+    }
+  };
+  walk_devices(devices.first(n_switches));
+  lap(restore_phases_.switches_ns);
+  walk_devices(devices.subspan(n_switches));
+  lap(restore_phases_.hosts_ns);
 
   // 4. Central services + observability.
   if (const char* bad = fm_->snapshot(io)) {
@@ -412,6 +454,7 @@ bool PortlandFabric::snapshot(sim::SnapshotIo& io,
   // from one run's event stream, so a load starts it fresh (mirrors the
   // recorder's ring semantics).
   if (io.loading() && monitor_ != nullptr) monitor_->clear();
+  lap(restore_phases_.fm_ns);
 
   // 5. App-level extras, in caller order.
   for (sim::Snapshotable* s : extras) {
@@ -427,7 +470,9 @@ bool PortlandFabric::snapshot(sim::SnapshotIo& io,
   if (io.reader().remaining_size() != 0) {
     return fail("snapshot: trailing bytes after the last section");
   }
-  return sim().finish_restore(error);
+  const bool ok = sim().finish_restore(error);
+  lap(restore_phases_.extras_ns);
+  return ok;
 }
 
 void PortlandFabric::snapshot_metrics(obs::MetricsRegistry& registry) {
@@ -454,7 +499,7 @@ void PortlandFabric::snapshot_metrics(obs::MetricsRegistry& registry) {
   rows.push_back({"memory", "rss_bytes", current_rss_bytes()});
 
   snap.devices.reserve(net_.devices().size());
-  for (const auto& dev : net_.devices()) {
+  for (const sim::Device* dev : net_.devices()) {
     obs::DeviceSample& d = snap.devices.emplace_back();
     d.name = dev->name();
     for (const Counter id : kCountersByName) {

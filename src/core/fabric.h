@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/config.h"
 #include "core/control_plane.h"
 #include "core/fabric_manager.h"
@@ -136,6 +137,20 @@ class PortlandFabric {
 
   [[nodiscard]] bool all_located() const;
 
+  /// How the fabric answered one kill_random_links query.
+  struct LinkKillAnswer {
+    std::size_t links_killed = 0;   // victims the query drew
+    std::uint64_t faults = 0;       // fault notifications the FM took
+    std::uint64_t reroutes = 0;     // prune updates the FM sent
+    std::size_t failed_links = 0;   // links the FM's graph holds failed
+  };
+
+  /// The link-failure what-if (E20, `scenario_cli --serve`): fails `count`
+  /// distinct random fabric links at `fail_at`, runs to `until`, and reads
+  /// back how the fabric manager reacted in between.
+  LinkKillAnswer kill_random_links(std::size_t count, SimTime fail_at,
+                                   SimTime until, Rng& rng);
+
   /// Sum of forwarding-state entries across all switches (E5).
   [[nodiscard]] std::size_t total_switch_state() const;
 
@@ -199,6 +214,25 @@ class PortlandFabric {
     return restore_snapshot(image, {}, error);
   }
 
+  /// Wall time of each phase of the last restore_snapshot, in ns: the
+  /// engine clear, the engine's events, links, switches, hosts, the
+  /// fabric manager with the control plane and observability, and the
+  /// app extras with the closing event census. Eight clock reads per
+  /// restore and none per component; a refused image leaves the phases
+  /// it did not reach at 0.
+  struct RestorePhases {
+    std::uint64_t clear_ns = 0;
+    std::uint64_t engine_ns = 0;
+    std::uint64_t links_ns = 0;
+    std::uint64_t switches_ns = 0;
+    std::uint64_t hosts_ns = 0;
+    std::uint64_t fm_ns = 0;
+    std::uint64_t extras_ns = 0;
+  };
+  [[nodiscard]] const RestorePhases& restore_phases() const {
+    return restore_phases_;
+  }
+
  private:
   /// The one checkpoint walk behind save_snapshot and restore_snapshot,
   /// in the direction `io` was built for.
@@ -224,6 +258,7 @@ class PortlandFabric {
   std::unique_ptr<obs::FlightRecorder> recorder_;
   std::unique_ptr<obs::EngineTracer> tracer_;
   std::unique_ptr<obs::ConvergenceMonitor> monitor_;
+  RestorePhases restore_phases_;
 };
 
 }  // namespace portland::core

@@ -89,7 +89,10 @@ void FabricManager::wipe_soft_state() {
   graph_ = FabricGraph();
   pod_by_requester_.clear();
   next_pod_ = 0;
-  for (RegistryShard& s : shards_) s.hosts.clear();
+  for (RegistryShard& s : shards_) {
+    s.hosts.clear();
+    s.snap_clean = false;
+  }
   installed_prunes_.clear();
   groups_.clear();
   installed_trees_.clear();
@@ -174,6 +177,7 @@ void FabricManager::on_host_register(SwitchId sender, const HostRegister& m,
     sh.hosts.insert_or_assign(m.ip, rec);
   }
   sh.dirty = true;
+  sh.snap_clean = false;
 }
 
 void FabricManager::on_arp_query(SwitchId sender, const ArpQuery& m,
@@ -195,6 +199,7 @@ void FabricManager::register_host_direct(Ipv4Address ip,
   RegistryShard& sh = shards_[shard_of(ip)];
   sh.hosts.insert_or_assign(ip, record);
   sh.dirty = true;
+  sh.snap_clean = false;
 }
 
 std::optional<FabricManager::HostRecord> FabricManager::host(
@@ -526,6 +531,7 @@ void FabricManager::snapshot_registry(sim::SnapshotIo& io,
   // it was saved from; one that another shard owns did not come from a
   // save under this configuration.
   s.hosts.clear();
+  s.snap_clean = false;
   const std::size_t self = static_cast<std::size_t>(&s - shards_.data());
   for (std::uint32_t i = 0; i < n && io.ok(); ++i) {
     Ipv4Address ip;
@@ -550,7 +556,26 @@ const char* FabricManager::snapshot(sim::SnapshotIo& io) {
   }
   if (!io.expect(config_.fm_replica)) return "fm replica setting mismatch";
   for (RegistryShard& s : shards_) {
-    snapshot_registry(io, s);
+    // Framed here, not in snapshot_registry, so the replica stream keeps
+    // its bytes. A fork query registers no host, so the shard usually
+    // still holds the section and skips its rebuild.
+    const sim::SnapshotIo::Hashed framed = io.hashed(
+        s.snap_clean ? std::optional(s.snap_hash) : std::nullopt,
+        [this, &s](sim::SnapshotWriter& w) {
+          sim::SnapshotIo body(w);
+          snapshot_registry(body, s);
+        });
+    if (framed.state == sim::SnapshotIo::Hashed::kFresh) {
+      sim::SnapshotReader r(framed.payload);
+      sim::SnapshotIo body(r);
+      snapshot_registry(body, s);
+      if (!body.ok() || r.remaining_size() != 0) {
+        io.fail();
+        return nullptr;
+      }
+      s.snap_hash = framed.hash;
+      s.snap_clean = true;
+    }
     io.field(s.delta_version);
     io.field(s.dirty);
     io.counters(s.counters.cells());

@@ -132,7 +132,10 @@ class FabricManager {
   /// the proxy-ARP miss/broadcast-fallback path).
   void forget_host(Ipv4Address ip) {
     RegistryShard& s = shards_[shard_of(ip)];
-    if (s.hosts.erase(ip)) s.dirty = true;
+    if (s.hosts.erase(ip)) {
+      s.dirty = true;
+      s.snap_clean = false;
+    }
   }
 
   /// Simulates an FM failover: every piece of soft state is wiped, as if a
@@ -170,7 +173,10 @@ class FabricManager {
   /// control-plane endpoint registration is construction wiring. A load
   /// of an image saved under another registry shard count or replica
   /// setting fails the reader and returns what differs; any other refusal
-  /// only fails the reader, and a save always returns nullptr.
+  /// only fails the reader, and a save always returns nullptr. Each
+  /// registry shard's entries are a content-addressed section
+  /// (SnapshotIo::hashed): a shard that holds the incoming entries skips
+  /// them.
   const char* snapshot(sim::SnapshotIo& io);
 
   /// Attaches the convergence monitor (nullptr = off). The FM is not a
@@ -192,6 +198,11 @@ class FabricManager {
     CounterSet counters;
     std::uint64_t delta_version = 0;
     bool dirty = false;
+    /// True while `hosts` is exactly the snapshot section it last loaded,
+    /// whose hash is `snap_hash`: a load of that section skips it. Every
+    /// change to `hosts` clears it.
+    bool snap_clean = false;
+    std::uint64_t snap_hash = 0;
     std::unique_ptr<sim::PeriodicTimer> sync_timer;
   };
   /// One streamed standby image: section 0 is the primary's core state,

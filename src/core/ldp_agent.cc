@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <functional>
 
 #include "common/logging.h"
 #include "sim/snapshot.h"
@@ -11,11 +12,74 @@ namespace portland::core {
 
 namespace {
 
-void snapshot_locator(sim::SnapshotIo& io, SwitchLocator& loc) {
+template <class Io>
+void snapshot_locator(Io& io, SwitchLocator& loc) {
   io.field(loc.switch_id);
-  io.field<std::uint8_t>(loc.level);
+  io.template field<std::uint8_t>(loc.level);
   io.field(loc.pod);
   io.field(loc.position);
+}
+
+/// A port's record after its neighbour flag: the neighbour's locator when
+/// it has one, then the liveness stamps and flags.
+template <class Io>
+void snapshot_port_record(Io& io, std::optional<SwitchLocator>& neighbor,
+                          SimTime& last_ldm, SimTime& last_echo,
+                          bool& host_seen, bool& reported_down,
+                          bool& echo_lost) {
+  if (neighbor.has_value()) snapshot_locator(io, *neighbor);
+  io.field(last_ldm);
+  io.field(last_echo);
+  io.field(host_seen);
+  io.field(reported_down);
+  io.field(echo_lost);
+}
+
+/// Wire bytes of a port record after its flag, without and with a
+/// neighbour locator (u64 id, u8 level, u16 pod, u8 position).
+constexpr std::size_t kPortRecordBytes = 8 + 8 + 3;
+constexpr std::size_t kLocatorBytes = 8 + 1 + 2 + 1;
+
+/// Inserts `v` into the ascending vector `c` unless it is already there.
+template <class T>
+void insert_sorted(std::vector<T>& c, const T& v) {
+  const auto it = std::lower_bound(c.begin(), c.end(), v);
+  if (it == c.end() || *it != v) c.insert(it, v);
+}
+
+template <class T>
+[[nodiscard]] bool contains_sorted(const std::vector<T>& c, const T& v) {
+  return std::binary_search(c.begin(), c.end(), v);
+}
+
+/// The reservation slot for `pos` in the ascending owner table: the entry
+/// itself, or where it would go.
+auto owner_slot(std::vector<std::pair<std::uint8_t, SwitchId>>& owners,
+                std::uint8_t pos) {
+  return std::lower_bound(
+      owners.begin(), owners.end(), pos,
+      [](const auto& e, std::uint8_t p) { return e.first < p; });
+}
+
+/// Records `owner` as holding `pos`.
+void set_owner(std::vector<std::pair<std::uint8_t, SwitchId>>& owners,
+               std::uint8_t pos, SwitchId owner) {
+  const auto it = owner_slot(owners, pos);
+  if (it != owners.end() && it->first == pos) {
+    it->second = owner;
+  } else {
+    owners.insert(it, {pos, owner});
+  }
+}
+
+/// True when `c` is strictly ascending under `less`: a load refuses a
+/// table that a sorted search could not use.
+template <class C, class Less = std::less<>>
+[[nodiscard]] bool strictly_ascending(const C& c, Less less = {}) {
+  return std::adjacent_find(c.begin(), c.end(),
+                            [&less](const auto& a, const auto& b) {
+                              return !less(a, b);
+                            }) == c.end();
 }
 
 }  // namespace
@@ -92,9 +156,8 @@ void LdpAgent::expire_neighbor(sim::PortId port) {
   if (!ps.neighbor.has_value()) return;
   const SwitchId lost = ps.neighbor->switch_id;
   // Free any position reservation held by the lost edge.
-  for (auto it = position_owners_.begin(); it != position_owners_.end();) {
-    it = (it->second == lost) ? position_owners_.erase(it) : std::next(it);
-  }
+  std::erase_if(position_owners_,
+                [lost](const auto& e) { return e.second == lost; });
   ps.neighbor.reset();
   ps.last_echo = -1;
   ps.echo_lost = false;
@@ -145,7 +208,8 @@ void LdpAgent::handle_frame(sim::PortId port,
         if (self_.level == Level::kAggregation &&
             msg->from.level == Level::kEdge &&
             msg->from.position != kUnknownPosition) {
-          position_owners_[msg->from.position] = msg->from.switch_id;
+          set_owner(position_owners_, msg->from.position,
+                    msg->from.switch_id);
         }
         if (self_.level == Level::kEdge && !position_confirmed_) {
           // A new aggregation neighbor appeared mid-negotiation; restart so
@@ -247,11 +311,11 @@ void LdpAgent::propose_position() {
   // clear and retry (reservations expire as edges die).
   if (positions_nacked_.size() >= half()) positions_nacked_.clear();
   if (proposed_position_ == kUnknownPosition ||
-      positions_nacked_.count(proposed_position_) != 0) {
+      contains_sorted(positions_nacked_, proposed_position_)) {
     std::vector<std::uint8_t> candidates;
     for (std::size_t pos = 0; pos < half(); ++pos) {
       const auto p = static_cast<std::uint8_t>(pos);
-      if (positions_nacked_.count(p) == 0) candidates.push_back(p);
+      if (!contains_sorted(positions_nacked_, p)) candidates.push_back(p);
     }
     assert(!candidates.empty());
     proposed_position_ =
@@ -271,7 +335,7 @@ void LdpAgent::propose_position() {
     // Proposals go to every switch neighbor; only aggregation switches of
     // our pod answer them. (Before levels settle we may not know which
     // neighbors are aggs yet.)
-    proposal_pending_.insert(ps.neighbor->switch_id);
+    insert_sorted(proposal_pending_, ps.neighbor->switch_id);
     m.sender_port = static_cast<std::uint16_t>(p);
     hooks_.send_frame(p, m.to_frame());
   }
@@ -291,15 +355,15 @@ void LdpAgent::handle_proposal(sim::PortId port, const LdpMessage& m) {
   const std::uint8_t pos = m.position;
 
   bool grant;
-  const auto it = position_owners_.find(pos);
-  if (it == position_owners_.end() || it->second == proposer) {
+  const auto it = owner_slot(position_owners_, pos);
+  if (it == position_owners_.end() || it->first != pos ||
+      it->second == proposer) {
     grant = true;
     // One reservation per edge: drop any other position it held.
-    for (auto o = position_owners_.begin(); o != position_owners_.end();) {
-      o = (o->second == proposer && o->first != pos) ? position_owners_.erase(o)
-                                                     : std::next(o);
-    }
-    position_owners_[pos] = proposer;
+    std::erase_if(position_owners_, [proposer, pos](const auto& e) {
+      return e.second == proposer && e.first != pos;
+    });
+    set_owner(position_owners_, pos, proposer);
   } else {
     grant = false;
   }
@@ -318,7 +382,7 @@ void LdpAgent::handle_vote(const LdpMessage& m) {
   if (m.nonce != proposal_nonce_ || m.position != proposed_position_) return;
 
   if (m.type == LdpType::kPositionNack) {
-    positions_nacked_.insert(proposed_position_);
+    insert_sorted(positions_nacked_, proposed_position_);
     proposed_position_ = kUnknownPosition;
     // Re-propose after a randomized delay to break ties with the edge that
     // beat us to the slot.
@@ -329,7 +393,7 @@ void LdpAgent::handle_vote(const LdpMessage& m) {
     return;
   }
 
-  proposal_pending_.erase(m.from.switch_id);
+  std::erase(proposal_pending_, m.from.switch_id);
   if (proposal_pending_.empty()) {
     position_confirmed_ = true;
     position_timer_.cancel();
@@ -448,18 +512,27 @@ void LdpAgent::snapshot(sim::SnapshotIo& io) {
   if (!io.expect<std::uint32_t>(ports_.size())) return;  // another topology
   for (PortState& ps : ports_) {
     bool has_neighbor = ps.neighbor.has_value();
-    io.field(has_neighbor);
-    if (!has_neighbor) {
-      ps.neighbor.reset();
-    } else {
-      if (io.loading()) ps.neighbor.emplace();
-      snapshot_locator(io, *ps.neighbor);
+    if (!io.loading()) {
+      io.field(has_neighbor);
+      snapshot_port_record(io, ps.neighbor, ps.last_ldm, ps.last_echo,
+                           ps.host_seen, ps.reported_down, ps.echo_lost);
+      continue;
     }
-    io.field(ps.last_ldm);
-    io.field(ps.last_echo);
-    io.field(ps.host_seen);
-    io.field(ps.reported_down);
-    io.field(ps.echo_lost);
+    // A load takes the flag and the record behind it as one bounded view,
+    // then reads the record's fixed-width fields unchecked.
+    sim::SnapshotReader& r = io.reader();
+    has_neighbor = r.peek_u8() != 0;
+    sim::RecordReader rec(r.bytes_view(
+        1 + kPortRecordBytes + (has_neighbor ? kLocatorBytes : 0)));
+    if (!r.ok()) return;
+    rec.skip(1);
+    if (has_neighbor) {
+      ps.neighbor.emplace();
+    } else {
+      ps.neighbor.reset();
+    }
+    snapshot_port_record(rec, ps.neighbor, ps.last_ldm, ps.last_echo,
+                         ps.host_seen, ps.reported_down, ps.echo_lost);
   }
 
   io.field(topology_generation_);
@@ -472,7 +545,19 @@ void LdpAgent::snapshot(sim::SnapshotIo& io) {
   io.list(proposal_pending_);
   io.list(positions_nacked_);
   position_timer_.snapshot(io, [this] { propose_position(); });
-  io.list(position_owners_);
+  io.list(position_owners_, [&io](std::pair<std::uint8_t, SwitchId>& e) {
+    io.field(e.first);
+    io.field(e.second);
+  });
+  if (io.loading() &&
+      !(strictly_ascending(proposal_pending_) &&
+        strictly_ascending(positions_nacked_) &&
+        strictly_ascending(position_owners_,
+                           [](const auto& a, const auto& b) {
+                             return a.first < b.first;
+                           }))) {
+    io.fail();
+  }
 
   io.field(pod_requested_);
   pod_timer_.snapshot(io, [this] { maybe_request_pod(); });

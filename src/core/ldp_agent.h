@@ -22,9 +22,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -167,16 +166,20 @@ class LdpAgent {
   mutable std::vector<sim::PortId> down_cache_;
   mutable std::uint64_t port_cache_rebuilds_ = 0;
 
-  // Edge-side position negotiation.
+  // Edge-side position negotiation. Each of these tables holds at most
+  // k/2 entries, so they are sorted flat vectors: a snapshot load refills
+  // them without a node allocation per entry, and walked in key order
+  // they give the bytes the ordered containers gave.
   bool position_confirmed_ = false;
   std::uint8_t proposed_position_ = kUnknownPosition;
   std::uint32_t proposal_nonce_ = 0;
-  std::set<SwitchId> proposal_pending_;  // aggs yet to ack
-  std::set<std::uint8_t> positions_nacked_;
+  std::vector<SwitchId> proposal_pending_;  // aggs yet to ack, ascending
+  std::vector<std::uint8_t> positions_nacked_;  // ascending
   sim::Timer position_timer_;
 
-  // Aggregation-side position reservations: position -> owning edge.
-  std::map<std::uint8_t, SwitchId> position_owners_;
+  // Aggregation-side position reservations: (position, owning edge),
+  // ascending by position.
+  std::vector<std::pair<std::uint8_t, SwitchId>> position_owners_;
 
   // Pod acquisition.
   bool pod_requested_ = false;

@@ -979,6 +979,7 @@ void snapshot_port_set(sim::SnapshotIo& io, PortSet& s, std::size_t limit) {
 
 void PortlandSwitch::snapshot(sim::SnapshotIo& io) {
   const std::size_t ports = port_count();
+  Device::snapshot(io);
   ldp_.snapshot(io);
   auto rng = rng_.state();
   for (std::uint64_t& word : rng) io.field(word);

@@ -73,6 +73,7 @@ void Host::send_gratuitous_arp() {
 // --------------------------------------------------------------------------
 
 void Host::handle_frame(sim::PortId in_port, const sim::FramePtr& frame) {
+  snap_clean_ = false;
   // Edge switches emit LDMs on host-facing ports every period; drop them
   // on a raw EtherType peek so hosts never parse (or attach metadata to)
   // fabric control traffic.
@@ -218,6 +219,7 @@ TcpConnection& Host::make_connection(TcpEndpointKey key) {
 }
 
 TcpConnection* Host::tcp_connect(Ipv4Address dst, std::uint16_t dst_port) {
+  snap_clean_ = false;
   const TcpEndpointKey key{dst, dst_port, next_ephemeral_port_++};
   TcpConnection& conn = make_connection(key);
   conn.connect();
@@ -268,6 +270,7 @@ void Host::send_udp_multicast(Ipv4Address group, std::uint16_t src_port,
 // --------------------------------------------------------------------------
 
 void Host::send_resolved(Ipv4Address dst, std::vector<std::uint8_t> frame) {
+  snap_clean_ = false;
   if (const auto mac = arp_cache_.lookup(dst, sim().now()); mac.has_value()) {
     patch_eth_dst(frame, *mac);
     send(0, sim::make_frame(std::move(frame)));
@@ -296,6 +299,7 @@ void Host::send_arp_request(Ipv4Address target) {
 }
 
 void Host::arp_retry_tick(Ipv4Address target) {
+  snap_clean_ = false;
   const auto it = pending_.find(target);
   if (it == pending_.end()) return;
   Pending& p = it->second;
@@ -313,6 +317,32 @@ void Host::arp_retry_tick(Ipv4Address target) {
 // --------------------------------------------------------------------------
 
 void Host::snapshot(sim::SnapshotIo& io) {
+  const sim::SnapshotIo::Hashed s = io.hashed(
+      snap_clean_ ? std::optional(snap_hash_) : std::nullopt,
+      [this](sim::SnapshotWriter& w) {
+        sim::SnapshotIo body(w);
+        walk_state(body);
+      });
+  // A held section is what this host still holds: skipped wholesale. A
+  // save changes nothing, so it leaves the flag as it was.
+  if (s.state != sim::SnapshotIo::Hashed::kFresh) return;
+  snap_clean_ = false;
+  sim::SnapshotReader r(s.payload);
+  sim::SnapshotIo body(r);
+  walk_state(body);
+  if (!body.ok() || r.remaining_size() != 0) {
+    io.fail();
+    return;
+  }
+  // Only a host with no armed timer may claim to be clean: the engine
+  // clear before the next load drops its shots behind its back, and a
+  // skipped section would not re-arm them.
+  snap_hash_ = s.hash;
+  snap_clean_ = pending_.empty() && connections_.empty();
+}
+
+void Host::walk_state(sim::SnapshotIo& io) {
+  Device::snapshot(io);
   arp_cache_.snapshot(io);
 
   // Unresolved sends, in destination-IP order. Entries neither move nor

@@ -48,11 +48,17 @@ class Host : public sim::Device {
   void handle_frame(sim::PortId in_port, const sim::FramePtr& frame) override;
   void start() override;
 
-  /// Checkpoint: ARP cache, unresolved sends with their retry timers, TCP
-  /// connections (created on demand for keys missing after a fresh-
-  /// process restore; app deliver/finished callbacks must be re-installed
-  /// by the application — in-place forks keep them automatically), ISN
-  /// state. UDP/listener handler maps are construction wiring.
+  /// Checkpoint: counters, ARP cache, unresolved sends with their retry
+  /// timers, TCP connections (created on demand for keys missing after a
+  /// fresh-process restore; app deliver/finished callbacks must be
+  /// re-installed by the application — in-place forks keep them
+  /// automatically), ISN state. UDP/listener handler maps are
+  /// construction wiring.
+  ///
+  /// The section is content-addressed (SnapshotIo::hashed), like Link's:
+  /// a host that nothing has changed since it loaded the same section
+  /// skips it. Every mutating path — a received frame, a send, a retry
+  /// tick, the non-const counters() and arp_cache() — ends that spell.
   void snapshot(sim::SnapshotIo& io) override;
 
   [[nodiscard]] MacAddress mac() const { return mac_; }
@@ -96,7 +102,11 @@ class Host : public sim::Device {
   /// by the migration controller after re-attachment.
   void send_gratuitous_arp();
 
-  [[nodiscard]] ArpCache& arp_cache() { return arp_cache_; }
+  [[nodiscard]] ArpCache& arp_cache() {
+    snap_clean_ = false;
+    return arp_cache_;
+  }
+  [[nodiscard]] const ArpCache& arp_cache() const { return arp_cache_; }
 
   /// Number of ARP requests this host has transmitted (broadcasts in the
   /// baseline; intercepted by the edge switch in PortLand).
@@ -115,6 +125,8 @@ class Host : public sim::Device {
   void arp_retry_tick(Ipv4Address target);
   void flush_pending(Ipv4Address dst, MacAddress mac);
   TcpConnection& make_connection(TcpEndpointKey key);
+  /// The section payload snapshot() frames: one walk for both directions.
+  void walk_state(sim::SnapshotIo& io);
   [[nodiscard]] std::uint32_t next_isn();
 
   MacAddress mac_;
@@ -145,6 +157,9 @@ class Host : public sim::Device {
   std::map<Ipv4Address, UdpHandler> group_handlers_;
 
   std::uint16_t next_ephemeral_port_ = 49152;
+
+  /// Hash of the section this host last loaded; valid while snap_clean_.
+  std::uint64_t snap_hash_ = 0;
 };
 
 }  // namespace portland::host

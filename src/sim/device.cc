@@ -5,6 +5,7 @@
 #include "obs/convergence_monitor.h"
 #include "obs/flight_recorder.h"
 #include "sim/link.h"
+#include "sim/snapshot.h"
 
 namespace portland::sim {
 
@@ -32,8 +33,11 @@ Link* Device::port_link(PortId port) const {
   return port < ports_.size() ? ports_[port].link : nullptr;
 }
 
+void Device::snapshot(SnapshotIo& io) { io.counters(counters_.cells()); }
+
 void Device::send(PortId port, const FramePtr& frame) {
   assert(port < ports_.size());
+  snap_clean_ = false;
   counters_.add(Counter::tx_frames);
   counters_.add(Counter::tx_bytes, frame->size());
   if (recorder_ != nullptr) trace_on_send(frame);

@@ -51,13 +51,13 @@ class Device {
   /// their timers here.
   virtual void start() {}
 
-  /// Checkpoint hook: walks everything beyond construction — tables,
-  /// caches, pending timers, protocol state — in the direction `io` was
-  /// built for. The base counters are walked by the fabric before this
-  /// call, so a device with no state beyond its counters needs no
-  /// override. The walk runs inside a ShardGuard for the device's shard,
+  /// Checkpoint hook: walks the device's counters, then everything beyond
+  /// construction — tables, caches, pending timers, protocol state — in
+  /// the direction `io` was built for. An override walks
+  /// Device::snapshot first, so a device with no state beyond its counters
+  /// needs none. The walk runs inside a ShardGuard for the device's shard,
   /// so timers re-armed by a load land on the owning shard's queue.
-  virtual void snapshot(SnapshotIo& io) { (void)io; }
+  virtual void snapshot(SnapshotIo& io);
 
   /// Adds one port; returns its id (ids are dense, starting at 0).
   PortId add_port();
@@ -84,7 +84,12 @@ class Device {
   void set_shard(ShardId shard) { shard_ = shard; }
   [[nodiscard]] ShardId shard() const { return shard_; }
 
-  [[nodiscard]] CounterSet& counters() { return counters_; }
+  /// The mutable counters; handing them out ends a snapshot-clean spell
+  /// (see snap_clean_).
+  [[nodiscard]] CounterSet& counters() {
+    snap_clean_ = false;
+    return counters_;
+  }
   [[nodiscard]] const CounterSet& counters() const { return counters_; }
 
   /// Used by Link during wiring. `side` is this device's side (0 or 1).
@@ -122,6 +127,15 @@ class Device {
   [[nodiscard]] obs::ConvergenceMonitor* convergence_monitor() const {
     return monitor_;
   }
+
+ protected:
+  /// True while the device is bit-identical to the snapshot section it
+  /// last loaded, so that a load of the same section may skip it. Only a
+  /// device that frames its section by content hash (Host) ever sets it;
+  /// every path that can change a device clears it: the non-const
+  /// counters() and send() here, a subclass's own mutators there. Only the
+  /// device's own shard writes it.
+  bool snap_clean_ = false;
 
  private:
   /// Assigns `frame` a trace id on first transmit (send() calls this only

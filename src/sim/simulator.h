@@ -309,11 +309,12 @@ class Simulator {
   /// shard's wheel, so the running engine is untouched.
   bool save_engine(SnapshotWriter& w, std::string* error);
 
-  /// Drains every shard queue in preparation for a restore: timer shots
-  /// are neutralized on their cores (so later cancels cannot touch freed
-  /// nodes), trains are unscheduled and emptied, all payload slots are
-  /// released, and the barrier queue is cleared. Clocks and counters are
-  /// left for restore_engine and finish_restore to overwrite.
+  /// Empties every shard queue in preparation for a restore, visiting
+  /// each live wheel node where it sits (no pops, no cascades): timer
+  /// shots are neutralized on their cores (so later cancels cannot touch
+  /// freed nodes), trains are unscheduled and emptied, all payload slots
+  /// are released, and the barrier queue is cleared. Clocks and counters
+  /// are left for restore_engine and finish_restore to overwrite.
   void snapshot_clear();
 
   /// Restores engine scalars and data events from `r` (the scalars by the

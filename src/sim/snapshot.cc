@@ -228,11 +228,14 @@ void Simulator::snapshot_clear() {
       p.fn = SmallFn{};
       release_slot(sh, slot_idx);
     };
-    while (sh.wheel.has_events()) {
-      const TimingWheel::PopResult r = sh.wheel.pop();
-      if (!r.live) continue;
-      clear_slot(r.payload);
-    }
+    // Visit the live nodes where they sit instead of popping them in
+    // (time, seq) order: a pop would cascade each one down the levels
+    // first. A node erased while staged already released its slot and is
+    // not visited.
+    sh.wheel.for_each_live(
+        [&clear_slot](SimTime, std::uint64_t, std::uint32_t slot) {
+          clear_slot(slot);
+        });
     sh.wheel.reset(sh.now);
     sh.live = 0;
   }

@@ -21,8 +21,9 @@
 // reads them off the wheel, a load rebuilds it; the engine's scalars are
 // one walk), FabricGraph's content-addressed blocks (a load merges the
 // dirty records or rebuilds the graph) and the Snapshotable extras. The
-// content-addressed sections (Link's and FabricGraph's) share one framing
-// and its hash check, SnapshotIo::hashed. Closures never serialize —
+// content-addressed sections (each Link's, each Host's, each fabric
+// manager registry shard's and FabricGraph's) share one framing and its
+// hash check, SnapshotIo::hashed. Closures never serialize —
 // restorable events are either timer shots (the owning Timer re-arms its
 // retained callback), train entries (the owning Link re-anchors its
 // train), or *data events* (sim::DataEventOwner), and anything else makes
@@ -32,6 +33,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -182,6 +184,12 @@ class SnapshotReader {
 
   void skip(std::size_t n) { r_.skip(n); }
 
+  /// The next byte without consuming it; 0 at the end of the image.
+  [[nodiscard]] std::uint8_t peek_u8() const {
+    const std::span<const std::uint8_t> rest = r_.remaining();
+    return rest.empty() ? 0 : rest[0];
+  }
+
   /// Latches the failed state (a section rejected by its own checks).
   void fail() { r_.fail(); }
 
@@ -198,6 +206,49 @@ class SnapshotReader {
 
  private:
   ByteReader r_;
+};
+
+/// A load-only walk over one fixed-layout record whose whole length a
+/// single SnapshotReader::bytes_view() has already bounded, so its fields
+/// are read without a check each. It offers the fixed-width field()
+/// overloads such a record needs, named as SnapshotIo's, so one walk
+/// template serves a save through SnapshotIo and a load through this.
+class RecordReader {
+ public:
+  explicit RecordReader(std::span<const std::uint8_t> record)
+      : p_(record.data()), end_(record.data() + record.size()) {}
+
+  void skip(std::size_t n) { (void)take(n); }
+  void field(std::uint8_t& v) { v = *take(1); }
+  void field(std::uint16_t& v) { v = get<std::uint16_t>(); }
+  void field(std::uint64_t& v) { v = get<std::uint64_t>(); }
+  void field(std::int64_t& v) {
+    v = static_cast<std::int64_t>(get<std::uint64_t>());
+  }
+  void field(bool& v) { field<std::uint8_t>(v); }
+  template <typename Wire, typename T>
+  void field(T& v) {
+    Wire wire{};
+    field(wire);
+    v = static_cast<T>(wire);
+  }
+
+ private:
+  const std::uint8_t* take(std::size_t n) {
+    assert(n <= static_cast<std::size_t>(end_ - p_));
+    const std::uint8_t* at = p_;
+    p_ += n;
+    return at;
+  }
+  template <typename T>
+  T get() {
+    T v{};
+    std::memcpy(&v, take(sizeof(T)), sizeof(T));
+    return portland::detail::to_net(v);
+  }
+
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
 };
 
 /// One walk for both directions. A component's `snapshot(SnapshotIo&)`

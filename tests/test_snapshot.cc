@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -389,6 +391,102 @@ TEST(Snapshot, ForkRewindReplaysIdentically) {
   }
 }
 
+TEST(Snapshot, RepeatedForksOfOneImageReplayIdentically) {
+  // What-if serving forks one image again and again, and each fork skips
+  // the sections a component still holds: links and hosts nothing touched,
+  // registry shards no host registered in, the FM's graph. Every
+  // discarded branch below touches a different one of them. The fork that
+  // follows must undo exactly that, which a save taken right after it
+  // checks byte for byte. A save leaves links unheld, so each check is
+  // followed by a second fork that holds them again before the branch
+  // runs. The last fork must replay like the uninterrupted run.
+  // One host also keeps resolving an absent address, so its ARP retry
+  // timer is armed in the image: a host with an armed timer must never be
+  // held, since the engine clear drops its shots.
+  const auto leave_retrying = [](Scenario& sc) {
+    host::Host& h = sc.fabric->host_at(3, 0, 1);
+    sim::ShardGuard guard(sc.fabric->sim(), h.shard());
+    h.send_udp(Ipv4Address(10, 250, 0, 9), 7800, 7800, {1, 2});
+  };
+  for (const unsigned workers : {0u, 4u}) {
+    const std::string label =
+        "repeated forks, workers=" + std::to_string(workers);
+    auto ref = make_scenario(small_options(workers));
+    leave_retrying(*ref);
+    run_epilogue(*ref);
+    const RunResult expected = finish(*ref);
+    EXPECT_GT(ref->fabric->host_at(3, 0, 1).arp_requests_sent(), 2u);
+
+    auto sc = make_scenario(small_options(workers));
+    leave_retrying(*sc);
+    PortlandFabric& fabric = *sc->fabric;
+    std::vector<std::uint8_t> image;
+    std::string error;
+    const auto extras = sc->extras();
+    ASSERT_TRUE(fabric.save_snapshot(image, extras, &error)) << error;
+
+    // Neither host carries one of the scenario's flows, so a fork leaves
+    // both held.
+    host::Host& idle = fabric.host_at(1, 1, 1);
+    host::Host& peer = fabric.host_at(2, 0, 1);
+    const SimTime t0 = sc->t_save;
+    const std::vector<std::function<void()>> branches = {
+        // One host's send, run until it is delivered.
+        [&] {
+          {
+            sim::ShardGuard guard(fabric.sim(), idle.shard());
+            idle.send_udp(peer.ip(), 7900, 7900,
+                          std::vector<std::uint8_t>(32, 0xAB));
+          }
+          fabric.sim().run_until(t0 + millis(20));
+        },
+        // Hosts changed only through their accessors, with no event run.
+        [&] {
+          idle.arp_cache().insert(Ipv4Address(10, 9, 9, 9),
+                                  MacAddress::from_u64(0x02000000AB99),
+                                  fabric.sim().now());
+          peer.counters().add(Counter::rx_ignored, 7);
+        },
+        // A host registration at the fabric manager.
+        [&] {
+          fabric.fabric_manager().register_host_direct(
+              Ipv4Address(10, 3, 1, 200),
+              FabricManager::HostRecord{MacAddress::from_u64(0x000301000042),
+                                        MacAddress::from_u64(0x02000000AB42),
+                                        fabric.edge_at(3, 1).id(), 1});
+        },
+        // A link flap.
+        [&] {
+          sim::Link& link = *fabric.fabric_links()[5];
+          fabric.failures().fail_link_at(link, t0 + millis(1));
+          fabric.failures().repair_link_at(link, t0 + millis(3));
+          fabric.sim().run_until(t0 + millis(30));
+        },
+    };
+
+    for (std::size_t i = 0; i <= branches.size(); ++i) {
+      const std::string fork = label + ", fork " + std::to_string(i);
+      ASSERT_TRUE(fabric.restore_snapshot(image, extras, &error))
+          << fork << ": " << error;
+      std::vector<std::uint8_t> again;
+      ASSERT_TRUE(fabric.save_snapshot(again, extras, &error))
+          << fork << ": " << error;
+      EXPECT_TRUE(again == image) << fork << " saved other bytes";
+      ASSERT_TRUE(fabric.restore_snapshot(image, extras, &error))
+          << fork << ": " << error;
+      if (i < branches.size()) branches[i]();
+    }
+    {
+      std::lock_guard<std::mutex> lock(sc->trace_mutex);
+      std::erase_if(sc->trace, [&](const auto& rec) {
+        return std::get<0>(rec) > sc->t_save;
+      });
+    }
+    run_epilogue(*sc);
+    expect_same(finish(*sc), expected, label.c_str());
+  }
+}
+
 TEST(Snapshot, RestoreIntoFreshFabricReplaysIdentically) {
   // Cross-fabric restore in one process: image from a warmed fabric,
   // restored into an instance that only converged and installed wiring —
@@ -724,8 +822,8 @@ TEST(Snapshot, RestoreRejectsMismatchedFabric) {
   // An image from another format version (big-endian word after the
   // magic) is refused by the header check, before any state is touched.
   std::vector<std::uint8_t> old_version = image;
-  ASSERT_EQ(old_version[7], 8);
-  old_version[7] = 7;
+  ASSERT_EQ(old_version[7], 9);
+  old_version[7] = 8;
   EXPECT_FALSE(target.restore_snapshot(old_version, &error));
   EXPECT_NE(error.find("version mismatch"), std::string::npos) << error;
   // The same image with its own version word restores into that fabric.
@@ -796,9 +894,18 @@ std::vector<std::size_t> section_ends(Scenario& sc) {
     ends.push_back(buf.size());
   }
   for (sim::Device* dev : fabric.network().devices()) {
-    io.counters(dev->counters().cells());
-    ends.push_back(buf.size());
+    // A device's section opens with its counters: a u16 count, then a u16
+    // id and a u64 value per nonzero cell. A host frames its section by
+    // content hash, so its counters follow the 12-byte hash and length.
+    const std::size_t start = buf.size();
+    const auto cells = std::as_const(*dev).counters().cells();
+    const std::size_t counters =
+        2 + 10 * static_cast<std::size_t>(std::count_if(
+                     cells.begin(), cells.end(),
+                     [](std::uint64_t v) { return v != 0; }));
+    const bool framed = dynamic_cast<const host::Host*>(dev) != nullptr;
     dev->snapshot(io);
+    ends.push_back(start + (framed ? 12 : 0) + counters);
     ends.push_back(buf.size());
   }
   fabric.fabric_manager().snapshot(io);
