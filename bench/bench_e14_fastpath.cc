@@ -8,47 +8,20 @@
 //   * delivered data frames per wall-clock second (the headline number),
 //   * wall ns and heap allocations per delivered frame,
 //   * simulator events per delivered frame.
-// Heap allocations are counted by overriding global operator new in this
-// binary only — the steady-state unicast path is supposed to be nearly
-// allocation-free.
+// Heap allocations are counted by this binary's global operator new
+// (bench/heap_hook.h) — the steady-state unicast path is supposed to be
+// nearly allocation-free.
 //
 // Usage: bench_e14_fastpath [--k N] [--flows-per-host N] [--json PATH]
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 
 #include "bench/bench_util.h"
+#include "bench/heap_hook.h"
 #include "net/packet.h"
-
-// ---------------------------------------------------------------------------
-// Allocation counting (this binary only).
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace portland;
 using namespace portland::bench;
@@ -136,9 +109,8 @@ void run(const Args& args) {
 
   const std::uint64_t delivered0 = packets_received(flows);
   const std::uint64_t events0 = sim.executed_events();
-  const std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
-  const std::uint64_t alloc_bytes0 =
-      g_alloc_bytes.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = heap::allocs();
+  const std::uint64_t alloc_bytes0 = heap::alloc_bytes();
   const std::uint64_t hop_rx0 = switch_counter_sum(*fabric, "rx_frames");
   const net::ParseStats parse0 = net::parse_stats();
   std::uint64_t fib_rebuilds0 = 0;
@@ -150,10 +122,8 @@ void run(const Args& args) {
   sim.run_until(sim.now() + args.measure);
 
   const auto wall1 = std::chrono::steady_clock::now();
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs0;
-  const std::uint64_t alloc_bytes =
-      g_alloc_bytes.load(std::memory_order_relaxed) - alloc_bytes0;
+  const std::uint64_t allocs = heap::allocs() - allocs0;
+  const std::uint64_t alloc_bytes = heap::alloc_bytes() - alloc_bytes0;
   Report r;
   r.k = args.k;
   r.hosts = fabric->hosts().size();

@@ -8,6 +8,8 @@
 //     FIB, prunes, multicast, misc) via
 //     PortlandFabric::total_table_bytes(),
 //   * arena reservation and process-RSS delta across the build,
+//   * live heap peak over the row (bench/heap_hook.h): what the row's
+//     fabric held at most, which peak RSS cannot show,
 //   * bytes per host (counted table bytes / hosts — the deterministic
 //     number the CI floors check; RSS/host rides along for context),
 //   * steady-state throughput of a bounded random inter-pod flow set
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/heap_hook.h"
 #include "common/rss.h"
 
 using namespace portland;
@@ -94,6 +97,7 @@ struct Row {
   double table_bytes_per_host = 0;
   double rss_per_host = 0;
   double frames_per_sec = 0;
+  double live_heap_peak_mb = 0;
 
   static void walk(auto&& fn) {
     fn("k", &Row::k);
@@ -114,6 +118,7 @@ struct Row {
     fn("table_bytes_per_host", &Row::table_bytes_per_host);
     fn("rss_bytes_per_host", &Row::rss_per_host);
     fn("frames_per_sec", &Row::frames_per_sec);
+    fn("live_heap_peak_mb", &Row::live_heap_peak_mb);
   }
 };
 
@@ -132,6 +137,7 @@ Row run_one(const Args& args, int k) {
   row.k = k;
   std::printf("\n--- k=%d ---\n", k);
 
+  heap::reset_live_peak();
   const std::size_t rss0 = current_rss_bytes();
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -174,7 +180,10 @@ Row run_one(const Args& args, int k) {
   std::printf("rss delta             : %lld (%.1f/host)\n", row.rss_delta,
               row.rss_per_host);
 
-  if (!row.converged || args.measure == 0) return row;
+  if (!row.converged || args.measure == 0) {
+    row.live_heap_peak_mb = heap::live_peak_mb();
+    return row;
+  }
 
   // Bounded steady-state throughput: random inter-pod probe flows.
   Rng rng(97);
@@ -191,6 +200,8 @@ Row run_one(const Args& args, int k) {
       static_cast<double>(packets_received(flows) - d0) / wall_s;
   std::printf("frames/sec (wall)     : %.0f (%zu flows)\n",
               row.frames_per_sec, flows.size());
+  row.live_heap_peak_mb = heap::live_peak_mb();
+  std::printf("live heap peak        : %.1f MiB\n", row.live_heap_peak_mb);
   return row;
 }
 

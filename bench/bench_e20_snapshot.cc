@@ -24,7 +24,8 @@
 //     --queries runs (each query kills a different random link set, as
 //     a real study would),
 //   * the headline ratio cold / (fork + answer) — the acceptance floor
-//     is >= 50x at k=48.
+//     is >= 50x at k=48,
+//   * live heap peak over the row (bench/heap_hook.h).
 //
 // Both sides run with fast link detection (carrier loss reported
 // immediately instead of after the 50 ms LDM timeout): a what-if server
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/heap_hook.h"
 #include "host/apps.h"
 
 using namespace portland;
@@ -207,6 +209,7 @@ struct Row {
   std::uint64_t faults = 0;
   std::uint64_t reroutes = 0;
   std::uint64_t probe_rx = 0;
+  double live_heap_peak_mb = 0;
 
   static void walk(auto&& fn) {
     fn("k", &Row::k);
@@ -229,6 +232,7 @@ struct Row {
     fn("faults", &Row::faults);
     fn("reroutes", &Row::reroutes);
     fn("probe_rx", &Row::probe_rx);
+    fn("live_heap_peak_mb", &Row::live_heap_peak_mb);
   }
 };
 
@@ -253,6 +257,7 @@ Row run_one(const Args& args, int k) {
   Row row;
   row.k = k;
   std::printf("\n--- k=%d ---\n", k);
+  heap::reset_live_peak();
 
   // Cold baseline: what every query costs without the checkpoint —
   // including re-warming the caches the query's answer depends on.
@@ -337,6 +342,8 @@ Row run_one(const Args& args, int k) {
               ph.extras);
   std::printf("fork+answer median    : %.2f ms\n", row.answer_ms);
   std::printf("speedup vs cold       : %.1fx\n", row.speedup);
+  row.live_heap_peak_mb = heap::live_peak_mb();
+  std::printf("live heap peak        : %.1f MiB\n", row.live_heap_peak_mb);
   return row;
 }
 

@@ -33,60 +33,26 @@
 //   * storm_heap_delta_mb — live heap bytes after the steady storm minus
 //     before it: the per-host ARP state the storm leaves behind
 //     (reported, not gated). Counted by this binary's global operator
-//     new/delete, with each row in its own child process, so a row reads
+//     new/delete (bench/heap_hook.h), with each row in its own child process, so a row reads
 //     the same wherever it runs in the order.
 //
 // Usage: bench_e22_arp_storm [--ks N[,N...]] [--full] [--resolutions N]
 //                            [--incast-targets N] [--absent-hosts N]
 //                            [--round-gap-ms N] [--json PATH]
-#include <malloc.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "bench/bench_util.h"
-
-// ---------------------------------------------------------------------------
-// Live heap accounting (this binary only): each global new adds its
-// block's usable size and each delete takes it back, so the count is
-// what is live now, not what the allocator keeps in reserve.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::int64_t> g_live_heap_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  g_live_heap_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
-                              std::memory_order_relaxed);
-  return p;
-}
-
-void counted_free(void* p) noexcept {
-  if (p == nullptr) return;
-  g_live_heap_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
-                              std::memory_order_relaxed);
-  std::free(p);
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+#include "bench/heap_hook.h"
 
 using namespace portland;
 using namespace portland::bench;
@@ -345,7 +311,7 @@ Row run_one(const Args& args, int k, Mode mode) {
       (args.resolutions + n - 1) / n;
   const LatencyHistogram h0 = LatencyHistogram::capture(*fabric);
   const std::uint64_t storm_q0 = total_fm_queries(fm);
-  const std::int64_t storm_heap0 = g_live_heap_bytes.load();
+  const std::int64_t storm_heap0 = heap::live_bytes();
   std::vector<std::size_t> offsets;
   for (std::size_t r = 0; offsets.size() < rounds; ++r) {
     std::size_t off = (static_cast<std::size_t>(r + 1) * 2654435761ull) % n;
@@ -388,7 +354,7 @@ Row run_one(const Args& args, int k, Mode mode) {
   // Drain stragglers (retried resolutions after the failover blackout).
   sim.run_until(sim.now() + millis(500));
   row.storm_heap_delta_mb =
-      static_cast<double>(g_live_heap_bytes.load() - storm_heap0) /
+      static_cast<double>(heap::live_bytes() - storm_heap0) /
       (1024.0 * 1024.0);
 
   const LatencyHistogram hist = LatencyHistogram::capture(*fabric) - h0;

@@ -22,8 +22,9 @@ void ControlPlane::send(SwitchId to, const ControlMessage& msg,
   const auto hint = shard_hints_.find(to);
   const sim::ShardId dst =
       hint == shard_hints_.end() ? sim::kNoShard : hint->second;
-  sim_->at_shard_data(dst, sim_->now() + latency_ + extra_delay, this,
-                      /*kind=*/0, /*arg=*/to, nullptr, std::move(bytes));
+  sim_->post(dst, sim_->now() + latency_ + extra_delay,
+             sim::Delivery{this, /*kind=*/0, /*arg=*/to, nullptr,
+                           std::move(bytes)});
 }
 
 void ControlPlane::execute_data_event(std::uint32_t kind, std::uint64_t arg,

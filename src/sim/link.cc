@@ -76,23 +76,17 @@ void Link::transmit(int from_side, const FramePtr& frame) {
                        end_[side_index(from_side)].port, dir.queued_bytes);
   }
 
-  // Delivery runs on the receiver's shard. The arrival joins this
-  // direction's train — one scheduler node per run of back-to-back frames
-  // — unless it would break the train's time order; then it is scheduled
-  // alone as a *data event* (serializable — a checkpoint can save and
-  // rebuild it) rather than a closure. In the parallel engine a
-  // cross-shard arrival parks in the (src,dst) mailbox until the window
-  // barrier; deliver()'s reads of the *sending* direction (up, epoch) are
-  // race-free because those fields only change in barrier tasks.
-  const std::uint64_t epoch = dir.epoch;
-  const ShardId rx_shard = end_[side_index(1 - from_side)].device->shard();
-  if (sim_->train_append(rx_shard, arrival, epoch, frame,
-                         train_[side_index(from_side)])) {
-    return;
-  }
-  sim_->at_shard_data(rx_shard, arrival, this,
-                      static_cast<std::uint32_t>(from_side), epoch, frame,
-                      FrameBytes{});
+  // Delivery runs on the receiver's shard. The engine joins the arrival
+  // to this direction's train — one scheduler node per run of
+  // back-to-back frames — or, when the train declines it, schedules it as
+  // a serializable data event (execute_data_event). In the parallel
+  // engine a cross-shard arrival parks in the (src,dst) mailbox until the
+  // window barrier; deliver()'s reads of the *sending* direction (up,
+  // epoch) are race-free because those fields only change in barrier
+  // tasks.
+  sim_->post(end_[side_index(1 - from_side)].device->shard(), arrival,
+             Delivery{this, static_cast<std::uint32_t>(from_side), dir.epoch,
+                      frame, FrameBytes{}, &train_[side_index(from_side)]});
 }
 
 void Link::deliver(int from_side, std::uint64_t epoch,

@@ -34,6 +34,10 @@ Simulator::Simulator() : Simulator(Options{}) {}
 Simulator::Simulator(Options options)
     : parallel_min_events_(options.parallel_min_events),
       hw_cores_(std::max(1u, std::thread::hardware_concurrency())) {
+  // Each shard reserves kDefaultEventCapacity slots up front, so the slot
+  // and mail sizes are what an added shard costs in memory.
+  static_assert(sizeof(EventSlot) <= 96, "event slot grew past 96 B");
+  static_assert(sizeof(Mail) <= 96, "mail record grew past 96 B");
   shards_.push_back(std::make_unique<Shard>());
   Shard& sh = *shards_[0];
   sh.wheel.reserve(kDefaultEventCapacity);
@@ -66,6 +70,7 @@ std::uint32_t Simulator::acquire_slot(Shard& sh) {
 }
 
 void Simulator::release_slot(Shard& sh, std::uint32_t slot) {
+  sh.slots[slot].emplace<std::monostate>();
   sh.free_slots.push_back(slot);
 }
 
@@ -83,7 +88,7 @@ std::uint32_t Simulator::push_node_at(Shard& sh, SimTime t, std::uint64_t seq,
 void Simulator::schedule_local(Shard& sh, SimTime t, SmallFn fn) {
   assert(t >= sh.now);
   const std::uint32_t slot = acquire_slot(sh);
-  sh.slots[slot].fn = std::move(fn);
+  sh.slots[slot].emplace<SmallFn>(std::move(fn));
   push_node(sh, t, slot);
   ++sh.live;
 }
@@ -94,8 +99,7 @@ void Simulator::schedule_timer_local(Shard& sh, ShardId id, SimTime t,
   assert(t >= sh.now);
   TimerCore* raw = core.get();
   const std::uint32_t slot = acquire_slot(sh);
-  sh.slots[slot].timer = std::move(core);
-  sh.slots[slot].timer_gen = generation;
+  sh.slots[slot].emplace<TimerShot>(TimerShot{std::move(core), generation});
   const std::uint64_t seq = sh.next_seq;
   const std::uint32_t handle = push_node(sh, t, slot);
   ++sh.live;
@@ -110,22 +114,6 @@ void Simulator::schedule_timer_local(Shard& sh, ShardId id, SimTime t,
   }
 }
 
-void Simulator::schedule_data_local(Shard& sh, SimTime t,
-                                    DataEventOwner* owner, std::uint32_t kind,
-                                    std::uint64_t arg, FramePtr frame,
-                                    FrameBytes bytes) {
-  assert(t >= sh.now);
-  const std::uint32_t slot = acquire_slot(sh);
-  EventPayload& p = sh.slots[slot];
-  p.data_owner = owner;
-  p.data_kind = kind;
-  p.data_arg = arg;
-  p.data_frame = std::move(frame);
-  p.data_bytes = std::move(bytes);
-  push_node(sh, t, slot);
-  ++sh.live;
-}
-
 std::uint32_t Simulator::register_data_owner(DataEventOwner* owner) {
   const auto id = static_cast<std::uint32_t>(data_owners_.size());
   data_owners_.push_back(owner);
@@ -133,100 +121,63 @@ std::uint32_t Simulator::register_data_owner(DataEventOwner* owner) {
   return id;
 }
 
-void Simulator::at_shard_data(ShardId dst, SimTime t, DataEventOwner* owner,
-                              std::uint32_t kind, std::uint64_t arg,
-                              FramePtr frame, FrameBytes bytes) {
+void Simulator::post(ShardId dst, SimTime t, Delivery d) {
   dst = home(dst);
   if (dst == kNoShard) {
-    // Unhinted destination: globally-serialized barrier execution, same
-    // as at_shard's fallback. The closure wrapper is not serializable —
-    // a snapshot with one pending refuses, which is fine because hinted
-    // fabrics never take this path.
-    at_barrier(t, [owner, kind, arg, frame = std::move(frame),
-                   bytes = std::move(bytes)] {
-      owner->execute_data_event(kind, arg, frame, bytes);
+    // Unhinted destination: globally-serialized barrier execution. The
+    // closure wrapper is not serializable — a snapshot with one pending
+    // refuses, which is fine because hinted fabrics never take this path.
+    at_barrier(t, [d = std::move(d)] {
+      d.owner->execute_data_event(d.kind, d.arg, d.frame, d.bytes);
     });
     return;
   }
   assert(dst < shards_.size());
   const ShardId ctx = context_shard();
-  if (ctx == dst) {
-    schedule_data_local(*shards_[dst], t, owner, kind, arg, std::move(frame),
-                        std::move(bytes));
-    return;
-  }
-  if (in_window_ && ctx != kNoShard) {
-    // Mid-window cross-shard send: park in the (src,dst) mailbox, merged
-    // at the barrier in canonical order exactly like plain mail.
-    Shard& src = *shards_[ctx];
-    auto& box = src.outbox[dst];
-    box.emplace_back();
-    Mail& m = box.back();
-    m.time = t;
-    m.payload.data_owner = owner;
-    m.payload.data_kind = kind;
-    m.payload.data_arg = arg;
-    m.payload.data_frame = std::move(frame);
-    m.payload.data_bytes = std::move(bytes);
-    if (t + lookahead_ < src.send_cap) src.send_cap = t + lookahead_;
-    return;
-  }
-  schedule_data_local(*shards_[dst], t, owner, kind, arg, std::move(frame),
-                      std::move(bytes));
-}
-
-void Simulator::train_append_local(Shard& sh, Train& tr, SimTime t,
-                                   std::uint64_t epoch,
-                                   const FramePtr& frame) {
-  assert(t >= sh.now);
-  assert(tr.entries.empty() || t > tr.entries.back().time);
-  TrainEntry e;
-  e.time = t;
-  // The entry consumes the shard's next sequence number here — the exact
-  // point a single-frame event would have consumed it — so batching keeps
-  // the (time, seq) stream of one event per frame.
-  e.seq = sh.next_seq++;
-  e.epoch = epoch;
-  e.frame = frame;
-  tr.entries.push_back(std::move(e));
-  ++sh.live;
-  ++sh.train_frames;
-  if (!tr.scheduled) {
-    // An unscheduled train is empty by invariant, so the entry just
-    // appended is the front: anchor the node at its (time, seq).
-    const std::uint32_t slot = acquire_slot(sh);
-    sh.slots[slot].train = &tr;
-    push_node_at(sh, t, tr.entries.back().seq, slot);
-    tr.scheduled = true;
-  }
-}
-
-bool Simulator::train_append(ShardId dst, SimTime t, std::uint64_t epoch,
-                             const FramePtr& frame, Train& tr) {
-  dst = home(dst);
-  assert(dst < shards_.size());
-  const ShardId ctx = context_shard();
   if (ctx != dst && in_window_ && ctx != kNoShard) {
-    // Mid-window cross-shard arrival: the destination worker owns the
-    // train's ring right now, so even *peeking* at it would race. Park
-    // the arrival in the (src,dst) mailbox unconditionally; the barrier
-    // merge re-checks monotonicity and appends (or falls back) there, in
-    // canonical order.
+    // Mid-window cross-shard post: the destination worker owns its queue
+    // and trains right now, so even *peeking* at a train would race. Park
+    // it in the (src,dst) mailbox; the barrier delivers it in canonical
+    // order, so the destination sequence is independent of thread
+    // interleaving.
     Shard& src = *shards_[ctx];
-    auto& box = src.outbox[dst];
-    box.emplace_back();
-    Mail& m = box.back();
-    m.time = t;
-    m.train = &tr;
-    m.epoch = epoch;
-    m.frame = frame;
+    src.outbox[dst].push_back(Mail{t, std::move(d)});
     if (t + lookahead_ < src.send_cap) src.send_cap = t + lookahead_;
-    return true;
+    return;
   }
   // Same-shard or quiescent: this thread owns the destination queue.
-  if (!tr.entries.empty() && t <= tr.entries.back().time) return false;
-  train_append_local(*shards_[dst], tr, t, epoch, frame);
-  return true;
+  deliver_local(*shards_[dst], t, std::move(d));
+}
+
+void Simulator::deliver_local(Shard& sh, SimTime t, Delivery&& d) {
+  assert(t >= sh.now);
+  Train* tr = d.train;
+  if (tr != nullptr &&
+      (tr->entries.empty() || t > tr->entries.back().time)) {
+    // The entry consumes the shard's next sequence number here — the exact
+    // point a data event would have consumed it — so batching keeps the
+    // (time, seq) stream of one event per frame.
+    tr->entries.push_back(TrainEntry{t, sh.next_seq++, d.arg,
+                                     std::move(d.frame)});
+    ++sh.live;
+    ++sh.train_frames;
+    if (!tr->scheduled) {
+      // An unscheduled train is empty by invariant, so the entry just
+      // appended is the front: anchor the node at its (time, seq).
+      const std::uint32_t slot = acquire_slot(sh);
+      sh.slots[slot].emplace<Train*>(tr);
+      push_node_at(sh, t, tr->entries.back().seq, slot);
+      tr->scheduled = true;
+    }
+    return;
+  }
+  // No train, or an arrival that would break the train's time order (see
+  // train.h): the delivery is a data event of its own.
+  d.train = nullptr;
+  const std::uint32_t slot = acquire_slot(sh);
+  sh.slots[slot].emplace<Delivery>(std::move(d));
+  push_node(sh, t, slot);
+  ++sh.live;
 }
 
 void Simulator::at(SimTime t, SmallFn fn) {
@@ -271,40 +222,10 @@ void Simulator::cancel_timer(TimerCore& core) {
   // shot decays as a silent, uncounted no-op at its deadline.
   if (ctx != owner && (ctx != kNoShard || in_window_)) return;
   Shard& sh = *shards_[owner];
-  const std::uint32_t slot = sh.wheel.erase(core.handle);
-  sh.slots[slot].timer.reset();
-  release_slot(sh, slot);
+  release_slot(sh, sh.wheel.erase(core.handle));
   --sh.live;
   core.handle = TimerCore::kNilHandle;
   core.shard = kNoShard;
-}
-
-void Simulator::at_shard(ShardId dst, SimTime t, SmallFn fn) {
-  dst = home(dst);
-  if (dst == kNoShard) {
-    at(t, std::move(fn));
-    return;
-  }
-  assert(dst < shards_.size());
-  const ShardId ctx = context_shard();
-  if (ctx == dst) {
-    schedule_local(*shards_[dst], t, std::move(fn));
-    return;
-  }
-  if (in_window_ && ctx != kNoShard) {
-    // Mid-window cross-shard send: park in the (src,dst) mailbox. The
-    // barrier merges mailboxes in (time, src, push-order) order, so the
-    // destination sequence is independent of thread interleaving.
-    Shard& src = *shards_[ctx];
-    auto& box = src.outbox[dst];
-    box.emplace_back();
-    box.back().time = t;
-    box.back().payload.fn = std::move(fn);
-    if (t + lookahead_ < src.send_cap) src.send_cap = t + lookahead_;
-    return;
-  }
-  // Quiescent (between windows / barrier task): safe to push directly.
-  schedule_local(*shards_[dst], t, std::move(fn));
 }
 
 void Simulator::at_barrier(SimTime t, SmallFn fn) {
@@ -378,20 +299,18 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
   const TimingWheel::PopResult r = sh.wheel.pop();
   if (!r.live) return;  // cancelled while staged; slot already released
   const SimTime time = r.time;
-  const std::uint32_t payload = r.payload;
   // The payload must be moved out and its slot released before running:
   // the callback may schedule new events, reusing (or growing) the pool.
-  EventPayload& slot = sh.slots[payload];
-  if (slot.train != nullptr) {
+  EventSlot& slot = sh.slots[r.payload];
+  if (Train* const* anchor = std::get_if<Train*>(&slot)) {
     // Train dispatch: the node stands for the train's front entry, which
     // carries this pop's exact (time, seq). Deliver it, then keep
     // draining entries that are strictly earlier than both the bound and
     // every other queued event; the first entry that ties or trails
     // hands the train back to the scheduler at its own (time, seq), so
     // the global dispatch order is that of one event per frame.
-    Train* tr = slot.train;
-    slot.train = nullptr;
-    release_slot(sh, payload);
+    Train* tr = *anchor;
+    release_slot(sh, r.payload);
     ++sh.trains_popped;
     for (;;) {
       assert(!tr->entries.empty());
@@ -412,33 +331,27 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
       if (sh.send_cap < eff) eff = std::max(window_floor_, sh.send_cap);
       if (nx.time >= eff || nx.time >= peek_time(sh)) {
         const std::uint32_t s2 = acquire_slot(sh);
-        sh.slots[s2].train = tr;
+        sh.slots[s2].emplace<Train*>(tr);
         push_node_at(sh, nx.time, nx.seq, s2);
         ++sh.train_repushes;
         return;  // tr->scheduled stays true
       }
     }
   }
-  if (slot.data_owner != nullptr) {
-    DataEventOwner* owner = slot.data_owner;
-    const std::uint32_t kind = slot.data_kind;
-    const std::uint64_t arg = slot.data_arg;
-    FramePtr frame = std::move(slot.data_frame);
-    FrameBytes bytes = std::move(slot.data_bytes);
-    slot.data_owner = nullptr;
-    release_slot(sh, payload);
+  if (Delivery* data = std::get_if<Delivery>(&slot)) {
+    const Delivery d = std::move(*data);
+    release_slot(sh, r.payload);
     --sh.live;
     sh.now = time;
     ++sh.executed;
-    owner->execute_data_event(kind, arg, frame, bytes);
+    d.owner->execute_data_event(d.kind, d.arg, d.frame, d.bytes);
     return;
   }
-  if (slot.timer != nullptr) {
-    const std::shared_ptr<TimerCore> timer = std::move(slot.timer);
-    const std::uint64_t gen = slot.timer_gen;
-    release_slot(sh, payload);
+  if (TimerShot* shot = std::get_if<TimerShot>(&slot)) {
+    const TimerShot timer = std::move(*shot);
+    release_slot(sh, r.payload);
     --sh.live;
-    if (timer->generation != gen) {
+    if (timer.core->generation != timer.generation) {
       // Tombstone from an unsafe (cross-shard) cancel: decays silently —
       // no clock advance, no executed count.
       return;
@@ -446,15 +359,15 @@ void Simulator::dispatch_one(Shard& sh, SimTime bound) {
     // This is the core's current shot: its wheel node died with this
     // pop. Clear the handle before firing so a rearm inside the callback
     // installs a fresh handle we do not clobber.
-    timer->handle = TimerCore::kNilHandle;
-    timer->shard = kNoShard;
+    timer.core->handle = TimerCore::kNilHandle;
+    timer.core->shard = kNoShard;
     sh.now = time;
     ++sh.executed;
-    fire_timer(*timer, gen);
+    fire_timer(*timer.core, timer.generation);
     return;
   }
-  SmallFn fn = std::move(slot.fn);
-  release_slot(sh, payload);
+  SmallFn fn = std::move(std::get<SmallFn>(slot));
+  release_slot(sh, r.payload);
   --sh.live;
   sh.now = time;
   ++sh.executed;
@@ -604,32 +517,7 @@ void Simulator::merge_mailboxes() {
     Shard& d = *shards_[dst];
     for (const MailRef& r : merge_refs_) {
       Mail& m = shards_[r.src]->outbox[dst][r.idx];
-      if (m.train != nullptr) {
-        // Train mail: append the whole arrival to the destination train
-        // (seq consumed here, in canonical order — identical to what a
-        // per-frame schedule_local at this position would consume) with
-        // no scheduler insert unless the train was idle.
-        Train& tr = *m.train;
-        if (tr.entries.empty() || m.time > tr.entries.back().time) {
-          train_append_local(d, tr, m.time, m.epoch, m.frame);
-        } else {
-          // A propagation change broke arrival monotonicity: deliver this
-          // one frame as a data event against the train's link — the
-          // same fallback Link::transmit takes for a same-shard arrival.
-          schedule_data_local(d, m.time, tr.owner,
-                              static_cast<std::uint32_t>(tr.from_side),
-                              m.epoch, std::move(m.frame), FrameBytes{});
-        }
-        m.frame.reset();
-        m.train = nullptr;
-      } else if (m.payload.data_owner != nullptr) {
-        schedule_data_local(d, m.time, m.payload.data_owner,
-                            m.payload.data_kind, m.payload.data_arg,
-                            std::move(m.payload.data_frame),
-                            std::move(m.payload.data_bytes));
-      } else {
-        schedule_local(d, m.time, std::move(m.payload.fn));
-      }
+      deliver_local(d, m.time, std::move(m.delivery));
     }
     for (std::size_t src = 0; src < count; ++src) {
       shards_[src]->outbox[dst].clear();

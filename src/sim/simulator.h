@@ -15,10 +15,11 @@
 // dispatch sequence are those of a (time, seq)-ordered priority queue.
 //
 // The callback payloads live in a stable, free-listed slot pool beside the
-// wheel — cascading never moves a closure. Callbacks are stored in
-// `SmallFn`, a move-only callable with inline storage sized for the fabric's
-// event lambdas, so scheduling an event performs no heap allocation at
-// steady state.
+// wheel — cascading never moves a closure. A slot is a tagged union of the
+// four things the queue holds: a `SmallFn` closure (a move-only callable
+// with inline storage sized for the fabric's event lambdas, so scheduling
+// one performs no heap allocation at steady state), a timer shot, a train
+// anchor, or a `Delivery`.
 //
 // The engine is a conservative parallel discrete-event simulator with one
 // run loop. It is constructed with one shard; `configure_shards` splits it
@@ -29,11 +30,20 @@
 // and the shard holding that earliest event may run further, to the
 // second-earliest shard's event plus the lookahead (adaptive lookahead,
 // see parallel_run). Within a window shards run independently on a worker
-// pool (`set_workers`); cross-shard deliveries buffer into per-(src,dst)
-// mailboxes that are merged at the window barrier in a canonical (time,
-// src-shard, push-order) order. Because mailbox merge order — not thread
+// pool (`set_workers`).
+//
+// Work crosses shards one way only: `post` a `Delivery` — a link frame or
+// a control message — to the destination shard. Closures (`at`) and timer
+// shots land on the calling shard (from outside any shard, in the barrier
+// queue). A delivery posted mid-window to
+// another shard parks as one `Mail` record in the per-(src,dst) mailbox;
+// the barrier merges mailboxes in a canonical (time, src-shard,
+// push-order) order and hands each record to the same local delivery a
+// same-shard post takes. Because mailbox merge order — not thread
 // completion order — assigns sequence numbers, an N-worker run schedules
-// exactly the same event sequence as a 1-worker run.
+// exactly the same event sequence as a 1-worker run. That local delivery
+// is also the one place a frame joins its link direction's train or, when
+// the train declines it, becomes a data event of its own.
 //
 // A one-shard engine (the default) follows two rules. The calling thread
 // outside a window executes as shard 0, so `at()` calls and timer arms
@@ -70,6 +80,7 @@
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/units.h"
@@ -83,7 +94,6 @@ class EngineTracer;
 namespace portland::sim {
 
 struct Train;
-struct TrainEntry;
 class SnapshotWriter;
 class SnapshotReader;
 class SnapshotIo;
@@ -201,6 +211,22 @@ struct DataEventOwner {
                                   const FrameBytes& bytes) = 0;
 };
 
+/// One frame or control message on its way to a shard (Simulator::post).
+/// It becomes a data event: at its time the engine calls
+/// `owner->execute_data_event(kind, arg, frame, bytes)`. A link sets
+/// `train` to its direction's train (whose Link is `owner`, `kind` the
+/// sending side and `arg` the epoch); the engine then appends the frame
+/// to the train instead, unless the arrival is not strictly later than
+/// the train's last entry.
+struct Delivery {
+  DataEventOwner* owner = nullptr;
+  std::uint32_t kind = 0;
+  std::uint64_t arg = 0;
+  FramePtr frame{};
+  FrameBytes bytes{};
+  Train* train = nullptr;
+};
+
 /// Shared state behind a Timer. Events reference the core, never the
 /// Timer object, so destroying an armed Timer is safe. The callback lives
 /// here so a rearm does not rebuild it. `shard`/`handle` locate the
@@ -266,12 +292,6 @@ class Simulator {
   /// call with nothing pending. Used by Timer::cancel/rearm/schedule_after.
   void cancel_timer(TimerCore& core);
 
-  /// Schedules `fn` at `t` on shard `dst`. During a parallel window a
-  /// cross-shard send buffers into the (src,dst) mailbox and is merged at
-  /// the barrier in canonical order; when quiescent it goes straight into
-  /// the destination shard's queue. Same-shard calls behave like at().
-  void at_shard(ShardId dst, SimTime t, SmallFn fn);
-
   /// Schedules `fn` in the globally-serialized barrier task queue (runs
   /// between windows, before shard events at the same instant). Used for
   /// cross-cutting mutations. A task ties ahead of every shard event at
@@ -284,17 +304,16 @@ class Simulator {
   /// snapshot restore relies on to resolve serialized events.
   std::uint32_t register_data_owner(DataEventOwner* owner);
 
-  /// Schedules a serializable *data event* on shard `dst` at `t`: at
-  /// dispatch the engine calls `owner->execute_data_event(kind, arg,
-  /// frame, bytes)`. Routing (same-shard direct / mid-window mailbox /
-  /// quiescent direct / unhinted barrier) mirrors at_shard exactly, so a
-  /// component can switch a closure-based delivery to this path without
-  /// perturbing the schedule. Events scheduled via the unhinted barrier
-  /// fallback (dst == kNoShard on a multi-shard engine) are NOT
-  /// serializable.
-  void at_shard_data(ShardId dst, SimTime t, DataEventOwner* owner,
-                     std::uint32_t kind, std::uint64_t arg, FramePtr frame,
-                     FrameBytes bytes);
+  /// Delivers `d` on shard `dst` at `t` — the one way work crosses
+  /// shards. A same-shard or quiescent post is delivered at once; a
+  /// mid-window cross-shard post parks in the (src,dst) mailbox and is
+  /// delivered at the barrier, in canonical order. Delivering joins
+  /// `d.train` when the arrival is strictly later than its last entry
+  /// (the entry consumes the exact seq the data event would have) and
+  /// otherwise schedules `d` as a serializable data event. An unhinted
+  /// destination (dst == kNoShard on a multi-shard engine) runs `d` as a
+  /// barrier task instead, which is NOT serializable.
+  void post(ShardId dst, SimTime t, Delivery d);
 
   // --- checkpoint/restore (implemented in sim/snapshot.cc) ---------------
 
@@ -341,20 +360,6 @@ class Simulator {
   /// counts per shard) and applies the image's shard counters and wheel
   /// stats, which the re-insertions would otherwise perturb.
   bool finish_restore(std::string* error);
-
-  /// Link deliveries: appends one frame arrival to `tr` (a
-  /// per-link-direction train) on shard `dst` at time `t`, consuming the
-  /// exact sequence number a single-frame at_shard_data of the delivery
-  /// would have consumed. Mid-window cross-shard appends park in the
-  /// mailbox and join the train at the barrier, interleaved with plain
-  /// mail in the same canonical (time, src, push-order) stream; one that
-  /// no longer fits the train's time order there becomes a data event
-  /// against the train's owner. Returns false only when a direct append
-  /// is declined because the arrival is not strictly later than the
-  /// train's last entry — the caller must then schedule the delivery as
-  /// a data event itself.
-  bool train_append(ShardId dst, SimTime t, std::uint64_t epoch,
-                    const FramePtr& frame, Train& tr);
 
   /// `workers = auto` policy, kept pure and static so tests can pin it:
   /// a box with fewer than two hardware cores — or a fabric with fewer
@@ -512,40 +517,31 @@ class Simulator {
   };
   [[nodiscard]] ShardCounters shard_sums() const;
 
-  /// One of four is set: a plain callback, a timer shot, a train node
-  /// (the slot anchors the train's scheduler presence; the frames live in
-  /// the train's own ring), or a data event (owner + kind/arg/frame/
-  /// bytes — the serializable closure replacement).
-  struct EventPayload {
-    SmallFn fn;
-    std::shared_ptr<TimerCore> timer;
-    std::uint64_t timer_gen = 0;
-    Train* train = nullptr;
-    DataEventOwner* data_owner = nullptr;
-    std::uint32_t data_kind = 0;
-    std::uint64_t data_arg = 0;
-    FramePtr data_frame;
-    FrameBytes data_bytes;
+  /// A timer shot: fires `core` at dispatch if it is still at
+  /// `generation`.
+  struct TimerShot {
+    std::shared_ptr<TimerCore> core;
+    std::uint64_t generation = 0;
   };
 
-  /// A cross-shard event parked until the next window barrier: either a
-  /// plain payload, or (train != nullptr) one frame arrival destined for
-  /// a train on the receiving shard. Both kinds ride the same per-(src,
-  /// dst) vector, so the canonical merge order interleaves them exactly
-  /// as one event per frame would have been.
+  /// One queued event: a closure, a timer shot, a train anchor (the slot
+  /// holds the train's scheduler presence; its frames live in the train's
+  /// own ring) or a data event. A free slot is empty (monostate), so it
+  /// pins no closure, timer core or frame.
+  using EventSlot =
+      std::variant<std::monostate, SmallFn, TimerShot, Train*, Delivery>;
+
+  /// A cross-shard delivery parked until the next window barrier.
   struct Mail {
     SimTime time;
-    EventPayload payload;
-    Train* train = nullptr;
-    std::uint64_t epoch = 0;
-    FramePtr frame;
+    Delivery delivery;
   };
 
   /// Everything one shard touches while executing a window, padded so
   /// neighboring shards never share a cache line.
   struct alignas(64) Shard : ShardCounters {
     TimingWheel wheel;
-    std::vector<EventPayload> slots;
+    std::vector<EventSlot> slots;
     std::vector<std::uint32_t> free_slots;
     std::uint64_t next_seq = 0;
     /// Live (non-cancelled) events currently queued here. Each pending
@@ -590,7 +586,8 @@ class Simulator {
   };
 
   [[nodiscard]] static std::uint32_t acquire_slot(Shard& sh);
-  void release_slot(Shard& sh, std::uint32_t slot);
+  /// Empties slot `slot` and returns it to the free list.
+  static void release_slot(Shard& sh, std::uint32_t slot);
   /// Pushes payload slot `slot` at (t, next seq) into the shard's wheel;
   /// returns the cancellation handle (the wheel node index).
   std::uint32_t push_node(Shard& sh, SimTime t, std::uint32_t slot);
@@ -602,13 +599,10 @@ class Simulator {
   void schedule_timer_local(Shard& sh, ShardId id, SimTime t,
                             std::shared_ptr<TimerCore> core,
                             std::uint64_t generation);
-  void schedule_data_local(Shard& sh, SimTime t, DataEventOwner* owner,
-                           std::uint32_t kind, std::uint64_t arg,
-                           FramePtr frame, FrameBytes bytes);
-  /// Appends one arrival to `tr` on shard `sh`, consuming the next seq,
-  /// and anchors the train in the scheduler if it is not already.
-  void train_append_local(Shard& sh, Train& tr, SimTime t,
-                          std::uint64_t epoch, const FramePtr& frame);
+  /// Delivers `d` on shard `sh` (see post): appends it to its train,
+  /// anchoring the train in the scheduler if it is not already, or
+  /// schedules it as a data event. Either way it consumes the next seq.
+  void deliver_local(Shard& sh, SimTime t, Delivery&& d);
   /// The shard the calling thread is executing for *this* simulator; a
   /// one-shard engine always answers shard 0.
   [[nodiscard]] ShardId context_shard() const;

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cassert>
 #include <utility>
+#include <variant>
 
 #include "sim/simulator.h"
 #include "sim/train.h"
@@ -156,17 +157,17 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
     recs.clear();
     sh.wheel.for_each_live(
         [&](SimTime time, std::uint64_t seq, std::uint32_t slot) {
-          const EventPayload& p = sh.slots[slot];
-          if (p.train != nullptr) {
+          const EventSlot& p = sh.slots[slot];
+          if (std::holds_alternative<Train*>(p)) {
             ++img.trains;
-          } else if (p.timer != nullptr) {
-            if (p.timer->generation == p.timer_gen) {
+          } else if (const auto* shot = std::get_if<TimerShot>(&p)) {
+            if (shot->core->generation == shot->generation) {
               ++img.timers;
             } else {
               --img.live;
             }
-          } else if (p.data_owner != nullptr) {
-            if (data_owner_ids_.find(p.data_owner) == data_owner_ids_.end()) {
+          } else if (const auto* d = std::get_if<Delivery>(&p)) {
+            if (data_owner_ids_.find(d->owner) == data_owner_ids_.end()) {
               bad = "data event with unregistered owner";
             }
             recs.push_back(Rec{time, seq, slot});
@@ -180,15 +181,15 @@ bool Simulator::save_engine(SnapshotWriter& w, std::string* error) {
     img.walk(io);
     w.u32(static_cast<std::uint32_t>(recs.size()));
     for (const Rec& rec : recs) {
-      const EventPayload& p = sh.slots[rec.slot];
+      const Delivery& d = std::get<Delivery>(sh.slots[rec.slot]);
       w.i64(rec.time);
       w.u64(rec.seq);
-      const auto it = data_owner_ids_.find(p.data_owner);
+      const auto it = data_owner_ids_.find(d.owner);
       w.u32(it != data_owner_ids_.end() ? it->second : 0xFFFFFFFFu);
-      w.u32(p.data_kind);
-      w.u64(p.data_arg);
-      w.frame(p.data_frame);
-      w.blob(p.data_bytes);
+      w.u32(d.kind);
+      w.u64(d.arg);
+      w.frame(d.frame);
+      w.blob(d.bytes);
     }
   }
   if (bad != nullptr) return fail(bad);
@@ -203,30 +204,22 @@ void Simulator::snapshot_clear() {
   for (auto& shp : shards_) {
     Shard& sh = *shp;
     for (auto& box : sh.outbox) box.clear();
-    const auto clear_slot = [this, &sh](std::uint32_t slot_idx) {
-      EventPayload& p = sh.slots[slot_idx];
-      if (p.timer != nullptr) {
+    const auto clear_slot = [&sh](std::uint32_t slot_idx) {
+      EventSlot& p = sh.slots[slot_idx];
+      if (const auto* shot = std::get_if<TimerShot>(&p)) {
         // Neutralize the core: the owning Timer survives the clear and
         // its restore will call cancel_timer, which must not chase a
         // stale handle into the rebuilt queue.
-        TimerCore& core = *p.timer;
+        TimerCore& core = *shot->core;
         core.handle = TimerCore::kNilHandle;
         core.shard = kNoShard;
         core.pending = false;
         ++core.generation;
-        p.timer.reset();
-        p.timer_gen = 0;
+      } else if (Train* const* anchor = std::get_if<Train*>(&p)) {
+        (*anchor)->scheduled = false;
+        (*anchor)->entries.clear();
       }
-      if (p.train != nullptr) {
-        p.train->scheduled = false;
-        p.train->entries.clear();
-        p.train = nullptr;
-      }
-      p.data_owner = nullptr;
-      p.data_frame.reset();
-      p.data_bytes.clear();
-      p.fn = SmallFn{};
-      release_slot(sh, slot_idx);
+      release_slot(sh, slot_idx);  // drops any closure, core or frame
     };
     // Visit the live nodes where they sit instead of popping them in
     // (time, seq) order: a pop would cascade each one down the levels
@@ -285,12 +278,9 @@ bool Simulator::restore_engine(SnapshotReader& r, std::string* error) {
       }
       if (t < sh.now) return fail("data event before its shard's clock");
       const std::uint32_t slot = acquire_slot(sh);
-      EventPayload& p = sh.slots[slot];
-      p.data_owner = data_owners_[owner_id];
-      p.data_kind = kind;
-      p.data_arg = arg;
-      p.data_frame = std::move(frame);
-      p.data_bytes = std::move(bytes);
+      sh.slots[slot].emplace<Delivery>(Delivery{
+          data_owners_[owner_id], kind, arg, std::move(frame),
+          std::move(bytes)});
       sh.wheel.insert(t, seq, slot);
       ++sh.live;
     }
@@ -314,8 +304,7 @@ void Simulator::restore_timer_at(ShardId shard, SimTime t, std::uint64_t seq,
     return;
   }
   const std::uint32_t slot = acquire_slot(sh);
-  sh.slots[slot].timer = std::move(core);
-  sh.slots[slot].timer_gen = generation;
+  sh.slots[slot].emplace<TimerShot>(TimerShot{std::move(core), generation});
   ++sh.live;
   raw->shard = shard;
   raw->handle = sh.wheel.insert(t, seq, slot);
@@ -332,7 +321,7 @@ void Simulator::restore_train_anchor(ShardId shard, Train& tr) {
     return;
   }
   const std::uint32_t slot = acquire_slot(sh);
-  sh.slots[slot].train = &tr;
+  sh.slots[slot].emplace<Train*>(&tr);
   const TrainEntry& front = tr.entries.front();
   sh.wheel.insert(front.time, front.seq, slot);
   tr.scheduled = true;

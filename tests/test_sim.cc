@@ -95,9 +95,9 @@ TEST(Simulator, OneShardEngineRunsDriverWorkOnShardZero) {
   Timer late(sim);
   Timer tie(sim);
   late.schedule_after(millis(2), [&] { order.push_back(20); });
-  sim.at_shard_data(kNoShard, millis(1), &owner, 0, 10, nullptr, {});
+  sim.post(kNoShard, millis(1), {.owner = &owner, .arg = 10});
   tie.schedule_after(millis(1), [&] { order.push_back(11); });
-  sim.at_shard_data(7, millis(3), &owner, 0, 30, nullptr, {});
+  sim.post(7, millis(3), {.owner = &owner, .arg = 30});
   EXPECT_EQ(sim.pending_events(), 4u);
   std::vector<std::uint8_t> image;
   SnapshotWriter w(image);
@@ -380,70 +380,85 @@ TEST(Link, UnidirectionalFailure) {
   EXPECT_EQ(a.frames.size(), 1u);
 }
 
-/// One run of the propagation-shrink scenario: a sends ten 1000 B frames
-/// at t=0 over a 100 us link (arrivals 108..180 us, one train), then at
-/// 50 us cuts the propagation to 10 us and sends five more (arrivals
-/// 98..130 us). Each late arrival is earlier than the train's last entry,
-/// so it must take the per-frame data-event path. `workers` = 0 keeps the
-/// engine at 1 shard (workers=0); otherwise a and b sit on different
-/// shards, so the late arrivals reach b's train through the mailbox
-/// merge. A no-op event on b at 20 us bounds the first lookahead window,
-/// so the early frames join b's train at an earlier barrier than the late
-/// ones (one window holding all fifteen sends would merge them in time
-/// order).
-struct ShrinkResult {
-  std::vector<std::pair<SimTime, std::uint8_t>> deliveries;  // (time, id)
-  std::uint64_t train_frames = 0;
-  std::uint64_t executed = 0;
-};
-
-ShrinkResult run_propagation_shrink(unsigned workers) {
-  Network net;
-  if (workers > 0) {
-    net.sim().configure_shards(2, micros(1));
-    net.sim().set_workers(workers);
+/// Two sink devices joined by a 1 Gb/s, 100 us link (1000 B = 8 us on
+/// the wire). `workers` = 0 keeps the engine at 1 shard (workers=0);
+/// otherwise a and b sit on different shards, so a's frames reach b's
+/// train through the mailbox merge.
+struct DeclineScenario {
+  explicit DeclineScenario(unsigned workers) {
+    if (workers > 0) {
+      net.sim().configure_shards(2, micros(1));
+      net.sim().set_workers(workers);
+    }
+    a = &net.add_device<SinkDevice>("a");
+    b = &net.add_device<SinkDevice>("b");
+    if (workers > 0) {
+      a->set_shard(0);
+      b->set_shard(1);
+    }
+    Link::Config cfg;
+    cfg.bandwidth_bps = 1e9;
+    cfg.propagation = micros(100);
+    link = &net.connect(*a, 0, *b, 0, cfg);
   }
-  auto& a = net.add_device<SinkDevice>("a");
-  auto& b = net.add_device<SinkDevice>("b");
-  if (workers > 0) {
-    a.set_shard(0);
-    b.set_shard(1);
-  }
-  Link::Config cfg;
-  cfg.bandwidth_bps = 1e9;  // 1000 B = 8 us
-  cfg.propagation = micros(100);
-  Link& link = net.connect(a, 0, b, 0, cfg);
-  const auto send = [&a](std::uint8_t id) {
+  /// Sends a 1000 B frame from a whose first byte is `id`.
+  void send(std::uint8_t id) {
     FrameBytes bytes(1000, 0);
     bytes[0] = id;
-    a.send(0, make_frame(std::move(bytes)));
+    a->send(0, make_frame(std::move(bytes)));
+  }
+
+  struct Result {
+    std::vector<std::pair<SimTime, std::uint8_t>> deliveries;  // (time, id)
+    std::uint64_t train_frames = 0;
+    std::uint64_t executed = 0;
   };
+  Result result() {
+    Result out;
+    for (std::size_t i = 0; i < b->frames.size(); ++i) {
+      out.deliveries.emplace_back(b->times[i], b->frames[i]->bytes[0]);
+    }
+    out.train_frames = net.sim().train_frames();
+    out.executed = net.sim().executed_events();
+    return out;
+  }
+
+  Network net;
+  SinkDevice* a = nullptr;
+  SinkDevice* b = nullptr;
+  Link* link = nullptr;
+};
+
+/// One run of the propagation-shrink scenario: a sends ten frames at t=0
+/// (arrivals 108..180 us, one train), then at 50 us cuts the propagation
+/// to 10 us and sends five more (arrivals 98..130 us). Each late arrival
+/// is earlier than the train's last entry, so the train declines it and
+/// it is delivered as a data event. A no-op event on b at 20 us bounds
+/// the first lookahead window, so the early frames join b's train at an
+/// earlier barrier than the late ones (one window holding all fifteen
+/// sends would merge them in time order).
+DeclineScenario::Result run_propagation_shrink(unsigned workers) {
+  DeclineScenario sc(workers);
   {
-    ShardGuard guard(net.sim(), a.shard());
-    net.sim().at(0, [&] {
-      for (std::uint8_t id = 0; id < 10; ++id) send(id);
+    ShardGuard guard(sc.net.sim(), sc.a->shard());
+    sc.net.sim().at(0, [&] {
+      for (std::uint8_t id = 0; id < 10; ++id) sc.send(id);
     });
-    net.sim().at(micros(50), [&] {
-      link.set_propagation(micros(10));
-      for (std::uint8_t id = 10; id < 15; ++id) send(id);
+    sc.net.sim().at(micros(50), [&] {
+      sc.link->set_propagation(micros(10));
+      for (std::uint8_t id = 10; id < 15; ++id) sc.send(id);
     });
   }
   {
-    ShardGuard guard(net.sim(), b.shard());
-    net.sim().at(micros(20), [] {});
+    ShardGuard guard(sc.net.sim(), sc.b->shard());
+    sc.net.sim().at(micros(20), [] {});
   }
-  net.sim().run();
-  ShrinkResult out;
-  for (std::size_t i = 0; i < b.frames.size(); ++i) {
-    out.deliveries.emplace_back(b.times[i], b.frames[i]->bytes[0]);
-  }
-  out.train_frames = net.sim().train_frames();
-  out.executed = net.sim().executed_events();
-  return out;
+  sc.net.sim().run();
+  return sc.result();
 }
 
 TEST(Link, PropagationShrinkFallsBackToPerFrameDelivery) {
-  const ShrinkResult one_shard = run_propagation_shrink(0);
+  const DeclineScenario::Result one_shard = run_propagation_shrink(0);
   // Only the ten pre-shrink frames rode the train; the five late ones
   // were delivered one data event each.
   EXPECT_EQ(one_shard.train_frames, 10u);
@@ -464,7 +479,61 @@ TEST(Link, PropagationShrinkFallsBackToPerFrameDelivery) {
   EXPECT_EQ(one_shard.deliveries.front().second, 10);
 
   for (const unsigned workers : {1u, 4u}) {
-    const ShrinkResult sharded = run_propagation_shrink(workers);
+    const DeclineScenario::Result sharded = run_propagation_shrink(workers);
+    EXPECT_EQ(sharded.deliveries, one_shard.deliveries)
+        << workers << " workers";
+    EXPECT_EQ(sharded.train_frames, one_shard.train_frames)
+        << workers << " workers";
+    EXPECT_EQ(sharded.executed, one_shard.executed) << workers << " workers";
+  }
+}
+
+/// One run of the re-up scenario: a sends ten frames at t=0 (arrivals
+/// 108..180 us, one train). At 30 us a barrier task fails the a -> b
+/// direction with six frames still queued, voiding all ten; at 60 us
+/// another brings it back up, and a sends five more (arrivals 168..200
+/// us). The void frames are still in the train, so the first two new
+/// arrivals (168, 176) are not later than its last entry (180) and are
+/// declined; the other three join the train behind the void frames.
+DeclineScenario::Result run_reup_while_void(unsigned workers) {
+  DeclineScenario sc(workers);
+  sc.net.sim().at_barrier(micros(30),
+                          [&] { sc.link->set_direction_up(0, false); });
+  sc.net.sim().at_barrier(micros(60),
+                          [&] { sc.link->set_direction_up(0, true); });
+  {
+    ShardGuard guard(sc.net.sim(), sc.a->shard());
+    sc.net.sim().at(0, [&] {
+      for (std::uint8_t id = 0; id < 10; ++id) sc.send(id);
+    });
+    // A barrier task ties ahead of a shard event at the same instant, so
+    // these sends see the direction up again.
+    sc.net.sim().at(micros(60), [&] {
+      for (std::uint8_t id = 10; id < 15; ++id) sc.send(id);
+    });
+  }
+  sc.net.sim().run();
+  return sc.result();
+}
+
+TEST(Link, ReupWithVoidFramesInFlightFallsBackToPerFrameDelivery) {
+  const DeclineScenario::Result one_shard = run_reup_while_void(0);
+  // Only the five new frames arrive, each at its own time; none of the
+  // ten voided ones is delivered.
+  ASSERT_EQ(one_shard.deliveries.size(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(one_shard.deliveries[i].second, 10 + i);
+    EXPECT_EQ(one_shard.deliveries[i].first, micros(168 + 8 * i));
+  }
+  // The train declined the two arrivals that trail its void tail.
+  EXPECT_LT(one_shard.train_frames, 15u);
+  EXPECT_EQ(one_shard.train_frames, 13u);
+  // Two sends, two barrier tasks and fifteen deliveries (a void one
+  // still executes, then drops its frame).
+  EXPECT_EQ(one_shard.executed, 2u + 2u + 15u);
+
+  for (const unsigned workers : {1u, 4u}) {
+    const DeclineScenario::Result sharded = run_reup_while_void(workers);
     EXPECT_EQ(sharded.deliveries, one_shard.deliveries)
         << workers << " workers";
     EXPECT_EQ(sharded.train_frames, one_shard.train_frames)
@@ -1080,15 +1149,29 @@ TEST(Sharded, WidenedShardNeverOutrunsItsOwnEchoes) {
       sim.at(seconds(1), [] {});
     }
     std::vector<SimTime> shard0_times;
+    // Kind 1 runs on shard 1 and posts kind 0 back to shard 0; kind 0
+    // records shard 0's clock.
+    struct Echo final : DataEventOwner {
+      Echo(Simulator& sim, std::vector<SimTime>& times)
+          : sim(&sim), times(&times) {}
+      void execute_data_event(std::uint32_t kind, std::uint64_t /*arg*/,
+                              const FramePtr& /*frame*/,
+                              const FrameBytes& /*bytes*/) override {
+        if (kind == 1) {
+          sim->post(0, sim->now() + micros(1), {.owner = this, .kind = 0});
+        } else {
+          times->push_back(sim->now());
+        }
+      }
+      Simulator* sim;
+      std::vector<SimTime>* times;
+    } echo(sim, shard0_times);
     int steps = 0;
     std::function<void()> chain = [&] {
       shard0_times.push_back(sim.now());
       if (++steps == 100) {
         // One echo: shard 0 -> shard 1 -> shard 0, one lookahead per hop.
-        sim.at_shard(1, sim.now() + micros(1), [&] {
-          sim.at_shard(0, sim.now() + micros(1),
-                       [&] { shard0_times.push_back(sim.now()); });
-        });
+        sim.post(1, sim.now() + micros(1), {.owner = &echo, .kind = 1});
       }
       if (steps < 2000) sim.after(nanos(100), [&] { chain(); });
     };

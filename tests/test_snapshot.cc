@@ -225,11 +225,12 @@ std::unique_ptr<Scenario> make_scenario(PortlandFabric::Options options,
   host::Host& tx_host = fabric.host_at(0, 1, 0);
   rx_host.tcp_listen(5001, [](host::TcpConnection&) {});
   if (warm) {
-    fabric.sim().at_shard(tx_host.shard(), fabric.sim().now() + millis(5),
-                          [&tx_host, &rx_host] {
-                            tx_host.tcp_connect(rx_host.ip(), 5001)
-                                ->send(500'000);
-                          });
+    {
+      sim::ShardGuard guard(fabric.sim(), tx_host.shard());
+      fabric.sim().at(fabric.sim().now() + millis(5), [&tx_host, &rx_host] {
+        tx_host.tcp_connect(rx_host.ip(), 5001)->send(500'000);
+      });
+    }
     fabric.sim().run_until(fabric.sim().now() + millis(100));
   }
   sc->t_save = fabric.sim().now();
